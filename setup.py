@@ -1,31 +1,5 @@
-"""Build script: compiles the optional Cython kernel for the hot hash loop.
-
-The package works without the extension (a pure-Python fallback is selected
-at import time), so a failed extension build degrades to a source-only
-install instead of aborting.
-"""
+"""Build script: a pure-Python package; metadata lives in pyproject.toml."""
 
 from setuptools import setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    ext_modules = cythonize(
-        [Extension("capacore._speedups", ["src/capacore/_speedups.pyx"],
-                   extra_compile_args=["-O3"])],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except Exception as exc:  # pragma: no cover - build-env dependent
-    import sys
-
-    print(f"capacore: skipping compiled kernel ({exc}); "
-          "pure-Python fallback will be used", file=sys.stderr)
-
-setup(ext_modules=ext_modules)
+setup()

@@ -97,7 +97,7 @@ class MinCostFlow:
         return True
 
 
-def nearest_center_index(p: Point, centers, tie_lowest: bool = True) -> int:
+def nearest_center_index(p: Point, centers) -> int:
     best, best_sq = 0, None
     for idx, z in enumerate(centers):
         sq = sum((a - b) ** 2 for a, b in zip(p.coords, z.coords))

@@ -113,18 +113,23 @@ class ExactCellStore:
                 del self.points[lat]
 
     def finalize(self, check_alpha: bool = True):
+        return self.read(self.alpha if check_alpha else math.inf, self.beta)
+
+    def read(self, alpha: float, beta: float):
+        """CellData under caps (alpha, beta): FAIL above alpha nonempty cells,
+        points recovered for the cells of count at most beta."""
         cells = dict(self.counts)
-        if check_alpha and len(cells) > self.alpha:
+        if len(cells) > alpha:
             return FAIL
         light = {}
         for lat, cnt in cells.items():
-            if cnt <= self.beta:
+            if cnt <= beta:
                 ctr = self.points.get(lat, Counter())
                 pts = []
                 for p in sorted(ctr, key=lambda q: q.sort_key()):
                     pts.extend([p] * ctr[p])
                 light[lat] = tuple(pts)
-        return CellData(self.level, cells, light, self.beta)
+        return CellData(self.level, cells, light, beta)
 
     def serialize(self) -> bytes:
         d = self.grid.d

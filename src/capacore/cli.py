@@ -12,7 +12,6 @@ import os
 import random
 import sys
 
-from . import bench as bench_mod
 from . import oracle
 from .assignment import assignment_from_coreset, transfer_full
 from .common import (FAIL, OracleCapError, UsageError, derive_seed, is_fail,
@@ -98,8 +97,7 @@ def cmd_build(args) -> int:
     if args.mode == "offline":
         points = read_points(args.input)
         coreset = build_auto(points, grid, params, seed,
-                             exact_counts=args.exact_counts,
-                             workers=args.threads)
+                             exact_counts=args.exact_counts)
     elif args.mode == "stream":
         updates = read_stream(args.input)
         n_max = max(Delta ** args.d, sum(1 for _, s in updates if s > 0))
@@ -238,11 +236,6 @@ def cmd_centers(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    bench_mod.run()
-    return EXIT_OK
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="capacore",
                                  description=__doc__.splitlines()[0])
@@ -274,7 +267,6 @@ def build_parser():
     b.add_argument("--params-mode", default="practical:1e-6")
     b.add_argument("--exact-counts", action="store_true")
     b.add_argument("--backing", choices=("exact", "sketch"), default="exact")
-    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--seed", type=int, default=None)
     b.set_defaults(func=cmd_build)
 
@@ -306,8 +298,6 @@ def build_parser():
     c.add_argument("--seed", type=int, default=None)
     c.set_defaults(func=cmd_centers)
 
-    bench = sub.add_parser("bench", help="compare compiled and fallback kernels")
-    bench.set_defaults(func=cmd_bench)
     return ap
 
 

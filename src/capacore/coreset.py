@@ -1,29 +1,33 @@
 """Per-part sampled coresets with FAIL gates and guess enumeration.
 
-build_for_o runs one guess: mark cells from (estimated) counts, apply the
-two FAIL gates (total heavy cells, per-level part mass), keep parts whose
-estimated size reaches gamma*T_i(o), and retain each point of a kept
-level-i part with probability phi_i at weight exactly 1/phi_i.  build_auto
-enumerates o over powers of two and returns the smallest guess that does
-not FAIL.  Hash polynomials are seeded per (family, level) only, so every
-guess, mode and machine sees identical sampling decisions.
+finalize_cells is the decision path of every mode.  From per-level cell
+data of the three hash families it marks cells from (estimated) counts,
+applies the two FAIL gates (total heavy cells, per-level part mass), keeps
+parts whose estimated size reaches gamma*T_i(o), and retains the
+hhat-sampled points of each kept level-i part at weight exactly 1/phi_i.
+The offline builder, the stream engine and the distributed coordinator only
+differ in how they produce that cell data.  search_o enumerates o over
+powers of two and returns the smallest guess that does not FAIL.  Hash
+polynomials are seeded per (family, level) only, so every guess, mode and
+machine sees identical sampling decisions.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 
+from .cellstore import CellData
 from .common import FAIL, UsageError, derive_seed, is_fail
-from .estimator import ExactBank, SampleBank
-from .geometry import GridHierarchy, Point, format_point, parse_point_line
-from .hashing import KWiseHash, PointEncoder
-from .params import Params, coreset_size_bound, derive as derive_params
+from .estimator import SampleBank
+from .geometry import CellId, GridHierarchy, format_point, parse_point_line
+from .hashing import KWiseHash, PointEncoder, exact_threshold
+from .params import FAMILIES, Params, coreset_size_bound, derive as derive_params
 from .partition import PartitionStructure, mark_cells
 
 __all__ = [
     "CoresetMeta", "WeightedCoreset", "OfflineBuilder", "build_for_o",
     "build_auto", "coreset_size_bound", "o_grid", "dedup_points",
-    "write_coreset", "read_coreset",
+    "finalize_cells", "search_o", "write_coreset", "read_coreset",
 ]
 
 
@@ -93,8 +97,91 @@ def o_grid(n: int, params: Params) -> list:
     return out
 
 
+# --- the shared decision path ------------------------------------------------
+
+def family_rate(params: Params, family: str, level: int, o: float,
+                exact_counts: bool) -> float:
+    """Rate at which a family's hash keeps points: psi, psi' or phi.
+
+    Exact counts keep every point in the two estimating families."""
+    if family == "hhat":
+        return params.phi(level, o)
+    if exact_counts:
+        return 1.0
+    return params.psi(level, o) if family == "h" else params.psi_prime(level, o)
+
+
+def family_hash(params: Params, seed: int, family: str, level: int,
+                encoder: PointEncoder) -> KWiseHash:
+    """The (family, level) hash; a point is kept when its field value lies
+    below exact_threshold(rate, modulus)."""
+    lam = params.hash_lambda() if family == "hhat" else params.hash_lambda_prime()
+    return KWiseHash(derive_seed(seed, f"{family}:{level}"), lam, 1.0, encoder)
+
+
+def finalize_cells(params: Params, grid: GridHierarchy, seed: int, o: float,
+                   exact_counts: bool, data: dict, n: int):
+    """The coreset of guess o, or FAIL, from data[(family, level)] (CellData).
+
+    n is the size of the input; a nonempty input never gets an empty coreset
+    (such a guess FAILs)."""
+    levels = range(0, grid.L + 1)
+    bank = SampleBank(
+        grid,
+        {lvl: family_rate(params, "h", lvl, o, exact_counts) for lvl in levels},
+        {lvl: family_rate(params, "hp", lvl, o, exact_counts) for lvl in levels},
+        {lvl: data[("h", lvl)].cells for lvl in levels},
+        {lvl: data[("hp", lvl)].cells for lvl in levels})
+    structure = mark_cells(bank.counts_for_marking(), params, o, grid)
+    if structure.heavy_count() > params.heavy_cell_cap():
+        return FAIL
+    tau_union, tau_part = bank.part_estimates(structure)
+    if any(tau_union[lvl] > params.part_sum_cap(lvl, o) for lvl in levels):
+        return FAIL
+    qualifying = {part: tau for part, tau in tau_part.items()
+                  if tau >= params.gamma * params.T(part[0], o)}
+
+    phi = {lvl: params.phi(lvl, o) for lvl in levels}
+    entries = []
+    for lvl in levels:
+        hhat = data[("hhat", lvl)]
+        w = 1.0 / phi[lvl]
+        for lat in hhat.cells:
+            part = structure.part_of_cell(CellId(lvl, lat))
+            if part not in qualifying:
+                continue
+            pts = hhat.light_points.get(lat)
+            if pts is None:
+                # sampled points of a kept cell exceeded the recovery cap
+                return FAIL
+            entries.extend((p, w, lvl, part[1]) for p in set(pts))
+    if n > 0 and not entries:
+        return FAIL
+    meta = CoresetMeta(params, seed, grid.shift_num, o, (o,),
+                       structure, qualifying, phi, exact_counts)
+    return WeightedCoreset(entries, meta)
+
+
+def search_o(guesses, build):
+    """The first guess (smallest first) whose build does not FAIL, with the
+    guesses tried recorded in its meta; FAIL when every guess FAILs."""
+    attempts = []
+    for o in guesses:
+        attempts.append(o)
+        result = build(o)
+        if not is_fail(result):
+            result.meta.o_attempts = tuple(attempts)
+            return result
+    return FAIL
+
+
 class OfflineBuilder:
-    """Shared per-instance state reused across o guesses."""
+    """Shared per-instance state reused across o guesses.
+
+    Every point's lattice path and hash field values are computed once; the
+    cell data of the points a (family, level) hash keeps at a threshold is
+    cached under (family, level, threshold), so guesses sharing a threshold
+    share it."""
 
     def __init__(self, points, grid: GridHierarchy, params: Params, seed: int,
                  exact_counts: bool = True):
@@ -104,101 +191,61 @@ class OfflineBuilder:
         self.seed = seed
         self.exact_counts = exact_counts
         self._encoder = PointEncoder(grid.Delta, grid.d)
-        self._exact_bank = ExactBank(self.points, grid) if exact_counts else None
-        # per-point lattice paths, levels -1..L, computed once
-        self._paths = {
-            p: tuple(grid.lattice_of(p.coords, lvl) for lvl in range(-1, grid.L + 1))
-            for p in self.points
-        }
-        self._hhat_fields: dict = {}
+        # per-point lattice paths, levels 0..L
+        self._paths = [tuple(grid.lattice_of(p.coords, lvl)
+                             for lvl in range(0, grid.L + 1))
+                       for p in self.points]
+        self._fields: dict = {}  # (family, level) -> field value per point
+        self._data: dict = {}    # (family, level, threshold) -> CellData
 
-    def _bank(self, o: float):
-        if self.exact_counts:
-            return self._exact_bank
-        return SampleBank.from_params(self.points, self.grid, self.params, o,
-                                      self.seed)
+    def _kept(self, family: str, level: int, threshold: int):
+        if threshold == 0:
+            return [False] * len(self.points)
+        if threshold == self._encoder.modulus:
+            return [True] * len(self.points)
+        key = (family, level)
+        if key not in self._fields:
+            hash_ = family_hash(self.params, self.seed, family, level, self._encoder)
+            self._fields[key] = hash_.field_values(self.points)
+        return [v < threshold for v in self._fields[key]]
 
-    def _part_of(self, p: Point, structure: PartitionStructure):
-        path = self._paths[p]
-        heavy = structure.heavy
-        if path[0] not in heavy.get(-1, ()):
-            return None
-        prev_level, prev = -1, path[0]
-        for i in range(0, self.grid.L + 1):
-            lat = path[i + 1]
-            if i == self.grid.L or lat not in heavy.get(i, ()):
-                return (i, structure.heavy_index[prev_level][prev])
-            prev_level, prev = i, lat
-        raise AssertionError("unreachable")
-
-    def _hhat_bit(self, level: int, prob: float):
-        """Membership bits for all points under hhat_level at the given rate."""
-        if prob >= 1.0:
-            return None  # means "all true"
-        hash_ = KWiseHash(derive_seed(self.seed, f"hhat:{level}"),
-                          self.params.hash_lambda(), prob, self._encoder)
-        if level not in self._hhat_fields:
-            self._hhat_fields[level] = dict(zip(self.points,
-                                                hash_.field_values(self.points)))
-        t = hash_.threshold
-        fields = self._hhat_fields[level]
-        return {p: fields[p] < t for p in self.points}
+    def _cell_data(self, family: str, level: int, threshold: int) -> CellData:
+        if threshold in (0, self._encoder.modulus):
+            family = None  # rate 0 or 1: every family keeps the same points
+        key = (family, level, threshold)
+        if key not in self._data:
+            light: dict = {}
+            for p, path, keep in zip(self.points, self._paths,
+                                     self._kept(family, level, threshold)):
+                if keep:
+                    light.setdefault(path[level], []).append(p)
+            cells = {lat: len(pts) for lat, pts in light.items()}
+            light = {lat: tuple(pts) for lat, pts in light.items()}
+            self._data[key] = CellData(level, cells, light, math.inf)
+        return self._data[key]
 
     def build_for_o(self, o: float):
-        params, grid = self.params, self.grid
-        bank = self._bank(o)
-        structure = mark_cells(bank.counts_for_marking(), params, o, grid)
-        if structure.heavy_count() > params.heavy_cell_cap():
-            return FAIL
-        tau_union, tau_part = bank.part_estimates(structure)
-        for i in range(0, grid.L + 1):
-            if tau_union[i] > params.part_sum_cap(i, o):
-                return FAIL
-        qualifying = {
-            part: tau for part, tau in tau_part.items()
-            if tau >= params.gamma * params.T(part[0], o)
-        }
-        phi = {lvl: params.phi(lvl, o) for lvl in range(0, grid.L + 1)}
-        bits = {lvl: self._hhat_bit(lvl, phi[lvl]) for lvl in range(0, grid.L + 1)}
-        entries = []
-        for p in self.points:
-            part = self._part_of(p, structure)
-            if part is None or part not in qualifying:
-                continue
-            lvl, j = part
-            b = bits[lvl]
-            if b is None or b[p]:
-                entries.append((p, 1.0 / phi[lvl], lvl, j))
-        meta = CoresetMeta(params, self.seed, grid.shift_num, o, (o,),
-                           structure, qualifying, phi, self.exact_counts)
-        return WeightedCoreset(entries, meta)
+        params, modulus = self.params, self._encoder.modulus
+        data = {}
+        for fam in FAMILIES:
+            for lvl in range(0, self.grid.L + 1):
+                rate = family_rate(params, fam, lvl, o, self.exact_counts)
+                data[(fam, lvl)] = self._cell_data(
+                    fam, lvl, exact_threshold(rate, modulus))
+        return finalize_cells(params, self.grid, self.seed, o,
+                              self.exact_counts, data, len(self.points))
 
-    def build_auto(self, workers: int = 1):
+    def build_auto(self):
         if not self.points:
             raise UsageError("build_auto requires a nonempty point set")
-        grid_os = o_grid(len(self.points), self.params)
-        attempts = []
-        if workers <= 1:
-            for o in grid_os:
-                attempts.append(o)
-                result = self.build_for_o(o)
-                if not is_fail(result):
-                    result.meta.o_attempts = tuple(attempts)
-                    return result
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for base in range(0, len(grid_os), workers):
-                    chunk = grid_os[base:base + workers]
-                    results = list(pool.map(self.build_for_o, chunk))
-                    for o, result in zip(chunk, results):
-                        attempts.append(o)
-                        if not is_fail(result):
-                            result.meta.o_attempts = tuple(attempts)
-                            return result
-        raise RuntimeError(
-            f"all {len(attempts)} o-guesses returned FAIL "
-            f"(n={len(self.points)}, last o={attempts[-1] if attempts else None}); "
-            "this indicates caps inconsistent with the instance")
+        guesses = o_grid(len(self.points), self.params)
+        result = search_o(guesses, self.build_for_o)
+        if is_fail(result):
+            raise RuntimeError(
+                f"all {len(guesses)} o-guesses returned FAIL "
+                f"(n={len(self.points)}, last o={guesses[-1]}); "
+                "this indicates caps inconsistent with the instance")
+        return result
 
 
 def build_for_o(points, grid: GridHierarchy, params: Params, o: float, seed: int,
@@ -207,8 +254,8 @@ def build_for_o(points, grid: GridHierarchy, params: Params, o: float, seed: int
 
 
 def build_auto(points, grid: GridHierarchy, params: Params, seed: int,
-               exact_counts: bool = True, workers: int = 1) -> WeightedCoreset:
-    return OfflineBuilder(points, grid, params, seed, exact_counts).build_auto(workers)
+               exact_counts: bool = True) -> WeightedCoreset:
+    return OfflineBuilder(points, grid, params, seed, exact_counts).build_auto()
 
 
 # --- coreset file format ---------------------------------------------------

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import struct
 
-from .common import FAIL, UsageError, derive_seed, is_fail
+from .common import FAIL, UsageError, derive_seed
+from .coreset import search_o
 from .geometry import GridHierarchy
-from .params import Params
-from .streaming import FAMILIES, StreamEngine
+from .params import FAMILIES, Params
+from .streaming import StreamEngine
 from . import cellstore
 
 
@@ -60,7 +61,7 @@ class Machine:
             for fam in FAMILIES:
                 for lvl in eng._levels:
                     store = eng._stores[(o, fam, lvl)]
-                    alpha, _ = eng._caps(fam, lvl, o)
+                    alpha, _ = eng.params.caps(fam, lvl, o)
                     if isinstance(store, cellstore.ExactCellStore) \
                             and len(store.counts) > alpha:
                         yield (o, fam, lvl), FAIL_MARKER
@@ -99,19 +100,13 @@ class Coordinator:
             target.merge_in(cellstore.deserialize(bytes(blob), self.engine.grid))
 
     def finalize(self):
-        self.engine.net = self.total_n
-        attempts = []
-        for o in self.engine.candidates():
-            attempts.append(o)
-            if o in self.failed_os:
-                continue
-            result = self.engine.finalize_for_o(o)
-            if not is_fail(result):
-                result.meta.o_attempts = tuple(attempts)
-                return result
-        if not attempts:
-            return self.engine._empty_coreset()
-        return FAIL
+        eng = self.engine
+        eng.net = self.total_n
+        guesses = eng.candidates()
+        if not guesses:
+            return eng._empty_coreset()
+        return search_o(guesses, lambda o: FAIL if o in self.failed_os
+                        else eng.finalize_for_o(o))
 
 
 def broadcast_blob(params: Params, grid: GridHierarchy, seed: int) -> bytes:
@@ -147,12 +142,7 @@ def per_machine_byte_cap(params: Params, grid: GridHierarchy, o_values) -> int:
     for o in o_values:
         for lvl in range(0, grid.L + 1):
             for fam in FAMILIES:
-                if fam == "h":
-                    alpha, beta = params.alpha(lvl, o), params.beta(lvl, o)
-                elif fam == "hp":
-                    alpha, beta = params.alpha_prime(lvl, o), params.beta_prime(lvl, o)
-                else:
-                    alpha, beta = params.alpha_hat(lvl, o), params.beta_hat(lvl, o)
+                alpha, beta = params.caps(fam, lvl, o)
                 cells = int(min(alpha, (2 * grid.Delta) ** d))
                 pts = int(min(alpha * beta, 10**12))
                 total += 40 + cells * (8 * d + 8) + pts * (8 * d + 16)

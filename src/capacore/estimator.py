@@ -1,10 +1,11 @@
 """Inverse-probability size estimates from per-level hash subsamples.
 
-Two interchangeable banks: `SampleBank` retains the h/h' subsamples and
-scales retained counts by 1/psi, `ExactBank` reports true counts (the
-"exact counts" switch that isolates structural behavior from sampling
-noise).  The root-level estimate is derived from the level-0 subsample,
-since the sampling schedule only defines hashes for levels 0..L.
+A `SampleBank` holds, per level, the cell counts of the points its h and h'
+hashes kept, with the rates psi and psi' they were kept at; every estimate
+scales a count by the inverse rate.  `ExactBank` is the rate-1 bank over all
+points (the "exact counts" switch that isolates structural behavior from
+sampling noise).  The root-level estimate is derived from the level-0
+counts, since the sampling schedule only defines hashes for levels 0..L.
 """
 
 from __future__ import annotations
@@ -17,28 +18,26 @@ from .partition import PartitionStructure, exact_counts
 
 class SampleBank:
     def __init__(self, grid: GridHierarchy, psi: dict, psi_prime: dict,
-                 h_pts: dict, hp_pts: dict):
+                 h_cells: dict, hp_cells: dict):
         self.grid = grid
         self.psi = psi
         self.psi_prime = psi_prime
-        self.h_pts = h_pts    # level -> list of retained points (h family)
-        self.hp_pts = hp_pts  # level -> list of retained points (h' family)
-        self._h_cells = {
-            lvl: _cell_counter(pts, grid, lvl) for lvl, pts in h_pts.items()
-        }
+        self.h_cells = h_cells    # level -> {lattice: count kept by h}
+        self.hp_cells = hp_cells  # level -> {lattice: count kept by h'}
 
     @classmethod
     def build(cls, points, grid: GridHierarchy, psi: dict, psi_prime: dict,
               lam: int, lam_prime: int, seed: int) -> "SampleBank":
         enc = PointEncoder(grid.Delta, grid.d)
         pts = list(points)
-        h_pts, hp_pts = {}, {}
+        h_cells, hp_cells = {}, {}
         for lvl in range(0, grid.L + 1):
-            h = KWiseHash(derive_seed(seed, f"h:{lvl}"), lam_prime, psi[lvl], enc)
-            hp = KWiseHash(derive_seed(seed, f"hp:{lvl}"), lam_prime, psi_prime[lvl], enc)
-            h_pts[lvl] = [p for p, keep in zip(pts, h.eval_many(pts)) if keep]
-            hp_pts[lvl] = [p for p, keep in zip(pts, hp.eval_many(pts)) if keep]
-        return cls(grid, dict(psi), dict(psi_prime), h_pts, hp_pts)
+            for fam, rates, out in (("h", psi, h_cells), ("hp", psi_prime, hp_cells)):
+                hash_ = KWiseHash(derive_seed(seed, f"{fam}:{lvl}"), lam_prime,
+                                  rates[lvl], enc)
+                kept = [p for p, keep in zip(pts, hash_.eval_many(pts)) if keep]
+                out[lvl] = exact_counts(kept, grid, levels=[lvl])[lvl]
+        return cls(grid, dict(psi), dict(psi_prime), h_cells, hp_cells)
 
     @classmethod
     def from_params(cls, points, grid: GridHierarchy, params, o: float, seed: int):
@@ -47,34 +46,37 @@ class SampleBank:
         return cls.build(points, grid, psi, psip,
                          params.hash_lambda(), params.hash_lambda_prime(), seed)
 
+    def _root_estimate(self) -> float:
+        return sum(self.h_cells[0].values()) / self.psi[0]
+
     def estimate_cell(self, cell: CellId) -> float:
         if cell.level == -1:
-            return len(self.h_pts[0]) / self.psi[0]
-        if cell.level not in self._h_cells:
+            return self._root_estimate()
+        if cell.level not in self.h_cells:
             raise UsageError(f"bank does not cover level {cell.level}")
-        return self._h_cells[cell.level].get(cell.lattice, 0) / self.psi[cell.level]
+        return self.h_cells[cell.level].get(cell.lattice, 0) / self.psi[cell.level]
 
     def counts_for_marking(self) -> dict:
+        """Estimated cell sizes for levels -1..L-1, as mark_cells reads them."""
         out = {}
-        root_lat = None
         for lvl in range(0, self.grid.L):
             inv = 1.0 / self.psi[lvl]
-            out[lvl] = {lat: c * inv for lat, c in self._h_cells[lvl].items()}
-        if self.h_pts[0]:
-            root_lat = self.grid.cell_of(self.h_pts[0][0], -1).lattice
-            out[-1] = {root_lat: len(self.h_pts[0]) / self.psi[0]}
-        else:
-            out[-1] = {}
+            out[lvl] = {lat: c * inv for lat, c in self.h_cells[lvl].items()}
+        # the single root cell sits at the all-zero lattice (see geometry)
+        root = self._root_estimate()
+        out[-1] = {(0,) * self.grid.d: root} if root else {}
         return out
 
     def part_estimates(self, structure: PartitionStructure):
-        # aggregate integer counts per crucial cell first, then scale: this
-        # matches the streaming finalize bit for bit
+        """Per-level and per-part size estimates, summed over crucial cells.
+
+        Integer counts are aggregated per crucial cell first and then scaled,
+        in sorted cell order, so that every mode sums the same floats."""
         tau_union = {lvl: 0.0 for lvl in range(0, self.grid.L + 1)}
         tau_part: dict = {}
         for lvl in range(0, self.grid.L + 1):
             inv = 1.0 / self.psi_prime[lvl]
-            cells = _cell_counter(self.hp_pts[lvl], self.grid, lvl)
+            cells = self.hp_cells[lvl]
             for lat in sorted(cells):
                 part = structure.part_of_cell(CellId(lvl, lat))
                 if part is not None:
@@ -83,50 +85,15 @@ class SampleBank:
         return tau_union, tau_part
 
 
-class ExactBank:
-    """Exact counts behind the SampleBank interface."""
+class ExactBank(SampleBank):
+    """Exact counts: the SampleBank that keeps every point at rate 1."""
 
     def __init__(self, points, grid: GridHierarchy):
-        self.grid = grid
-        self.points = list(points)
-        self._counts = exact_counts(self.points, grid)
+        levels = range(0, grid.L + 1)
+        counts = exact_counts(list(points), grid, levels=levels)
+        ones = {lvl: 1.0 for lvl in levels}
+        super().__init__(grid, ones, ones, counts, counts)
 
-    def estimate_cell(self, cell: CellId) -> float:
-        return float(self._counts[cell.level].get(cell.lattice, 0))
-
-    def counts_for_marking(self) -> dict:
-        return {lvl: dict(self._counts[lvl]) for lvl in range(-1, self.grid.L)}
-
-    def part_estimates(self, structure: PartitionStructure):
-        tau_union = {lvl: 0.0 for lvl in range(0, self.grid.L + 1)}
-        tau_part: dict = {}
-        for lvl in range(0, self.grid.L + 1):
-            cells = self._counts[lvl]
-            for lat in sorted(cells):
-                part = structure.part_of_cell(CellId(lvl, lat))
-                if part is not None:
-                    tau_union[lvl] += float(cells[lat])
-                    tau_part[part] = tau_part.get(part, 0.0) + float(cells[lat])
-        return tau_union, tau_part
-
-
-def estimate_part(bank, structure: PartitionStructure, i: int, j: int) -> float:
-    tau_union, tau_part = bank.part_estimates(structure)
-    if not 0 <= i <= structure.L or not 0 <= j < structure.s(i):
-        raise UsageError(f"unknown part index ({i}, {j})")
-    return tau_part.get((i, j), 0.0)
-
-
-def estimate_level_union(bank, structure: PartitionStructure, i: int) -> float:
-    tau_union, _ = bank.part_estimates(structure)
-    if not 0 <= i <= structure.L:
-        raise UsageError(f"unknown level {i}")
-    return tau_union[i]
-
-
-def _cell_counter(points, grid: GridHierarchy, level: int) -> dict:
-    out: dict = {}
-    for p in points:
-        lat = grid.lattice_of(p.coords, level)
-        out[lat] = out.get(lat, 0) + 1
-    return out
+    # a class-level name of its own, so it can be looked up (and traced)
+    # on ExactBank itself
+    part_estimates = SampleBank.part_estimates

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .common import UsageError
 
@@ -26,10 +26,6 @@ class Point(NamedTuple):
 
     def sort_key(self):
         return (self.coords, self.tag)
-
-
-def make_point(coords: Iterable[int], tag: int = NO_TAG) -> Point:
-    return Point(tuple(int(c) for c in coords), int(tag))
 
 
 def alph_less(p: Point, q: Point) -> bool:
@@ -50,10 +46,6 @@ def dist_pow(p: Point, q: Point, r: float):
     if r == 1:
         return math.sqrt(sq)
     return sq ** (r / 2.0)
-
-
-def dist_pow_to_set(p: Point, centers, r: float):
-    return min(dist_pow(p, z, r) for z in centers)
 
 
 class CellId(NamedTuple):

@@ -1,31 +1,18 @@
-"""Kernel dispatch: compiled Cython core when available, pure Python otherwise.
+"""Polynomial evaluation over a prime field, the package's hot loop.
 
-`poly_eval_batch` is the package's hot loop (degree-(lambda-1) polynomial over
-a prime field, evaluated per point).  The compiled path only supports the
-61-bit Mersenne modulus; larger moduli always take the Python path.
+`poly_eval_batch` evaluates a degree-(lambda-1) polynomial per point with
+Horner's rule in pure Python.
 """
 
 from __future__ import annotations
 
-MERSENNE61 = (1 << 61) - 1
-
-try:
-    import numpy as _np
-
-    from . import _speedups as _ext
-
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover - depends on build environment
-    _ext = None
-    _np = None
-    HAVE_COMPILED = False
-
 
 def active_kernel() -> str:
-    return "cython" if HAVE_COMPILED else "python"
+    return "python"
 
 
-def _poly_eval_py(coeffs, xs, modulus):
+def poly_eval_batch(coeffs, xs, modulus):
+    """Evaluate sum(coeffs[i]*x**i) mod modulus for every x in xs."""
     rev = list(reversed(coeffs))
     out = []
     for x in xs:
@@ -36,18 +23,5 @@ def _poly_eval_py(coeffs, xs, modulus):
     return out
 
 
-def poly_eval_batch(coeffs, xs, modulus, force_python: bool = False):
-    """Evaluate sum(coeffs[i]*x**i) mod modulus for every x in xs."""
-    if not xs:
-        return []
-    if force_python or not HAVE_COMPILED or modulus != MERSENNE61:
-        return _poly_eval_py(coeffs, xs, modulus)
-    c = _np.asarray(coeffs, dtype=_np.uint64)
-    x = _np.asarray(xs, dtype=_np.uint64)
-    out = _np.empty(len(xs), dtype=_np.uint64)
-    _ext.poly_eval_m61(c, x, out)
-    return [int(v) for v in out]
-
-
-def poly_eval_one(coeffs, x, modulus, force_python: bool = False) -> int:
-    return poly_eval_batch(coeffs, [x], modulus, force_python=force_python)[0]
+def poly_eval_one(coeffs, x, modulus) -> int:
+    return poly_eval_batch(coeffs, [x], modulus)[0]

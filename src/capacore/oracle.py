@@ -343,9 +343,9 @@ class AuditReport:
         return (sum(r.violated for r in rows) / len(rows)) if rows else 0.0
 
     def worst_ratio(self, form=None):
+        """Largest ratio of the form's rows (inf when any ratio is infinite)."""
         rows = [r for r in self.rows if form is None or r.form == form]
-        finite = [r.ratio for r in rows if r.ratio != INF]
-        return max(finite, default=0.0)
+        return max((r.ratio for r in rows), default=0.0)
 
     def clean(self) -> bool:
         return self.violations() == 0

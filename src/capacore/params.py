@@ -20,6 +20,10 @@ from .geometry import next_pow2
 THEORY = "theory"
 PRACTICAL = "practical"
 
+# hash families of the construction: h and h' estimate cell and part sizes,
+# hhat samples the coreset points
+FAMILIES = ("h", "hp", "hhat")
+
 # calibrated practical-mode scale for the desk-scale sandwich audit: the
 # pre-registered sweep in tests/calibration_sweep.py selected the smallest
 # candidate with >= 18/20 clean seeds (3e-57 scored 19/20; 5e-57 and above
@@ -89,6 +93,16 @@ class Params:
 
     def beta_hat(self, i: int, o: float) -> float:
         return 4e6 * (self.k + self.d_pow()) * self.L**2 * self.phi(i, o) * self.T(i, o)
+
+    def caps(self, family: str, i: int, o: float):
+        """(alpha, beta): the cell cap and light-cell point cap of a store."""
+        if family == "h":
+            return self.alpha(i, o), self.beta(i, o)
+        if family == "hp":
+            return self.alpha_prime(i, o), self.beta_prime(i, o)
+        if family == "hhat":
+            return self.alpha_hat(i, o), self.beta_hat(i, o)
+        raise UsageError(f"unknown hash family {family!r}")
 
     # --- hash construction ----------------------------------------------
     def hash_lambda(self) -> int:

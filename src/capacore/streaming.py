@@ -1,12 +1,13 @@
 """One-pass dynamic-stream coreset construction.
 
 Per guess o and level i the engine maintains three cell stores fed by the
-h / h' / hhat sub-streams; finalize replays the marking, gates and sampling
-of the offline builder on the recovered cell data.  Hash polynomials are
-shared across guesses (only the acceptance threshold varies), so with the
-exact backing the engine pools stores whose routing threshold coincides:
-pooled content is a linear function of the updates and therefore equal to
-running one store per guess.  The sketch backing keeps per-guess stores.
+h / h' / hhat sub-streams; finalize reads the stores out under each guess's
+caps and hands the cell data to the decision path every mode shares
+(coreset.finalize_cells).  Hash polynomials are shared across guesses (only
+the acceptance threshold varies), so with the exact backing the engine pools
+stores whose routing threshold coincides: pooled content is a linear
+function of the updates and therefore equal to running one store per guess.
+The sketch backing keeps per-guess stores.
 
 Stream file format: one update per line, "+ x1 ... xd #tag" or
 "- x1 ... xd #tag" (U+2212 minus accepted).
@@ -14,15 +15,16 @@ Stream file format: one update per line, "+ x1 ... xd #tag" or
 
 from __future__ import annotations
 
+import math
+
 from .common import FAIL, UsageError, derive_seed, is_fail
-from .coreset import CoresetMeta, WeightedCoreset, o_grid
-from .geometry import CellId, GridHierarchy, Point, format_point, parse_point_line
-from .hashing import KWiseHash, PointEncoder, exact_threshold
-from .params import Params
+from .coreset import (CoresetMeta, WeightedCoreset, family_hash, family_rate,
+                      finalize_cells, o_grid, search_o)
+from .geometry import GridHierarchy, Point, format_point, parse_point_line
+from .hashing import PointEncoder, exact_threshold
+from .params import FAMILIES, Params
 from .partition import mark_cells
 from . import cellstore
-
-FAMILIES = ("h", "hp", "hhat")
 
 
 class StreamEngine:
@@ -43,27 +45,16 @@ class StreamEngine:
         self.updates = 0
         self._encoder = PointEncoder(grid.Delta, grid.d)
         self._levels = range(0, grid.L + 1)
-        self._hashes = {}
-        for lvl in self._levels:
-            lamp, lam = params.hash_lambda_prime(), params.hash_lambda()
-            self._hashes[("h", lvl)] = KWiseHash(
-                derive_seed(seed, f"h:{lvl}"), lamp, 1.0, self._encoder)
-            self._hashes[("hp", lvl)] = KWiseHash(
-                derive_seed(seed, f"hp:{lvl}"), lamp, 1.0, self._encoder)
-            self._hashes[("hhat", lvl)] = KWiseHash(
-                derive_seed(seed, f"hhat:{lvl}"), lam, 1.0, self._encoder)
+        self._hashes = {(fam, lvl): family_hash(params, seed, fam, lvl, self._encoder)
+                        for lvl in self._levels for fam in FAMILIES}
         # routing thresholds per (o, family, level)
         self._thresh = {}
         for o in self.o_values:
             for lvl in self._levels:
-                probs = {
-                    "h": 1.0 if exact_counts else params.psi(lvl, o),
-                    "hp": 1.0 if exact_counts else params.psi_prime(lvl, o),
-                    "hhat": params.phi(lvl, o),
-                }
                 for fam in FAMILIES:
+                    rate = family_rate(params, fam, lvl, o, exact_counts)
                     self._thresh[(o, fam, lvl)] = exact_threshold(
-                        probs[fam], self._encoder.modulus)
+                        rate, self._encoder.modulus)
         self._stores = {}       # (o, fam, lvl) -> store object (maybe shared)
         self._field_cache = {}  # (fam, lvl) -> {point: field value}
         if backing == "exact":
@@ -72,24 +63,17 @@ class StreamEngine:
                 key = (fam, lvl, t)
                 if key not in pool:
                     pool[key] = cellstore.ExactCellStore(
-                        grid, lvl, float("inf"), float("inf"),
+                        grid, lvl, math.inf, math.inf,
                         derive_seed(seed, f"store:{fam}:{lvl}"))
                 self._stores[(o, fam, lvl)] = pool[key]
             self._pool = pool
         elif backing == "sketch":
-            for o in self.o_values:
-                for lvl in self._levels:
-                    caps = {
-                        "h": (params.alpha(lvl, o), params.beta(lvl, o)),
-                        "hp": (params.alpha_prime(lvl, o), params.beta_prime(lvl, o)),
-                        "hhat": (params.alpha_hat(lvl, o), params.beta_hat(lvl, o)),
-                    }
-                    for fam in FAMILIES:
-                        a, b = caps[fam]
-                        self._stores[(o, fam, lvl)] = cellstore.SketchCellStore(
-                            grid, lvl, a, b,
-                            derive_seed(seed, f"store:{fam}:{lvl}:{o}"),
-                            delta=0.001 / (3 * (grid.L + 1)))
+            for o, fam, lvl in self._thresh:
+                alpha, beta = params.caps(fam, lvl, o)
+                self._stores[(o, fam, lvl)] = cellstore.SketchCellStore(
+                    grid, lvl, alpha, beta,
+                    derive_seed(seed, f"store:{fam}:{lvl}:{o}"),
+                    delta=0.001 / (3 * (grid.L + 1)))
             self._pool = None
         else:
             raise UsageError(f"unknown backing {backing!r}")
@@ -126,27 +110,15 @@ class StreamEngine:
             self.process(p, sign)
 
     # --- finalize ----------------------------------------------------------
-    def _caps(self, fam: str, lvl: int, o: float):
-        if fam == "h":
-            return self.params.alpha(lvl, o), self.params.beta(lvl, o)
-        if fam == "hp":
-            return self.params.alpha_prime(lvl, o), self.params.beta_prime(lvl, o)
-        return self.params.alpha_hat(lvl, o), self.params.beta_hat(lvl, o)
-
     def _cell_data(self, o: float, fam: str, lvl: int):
         store = self._stores[(o, fam, lvl)]
-        alpha, beta = self._caps(fam, lvl, o)
         if isinstance(store, cellstore.ExactCellStore):
-            cells = dict(store.counts)
-            if self.check_store_alpha and len(cells) > alpha:
-                return FAIL
-            light = {lat: store_points(store, lat)
-                     for lat, cnt in cells.items() if cnt <= beta}
-            return cellstore.CellData(lvl, cells, light, beta)
+            # a pooled store serves several guesses: read it under this one's caps
+            alpha, beta = self.params.caps(fam, lvl, o)
+            return store.read(alpha if self.check_store_alpha else math.inf, beta)
         return store.finalize(check_alpha=self.check_store_alpha)
 
     def finalize_for_o(self, o: float):
-        params, grid = self.params, self.grid
         data = {}
         for fam in FAMILIES:
             for lvl in self._levels:
@@ -154,56 +126,8 @@ class StreamEngine:
                 if is_fail(d):
                     return FAIL
                 data[(fam, lvl)] = d
-
-        psi = {lvl: 1.0 if self.exact_counts else params.psi(lvl, o)
-               for lvl in self._levels}
-        psip = {lvl: 1.0 if self.exact_counts else params.psi_prime(lvl, o)
-                for lvl in self._levels}
-        counts = {}
-        for lvl in range(0, grid.L):
-            inv = 1.0 / psi[lvl]
-            counts[lvl] = {lat: cnt * inv
-                           for lat, cnt in data[("h", lvl)].cells.items()}
-        root_total = sum(data[("h", 0)].cells.values()) / psi[0]
-        counts[-1] = {(0,) * grid.d: root_total} if root_total else {}
-
-        structure = mark_cells(counts, params, o, grid)
-        if structure.heavy_count() > params.heavy_cell_cap():
-            return FAIL
-        tau_union = {lvl: 0.0 for lvl in self._levels}
-        tau_part: dict = {}
-        for lvl in self._levels:
-            inv = 1.0 / psip[lvl]
-            cells = data[("hp", lvl)].cells
-            for lat in sorted(cells):
-                part = structure.part_of_cell(CellId(lvl, lat))
-                if part is not None:
-                    tau_union[lvl] += cells[lat] * inv
-                    tau_part[part] = tau_part.get(part, 0.0) + cells[lat] * inv
-        for lvl in self._levels:
-            if tau_union[lvl] > params.part_sum_cap(lvl, o):
-                return FAIL
-        qualifying = {part: tau for part, tau in tau_part.items()
-                      if tau >= params.gamma * params.T(part[0], o)}
-
-        phi = {lvl: params.phi(lvl, o) for lvl in self._levels}
-        entries = []
-        for lvl in self._levels:
-            hhat_data = data[("hhat", lvl)]
-            w = 1.0 / phi[lvl]
-            for lat in sorted(hhat_data.cells):
-                part = structure.part_of_cell(CellId(lvl, lat))
-                if part is None or part not in qualifying:
-                    continue
-                pts = hhat_data.light_points.get(lat)
-                if pts is None:
-                    # sampled points of a kept cell exceeded the recovery cap
-                    return FAIL
-                for p in sorted(set(pts), key=lambda q: q.sort_key()):
-                    entries.append((p, w, lvl, part[1]))
-        meta = CoresetMeta(params, self.seed, grid.shift_num, o, (o,),
-                           structure, qualifying, phi, self.exact_counts)
-        return WeightedCoreset(entries, meta)
+        return finalize_cells(self.params, self.grid, self.seed, o,
+                              self.exact_counts, data, self.net)
 
     def candidates(self):
         if self.net > self.n_max:
@@ -214,17 +138,14 @@ class StreamEngine:
 
     def finalize(self):
         """Smallest non-FAIL guess; empty stream yields an empty coreset."""
-        attempts = []
-        for o in self.candidates():
-            attempts.append(o)
-            result = self.finalize_for_o(o)
-            if not is_fail(result):
-                result.meta.o_attempts = tuple(attempts)
-                return result
-        if not attempts:
+        guesses = self.candidates()
+        if not guesses:
             return self._empty_coreset()
-        raise RuntimeError(
-            f"all {len(attempts)} o-guesses FAILed at finalize (net={self.net})")
+        result = search_o(guesses, self.finalize_for_o)
+        if is_fail(result):
+            raise RuntimeError(
+                f"all {len(guesses)} o-guesses FAILed at finalize (net={self.net})")
+        return result
 
     def _empty_coreset(self):
         structure = mark_cells({-1: {}}, self.params, 1.0, self.grid)
@@ -239,22 +160,6 @@ class StreamEngine:
                 seen.add(id(store))
                 total += store.space_bytes()
         return total
-
-
-def store_points(store: cellstore.ExactCellStore, lat):
-    ctr = store.points.get(lat, {})
-    pts = []
-    for p in sorted(ctr, key=lambda q: q.sort_key()):
-        pts.extend([p] * ctr[p])
-    return tuple(pts)
-
-
-def select_o(results_by_o: dict):
-    """Smallest guess whose finalize result is not FAIL."""
-    for o in sorted(results_by_o):
-        if not is_fail(results_by_o[o]):
-            return o, results_by_o[o]
-    raise RuntimeError("every o-guess FAILed")
 
 
 # --- stream file format -----------------------------------------------------

@@ -57,6 +57,20 @@ def test_build_offline_and_header_roundtrip(tmp_path):
     assert core_path.read_text() == again.read_text()
 
 
+def test_build_fails_instead_of_writing_empty_coreset(tmp_path, capsys):
+    # sampled counts at this scale estimate every cell as empty; no guess
+    # may then accept an empty coreset for the 300 input points
+    pts_path = tmp_path / "g.txt"
+    assert main(["gen", "--out", str(pts_path), "--n", "300", "--Delta", "8",
+                 "--seed", "1"]) == 0
+    out = tmp_path / "c.txt"
+    rc = main(["build", "--input", str(pts_path), "--output", str(out),
+               "-k", "3", "--Delta", "8", "--params-mode", "practical:3e-57"])
+    assert rc == 3
+    assert "FAIL" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stream_build_matches_offline(tmp_path):
     pts_path = _gen(tmp_path)
     offline_path = _build(tmp_path, pts_path)
@@ -199,12 +213,6 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert main(["gen", "--out", str(b), "--n", "10", "--Delta", "8",
                  "--seed", "77"]) == 0
     assert a.read_text() == b.read_text()
-
-
-def test_bench_runs(capsys):
-    assert main(["bench"]) == 0
-    out = capsys.readouterr().out
-    assert "active kernel" in out
 
 
 def test_gen_uniform_kind(tmp_path):

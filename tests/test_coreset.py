@@ -120,8 +120,6 @@ def test_build_auto_deterministic(rng):
     b = build_auto(pts, grid, SAMPLING, seed=4)
     assert a == b
     assert a.meta.o_attempts == b.meta.o_attempts
-    c = build_auto(pts, grid, SAMPLING, seed=4, workers=3)
-    assert c == a
 
 
 def test_selected_o_vs_opt_on_tight_clusters(rng):

@@ -8,6 +8,7 @@ from capacore.distributed import (broadcast_blob, per_machine_byte_cap,
                                   run_protocol)
 from capacore.geometry import GridHierarchy
 from capacore.params import PRACTICAL, derive
+from capacore.streaming import StreamEngine
 
 from conftest import rand_points
 
@@ -112,3 +113,20 @@ def test_protocol_on_larger_domain(rng):
                               seed=9)
     assert core == offline
     assert comm > 0
+
+
+def test_nonempty_input_fails_in_every_mode_instead_of_empty_coreset():
+    # sampled counts at this scale keep no point in the h-sample, so no cell
+    # is heavy and every guess would accept an empty coreset
+    params = derive(k=3, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
+                    mode=PRACTICAL, scale=3e-57)
+    pts = dedup_points(rand_points(random.Random(1), 300, 8))
+    grid = GridHierarchy.from_seed(derive_seed(1, "shift"), 8, 2)
+    with pytest.raises(RuntimeError):
+        build_auto(pts, grid, params, 1, exact_counts=False)
+    engine = StreamEngine(params, grid, 1, n_max=len(pts))
+    engine.process_stream((p, +1) for p in pts)
+    with pytest.raises(RuntimeError):
+        engine.finalize()
+    core, _ = run_protocol([pts[0::2], pts[1::2]], params, 1)
+    assert is_fail(core)

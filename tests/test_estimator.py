@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from capacore.common import UsageError
-from capacore.estimator import (ExactBank, SampleBank, estimate_level_union,
-                                estimate_part)
+from capacore.common import derive_seed
+from capacore.estimator import ExactBank, SampleBank
 from capacore.geometry import CellId, GridHierarchy, Point
+from capacore.hashing import KWiseHash, PointEncoder
 from capacore.params import PRACTICAL, derive
 from capacore.partition import exact_counts, mark_cells
 
@@ -44,9 +44,13 @@ def test_retained_points_pass_their_hash(rng):
     grid = GridHierarchy.from_seed(4, 16, 2)
     pts = rand_points(rng, 200, 16)
     bank = _bank(pts, grid, 0.5, 0.25, seed=9)
+    enc = PointEncoder(16, 2)
     for lvl in range(0, grid.L + 1):
-        assert set(bank.h_pts[lvl]) <= set(pts)
-        assert set(bank.hp_pts[lvl]) <= set(pts)
+        for fam, rate, cells in (("h", 0.5, bank.h_cells), ("hp", 0.25, bank.hp_cells)):
+            h = KWiseHash(derive_seed(9, f"{fam}:{lvl}"), 4, rate, enc)
+            kept = [p for p in pts if h.eval(p)]
+            assert 0 < len(kept) < len(pts)
+            assert cells[lvl] == exact_counts(kept, grid, levels=[lvl])[lvl]
 
 
 def test_inverse_probability_variance(rng):
@@ -108,17 +112,6 @@ def test_part_with_no_crucial_cells_is_zero():
     assert union[0] == 0.0
 
 
-def test_unknown_part_index_raises(rng):
-    grid = GridHierarchy.from_seed(8, 8, 2)
-    pts = rand_points(rng, 10, 8)
-    exact = ExactBank(pts, grid)
-    structure = mark_cells(exact.counts_for_marking(), PARAMS, 4, grid)
-    with pytest.raises(UsageError):
-        estimate_part(exact, structure, 0, 99)
-    with pytest.raises(UsageError):
-        estimate_level_union(exact, structure, 17)
-
-
 def test_goodness_audit_theory_mode(rng):
     """Theory-mode rates clamp to 1 at desk scale, so every estimate lands
     inside the goodness window; the audit asserts the 1% budget anyway."""
@@ -153,4 +146,5 @@ def test_practical_rates_route_fewer_points(rng):
     o = 1024
     assert any(params.psi(lvl, o) < 1 for lvl in range(0, grid.L + 1))
     bank = SampleBank.from_params(pts, grid, params, o, seed=5)
-    assert any(len(bank.h_pts[lvl]) < len(pts) for lvl in range(0, grid.L + 1))
+    assert any(sum(bank.h_cells[lvl].values()) < len(pts)
+               for lvl in range(0, grid.L + 1))

@@ -188,3 +188,16 @@ def test_cost_query_wrapper():
     pts = [Point((1, 1), 0), Point((4, 5), 1)]
     q = oracle.CostQuery(pts, [Point((1, 1))], INF, 2)
     assert oracle.exact_cost_query(q) == pytest.approx(25.0)
+
+
+def test_worst_ratio_reports_infinite_ratios():
+    def row(form, ratio):
+        return oracle.AuditRow(0, 10.0, form, 1.0, 1.0, ratio, int(ratio > 1))
+
+    report = oracle.AuditReport([row(oracle.SYMMETRIC_FORM, 0.5),
+                                 row(oracle.SYMMETRIC_FORM, INF),
+                                 row(oracle.TWO_TIER_FORM, 1.25)])
+    assert report.worst_ratio(oracle.SYMMETRIC_FORM) == INF
+    assert report.worst_ratio() == INF
+    assert report.worst_ratio(oracle.TWO_TIER_FORM) == 1.25
+    assert oracle.AuditReport([]).worst_ratio() == 0.0

@@ -7,7 +7,7 @@ from capacore.coreset import build_auto, build_for_o, dedup_points
 from capacore.geometry import GridHierarchy, Point
 from capacore.params import PRACTICAL, derive
 from capacore.streaming import (StreamEngine, parse_update_line, read_stream,
-                                select_o, write_stream)
+                                write_stream)
 
 from conftest import rand_points
 
@@ -130,10 +130,10 @@ def test_per_o_finalize_and_select(rng):
     for p in pts:
         engine.process(p, +1)
     results = {o: engine.finalize_for_o(o) for o in engine.candidates()}
-    o_sel, best = select_o(results)
+    o_sel = next(o for o in engine.candidates() if not is_fail(results[o]))
     auto = engine.finalize()
     assert o_sel == auto.meta.o
-    assert best.entries == auto.entries
+    assert results[o_sel].entries == auto.entries
     for o in engine.candidates():
         offline = build_for_o(pts, grid, RATE1, o, seed=8, exact_counts=False)
         got = results[o]
