@@ -1,11 +1,12 @@
 """Capacitated assignment construction from a coreset.
 
 Pipeline: a fractional optimum of the relaxed transportation problem
-(min-cost flow over scaled 64-bit integers), cycle elimination down to at
-most k-1 split points, rounding of the split points to their nearest
-centers, per-level canonicalization by switching tied pairs into alphabetic
-order, half-space extraction, and finally the transferred assignment that
-extends the canonicalized coreset assignment to the full input.
+(successive shortest paths over the k center nodes, in scaled exact
+integers), cycle elimination down to at most k-1 split points, rounding of
+the split points to their nearest centers, per-level canonicalization by
+switching tied pairs into alphabetic order, half-space extraction, and
+finally the transferred assignment that extends the canonicalized coreset
+assignment to the full input.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ FLOW_SCALE = 1 << 20  # weight/cost quantization inside the flow solver
 
 
 class MinCostFlow:
-    """Successive shortest augmenting paths with node potentials."""
+    """Successive shortest augmenting paths with node potentials.
+
+    A general min-cost flow over an explicit graph; the oracle solves its
+    transportation problems with it, independently of TransportSolver.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -82,16 +87,140 @@ class MinCostFlow:
             flow += push
         return flow, cost
 
+
+class TransportSolver:
+    """Min-cost transportation from points to k capacitated centers.
+
+    Successive shortest paths in exact integers, with the points inserted
+    one at a time (the few-sink transportation problem; Tokuyama & Nakano,
+    SIAM J. Comput. 1995).  The residual graph is collapsed onto the k
+    centers and the sink: the edge a -> b is the cheapest move of an
+    inserted point from a to b, costs[q][b] - costs[q][a] over the points q
+    holding units at a, read from one lazy heap per ordered pair.  Node
+    potentials keep the reduced costs non-negative, so each augmenting path
+    is a Dijkstra over k + 1 nodes.
+    """
+
+    def __init__(self, caps):
+        k = len(caps)
+        self.k = k
+        self.caps = list(caps)
+        self.load = [0] * k
+        self.costs = []    # per inserted point: its k scaled costs
+        self.shares = []   # per inserted point: {center: units}
+        self._pot = [0] * (k + 1)   # centers 0..k-1, then the sink
+        # _moves[a][b]: heap of (costs[q][b] - costs[q][a], q), stale once
+        # q holds no units at a
+        self._moves = [[[] for _ in range(k)] for _ in range(k)]
+
+    def insert(self, costs, supply: int) -> bool:
+        """Route a new point's supply; False when capacity runs out."""
+        q = len(self.costs)
+        self.costs.append(costs)
+        self.shares.append({})
+        while supply:
+            path = self._shortest_path(costs)
+            if path is None:
+                return False
+            first, moves, end = path
+            push = min(supply, self.caps[end] - self.load[end],
+                       *[self.shares[m][a] for a, _, m in moves])
+            self._add(q, first, push)
+            # in path order, so a point moved a -> b -> c never empties b
+            for a, b, m in moves:
+                self._add(m, b, push)
+                self._take(m, a, push)
+            self.load[end] += push
+            supply -= push
+        return True
+
+    def _add(self, q: int, j: int, units: int):
+        share = self.shares[q]
+        if j in share:
+            share[j] += units
+            return
+        share[j] = units
+        c = self.costs[q]
+        for b in range(self.k):
+            if b != j:
+                heapq.heappush(self._moves[j][b], (c[b] - c[j], q))
+
+    def _take(self, q: int, j: int, units: int):
+        share = self.shares[q]
+        share[j] -= units
+        if not share[j]:
+            del share[j]
+
+    def _shortest_path(self, costs):
+        """Dijkstra from a new point to the sink; updates the potentials.
+
+        Returns (first center, [(from, to, moved point)], last center), or
+        None when no center has spare capacity.
+        """
+        k, pot, shares = self.k, self._pot, self.shares
+        sink = k
+        dist = [c - pot[j] for j, c in enumerate(costs)] + [None]
+        via = [None] * k   # (previous center, moved point); None: direct
+        todo = list(range(k + 1))
+        while True:
+            u = None
+            for v in todo:
+                if dist[v] is not None and (u is None or dist[v] < dist[u]):
+                    u = v
+            if u is None:
+                return None
+            todo.remove(u)
+            if u == sink:
+                break
+            du = dist[u] + pot[u]
+            if self.load[u] < self.caps[u]:
+                nd = du - pot[sink]
+                if dist[sink] is None or nd < dist[sink]:
+                    dist[sink], end = nd, u
+            for b in todo:
+                if b == sink:
+                    continue
+                heap = self._moves[u][b]
+                while heap and u not in shares[heap[0][1]]:
+                    heapq.heappop(heap)
+                if heap and du + heap[0][0] - pot[b] < dist[b]:
+                    dist[b], via[b] = du + heap[0][0] - pot[b], (u, heap[0][1])
+        reach = dist[sink]
+        for v in range(k + 1):
+            pot[v] += reach if dist[v] is None else min(dist[v], reach)
+        moves = []
+        v = end
+        while via[v] is not None:
+            a, m = via[v]
+            moves.append((a, v, m))
+            v = a
+        moves.reverse()
+        return v, moves, end
+
     def has_negative_residual_cycle(self) -> bool:
-        """Bellman-Ford over residual edges; certifies optimality when False."""
-        dist = [0] * self.n
-        for it in range(self.n):
+        """Bellman-Ford over the residual graph on the centers and the sink.
+
+        Edges are recomputed from the shares, not read from the heaps;
+        False certifies that the routed plan is a min-cost one.
+        """
+        k = self.k
+        edges = []
+        for a in range(k):
+            held = [c for c, share in zip(self.costs, self.shares) if a in share]
+            for b in range(k):
+                if b != a and held:
+                    edges.append((a, b, min(c[b] - c[a] for c in held)))
+            if self.load[a] < self.caps[a]:
+                edges.append((a, k, 0))
+            if self.load[a]:
+                edges.append((k, a, 0))
+        dist = [0] * (k + 1)
+        for _ in range(k + 1):
             changed = False
-            for u in range(self.n):
-                for edge in self.graph[u]:
-                    if edge[1] > 0 and dist[u] + edge[2] < dist[edge[0]]:
-                        dist[edge[0]] = dist[u] + edge[2]
-                        changed = True
+            for u, v, c in edges:
+                if dist[u] + c < dist[v]:
+                    dist[v] = dist[u] + c
+                    changed = True
             if not changed:
                 return False
         return True
@@ -172,29 +301,15 @@ def fractional_assign(points, weights, centers, t_cap, r,
     t_scaled = round(t_cap * scale)
     if total > k * t_scaled:
         return INFEASIBLE
-    n = len(pts)
-    net = MinCostFlow(n + k + 2)
-    src, sink = n + k, n + k + 1
-    point_edges = {}
-    for i, p in enumerate(pts):
-        net.add_edge(src, i, w_scaled[p], 0)
-        for j, z in enumerate(centers):
-            c = round(dist_pow(p, z, r) * scale)
-            point_edges[(p, j)] = net.add_edge(i, n + j, w_scaled[p], c)
-    for j in range(k):
-        net.add_edge(n + j, sink, t_scaled, 0)
-    flow, _ = net.solve(src, sink, total)
-    if flow < total:
-        return INFEASIBLE
-    shares = {}
+    solver = TransportSolver([t_scaled] * k)
     for p in pts:
-        alloc = {}
-        for j in range(k):
-            units = net.flow_on(point_edges[(p, j)])
-            if units:
-                alloc[j] = units
-        shares[p] = alloc
-    return FractionalAssignment(centers, r, weights, shares, scale, solver=net)
+        if not solver.insert([round(dist_pow(p, z, r) * scale) for z in centers],
+                             w_scaled[p]):
+            return INFEASIBLE
+    # centers in index order, the order cost() and integralize walk them
+    shares = {p: dict(sorted(alloc.items()))
+              for p, alloc in zip(pts, solver.shares)}
+    return FractionalAssignment(centers, r, weights, shares, scale, solver=solver)
 
 
 def integralize(frac: FractionalAssignment, stats: dict | None = None) -> Assignment:
@@ -337,64 +452,52 @@ def extract_halfspaces(points, mapping: dict, centers, r) -> dict:
 
 def _min_cost_same_sizes(points, centers, sizes, r, scale=FLOW_SCALE):
     """Min-cost reassignment with the exact per-center point counts."""
-    n, k = len(points), len(centers)
-    net = MinCostFlow(n + k + 2)
-    src, sink = n + k, n + k + 1
-    handles = {}
-    for i, p in enumerate(points):
-        net.add_edge(src, i, 1, 0)
-        for j in range(k):
-            c = round(dist_pow(p, centers[j], r) * scale)
-            handles[(i, j)] = net.add_edge(i, n + j, 1, c)
-    for j in range(k):
-        net.add_edge(n + j, sink, sizes[j], 0)
-    flow, _ = net.solve(src, sink, n)
-    if flow < n:
-        raise AssertionError("size-preserving reassignment infeasible")
-    mapping = {}
-    for i, p in enumerate(points):
-        for j in range(k):
-            if net.flow_on(handles[(i, j)]):
-                mapping[p] = j
-    return mapping
+    solver = TransportSolver(sizes)
+    for p in points:
+        costs = [round(dist_pow(p, z, r) * scale) for z in centers]
+        if not solver.insert(costs, 1):
+            raise AssertionError("size-preserving reassignment infeasible")
+    return {p: next(iter(share)) for p, share in zip(points, solver.shares)}
 
 
 def switch_ties(points, mapping: dict, centers, r, audit: list | None = None):
     """Reorder tied pairs so alphabetically smaller points sit at lower centers.
 
+    Each scan takes the pairs (i, j) in order and the points of i in input
+    order, and switches the first p with an alphabetically smaller q at j of
+    equal pair key (the first such q in input order), then starts over.
     Strict key inversions cannot occur at min cost; each executed switch
     strictly decreases the rank potential, which bounds the loop.
     """
     k = len(centers)
     rank = {p: n for n, p in enumerate(sorted(points, key=lambda q: q.sort_key()))}
+    keys = {(i, j): {p: pair_key(p, centers[i], centers[j], r) for p in points}
+            for i in range(k) for j in range(i + 1, k)}
+    potential = sum((k - mapping[p]) * rank[p] for p in points) \
+        if audit is not None else None
 
-    def potential():
-        return sum((k - mapping[p]) * rank[p] for p in points)
+    def first_switch():
+        for (i, j), key in keys.items():
+            theirs = {}
+            for q in points:
+                if mapping[q] == j:
+                    theirs.setdefault(key[q], []).append(q)
+            if not theirs:
+                continue
+            for p in points:
+                if mapping[p] == i:
+                    for q in theirs.get(key[p], ()):
+                        if alph_less(q, p):
+                            return i, j, p, q
+        return None
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            for j in range(i + 1, k):
-                mine = [p for p in points if mapping[p] == i]
-                theirs = [p for p in points if mapping[p] == j]
-                for p in mine:
-                    kp = pair_key(p, centers[i], centers[j], r)
-                    for q in theirs:
-                        if kp == pair_key(q, centers[i], centers[j], r) \
-                                and alph_less(q, p):
-                            before = potential()
-                            mapping[p], mapping[q] = j, i
-                            if audit is not None:
-                                audit.append((before, potential()))
-                            changed = True
-                            break
-                    if changed:
-                        break
-                if changed:
-                    break
-            if changed:
-                break
+    while (found := first_switch()) is not None:
+        i, j, p, q = found
+        mapping[p], mapping[q] = j, i
+        if audit is not None:
+            after = potential + (j - i) * (rank[q] - rank[p])
+            audit.append((potential, after))
+            potential = after
     return mapping
 
 

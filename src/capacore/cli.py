@@ -18,8 +18,8 @@ from .common import (FAIL, OracleCapError, UsageError, derive_seed, is_fail,
                      is_infeasible)
 from .coreset import build_auto, read_coreset, write_coreset
 from .distributed import run_protocol
-from .geometry import (GridHierarchy, Point, format_point, read_points,
-                       write_points)
+from .geometry import (GridHierarchy, Point, check_domain, format_point,
+                       read_points, write_points)
 from .params import PRACTICAL, THEORY, derive, derive_rounding_delta
 from .streaming import StreamEngine, read_stream
 
@@ -94,19 +94,22 @@ def cmd_build(args) -> int:
     Delta = _resolve_delta(args.Delta)
     params = _derive_params(args, Delta)
     grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), Delta, args.d)
-    if args.mode == "offline":
+    if args.mode == "stream":
+        updates = read_stream(args.input)
+        check_domain((p for p, _ in updates), Delta, args.d)
+    else:
         points = read_points(args.input)
+        check_domain(points, Delta, args.d)
+    if args.mode == "offline":
         coreset = build_auto(points, grid, params, seed,
                              exact_counts=args.exact_counts)
     elif args.mode == "stream":
-        updates = read_stream(args.input)
         n_max = max(Delta ** args.d, sum(1 for _, s in updates if s > 0))
         engine = StreamEngine(params, grid, seed, backing=args.backing,
                               exact_counts=args.exact_counts, n_max=n_max)
         engine.process_stream(updates)
         coreset = engine.finalize()
     elif args.mode == "dist":
-        points = read_points(args.input)
         shards = [points[i::args.machines] for i in range(args.machines)]
         coreset, comm = run_protocol(shards, params, seed, backing=args.backing,
                                      exact_counts=args.exact_counts)

@@ -312,6 +312,9 @@ def read_coreset(path, grid: GridHierarchy | None = None) -> WeightedCoreset:
                     else:
                         header[key] = val
                 continue
+            if pending_meta is None:
+                raise UsageError(f"{path}: coreset entry {line!r} has no "
+                                 f"'% entrymeta=' line before it")
             w_str, _, rest = line.partition(" ")
             point = parse_point_line(rest)
             lvl, j = pending_meta

@@ -145,11 +145,26 @@ def parse_point_line(line: str) -> Point | None:
     if not body or body.startswith("%"):
         return None
     tag = NO_TAG
-    if "#" in body:
-        body, tag_part = body.split("#", 1)
-        tag = int(tag_part.strip())
-    coords = tuple(int(tok) for tok in body.split())
+    try:
+        if "#" in body:
+            body, tag_part = body.split("#", 1)
+            tag = int(tag_part.strip())
+        coords = tuple(int(tok) for tok in body.split())
+    except ValueError:
+        raise UsageError(
+            f"point line must hold integers: {line.strip()!r}") from None
     return Point(coords, tag)
+
+
+def check_domain(points, Delta: int, d: int):
+    """Reject points that are not d-dimensional or lie outside [1, Delta]^d."""
+    for p in points:
+        if len(p.coords) != d:
+            raise UsageError(f"point {format_point(p)!r} has {len(p.coords)} "
+                             f"coordinates, expected d={d}")
+        if not all(1 <= c <= Delta for c in p.coords):
+            raise UsageError(f"point {format_point(p)!r} lies outside "
+                             f"[1, {Delta}]^{d}")
 
 
 def format_point(p: Point) -> str:

@@ -1,11 +1,13 @@
 """Ground-truth machinery for validating coresets and assignments.
 
-exact_cost realizes the capacitated cost via the same transportation flow as
-the assignment pipeline (integral for unit weights, fractional relaxation
-for weighted inputs), with an exchange-greedy fast path for k == 2 that the
-tests cross-check against both the flow and the brute-force enumeration.
-Oracle flows use exact integer costs for r == 2 and a 2**40 scale otherwise,
-tight enough for the 1e-9 cross-validation tolerance.
+exact_cost realizes the capacitated cost with the oracle's own transportation
+flow, a general min-cost flow over n + k + 2 nodes (MinCostFlow) that shares
+no code with the assignment pipeline's k-node solver: integral for unit
+weights, the fractional relaxation for weighted inputs.  An exchange-greedy
+fast path for k == 2 is cross-checked by the tests against both the flow and
+the brute-force enumeration.  Oracle flows use exact integer costs for
+r == 2 and a 2**40 scale otherwise, tight enough for the 1e-9
+cross-validation tolerance.
 """
 
 from __future__ import annotations
@@ -43,34 +45,50 @@ def _scaled_cost(p: Point, z: Point, r: float) -> int:
     return round(dist_pow(p, z, r) * ORACLE_SCALE)
 
 
-def _cost_flow_unit(points, centers, t, r):
-    """Integral optimum via min-cost flow (unit weights)."""
+def _cost_flow(points, centers, t, r, weights=None):
+    """Transportation optimum via min-cost flow.
+
+    Unit weights (weights None) give the integral optimum at capacity
+    floor(t) (flow integrality); weights give the fractional optimum in
+    ORACLE_SCALE units.
+    """
     n, k = len(points), len(centers)
-    cap = math.floor(t)
-    if n > k * cap:
-        return INF, None
+    if weights is None:
+        supply = [1] * n
+        cap = math.floor(t)
+    else:
+        supply = [round(weights[p] * ORACLE_SCALE) for p in points]
+        cap = round(t * ORACLE_SCALE)
+    total = sum(supply)
+    if total > k * cap:
+        return INF
     net = MinCostFlow(n + k + 2)
     src, sink = n + k, n + k + 1
     handles = {}
     for i, p in enumerate(points):
-        net.add_edge(src, i, 1, 0)
+        net.add_edge(src, i, supply[i], 0)
         for j, z in enumerate(centers):
-            handles[(i, j)] = net.add_edge(i, n + j, 1, _scaled_cost(p, z, r))
+            handles[(i, j)] = net.add_edge(i, n + j, supply[i],
+                                           _scaled_cost(p, z, r))
     for j in range(k):
         net.add_edge(n + j, sink, cap, 0)
-    flow, _ = net.solve(src, sink, n)
-    if flow < n:
-        return INF, None
-    mapping = {}
+    flow, _ = net.solve(src, sink, total)
+    if flow < total:
+        return INF
+    # unit weights sum exact integer costs for r == 2
+    value = 0 if weights is None else 0.0
     for i, p in enumerate(points):
         for j in range(k):
             units = net.flow_on(handles[(i, j)])
-            if units not in (0, 1):
-                raise AssertionError("unit-weight flow must be integral")
-            if units:
-                mapping[p] = j
-    value = sum(dist_pow(p, centers[j], r) for p, j in mapping.items())
-    return value, mapping
+            if not units:
+                continue
+            if weights is None:
+                if units != 1:
+                    raise AssertionError("unit-weight flow must be integral")
+                value += dist_pow(p, centers[j], r)
+            else:
+                value += units / ORACLE_SCALE * dist_pow(p, centers[j], r)
+    return value
 
 
 def _cost_greedy_k2(points, centers, t, r, weights=None):
@@ -116,13 +134,6 @@ def _cost_greedy_k2(points, centers, t, r, weights=None):
     return base
 
 
-def _cost_fractional(points, centers, t, r, weights):
-    frac = fractional_assign(points, weights, centers, t, r, scale=ORACLE_SCALE)
-    if is_infeasible(frac):
-        return INF
-    return frac.cost()
-
-
 def exact_cost(points, centers, t, r, weights=None, method: str = "auto"):
     """Capacitated clustering cost; INF when no feasible partition exists.
 
@@ -144,10 +155,7 @@ def exact_cost(points, centers, t, r, weights=None, method: str = "auto"):
         if len(centers) != 2:
             raise UsageError("greedy2 path requires exactly two centers")
         return _cost_greedy_k2(points, centers, t, r, weights)
-    if weights is None:
-        value, _ = _cost_flow_unit(points, centers, t, r)
-        return value
-    return _cost_fractional(points, centers, t, r, weights)
+    return _cost_flow(points, centers, t, r, weights)
 
 
 def exact_cost_query(q: CostQuery, method: str = "auto"):

@@ -175,7 +175,10 @@ def parse_update_line(line: str):
         sign = -1
     else:
         raise UsageError(f"stream line must start with + or -: {line!r}")
-    return parse_point_line(rest), sign
+    point = parse_point_line(rest)
+    if point is None:
+        raise UsageError(f"stream line has no point: {line!r}")
+    return point, sign
 
 
 def read_stream(path):

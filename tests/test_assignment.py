@@ -1,19 +1,21 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from capacore import oracle
-from capacore.assignment import (Assignment, FractionalAssignment, HalfSpace,
-                                 assignment_from_coreset, canonicalize,
-                                 extract_halfspaces, fractional_assign,
-                                 halfspace_member, integralize,
-                                 nearest_center_index, pair_key, region_of,
-                                 switch_ties, transfer_full,
+from capacore.assignment import (FLOW_SCALE, Assignment, FractionalAssignment,
+                                 HalfSpace, MinCostFlow, TransportSolver,
+                                 _min_cost_same_sizes, assignment_from_coreset,
+                                 canonicalize, extract_halfspaces,
+                                 fractional_assign, halfspace_member,
+                                 integralize, nearest_center_index, pair_key,
+                                 region_of, switch_ties, transfer_full,
                                  transferred_assignment)
 from capacore.common import derive_seed, is_infeasible
 from capacore.coreset import build_auto, dedup_points
-from capacore.geometry import GridHierarchy, Point, dist_pow
+from capacore.geometry import GridHierarchy, Point, alph_less, dist_pow
 from capacore.params import PRACTICAL, derive
 
 from conftest import clustered_points, rand_points
@@ -53,6 +55,111 @@ def test_flow_optimality_certificate(rng):
     frac = fractional_assign(pts, _unit_weights(pts), Z, 7, 2)
     assert frac.solver is not None
     assert not frac.solver.has_negative_residual_cycle()
+
+
+def test_flow_certificate_detects_a_worse_plan():
+    # two points swapped against their nearer centers leave a negative cycle
+    solver = TransportSolver([1, 1])
+    assert solver.insert([0, 10], 1) and solver.insert([10, 0], 1)
+    assert solver.shares == [{0: 1}, {1: 1}]
+    assert not solver.has_negative_residual_cycle()
+    solver.shares = [{1: 1}, {0: 1}]
+    assert solver.has_negative_residual_cycle()
+
+
+def _plan_cost(solver):
+    return sum(units * c[j] for c, share in zip(solver.costs, solver.shares)
+               for j, units in share.items())
+
+
+def _oracle_flow(costs, supplies, caps):
+    """(flow, cost) of the same problem on the oracle's MinCostFlow graph."""
+    n, k = len(costs), len(caps)
+    net = MinCostFlow(n + k + 2)
+    src, sink = n + k, n + k + 1
+    for i, row in enumerate(costs):
+        net.add_edge(src, i, supplies[i], 0)
+        for j, c in enumerate(row):
+            net.add_edge(i, n + j, supplies[i], c)
+    for j, cap in enumerate(caps):
+        net.add_edge(n + j, sink, cap, 0)
+    return net.solve(src, sink, sum(supplies))
+
+
+def _tie_heavy_instance(rng, k):
+    Delta = rng.choice([4, 8, 16])
+    pts = rand_points(rng, rng.randint(1, 24), Delta)
+    # repeated centers and small grids make many equal costs
+    Z = [Point((rng.randint(1, Delta), rng.randint(1, Delta)))
+         for _ in range(k)]
+    if rng.random() < 0.3:
+        Z[-1] = Z[0]
+    return pts, Z
+
+
+def test_transport_cost_equals_oracle_flow_exactly():
+    rng = random.Random(303)
+    outcomes = {True: 0, False: 0}
+    unit_outcomes = {True: 0, False: 0}
+    for trial in range(300):
+        k = rng.randint(2, 5)
+        pts, Z = _tie_heavy_instance(rng, k)
+        weights = {p: rng.choice([1.0, 1.5, 2.0, 3.25]) for p in pts}
+        # factor 1.0 rounds t below total / k at times: INFEASIBLE
+        factor = 1.0 if trial % 8 == 0 else rng.uniform(1.0, 1.6)
+        t_cap = sum(weights.values()) / k * factor
+        frac = fractional_assign(pts, weights, Z, t_cap, 2)
+        costs = [[dist_pow(p, z, 2) * FLOW_SCALE for z in Z] for p in pts]
+        supplies = [round(weights[p] * FLOW_SCALE) for p in pts]
+        flow, cost = _oracle_flow(costs, supplies, [round(t_cap * FLOW_SCALE)] * k)
+        feasible = flow == sum(supplies)
+        outcomes[feasible] += 1
+        assert is_infeasible(frac) != feasible
+        if feasible:
+            assert _plan_cost(frac.solver) == cost
+            assert [sum(frac.shares[p].values()) for p in pts] == supplies
+            assert not frac.solver.has_negative_residual_cycle()
+            stats = {}
+            integralize(frac, stats)
+            assert stats["splits"] <= k - 1
+        # unit supplies against per-center counts, as in canonicalization;
+        # the counts may fall short of the points
+        caps = [rng.randint(0, len(pts)) for _ in range(k)]
+        solver = TransportSolver(caps)
+        routed = all(solver.insert([c // FLOW_SCALE for c in row], 1)
+                     for row in costs)
+        flow, cost = _oracle_flow([[c // FLOW_SCALE for c in row] for row in costs],
+                                  [1] * len(pts), caps)
+        assert routed == (flow == len(pts))
+        unit_outcomes[routed] += 1
+        if routed:
+            assert _plan_cost(solver) == cost
+            assert all(load <= cap for load, cap in zip(solver.load, caps))
+    assert min(outcomes.values()) >= 5
+    assert min(unit_outcomes.values()) >= 5
+
+
+def test_fractional_cost_matches_linprog():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(77)
+    for trial in range(40):
+        k = rng.randint(2, 3)
+        pts, Z = _tie_heavy_instance(rng, k)
+        pts = pts[:8]
+        n = len(pts)
+        weights = {p: rng.choice([1.0, 1.5, 2.0, 3.25]) for p in pts}
+        # a quarter-unit capacity is exact in the solver's binary scale
+        t_cap = math.ceil(sum(weights.values()) / k * rng.uniform(1.0, 1.6) * 4) / 4
+        frac = fractional_assign(pts, weights, Z, t_cap, 2)
+        c = [dist_pow(p, z, 2) for p in pts for z in Z]
+        a_eq = [[1.0 if col // k == i else 0.0 for col in range(n * k)]
+                for i in range(n)]
+        a_ub = [[1.0 if col % k == j else 0.0 for col in range(n * k)]
+                for j in range(k)]
+        res = optimize.linprog(c, A_ub=a_ub, b_ub=[t_cap] * k, A_eq=a_eq,
+                               b_eq=[weights[p] for p in pts], method="highs")
+        assert res.status == 0
+        assert frac.cost() == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
 
 
 def test_integralize_leaves_integral_unchanged(rng):
@@ -244,6 +351,69 @@ def test_switching_potential_strictly_decreases():
     # alphabetically smaller points end at the lower-indexed center
     assert result[pts[0]] == 0 and result[pts[1]] == 0
     assert result[pts[2]] == 1 and result[pts[3]] == 1
+
+
+def _switch_ties_reference(points, mapping, centers, r, audit=None):
+    """The restart loop that recomputes pair keys for every (p, q) pair."""
+    k = len(centers)
+    rank = {p: n for n, p in enumerate(sorted(points, key=lambda q: q.sort_key()))}
+
+    def potential():
+        return sum((k - mapping[p]) * rank[p] for p in points)
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k):
+            for j in range(i + 1, k):
+                mine = [p for p in points if mapping[p] == i]
+                theirs = [p for p in points if mapping[p] == j]
+                for p in mine:
+                    kp = pair_key(p, centers[i], centers[j], r)
+                    for q in theirs:
+                        if kp == pair_key(q, centers[i], centers[j], r) \
+                                and alph_less(q, p):
+                            before = potential()
+                            mapping[p], mapping[q] = j, i
+                            if audit is not None:
+                                audit.append((before, potential()))
+                            changed = True
+                            break
+                    if changed:
+                        break
+                if changed:
+                    break
+            if changed:
+                break
+    return mapping
+
+
+def test_switch_ties_matches_restart_reference():
+    rng = random.Random(909)
+    switches = 0
+    for trial in range(300):
+        k = rng.choice([2, 3, 4])
+        Delta = rng.choice([4, 6])
+        # centers on a line and few grid points give large tie classes
+        row = rng.randint(1, Delta)
+        Z = [Point((rng.randint(1, Delta), row)) for _ in range(k)]
+        pts = rand_points(rng, rng.randint(2, 30), Delta)
+        rng.shuffle(pts)
+        if trial % 2:
+            mapping = {p: rng.randrange(k) for p in pts}
+        else:
+            sizes = [0] * k
+            for p in pts:
+                sizes[rng.randrange(k)] += 1
+            mapping = _min_cost_same_sizes(pts, Z, sizes, 2)
+        want_audit, got_audit = [], []
+        want = _switch_ties_reference(pts, dict(mapping), Z, 2, want_audit)
+        got = switch_ties(pts, dict(mapping), Z, 2, got_audit)
+        assert got == want
+        assert got_audit == want_audit
+        assert switch_ties(pts, dict(mapping), Z, 2) == want
+        switches += len(want_audit)
+    assert switches >= 300
 
 
 # --- transferred assignments -------------------------------------------------

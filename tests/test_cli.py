@@ -1,3 +1,5 @@
+import pytest
+
 from capacore.cli import main
 from capacore.coreset import read_coreset
 from capacore.geometry import read_points
@@ -237,3 +239,37 @@ def test_eval_auto_t_grid(tmp_path, capsys):
             if line and not line.startswith("#")]
     t_count = len({line.split(",")[1] for line in body[1:]})
     assert 1 <= t_count <= 17
+
+
+@pytest.mark.parametrize("line, extra", [
+    ("1.5 2", ()),                       # non-integer coordinate
+    ("1 2 3", ()),                       # three coordinates with --d 2
+    ("1 99", ()),                        # outside [1, Delta]^d
+    ("1 2 3", ("--mode", "stream")),     # the same checks on stream input
+])
+def test_build_rejects_malformed_points(tmp_path, capsys, line, extra):
+    pts_path = tmp_path / "bad.txt"
+    body = ["1 1 #0", "2 2 #1", line + " #2"]
+    if "stream" in extra:
+        body = ["+ " + row for row in body]
+    pts_path.write_text("\n".join(body) + "\n")
+    out = tmp_path / "core.txt"
+    rc = main(["build", "--input", str(pts_path), "--output", str(out),
+               "-k", "2", "--Delta", "8", "--d", "2", "--seed", "1", *extra])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_assign_rejects_coreset_entry_without_entrymeta(tmp_path, capsys):
+    pts_path = _gen(tmp_path, n=24)
+    core_path = _build(tmp_path, pts_path)
+    lines = [line for line in core_path.read_text().splitlines()
+             if not line.startswith("% entrymeta=")]
+    core_path.write_text("\n".join(lines) + "\n")
+    centers = tmp_path / "centers.txt"
+    centers.write_text("3 3\n6 6\n")
+    rc = main(["assign", "--coreset", str(core_path), "--centers", str(centers),
+               "--capacity", "18", "--out", str(tmp_path / "assign.txt")])
+    assert rc == 2
+    assert "entrymeta" in capsys.readouterr().err
