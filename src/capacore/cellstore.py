@@ -1,7 +1,10 @@
 """Mergeable, deletion-tolerant cell stores (the Storing contract).
 
-Both backings expose update / merge / finalize / serialize with identical
-observable semantics:
+Both backings expose update / merge_in / read / serialize with identical
+observable semantics; read(alpha, beta) FAILs above alpha nonempty cells and
+recovers the points of the cells of count at most beta, so one store sized
+by the largest caps can be read under any smaller ones.  finalize() is read
+under the store's own caps.
 
 * ExactCellStore keeps a keyed map of signed cell counts and point multisets.
   It never FAILs below the cell cap and always FAILs above it (delta = 0),
@@ -112,15 +115,18 @@ class ExactCellStore:
             if not mine:
                 del self.points[lat]
 
-    def finalize(self, check_alpha: bool = True):
-        return self.read(self.alpha if check_alpha else math.inf, self.beta)
+    def cell_count(self):
+        return len(self.counts)
+
+    def finalize(self):
+        return self.read(self.alpha, self.beta)
 
     def read(self, alpha: float, beta: float):
         """CellData under caps (alpha, beta): FAIL above alpha nonempty cells,
         points recovered for the cells of count at most beta."""
-        cells = dict(self.counts)
-        if len(cells) > alpha:
+        if self.cell_count() > alpha:
             return FAIL
+        cells = dict(self.counts)
         light = {}
         for lat, cnt in cells.items():
             if cnt <= beta:
@@ -236,167 +242,113 @@ class SketchCellStore:
         return (ab[0] * x + ab[1]) % _PRIME % mod
 
     # checksums must be non-linear in the key, otherwise a bucket holding
-    # several cells whose keysum divides evenly would pass the purity test
-    def _cell_check(self, code):
-        return (code * code + self._h2[0] * code + self._h2[1]) % _PRIME
-
-    def _point_check(self, code):
-        return (code * code + self._p2[0] * code + self._p2[1]) % _PRIME
+    # several keys whose keysum divides evenly would pass the purity test
+    @staticmethod
+    def _check(ab, code):
+        return (code * code + ab[0] * code + ab[1]) % _PRIME
 
     # --- updates ---------------------------------------------------------
     def update(self, p: Point, sign: int):
         lat = self.grid.lattice_of(p.coords, self.level)
         code = self._cell_code(lat)
         pcode = self._enc.encode(p) + 1
-        ccheck = self._cell_check(code)
-        pcheck = self._point_check(pcode)
+        ccheck = self._check(self._h2, code)
+        pcheck = self._check(self._p2, pcode)
         for row in range(self.rows):
             b = self._pair_hash(self._h1[row], code, self.buckets)
-            rec = self.cell_state.setdefault((row, b), [0, 0, 0])
-            rec[0] += sign
-            rec[1] += sign * code
-            rec[2] += sign * ccheck
-            if rec == [0, 0, 0]:
-                del self.cell_state[(row, b)]
+            _bump(self.cell_state, (row, b), sign, code, ccheck)
             for prow in range(self.prows):
                 pb = self._pair_hash(self._p1[prow], pcode, self.pbuckets)
-                prec = self.point_state.setdefault((row, b, prow, pb), [0, 0, 0])
-                prec[0] += sign
-                prec[1] += sign * pcode
-                prec[2] += sign * pcheck
-                if prec == [0, 0, 0]:
-                    del self.point_state[(row, b, prow, pb)]
+                _bump(self.point_state, (row, b, prow, pb), sign, pcode, pcheck)
 
     def merge_in(self, other: "SketchCellStore"):
         _check_compatible(self, other)
-        for key, rec in other.cell_state.items():
-            mine = self.cell_state.setdefault(key, [0, 0, 0])
-            for i in range(3):
-                mine[i] += rec[i]
-            if mine == [0, 0, 0]:
-                del self.cell_state[key]
-        for key, rec in other.point_state.items():
-            mine = self.point_state.setdefault(key, [0, 0, 0])
-            for i in range(3):
-                mine[i] += rec[i]
-            if mine == [0, 0, 0]:
-                del self.point_state[key]
+        for mine, theirs in ((self.cell_state, other.cell_state),
+                             (self.point_state, other.point_state)):
+            for key, rec in theirs.items():
+                acc = mine.setdefault(key, [0, 0, 0])
+                for i in range(3):
+                    acc[i] += rec[i]
+                if acc == [0, 0, 0]:
+                    del mine[key]
 
     # --- recovery --------------------------------------------------------
-    def _try_pure(self, rec):
-        cnt, ksum, csum = rec
-        if cnt <= 0 or ksum % cnt or csum % cnt:
-            return None
-        code = ksum // cnt
-        if code <= 0 or csum != cnt * self._cell_check(code):
-            return None
-        return code, cnt
+    def _peel(self, state, hashes, width, check_ab, limit):
+        """Peel a table whose slots are (row, bucket), consuming state:
+        {code: count}, or None when some bucket stays impure."""
+        recovered: dict = {}
+        progress = True
+        while progress:
+            progress = False
+            for key in list(state):
+                rec = state.get(key)
+                if rec is None:
+                    continue
+                cnt, ksum, csum = rec
+                if cnt <= 0 or ksum % cnt:
+                    continue
+                code = ksum // cnt
+                check = self._check(check_ab, code)
+                if not 0 < code <= limit or csum != cnt * check:
+                    continue
+                recovered[code] = recovered.get(code, 0) + cnt
+                for row, ab in enumerate(hashes):
+                    slot = (row, self._pair_hash(ab, code, width))
+                    if slot not in state:
+                        return None  # inconsistent: peeled key missing a row
+                    _bump(state, slot, -cnt, code, check)
+                progress = True
+        return None if state else recovered
 
     def _decode_cells(self):
         state = {key: list(rec) for key, rec in self.cell_state.items()}
-        recovered: dict = {}
-        progress = True
-        while progress:
-            progress = False
-            for key in list(state):
-                rec = state.get(key)
-                if rec is None or rec == [0, 0, 0]:
-                    state.pop(key, None)
-                    continue
-                pure = self._try_pure(rec)
-                if pure is None:
-                    continue
-                code, cnt = pure
-                recovered[code] = recovered.get(code, 0) + cnt
-                ccheck = self._cell_check(code)
-                for row in range(self.rows):
-                    b = self._pair_hash(self._h1[row], code, self.buckets)
-                    tgt = state.get((row, b))
-                    if tgt is None:
-                        return None  # inconsistent: peeled cell missing a row
-                    tgt[0] -= cnt
-                    tgt[1] -= cnt * code
-                    tgt[2] -= cnt * ccheck
-                    if tgt == [0, 0, 0]:
-                        del state[(row, b)]
-                progress = True
-        if any(rec != [0, 0, 0] for rec in state.values()):
-            return None
-        return recovered
+        return self._peel(state, self._h1, self.buckets, self._h2, math.inf)
 
-    def _pure_bucket_for(self, code: int, cnt: int):
-        ccheck = self._cell_check(code)
-        for row in range(self.rows):
-            b = self._pair_hash(self._h1[row], code, self.buckets)
-            rec = self.cell_state.get((row, b))
-            if rec == [cnt, cnt * code, cnt * ccheck]:
-                return row, b
-        return None
-
-    def _decode_points(self, row, bucket, expect_cnt):
-        state = {}
-        for (r, b, prow, pb), rec in self.point_state.items():
-            if r == row and b == bucket:
-                state[(prow, pb)] = list(rec)
-        recovered: dict = {}
-        progress = True
-        while progress:
-            progress = False
-            for key in list(state):
-                rec = state.get(key)
-                if rec is None or rec == [0, 0, 0]:
-                    state.pop(key, None)
-                    continue
-                cnt, ksum, csum = rec
-                if cnt <= 0 or ksum % cnt or csum % cnt:
-                    continue
-                pcode = ksum // cnt
-                if pcode <= 0 or pcode - 1 >= self._enc.range \
-                        or csum != cnt * self._point_check(pcode):
-                    continue
-                recovered[pcode] = recovered.get(pcode, 0) + cnt
-                pcheck = self._point_check(pcode)
-                for prow in range(self.prows):
-                    pb = self._pair_hash(self._p1[prow], pcode, self.pbuckets)
-                    tgt = state.get((prow, pb))
-                    if tgt is None:
-                        return None
-                    tgt[0] -= cnt
-                    tgt[1] -= cnt * pcode
-                    tgt[2] -= cnt * pcheck
-                    if tgt == [0, 0, 0]:
-                        del state[(prow, pb)]
-                progress = True
-        if any(rec != [0, 0, 0] for rec in state.values()):
+    def _cell_points(self, code: int, cnt: int):
+        """The cnt points of a cell, decoded from its first pure bucket."""
+        check = self._check(self._h2, code)
+        for row, ab in enumerate(self._h1):
+            b = self._pair_hash(ab, code, self.buckets)
+            if self.cell_state.get((row, b)) == [cnt, cnt * code, cnt * check]:
+                break
+        else:
             return None
-        if sum(recovered.values()) != expect_cnt:
+        state = {(prow, pb): list(rec)
+                 for (r, rb, prow, pb), rec in self.point_state.items()
+                 if r == row and rb == b}
+        pts = self._peel(state, self._p1, self.pbuckets, self._p2,
+                         self._enc.range)
+        if pts is None or sum(pts.values()) != cnt:
             return None
-        return recovered
+        return tuple(sorted((self._enc.decode(pcode - 1)
+                             for pcode, mult in pts.items() for _ in range(mult)),
+                            key=Point.sort_key))
 
-    def finalize(self, check_alpha: bool = True):
+    def cell_count(self):
+        """Nonempty cells; a sketch counts them by decoding (inf if it cannot)."""
         recovered = self._decode_cells()
-        if recovered is None:
+        return math.inf if recovered is None else len(recovered)
+
+    def finalize(self):
+        return self.read(self.alpha, self.beta)
+
+    def read(self, alpha: float, beta: float):
+        """CellData under caps (alpha, beta): FAIL when decoding fails or above
+        alpha decoded cells, points recovered for the cells of count at most
+        beta (at most the store's own beta)."""
+        recovered = self._decode_cells()
+        if recovered is None or len(recovered) > alpha:
             return FAIL
         cells = {}
         light = {}
         for code, cnt in recovered.items():
-            if cnt == 0:
-                continue
             lat = self._cell_decode(code)
             cells[lat] = cnt
-            if cnt <= self.beta:
-                spot = self._pure_bucket_for(code, cnt)
-                if spot is None:
+            if cnt <= beta:
+                light[lat] = self._cell_points(code, cnt)
+                if light[lat] is None:
                     return FAIL
-                pts = self._decode_points(*spot, cnt)
-                if pts is None:
-                    return FAIL
-                expanded = []
-                for pcode, mult in pts.items():
-                    expanded.extend([self._enc.decode(pcode - 1)] * mult)
-                expanded.sort(key=lambda p: p.sort_key())
-                light[lat] = tuple(expanded)
-        return CellData(self.level, cells, light, self.beta)
+        return CellData(self.level, cells, light, beta)
 
     @staticmethod
     def _pack_rec(rec) -> bytes:
@@ -461,6 +413,17 @@ class SketchCellStore:
         """Size of the fully materialized sketch (the contract's space budget)."""
         return 40 + self.rows * self.buckets * 24 \
             + self.rows * self.buckets * self.prows * self.pbuckets * 24
+
+
+def _bump(state, key, cnt, code, check):
+    """Add cnt copies of a key to the record at state[key]; a record back at
+    zero is dropped, so state holds nonzero records only."""
+    rec = state.setdefault(key, [0, 0, 0])
+    rec[0] += cnt
+    rec[1] += cnt * code
+    rec[2] += cnt * check
+    if rec == [0, 0, 0]:
+        del state[key]
 
 
 def make_store(backing: str, grid: GridHierarchy, level: int, alpha: float,

@@ -21,7 +21,7 @@ from .distributed import run_protocol
 from .geometry import (GridHierarchy, Point, check_domain, format_point,
                        read_points, write_points)
 from .params import PRACTICAL, THEORY, derive, derive_rounding_delta
-from .streaming import StreamEngine, read_stream
+from .streaming import StreamEngine, check_live, read_stream
 
 EXIT_OK, EXIT_USAGE, EXIT_FAIL, EXIT_ORACLE_CAP = 0, 2, 3, 4
 
@@ -97,6 +97,7 @@ def cmd_build(args) -> int:
     if args.mode == "stream":
         updates = read_stream(args.input)
         check_domain((p for p, _ in updates), Delta, args.d)
+        check_live(updates)
     else:
         points = read_points(args.input)
         check_domain(points, Delta, args.d)
@@ -131,6 +132,7 @@ def cmd_eval(args) -> int:
     points = read_points(args.input)
     coreset = read_coreset(args.coreset)
     params = coreset.meta.params
+    check_domain(points, params.Delta, params.d)
     rng = random.Random(derive_seed(seed, "eval-centers"))
     lattice = oracle.lattice_points(params.Delta, params.d)
     center_sets = [tuple(rng.sample(lattice, params.k))
@@ -175,17 +177,21 @@ def cmd_eval(args) -> int:
 
 def cmd_assign(args) -> int:
     coreset = read_coreset(args.coreset)
+    params = coreset.meta.params
     centers = read_points(args.centers)
-    if len(centers) != coreset.meta.params.k:
+    check_domain(centers, params.Delta, params.d)
+    if args.full_input:
+        full_points = read_points(args.full_input)
+        check_domain(full_points, params.Delta, params.d)
+    if len(centers) != params.k:
         print(f"warning: centers file has {len(centers)} centers, params say "
-              f"k={coreset.meta.params.k}", file=sys.stderr)
+              f"k={params.k}", file=sys.stderr)
     integral, canonical, halfspaces = assignment_from_coreset(
         coreset, centers, args.capacity)
     if is_infeasible(integral):
         print("INFEASIBLE: total weight exceeds k * capacity", file=sys.stderr)
         return EXIT_FAIL
     if args.full_input:
-        full_points = read_points(args.full_input)
         final = transfer_full(full_points, coreset, halfspaces, centers)
     else:
         final = canonical

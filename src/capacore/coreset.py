@@ -19,7 +19,8 @@ import math
 from .cellstore import CellData
 from .common import FAIL, UsageError, derive_seed, is_fail
 from .estimator import SampleBank
-from .geometry import CellId, GridHierarchy, format_point, parse_point_line
+from .geometry import (CellId, GridHierarchy, check_domain, format_point,
+                       parse_point_line)
 from .hashing import KWiseHash, PointEncoder, exact_threshold
 from .params import FAMILIES, Params, coreset_size_bound, derive as derive_params
 from .partition import PartitionStructure, mark_cells
@@ -308,7 +309,7 @@ def read_coreset(path, grid: GridHierarchy | None = None) -> WeightedCoreset:
                 elif "=" in body:
                     key, _, val = body.partition("=")
                     if key == "entrymeta":
-                        pending_meta = tuple(int(x) for x in val.split(","))
+                        pending_meta = _parse_entrymeta(path, val)
                     else:
                         header[key] = val
                 continue
@@ -317,11 +318,14 @@ def read_coreset(path, grid: GridHierarchy | None = None) -> WeightedCoreset:
                                  f"'% entrymeta=' line before it")
             w_str, _, rest = line.partition(" ")
             point = parse_point_line(rest)
+            if point is None:
+                raise UsageError(f"{path}: coreset entry {line!r} has no point")
             lvl, j = pending_meta
             pending_meta = None
-            entries.append((point, float(w_str), lvl, j))
+            entries.append((point, _parse_weight(path, w_str), lvl, j))
 
     params = _parse_params_header(header["params"])
+    check_domain((e[0] for e in entries), params.Delta, params.d)
     shift = tuple(int(x) for x in header["shift"].split(","))
     if grid is None:
         grid = GridHierarchy(params.Delta, params.d, shift)
@@ -348,6 +352,26 @@ def read_coreset(path, grid: GridHierarchy | None = None) -> WeightedCoreset:
         structure, part_tau, phi, bool(int(header["exact_counts"])),
     )
     return WeightedCoreset(entries, meta)
+
+
+def _parse_entrymeta(path, val: str):
+    try:
+        lvl, j = (int(x) for x in val.split(","))
+    except ValueError:
+        raise UsageError(f"{path}: malformed entrymeta {val!r}, "
+                         f"expected 'level,part'") from None
+    return lvl, j
+
+
+def _parse_weight(path, text: str) -> float:
+    try:
+        w = float(text)
+        if 0 < w < math.inf:
+            return w
+    except ValueError:
+        pass
+    raise UsageError(f"{path}: coreset weight {text!r} is not a positive "
+                     f"finite number")
 
 
 def _parse_params_header(text: str) -> Params:

@@ -1,13 +1,14 @@
 """Coordinator/machines protocol simulation with exact byte accounting.
 
 Each machine runs the streaming engine's store layer over its shard, then
-ships, per (guess, level, family), either the serialized store state or a
-FAIL marker when its local nonempty-cell count exceeds the store's cap.  The
-coordinator merges blobs (store merging is linear), marks a guess failed as
-soon as any machine reported FAIL for one of its stores, and finalizes
-without re-checking the cell cap on merged content, exactly as the protocol
-prescribes.  Transport is an in-process byte channel; the byte counters are
-the communication cost.
+ships one message per distinct (family, level, threshold) store: the store's
+index, the guesses whose cell cap its local nonempty-cell count exceeds, and
+the serialized store state (left out when every guess the store serves is
+over its cap).  The coordinator merges each state once (store merging is
+linear), marks a guess failed as soon as any machine reported it over the
+cap of one of its stores, and finalizes without re-checking the cell cap on
+merged content, exactly as the protocol prescribes.  Transport is an
+in-process byte channel; the byte counters are the communication cost.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class ByteChannel:
         return self.to_coordinator + self.to_machine
 
 
-FAIL_MARKER = b"FAIL"
+_HEADER = struct.Struct("<IH")  # store index, number of guesses over cap
 
 
 class Machine:
@@ -54,22 +55,17 @@ class Machine:
         self.local_n = len(shard)
 
     def wire_messages(self):
-        """Yield (key, blob-or-FAIL) per (o, family, level) plus the local size."""
+        """Yield one message per distinct store, in the engine's store order."""
         eng = self.engine
-        blob_cache: dict = {}
-        for o in eng.o_values:
-            for fam in FAMILIES:
-                for lvl in eng._levels:
-                    store = eng._stores[(o, fam, lvl)]
-                    alpha, _ = eng.params.caps(fam, lvl, o)
-                    if isinstance(store, cellstore.ExactCellStore) \
-                            and len(store.counts) > alpha:
-                        yield (o, fam, lvl), FAIL_MARKER
-                        continue
-                    blob = blob_cache.get(id(store))
-                    if blob is None:
-                        blob = blob_cache[id(store)] = store.serialize()
-                    yield (o, fam, lvl), blob
+        for index, (key, store) in enumerate(eng._stores.items()):
+            fam, lvl, _ = key
+            cells = store.cell_count()
+            guesses = eng._served[key]
+            over = [eng.o_values.index(o) for o in guesses
+                    if cells > eng.params.caps(fam, lvl, o)[0]]
+            blob = b"" if len(over) == len(guesses) else store.serialize()
+            yield _HEADER.pack(index, len(over)) \
+                + struct.pack(f"<{len(over)}H", *over) + blob
 
 
 class Coordinator:
@@ -80,24 +76,23 @@ class Coordinator:
         self.engine = StreamEngine(params, grid, seed, backing=backing,
                                    exact_counts=exact_counts, n_max=n_max,
                                    check_store_alpha=False)
+        self._stores = list(self.engine._stores.values())
         self.failed_os: set = set()
         self.total_n = 0
 
     def absorb(self, machine: "Machine", channel: ByteChannel):
         self.total_n += machine.local_n
         channel.send_to_coordinator(struct.pack("<q", machine.local_n))
-        merged_targets: set = set()
-        for key, blob in machine.wire_messages():
-            channel.send_to_coordinator(blob)
-            if blob == FAIL_MARKER:
-                self.failed_os.add(key[0])
-                continue
-            target = self.engine._stores[key]
-            # pooled stores repeat across guesses; fold each pair once
-            if id(target) in merged_targets:
-                continue
-            merged_targets.add(id(target))
-            target.merge_in(cellstore.deserialize(bytes(blob), self.engine.grid))
+        o_values = self.engine.o_values
+        for message in machine.wire_messages():
+            message = channel.send_to_coordinator(message)
+            index, n_over = _HEADER.unpack_from(message)
+            over = struct.unpack_from(f"<{n_over}H", message, _HEADER.size)
+            self.failed_os.update(o_values[i] for i in over)
+            blob = message[_HEADER.size + 2 * n_over:]
+            if blob:
+                self._stores[index].merge_in(
+                    cellstore.deserialize(blob, self.engine.grid))
 
     def finalize(self):
         eng = self.engine

@@ -18,6 +18,7 @@ from .common import UsageError
 SHIFT_FRAC_BITS = 32
 
 NO_TAG = -1
+TAG_SPACE = 1 << 32  # tag codes 0 .. 2**32-1, i.e. tags -1 .. 2**32-2
 
 
 class Point(NamedTuple):
@@ -157,7 +158,8 @@ def parse_point_line(line: str) -> Point | None:
 
 
 def check_domain(points, Delta: int, d: int):
-    """Reject points that are not d-dimensional or lie outside [1, Delta]^d."""
+    """Reject points that are not d-dimensional, lie outside [1, Delta]^d or
+    carry a tag outside [-1, TAG_SPACE-2] (the range points are encoded in)."""
     for p in points:
         if len(p.coords) != d:
             raise UsageError(f"point {format_point(p)!r} has {len(p.coords)} "
@@ -165,6 +167,9 @@ def check_domain(points, Delta: int, d: int):
         if not all(1 <= c <= Delta for c in p.coords):
             raise UsageError(f"point {format_point(p)!r} lies outside "
                              f"[1, {Delta}]^{d}")
+        if not NO_TAG <= p.tag <= TAG_SPACE - 2:
+            raise UsageError(f"point {format_point(p)!r} has a tag outside "
+                             f"[-1, {TAG_SPACE - 2}]")
 
 
 def format_point(p: Point) -> str:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import kernels
 from .common import UsageError
-from .geometry import Point
+from .geometry import TAG_SPACE, Point
 
 # Mersenne primes; smallest exceeding the encoding range is selected.
 PRIME_LADDER = (
@@ -26,8 +26,6 @@ PRIME_LADDER = (
     (1 << 127) - 1,
     (1 << 521) - 1,
 )
-
-TAG_SPACE = 1 << 32  # tag codes 0 .. 2**32-1 (tag -1 means untagged)
 
 QUANTIZATION_LIMIT = 2.0 ** -60
 

@@ -1,13 +1,14 @@
 """One-pass dynamic-stream coreset construction.
 
-Per guess o and level i the engine maintains three cell stores fed by the
-h / h' / hhat sub-streams; finalize reads the stores out under each guess's
-caps and hands the cell data to the decision path every mode shares
-(coreset.finalize_cells).  Hash polynomials are shared across guesses (only
-the acceptance threshold varies), so with the exact backing the engine pools
-stores whose routing threshold coincides: pooled content is a linear
-function of the updates and therefore equal to running one store per guess.
-The sketch backing keeps per-guess stores.
+Per guess o and level i the h / h' / hhat sub-streams feed three cell
+stores; finalize reads the stores out under each guess's caps and hands the
+cell data to the decision path every mode shares (coreset.finalize_cells).
+Hash polynomials are shared across guesses (only the acceptance threshold
+varies), so the engine keeps one store per distinct (family, level,
+threshold) for either backing: pooled content is a linear function of the
+updates and therefore equal to running one store per guess.  A pooled store
+is sized by the largest caps among the guesses it serves; a larger sketch
+only lowers its failure rate.
 
 Stream file format: one update per line, "+ x1 ... xd #tag" or
 "- x1 ... xd #tag" (U+2212 minus accepted).
@@ -16,6 +17,7 @@ Stream file format: one update per line, "+ x1 ... xd #tag" or
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .common import FAIL, UsageError, derive_seed, is_fail
 from .coreset import (CoresetMeta, WeightedCoreset, family_hash, family_rate,
@@ -34,7 +36,6 @@ class StreamEngine:
         self.params = params
         self.grid = grid
         self.seed = seed
-        self.backing = backing
         self.exact_counts = exact_counts
         self.check_store_alpha = check_store_alpha
         self.n_max = n_max if n_max is not None else grid.Delta ** grid.d
@@ -47,36 +48,23 @@ class StreamEngine:
         self._levels = range(0, grid.L + 1)
         self._hashes = {(fam, lvl): family_hash(params, seed, fam, lvl, self._encoder)
                         for lvl in self._levels for fam in FAMILIES}
-        # routing thresholds per (o, family, level)
-        self._thresh = {}
+        modulus = self._encoder.modulus
+        self._thresh = {}  # (o, family, level) -> routing threshold
+        self._served = {}  # (family, level, threshold) -> guesses it serves
         for o in self.o_values:
             for lvl in self._levels:
                 for fam in FAMILIES:
                     rate = family_rate(params, fam, lvl, o, exact_counts)
-                    self._thresh[(o, fam, lvl)] = exact_threshold(
-                        rate, self._encoder.modulus)
-        self._stores = {}       # (o, fam, lvl) -> store object (maybe shared)
+                    t = self._thresh[(o, fam, lvl)] = exact_threshold(rate, modulus)
+                    self._served.setdefault((fam, lvl, t), []).append(o)
+        self._stores = {}  # (family, level, threshold) -> store
+        for (fam, lvl, t), guesses in self._served.items():
+            caps = [params.caps(fam, lvl, o) for o in guesses]
+            self._stores[(fam, lvl, t)] = cellstore.make_store(
+                backing, grid, lvl, max(a for a, _ in caps),
+                max(b for _, b in caps), derive_seed(seed, f"store:{fam}:{lvl}"),
+                delta=0.001 / (3 * (grid.L + 1)))
         self._field_cache = {}  # (fam, lvl) -> {point: field value}
-        if backing == "exact":
-            pool = {}
-            for (o, fam, lvl), t in self._thresh.items():
-                key = (fam, lvl, t)
-                if key not in pool:
-                    pool[key] = cellstore.ExactCellStore(
-                        grid, lvl, math.inf, math.inf,
-                        derive_seed(seed, f"store:{fam}:{lvl}"))
-                self._stores[(o, fam, lvl)] = pool[key]
-            self._pool = pool
-        elif backing == "sketch":
-            for o, fam, lvl in self._thresh:
-                alpha, beta = params.caps(fam, lvl, o)
-                self._stores[(o, fam, lvl)] = cellstore.SketchCellStore(
-                    grid, lvl, alpha, beta,
-                    derive_seed(seed, f"store:{fam}:{lvl}:{o}"),
-                    delta=0.001 / (3 * (grid.L + 1)))
-            self._pool = None
-        else:
-            raise UsageError(f"unknown backing {backing!r}")
 
     # --- stream consumption ---------------------------------------------
     def _member(self, fam: str, lvl: int, threshold: int, p: Point) -> bool:
@@ -95,15 +83,9 @@ class StreamEngine:
             raise UsageError("sign must be +1 or -1")
         self.net += sign
         self.updates += 1
-        if self.backing == "exact":
-            # pooled: one update per distinct (family, level, threshold)
-            for (fam, lvl, t), store in self._pool.items():
-                if self._member(fam, lvl, t, p):
-                    store.update(p, sign)
-        else:
-            for (o, fam, lvl), store in self._stores.items():
-                if self._member(fam, lvl, self._thresh[(o, fam, lvl)], p):
-                    store.update(p, sign)
+        for (fam, lvl, t), store in self._stores.items():
+            if self._member(fam, lvl, t, p):
+                store.update(p, sign)
 
     def process_stream(self, updates):
         for p, sign in updates:
@@ -111,12 +93,10 @@ class StreamEngine:
 
     # --- finalize ----------------------------------------------------------
     def _cell_data(self, o: float, fam: str, lvl: int):
-        store = self._stores[(o, fam, lvl)]
-        if isinstance(store, cellstore.ExactCellStore):
-            # a pooled store serves several guesses: read it under this one's caps
-            alpha, beta = self.params.caps(fam, lvl, o)
-            return store.read(alpha if self.check_store_alpha else math.inf, beta)
-        return store.finalize(check_alpha=self.check_store_alpha)
+        # a pooled store serves several guesses: read it under this one's caps
+        alpha, beta = self.params.caps(fam, lvl, o)
+        store = self._stores[(fam, lvl, self._thresh[(o, fam, lvl)])]
+        return store.read(alpha if self.check_store_alpha else math.inf, beta)
 
     def finalize_for_o(self, o: float):
         data = {}
@@ -154,12 +134,7 @@ class StreamEngine:
         return WeightedCoreset([], meta)
 
     def space_bytes(self):
-        seen, total = set(), 0
-        for store in self._stores.values():
-            if id(store) not in seen:
-                seen.add(id(store))
-                total += store.space_bytes()
-        return total
+        return sum(store.space_bytes() for store in self._stores.values())
 
 
 # --- stream file format -----------------------------------------------------
@@ -179,6 +154,17 @@ def parse_update_line(line: str):
     if point is None:
         raise UsageError(f"stream line has no point: {line!r}")
     return point, sign
+
+
+def check_live(updates):
+    """Reject a deletion of a point that has no live copy at that point of
+    the stream: multiplicities never go negative."""
+    live = Counter()
+    for p, sign in updates:
+        live[p] += sign
+        if live[p] < 0:
+            raise UsageError(f"stream deletes {format_point(p)!r}, "
+                             f"which has no live copy")
 
 
 def read_stream(path):

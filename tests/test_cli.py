@@ -273,3 +273,72 @@ def test_assign_rejects_coreset_entry_without_entrymeta(tmp_path, capsys):
                "--capacity", "18", "--out", str(tmp_path / "assign.txt")])
     assert rc == 2
     assert "entrymeta" in capsys.readouterr().err
+
+
+def test_eval_and_assign_reject_points_outside_the_coreset_domain(tmp_path,
+                                                                   capsys):
+    pts_path = _gen(tmp_path, n=20)
+    core_path = _build(tmp_path, pts_path)
+    bad_input = tmp_path / "bad.txt"
+    bad_input.write_text(pts_path.read_text() + "1 99 #999\n")
+    rc = main(["eval", "--input", str(bad_input), "--coreset", str(core_path),
+               "--out", str(tmp_path / "audit.csv"), "--center-samples", "3",
+               "--seed", "5"])
+    assert rc == 2
+    centers = tmp_path / "centers.txt"
+    centers.write_text("3 3\n6 6\n")
+    bad_centers = tmp_path / "bad_centers.txt"
+    bad_centers.write_text("3 3\n99 99\n")
+    for extra in (("--centers", str(bad_centers)),
+                  ("--centers", str(centers), "--full-input", str(bad_input))):
+        rc = main(["assign", "--coreset", str(core_path), "--capacity", "18",
+                   "--out", str(tmp_path / "assign.txt"), *extra])
+        assert rc == 2
+    assert "outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight_line, meta_line", [
+    ("x 1 1 #0", "% entrymeta=0,0"),     # non-numeric weight
+    ("1.0 1 1 #0", "% entrymeta=0"),     # entrymeta without the part index
+    ("1.0 1 1 #0", "% entrymeta=a,b"),   # non-integer entrymeta
+])
+def test_assign_rejects_malformed_coreset_entry(tmp_path, capsys, weight_line,
+                                                meta_line):
+    pts_path = _gen(tmp_path, n=24)
+    core_path = _build(tmp_path, pts_path)
+    core_path.write_text(core_path.read_text() + meta_line + "\n"
+                         + weight_line + "\n")
+    centers = tmp_path / "centers.txt"
+    centers.write_text("3 3\n6 6\n")
+    rc = main(["assign", "--coreset", str(core_path), "--centers", str(centers),
+               "--capacity", "18", "--out", str(tmp_path / "assign.txt")])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_build_rejects_tags_outside_the_encoder_range(tmp_path, capsys):
+    pts_path = tmp_path / "tags.txt"
+    pts_path.write_text("1 1 #-5\n2 2 #1\n")
+    out = tmp_path / "core.txt"
+    rc = main(["build", "--input", str(pts_path), "--output", str(out),
+               "-k", "2", "--Delta", "8", "--seed", "1"])
+    assert rc == 2
+    assert "tag" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [
+    ["- 2 2 #5"],                            # never inserted
+    ["+ 1 1 #0", "- 2 2 #5", "+ 2 2 #5"],    # deleted before its insertion
+    ["+ 2 2 #5", "- 2 2 #5", "- 2 2 #5"],    # deleted twice
+])
+def test_stream_build_rejects_deleting_a_point_without_live_copy(tmp_path,
+                                                                 capsys, lines):
+    stream_path = tmp_path / "updates.txt"
+    stream_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "core.txt"
+    rc = main(["build", "--mode", "stream", "--input", str(stream_path),
+               "--output", str(out), "-k", "2", "--Delta", "8", "--seed", "1"])
+    assert rc == 2
+    assert "no live copy" in capsys.readouterr().err
+    assert not out.exists()

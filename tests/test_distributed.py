@@ -1,10 +1,14 @@
+import math
 import random
+import struct
 
 import pytest
 
 from capacore.common import derive_seed, is_fail
 from capacore.coreset import build_auto, dedup_points, o_grid
-from capacore.distributed import (broadcast_blob, per_machine_byte_cap,
+from capacore.cellstore import ExactCellStore
+from capacore.distributed import (_HEADER, ByteChannel, Coordinator, Machine,
+                                  broadcast_blob, per_machine_byte_cap,
                                   run_protocol)
 from capacore.geometry import GridHierarchy
 from capacore.params import PRACTICAL, derive
@@ -76,6 +80,76 @@ def test_sketch_backing_protocol(rng):
     offline = _offline(pts, RATE1, 5, exact_counts=False)
     assert core == offline
     assert comm > 0
+
+
+@pytest.mark.parametrize("backing", ["exact", "sketch"])
+def test_machine_sends_each_distinct_store_once(rng, backing):
+    class GuessAlpha(type(RATE1)):
+        # cell caps that grow with the guess: a shard is over some guesses'
+        # caps and under others'
+        def alpha(self, i, o):
+            return o / 2
+
+        alpha_prime = alpha_hat = alpha
+
+    params = GuessAlpha(**{f: getattr(RATE1, f)
+                           for f in RATE1.__dataclass_fields__})
+    pts = dedup_points(rand_points(rng, 30, 8))
+    grid = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
+    machine = Machine(pts, params, grid, 8, backing, False, 64)
+    exact = Machine(pts, params, grid, 8, "exact", False, 64).engine
+    engine = machine.engine
+    # one store per distinct (family, level, threshold), for either backing
+    pooled = {(fam, lvl, t) for (_, fam, lvl), t in engine._thresh.items()}
+    assert len({id(s) for s in engine._stores.values()}) == len(pooled)
+    assert len(pooled) < len(engine._thresh)
+    keys = list(engine._stores)
+    sent = []
+    for message in machine.wire_messages():
+        index, n_over = _HEADER.unpack_from(message)
+        sent.append(index)
+        over = struct.unpack_from(f"<{n_over}H", message, _HEADER.size)
+        cells = exact._stores[keys[index]].cell_count()
+        assert {engine.o_values[i] for i in over} == \
+            {o for o in engine._served[keys[index]] if cells > o / 2}
+    assert sorted(sent) == list(range(len(pooled)))
+
+
+@pytest.mark.parametrize("backing", ["exact", "sketch"])
+def test_pooled_stores_read_like_one_store_per_guess(rng, backing):
+    class GuessCaps(type(RATE1)):
+        # caps that grow with the guess and cross the instance's cell counts
+        # (alpha) and per-cell point counts (beta)
+        def alpha(self, i, o):
+            return 4 * o
+
+        def beta(self, i, o):
+            return o
+
+        alpha_prime = alpha_hat = alpha
+        beta_prime = beta_hat = beta
+
+    params = GuessCaps(**{f: getattr(RATE1, f)
+                          for f in RATE1.__dataclass_fields__})
+    grid = GridHierarchy.from_seed(derive_seed(12, "shift"), 8, 2)
+    pts = rand_points(rng, 40, 8)
+    live = [p for i, p in enumerate(pts) if i % 4]
+    updates = [(p, +1) for p in pts] + [(p, -1) for p in pts[::4]]
+    stream = StreamEngine(params, grid, 12, backing=backing, n_max=64)
+    stream.process_stream(updates)
+    coord = Coordinator(params, grid, 12, backing, False, 64)
+    for shard in (live[0::2], live[1::2]):
+        coord.absorb(Machine(shard, params, grid, 12, backing, False, 64),
+                     ByteChannel())
+    for (o, fam, lvl), t in stream._thresh.items():
+        alpha, beta = params.caps(fam, lvl, o)
+        # the reference: an exact store of this guess's own caps
+        ref = ExactCellStore(grid, lvl, alpha, beta)
+        for p in live:
+            if stream._member(fam, lvl, t, p):
+                ref.update(p, +1)
+        assert stream._cell_data(o, fam, lvl) == ref.finalize()
+        assert coord.engine._cell_data(o, fam, lvl) == ref.read(math.inf, beta)
 
 
 def test_machine_fail_propagates(rng):

@@ -38,23 +38,39 @@ def _or_fail(build):
         return FAIL
 
 
-# at Delta=8, scale 1e-53 puts psi and psi' below 1 and 1e-57 puts phi below 1
-@pytest.mark.parametrize("scale", [1e-6, 1e-53, 1e-57])
-@pytest.mark.parametrize("exact_counts", [False, True])
-@settings(max_examples=40, deadline=None)
-@given(case=streams(), seed=st.integers(0, 1000))
-def test_offline_stream_dist_build_the_same_coreset(scale, exact_counts, case, seed):
+def _check_modes_agree(backing, scale, exact_counts, case, seed):
     live, updates, machines = case
     params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=DELTA, d=2,
                     mode=PRACTICAL, scale=scale)
     grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), DELTA, 2)
     offline = _or_fail(lambda: build_auto(live, grid, params, seed,
                                           exact_counts=exact_counts))
-    engine = StreamEngine(params, grid, seed, exact_counts=exact_counts,
+    engine = StreamEngine(params, grid, seed, backing=backing,
+                          exact_counts=exact_counts,
                           n_max=max(DELTA ** 2, len(updates)))
     engine.process_stream(updates)
     stream = _or_fail(engine.finalize)
     dist, _ = run_protocol([live[i::machines] for i in range(machines)],
-                           params, seed, exact_counts=exact_counts)
+                           params, seed, backing=backing,
+                           exact_counts=exact_counts)
     assert stream == offline
     assert dist == offline
+
+
+# at Delta=8, scale 1e-53 puts psi and psi' below 1 and 1e-57 puts phi below 1
+@pytest.mark.parametrize("scale", [1e-6, 1e-53, 1e-57])
+@pytest.mark.parametrize("exact_counts", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(case=streams(), seed=st.integers(0, 1000))
+def test_offline_stream_dist_build_the_same_coreset(scale, exact_counts, case, seed):
+    _check_modes_agree("exact", scale, exact_counts, case, seed)
+
+
+# the sketch backing through the same stores and wire; decoding makes each
+# example several times slower, hence fewer examples
+@pytest.mark.parametrize("scale", [1e-6, 1e-53, 1e-57])
+@pytest.mark.parametrize("exact_counts", [False, True])
+@settings(max_examples=15, deadline=None)
+@given(case=streams(), seed=st.integers(0, 1000))
+def test_sketch_backing_builds_the_same_coreset(scale, exact_counts, case, seed):
+    _check_modes_agree("sketch", scale, exact_counts, case, seed)
