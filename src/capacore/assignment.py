@@ -450,11 +450,11 @@ def extract_halfspaces(points, mapping: dict, centers, r) -> dict:
 
 # --- canonicalization --------------------------------------------------------
 
-def _min_cost_same_sizes(points, centers, sizes, r, scale=FLOW_SCALE):
+def _min_cost_same_sizes(points, centers, sizes, r):
     """Min-cost reassignment with the exact per-center point counts."""
     solver = TransportSolver(sizes)
     for p in points:
-        costs = [round(dist_pow(p, z, r) * scale) for z in centers]
+        costs = [round(dist_pow(p, z, r) * FLOW_SCALE) for z in centers]
         if not solver.insert(costs, 1):
             raise AssertionError("size-preserving reassignment infeasible")
     return {p: next(iter(share)) for p, share in zip(points, solver.shares)}

@@ -50,12 +50,6 @@ class CellData:
         self.light_points = light_points  # lattice -> tuple of points
         self.beta = beta
 
-    def S_points(self):
-        out = []
-        for lat in sorted(self.light_points):
-            out.extend(self.light_points[lat])
-        return out
-
     def canonical(self):
         return (
             self.level,

@@ -7,9 +7,13 @@ parts whose estimated size reaches gamma*T_i(o), and retains the
 hhat-sampled points of each kept level-i part at weight exactly 1/phi_i.
 The offline builder, the stream engine and the distributed coordinator only
 differ in how they produce that cell data.  search_o enumerates o over
-powers of two and returns the smallest guess that does not FAIL.  Hash
-polynomials are seeded per (family, level) only, so every guess, mode and
-machine sees identical sampling decisions.
+powers of two and returns the smallest guess that does not FAIL.
+
+Sampling owns the sampling decision of every mode.  Hash polynomials are
+seeded per (family, level) only, so every guess, mode and machine sees
+identical sampling decisions, and each mode keys its cell data by the
+Sampling key (family, level, threshold), whose family is dropped at rate 0
+or 1.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .partition import PartitionStructure, mark_cells
 __all__ = [
     "CoresetMeta", "WeightedCoreset", "OfflineBuilder", "build_for_o",
     "build_auto", "coreset_size_bound", "o_grid", "dedup_points",
-    "finalize_cells", "search_o", "write_coreset", "read_coreset",
+    "Sampling", "finalize_cells", "search_o", "write_coreset", "read_coreset",
 ]
 
 
@@ -100,45 +104,89 @@ def o_grid(n: int, params: Params) -> list:
 
 # --- the shared decision path ------------------------------------------------
 
-def family_rate(params: Params, family: str, level: int, o: float,
-                exact_counts: bool) -> float:
-    """Rate at which a family's hash keeps points: psi, psi' or phi.
+class Sampling:
+    """The sampling decision every mode shares.
 
-    Exact counts keep every point in the two estimating families."""
-    if family == "hhat":
-        return params.phi(level, o)
-    if exact_counts:
-        return 1.0
-    return params.psi(level, o) if family == "h" else params.psi_prime(level, o)
+    It owns the (family, level) hashes, the rate -> threshold step, the keep
+    test with its field-value cache, and the pool key (family, level,
+    threshold) of each (family, level, guess).  A point is kept when its
+    field value lies below the threshold; at threshold 0 or the modulus
+    every family keeps the same points, so the key drops the family there.
+    Two (family, level, guess) triples with equal keys keep equal points."""
+
+    def __init__(self, params: Params, grid: GridHierarchy, seed: int,
+                 exact_counts: bool):
+        self.params = params
+        self.grid = grid
+        self.seed = seed
+        self.exact_counts = exact_counts
+        encoder = PointEncoder(grid.Delta, grid.d)
+        self.modulus = encoder.modulus
+        self._hashes = {
+            (fam, lvl): KWiseHash(
+                derive_seed(seed, f"{fam}:{lvl}"),
+                params.hash_lambda() if fam == "hhat"
+                else params.hash_lambda_prime(), 1.0, encoder)
+            for fam in FAMILIES for lvl in range(0, grid.L + 1)}
+        # (family, level) -> {point: field value}
+        self._values = {pair: {} for pair in self._hashes}
+
+    def rate(self, family: str, level: int, o: float) -> float:
+        """psi, psi' or phi; exact counts keep every point in the two
+        estimating families."""
+        if family == "hhat":
+            return self.params.phi(level, o)
+        if self.exact_counts:
+            return 1.0
+        if family == "h":
+            return self.params.psi(level, o)
+        return self.params.psi_prime(level, o)
+
+    def key(self, family: str, level: int, o: float) -> tuple:
+        t = exact_threshold(self.rate(family, level, o), self.modulus)
+        return (None if t in (0, self.modulus) else family, level, t)
+
+    def keeps(self, key: tuple, points) -> list:
+        """Whether the key's hash keeps each point; the points a (family,
+        level) hash has not seen yet are hashed in one batch."""
+        family, level, t = key
+        if family is None:
+            return [t > 0] * len(points)
+        values = self._values[(family, level)]
+        new = [p for p in points if p not in values]
+        if new:
+            values.update(zip(new, self._hashes[(family, level)]
+                              .field_values(new)))
+        return [values[p] < t for p in points]
 
 
-def family_hash(params: Params, seed: int, family: str, level: int,
-                encoder: PointEncoder) -> KWiseHash:
-    """The (family, level) hash; a point is kept when its field value lies
-    below exact_threshold(rate, modulus)."""
-    lam = params.hash_lambda() if family == "hhat" else params.hash_lambda_prime()
-    return KWiseHash(derive_seed(seed, f"{family}:{level}"), lam, 1.0, encoder)
+def fail_at(gates: list | None, gate: str):
+    """FAIL, recording the gate that fired in gates (an output list)."""
+    if gates is not None:
+        gates.append(gate)
+    return FAIL
 
 
-def finalize_cells(params: Params, grid: GridHierarchy, seed: int, o: float,
-                   exact_counts: bool, data: dict, n: int):
+def finalize_cells(sampling: Sampling, o: float, data: dict, n: int,
+                   gates: list | None = None):
     """The coreset of guess o, or FAIL, from data[(family, level)] (CellData).
 
     n is the size of the input; a nonempty input never gets an empty coreset
-    (such a guess FAILs)."""
+    (such a guess FAILs).  A FAIL appends the gate that fired to gates."""
+    params, grid = sampling.params, sampling.grid
     levels = range(0, grid.L + 1)
     bank = SampleBank(
         grid,
-        {lvl: family_rate(params, "h", lvl, o, exact_counts) for lvl in levels},
-        {lvl: family_rate(params, "hp", lvl, o, exact_counts) for lvl in levels},
+        {lvl: sampling.rate("h", lvl, o) for lvl in levels},
+        {lvl: sampling.rate("hp", lvl, o) for lvl in levels},
         {lvl: data[("h", lvl)].cells for lvl in levels},
         {lvl: data[("hp", lvl)].cells for lvl in levels})
     structure = mark_cells(bank.counts_for_marking(), params, o, grid)
     if structure.heavy_count() > params.heavy_cell_cap():
-        return FAIL
+        return fail_at(gates, "heavy-cell cap")
     tau_union, tau_part = bank.part_estimates(structure)
     if any(tau_union[lvl] > params.part_sum_cap(lvl, o) for lvl in levels):
-        return FAIL
+        return fail_at(gates, "part-sum cap")
     qualifying = {part: tau for part, tau in tau_part.items()
                   if tau >= params.gamma * params.T(part[0], o)}
 
@@ -154,12 +202,15 @@ def finalize_cells(params: Params, grid: GridHierarchy, seed: int, o: float,
             pts = hhat.light_points.get(lat)
             if pts is None:
                 # sampled points of a kept cell exceeded the recovery cap
-                return FAIL
+                return fail_at(gates, "light-point recovery cap")
             entries.extend((p, w, lvl, part[1]) for p in set(pts))
     if n > 0 and not entries:
-        return FAIL
-    meta = CoresetMeta(params, seed, grid.shift_num, o, (o,),
-                       structure, qualifying, phi, exact_counts)
+        why = ("the h' estimator sample is empty"
+               if not any(data[("hp", lvl)].cells for lvl in levels)
+               else "no sampled point lies in a kept part")
+        return fail_at(gates, f"empty-coreset gate: {why}")
+    meta = CoresetMeta(params, sampling.seed, grid.shift_num, o, (o,),
+                       structure, qualifying, phi, sampling.exact_counts)
     return WeightedCoreset(entries, meta)
 
 
@@ -179,45 +230,28 @@ def search_o(guesses, build):
 class OfflineBuilder:
     """Shared per-instance state reused across o guesses.
 
-    Every point's lattice path and hash field values are computed once; the
-    cell data of the points a (family, level) hash keeps at a threshold is
-    cached under (family, level, threshold), so guesses sharing a threshold
-    share it."""
+    Every point's lattice path is computed once, and every (family, level)
+    hash evaluates the points once; the cell data of the points a Sampling
+    key keeps is cached under that key, so guesses sharing a key share it."""
 
     def __init__(self, points, grid: GridHierarchy, params: Params, seed: int,
                  exact_counts: bool = True):
         self.points = dedup_points(points)
         self.grid = grid
         self.params = params
-        self.seed = seed
-        self.exact_counts = exact_counts
-        self._encoder = PointEncoder(grid.Delta, grid.d)
+        self.sampling = Sampling(params, grid, seed, exact_counts)
         # per-point lattice paths, levels 0..L
         self._paths = [tuple(grid.lattice_of(p.coords, lvl)
                              for lvl in range(0, grid.L + 1))
                        for p in self.points]
-        self._fields: dict = {}  # (family, level) -> field value per point
-        self._data: dict = {}    # (family, level, threshold) -> CellData
+        self._data: dict = {}  # Sampling key -> CellData
 
-    def _kept(self, family: str, level: int, threshold: int):
-        if threshold == 0:
-            return [False] * len(self.points)
-        if threshold == self._encoder.modulus:
-            return [True] * len(self.points)
-        key = (family, level)
-        if key not in self._fields:
-            hash_ = family_hash(self.params, self.seed, family, level, self._encoder)
-            self._fields[key] = hash_.field_values(self.points)
-        return [v < threshold for v in self._fields[key]]
-
-    def _cell_data(self, family: str, level: int, threshold: int) -> CellData:
-        if threshold in (0, self._encoder.modulus):
-            family = None  # rate 0 or 1: every family keeps the same points
-        key = (family, level, threshold)
+    def _cell_data(self, key: tuple) -> CellData:
         if key not in self._data:
+            level = key[1]
             light: dict = {}
             for p, path, keep in zip(self.points, self._paths,
-                                     self._kept(family, level, threshold)):
+                                     self.sampling.keeps(key, self.points)):
                 if keep:
                     light.setdefault(path[level], []).append(p)
             cells = {lat: len(pts) for lat, pts in light.items()}
@@ -225,27 +259,22 @@ class OfflineBuilder:
             self._data[key] = CellData(level, cells, light, math.inf)
         return self._data[key]
 
-    def build_for_o(self, o: float):
-        params, modulus = self.params, self._encoder.modulus
-        data = {}
-        for fam in FAMILIES:
-            for lvl in range(0, self.grid.L + 1):
-                rate = family_rate(params, fam, lvl, o, self.exact_counts)
-                data[(fam, lvl)] = self._cell_data(
-                    fam, lvl, exact_threshold(rate, modulus))
-        return finalize_cells(params, self.grid, self.seed, o,
-                              self.exact_counts, data, len(self.points))
+    def build_for_o(self, o: float, gates: list | None = None):
+        data = {(fam, lvl): self._cell_data(self.sampling.key(fam, lvl, o))
+                for fam in FAMILIES for lvl in range(0, self.grid.L + 1)}
+        return finalize_cells(self.sampling, o, data, len(self.points), gates)
 
     def build_auto(self):
         if not self.points:
             raise UsageError("build_auto requires a nonempty point set")
         guesses = o_grid(len(self.points), self.params)
-        result = search_o(guesses, self.build_for_o)
+        gates: list = []
+        result = search_o(guesses, lambda o: self.build_for_o(o, gates))
         if is_fail(result):
             raise RuntimeError(
                 f"all {len(guesses)} o-guesses returned FAIL "
-                f"(n={len(self.points)}, last o={guesses[-1]}); "
-                "this indicates caps inconsistent with the instance")
+                f"(n={len(self.points)}, last o={guesses[-1]}); the last "
+                f"guess failed at the {gates[-1]}")
         return result
 
 

@@ -1,13 +1,14 @@
 """Coordinator/machines protocol simulation with exact byte accounting.
 
 Each machine runs the streaming engine's store layer over its shard, then
-ships one message per distinct (family, level, threshold) store: the store's
-index, the guesses whose cell cap its local nonempty-cell count exceeds, and
-the serialized store state (left out when every guess the store serves is
-over its cap).  The coordinator merges each state once (store merging is
-linear), marks a guess failed as soon as any machine reported it over the
-cap of one of its stores, and finalizes without re-checking the cell cap on
-merged content, exactly as the protocol prescribes.  Transport is an
+ships one message per store, i.e. per distinct Sampling key (family, level,
+threshold), whose family is dropped at rate 0 or 1: the store's index, the
+guesses whose cell cap (for any family the store serves them for) its local
+nonempty-cell count exceeds, and the serialized store state (left out when
+every guess the store serves is over).  The coordinator merges each state
+once (store merging is linear), marks a guess failed as soon as any machine
+reported it over, and finalizes without re-checking the cell cap on merged
+content, exactly as the protocol prescribes.  Transport is an
 in-process byte channel; the byte counters are the communication cost.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import struct
 
 from .common import FAIL, UsageError, derive_seed
-from .coreset import search_o
+from .coreset import Sampling, search_o
 from .geometry import GridHierarchy
 from .params import FAMILIES, Params
 from .streaming import StreamEngine
@@ -55,15 +56,18 @@ class Machine:
         self.local_n = len(shard)
 
     def wire_messages(self):
-        """Yield one message per distinct store, in the engine's store order."""
+        """Yield one message per distinct store, in the engine's store order.
+
+        A guess is over when its cell cap, for any family the store serves
+        it for, is below the store's local nonempty-cell count."""
         eng = self.engine
         for index, (key, store) in enumerate(eng._stores.items()):
-            fam, lvl, _ = key
             cells = store.cell_count()
-            guesses = eng._served[key]
-            over = [eng.o_values.index(o) for o in guesses
-                    if cells > eng.params.caps(fam, lvl, o)[0]]
-            blob = b"" if len(over) == len(guesses) else store.serialize()
+            served = eng._served[key]
+            over = {o for fam, o in served
+                    if cells > eng.params.caps(fam, key[1], o)[0]}
+            blob = b"" if over == {o for _, o in served} else store.serialize()
+            over = sorted(eng.o_values.index(o) for o in over)
             yield _HEADER.pack(index, len(over)) \
                 + struct.pack(f"<{len(over)}H", *over) + blob
 
@@ -130,15 +134,23 @@ def run_protocol(shards, params: Params, seed: int, backing: str = "exact",
     return result, channel.total()
 
 
-def per_machine_byte_cap(params: Params, grid: GridHierarchy, o_values) -> int:
-    """Wire budget per machine: sum over stores of the cap-sized blob."""
+def per_machine_byte_cap(params: Params, grid: GridHierarchy, o_values,
+                         n: int) -> int:
+    """Wire budget of one machine holding at most n points, exact backing.
+
+    The broadcast and the shard size, then one message per distinct Sampling
+    key (sampled counts): its header, 2 bytes per guess the key serves, and
+    an exact blob of at most min(n, (2**level + 1)**d) cells and n points."""
     d = grid.d
-    total = len(broadcast_blob(params, grid, 0)) + 8
+    sampling = Sampling(params, grid, 0, exact_counts=False)
+    served: dict = {}  # Sampling key -> guesses it serves
     for o in o_values:
         for lvl in range(0, grid.L + 1):
             for fam in FAMILIES:
-                alpha, beta = params.caps(fam, lvl, o)
-                cells = int(min(alpha, (2 * grid.Delta) ** d))
-                pts = int(min(alpha * beta, 10**12))
-                total += 40 + cells * (8 * d + 8) + pts * (8 * d + 16)
+                served.setdefault(sampling.key(fam, lvl, o), set()).add(o)
+    total = len(broadcast_blob(params, grid, 0)) + 8
+    for (_, lvl, _), guesses in served.items():
+        cells = min(n, (2 ** lvl + 1) ** d)
+        total += _HEADER.size + 2 * len(guesses) \
+            + 42 + cells * (16 * d + 12) + n * (8 * d + 16)
     return total

@@ -27,7 +27,7 @@ class SampleBank:
 
     @classmethod
     def build(cls, points, grid: GridHierarchy, psi: dict, psi_prime: dict,
-              lam: int, lam_prime: int, seed: int) -> "SampleBank":
+              lam_prime: int, seed: int) -> "SampleBank":
         enc = PointEncoder(grid.Delta, grid.d)
         pts = list(points)
         h_cells, hp_cells = {}, {}
@@ -43,8 +43,8 @@ class SampleBank:
     def from_params(cls, points, grid: GridHierarchy, params, o: float, seed: int):
         psi = {lvl: params.psi(lvl, o) for lvl in range(0, grid.L + 1)}
         psip = {lvl: params.psi_prime(lvl, o) for lvl in range(0, grid.L + 1)}
-        return cls.build(points, grid, psi, psip,
-                         params.hash_lambda(), params.hash_lambda_prime(), seed)
+        return cls.build(points, grid, psi, psip, params.hash_lambda_prime(),
+                         seed)
 
     def _root_estimate(self) -> float:
         return sum(self.h_cells[0].values()) / self.psi[0]

@@ -92,9 +92,6 @@ class GridHierarchy:
     def from_seed(cls, seed: int, Delta: int, d: int) -> "GridHierarchy":
         return cls(Delta, d, sample_shift(seed, Delta, d))
 
-    def shift_floats(self) -> tuple:
-        return tuple(v / (1 << SHIFT_FRAC_BITS) for v in self.shift_num)
-
     def side(self, level: int) -> float:
         """g_level = Delta / 2**level (2*Delta at the root)."""
         return self._side_num[level] / (1 << SHIFT_FRAC_BITS)

@@ -3,11 +3,11 @@
 exact_cost realizes the capacitated cost with the oracle's own transportation
 flow, a general min-cost flow over n + k + 2 nodes (MinCostFlow) that shares
 no code with the assignment pipeline's k-node solver: integral for unit
-weights, the fractional relaxation for weighted inputs.  An exchange-greedy
-fast path for k == 2 is cross-checked by the tests against both the flow and
-the brute-force enumeration.  Oracle flows use exact integer costs for
-r == 2 and a 2**40 scale otherwise, tight enough for the 1e-9
-cross-validation tolerance.
+weights, the fractional relaxation for weighted inputs.  For k == 2 it takes
+CostCurve's exchange-greedy prefix walk instead, which the tests cross-check
+against both the flow and the brute-force enumeration.  Oracle flows use
+exact integer costs for r == 2 and a 2**40 scale otherwise, tight enough for
+the 1e-9 cross-validation tolerance.
 """
 
 from __future__ import annotations
@@ -28,15 +28,6 @@ ORACLE_SCALE = 1 << 40
 
 BRUTE_PARTITION_CAP = 10
 BRUTE_OPT_CANDIDATE_CAP = 3_000_000
-
-
-@dataclass
-class CostQuery:
-    points: list
-    centers: list
-    t: float
-    r: float
-    weights: dict | None = None
 
 
 def _scaled_cost(p: Point, z: Point, r: float) -> int:
@@ -91,49 +82,6 @@ def _cost_flow(points, centers, t, r, weights=None):
     return value
 
 
-def _cost_greedy_k2(points, centers, t, r, weights=None):
-    """Exchange-optimal capacitated cost for two centers.
-
-    Assign everything to the cheaper center, then shed the overflow with the
-    smallest switching penalties; fractional overflow splits the marginal
-    point when weights are given.
-    """
-    z0, z1 = centers
-    unit = weights is None
-    cap = math.floor(t) if unit else t
-    rows = []
-    tot = [0.0, 0.0]
-    base = 0.0
-    for p in points:
-        w = 1.0 if unit else weights[p]
-        c0, c1 = dist_pow(p, z0, r), dist_pow(p, z1, r)
-        side = 0 if c0 <= c1 else 1
-        rows.append((p, w, c0, c1, side))
-        tot[side] += w
-        base += w * (c0 if side == 0 else c1)
-    if tot[0] + tot[1] > 2 * cap:
-        return INF
-    for heavy in (0, 1):
-        if tot[heavy] <= cap:
-            continue
-        move = tot[heavy] - cap
-        pens = sorted(
-            ((row[3] - row[2]) if heavy == 0 else (row[2] - row[3]), row[1])
-            for row in rows if row[4] == heavy
-        )
-        if unit:
-            m = len([r_ for r_ in rows if r_[4] == heavy]) - cap
-            base += sum(pen for pen, _ in pens[:int(m)])
-        else:
-            for pen, w in pens:
-                take = min(w, move)
-                base += pen * take
-                move -= take
-                if move <= 1e-15:
-                    break
-    return base
-
-
 def exact_cost(points, centers, t, r, weights=None, method: str = "auto"):
     """Capacitated clustering cost; INF when no feasible partition exists.
 
@@ -154,12 +102,8 @@ def exact_cost(points, centers, t, r, weights=None, method: str = "auto"):
     if method == "greedy2":
         if len(centers) != 2:
             raise UsageError("greedy2 path requires exactly two centers")
-        return _cost_greedy_k2(points, centers, t, r, weights)
+        return CostCurve(points, centers, r, weights).at(t)
     return _cost_flow(points, centers, t, r, weights)
-
-
-def exact_cost_query(q: CostQuery, method: str = "auto"):
-    return exact_cost(q.points, q.centers, q.t, q.r, q.weights, method)
 
 
 def rounded_cost(points, centers, t, r, weights):

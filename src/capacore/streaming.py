@@ -1,14 +1,15 @@
 """One-pass dynamic-stream coreset construction.
 
-Per guess o and level i the h / h' / hhat sub-streams feed three cell
-stores; finalize reads the stores out under each guess's caps and hands the
-cell data to the decision path every mode shares (coreset.finalize_cells).
-Hash polynomials are shared across guesses (only the acceptance threshold
-varies), so the engine keeps one store per distinct (family, level,
-threshold) for either backing: pooled content is a linear function of the
-updates and therefore equal to running one store per guess.  A pooled store
-is sized by the largest caps among the guesses it serves; a larger sketch
-only lowers its failure rate.
+The engine routes every update to one cell store per distinct Sampling key
+(family, level, threshold) over all guesses o, levels and hash families;
+the key drops the family at rate 0 or 1, where every family keeps the same
+points, so those families share one store.  Pooled content is a linear
+function of the updates the key keeps and therefore equal to running one
+store per (family, guess), for either backing.  A pooled store is sized by
+the largest caps among the (family, guess) pairs it serves and each pair
+reads it with read(alpha, beta) under its own caps; a larger sketch only
+lowers its failure rate.  finalize hands the cell data to the decision path
+every mode shares (coreset.finalize_cells).
 
 Stream file format: one update per line, "+ x1 ... xd #tag" or
 "- x1 ... xd #tag" (U+2212 minus accepted).
@@ -19,11 +20,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .common import FAIL, UsageError, derive_seed, is_fail
-from .coreset import (CoresetMeta, WeightedCoreset, family_hash, family_rate,
+from .common import UsageError, derive_seed, is_fail
+from .coreset import (CoresetMeta, Sampling, WeightedCoreset, fail_at,
                       finalize_cells, o_grid, search_o)
 from .geometry import GridHierarchy, Point, format_point, parse_point_line
-from .hashing import PointEncoder, exact_threshold
 from .params import FAMILIES, Params
 from .partition import mark_cells
 from . import cellstore
@@ -44,47 +44,32 @@ class StreamEngine:
             raise UsageError("empty o grid; n_max too small")
         self.net = 0
         self.updates = 0
-        self._encoder = PointEncoder(grid.Delta, grid.d)
+        self.sampling = Sampling(params, grid, seed, exact_counts)
         self._levels = range(0, grid.L + 1)
-        self._hashes = {(fam, lvl): family_hash(params, seed, fam, lvl, self._encoder)
-                        for lvl in self._levels for fam in FAMILIES}
-        modulus = self._encoder.modulus
-        self._thresh = {}  # (o, family, level) -> routing threshold
-        self._served = {}  # (family, level, threshold) -> guesses it serves
+        self._served = {}  # Sampling key -> (family, guess) pairs it serves
         for o in self.o_values:
             for lvl in self._levels:
                 for fam in FAMILIES:
-                    rate = family_rate(params, fam, lvl, o, exact_counts)
-                    t = self._thresh[(o, fam, lvl)] = exact_threshold(rate, modulus)
-                    self._served.setdefault((fam, lvl, t), []).append(o)
-        self._stores = {}  # (family, level, threshold) -> store
-        for (fam, lvl, t), guesses in self._served.items():
-            caps = [params.caps(fam, lvl, o) for o in guesses]
+                    key = self.sampling.key(fam, lvl, o)
+                    self._served.setdefault(key, []).append((fam, o))
+        self._stores = {}  # Sampling key -> store
+        for (fam, lvl, t), pairs in self._served.items():
+            caps = [params.caps(f, lvl, o) for f, o in pairs]
             self._stores[(fam, lvl, t)] = cellstore.make_store(
                 backing, grid, lvl, max(a for a, _ in caps),
-                max(b for _, b in caps), derive_seed(seed, f"store:{fam}:{lvl}"),
+                max(b for _, b in caps),
+                derive_seed(seed, f"store:{fam or 'any'}:{lvl}"),
                 delta=0.001 / (3 * (grid.L + 1)))
-        self._field_cache = {}  # (fam, lvl) -> {point: field value}
 
     # --- stream consumption ---------------------------------------------
-    def _member(self, fam: str, lvl: int, threshold: int, p: Point) -> bool:
-        if threshold == 0:
-            return False
-        if threshold == self._encoder.modulus:
-            return True
-        cache = self._field_cache.setdefault((fam, lvl), {})
-        val = cache.get(p)
-        if val is None:
-            val = cache[p] = self._hashes[(fam, lvl)].field_value(p)
-        return val < threshold
-
     def process(self, p: Point, sign: int):
         if sign not in (1, -1):
             raise UsageError("sign must be +1 or -1")
         self.net += sign
         self.updates += 1
-        for (fam, lvl, t), store in self._stores.items():
-            if self._member(fam, lvl, t, p):
+        keeps = self.sampling.keeps
+        for key, store in self._stores.items():
+            if keeps(key, (p,))[0]:
                 store.update(p, sign)
 
     def process_stream(self, updates):
@@ -93,21 +78,20 @@ class StreamEngine:
 
     # --- finalize ----------------------------------------------------------
     def _cell_data(self, o: float, fam: str, lvl: int):
-        # a pooled store serves several guesses: read it under this one's caps
+        # a pooled store serves several pairs: read it under this one's caps
         alpha, beta = self.params.caps(fam, lvl, o)
-        store = self._stores[(fam, lvl, self._thresh[(o, fam, lvl)])]
+        store = self._stores[self.sampling.key(fam, lvl, o)]
         return store.read(alpha if self.check_store_alpha else math.inf, beta)
 
-    def finalize_for_o(self, o: float):
+    def finalize_for_o(self, o: float, gates: list | None = None):
         data = {}
         for fam in FAMILIES:
             for lvl in self._levels:
                 d = self._cell_data(o, fam, lvl)
                 if is_fail(d):
-                    return FAIL
+                    return fail_at(gates, "store cell cap or sketch decoding")
                 data[(fam, lvl)] = d
-        return finalize_cells(self.params, self.grid, self.seed, o,
-                              self.exact_counts, data, self.net)
+        return finalize_cells(self.sampling, o, data, self.net, gates)
 
     def candidates(self):
         if self.net > self.n_max:
@@ -121,10 +105,12 @@ class StreamEngine:
         guesses = self.candidates()
         if not guesses:
             return self._empty_coreset()
-        result = search_o(guesses, self.finalize_for_o)
+        gates: list = []
+        result = search_o(guesses, lambda o: self.finalize_for_o(o, gates))
         if is_fail(result):
             raise RuntimeError(
-                f"all {len(guesses)} o-guesses FAILed at finalize (net={self.net})")
+                f"all {len(guesses)} o-guesses FAILed at finalize "
+                f"(net={self.net}); the last guess failed at the {gates[-1]}")
         return result
 
     def _empty_coreset(self):

@@ -124,7 +124,7 @@ def test_criterion_3_distributed_equals_offline():
     seed = 42
     grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), 8, 2)
     offline = build_auto(pts, grid, RATE1, seed, exact_counts=False)
-    cap = per_machine_byte_cap(RATE1, grid, o_grid(len(pts), RATE1))
+    cap = per_machine_byte_cap(RATE1, grid, o_grid(len(pts), RATE1), len(pts))
     matches = 0
     runs = 0
     comm_by_s = {}

@@ -61,16 +61,23 @@ def test_build_offline_and_header_roundtrip(tmp_path):
 
 def test_build_fails_instead_of_writing_empty_coreset(tmp_path, capsys):
     # sampled counts at this scale estimate every cell as empty; no guess
-    # may then accept an empty coreset for the 300 input points
+    # may then accept an empty coreset for the 300 input points, and the
+    # error names that gate
     pts_path = tmp_path / "g.txt"
     assert main(["gen", "--out", str(pts_path), "--n", "300", "--Delta", "8",
                  "--seed", "1"]) == 0
-    out = tmp_path / "c.txt"
-    rc = main(["build", "--input", str(pts_path), "--output", str(out),
-               "-k", "3", "--Delta", "8", "--params-mode", "practical:3e-57"])
-    assert rc == 3
-    assert "FAIL" in capsys.readouterr().err
-    assert not out.exists()
+    stream_path = tmp_path / "g.stream"
+    write_stream(stream_path, [(p, +1) for p in read_points(pts_path)])
+    capsys.readouterr()
+    for mode, path in (("offline", pts_path), ("stream", stream_path)):
+        out = tmp_path / f"c-{mode}.txt"
+        rc = main(["build", "--input", str(path), "--output", str(out),
+                   "-k", "3", "--Delta", "8", "--params-mode",
+                   "practical:3e-57", "--mode", mode])
+        assert rc == 3
+        assert "the last guess failed at the empty-coreset gate: the h' " \
+            "estimator sample is empty" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_stream_build_matches_offline(tmp_path):

@@ -11,7 +11,8 @@ from capacore.distributed import (_HEADER, ByteChannel, Coordinator, Machine,
                                   broadcast_blob, per_machine_byte_cap,
                                   run_protocol)
 from capacore.geometry import GridHierarchy
-from capacore.params import PRACTICAL, derive
+from capacore.hashing import KWiseHash, PointEncoder
+from capacore.params import FAMILIES, PRACTICAL, derive
 from capacore.streaming import StreamEngine
 
 from conftest import rand_points
@@ -66,7 +67,7 @@ def test_comm_bytes_grow_with_machines_and_stay_under_cap(rng):
         core, comm = run_protocol(shards, RATE1, seed=4)
         comm_by_s[s] = comm
     grid = GridHierarchy.from_seed(derive_seed(4, "shift"), 8, 2)
-    cap = per_machine_byte_cap(RATE1, grid, o_grid(len(pts), RATE1))
+    cap = per_machine_byte_cap(RATE1, grid, o_grid(len(pts), RATE1), len(pts))
     for s, comm in comm_by_s.items():
         assert comm <= 2 * s * cap
     # the broadcast makes the total grow with s
@@ -99,10 +100,12 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
     machine = Machine(pts, params, grid, 8, backing, False, 64)
     exact = Machine(pts, params, grid, 8, "exact", False, 64).engine
     engine = machine.engine
-    # one store per distinct (family, level, threshold), for either backing
-    pooled = {(fam, lvl, t) for (_, fam, lvl), t in engine._thresh.items()}
+    # one store per distinct Sampling key, for either backing
+    triples = [(o, fam, lvl) for o in engine.o_values
+               for lvl in range(0, grid.L + 1) for fam in FAMILIES]
+    pooled = {engine.sampling.key(fam, lvl, o) for o, fam, lvl in triples}
     assert len({id(s) for s in engine._stores.values()}) == len(pooled)
-    assert len(pooled) < len(engine._thresh)
+    assert len(pooled) < len(triples)
     keys = list(engine._stores)
     sent = []
     for message in machine.wire_messages():
@@ -111,8 +114,16 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
         over = struct.unpack_from(f"<{n_over}H", message, _HEADER.size)
         cells = exact._stores[keys[index]].cell_count()
         assert {engine.o_values[i] for i in over} == \
-            {o for o in engine._served[keys[index]] if cells > o / 2}
+            {o for o, fam, lvl in triples
+             if engine.sampling.key(fam, lvl, o) == keys[index]
+             and cells > o / 2}
     assert sorted(sent) == list(range(len(pooled)))
+
+
+def _rate(params, fam, lvl, o):
+    if fam == "hhat":
+        return params.phi(lvl, o)
+    return params.psi(lvl, o) if fam == "h" else params.psi_prime(lvl, o)
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
@@ -132,6 +143,7 @@ def test_pooled_stores_read_like_one_store_per_guess(rng, backing):
     params = GuessCaps(**{f: getattr(RATE1, f)
                           for f in RATE1.__dataclass_fields__})
     grid = GridHierarchy.from_seed(derive_seed(12, "shift"), 8, 2)
+    enc = PointEncoder(8, 2)
     pts = rand_points(rng, 40, 8)
     live = [p for i, p in enumerate(pts) if i % 4]
     updates = [(p, +1) for p in pts] + [(p, -1) for p in pts[::4]]
@@ -141,15 +153,51 @@ def test_pooled_stores_read_like_one_store_per_guess(rng, backing):
     for shard in (live[0::2], live[1::2]):
         coord.absorb(Machine(shard, params, grid, 12, backing, False, 64),
                      ByteChannel())
-    for (o, fam, lvl), t in stream._thresh.items():
-        alpha, beta = params.caps(fam, lvl, o)
-        # the reference: an exact store of this guess's own caps
-        ref = ExactCellStore(grid, lvl, alpha, beta)
-        for p in live:
-            if stream._member(fam, lvl, t, p):
-                ref.update(p, +1)
-        assert stream._cell_data(o, fam, lvl) == ref.finalize()
-        assert coord.engine._cell_data(o, fam, lvl) == ref.read(math.inf, beta)
+    for o in stream.o_values:
+        for lvl in range(0, grid.L + 1):
+            for fam in FAMILIES:
+                alpha, beta = params.caps(fam, lvl, o)
+                lam = params.hash_lambda() if fam == "hhat" \
+                    else params.hash_lambda_prime()
+                hash_ = KWiseHash(derive_seed(12, f"{fam}:{lvl}"), lam,
+                                  _rate(params, fam, lvl, o), enc)
+                # the reference: an exact store of this guess's own caps
+                ref = ExactCellStore(grid, lvl, alpha, beta)
+                for p in live:
+                    if hash_.eval(p):
+                        ref.update(p, +1)
+                assert stream._cell_data(o, fam, lvl) == ref.finalize()
+                assert coord.engine._cell_data(o, fam, lvl) == \
+                    ref.read(math.inf, beta)
+
+
+def test_families_share_a_store_at_rate_one(rng):
+    # exact counts keep every point in h and h': one store per level serves
+    # both families for every guess
+    engine = StreamEngine(RATE1, GridHierarchy.from_seed(13, 8, 2), 13,
+                          exact_counts=True, n_max=64)
+    engine.process_stream((p, +1) for p in rand_points(rng, 30, 8))
+    reads = []
+
+    def spy(store):
+        read = store.read
+
+        def traced(alpha, beta):
+            reads.append(id(store))
+            return read(alpha, beta)
+        return traced
+
+    for store in engine._stores.values():
+        store.read = spy(store)
+    for lvl in range(0, engine.grid.L + 1):
+        reads.clear()
+        for fam in ("h", "hp"):
+            for o in engine.o_values:
+                engine._cell_data(o, fam, lvl)
+        assert len(set(reads)) == 1
+    keys = {engine.sampling.key(fam, lvl, o) for o in engine.o_values
+            for lvl in range(0, engine.grid.L + 1) for fam in FAMILIES}
+    assert len(engine._stores) == len(keys)
 
 
 def test_machine_fail_propagates(rng):

@@ -17,7 +17,7 @@ PARAMS = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2)
 def _bank(points, grid, psi_value, psip_value, seed):
     psi = {lvl: psi_value for lvl in range(0, grid.L + 1)}
     psip = {lvl: psip_value for lvl in range(0, grid.L + 1)}
-    return SampleBank.build(points, grid, psi, psip, 4, 4, seed)
+    return SampleBank.build(points, grid, psi, psip, 4, seed)
 
 
 def test_rate_one_is_exact(rng):

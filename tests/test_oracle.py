@@ -184,10 +184,9 @@ def test_corrupted_weights_reported(rng, tmp_path):
     assert any(row.endswith(",1") for row in rows)
 
 
-def test_cost_query_wrapper():
+def test_exact_cost_without_capacity():
     pts = [Point((1, 1), 0), Point((4, 5), 1)]
-    q = oracle.CostQuery(pts, [Point((1, 1))], INF, 2)
-    assert oracle.exact_cost_query(q) == pytest.approx(25.0)
+    assert oracle.exact_cost(pts, [Point((1, 1))], INF, 2) == pytest.approx(25.0)
 
 
 def test_worst_ratio_reports_infinite_ratios():
