@@ -532,8 +532,8 @@ def canonicalize(by_level: dict, centers, r, audit: list | None = None):
 
 # --- transferred assignment over the full input ------------------------------
 
-def transferred_assignment(points, weights, centers, halfspaces, b_vec,
-                           xi, T, r) -> dict:
+def transferred_assignment(points, centers, halfspaces, b_vec, xi,
+                           T) -> dict:
     """Direct transfer rule: region centers with enough estimated mass,
     everything else to the heaviest region's center."""
     k = len(centers)
@@ -585,7 +585,7 @@ def transfer_full(full_points, coreset, halfspaces_by_level, centers, r=None):
     for part, pts in groups.items():
         hs, b_vec, T = part_maps[part]
         mapping.update(transferred_assignment(
-            pts, None, centers, hs, b_vec, params.xi, T, r))
+            pts, centers, hs, b_vec, params.xi, T))
     for p in uncovered:
         mapping[p] = nearest_center_index(p, centers)
     weights = {p: 1.0 for p in full_points}

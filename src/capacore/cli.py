@@ -14,8 +14,7 @@ import sys
 
 from . import oracle
 from .assignment import assignment_from_coreset, transfer_full
-from .common import (FAIL, OracleCapError, UsageError, derive_seed, is_fail,
-                     is_infeasible)
+from .common import OracleCapError, UsageError, derive_seed, is_infeasible
 from .coreset import build_auto, read_coreset, write_coreset
 from .distributed import run_protocol
 from .geometry import (GridHierarchy, Point, check_domain, format_point,
@@ -114,10 +113,6 @@ def cmd_build(args) -> int:
         shards = [points[i::args.machines] for i in range(args.machines)]
         coreset, comm = run_protocol(shards, params, seed, backing=args.backing,
                                      exact_counts=args.exact_counts)
-        if is_fail(coreset):
-            print("FAIL: every o-guess failed in the distributed protocol",
-                  file=sys.stderr)
-            return EXIT_FAIL
         print(f"comm_bytes={comm}")
     else:
         raise UsageError(f"unknown mode {args.mode!r}")

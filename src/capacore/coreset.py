@@ -6,8 +6,10 @@ applies the two FAIL gates (total heavy cells, per-level part mass), keeps
 parts whose estimated size reaches gamma*T_i(o), and retains the
 hhat-sampled points of each kept level-i part at weight exactly 1/phi_i.
 The offline builder, the stream engine and the distributed coordinator only
-differ in how they produce that cell data.  search_o enumerates o over
-powers of two and returns the smallest guess that does not FAIL.
+differ in how they produce that cell data.  search_o is the guess loop of
+every mode: it enumerates o over powers of two and returns the smallest
+guess that does not FAIL, the empty coreset when there is no guess (an
+empty input), or raises the one all-FAIL error.
 
 Sampling owns the sampling decision of every mode.  Hash polynomials are
 seeded per (family, level) only, so every guess, mode and machine sees
@@ -19,6 +21,7 @@ or 1.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .cellstore import CellData
 from .common import FAIL, UsageError, derive_seed, is_fail
@@ -26,7 +29,7 @@ from .estimator import SampleBank
 from .geometry import (CellId, GridHierarchy, check_domain, format_point,
                        parse_point_line)
 from .hashing import KWiseHash, PointEncoder, exact_threshold
-from .params import FAMILIES, Params, coreset_size_bound, derive as derive_params
+from .params import FAMILIES, Params, coreset_size_bound, parse_serialized
 from .partition import PartitionStructure, mark_cells
 
 __all__ = [
@@ -146,6 +149,16 @@ class Sampling:
         t = exact_threshold(self.rate(family, level, o), self.modulus)
         return (None if t in (0, self.modulus) else family, level, t)
 
+    def served(self, o_values) -> dict:
+        """Key -> the (family, guess) pairs it serves, over every level of
+        the guesses o_values, in first-use order."""
+        served: dict = {}
+        for o in o_values:
+            for lvl in range(0, self.grid.L + 1):
+                for fam in FAMILIES:
+                    served.setdefault(self.key(fam, lvl, o), []).append((fam, o))
+        return served
+
     def keeps(self, key: tuple, points) -> list:
         """Whether the key's hash keeps each point; the points a (family,
         level) hash has not seen yet are hashed in one batch."""
@@ -214,17 +227,28 @@ def finalize_cells(sampling: Sampling, o: float, data: dict, n: int,
     return WeightedCoreset(entries, meta)
 
 
-def search_o(guesses, build):
-    """The first guess (smallest first) whose build does not FAIL, with the
-    guesses tried recorded in its meta; FAIL when every guess FAILs."""
-    attempts = []
+def search_o(sampling: Sampling, guesses, build, n: int):
+    """The first guess (smallest first) whose build(o, gates) does not FAIL,
+    with the guesses tried recorded in its meta.
+
+    No guess (an empty input) gives the empty coreset.  When every guess
+    FAILs it raises RuntimeError naming the gate that fired on the last."""
+    if not guesses:
+        structure = mark_cells({-1: {}}, sampling.params, 1.0, sampling.grid)
+        meta = CoresetMeta(sampling.params, sampling.seed,
+                           sampling.grid.shift_num, 0.0, (), structure, {}, {},
+                           sampling.exact_counts)
+        return WeightedCoreset([], meta)
+    attempts, gates = [], []
     for o in guesses:
         attempts.append(o)
-        result = build(o)
+        result = build(o, gates)
         if not is_fail(result):
             result.meta.o_attempts = tuple(attempts)
             return result
-    return FAIL
+    raise RuntimeError(
+        f"all {len(guesses)} o-guesses returned FAIL (n={n}, last "
+        f"o={guesses[-1]}); the last guess failed at the {gates[-1]}")
 
 
 class OfflineBuilder:
@@ -265,17 +289,9 @@ class OfflineBuilder:
         return finalize_cells(self.sampling, o, data, len(self.points), gates)
 
     def build_auto(self):
-        if not self.points:
-            raise UsageError("build_auto requires a nonempty point set")
-        guesses = o_grid(len(self.points), self.params)
-        gates: list = []
-        result = search_o(guesses, lambda o: self.build_for_o(o, gates))
-        if is_fail(result):
-            raise RuntimeError(
-                f"all {len(guesses)} o-guesses returned FAIL "
-                f"(n={len(self.points)}, last o={guesses[-1]}); the last "
-                f"guess failed at the {gates[-1]}")
-        return result
+        n = len(self.points)
+        return search_o(self.sampling, o_grid(n, self.params),
+                        self.build_for_o, n)
 
 
 def build_for_o(points, grid: GridHierarchy, params: Params, o: float, seed: int,
@@ -353,34 +369,63 @@ def read_coreset(path, grid: GridHierarchy | None = None) -> WeightedCoreset:
             pending_meta = None
             entries.append((point, _parse_weight(path, w_str), lvl, j))
 
-    params = _parse_params_header(header["params"])
+    params = _parsed(path, header, "params", parse_serialized)
     check_domain((e[0] for e in entries), params.Delta, params.d)
-    shift = tuple(int(x) for x in header["shift"].split(","))
+    shift = _parsed(path, header, "shift", _int_tuple)
     if grid is None:
         grid = GridHierarchy(params.Delta, params.d, shift)
-    heavy = {}
-    for key, val in header.items():
-        if key.startswith("heavy."):
-            lvl = int(key.split(".", 1)[1])
-            heavy[lvl] = {tuple(int(x) for x in cell.split(","))
-                          for cell in val.split(";")}
+    tables = {"phi": {}, "part": {}, "heavy": {}}
+    for key in header:
+        name, dot, index = key.partition(".")
+        if dot and name in tables:
+            entry, val = _parsed(path, header, key,
+                                 partial(_TABLE_LINES[name], index))
+            tables[name][entry] = val
+    heavy = tables["heavy"]
+    for lvl, cells in heavy.items():
+        if any(len(lat) != params.d for lat in cells):
+            raise UsageError(f"{path}: malformed coreset header "
+                             f"'heavy.{lvl}': a cell is not {params.d}-d")
     for lvl in range(-1, grid.L):
         heavy.setdefault(lvl, set())
-    structure = PartitionStructure(grid, heavy)
-    part_tau = {}
-    phi = {}
-    for key, val in header.items():
-        if key.startswith("part."):
-            _, i, j = key.split(".")
-            part_tau[(int(i), int(j))] = float(val)
-        elif key.startswith("phi."):
-            phi[int(key.split(".", 1)[1])] = float(val)
     meta = CoresetMeta(
-        params, int(header["seed"]), shift, float(header["o"]),
-        tuple(float(x) for x in header["o_attempts"].split(",")),
-        structure, part_tau, phi, bool(int(header["exact_counts"])),
+        params, _parsed(path, header, "seed", int), shift,
+        _parsed(path, header, "o", float),
+        _parsed(path, header, "o_attempts",
+                lambda v: tuple(float(x) for x in v.split(",")) if v else ()),
+        PartitionStructure(grid, heavy), tables["part"], tables["phi"],
+        _parsed(path, header, "exact_counts", lambda v: bool(int(v))),
     )
     return WeightedCoreset(entries, meta)
+
+
+def _parsed(path, header: dict, key: str, parse):
+    """parse(header[key]); a missing or malformed header is a usage error."""
+    if key not in header:
+        raise UsageError(f"{path}: coreset has no {key!r} header")
+    try:
+        return parse(header[key])
+    except (ValueError, KeyError) as exc:
+        raise UsageError(f"{path}: malformed coreset header {key!r} "
+                         f"({header[key]!r}): {exc}") from None
+
+
+def _int_tuple(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _part_line(index: str, val: str):
+    i, j = index.split(".")
+    return (int(i), int(j)), float(val)
+
+
+# header tables, "% <name>.<index>=<value>": index, value -> entry, value
+_TABLE_LINES = {
+    "phi": lambda index, val: (int(index), float(val)),
+    "part": _part_line,
+    "heavy": lambda index, val: (
+        int(index), {_int_tuple(cell) for cell in val.split(";")}),
+}
 
 
 def _parse_entrymeta(path, val: str):
@@ -401,10 +446,3 @@ def _parse_weight(path, text: str) -> float:
         pass
     raise UsageError(f"{path}: coreset weight {text!r} is not a positive "
                      f"finite number")
-
-
-def _parse_params_header(text: str) -> Params:
-    kv = dict(tok.split("=", 1) for tok in text.split())
-    return derive_params(k=int(kv["k"]), r=float(kv["r"]), eps=float(kv["eps"]),
-                         eta=float(kv["eta"]), Delta=int(kv["Delta"]), d=int(kv["d"]),
-                         mode=kv["mode"], scale=float(kv["scale"]))

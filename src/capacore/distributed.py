@@ -5,21 +5,27 @@ ships one message per store, i.e. per distinct Sampling key (family, level,
 threshold), whose family is dropped at rate 0 or 1: the store's index, the
 guesses whose cell cap (for any family the store serves them for) its local
 nonempty-cell count exceeds, and the serialized store state (left out when
-every guess the store serves is over).  The coordinator merges each state
-once (store merging is linear), marks a guess failed as soon as any machine
-reported it over, and finalizes without re-checking the cell cap on merged
-content, exactly as the protocol prescribes.  Transport is an
-in-process byte channel; the byte counters are the communication cost.
+every guess the store serves is over).
+
+The coordinator is a stream engine fed by merges instead of updates: it
+merges each state once into its own store of that key (store merging is
+linear) and counts the machines' points as its net count.  It then
+finalizes like any engine, with two differences in how a guess reads its
+stores: a guess some machine reported over FAILs at the store cell cap, and
+merged content is read under no cell cap, as the protocol prescribes.
+Transport is an in-process byte channel; the byte counters are the
+communication cost.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
-from .common import FAIL, UsageError, derive_seed
-from .coreset import Sampling, search_o
+from .common import UsageError, derive_seed
+from .coreset import Sampling, fail_at
 from .geometry import GridHierarchy
-from .params import FAMILIES, Params
+from .params import Params
 from .streaming import StreamEngine
 from . import cellstore
 
@@ -72,40 +78,35 @@ class Machine:
                 + struct.pack(f"<{len(over)}H", *over) + blob
 
 
-class Coordinator:
+class Coordinator(StreamEngine):
+    """A stream engine whose stores start empty and absorb machine state."""
+
     def __init__(self, params: Params, grid: GridHierarchy, seed: int,
                  backing: str, exact_counts: bool, n_max: int):
-        # coordinator stores start empty and accumulate machine state; the
-        # protocol does not re-check the cell cap on merged content
-        self.engine = StreamEngine(params, grid, seed, backing=backing,
-                                   exact_counts=exact_counts, n_max=n_max,
-                                   check_store_alpha=False)
-        self._stores = list(self.engine._stores.values())
-        self.failed_os: set = set()
-        self.total_n = 0
+        super().__init__(params, grid, seed, backing, exact_counts, n_max)
+        self._over: set = set()  # guesses a machine reported over a cell cap
 
     def absorb(self, machine: "Machine", channel: ByteChannel):
-        self.total_n += machine.local_n
+        self.net += machine.local_n
         channel.send_to_coordinator(struct.pack("<q", machine.local_n))
-        o_values = self.engine.o_values
+        stores = list(self._stores.values())
         for message in machine.wire_messages():
             message = channel.send_to_coordinator(message)
             index, n_over = _HEADER.unpack_from(message)
             over = struct.unpack_from(f"<{n_over}H", message, _HEADER.size)
-            self.failed_os.update(o_values[i] for i in over)
+            self._over.update(self.o_values[i] for i in over)
             blob = message[_HEADER.size + 2 * n_over:]
             if blob:
-                self._stores[index].merge_in(
-                    cellstore.deserialize(blob, self.engine.grid))
+                stores[index].merge_in(cellstore.deserialize(blob, self.grid))
 
-    def finalize(self):
-        eng = self.engine
-        eng.net = self.total_n
-        guesses = eng.candidates()
-        if not guesses:
-            return eng._empty_coreset()
-        return search_o(guesses, lambda o: FAIL if o in self.failed_os
-                        else eng.finalize_for_o(o))
+    def _caps(self, fam: str, lvl: int, o: float):
+        # the machines checked the cell cap; merged content is not re-checked
+        return math.inf, self.params.caps(fam, lvl, o)[1]
+
+    def finalize_for_o(self, o: float, gates: list | None = None):
+        if o in self._over:
+            return fail_at(gates, "store cell cap")
+        return super().finalize_for_o(o, gates)
 
 
 def broadcast_blob(params: Params, grid: GridHierarchy, seed: int) -> bytes:
@@ -117,7 +118,8 @@ def broadcast_blob(params: Params, grid: GridHierarchy, seed: int) -> bytes:
 
 def run_protocol(shards, params: Params, seed: int, backing: str = "exact",
                  exact_counts: bool = False, n_max: int | None = None):
-    """Simulate the s-machine protocol; returns (coreset | FAIL, comm_bytes)."""
+    """Simulate the s-machine protocol; returns (coreset, comm_bytes), or
+    raises RuntimeError when every guess FAILs (coreset.search_o)."""
     if not shards:
         raise UsageError("need at least one shard")
     grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), params.Delta, params.d)
@@ -130,8 +132,7 @@ def run_protocol(shards, params: Params, seed: int, backing: str = "exact",
         channel.send_to_machine(bcast)
         machine = Machine(shard, params, grid, seed, backing, exact_counts, n_max)
         coord.absorb(machine, channel)
-    result = coord.finalize()
-    return result, channel.total()
+    return coord.finalize(), channel.total()
 
 
 def per_machine_byte_cap(params: Params, grid: GridHierarchy, o_values,
@@ -142,15 +143,10 @@ def per_machine_byte_cap(params: Params, grid: GridHierarchy, o_values,
     key (sampled counts): its header, 2 bytes per guess the key serves, and
     an exact blob of at most min(n, (2**level + 1)**d) cells and n points."""
     d = grid.d
-    sampling = Sampling(params, grid, 0, exact_counts=False)
-    served: dict = {}  # Sampling key -> guesses it serves
-    for o in o_values:
-        for lvl in range(0, grid.L + 1):
-            for fam in FAMILIES:
-                served.setdefault(sampling.key(fam, lvl, o), set()).add(o)
+    served = Sampling(params, grid, 0, exact_counts=False).served(o_values)
     total = len(broadcast_blob(params, grid, 0)) + 8
-    for (_, lvl, _), guesses in served.items():
+    for (_, lvl, _), pairs in served.items():
         cells = min(n, (2 ** lvl + 1) ** d)
-        total += _HEADER.size + 2 * len(guesses) \
+        total += _HEADER.size + 2 * len({o for _, o in pairs}) \
             + 42 + cells * (16 * d + 12) + n * (8 * d + 16)
     return total

@@ -240,7 +240,7 @@ class CostCurve:
     def _k2_at(self, t: float) -> float:
         base, tot, counts, pens0, pens1 = self._k2[:5]
         unit = self._k2[5]
-        cap = math.floor(t) if unit else t
+        cap = math.floor(t) if unit and t < INF else t
         if tot[0] + tot[1] > 2 * cap:
             return INF
         value = base

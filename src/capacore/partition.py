@@ -59,24 +59,6 @@ class PartitionStructure:
             prev = cell
         raise AssertionError("unreachable: level-L cells are never heavy")
 
-    def dump_lines(self, counts: dict | None = None):
-        """Debug dump: one line per marked cell, 'level lattice... H|C part'."""
-        lines = []
-        for lvl in sorted(self.heavy):
-            for lat in sorted(self.heavy[lvl]):
-                j = self.heavy_index[lvl][lat]
-                lines.append(f"{lvl} {' '.join(map(str, lat))} H {j}")
-        if counts:
-            for lvl in sorted(counts):
-                if lvl < 0:
-                    continue
-                for lat in sorted(counts[lvl]):
-                    part = self.part_of_cell(CellId(lvl, lat))
-                    if part is not None:
-                        lines.append(
-                            f"{lvl} {' '.join(map(str, lat))} C {part[0]}:{part[1]}")
-        return lines
-
 
 def mark_cells(counts: dict, params, o: float, grid: GridHierarchy) -> PartitionStructure:
     """Top-down marking from per-level cell-count estimates.

@@ -17,27 +17,23 @@ Stream file format: one update per line, "+ x1 ... xd #tag" or
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 from .common import UsageError, derive_seed, is_fail
-from .coreset import (CoresetMeta, Sampling, WeightedCoreset, fail_at,
-                      finalize_cells, o_grid, search_o)
+from .coreset import Sampling, fail_at, finalize_cells, o_grid, search_o
 from .geometry import GridHierarchy, Point, format_point, parse_point_line
 from .params import FAMILIES, Params
-from .partition import mark_cells
+# unused here: the benchmark's tracer wraps streaming.mark_cells by name
+from .partition import mark_cells  # noqa: F401
 from . import cellstore
 
 
 class StreamEngine:
     def __init__(self, params: Params, grid: GridHierarchy, seed: int,
                  backing: str = "exact", exact_counts: bool = False,
-                 n_max: int | None = None, check_store_alpha: bool = True):
+                 n_max: int | None = None):
         self.params = params
         self.grid = grid
-        self.seed = seed
-        self.exact_counts = exact_counts
-        self.check_store_alpha = check_store_alpha
         self.n_max = n_max if n_max is not None else grid.Delta ** grid.d
         self.o_values = o_grid(self.n_max, params)
         if not self.o_values:
@@ -46,12 +42,8 @@ class StreamEngine:
         self.updates = 0
         self.sampling = Sampling(params, grid, seed, exact_counts)
         self._levels = range(0, grid.L + 1)
-        self._served = {}  # Sampling key -> (family, guess) pairs it serves
-        for o in self.o_values:
-            for lvl in self._levels:
-                for fam in FAMILIES:
-                    key = self.sampling.key(fam, lvl, o)
-                    self._served.setdefault(key, []).append((fam, o))
+        # Sampling key -> (family, guess) pairs it serves
+        self._served = self.sampling.served(self.o_values)
         self._stores = {}  # Sampling key -> store
         for (fam, lvl, t), pairs in self._served.items():
             caps = [params.caps(f, lvl, o) for f, o in pairs]
@@ -77,11 +69,14 @@ class StreamEngine:
             self.process(p, sign)
 
     # --- finalize ----------------------------------------------------------
+    def _caps(self, fam: str, lvl: int, o: float):
+        """The (alpha, beta) caps a guess reads its store under."""
+        return self.params.caps(fam, lvl, o)
+
     def _cell_data(self, o: float, fam: str, lvl: int):
         # a pooled store serves several pairs: read it under this one's caps
-        alpha, beta = self.params.caps(fam, lvl, o)
         store = self._stores[self.sampling.key(fam, lvl, o)]
-        return store.read(alpha if self.check_store_alpha else math.inf, beta)
+        return store.read(*self._caps(fam, lvl, o))
 
     def finalize_for_o(self, o: float, gates: list | None = None):
         data = {}
@@ -101,23 +96,10 @@ class StreamEngine:
         return [o for o in self.o_values if o <= limit]
 
     def finalize(self):
-        """Smallest non-FAIL guess; empty stream yields an empty coreset."""
-        guesses = self.candidates()
-        if not guesses:
-            return self._empty_coreset()
-        gates: list = []
-        result = search_o(guesses, lambda o: self.finalize_for_o(o, gates))
-        if is_fail(result):
-            raise RuntimeError(
-                f"all {len(guesses)} o-guesses FAILed at finalize "
-                f"(net={self.net}); the last guess failed at the {gates[-1]}")
-        return result
-
-    def _empty_coreset(self):
-        structure = mark_cells({-1: {}}, self.params, 1.0, self.grid)
-        meta = CoresetMeta(self.params, self.seed, self.grid.shift_num, 0.0, (),
-                           structure, {}, {}, self.exact_counts)
-        return WeightedCoreset([], meta)
+        """Smallest non-FAIL guess (coreset.search_o); an empty stream yields
+        the empty coreset."""
+        return search_o(self.sampling, self.candidates(), self.finalize_for_o,
+                        self.net)
 
     def space_bytes(self):
         return sum(store.space_bytes() for store in self._stores.values())

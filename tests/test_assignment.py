@@ -440,7 +440,7 @@ def test_transfer_all_mass_one_region(rng):
     pts = [Point((x, y), 10 * x + y) for x in (1, 2) for y in (1, 2)]
     hs = extract_halfspaces(pts, {p: 0 for p in pts}, Z, 2)
     b = [0.0, 10.0, 0.0]
-    mapping = transferred_assignment(pts, None, Z, hs, b, xi=0.01, T=10, r=2)
+    mapping = transferred_assignment(pts, Z, hs, b, xi=0.01, T=10)
     assert all(v == 0 for v in mapping.values())
 
 
@@ -450,7 +450,7 @@ def test_transfer_fallback_when_all_small(rng):
     hs = extract_halfspaces(pts, {p: nearest_center_index(p, Z) for p in pts},
                             Z, 2)
     b = [0.0, 0.004, 0.005]
-    mapping = transferred_assignment(pts, None, Z, hs, b, xi=0.5, T=10, r=2)
+    mapping = transferred_assignment(pts, Z, hs, b, xi=0.5, T=10)
     assert all(v == 1 for v in mapping.values())  # i* = argmax b = center 2
 
 

@@ -69,7 +69,8 @@ def test_build_fails_instead_of_writing_empty_coreset(tmp_path, capsys):
     stream_path = tmp_path / "g.stream"
     write_stream(stream_path, [(p, +1) for p in read_points(pts_path)])
     capsys.readouterr()
-    for mode, path in (("offline", pts_path), ("stream", stream_path)):
+    for mode, path in (("offline", pts_path), ("stream", stream_path),
+                       ("dist", pts_path)):
         out = tmp_path / f"c-{mode}.txt"
         rc = main(["build", "--input", str(path), "--output", str(out),
                    "-k", "3", "--Delta", "8", "--params-mode",
@@ -78,6 +79,52 @@ def test_build_fails_instead_of_writing_empty_coreset(tmp_path, capsys):
         assert "the last guess failed at the empty-coreset gate: the h' " \
             "estimator sample is empty" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_empty_input_builds_the_empty_coreset_in_every_mode(tmp_path):
+    # an empty point file, and a stream whose inserts are all deleted
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    churn = tmp_path / "churn.stream"
+    churn.write_text("+ 1 1 #0\n+ 5 6 #1\n- 1 1 #0\n- 5 6 #1\n")
+    centers = tmp_path / "centers.txt"
+    centers.write_text("3 3\n6 6\n")
+    files = []
+    for mode, path in (("offline", empty), ("stream", empty),
+                       ("stream", churn), ("dist", empty)):
+        out = tmp_path / f"c-{mode}-{path.stem}.txt"
+        rc = main(["build", "--input", str(path), "--output", str(out),
+                   "-k", "2", "--Delta", "8", "--seed", "3", "--mode", mode])
+        assert rc == 0
+        assert main(["assign", "--coreset", str(out), "--centers",
+                     str(centers), "--capacity", "5",
+                     "--out", str(tmp_path / "assign.txt")]) == 0
+        files.append(out.read_text())
+    assert len(set(files)) == 1
+    assert "% o_attempts=\n" in files[0]
+    assert len(read_coreset(out)) == 0
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("% params: ", "% not-params: ", "params"),    # missing params line
+    (" k=2 ", " k=two ", "params"),                # malformed params entry
+    ("% shift=", "% no-shift=", "shift"),          # missing shift line
+    ("% seed=3", "% seed=x", "seed"),              # malformed seed
+])
+def test_assign_rejects_malformed_coreset_header(tmp_path, capsys, old, new,
+                                                 key):
+    pts_path = _gen(tmp_path, n=24)
+    core_path = _build(tmp_path, pts_path)
+    text = core_path.read_text()
+    assert old in text
+    core_path.write_text(text.replace(old, new, 1))
+    centers = tmp_path / "centers.txt"
+    centers.write_text("3 3\n6 6\n")
+    rc = main(["assign", "--coreset", str(core_path), "--centers", str(centers),
+               "--capacity", "18", "--out", str(tmp_path / "assign.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(core_path) in err and repr(key) in err
 
 
 def test_stream_build_matches_offline(tmp_path):

@@ -1,7 +1,9 @@
 import math
 
+import pytest
+
 from capacore import oracle
-from capacore.common import derive_seed, is_fail
+from capacore.common import UsageError, derive_seed, is_fail
 from capacore.coreset import (OfflineBuilder, build_auto, build_for_o,
                               dedup_points, o_grid, read_coreset,
                               write_coreset)
@@ -200,3 +202,26 @@ def test_file_roundtrip(tmp_path, rng):
     assert back.meta.structure.heavy == core.meta.structure.heavy
     assert back.meta.o_attempts == core.meta.o_attempts
     assert back.meta.exact_counts == core.meta.exact_counts
+
+
+@pytest.mark.parametrize("prefix, bad, key", [
+    ("% o=", None, "o"),                           # missing
+    ("% o_attempts=", "% o_attempts=1,x", "o_attempts"),
+    ("% exact_counts=", None, "exact_counts"),     # missing
+    ("% exact_counts=", "% exact_counts=yes", "exact_counts"),
+    ("% phi.", "% phi.x=1.0", "phi.x"),
+    ("% part.", "% part.1=2.0", "part.1"),
+    ("% heavy.", "% heavy.-1=0,a", "heavy.-1"),
+    ("% heavy.", "% heavy.-1=0", "heavy.-1"),      # a 1-d cell in 2-d
+])
+def test_malformed_header_is_a_usage_error(tmp_path, rng, prefix, bad, key):
+    core = build_auto(dedup_points(rand_points(rng, 35, 8)), _grid(8),
+                      SAMPLING, seed=8)
+    path = tmp_path / "core.txt"
+    write_coreset(path, core)
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i:i + 1] = [] if bad is None else [bad]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UsageError, match=f"{path}: .*'{key}'"):
+        read_coreset(path)

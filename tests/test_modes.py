@@ -50,9 +50,9 @@ def _check_modes_agree(backing, scale, exact_counts, case, seed):
                           n_max=max(DELTA ** 2, len(updates)))
     engine.process_stream(updates)
     stream = _or_fail(engine.finalize)
-    dist, _ = run_protocol([live[i::machines] for i in range(machines)],
-                           params, seed, backing=backing,
-                           exact_counts=exact_counts)
+    dist = _or_fail(lambda: run_protocol(
+        [live[i::machines] for i in range(machines)], params, seed,
+        backing=backing, exact_counts=exact_counts)[0])
     assert stream == offline
     assert dist == offline
 

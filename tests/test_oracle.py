@@ -200,3 +200,15 @@ def test_worst_ratio_reports_infinite_ratios():
     assert report.worst_ratio() == INF
     assert report.worst_ratio(oracle.TWO_TIER_FORM) == 1.25
     assert oracle.AuditReport([]).worst_ratio() == 0.0
+
+
+def test_cost_curve_at_infinite_capacity(rng):
+    pts = [Point((1, 1), 0), Point((2, 2), 1)]
+    Z = [Point((1, 1)), Point((3, 3))]
+    for weights in (None, {p: 1.5 for p in pts}):
+        want = oracle.exact_cost(pts, Z, INF, 2, weights)
+        assert oracle.CostCurve(pts, Z, 2, weights).at(INF) == want
+    assert oracle.exact_cost(pts, Z, INF, 2) == 2.0
+    points, core = _identity_coreset(rng)
+    report = oracle.sandwich_audit(points, core, [tuple(Z)], [INF])
+    assert report.rows and report.clean()

@@ -131,17 +131,6 @@ def test_part_of_cell_matches_part_of(rng):
         assert s.is_crucial(cell)
 
 
-def test_dump_lines(rng):
-    grid = GridHierarchy.from_seed(1, 8, 2)
-    pts = rand_points(rng, 10, 8)
-    counts = exact_counts(pts, grid)
-    s = mark_cells(counts, PARAMS, 4, grid)
-    lines = s.dump_lines(counts)
-    assert all(line.split()[3] in ("H", "C") for line in lines)
-    n_heavy = sum(1 for line in lines if line.split()[3] == "H")
-    assert n_heavy == s.heavy_count()
-
-
 def test_root_heavy_whenever_o_below_opt(rng):
     # nonempty input and o <= OPT with exact counts: the root is marked heavy
     from capacore import oracle

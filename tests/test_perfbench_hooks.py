@@ -3,7 +3,8 @@
 import importlib.util
 from pathlib import Path
 
-from capacore import coreset, estimator, kernels, partition, streaming
+from capacore import (coreset, distributed, estimator, kernels, partition,
+                      streaming)
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -15,6 +16,12 @@ def _spans():
     return module
 
 
+def _current(owner, attr):
+    # the tracer records a class attribute's descriptor, a module's value
+    return owner.__dict__[attr] if isinstance(owner, type) \
+        else getattr(owner, attr)
+
+
 def test_tracer_wraps_and_restores_every_hook():
     spans = _spans()
     wrapped = [(streaming.StreamEngine, "_cell_data"),
@@ -24,15 +31,19 @@ def test_tracer_wraps_and_restores_every_hook():
                (estimator.SampleBank, "build"),
                (estimator.ExactBank, "part_estimates"),
                (streaming, "mark_cells"),
-               (kernels, "poly_eval_batch")]
+               (kernels, "poly_eval_batch"),
+               (distributed.Coordinator, "absorb"),
+               (distributed.Machine, "__init__")]
     before = {(owner, attr): owner.__dict__[attr] for owner, attr in wrapped}
     tracer = spans.Tracer()
     try:
         spans.install_layers(tracer)
+        patches = list(tracer._patches)
         for owner, attr in wrapped:
             assert owner.__dict__[attr] is not before[(owner, attr)]
     finally:
         tracer.uninstall()
-    for owner, attr in wrapped:
-        assert owner.__dict__[attr] is before[(owner, attr)]
+    assert {(owner, attr) for owner, attr, _ in patches} >= set(wrapped)
+    for owner, attr, raw in patches:
+        assert _current(owner, attr) is raw, (owner, attr)
     assert streaming.mark_cells is partition.mark_cells
