@@ -129,8 +129,7 @@ def cmd_eval(args) -> int:
     params = coreset.meta.params
     check_domain(points, params.Delta, params.d)
     rng = random.Random(derive_seed(seed, "eval-centers"))
-    lattice = oracle.lattice_points(params.Delta, params.d)
-    center_sets = [tuple(rng.sample(lattice, params.k))
+    center_sets = [oracle.sample_lattice(rng, params.Delta, params.d, params.k)
                    for _ in range(args.center_samples)]
     n, k = len(points), params.k
     if args.t_grid == "full":
@@ -141,7 +140,13 @@ def cmd_eval(args) -> int:
         step = max(1, math.ceil((hi - lo) / 15))
         t_values = list(range(lo, hi + 1, step))
     else:
-        lo, hi, step = (int(x) for x in args.t_grid.split(":"))
+        try:
+            lo, hi, step = (int(x) for x in args.t_grid.split(":"))
+        except ValueError:
+            raise UsageError(f"--t-grid must be 'auto', 'full' or lo:hi:step "
+                             f"with integers, got {args.t_grid!r}") from None
+        if step <= 0:
+            raise UsageError(f"--t-grid step must be positive, got {step}")
         t_values = list(range(lo, hi + 1, step))
     if not t_values:
         raise UsageError("empty capacity grid")

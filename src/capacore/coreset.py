@@ -350,13 +350,20 @@ def read_coreset(path, grid: GridHierarchy | None = None) -> WeightedCoreset:
             if line.startswith("%"):
                 body = line[1:].strip()
                 if body.startswith("params:"):
-                    header["params"] = body.partition(":")[2].strip()
+                    key, val = "params", body.partition(":")[2].strip()
                 elif "=" in body:
                     key, _, val = body.partition("=")
-                    if key == "entrymeta":
-                        pending_meta = _parse_entrymeta(path, val)
-                    else:
-                        header[key] = val
+                else:
+                    continue
+                if key == "entrymeta":
+                    if pending_meta is not None:
+                        raise _dangling_entrymeta(path)
+                    pending_meta = _parse_entrymeta(path, val)
+                elif key in header:
+                    raise UsageError(
+                        f"{path}: repeated coreset header {key!r}")
+                else:
+                    header[key] = val
                 continue
             if pending_meta is None:
                 raise UsageError(f"{path}: coreset entry {line!r} has no "
@@ -368,6 +375,8 @@ def read_coreset(path, grid: GridHierarchy | None = None) -> WeightedCoreset:
             lvl, j = pending_meta
             pending_meta = None
             entries.append((point, _parse_weight(path, w_str), lvl, j))
+    if pending_meta is not None:
+        raise _dangling_entrymeta(path)
 
     params = _parsed(path, header, "params", parse_serialized)
     check_domain((e[0] for e in entries), params.Delta, params.d)
@@ -426,6 +435,11 @@ _TABLE_LINES = {
     "heavy": lambda index, val: (
         int(index), {_int_tuple(cell) for cell in val.split(";")}),
 }
+
+
+def _dangling_entrymeta(path) -> UsageError:
+    return UsageError(f"{path}: coreset header 'entrymeta' is not followed "
+                      f"by its entry line")
 
 
 def _parse_entrymeta(path, val: str):

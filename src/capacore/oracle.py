@@ -1,13 +1,18 @@
 """Ground-truth machinery for validating coresets and assignments.
 
-exact_cost realizes the capacitated cost with the oracle's own transportation
-flow, a general min-cost flow over n + k + 2 nodes (MinCostFlow) that shares
-no code with the assignment pipeline's k-node solver: integral for unit
-weights, the fractional relaxation for weighted inputs.  For k == 2 it takes
-CostCurve's exchange-greedy prefix walk instead, which the tests cross-check
-against both the flow and the brute-force enumeration.  Oracle flows use
-exact integer costs for r == 2 and a 2**40 scale otherwise, tight enough for
-the 1e-9 cross-validation tolerance.
+exact_cost realizes the capacitated cost as a transportation problem solved
+by the oracle's own primal transportation simplex (_transport_plan), an
+algorithm the assignment pipeline's shortest-path TransportSolver does not
+use: integral for unit weights, the fractional relaxation for weighted
+inputs.  Points with equal coordinates share one supply row and a slack row
+takes the capacity left free.  The start plan sends each row to its
+cheapest center with room, so an audit whose capacities do not bind is
+certified by a single vectorised pricing; binding ones pivot on a strongly
+feasible tree.  Costs are exact integers for r == 2 and dist**r on a 2**40
+scale otherwise (Python ints when int64 pricing could overflow), tight
+enough for the 1e-9 cross-validation tolerance.  For k == 2 exact_cost
+takes CostCurve's exchange-greedy prefix walk instead, which the tests
+cross-check against the simplex and the brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import MinCostFlow, integralize, fractional_assign
+from .assignment import integralize, fractional_assign
 from .common import OracleCapError, UsageError, is_infeasible
 from .geometry import Point, dist_pow
 
@@ -30,62 +35,220 @@ BRUTE_PARTITION_CAP = 10
 BRUTE_OPT_CANDIDATE_CAP = 3_000_000
 
 
-def _scaled_cost(p: Point, z: Point, r: float) -> int:
-    if r == 2:
-        return dist_pow(p, z, 2) * ORACLE_SCALE
-    return round(dist_pow(p, z, r) * ORACLE_SCALE)
+def _transport_plan(costs, supply, cap):
+    """Optimal plan {(row, column): units} of one transportation problem.
+
+    Row i ships supply[i] > 0 units, each of the k columns takes at most
+    cap, and a unit from row i to column j costs the integer costs[i][j].
+    A slack row (index len(costs)) ships the k * cap - sum(supply) units
+    the columns keep free, at cost 0.
+
+    Primal transportation simplex with MODI pricing.  The tree is rooted at
+    the slack row and kept strongly feasible: the row of every zero-flow
+    tree cell lies nearer the root than its column, and the leaving cell is
+    the first blocking one met on the pivot cycle from its apex along the
+    entering direction (Cunningham, Math. Programming 11, 1976), which rules
+    out cycling on the degenerate instances ties produce.  A tree has at most
+    k - 1 rows of degree two or more; every other row is a leaf whose
+    potential is read off its one column, so each pricing is a few numpy
+    passes over the (rows + 1) x k cost array and only the core of columns
+    and branching rows is walked in Python.  Flows stay Python ints.
+    """
+    m, k = len(costs), len(costs[0])
+    slack, nodes = m, m + 1      # rows are nodes 0..m, column j is node m+1+j
+    table = costs + [[0] * k]
+    top = max(map(max, costs))
+    # potentials stay within 2k tree steps of the root: (4k + 2) * top
+    # bounds every reduced cost, or pricing runs on Python ints
+    C = np.array(table, dtype=np.int64 if (4 * k + 2) * top < 1 << 62
+                 else object)
+
+    # start: rows by decreasing regret, each to its cheapest column with
+    # room, split when a column fills; the slack row fills the rest
+    if k > 1:
+        two = np.sort(C[:m], axis=1)[:, :2]
+        order = np.argsort(two[:, 0] - two[:, 1], kind="stable").tolist()
+    else:
+        order = range(m)
+    prefs = np.argsort(C[:m], axis=1, kind="stable").tolist()
+    room = [cap] * k
+    flow = {}
+    for i in order:
+        left = supply[i]
+        for j in prefs[i]:
+            if room[j]:
+                take = min(left, room[j])
+                flow[i, j] = take
+                room[j] -= take
+                left -= take
+                if not left:
+                    break
+    for j in range(k):
+        if room[j]:
+            flow[slack, j] = room[j]
+    # positive cells form a forest; zero-flow slack cells join the columns
+    # cut off from the slack row (union-find over columns, the slack row k)
+    cols = {}
+    for i, j in flow:
+        cols.setdefault(i, []).append(j)
+    link = list(range(k + 1))
+
+    def find(a):
+        while link[a] != a:
+            link[a] = a = link[link[a]]
+        return a
+
+    for i, cs in cols.items():
+        for j in cs[1:]:
+            link[find(j)] = find(cs[0])
+    for j in cols.get(slack, ()):
+        link[find(j)] = find(k)
+    for j in range(k):
+        if find(j) != find(k):
+            flow[slack, j] = 0
+            cols.setdefault(slack, []).append(j)
+            link[find(j)] = find(k)
+    anchor = np.array([cols[i][0] for i in range(nodes)])
+    branch = {i: cs for i, cs in cols.items() if len(cs) > 1 or i == slack}
+
+    def to_root(a):
+        # core nodes have a BFS parent; a leaf row hangs off its one column
+        path = [a]
+        while a != slack:
+            a = parent[a] if a in parent else nodes + int(anchor[a])
+            path.append(a)
+        return path
+
+    rows = np.arange(nodes)
+    while True:
+        # potentials over the core: the slack row, branching rows, columns
+        col_rows = [[] for _ in range(k)]
+        for i, cs in branch.items():
+            for j in cs:
+                col_rows[j].append(i)
+        u, v = {slack: 0}, [None] * k
+        parent = {}
+        stack = [slack]
+        while stack:
+            a = stack.pop()
+            if a < nodes:
+                for j in branch[a]:
+                    if v[j] is None:
+                        v[j] = table[a][j] - u[a]
+                        parent[nodes + j] = a
+                        stack.append(nodes + j)
+            else:
+                for i in col_rows[a - nodes]:
+                    if i not in u:
+                        u[i] = table[i][a - nodes] - v[a - nodes]
+                        parent[i] = a
+                        stack.append(i)
+        vv = np.array(v, dtype=C.dtype)
+        reduced = C - (C[rows, anchor] - vv[anchor])[:, None] - vv
+        e = int(reduced.argmin())
+        if reduced.flat[e] >= 0:
+            return flow
+        i, j = divmod(e, k)
+        up_i, up_j = to_root(i), to_root(nodes + j)
+        while len(up_i) > 1 and len(up_j) > 1 and up_i[-2] == up_j[-2]:
+            up_i.pop()
+            up_j.pop()
+        # the cycle from its apex: down to row i, across (i, j), up again
+        cycle = up_i[::-1] + up_j
+        flow[i, j] = 0
+        steps, theta, leave = [], None, None
+        for a, b in zip(cycle, cycle[1:]):
+            if a < nodes:
+                steps.append(((a, b - nodes), 1))
+            else:
+                cell = (b, a - nodes)
+                steps.append((cell, -1))
+                if theta is None or flow[cell] < theta:
+                    theta, leave = flow[cell], cell
+        for cell, sign in steps:
+            flow[cell] += sign * theta
+        del flow[leave]
+        if i in branch:
+            branch[i].append(j)
+        else:
+            branch[i] = [int(anchor[i]), j]
+        p, q = leave
+        branch[p].remove(q)
+        if anchor[p] == q:
+            anchor[p] = branch[p][0]
+        if p != slack and len(branch[p]) == 1:
+            del branch[p]
 
 
 def _cost_flow(points, centers, t, r, weights=None):
-    """Transportation optimum via min-cost flow.
+    """Transportation optimum, INF when the capacities cannot hold the input.
 
-    Unit weights (weights None) give the integral optimum at capacity
-    floor(t) (flow integrality); weights give the fractional optimum in
-    ORACLE_SCALE units.
+    Points with equal coordinates share one supply row.  Unit weights
+    (weights None) give the integral optimum at capacity floor(t) (a basic
+    plan of integer data is integral); weights give the fractional optimum
+    in ORACLE_SCALE units.  The value sums dist_pow over the plan, point by
+    point in input order.
     """
-    n, k = len(points), len(centers)
-    if weights is None:
-        supply = [1] * n
-        cap = math.floor(t)
+    k = len(centers)
+    unit = weights is None
+    cap = math.floor(t) if unit else round(t * ORACLE_SCALE)
+    # one row per coordinate that ships units; points shipping none get -1
+    rows, row_of, units, supply = {}, [], [], []
+    for p in points:
+        x = 1 if unit else round(weights[p] * ORACLE_SCALE)
+        i = -1
+        if x:
+            i = rows.setdefault(p.coords, len(rows))
+            if i == len(supply):
+                supply.append(0)
+            supply[i] += x
+        row_of.append(i)
+        units.append(x)
+    if sum(supply) > k * cap:
+        return INF
+    if not supply:
+        return 0 if unit else 0.0
+    coords = list(rows)
+    every = coords + [z.coords for z in centers]
+    span = max(abs(x) for c in every for x in c)
+    if r == 2 and len(set(map(len, every))) == 1 and \
+            len(coords[0]) * (2 * span) ** 2 < 1 << 63:
+        # exact integer costs: scaling by ORACLE_SCALE moves no optimum;
+        # dist_pow below rejects mixed dimensions and keeps huge ones exact
+        rc = np.array(coords, dtype=np.int64)
+        zc = np.array([z.coords for z in centers], dtype=np.int64)
+        dist = ((rc[:, None, :] - zc[None, :, :]) ** 2).sum(axis=2).tolist()
     else:
-        supply = [round(weights[p] * ORACLE_SCALE) for p in points]
-        cap = round(t * ORACLE_SCALE)
-    total = sum(supply)
-    if total > k * cap:
-        return INF
-    net = MinCostFlow(n + k + 2)
-    src, sink = n + k, n + k + 1
-    handles = {}
-    for i, p in enumerate(points):
-        net.add_edge(src, i, supply[i], 0)
-        for j, z in enumerate(centers):
-            handles[(i, j)] = net.add_edge(i, n + j, supply[i],
-                                           _scaled_cost(p, z, r))
-    for j in range(k):
-        net.add_edge(n + j, sink, cap, 0)
-    flow, _ = net.solve(src, sink, total)
-    if flow < total:
-        return INF
-    # unit weights sum exact integer costs for r == 2
-    value = 0 if weights is None else 0.0
-    for i, p in enumerate(points):
-        for j in range(k):
-            units = net.flow_on(handles[(i, j)])
-            if not units:
-                continue
-            if weights is None:
-                if units != 1:
-                    raise AssertionError("unit-weight flow must be integral")
-                value += dist_pow(p, centers[j], r)
+        dist = [[dist_pow(Point(c), z, r) for z in centers] for c in coords]
+    costs = dist if r == 2 else \
+        [[round(x * ORACLE_SCALE) for x in row] for row in dist]
+    plan = _transport_plan(costs, supply, cap)
+    # hand each row's shipments to its points, columns in increasing order
+    shipped = [[] for _ in supply]
+    for (i, j), x in sorted(plan.items()):
+        if x and i < len(supply):
+            shipped[i].append([j, x])
+    value = 0 if unit else 0.0
+    for i, x in zip(row_of, units):
+        while x:
+            part = shipped[i][0]
+            take = min(x, part[1])
+            if unit:
+                value += dist[i][part[0]]
             else:
-                value += units / ORACLE_SCALE * dist_pow(p, centers[j], r)
+                value += take / ORACLE_SCALE * dist[i][part[0]]
+            part[1] -= take
+            x -= take
+            if not part[1]:
+                shipped[i].pop(0)
     return value
 
 
 def exact_cost(points, centers, t, r, weights=None, method: str = "auto"):
     """Capacitated clustering cost; INF when no feasible partition exists.
 
-    Unit-weight inputs get the exact integral optimum (flow integrality);
+    Unit-weight inputs get the exact integral optimum (an optimal basic
+    plan of integer data is integral);
     weighted inputs get the fractional transportation optimum, with the
     integralized value available separately as an upper bracket.
     """
@@ -138,6 +301,20 @@ def brute_partitions(points, centers, t, r, weights=None):
 
 def lattice_points(Delta: int, d: int):
     return [Point(c) for c in itertools.product(range(1, Delta + 1), repeat=d)]
+
+
+def sample_lattice(rng, Delta: int, d: int, k: int) -> tuple:
+    """rng.sample(lattice_points(Delta, d), k), without building the lattice.
+
+    The draw takes the same indices; index idx decodes in the lattice's
+    itertools.product order, coordinate i being idx // Delta**(d-1-i) % Delta.
+    """
+    if k > Delta ** d:
+        raise UsageError(f"cannot draw {k} distinct centers from the "
+                         f"{Delta ** d} lattice points")
+    return tuple(Point(tuple(idx // Delta ** (d - 1 - i) % Delta + 1
+                             for i in range(d)))
+                 for idx in rng.sample(range(Delta ** d), k))
 
 
 def brute_opt(points, k, r, Delta, d):

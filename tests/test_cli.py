@@ -295,6 +295,16 @@ def test_eval_auto_t_grid(tmp_path, capsys):
     assert 1 <= t_count <= 17
 
 
+@pytest.mark.parametrize("grid", ["5:x:1", "5:10", "5:10:0"])
+def test_eval_rejects_malformed_t_grid(tmp_path, capsys, grid):
+    pts_path = _gen(tmp_path, n=10)
+    core_path = _build(tmp_path, pts_path)
+    rc = main(["eval", "--input", str(pts_path), "--coreset", str(core_path),
+               "--out", str(tmp_path / "audit.csv"), "--t-grid", grid])
+    assert rc == 2
+    assert "--t-grid" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, extra", [
     ("1.5 2", ()),                       # non-integer coordinate
     ("1 2 3", ()),                       # three coordinates with --d 2

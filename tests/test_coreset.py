@@ -213,6 +213,10 @@ def test_file_roundtrip(tmp_path, rng):
     ("% part.", "% part.1=2.0", "part.1"),
     ("% heavy.", "% heavy.-1=0,a", "heavy.-1"),
     ("% heavy.", "% heavy.-1=0", "heavy.-1"),      # a 1-d cell in 2-d
+    ("% heavy.", "{line}\n{line}", "heavy.-1"),     # repeated
+    ("% seed=", "{line}\n% seed=9", "seed"),        # repeated, other value
+    ("% entrymeta=", "{line}\n{line}", "entrymeta"),
+    (None, "% entrymeta=0,0", "entrymeta"),        # dangling at end of file
 ])
 def test_malformed_header_is_a_usage_error(tmp_path, rng, prefix, bad, key):
     core = build_auto(dedup_points(rand_points(rng, 35, 8)), _grid(8),
@@ -220,8 +224,13 @@ def test_malformed_header_is_a_usage_error(tmp_path, rng, prefix, bad, key):
     path = tmp_path / "core.txt"
     write_coreset(path, core)
     lines = path.read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
-    lines[i:i + 1] = [] if bad is None else [bad]
+    if prefix is None:
+        lines.append(bad)
+    else:
+        # bad replaces the first line with the prefix; {line} is that line
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[i:i + 1] = [] if bad is None else \
+            bad.format(line=lines[i]).split("\n")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(UsageError, match=f"{path}: .*'{key}'"):
         read_coreset(path)

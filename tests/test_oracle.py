@@ -5,7 +5,8 @@ import random
 import pytest
 
 from capacore import oracle
-from capacore.common import OracleCapError, derive_seed
+from capacore.assignment import MinCostFlow
+from capacore.common import OracleCapError, UsageError, derive_seed
 from capacore.coreset import WeightedCoreset, build_auto, dedup_points
 from capacore.geometry import GridHierarchy, Point, dist_pow
 from capacore.params import PRACTICAL, derive
@@ -212,3 +213,145 @@ def test_cost_curve_at_infinite_capacity(rng):
     points, core = _identity_coreset(rng)
     report = oracle.sandwich_audit(points, core, [tuple(Z)], [INF])
     assert report.rows and report.clean()
+
+
+def _flow_reference(points, centers, t, r, weights=None):
+    """exact_cost on MinCostFlow: one supply node per distinct coordinate.
+
+    Scaled costs as the oracle's problem (dist**r * 2**40, rounded), so the
+    two optima agree; the value is summed per node, not per point.
+    """
+    scale = oracle.ORACLE_SCALE
+    unit = weights is None
+    cap = math.floor(t) if unit else round(t * scale)
+    supply = {}
+    for p in points:
+        units = 1 if unit else round(weights[p] * scale)
+        supply[p.coords] = supply.get(p.coords, 0) + units
+    rows = [Point(c) for c in supply]
+    n, k = len(rows), len(centers)
+    net = MinCostFlow(n + k + 2)
+    src, sink = n + k, n + k + 1
+    handles = {}
+    for i, p in enumerate(rows):
+        net.add_edge(src, i, supply[p.coords], 0)
+        for j, z in enumerate(centers):
+            handles[i, j] = net.add_edge(i, n + j, supply[p.coords],
+                                         round(dist_pow(p, z, r) * scale))
+    for j in range(k):
+        net.add_edge(n + j, sink, cap, 0)
+    total = sum(supply.values())
+    flow, _ = net.solve(src, sink, total)
+    if flow < total:
+        return INF
+    value = 0 if unit else 0.0
+    for (i, j), handle in handles.items():
+        units = net.flow_on(handle)
+        if units:
+            cost = dist_pow(rows[i], centers[j], r)
+            value += units * cost if unit else units / scale * cost
+    return value
+
+
+def test_transport_simplex_matches_flow_reference():
+    rng = random.Random(2024)
+    outcomes = {"inf": 0, "unit": 0, "weighted": 0}
+    for trial in range(1200):
+        k = rng.randint(1, 5)
+        Delta = rng.choice([4, 8, 16])
+        # small grids, duplicate points and repeated centers make ties
+        pts = rand_points(rng, rng.randint(1, 24), Delta)
+        pts += [Point(p.coords, 100 + i)
+                for i, p in enumerate(pts[:rng.randint(0, 6)])]
+        Z = [Point((rng.randint(1, Delta), rng.randint(1, Delta)))
+             for _ in range(k)]
+        if k > 1 and rng.random() < 0.3:
+            Z[-1] = Z[0]
+        r = rng.choice([1, 2, 3])
+        weights = None if trial % 2 else \
+            {p: rng.choice([1e-13, 0.5, 1.0, 1.5, 2.0, 3.25]) for p in pts}
+        total = len(pts) if weights is None else sum(weights.values())
+        # factors below 1 leave too little room: INF
+        t = total / k * rng.uniform(0.8, 1.6)
+        got = oracle.exact_cost(pts, Z, t, r, weights, method="flow")
+        want = _flow_reference(pts, Z, t, r, weights)
+        if want == INF or (weights is None and r == 2):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+        kind = "inf" if want == INF else \
+            ("unit" if weights is None else "weighted")
+        outcomes[kind] += 1
+    assert min(outcomes.values()) >= 100
+
+
+def test_weighted_transport_simplex_matches_linprog():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(88)
+    for trial in range(40):
+        k = rng.randint(2, 5)
+        pts = rand_points(rng, rng.randint(2, 16), 8)
+        Z = [Point((rng.randint(1, 8), rng.randint(1, 8))) for _ in range(k)]
+        r = rng.choice([1, 2, 3])
+        weights = {p: rng.uniform(0.1, 5.0) for p in pts}
+        t = sum(weights.values()) / k * rng.uniform(1.0, 1.5)
+        n = len(pts)
+        c = [dist_pow(p, z, r) for p in pts for z in Z]
+        a_eq = [[1.0 if col // k == i else 0.0 for col in range(n * k)]
+                for i in range(n)]
+        a_ub = [[1.0 if col % k == j else 0.0 for col in range(n * k)]
+                for j in range(k)]
+        res = optimize.linprog(c, A_ub=a_ub, b_ub=[t] * k, A_eq=a_eq,
+                               b_eq=[weights[p] for p in pts], method="highs")
+        assert res.status == 0
+        got = oracle.exact_cost(pts, Z, t, r, weights, method="flow")
+        assert got == pytest.approx(res.fun, rel=1e-9)
+
+
+def test_transport_simplex_beyond_int64():
+    # r = 3 on Delta = 256 puts scaled costs past 2**63, and 2,000 weights
+    # up to 1e4 put the shipped units past it too
+    rng = random.Random(5)
+    pool = rand_points(rng, 40, 256, tagged=False)
+    pts = [Point(rng.choice(pool).coords, i) for i in range(2000)]
+    weights = {p: rng.uniform(1.0, 1e4) for p in pts}
+    Z = [Point((rng.randint(1, 256), rng.randint(1, 256))) for _ in range(4)]
+    scale = oracle.ORACLE_SCALE
+    assert sum(round(w * scale) for w in weights.values()) >= 1 << 63
+    assert max(round(dist_pow(p, z, 3) * scale)
+               for p in pool for z in Z) >= 1 << 63
+    t = sum(weights.values()) / len(Z) * 1.02
+    got = oracle.exact_cost(pts, Z, t, 3, weights)
+    want = _flow_reference(pts, Z, t, 3, weights)
+    assert want != INF
+    assert got == pytest.approx(want, rel=1e-9)
+    # binding capacities: more than the nearest-center plan
+    assert got > oracle.exact_cost(pts, Z, INF, 3, weights) * (1 + 1e-6)
+    # squared distances past 2**63 at r = 2
+    far = [Point((rng.randint(1, 1 << 33), rng.randint(1, 1 << 33)), i)
+           for i in range(30)]
+    got = oracle.exact_cost(far, Z, 10, 2)
+    assert got > 1 << 63
+    assert got == _flow_reference(far, Z, 10, 2)
+
+
+def test_transport_simplex_binding_five_centers(rng):
+    pts = clustered_points(rng, 500, 64, clusters=3, spread=6.0)
+    Z = [Point((rng.randint(1, 64), rng.randint(1, 64))) for _ in range(5)]
+    t = len(pts) // 5
+    got = oracle.exact_cost(pts, Z, t, 2)
+    assert got == _flow_reference(pts, Z, t, 2)
+    assert got > oracle.exact_cost(pts, Z, INF, 2)
+
+
+def test_sample_lattice_draws_the_lattice_sample():
+    for seed in range(40):
+        for Delta, d in ((1, 2), (2, 1), (4, 2), (8, 2), (4, 3)):
+            lattice = oracle.lattice_points(Delta, d)
+            k = 1 + seed % min(len(lattice), 5)
+            want, got = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert oracle.sample_lattice(got, Delta, d, k) == \
+                    tuple(want.sample(lattice, k))
+    with pytest.raises(UsageError):
+        oracle.sample_lattice(random.Random(1), 2, 1, 3)

@@ -3,8 +3,8 @@
 import importlib.util
 from pathlib import Path
 
-from capacore import (coreset, distributed, estimator, kernels, partition,
-                      streaming)
+from capacore import (assignment, coreset, distributed, estimator, kernels,
+                      oracle, partition, streaming)
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -33,7 +33,9 @@ def test_tracer_wraps_and_restores_every_hook():
                (streaming, "mark_cells"),
                (kernels, "poly_eval_batch"),
                (distributed.Coordinator, "absorb"),
-               (distributed.Machine, "__init__")]
+               (distributed.Machine, "__init__"),
+               (assignment.MinCostFlow, "solve"),
+               (oracle, "exact_cost")]
     before = {(owner, attr): owner.__dict__[attr] for owner, attr in wrapped}
     tracer = spans.Tracer()
     try:
