@@ -54,7 +54,7 @@ class CellData:
         return (
             self.level,
             tuple(sorted(self.cells.items())),
-            tuple((lat, tuple(sorted(pts, key=lambda p: p.sort_key())))
+            tuple((lat, tuple(sorted(pts)))
                   for lat, pts in sorted(self.light_points.items())),
         )
 
@@ -79,19 +79,26 @@ class ExactCellStore:
         self.counts: dict = {}
         self.points: dict = {}  # lattice -> Counter(point -> multiplicity)
 
-    def update(self, p: Point, sign: int):
-        lat = self.grid.lattice_of(p.coords, self.level)
+    def update(self, p: Point, sign: int, lat: tuple | None = None):
+        """Add sign copies of p; lat is p's lattice at this level, computed
+        when not given."""
+        if lat is None:
+            lat = self.grid.lattice_of(p.coords, self.level)
         c = self.counts.get(lat, 0) + sign
         if c:
             self.counts[lat] = c
         else:
             self.counts.pop(lat, None)
-        bucket = self.points.setdefault(lat, Counter())
-        bucket[p] += sign
-        if not bucket[p]:
+        bucket = self.points.get(lat)
+        if bucket is None:
+            bucket = self.points[lat] = Counter()
+        m = bucket[p] + sign
+        if m:
+            bucket[p] = m
+        else:
             del bucket[p]
-        if not bucket:
-            del self.points[lat]
+            if not bucket:
+                del self.points[lat]
 
     def merge_in(self, other: "ExactCellStore"):
         _check_compatible(self, other)
@@ -126,7 +133,7 @@ class ExactCellStore:
             if cnt <= beta:
                 ctr = self.points.get(lat, Counter())
                 pts = []
-                for p in sorted(ctr, key=lambda q: q.sort_key()):
+                for p in sorted(ctr):
                     pts.extend([p] * ctr[p])
                 light[lat] = tuple(pts)
         return CellData(self.level, cells, light, beta)
@@ -143,7 +150,7 @@ class ExactCellStore:
                  if self.counts.get(lat, 0) <= self.beta]
         out.append(struct.pack("<I", len(light)))
         for lat, ctr in light:
-            entries = sorted(ctr.items(), key=lambda kv: kv[0].sort_key())
+            entries = sorted(ctr.items())
             out.append(struct.pack(f"<{d}qI", *lat, len(entries)))
             for p, mult in entries:
                 out.append(struct.pack(f"<{d}qqq", *p.coords, p.tag, mult))
@@ -242,17 +249,22 @@ class SketchCellStore:
         return (code * code + ab[0] * code + ab[1]) % _PRIME
 
     # --- updates ---------------------------------------------------------
-    def update(self, p: Point, sign: int):
-        lat = self.grid.lattice_of(p.coords, self.level)
+    def update(self, p: Point, sign: int, lat: tuple | None = None):
+        """Add sign copies of p; lat is p's lattice at this level, computed
+        when not given."""
+        if lat is None:
+            lat = self.grid.lattice_of(p.coords, self.level)
         code = self._cell_code(lat)
         pcode = self._enc.encode(p) + 1
         ccheck = self._check(self._h2, code)
         pcheck = self._check(self._p2, pcode)
+        # a point's buckets do not depend on its cell's row
+        pslots = [(prow, self._pair_hash(ab, pcode, self.pbuckets))
+                  for prow, ab in enumerate(self._p1)]
         for row in range(self.rows):
             b = self._pair_hash(self._h1[row], code, self.buckets)
             _bump(self.cell_state, (row, b), sign, code, ccheck)
-            for prow in range(self.prows):
-                pb = self._pair_hash(self._p1[prow], pcode, self.pbuckets)
+            for prow, pb in pslots:
                 _bump(self.point_state, (row, b, prow, pb), sign, pcode, pcheck)
 
     def merge_in(self, other: "SketchCellStore"):

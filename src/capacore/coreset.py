@@ -111,11 +111,14 @@ class Sampling:
     """The sampling decision every mode shares.
 
     It owns the (family, level) hashes, the rate -> threshold step, the keep
-    test with its field-value cache, and the pool key (family, level,
-    threshold) of each (family, level, guess).  A point is kept when its
-    field value lies below the threshold; at threshold 0 or the modulus
-    every family keeps the same points, so the key drops the family there.
-    Two (family, level, guess) triples with equal keys keep equal points."""
+    test, and the pool key (family, level, threshold) of each (family,
+    level, guess).  A point is kept when its field value lies below the
+    threshold; at threshold 0 or the modulus every family keeps the same
+    points, so the key drops the family there.  Two (family, level, guess)
+    triples with equal keys keep equal points.  keeps caches field values
+    for a point set that is asked about again under other keys (the
+    offline builder's); a stream hashes each update once through hash()
+    and caches nothing, so its memory does not grow with deleted points."""
 
     def __init__(self, params: Params, grid: GridHierarchy, seed: int,
                  exact_counts: bool):
@@ -158,6 +161,11 @@ class Sampling:
                 for fam in FAMILIES:
                     served.setdefault(self.key(fam, lvl, o), []).append((fam, o))
         return served
+
+    def hash(self, family: str, level: int) -> KWiseHash:
+        """The hash whose field values the keys of (family, level) compare
+        against their thresholds."""
+        return self._hashes[(family, level)]
 
     def keeps(self, key: tuple, points) -> list:
         """Whether the key's hash keeps each point; the points a (family,
@@ -265,9 +273,7 @@ class OfflineBuilder:
         self.params = params
         self.sampling = Sampling(params, grid, seed, exact_counts)
         # per-point lattice paths, levels 0..L
-        self._paths = [tuple(grid.lattice_of(p.coords, lvl)
-                             for lvl in range(0, grid.L + 1))
-                       for p in self.points]
+        self._paths = [grid.path_of(p.coords) for p in self.points]
         self._data: dict = {}  # Sampling key -> CellData
 
     def _cell_data(self, key: tuple) -> CellData:

@@ -110,6 +110,19 @@ class GridHierarchy:
             for c, v in zip(coords, self.shift_num)
         )
 
+    def path_of(self, coords) -> tuple:
+        """The lattices of levels 0..L, from one lattice_of at level L.
+
+        Below the root every side is twice the next finer one, and floor
+        division nests, so level i is level i+1 shifted right by one."""
+        lat = self.lattice_of(coords, self.L)
+        path = [lat]
+        for _ in range(self.L):
+            lat = tuple([t >> 1 for t in lat])
+            path.append(lat)
+        path.reverse()
+        return tuple(path)
+
     def cell_of(self, p: Point, level: int) -> CellId:
         if not -1 <= level <= self.L:
             raise UsageError(f"level {level} outside [-1, {self.L}]")

@@ -488,7 +488,10 @@ class AuditReport:
             for row in self.rows:
                 rounded = "" if row.cost_coreset_rounded is None \
                     else repr(row.cost_coreset_rounded)
-                fh.write(f"{row.z_id},{row.t!r},{row.form},{row.cost_Q!r},"
+                # exact_cost is an int on the unit-weight flow path: one
+                # rendering for every row
+                fh.write(f"{row.z_id},{row.t!r},{row.form},"
+                         f"{float(row.cost_Q)!r},"
                          f"{row.cost_coreset_relaxed!r},{rounded},"
                          f"{row.ratio!r},{row.violated}\n")
 

@@ -34,17 +34,16 @@ class PartitionStructure:
         return cell.lattice in self.heavy.get(cell.level, ())
 
     def is_crucial(self, cell: CellId) -> bool:
-        if cell.level < 0 or self.is_heavy(cell):
-            return False
-        parent = self.grid.parent(cell)
-        return parent.lattice in self.heavy.get(parent.level, ())
+        return self.part_of_cell(cell) is not None
 
     def part_of_cell(self, cell: CellId):
-        """Part index (i, j) of a crucial cell, else None."""
-        if not self.is_crucial(cell):
+        """Part index (i, j) of a crucial cell (a non-heavy cell whose parent
+        is heavy), else None."""
+        if cell.level < 0 or self.is_heavy(cell):
             return None
         parent = self.grid.parent(cell)
-        return (cell.level, self.heavy_index[parent.level][parent.lattice])
+        j = self.heavy_index.get(parent.level, {}).get(parent.lattice)
+        return None if j is None else (cell.level, j)
 
     def part_of(self, p: Point):
         """Part (i, j) owning p, or None when p's root cell is not heavy."""

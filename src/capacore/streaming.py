@@ -11,12 +11,23 @@ reads it with read(alpha, beta) under its own caps; a larger sketch only
 lowers its failure rate.  finalize hands the cell data to the decision path
 every mode shares (coreset.finalize_cells).
 
+Routing.  A key keeps a point when the point's field value under the key's
+(family, level) hash lies below the key's threshold, so one field value per
+(family, level) decides every key at that level: the stores of a hashed
+(family, level), in increasing threshold order, that keep the point are a
+suffix found by bisection.  Keys without a family keep every point
+(threshold = modulus) or none (threshold 0, never written).  Each update
+therefore computes its lattice path once (GridHierarchy.path_of), hashes
+once per hashed (family, level) and caches no field value, and hands every
+store it writes the lattice of the store's level.
+
 Stream file format: one update per line, "+ x1 ... xd #tag" or
 "- x1 ... xd #tag" (U+2212 minus accepted).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 
 from .common import UsageError, derive_seed, is_fail
@@ -52,6 +63,21 @@ class StreamEngine:
                 max(b for _, b in caps),
                 derive_seed(seed, f"store:{fam or 'any'}:{lvl}"),
                 delta=0.001 / (3 * (grid.L + 1)))
+        # routing table: the store of each level that keeps every point, and
+        # per hashed (family, level) its hash, thresholds and stores by
+        # threshold; _stores keeps its order (the wire indexes stores by it)
+        self._keep_all = []
+        hashed: dict = {}
+        for (fam, lvl, t), store in self._stores.items():
+            if fam is not None:
+                hashed.setdefault((fam, lvl), []).append((t, store))
+            elif t:
+                self._keep_all.append((lvl, store))
+        self._hashed = []
+        for (fam, lvl), routes in hashed.items():
+            thresholds, stores = zip(*sorted(routes, key=lambda r: r[0]))
+            self._hashed.append((lvl, self.sampling.hash(fam, lvl),
+                                 thresholds, stores))
 
     # --- stream consumption ---------------------------------------------
     def process(self, p: Point, sign: int):
@@ -59,10 +85,15 @@ class StreamEngine:
             raise UsageError("sign must be +1 or -1")
         self.net += sign
         self.updates += 1
-        keeps = self.sampling.keeps
-        for key, store in self._stores.items():
-            if keeps(key, (p,))[0]:
-                store.update(p, sign)
+        path = self.grid.path_of(p.coords)
+        for lvl, store in self._keep_all:
+            store.update(p, sign, path[lvl])
+        for lvl, hash_, thresholds, stores in self._hashed:
+            # the stores with threshold above p's field value keep p
+            first = bisect_right(thresholds, hash_.field_values((p,))[0])
+            lat = path[lvl]
+            for store in stores[first:]:
+                store.update(p, sign, lat)
 
     def process_stream(self, updates):
         for p, sign in updates:

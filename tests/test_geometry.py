@@ -1,12 +1,13 @@
 import math
+import random
 import statistics
 
 import pytest
 
 from capacore.common import UsageError
-from capacore.geometry import (GridHierarchy, Point, dist_pow, format_point,
-                               next_pow2, parse_point_line, read_points,
-                               sample_shift, write_points)
+from capacore.geometry import (SHIFT_FRAC_BITS, GridHierarchy, Point, dist_pow,
+                               format_point, next_pow2, parse_point_line,
+                               read_points, sample_shift, write_points)
 
 from conftest import rand_points
 
@@ -42,6 +43,26 @@ def test_root_cell_identical_for_all_points():
     grid = GridHierarchy(8, 2, (0, 0))
     assert len({grid.cell_of(Point((x, y)), -1)
                 for x in range(1, 9) for y in range(1, 9)}) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("log_delta", [1, 2, 3, 6, 11, 20])
+def test_path_of_equals_lattice_of_at_every_level(d, log_delta):
+    Delta = 1 << log_delta
+    span = Delta << SHIFT_FRAC_BITS
+    rng = random.Random(f"path:{d}:{log_delta}")
+    shifts = [(0,) * d, (span - 1,) * d,
+              tuple(rng.choice((0, span - 1)) for _ in range(d)),
+              sample_shift(log_delta, Delta, d)]
+    coords = [(1,) * d, (Delta,) * d] + [
+        tuple(rng.randint(1, Delta) for _ in range(d)) for _ in range(40)]
+    for shift in shifts:
+        grid = GridHierarchy(Delta, d, shift)
+        for c in coords:
+            path = grid.path_of(c)
+            assert len(path) == grid.L + 1
+            for level in range(0, grid.L + 1):
+                assert path[level] == grid.lattice_of(c, level), (shift, c)
 
 
 def test_containment_chain_via_corners(rng):

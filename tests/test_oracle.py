@@ -174,15 +174,26 @@ def test_corrupted_weights_reported(rng, tmp_path):
     rng2 = random.Random(6)
     lattice = oracle.lattice_points(8, 2)
     centers = [tuple(rng2.sample(lattice, 2)) for _ in range(15)]
+    # one k = 3 set: exact_cost's unit-weight flow path returns an int
+    centers.append(tuple(rng2.sample(lattice, 3)))
     t_values = list(range(math.ceil(len(pts) / 2), len(pts) + 1))
     report = oracle.sandwich_audit(pts, doubled, centers, t_values)
     assert report.violations() > 0
+    assert isinstance(report.rows[-1].cost_Q, int)
     path = tmp_path / "audit.csv"
     report.write_csv(path)
     header, *rows = path.read_text().splitlines()
     assert header.split(",")[:5] == ["z_id", "t", "form", "cost_Q",
                                      "cost_coreset_relaxed"]
     assert any(row.endswith(",1") for row in rows)
+    # k = 2 and k = 3 rows render cost_Q alike, as a float
+    written = {}
+    for row in rows:
+        z_id, _, _, cost_q = row.split(",")[:4]
+        written.setdefault(int(z_id), []).append(cost_q)
+    for z_id in (0, len(centers) - 1):
+        assert written[z_id]
+        assert all(v == repr(float(v)) for v in written[z_id])
 
 
 def test_exact_cost_without_capacity():

@@ -84,6 +84,53 @@ def test_interleaved_stream_matches_offline(rng, params, exact_counts):
         assert stream_core == offline_core
 
 
+@pytest.mark.parametrize("backing", ["exact", "sketch"])
+@pytest.mark.parametrize("Delta", [8, 64])
+def test_routing_writes_exactly_the_stores_keeps_selects(rng, Delta, backing):
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=2,
+                    mode=PRACTICAL, scale=1e-53)
+    grid = _grid(30 + Delta, Delta)
+    engine = StreamEngine(params, grid, seed=30, backing=backing, n_max=8000)
+    keys = list(engine._stores)
+    hashed = [key for key in keys if key[0] is not None]
+    # rates strictly between 0 and 1, several thresholds on one hash, and
+    # stores that keep nothing
+    assert len(hashed) > len({key[:2] for key in hashed}) > 0
+    assert any(key[2] == 0 for key in keys)
+    updates, _ = _random_stream(rng, 200, Delta=Delta)
+    engine.process_stream(updates)
+    # reference: every store fed through the keep test, one key at a time
+    reference = StreamEngine(params, grid, seed=30, backing=backing,
+                             n_max=8000)
+    keeps = reference.sampling.keeps
+    for p, sign in updates:
+        for key, store in reference._stores.items():
+            if keeps(key, (p,))[0]:
+                store.update(p, sign)
+    assert list(reference._stores) == keys
+    for key, store in engine._stores.items():
+        assert store.serialize() == reference._stores[key].serialize(), key
+        if key[2] == 0:
+            assert store.cell_count() == 0
+
+
+def test_deleted_points_leave_no_hash_state():
+    # the stream-dist-8k parameters, where the stream hashes on four
+    # (family, level) pairs
+    params = derive(k=3, r=2, eps=0.4, eta=0.4, Delta=64, d=2,
+                    mode=PRACTICAL, scale=1e-6)
+    grid = _grid(40, Delta=64)
+    engine = StreamEngine(params, grid, seed=40, n_max=12000)
+    empty = engine.space_bytes()
+    assert engine._hashed
+    pts = [Point((1 + i % 64, 1 + (i * 7) % 64), i) for i in range(2000)]
+    engine.process_stream([(p, +1) for p in pts])
+    engine.process_stream([(p, -1) for p in pts])
+    assert engine.space_bytes() == empty
+    assert not any(engine.sampling._values.values())
+    assert len(engine.finalize()) == 0
+
+
 def test_order_invariance(rng):
     grid = _grid(5)
     updates, live = _random_stream(rng, 200)
