@@ -12,6 +12,7 @@ assignment to the full input.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .common import INFEASIBLE, UsageError, is_infeasible
@@ -293,6 +294,8 @@ def fractional_assign(points, weights, centers, t_cap, r,
     k = len(centers)
     if not k:
         raise UsageError("need at least one center")
+    if math.isnan(t_cap) or t_cap == -math.inf:
+        raise UsageError(f"capacity must not be NaN or -inf, got {t_cap}")
     w_scaled = {p: round(weights[p] * scale) for p in pts}
     total = sum(w_scaled.values())
     if t_cap == float("inf"):

@@ -44,11 +44,10 @@ _PRIME = (1 << 61) - 1
 class CellData:
     """Finalize output: nonempty cells, their counts, points of light cells."""
 
-    def __init__(self, level: int, cells: dict, light_points: dict, beta: float):
+    def __init__(self, level: int, cells: dict, light_points: dict):
         self.level = level
         self.cells = cells              # lattice -> count
         self.light_points = light_points  # lattice -> tuple of points
-        self.beta = beta
 
     def canonical(self):
         return (
@@ -136,7 +135,7 @@ class ExactCellStore:
                 for p in sorted(ctr):
                     pts.extend([p] * ctr[p])
                 light[lat] = tuple(pts)
-        return CellData(self.level, cells, light, beta)
+        return CellData(self.level, cells, light)
 
     def serialize(self) -> bytes:
         d = self.grid.d
@@ -354,7 +353,7 @@ class SketchCellStore:
                 light[lat] = self._cell_points(code, cnt)
                 if light[lat] is None:
                     return FAIL
-        return CellData(self.level, cells, light, beta)
+        return CellData(self.level, cells, light)
 
     @staticmethod
     def _pack_rec(rec) -> bytes:

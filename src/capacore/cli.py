@@ -56,6 +56,10 @@ def _resolve_delta(requested: int) -> int:
 def cmd_gen(args) -> int:
     seed = _seed_from(args)
     rng = random.Random(seed)
+    if args.d < 1:
+        raise UsageError(f"--d must be at least 1, got {args.d}")
+    if args.kind == "gaussian" and args.clusters < 1:
+        raise UsageError(f"--clusters must be at least 1, got {args.clusters}")
     Delta = _resolve_delta(args.Delta)
     header = [f"gen kind={args.kind} n={args.n} d={args.d} Delta={Delta} "
               f"clusters={args.clusters} spread={args.spread} seed={seed}"]

@@ -15,12 +15,14 @@ Sampling owns the sampling decision of every mode.  Hash polynomials are
 seeded per (family, level) only, so every guess, mode and machine sees
 identical sampling decisions, and each mode keys its cell data by the
 Sampling key (family, level, threshold), whose family is dropped at rate 0
-or 1.
+or 1.  SampleBank.build turns the h and h' cell data of a guess into its
+estimates.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import partial
 
 from .cellstore import CellData
@@ -28,7 +30,7 @@ from .common import FAIL, UsageError, derive_seed, is_fail
 from .estimator import SampleBank
 from .geometry import (CellId, GridHierarchy, check_domain, format_point,
                        parse_point_line)
-from .hashing import KWiseHash, PointEncoder, exact_threshold
+from .hashing import KWiseHash, PointEncoder
 from .params import FAMILIES, Params, coreset_size_bound, parse_serialized
 from .partition import PartitionStructure, mark_cells
 
@@ -107,18 +109,33 @@ def o_grid(n: int, params: Params) -> list:
 
 # --- the shared decision path ------------------------------------------------
 
-class Sampling:
-    """The sampling decision every mode shares.
+def exact_threshold(rate: float, modulus: int) -> int:
+    """floor(rate * modulus) computed exactly from the float's rational
+    value, clamped to [0, modulus]."""
+    if rate <= 0:
+        return 0
+    if rate >= 1:
+        return modulus
+    return int(Fraction(rate) * modulus)
 
-    It owns the (family, level) hashes, the rate -> threshold step, the keep
-    test, and the pool key (family, level, threshold) of each (family,
-    level, guess).  A point is kept when its field value lies below the
-    threshold; at threshold 0 or the modulus every family keeps the same
-    points, so the key drops the family there.  Two (family, level, guess)
-    triples with equal keys keep equal points.  keeps caches field values
-    for a point set that is asked about again under other keys (the
-    offline builder's); a stream hashes each update once through hash()
-    and caches nothing, so its memory does not grow with deleted points."""
+
+class Sampling:
+    """The sampling decision every mode shares, and its one keep rule.
+
+    Each (family, level) has one lambda-wise independent hash, and a rate
+    becomes the threshold t = floor(rate * modulus) here and nowhere else.
+    The key (family, level, t) keeps a point p iff hash(family, level) gives
+    p a field value below t: t = modulus keeps every point and t = 0 keeps
+    none, whatever the family, so the key drops the family there.  Two
+    (family, level, guess) triples with equal keys keep equal points.
+
+    Thresholds of one (family, level) nest: all of them compare the same
+    field values, so lowering the rate only shrinks the kept prefix of
+    field values.  That coupling is what lets every guess o reuse one
+    polynomial per level, and what lets a stream find the stores that keep
+    a point by bisection over their thresholds.  Sampling holds no
+    per-point state: each mode applies the rule to the field values it
+    computes."""
 
     def __init__(self, params: Params, grid: GridHierarchy, seed: int,
                  exact_counts: bool):
@@ -132,10 +149,8 @@ class Sampling:
             (fam, lvl): KWiseHash(
                 derive_seed(seed, f"{fam}:{lvl}"),
                 params.hash_lambda() if fam == "hhat"
-                else params.hash_lambda_prime(), 1.0, encoder)
+                else params.hash_lambda_prime(), encoder)
             for fam in FAMILIES for lvl in range(0, grid.L + 1)}
-        # (family, level) -> {point: field value}
-        self._values = {pair: {} for pair in self._hashes}
 
     def rate(self, family: str, level: int, o: float) -> float:
         """psi, psi' or phi; exact counts keep every point in the two
@@ -167,19 +182,6 @@ class Sampling:
         against their thresholds."""
         return self._hashes[(family, level)]
 
-    def keeps(self, key: tuple, points) -> list:
-        """Whether the key's hash keeps each point; the points a (family,
-        level) hash has not seen yet are hashed in one batch."""
-        family, level, t = key
-        if family is None:
-            return [t > 0] * len(points)
-        values = self._values[(family, level)]
-        new = [p for p in points if p not in values]
-        if new:
-            values.update(zip(new, self._hashes[(family, level)]
-                              .field_values(new)))
-        return [values[p] < t for p in points]
-
 
 def fail_at(gates: list | None, gate: str):
     """FAIL, recording the gate that fired in gates (an output list)."""
@@ -196,12 +198,7 @@ def finalize_cells(sampling: Sampling, o: float, data: dict, n: int,
     (such a guess FAILs).  A FAIL appends the gate that fired to gates."""
     params, grid = sampling.params, sampling.grid
     levels = range(0, grid.L + 1)
-    bank = SampleBank(
-        grid,
-        {lvl: sampling.rate("h", lvl, o) for lvl in levels},
-        {lvl: sampling.rate("hp", lvl, o) for lvl in levels},
-        {lvl: data[("h", lvl)].cells for lvl in levels},
-        {lvl: data[("hp", lvl)].cells for lvl in levels})
+    bank = SampleBank.build(sampling, o, data)
     structure = mark_cells(bank.counts_for_marking(), params, o, grid)
     if structure.heavy_count() > params.heavy_cell_cap():
         return fail_at(gates, "heavy-cell cap")
@@ -262,9 +259,10 @@ def search_o(sampling: Sampling, guesses, build, n: int):
 class OfflineBuilder:
     """Shared per-instance state reused across o guesses.
 
-    Every point's lattice path is computed once, and every (family, level)
-    hash evaluates the points once; the cell data of the points a Sampling
-    key keeps is cached under that key, so guesses sharing a key share it."""
+    Every point's lattice path is computed once, and every hashed (family,
+    level) computes the points' field values once, when a key first needs
+    them; the cell data of the points a Sampling key keeps is cached under
+    that key, so guesses sharing a key share it."""
 
     def __init__(self, points, grid: GridHierarchy, params: Params, seed: int,
                  exact_counts: bool = True):
@@ -274,19 +272,30 @@ class OfflineBuilder:
         self.sampling = Sampling(params, grid, seed, exact_counts)
         # per-point lattice paths, levels 0..L
         self._paths = [grid.path_of(p.coords) for p in self.points]
+        self._values: dict = {}  # (family, level) -> field values of points
         self._data: dict = {}  # Sampling key -> CellData
+
+    def _field_values(self, family: str, level: int) -> list:
+        if (family, level) not in self._values:
+            self._values[(family, level)] = \
+                self.sampling.hash(family, level).field_values(self.points)
+        return self._values[(family, level)]
 
     def _cell_data(self, key: tuple) -> CellData:
         if key not in self._data:
-            level = key[1]
+            family, level, t = key
+            if family is None:
+                kept = zip(self.points, self._paths) if t else ()
+            else:
+                kept = ((p, path) for p, path, v in
+                        zip(self.points, self._paths,
+                            self._field_values(family, level)) if v < t)
             light: dict = {}
-            for p, path, keep in zip(self.points, self._paths,
-                                     self.sampling.keeps(key, self.points)):
-                if keep:
-                    light.setdefault(path[level], []).append(p)
+            for p, path in kept:
+                light.setdefault(path[level], []).append(p)
             cells = {lat: len(pts) for lat, pts in light.items()}
             light = {lat: tuple(pts) for lat, pts in light.items()}
-            self._data[key] = CellData(level, cells, light, math.inf)
+            self._data[key] = CellData(level, cells, light)
         return self._data[key]
 
     def build_for_o(self, o: float, gates: list | None = None):

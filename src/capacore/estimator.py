@@ -2,17 +2,17 @@
 
 A `SampleBank` holds, per level, the cell counts of the points its h and h'
 hashes kept, with the rates psi and psi' they were kept at; every estimate
-scales a count by the inverse rate.  `ExactBank` is the rate-1 bank over all
-points (the "exact counts" switch that isolates structural behavior from
-sampling noise).  The root-level estimate is derived from the level-0
-counts, since the sampling schedule only defines hashes for levels 0..L.
+scales a count by the inverse rate.  `SampleBank.build` is the bank of one
+guess, made from the h and h' cell data every mode produces.  `ExactBank`
+is the rate-1 bank over all points, counted directly (an independent
+reference for the sampled path).  The root-level estimate is derived from
+the level-0 counts, since the sampling schedule only defines hashes for
+levels 0..L.
 """
 
 from __future__ import annotations
 
-from .common import UsageError, derive_seed
 from .geometry import CellId, GridHierarchy
-from .hashing import PointEncoder, KWiseHash
 from .partition import PartitionStructure, exact_counts
 
 
@@ -26,35 +26,16 @@ class SampleBank:
         self.hp_cells = hp_cells  # level -> {lattice: count kept by h'}
 
     @classmethod
-    def build(cls, points, grid: GridHierarchy, psi: dict, psi_prime: dict,
-              lam_prime: int, seed: int) -> "SampleBank":
-        enc = PointEncoder(grid.Delta, grid.d)
-        pts = list(points)
-        h_cells, hp_cells = {}, {}
-        for lvl in range(0, grid.L + 1):
-            for fam, rates, out in (("h", psi, h_cells), ("hp", psi_prime, hp_cells)):
-                hash_ = KWiseHash(derive_seed(seed, f"{fam}:{lvl}"), lam_prime,
-                                  rates[lvl], enc)
-                kept = [p for p, keep in zip(pts, hash_.eval_many(pts)) if keep]
-                out[lvl] = exact_counts(kept, grid, levels=[lvl])[lvl]
-        return cls(grid, dict(psi), dict(psi_prime), h_cells, hp_cells)
-
-    @classmethod
-    def from_params(cls, points, grid: GridHierarchy, params, o: float, seed: int):
-        psi = {lvl: params.psi(lvl, o) for lvl in range(0, grid.L + 1)}
-        psip = {lvl: params.psi_prime(lvl, o) for lvl in range(0, grid.L + 1)}
-        return cls.build(points, grid, psi, psip, params.hash_lambda_prime(),
-                         seed)
-
-    def _root_estimate(self) -> float:
-        return sum(self.h_cells[0].values()) / self.psi[0]
-
-    def estimate_cell(self, cell: CellId) -> float:
-        if cell.level == -1:
-            return self._root_estimate()
-        if cell.level not in self.h_cells:
-            raise UsageError(f"bank does not cover level {cell.level}")
-        return self.h_cells[cell.level].get(cell.lattice, 0) / self.psi[cell.level]
+    def build(cls, sampling, o: float, data: dict) -> "SampleBank":
+        """The bank of guess o from data[(family, level)] (CellData) of the
+        h and h' families, at the rates sampling (coreset.Sampling) gives."""
+        grid = sampling.grid
+        levels = range(0, grid.L + 1)
+        return cls(grid,
+                   {lvl: sampling.rate("h", lvl, o) for lvl in levels},
+                   {lvl: sampling.rate("hp", lvl, o) for lvl in levels},
+                   {lvl: data[("h", lvl)].cells for lvl in levels},
+                   {lvl: data[("hp", lvl)].cells for lvl in levels})
 
     def counts_for_marking(self) -> dict:
         """Estimated cell sizes for levels -1..L-1, as mark_cells reads them."""
@@ -63,7 +44,7 @@ class SampleBank:
             inv = 1.0 / self.psi[lvl]
             out[lvl] = {lat: c * inv for lat, c in self.h_cells[lvl].items()}
         # the single root cell sits at the all-zero lattice (see geometry)
-        root = self._root_estimate()
+        root = sum(self.h_cells[0].values()) / self.psi[0]
         out[-1] = {(0,) * self.grid.d: root} if root else {}
         return out
 

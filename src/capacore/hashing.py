@@ -1,18 +1,15 @@
-"""Lambda-wise independent Bernoulli indicator hashes over [Delta]^d.
+"""Lambda-wise independent field-value hashes over [Delta]^d.
 
 A hash draws lambda uniform coefficients of a degree-(lambda-1) polynomial
 over a prime field; distinct points encode injectively into field elements,
-so any lambda of them receive jointly uniform field values.  The Bernoulli
-bit compares the field value against floor(prob * modulus), which couples
-hashes that share (seed, lambda): lowering prob only shrinks the accepted
-prefix.  That coupling is what makes runs for different guesses o reuse one
-polynomial per level.
+so any lambda of them receive jointly uniform field values.  The hash only
+computes field values: which values a sampling rate keeps is decided by
+coreset.Sampling.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import kernels
 from .common import UsageError
@@ -27,6 +24,7 @@ PRIME_LADDER = (
     (1 << 521) - 1,
 )
 
+# a rate is quantized to a multiple of 1/modulus, finer than this
 QUANTIZATION_LIMIT = 2.0 ** -60
 
 
@@ -43,6 +41,7 @@ class PointEncoder:
                 break
         else:
             raise UsageError("domain too large for the supported prime ladder")
+        assert 1.0 / self.modulus < QUANTIZATION_LIMIT
 
     def encode(self, p: Point) -> int:
         acc = 0
@@ -63,63 +62,30 @@ class PointEncoder:
         return Point(tuple(coords), code - 1)
 
 
-def exact_threshold(prob: float, modulus: int) -> int:
-    """floor(prob * modulus) computed exactly from the float's rational value."""
-    if prob <= 0:
-        return 0
-    if prob >= 1:
-        return modulus
-    return int(Fraction(prob) * modulus)
-
-
 class KWiseHash:
-    """Bernoulli(prob) indicator with lambda-wise independent outputs."""
+    """Field values of a lambda-wise independent polynomial hash."""
 
-    def __init__(self, seed: int, lam: int, prob: float, encoder: PointEncoder):
+    def __init__(self, seed: int, lam: int, encoder: PointEncoder):
         if lam < 4 or lam % 2:
             raise UsageError(f"lambda must be an even integer >= 4, got {lam}")
-        if not 0.0 <= prob <= 1.0:
-            raise UsageError(f"prob must lie in [0, 1], got {prob}")
         self.seed = seed
         self.lam = lam
-        self.prob = prob
         self.encoder = encoder
         self.modulus = encoder.modulus
-        self.threshold = exact_threshold(prob, self.modulus)
-        self.quantization = 1.0 / self.modulus
-        assert self.quantization < QUANTIZATION_LIMIT
         self._coeffs = None
 
     @property
     def coeffs(self):
-        # degenerate probabilities never consult the polynomial
+        # drawn on first use: hashes whose rates are 0 or 1 are never asked
         if self._coeffs is None:
             rng = random.Random(self.seed)
             self._coeffs = tuple(rng.randrange(self.modulus) for _ in range(self.lam))
         return self._coeffs
 
     def field_value(self, p: Point) -> int:
-        return kernels.poly_eval_one(self.coeffs, self.encoder.encode(p), self.modulus)
+        return kernels.poly_eval_batch(self.coeffs, [self.encoder.encode(p)],
+                                       self.modulus)[0]
 
     def field_values(self, points) -> list:
         encs = [self.encoder.encode(p) for p in points]
         return kernels.poly_eval_batch(self.coeffs, encs, self.modulus)
-
-    def eval(self, p: Point) -> bool:
-        if self.threshold == 0:
-            return False
-        if self.threshold == self.modulus:
-            return True
-        return self.field_value(p) < self.threshold
-
-    def eval_many(self, points) -> list:
-        if self.threshold == 0:
-            return [False] * len(points)
-        if self.threshold == self.modulus:
-            return [True] * len(points)
-        t = self.threshold
-        return [v < t for v in self.field_values(points)]
-
-
-def kwise_new(seed: int, lam: int, prob: float, Delta: int, d: int) -> KWiseHash:
-    return KWiseHash(seed, lam, prob, PointEncoder(Delta, d))

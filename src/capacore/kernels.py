@@ -22,6 +22,3 @@ def poly_eval_batch(coeffs, xs, modulus):
         out.append(acc)
     return out
 
-
-def poly_eval_one(coeffs, x, modulus) -> int:
-    return poly_eval_batch(coeffs, [x], modulus)[0]

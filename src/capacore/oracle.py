@@ -244,13 +244,15 @@ def _cost_flow(points, centers, t, r, weights=None):
     return value
 
 
-def exact_cost(points, centers, t, r, weights=None, method: str = "auto"):
+def exact_cost(points, centers, t, r, weights=None):
     """Capacitated clustering cost; INF when no feasible partition exists.
 
     Unit-weight inputs get the exact integral optimum (an optimal basic
     plan of integer data is integral);
     weighted inputs get the fractional transportation optimum, with the
-    integralized value available separately as an upper bracket.
+    integralized value available separately as an upper bracket.  Two
+    centers take the exchange walk of CostCurve, more the transportation
+    simplex.
     """
     points = list(points)
     if not points:
@@ -260,11 +262,7 @@ def exact_cost(points, centers, t, r, weights=None, method: str = "auto"):
             return float(sum(min(dist_pow(p, z, r) for z in centers) for p in points))
         return float(sum(weights[p] * min(dist_pow(p, z, r) for z in centers)
                          for p in points))
-    if method == "auto":
-        method = "greedy2" if len(centers) == 2 else "flow"
-    if method == "greedy2":
-        if len(centers) != 2:
-            raise UsageError("greedy2 path requires exactly two centers")
+    if len(centers) == 2:
         return CostCurve(points, centers, r, weights).at(t)
     return _cost_flow(points, centers, t, r, weights)
 

@@ -26,10 +26,6 @@ class PartitionStructure:
     def heavy_count(self) -> int:
         return sum(len(c) for c in self.heavy.values())
 
-    def s(self, i: int) -> int:
-        """Number of heavy cells in G_{i-1} (the number of level-i parts)."""
-        return len(self.heavy.get(i - 1, ()))
-
     def is_heavy(self, cell: CellId) -> bool:
         return cell.lattice in self.heavy.get(cell.level, ())
 
@@ -46,16 +42,18 @@ class PartitionStructure:
         return None if j is None else (cell.level, j)
 
     def part_of(self, p: Point):
-        """Part (i, j) owning p, or None when p's root cell is not heavy."""
-        grid = self.grid
-        prev = grid.cell_of(p, -1)
-        if prev.lattice not in self.heavy.get(-1, ()):
+        """Part (i, j) owning p, or None when p's root cell is not heavy.
+
+        The levels come from one lattice path, the root from level 0 by the
+        parent rule (GridHierarchy.parent)."""
+        path = self.grid.path_of(p.coords)
+        prev = tuple([(t + 1) >> 1 for t in path[0]])
+        if prev not in self.heavy.get(-1, ()):
             return None
-        for i in range(0, self.L + 1):
-            cell = grid.cell_of(p, i)
-            if i == self.L or cell.lattice not in self.heavy.get(i, ()):
-                return (i, self.heavy_index[prev.level][prev.lattice])
-            prev = cell
+        for i, lat in enumerate(path):
+            if i == self.L or lat not in self.heavy.get(i, ()):
+                return (i, self.heavy_index[i - 1][prev])
+            prev = lat
         raise AssertionError("unreachable: level-L cells are never heavy")
 
 

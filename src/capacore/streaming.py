@@ -50,7 +50,6 @@ class StreamEngine:
         if not self.o_values:
             raise UsageError("empty o grid; n_max too small")
         self.net = 0
-        self.updates = 0
         self.sampling = Sampling(params, grid, seed, exact_counts)
         self._levels = range(0, grid.L + 1)
         # Sampling key -> (family, guess) pairs it serves
@@ -84,7 +83,6 @@ class StreamEngine:
         if sign not in (1, -1):
             raise UsageError("sign must be +1 or -1")
         self.net += sign
-        self.updates += 1
         path = self.grid.path_of(p.coords)
         for lvl, store in self._keep_all:
             store.update(p, sign, path[lvl])

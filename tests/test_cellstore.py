@@ -32,7 +32,7 @@ def _reference_fold(updates, grid, level, alpha, beta):
             for p in sorted(pts[lat], key=lambda q: q.sort_key()):
                 expanded.extend([p] * pts[lat][p])
             light[lat] = tuple(expanded)
-    return CellData(level, counts, light, beta)
+    return CellData(level, counts, light)
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])

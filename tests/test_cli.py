@@ -406,3 +406,30 @@ def test_stream_build_rejects_deleting_a_point_without_live_copy(tmp_path,
     assert rc == 2
     assert "no live copy" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("capacity, code", [
+    ("nan", 2), ("-inf", 2),             # no capacity: a usage error
+    ("0", 3), ("-1", 3),                 # finite capacity holds no point
+])
+def test_assign_capacity_out_of_domain(tmp_path, capsys, capacity, code):
+    pts_path = _gen(tmp_path, n=24)
+    core_path = _build(tmp_path, pts_path)
+    centers = tmp_path / "centers.txt"
+    centers.write_text("3 3\n6 6\n")
+    out = tmp_path / "assign.txt"
+    rc = main(["assign", "--coreset", str(core_path), "--centers", str(centers),
+               f"--capacity={capacity}", "--out", str(out)])
+    assert rc == code
+    if code == 2:
+        assert "capacity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [("--clusters", "0"), ("--d", "0")])
+def test_gen_rejects_empty_clusters_and_dimension(tmp_path, capsys, extra):
+    out = tmp_path / "pts.txt"
+    rc = main(["gen", "--out", str(out), "--n", "5", "--seed", "1", *extra])
+    assert rc == 2
+    assert extra[0] in capsys.readouterr().err
+    assert not out.exists()

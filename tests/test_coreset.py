@@ -5,8 +5,8 @@ import pytest
 from capacore import oracle
 from capacore.common import UsageError, derive_seed, is_fail
 from capacore.coreset import (OfflineBuilder, build_auto, build_for_o,
-                              dedup_points, o_grid, read_coreset,
-                              write_coreset)
+                              dedup_points, exact_threshold, o_grid,
+                              read_coreset, write_coreset)
 from capacore.estimator import ExactBank
 from capacore.geometry import GridHierarchy, Point
 from capacore.hashing import KWiseHash, PointEncoder
@@ -68,8 +68,9 @@ def test_sampling_membership_reproducible(rng):
             continue
         lvl = part[0]
         h = KWiseHash(derive_seed(seed, f"hhat:{lvl}"),
-                      SAMPLING.hash_lambda(), SAMPLING.phi(lvl, o), enc)
-        assert h.eval(p) == (p in chosen)
+                      SAMPLING.hash_lambda(), enc)
+        t = exact_threshold(SAMPLING.phi(lvl, o), enc.modulus)
+        assert (t == enc.modulus or h.field_value(p) < t) == (p in chosen)
 
 
 def test_small_o_fails_via_part_mass_gate(rng):

@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from capacore.common import derive_seed
-from capacore.coreset import build_auto, dedup_points, o_grid
+from capacore.coreset import build_auto, dedup_points, exact_threshold, o_grid
 from capacore.cellstore import ExactCellStore
 from capacore.distributed import (_HEADER, ByteChannel, Coordinator, Machine,
                                   broadcast_blob, per_machine_byte_cap,
@@ -159,12 +159,12 @@ def test_pooled_stores_read_like_one_store_per_guess(rng, backing):
                 alpha, beta = params.caps(fam, lvl, o)
                 lam = params.hash_lambda() if fam == "hhat" \
                     else params.hash_lambda_prime()
-                hash_ = KWiseHash(derive_seed(12, f"{fam}:{lvl}"), lam,
-                                  _rate(params, fam, lvl, o), enc)
+                hash_ = KWiseHash(derive_seed(12, f"{fam}:{lvl}"), lam, enc)
+                t = exact_threshold(_rate(params, fam, lvl, o), enc.modulus)
                 # the reference: an exact store of this guess's own caps
                 ref = ExactCellStore(grid, lvl, alpha, beta)
                 for p in live:
-                    if hash_.eval(p):
+                    if t == enc.modulus or hash_.field_value(p) < t:
                         ref.update(p, +1)
                 assert stream._cell_data(o, fam, lvl) == ref.finalize()
                 assert coord._cell_data(o, fam, lvl) == \

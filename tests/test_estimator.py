@@ -3,6 +3,7 @@ import math
 import pytest
 
 from capacore.common import derive_seed
+from capacore.coreset import OfflineBuilder, exact_threshold
 from capacore.estimator import ExactBank, SampleBank
 from capacore.geometry import CellId, GridHierarchy, Point
 from capacore.hashing import KWiseHash, PointEncoder
@@ -14,22 +15,65 @@ from conftest import rand_points
 PARAMS = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2)
 
 
-def _bank(points, grid, psi_value, psip_value, seed):
-    psi = {lvl: psi_value for lvl in range(0, grid.L + 1)}
-    psip = {lvl: psip_value for lvl in range(0, grid.L + 1)}
-    return SampleBank.build(points, grid, psi, psip, 4, seed)
+def _per_level(rate, levels):
+    return rate if isinstance(rate, dict) else {lvl: rate for lvl in levels}
+
+
+def _bank(points, grid, psi, psi_prime, seed, lam=4):
+    """Test-side bank: per (family, level), the exact cell counts of the
+    points whose field value lies below floor(rate * modulus)."""
+    levels = range(0, grid.L + 1)
+    rates = {"h": _per_level(psi, levels), "hp": _per_level(psi_prime, levels)}
+    enc = PointEncoder(grid.Delta, grid.d)
+    cells = {"h": {}, "hp": {}}
+    for fam in cells:
+        for lvl in levels:
+            h = KWiseHash(derive_seed(seed, f"{fam}:{lvl}"), lam, enc)
+            t = exact_threshold(rates[fam][lvl], enc.modulus)
+            kept = [p for p, v in zip(points, h.field_values(points)) if v < t]
+            cells[fam][lvl] = exact_counts(kept, grid, levels=[lvl])[lvl]
+    return SampleBank(grid, rates["h"], rates["hp"], cells["h"], cells["hp"])
+
+
+def _pipeline_bank(points, grid, params, o, seed, exact_counts=False):
+    """The bank finalize_cells reads for guess o of an offline build."""
+    builder = OfflineBuilder(points, grid, params, seed, exact_counts)
+    data = {(fam, lvl): builder._cell_data(builder.sampling.key(fam, lvl, o))
+            for fam in ("h", "hp") for lvl in range(0, grid.L + 1)}
+    return SampleBank.build(builder.sampling, o, data)
+
+
+def _estimate(bank, cell):
+    if cell.level == -1:
+        return bank.counts_for_marking()[-1].get(cell.lattice, 0.0)
+    return bank.h_cells[cell.level].get(cell.lattice, 0) / bank.psi[cell.level]
+
+
+def _fixed_rates(params, psi, psi_prime):
+    class FixedRates(type(params)):
+        def psi(self, i, o):
+            return psi
+
+        def psi_prime(self, i, o):
+            return psi_prime
+
+    return FixedRates(**{f: getattr(params, f)
+                         for f in params.__dataclass_fields__})
 
 
 def test_rate_one_is_exact(rng):
     grid = GridHierarchy.from_seed(4, 8, 2)
     pts = rand_points(rng, 60, 8)
     bank = _bank(pts, grid, 1.0, 1.0, seed=1)
+    pipeline = _pipeline_bank(pts, grid, PARAMS, 4, seed=1, exact_counts=True)
     exact = ExactBank(pts, grid)
     for lvl in range(-1, grid.L + 1):
         cells = exact_counts(pts, grid, levels=[lvl])[lvl]
         for lat, cnt in cells.items():
-            assert bank.estimate_cell(CellId(lvl, lat)) == cnt
-            assert exact.estimate_cell(CellId(lvl, lat)) == cnt
+            for b in (bank, pipeline, exact):
+                assert _estimate(b, CellId(lvl, lat)) == cnt
+    assert pipeline.counts_for_marking() == exact.counts_for_marking()
+    assert pipeline.hp_cells == exact.hp_cells
 
 
 def test_empty_cell_estimates_zero(rng):
@@ -37,20 +81,28 @@ def test_empty_cell_estimates_zero(rng):
     pts = [Point((1, 1), 0)]
     bank = _bank(pts, grid, 1.0, 1.0, seed=1)
     far = grid.cell_of(Point((8, 8)), grid.L)
-    assert bank.estimate_cell(far) == 0.0
+    assert _estimate(bank, far) == 0.0
 
 
 def test_retained_points_pass_their_hash(rng):
+    # the pipeline's bank (OfflineBuilder cell data through SampleBank.build)
+    # counts exactly the points an independently built hash keeps
+    params = _fixed_rates(derive(k=2, r=2, eps=0.4, eta=0.4, Delta=16, d=2,
+                                 mode=PRACTICAL, scale=1e-12), 0.5, 0.25)
     grid = GridHierarchy.from_seed(4, 16, 2)
     pts = rand_points(rng, 200, 16)
-    bank = _bank(pts, grid, 0.5, 0.25, seed=9)
+    bank = _pipeline_bank(pts, grid, params, 16, seed=9)
     enc = PointEncoder(16, 2)
     for lvl in range(0, grid.L + 1):
         for fam, rate, cells in (("h", 0.5, bank.h_cells), ("hp", 0.25, bank.hp_cells)):
-            h = KWiseHash(derive_seed(9, f"{fam}:{lvl}"), 4, rate, enc)
-            kept = [p for p in pts if h.eval(p)]
+            h = KWiseHash(derive_seed(9, f"{fam}:{lvl}"),
+                          params.hash_lambda_prime(), enc)
+            t = exact_threshold(rate, enc.modulus)
+            kept = [p for p in pts if h.field_value(p) < t]
             assert 0 < len(kept) < len(pts)
             assert cells[lvl] == exact_counts(kept, grid, levels=[lvl])[lvl]
+    assert bank.psi == {lvl: 0.5 for lvl in range(0, grid.L + 1)}
+    assert bank.psi_prime == {lvl: 0.25 for lvl in range(0, grid.L + 1)}
 
 
 def test_inverse_probability_variance(rng):
@@ -62,7 +114,7 @@ def test_inverse_probability_variance(rng):
     est = []
     for seed in range(trials):
         bank = _bank(pts, grid, 0.5, 1.0, seed=seed)
-        est.append(bank.estimate_cell(cell))
+        est.append(_estimate(bank, cell))
     mean = sum(est) / trials
     sigma_mean = math.sqrt(100 * (1 / 0.5 - 1)) / math.sqrt(trials)
     assert abs(mean - 100) <= 3 * sigma_mean
@@ -124,7 +176,7 @@ def test_goodness_audit_theory_mode(rng):
         exact = ExactBank(pts, grid)
         structure = mark_cells(exact.counts_for_marking(), PARAMS, o, grid)
         _, true_parts = exact.part_estimates(structure)
-        bank = SampleBank.from_params(pts, grid, PARAMS, o, seed)
+        bank = _pipeline_bank(pts, grid, PARAMS, o, seed)
         _, tau_parts = bank.part_estimates(structure)
         for part, true_size in true_parts.items():
             tau = tau_parts.get(part, 0.0)
@@ -143,8 +195,12 @@ def test_practical_rates_route_fewer_points(rng):
                     mode=PRACTICAL, scale=1e-14)
     grid = GridHierarchy.from_seed(2, 8, 2)
     pts = rand_points(rng, 200, 8)
+    dedup = sorted(set(pts), key=lambda p: p.sort_key())
     o = 1024
     assert any(params.psi(lvl, o) < 1 for lvl in range(0, grid.L + 1))
-    bank = SampleBank.from_params(pts, grid, params, o, seed=5)
+    bank = _pipeline_bank(pts, grid, params, o, seed=5)
+    assert bank.h_cells == _bank(
+        dedup, grid, {lvl: params.psi(lvl, o) for lvl in range(0, grid.L + 1)},
+        1.0, seed=5, lam=params.hash_lambda_prime()).h_cells
     assert any(sum(bank.h_cells[lvl].values()) < len(pts)
                for lvl in range(0, grid.L + 1))

@@ -5,45 +5,54 @@ import random
 import pytest
 
 from capacore.common import UsageError
+from capacore.coreset import exact_threshold
 from capacore.geometry import Point
-from capacore.hashing import (KWiseHash, PointEncoder, exact_threshold,
-                              kwise_new)
+from capacore.hashing import KWiseHash, PointEncoder
 
 from conftest import rand_points
 
 
+def _hash(seed, lam, Delta, d=2):
+    return KWiseHash(seed, lam, PointEncoder(Delta, d))
+
+
+def _keeps(h, rate, points):
+    """The keep rule at rate: a field value below floor(rate * modulus)."""
+    t = exact_threshold(rate, h.modulus)
+    return [v < t for v in h.field_values(points)]
+
+
 def test_degenerate_probabilities():
-    h1 = kwise_new(1, 4, 1.0, 8, 2)
-    h0 = kwise_new(1, 4, 0.0, 8, 2)
+    h = _hash(1, 4, 8)
     for x in range(1, 9):
         for y in range(1, 9):
-            assert h1.eval(Point((x, y))) is True
-            assert h0.eval(Point((x, y))) is False
+            v = h.field_value(Point((x, y)))
+            assert v < exact_threshold(1.0, h.modulus)
+            assert not v < exact_threshold(0.0, h.modulus)
 
 
 def test_eval_deterministic():
-    a = kwise_new(5, 8, 0.37, 16, 2)
-    b = kwise_new(5, 8, 0.37, 16, 2)
+    a = _hash(5, 8, 16)
+    b = _hash(5, 8, 16)
     pts = [Point((x, y), t) for x in range(1, 17) for y in range(1, 5)
            for t in (-1, 0, 3)]
-    assert a.eval_many(pts) == b.eval_many(pts)
+    assert a.field_values(pts) == b.field_values(pts)
+    assert _keeps(a, 0.37, pts) == _keeps(b, 0.37, pts)
     for p in pts[:20]:
-        assert a.eval(p) == a.eval(p)
+        assert a.field_value(p) == a.field_values([p])[0]
 
 
 def test_validation():
     with pytest.raises(UsageError):
-        kwise_new(1, 3, 0.5, 8, 2)
-    with pytest.raises(UsageError):
-        kwise_new(1, 4, 1.5, 8, 2)
+        _hash(1, 3, 8)
     with pytest.raises(UsageError):
         PointEncoder(8, 2).encode(Point((1, 1), 1 << 33))
 
 
 def test_quantization_bound():
-    h = kwise_new(2, 4, 0.123456, 8, 2)
-    assert h.quantization < 2.0 ** -60
-    assert abs(h.threshold / h.modulus - h.prob) <= 1.0 / h.modulus
+    mod = PointEncoder(8, 2).modulus
+    assert 1.0 / mod < 2.0 ** -60
+    assert abs(exact_threshold(0.123456, mod) / mod - 0.123456) <= 1.0 / mod
 
 
 def test_exact_threshold():
@@ -51,6 +60,9 @@ def test_exact_threshold():
     assert exact_threshold(0.0, mod) == 0
     assert exact_threshold(1.0, mod) == mod
     assert exact_threshold(0.5, mod) == mod // 2  # floor of an odd modulus / 2
+    # rates outside [0, 1] clamp to keeping none or every point
+    assert exact_threshold(-0.5, mod) == 0
+    assert exact_threshold(1.5, mod) == mod
 
 
 def test_encoding_injective_and_invertible():
@@ -68,10 +80,10 @@ def test_encoding_injective_and_invertible():
 
 def test_marginal_rate():
     prob = 0.25
-    h = kwise_new(77, 16, prob, 1024, 2)
+    h = _hash(77, 16, 1024)
     rng = random.Random(0)
     pts = rand_points(rng, 100_000, 1024)
-    hits = sum(h.eval_many(pts))
+    hits = sum(_keeps(h, prob, pts))
     rate = hits / len(pts)
     sigma = math.sqrt(prob * (1 - prob) / len(pts))
     assert abs(rate - prob) <= 3 * sigma
@@ -80,9 +92,9 @@ def test_marginal_rate():
 def test_tag_only_difference_marginal():
     # points sharing coords but differing in tag must hash independently
     prob = 0.5
-    h = kwise_new(3, 8, prob, 8, 2)
+    h = _hash(3, 8, 8)
     pts = [Point((4, 4), t) for t in range(20_000)]
-    rate = sum(h.eval_many(pts)) / len(pts)
+    rate = sum(_keeps(h, prob, pts)) / len(pts)
     sigma = math.sqrt(prob * (1 - prob) / len(pts))
     assert abs(rate - prob) <= 3 * sigma
 
@@ -94,8 +106,7 @@ def test_lambda4_exhaustive_joint_independence():
     counts = {q: [0] * 16 for q in quads}
     n_seeds = 200
     for seed in range(n_seeds):
-        h = kwise_new(seed, 4, 0.5, 4, 2)
-        bits = h.eval_many(domain)
+        bits = _keeps(_hash(seed, 4, 4), 0.5, domain)
         for q in quads:
             pattern = (bits[q[0]] << 3) | (bits[q[1]] << 2) \
                 | (bits[q[2]] << 1) | bits[q[3]]
@@ -116,8 +127,7 @@ def test_pairwise_covariance():
     prods = {pair: 0 for pair in itertools.combinations(range(len(pts)), 2)}
     singles = [0] * len(pts)
     for seed in range(n_seeds):
-        h = kwise_new(1000 + seed, 4, prob, 8, 2)
-        bits = [int(b) for b in h.eval_many(pts)]
+        bits = [int(b) for b in _keeps(_hash(1000 + seed, 4, 8), prob, pts)]
         for i, b in enumerate(bits):
             singles[i] += b
         for (i, j) in prods:
@@ -129,13 +139,14 @@ def test_pairwise_covariance():
 
 
 def test_coupled_thresholds_are_nested():
-    # same seed + lambda, lower prob: accepted set shrinks (prefix property)
+    # same seed + lambda, lower rate: accepted set shrinks (prefix property)
     enc = PointEncoder(32, 2)
-    hi = KWiseHash(9, 8, 0.6, enc)
-    lo = KWiseHash(9, 8, 0.2, enc)
+    hi = KWiseHash(9, 8, enc)
+    lo = KWiseHash(9, 8, enc)
     pts = [Point((x, y)) for x in range(1, 33) for y in range(1, 9)]
-    for p, accepted_lo, accepted_hi in zip(pts, lo.eval_many(pts),
-                                           hi.eval_many(pts)):
+    kept_lo, kept_hi = _keeps(lo, 0.2, pts), _keeps(hi, 0.6, pts)
+    assert 0 < sum(kept_lo) < sum(kept_hi) < len(pts)
+    for accepted_lo, accepted_hi in zip(kept_lo, kept_hi):
         if accepted_lo:
             assert accepted_hi
 
@@ -145,11 +156,13 @@ def test_eval_identical_across_processes():
     import sys
 
     snippet = (
-        "from capacore.hashing import kwise_new\n"
+        "from capacore.coreset import exact_threshold\n"
+        "from capacore.hashing import KWiseHash, PointEncoder\n"
         "from capacore.geometry import Point\n"
-        "h = kwise_new(424242, 8, 0.37, 16, 2)\n"
+        "h = KWiseHash(424242, 8, PointEncoder(16, 2))\n"
+        "t = exact_threshold(0.37, h.modulus)\n"
         "pts = [Point((x, y), x * y) for x in range(1, 17) for y in range(1, 5)]\n"
-        "print(''.join(str(int(b)) for b in h.eval_many(pts)))\n"
+        "print(''.join(str(int(v < t)) for v in h.field_values(pts)))\n"
     )
     runs = {
         subprocess.run([sys.executable, "-c", snippet], capture_output=True,
@@ -157,7 +170,7 @@ def test_eval_identical_across_processes():
         for _ in range(2)
     }
     assert len(runs) == 1
-    local = kwise_new(424242, 8, 0.37, 16, 2)
+    local = _hash(424242, 8, 16)
     pts = [Point((x, y), x * y) for x in range(1, 17) for y in range(1, 5)]
-    expected = "".join(str(int(b)) for b in local.eval_many(pts)) + "\n"
+    expected = "".join(str(int(b)) for b in _keeps(local, 0.37, pts)) + "\n"
     assert runs == {expected}

@@ -68,8 +68,8 @@ def test_greedy2_agrees_with_flow(rng):
         pts = dedup_points(rand_points(rng, rng.randint(2, 9), 8))
         Z = [Point((2, 2)), Point((7, 5))]
         t = rng.randint(math.ceil(len(pts) / 2), len(pts) + 1)
-        fast = oracle.exact_cost(pts, Z, t, 2, method="greedy2")
-        slow = oracle.exact_cost(pts, Z, t, 2, method="flow")
+        fast = oracle.CostCurve(pts, Z, 2).at(t)
+        slow = oracle._cost_flow(pts, Z, t, 2)
         assert fast == pytest.approx(slow, rel=1e-9) or (fast == slow == INF)
 
 
@@ -85,7 +85,7 @@ def test_matching_special_case(rng):
             z = Point((rng.randint(1, 8), rng.randint(1, 8)))
             if z not in Z:
                 Z.append(z)
-        got = oracle.exact_cost(pts, Z, 1, 2, method="flow")
+        got = oracle._cost_flow(pts, Z, 1, 2)
         best = min(
             sum(dist_pow(p, Z[perm[i]], 2) for i, p in enumerate(pts))
             for perm in itertools.permutations(range(k))
@@ -108,7 +108,7 @@ def test_weighted_cost_is_fractional_lower_bracket(rng):
     Z = [Point((2, 2)), Point((7, 7))]
     weights = {p: 1.0 + (i % 3) * 0.5 for i, p in enumerate(pts)}
     t = sum(weights.values()) / 2 * 1.2
-    relaxed = oracle.exact_cost(pts, Z, t, 2, weights, method="flow")
+    relaxed = oracle._cost_flow(pts, Z, t, 2, weights)
     rounded = oracle.rounded_cost(pts, Z, t, 2, weights)
     brute = oracle.brute_partitions(pts, Z, t, 2, weights)
     assert relaxed <= brute + 1e-9
@@ -284,7 +284,7 @@ def test_transport_simplex_matches_flow_reference():
         total = len(pts) if weights is None else sum(weights.values())
         # factors below 1 leave too little room: INF
         t = total / k * rng.uniform(0.8, 1.6)
-        got = oracle.exact_cost(pts, Z, t, r, weights, method="flow")
+        got = oracle._cost_flow(pts, Z, t, r, weights)
         want = _flow_reference(pts, Z, t, r, weights)
         if want == INF or (weights is None and r == 2):
             assert got == want
@@ -315,7 +315,7 @@ def test_weighted_transport_simplex_matches_linprog():
         res = optimize.linprog(c, A_ub=a_ub, b_ub=[t] * k, A_eq=a_eq,
                                b_eq=[weights[p] for p in pts], method="highs")
         assert res.status == 0
-        got = oracle.exact_cost(pts, Z, t, r, weights, method="flow")
+        got = oracle._cost_flow(pts, Z, t, r, weights)
         assert got == pytest.approx(res.fun, rel=1e-9)
 
 

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
-from capacore.geometry import GridHierarchy, Point, dist_pow
+from capacore.geometry import (SHIFT_FRAC_BITS, GridHierarchy, Point, dist_pow,
+                               sample_shift)
 from capacore.params import derive
-from capacore.partition import exact_counts, mark_cells
+from capacore.partition import PartitionStructure, exact_counts, mark_cells
 from capacore import oracle
 
 from conftest import clustered_points, rand_points
@@ -146,3 +149,51 @@ def test_root_heavy_whenever_o_below_opt(rng):
             s, _ = _structure(pts, grid, o)
             root = grid.cell_of(pts[0], -1)
             assert s.is_heavy(root)
+
+
+def _walk_part(structure, grid, p):
+    """Reference part of p: a cell_of walk, one lattice per level."""
+    prev = grid.cell_of(p, -1)
+    if prev.lattice not in structure.heavy[-1]:
+        return None
+    for i in range(0, grid.L + 1):
+        cell = grid.cell_of(p, i)
+        if i == grid.L or cell.lattice not in structure.heavy[i]:
+            return (i, sorted(structure.heavy[i - 1]).index(prev.lattice))
+        prev = cell
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("log_delta", [1, 2, 3, 6, 11, 20])
+def test_part_of_matches_a_per_level_walk(d, log_delta):
+    Delta = 1 << log_delta
+    span = Delta << SHIFT_FRAC_BITS
+    rng = random.Random(f"part:{d}:{log_delta}")
+    shifts = [(0,) * d, (span - 1,) * d, sample_shift(log_delta, Delta, d)]
+    coords = [(1,) * d, (Delta,) * d] + [
+        tuple(rng.randint(1, Delta) for _ in range(d)) for _ in range(40)]
+    points = [Point(c) for c in coords]
+    levels = set()
+    for shift in shifts:
+        grid = GridHierarchy(Delta, d, shift)
+        # random heavy markings: a few points' paths heavy down to a random
+        # depth, plus stray heavy cells whose parents need not be heavy
+        heavy = {lvl: set() for lvl in range(-1, grid.L)}
+        heavy[-1].add(grid.cell_of(points[0], -1).lattice)
+        for p in rng.sample(points, 4):
+            for lvl in range(0, rng.randint(0, grid.L)):
+                heavy[lvl].add(grid.cell_of(p, lvl).lattice)
+        for p in rng.sample(points, 5):
+            lvl = rng.randrange(0, grid.L)
+            heavy[lvl].add(grid.cell_of(p, lvl).lattice)
+        structure = PartitionStructure(grid, heavy)
+        parts = [structure.part_of(p) for p in points]
+        assert parts == [_walk_part(structure, grid, p) for p in points]
+        assert heavy[-1] and all(part is not None for part in parts)
+        levels.update(part[0] for part in parts)
+        # a root that is not heavy owns no part
+        no_root = PartitionStructure(grid, {**heavy, -1: set()})
+        assert all(no_root.part_of(p) is None for p in points)
+    # the markings reach parts on more than one level (at Delta = 2 a
+    # marking may leave every point on the same one)
+    assert len(levels) > 1 or Delta == 2

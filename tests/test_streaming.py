@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -99,13 +100,19 @@ def test_routing_writes_exactly_the_stores_keeps_selects(rng, Delta, backing):
     assert any(key[2] == 0 for key in keys)
     updates, _ = _random_stream(rng, 200, Delta=Delta)
     engine.process_stream(updates)
-    # reference: every store fed through the keep test, one key at a time
+    # reference: every store fed through the keep rule, one key at a time
     reference = StreamEngine(params, grid, seed=30, backing=backing,
                              n_max=8000)
-    keeps = reference.sampling.keeps
+
+    def keeps(key, p):
+        family, level, t = key
+        if family is None:
+            return t > 0
+        return reference.sampling.hash(family, level).field_value(p) < t
+
     for p, sign in updates:
         for key, store in reference._stores.items():
-            if keeps(key, (p,))[0]:
+            if keeps(key, p):
                 store.update(p, sign)
     assert list(reference._stores) == keys
     for key, store in engine._stores.items():
@@ -123,11 +130,14 @@ def test_deleted_points_leave_no_hash_state():
     engine = StreamEngine(params, grid, seed=40, n_max=12000)
     empty = engine.space_bytes()
     assert engine._hashed
+    # one update pair draws every hash's coefficients
+    engine.process_stream([(Point((1, 1), -1), +1), (Point((1, 1), -1), -1)])
+    hash_state = pickle.dumps(engine.sampling)
     pts = [Point((1 + i % 64, 1 + (i * 7) % 64), i) for i in range(2000)]
     engine.process_stream([(p, +1) for p in pts])
     engine.process_stream([(p, -1) for p in pts])
     assert engine.space_bytes() == empty
-    assert not any(engine.sampling._values.values())
+    assert pickle.dumps(engine.sampling) == hash_state
     assert len(engine.finalize()) == 0
 
 
