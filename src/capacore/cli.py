@@ -38,7 +38,11 @@ def _parse_params_mode(text: str):
     if text == THEORY:
         return THEORY, 1.0
     if text.startswith("practical:"):
-        return PRACTICAL, float(text.split(":", 1)[1])
+        try:
+            return PRACTICAL, float(text.split(":", 1)[1])
+        except ValueError:
+            raise UsageError(f"practical scale must be a number, got "
+                             f"{text!r}") from None
     if text == PRACTICAL:
         return PRACTICAL, 1.0
     raise UsageError(f"params mode must be 'theory' or 'practical:<scale>', "
@@ -132,6 +136,9 @@ def cmd_eval(args) -> int:
     coreset = read_coreset(args.coreset)
     params = coreset.meta.params
     check_domain(points, params.Delta, params.d)
+    if args.center_samples < 1:
+        raise UsageError(f"--center-samples must be at least 1, got "
+                         f"{args.center_samples}")
     rng = random.Random(derive_seed(seed, "eval-centers"))
     center_sets = [oracle.sample_lattice(rng, params.Delta, params.d, params.k)
                    for _ in range(args.center_samples)]
@@ -214,6 +221,8 @@ def cmd_assign(args) -> int:
 def cmd_centers(args) -> int:
     """Demo plumbing: naive local-search center finder on a coreset."""
     seed = _seed_from(args)
+    if args.k is not None and args.k < 1:
+        raise UsageError(f"-k must be at least 1, got {args.k}")
     coreset = read_coreset(args.coreset)
     params = coreset.meta.params
     pts = coreset.points()
@@ -221,7 +230,7 @@ def cmd_centers(args) -> int:
     if not pts:
         raise UsageError("cannot pick centers from an empty coreset")
     rng = random.Random(derive_seed(seed, "centers"))
-    k = args.k or params.k
+    k = params.k if args.k is None else args.k
     candidates = sorted(set(pts), key=lambda p: p.sort_key())
 
     def cost_of(Z):

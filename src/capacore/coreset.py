@@ -25,10 +25,12 @@ import math
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from .cellstore import CellData
 from .common import FAIL, UsageError, derive_seed, is_fail
 from .estimator import SampleBank
-from .geometry import (CellId, GridHierarchy, check_domain, format_point,
+from .geometry import (GridHierarchy, check_domain, format_point,
                        parse_point_line)
 from .hashing import KWiseHash, PointEncoder
 from .params import FAMILIES, Params, coreset_size_bound, parse_serialized
@@ -60,8 +62,9 @@ class WeightedCoreset:
     """Sampled points with weights plus the metadata needed for assignment."""
 
     def __init__(self, entries, meta: CoresetMeta):
-        # entries: (point, weight, level, part_j), canonically ordered
-        self.entries = sorted(entries, key=lambda e: (e[2], e[3], e[0].sort_key()))
+        # entries: (point, weight, level, part_j), canonically ordered (a
+        # Point compares as its sort_key)
+        self.entries = sorted(entries, key=lambda e: (e[2], e[3], e[0]))
         self.meta = meta
 
     def points(self):
@@ -213,15 +216,15 @@ def finalize_cells(sampling: Sampling, o: float, data: dict, n: int,
     for lvl in levels:
         hhat = data[("hhat", lvl)]
         w = 1.0 / phi[lvl]
-        for lat in hhat.cells:
-            part = structure.part_of_cell(CellId(lvl, lat))
-            if part not in qualifying:
+        lats = list(hhat.cells)
+        for lat, j in zip(lats, structure.crucial_ranks(lvl, lats)):
+            if (lvl, j) not in qualifying:
                 continue
             pts = hhat.light_points.get(lat)
             if pts is None:
                 # sampled points of a kept cell exceeded the recovery cap
                 return fail_at(gates, "light-point recovery cap")
-            entries.extend((p, w, lvl, part[1]) for p in set(pts))
+            entries.extend((p, w, lvl, j) for p in set(pts))
     if n > 0 and not entries:
         why = ("the h' estimator sample is empty"
                if not any(data[("hp", lvl)].cells for lvl in levels)
@@ -257,21 +260,37 @@ def search_o(sampling: Sampling, guesses, build, n: int):
 
 
 class OfflineBuilder:
-    """Shared per-instance state reused across o guesses.
+    """Shared per-instance state reused across o guesses, held in columns.
 
-    Every point's lattice path is computed once, and every hashed (family,
-    level) computes the points' field values once, when a key first needs
-    them; the cell data of the points a Sampling key keeps is cached under
-    that key, so guesses sharing a key share it."""
+    The deduplicated input is one n x d int64 array of level-L lattices
+    (GridHierarchy.off applied once) beside the Point list, both in
+    sort_key order; one np.lexsort over coordinates and tags gives that
+    order and exposes duplicates as equal neighbours.  Every hashed
+    (family, level) computes the points' field values once, when a key
+    first needs them.  The cell data of the points a Sampling key keeps is
+    built by one lexsort of their level lattices (level L shifted right by
+    L - level): equal lattices become runs, a run's length is its cell's
+    count, and its light points are a slice of the kept points in that
+    order.  It is cached under the key, so guesses sharing a key share it.
+    Coordinates and lattices fit int64 for every Delta <= 2**62."""
 
     def __init__(self, points, grid: GridHierarchy, params: Params, seed: int,
                  exact_counts: bool = True):
-        self.points = dedup_points(points)
+        points = list(points)
+        n, d = len(points), grid.d
+        coords = np.array([p.coords for p in points],
+                          dtype=np.int64).reshape(n, d)
+        tags = np.array([p.tag for p in points], dtype=np.int64)
+        order = np.lexsort((tags,) + tuple(coords[:, a] for a in range(d))[::-1])
+        coords, tags = coords[order], tags[order]
+        new = np.ones(n, dtype=bool)
+        new[1:] = (coords[1:] != coords[:-1]).any(axis=1) | (tags[1:] != tags[:-1])
+        self.points = [points[i] for i in order[new].tolist()]
         self.grid = grid
         self.params = params
         self.sampling = Sampling(params, grid, seed, exact_counts)
-        # per-point lattice paths, levels 0..L
-        self._paths = [grid.path_of(p.coords) for p in self.points]
+        # level-L lattices, one row per point
+        self._lattices = coords[new] - 1 - np.array(grid.off, dtype=np.int64)
         self._values: dict = {}  # (family, level) -> field values of points
         self._data: dict = {}  # Sampling key -> CellData
 
@@ -285,17 +304,26 @@ class OfflineBuilder:
         if key not in self._data:
             family, level, t = key
             if family is None:
-                kept = zip(self.points, self._paths) if t else ()
+                rows = np.arange(len(self.points) if t else 0)
             else:
-                kept = ((p, path) for p, path, v in
-                        zip(self.points, self._paths,
-                            self._field_values(family, level)) if v < t)
-            light: dict = {}
-            for p, path in kept:
-                light.setdefault(path[level], []).append(p)
-            cells = {lat: len(pts) for lat, pts in light.items()}
-            light = {lat: tuple(pts) for lat, pts in light.items()}
-            self._data[key] = CellData(level, cells, light)
+                rows = np.flatnonzero(np.fromiter(
+                    (v < t for v in self._field_values(family, level)),
+                    dtype=bool, count=len(self.points)))
+            lat = self._lattices[rows] >> (self.grid.L - level)
+            order = np.lexsort(lat.T[::-1])
+            lat, rows = lat[order], rows[order]
+            # the first row of each run of equal lattices starts a cell
+            new = np.ones(len(rows), dtype=bool)
+            new[1:] = (lat[1:] != lat[:-1]).any(axis=1)
+            starts = np.flatnonzero(new)
+            bounds = list(zip(starts.tolist(),
+                              starts[1:].tolist() + [len(rows)]))
+            cells = [tuple(c) for c in lat[starts].tolist()]
+            kept = [self.points[i] for i in rows.tolist()]
+            self._data[key] = CellData(
+                level,
+                {c: b - a for c, (a, b) in zip(cells, bounds)},
+                {c: tuple(kept[a:b]) for c, (a, b) in zip(cells, bounds)})
         return self._data[key]
 
     def build_for_o(self, o: float, gates: list | None = None):

@@ -110,8 +110,11 @@ class Coordinator(StreamEngine):
 
 
 def broadcast_blob(params: Params, grid: GridHierarchy, seed: int) -> bytes:
+    """The configuration and the shift's integer lattice offsets
+    (GridHierarchy.off), all a machine needs to place integer points in
+    cells; they fit int64 for every Delta <= 2**62."""
     cfg = params.serialize() + f" seed={seed}"
-    shift = struct.pack(f"<{grid.d}q", *grid.shift_num)
+    shift = struct.pack(f"<{grid.d}q", *grid.off)
     body = cfg.encode()
     return struct.pack("<I", len(body)) + body + shift
 

@@ -12,7 +12,7 @@ levels 0..L.
 
 from __future__ import annotations
 
-from .geometry import CellId, GridHierarchy
+from .geometry import GridHierarchy
 from .partition import PartitionStructure, exact_counts
 
 
@@ -51,18 +51,24 @@ class SampleBank:
     def part_estimates(self, structure: PartitionStructure):
         """Per-level and per-part size estimates, summed over crucial cells.
 
-        Integer counts are aggregated per crucial cell first and then scaled,
-        in sorted cell order, so that every mode sums the same floats."""
+        Each crucial cell's integer count is scaled once, and the scaled
+        counts are summed left to right in sorted cell order, so that every
+        mode sums the same floats.  The crucial cells of a level and their
+        parts come from one PartitionStructure.crucial_ranks over the level's
+        cells."""
         tau_union = {lvl: 0.0 for lvl in range(0, self.grid.L + 1)}
         tau_part: dict = {}
         for lvl in range(0, self.grid.L + 1):
             inv = 1.0 / self.psi_prime[lvl]
             cells = self.hp_cells[lvl]
-            for lat in sorted(cells):
-                part = structure.part_of_cell(CellId(lvl, lat))
-                if part is not None:
-                    tau_union[lvl] += cells[lat] * inv
-                    tau_part[part] = tau_part.get(part, 0.0) + cells[lat] * inv
+            lats = list(cells)
+            crucial = sorted((lat, j) for lat, j in
+                             zip(lats, structure.crucial_ranks(lvl, lats))
+                             if j is not None)
+            for lat, j in crucial:
+                est = cells[lat] * inv
+                tau_union[lvl] += est
+                tau_part[(lvl, j)] = tau_part.get((lvl, j), 0.0) + est
         return tau_union, tau_part
 
 

@@ -16,6 +16,8 @@ from typing import NamedTuple
 from .common import UsageError
 
 SHIFT_FRAC_BITS = 32
+# the largest supported Delta: coordinates and lattices then fit int64
+MAX_DELTA = 1 << 62
 
 NO_TAG = -1
 TAG_SPACE = 1 << 32  # tag codes 0 .. 2**32-1, i.e. tags -1 .. 2**32-2
@@ -68,7 +70,15 @@ def sample_shift(seed: int, Delta: int, d: int) -> tuple:
 
 
 class GridHierarchy:
-    """Randomly shifted nested grids G_{-1}, G_0, ..., G_L with g_i = Delta/2**i."""
+    """Randomly shifted nested grids G_{-1}, G_0, ..., G_L with g_i = Delta/2**i.
+
+    Points have integer coordinates and level-L cells have side 1, so a
+    shift numerator v (at SHIFT_FRAC_BITS fractional bits) acts on lattices
+    only through off = ceil(v / 2**SHIFT_FRAC_BITS): the level-L lattice of
+    coordinate c is c - 1 - off.  Floor division by a power of two nests,
+    so level i is that shifted right by L - i, and the root (anchored half a
+    root cell to the left) is (level-0 lattice + 1) >> 1, the parent rule of
+    level 0.  Lattices of coordinates in [1, Delta] lie in [-Delta, Delta)."""
 
     def __init__(self, Delta: int, d: int, shift_numerators: tuple):
         if Delta < 1 or Delta & (Delta - 1):
@@ -82,39 +92,24 @@ class GridHierarchy:
         self.L = Delta.bit_length() - 1
         self.d = d
         self.shift_num = tuple(shift_numerators)
-        # side length of level-i cells, in shift-precision units
-        self._side_num = {
-            i: (Delta << SHIFT_FRAC_BITS) >> i if i >= 0 else (2 * Delta) << SHIFT_FRAC_BITS
-            for i in range(-1, self.L + 1)
-        }
+        # per-axis integer offset of the level-L lattice: ceil(v / 2**32)
+        self.off = tuple(-(-v >> SHIFT_FRAC_BITS) for v in self.shift_num)
 
     @classmethod
     def from_seed(cls, seed: int, Delta: int, d: int) -> "GridHierarchy":
         return cls(Delta, d, sample_shift(seed, Delta, d))
 
-    def side(self, level: int) -> float:
-        """g_level = Delta / 2**level (2*Delta at the root)."""
-        return self._side_num[level] / (1 << SHIFT_FRAC_BITS)
-
     def lattice_of(self, coords, level: int) -> tuple:
-        side = self._side_num[level]
+        if not -1 <= level <= self.L:
+            raise UsageError(f"level {level} outside [-1, {self.L}]")
+        lat = [c - 1 - o for c, o in zip(coords, self.off)]
         if level == -1:
-            # root anchored at shift - Delta: one cell covers all of [Delta]^d
-            off = self.Delta << SHIFT_FRAC_BITS
-            return tuple(
-                (((c - 1) << SHIFT_FRAC_BITS) - v + off) // side
-                for c, v in zip(coords, self.shift_num)
-            )
-        return tuple(
-            (((c - 1) << SHIFT_FRAC_BITS) - v) // side
-            for c, v in zip(coords, self.shift_num)
-        )
+            return tuple([((t >> self.L) + 1) >> 1 for t in lat])
+        return tuple([t >> (self.L - level) for t in lat])
 
     def path_of(self, coords) -> tuple:
-        """The lattices of levels 0..L, from one lattice_of at level L.
-
-        Below the root every side is twice the next finer one, and floor
-        division nests, so level i is level i+1 shifted right by one."""
+        """The lattices of levels 0..L, from one lattice_of at level L: each
+        coarser level is the finer one shifted right by one."""
         lat = self.lattice_of(coords, self.L)
         path = [lat]
         for _ in range(self.L):
@@ -124,8 +119,6 @@ class GridHierarchy:
         return tuple(path)
 
     def cell_of(self, p: Point, level: int) -> CellId:
-        if not -1 <= level <= self.L:
-            raise UsageError(f"level {level} outside [-1, {self.L}]")
         return CellId(level, self.lattice_of(p.coords, level))
 
     def parent(self, cell: CellId) -> CellId:
@@ -134,17 +127,6 @@ class GridHierarchy:
         if cell.level == 0:
             return CellId(-1, tuple((t + 1) >> 1 for t in cell.lattice))
         return CellId(cell.level - 1, tuple(t >> 1 for t in cell.lattice))
-
-    def cell_bounds(self, cell: CellId):
-        """Per-axis [lo, hi) of the cell in real coordinates (1-based frame)."""
-        side = self._side_num[cell.level]
-        scale = 1 << SHIFT_FRAC_BITS
-        out = []
-        anchor = (self.Delta << SHIFT_FRAC_BITS) if cell.level == -1 else 0
-        for t, v in zip(cell.lattice, self.shift_num):
-            lo = v - anchor + t * side
-            out.append((lo / scale + 1, (lo + side) / scale + 1))
-        return out
 
 
 # --- point file format ---------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .common import UsageError
-from .geometry import next_pow2
+from .geometry import MAX_DELTA, next_pow2
 
 THEORY = "theory"
 PRACTICAL = "practical"
@@ -138,8 +138,8 @@ def derive(k: int, r: float, eps: float, eta: float, Delta: int, d: int,
            mode: str = THEORY, scale: float = 1.0) -> Params:
     if k < 1 or int(k) != k:
         raise UsageError(f"k must be a positive integer, got {k}")
-    if r < 1:
-        raise UsageError(f"r must be >= 1, got {r}")
+    if not (math.isfinite(r) and r >= 1):
+        raise UsageError(f"r must be finite and >= 1, got {r}")
     for name, val in (("eps", eps), ("eta", eta)):
         if not 0.0 < val <= 0.5:
             raise UsageError(f"{name} must lie in (0, 0.5], got {val}")
@@ -147,12 +147,16 @@ def derive(k: int, r: float, eps: float, eta: float, Delta: int, d: int,
         raise UsageError(f"d must be >= 1, got {d}")
     if Delta < 2 or Delta & (Delta - 1):
         raise UsageError(f"Delta must be a power of two >= 2, got {Delta}")
+    if Delta > MAX_DELTA:
+        # coordinates and lattices are int64 in builds and store blobs
+        raise UsageError(f"Delta must be at most 2^62, got {Delta}")
     if mode not in (THEORY, PRACTICAL):
         raise UsageError(f"unknown mode {mode!r}")
     if mode == THEORY:
         scale = 1.0
-    elif scale <= 0:
-        raise UsageError(f"practical scale must be positive, got {scale}")
+    elif not (math.isfinite(scale) and scale > 0):
+        raise UsageError(f"practical scale must be positive and finite, "
+                         f"got {scale}")
 
     L = Delta.bit_length() - 1
     if k * d * L < 2:

@@ -35,11 +35,27 @@ class PartitionStructure:
     def part_of_cell(self, cell: CellId):
         """Part index (i, j) of a crucial cell (a non-heavy cell whose parent
         is heavy), else None."""
-        if cell.level < 0 or self.is_heavy(cell):
+        level, lat = cell
+        if level < 0:
             return None
-        parent = self.grid.parent(cell)
-        j = self.heavy_index.get(parent.level, {}).get(parent.lattice)
-        return None if j is None else (cell.level, j)
+        j = self.crucial_ranks(level, (lat,))[0]
+        return None if j is None else (level, j)
+
+    def crucial_ranks(self, level: int, lattices) -> list:
+        """Per lattice of a level >= 0: the rank j of the cell's heavy parent
+        when the cell is crucial (its part is (level, j)), else None.
+
+        The parent follows the parent rule of GridHierarchy.parent inline:
+        the root pairs level-0 lattices by (t + 1) >> 1, every other level
+        halves them by t >> 1."""
+        index = self.heavy_index.get(level - 1)
+        if not index:
+            return [None] * len(lattices)
+        heavy = self.heavy.get(level, ())
+        get = index.get
+        up = 1 if level == 0 else 0
+        return [None if lat in heavy else get(tuple([(t + up) >> 1 for t in lat]))
+                for lat in lattices]
 
     def part_of(self, p: Point):
         """Part (i, j) owning p, or None when p's root cell is not heavy.
@@ -61,25 +77,21 @@ def mark_cells(counts: dict, params, o: float, grid: GridHierarchy) -> Partition
     """Top-down marking from per-level cell-count estimates.
 
     counts maps level -> {lattice: estimate} and must cover every nonempty
-    cell for levels -1 .. L-1 (missing cells default to estimate 0).
+    cell for levels -1 .. L-1 (missing cells default to estimate 0).  A
+    level-i cell is heavy when its estimate reaches T_i(o) and its parent
+    (GridHierarchy.parent's rule, applied inline) is heavy.
     """
     L = grid.L
-    heavy: dict = {lvl: set() for lvl in range(-1, L)}
-    root_counts = counts.get(-1, {})
     T = params.T(-1, o)
-    for lat, est in root_counts.items():
-        if est >= T:
-            heavy[-1].add(lat)
+    heavy: dict = {-1: {lat for lat, est in counts.get(-1, {}).items()
+                        if est >= T}}
     for i in range(0, L):
         T = params.T(i, o)
         parents = heavy[i - 1]
-        if not parents:
-            continue
-        for lat, est in counts.get(i, {}).items():
-            if est >= T:
-                cell = CellId(i, lat)
-                if grid.parent(cell).lattice in parents:
-                    heavy[i].add(lat)
+        up = 1 if i == 0 else 0
+        heavy[i] = {lat for lat, est in counts.get(i, {}).items()
+                    if est >= T and parents
+                    and tuple([(t + up) >> 1 for t in lat]) in parents}
     return PartitionStructure(grid, heavy)
 
 

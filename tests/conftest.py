@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from capacore.geometry import Point
+from capacore.geometry import SHIFT_FRAC_BITS, Point
 
 
 def rand_points(rng: random.Random, n: int, Delta: int, d: int = 2,
@@ -27,6 +27,19 @@ def clustered_points(rng: random.Random, n: int, Delta: int, d: int = 2,
                        for m in mean)
         pts.append(Point(coords, i))
     return pts
+
+
+def floor_lattice(grid, coords, level: int) -> tuple:
+    """The lattice of coords at level by its definition: floor division of
+    the shifted 0-based coordinate by the level's side, all in units of
+    2**-SHIFT_FRAC_BITS; the root is anchored Delta to the left."""
+    if level == -1:
+        side, anchor = (2 * grid.Delta) << SHIFT_FRAC_BITS, \
+            grid.Delta << SHIFT_FRAC_BITS
+    else:
+        side, anchor = (grid.Delta << SHIFT_FRAC_BITS) >> level, 0
+    return tuple((((c - 1) << SHIFT_FRAC_BITS) - v + anchor) // side
+                 for c, v in zip(coords, grid.shift_num))
 
 
 @pytest.fixture

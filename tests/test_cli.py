@@ -433,3 +433,64 @@ def test_gen_rejects_empty_clusters_and_dimension(tmp_path, capsys, extra):
     assert rc == 2
     assert extra[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["offline", "stream", "dist"])
+@pytest.mark.parametrize("Delta", [1 << 63, 1 << 64])
+def test_build_rejects_delta_above_2_62_in_every_mode(tmp_path, capsys, mode,
+                                                      Delta):
+    pts_path = _gen(tmp_path, n=30)
+    if mode == "stream":
+        write_stream(pts_path, [(p, 1) for p in read_points(pts_path)])
+    out = tmp_path / "core.txt"
+    rc = main(["build", "--mode", mode, "--input", str(pts_path),
+               "--output", str(out), "-k", "2", "--Delta", str(Delta),
+               "--seed", "1"])
+    assert rc == 2
+    assert "2^62" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_accepts_delta_2_62(tmp_path):
+    pts_path = _gen(tmp_path, n=30)
+    out = tmp_path / "core.txt"
+    assert main(["build", "--input", str(pts_path), "--output", str(out),
+                 "-k", "2", "--Delta", str(1 << 62), "--seed", "1"]) == 0
+    assert len(read_coreset(out)) == 30
+
+
+@pytest.mark.parametrize("extra", [
+    ("-r", "nan"), ("-r", "inf"), ("--params-mode", "practical:nan"),
+    ("--params-mode", "practical:inf"), ("--params-mode", "practical:x")])
+def test_build_rejects_non_finite_r_and_scale(tmp_path, capsys, extra):
+    pts_path = _gen(tmp_path, n=30)
+    out = tmp_path / "core.txt"
+    rc = main(["build", "--input", str(pts_path), "--output", str(out),
+               "-k", "2", "--Delta", "8", "--seed", "1", *extra])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_eval_rejects_non_positive_center_samples(tmp_path, capsys, samples):
+    pts_path = _gen(tmp_path, n=30)
+    core_path = _build(tmp_path, pts_path)
+    audit = tmp_path / "audit.csv"
+    rc = main(["eval", "--input", str(pts_path), "--coreset", str(core_path),
+               "--out", str(audit), "--center-samples", samples])
+    assert rc == 2
+    assert "--center-samples" in capsys.readouterr().err
+    assert not audit.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_centers_rejects_non_positive_k(tmp_path, capsys, k):
+    pts_path = _gen(tmp_path, n=30)
+    core_path = _build(tmp_path, pts_path)
+    out = tmp_path / "z.txt"
+    rc = main(["centers", "--coreset", str(core_path), "--out", str(out),
+               "-k", k])
+    assert rc == 2
+    assert "-k" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,12 +9,13 @@ from capacore.coreset import (OfflineBuilder, build_auto, build_for_o,
                               dedup_points, exact_threshold, o_grid,
                               read_coreset, write_coreset)
 from capacore.estimator import ExactBank
-from capacore.geometry import GridHierarchy, Point
+from capacore.geometry import (SHIFT_FRAC_BITS, TAG_SPACE, GridHierarchy,
+                               Point, sample_shift)
 from capacore.hashing import KWiseHash, PointEncoder
 from capacore.params import PRACTICAL, THEORY, coreset_size_bound, derive
 from capacore.partition import mark_cells
 
-from conftest import clustered_points, rand_points
+from conftest import clustered_points, floor_lattice, rand_points
 
 RATE1 = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
                mode=PRACTICAL, scale=1e-6)
@@ -71,6 +73,66 @@ def test_sampling_membership_reproducible(rng):
                       SAMPLING.hash_lambda(), enc)
         t = exact_threshold(SAMPLING.phi(lvl, o), enc.modulus)
         assert (t == enc.modulus or h.field_value(p) < t) == (p in chosen)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-53, 1e-57])
+@pytest.mark.parametrize("d, log_delta", [
+    (d, log_delta) for d in (1, 2, 3) for log_delta in (1, 2, 3, 6, 11, 20)]
+    + [(1, 62)])
+def test_offline_cell_data_matches_a_per_point_reference(d, log_delta, scale):
+    # the columnar builder against a dict built point by point, for every
+    # Sampling key of every guess plus the rate-0 and rate-1 keys of every
+    # level; the input repeats points and puts several tags on one
+    # coordinate tuple
+    Delta = 1 << log_delta
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=d,
+                    mode=PRACTICAL, scale=scale)
+    rng = random.Random(f"cells:{d}:{log_delta}:{scale}")
+    pool = [(1,) * d, (Delta,) * d] + [
+        tuple(rng.randint(1, Delta) for _ in range(d)) for _ in range(10)]
+    points = [Point(rng.choice(pool), rng.choice((-1, 0, 7, TAG_SPACE - 2)))
+              for _ in range(36)]
+    points += points[::5]
+    distinct = sorted(set(points), key=lambda p: p.sort_key())
+    span = Delta << SHIFT_FRAC_BITS
+    encoder = PointEncoder(Delta, d)
+    seed = log_delta + 10 * d
+    keys = None
+    hashed = False
+    for shift in ((0,) * d, (span - 1,) * d, sample_shift(seed, Delta, d)):
+        grid = GridHierarchy(Delta, d, shift)
+        builder = OfflineBuilder(points, grid, params, seed, exact_counts=False)
+        assert builder.points == distinct
+        if keys is None:
+            keys = set(builder.sampling.served(o_grid(len(distinct), params)))
+            keys |= {(None, lvl, t) for lvl in range(0, grid.L + 1)
+                     for t in (0, encoder.modulus)}
+        values = {}
+        for fam, lvl, t in keys:
+            if fam is None:
+                kept = distinct if t else []
+            else:
+                hashed = True
+                if (fam, lvl) not in values:
+                    lam = params.hash_lambda() if fam == "hhat" \
+                        else params.hash_lambda_prime()
+                    h = KWiseHash(derive_seed(seed, f"{fam}:{lvl}"), lam,
+                                  encoder)
+                    values[(fam, lvl)] = [h.field_value(p) for p in distinct]
+                kept = [p for p, v in zip(distinct, values[(fam, lvl)])
+                        if v < t]
+            light: dict = {}
+            for p in kept:
+                light.setdefault(floor_lattice(grid, p.coords, lvl),
+                                 []).append(p)
+            data = builder._cell_data((fam, lvl, t))
+            assert data.level == lvl
+            assert data.cells == {lat: len(pts) for lat, pts in light.items()}
+            assert data.light_points == {lat: tuple(pts)
+                                         for lat, pts in light.items()}
+    # at scale 1e-57 some rate lies strictly between 0 and 1 on every
+    # instance here, so hashed keys are checked too
+    assert hashed or scale != 1e-57
 
 
 def test_small_o_fails_via_part_mass_gate(rng):

@@ -224,6 +224,19 @@ def test_broadcast_blob_contains_shift():
     assert len(blob) > 8
 
 
+def test_broadcast_blob_packs_lattice_offsets_up_to_delta_2_62():
+    # shift numerators reach Delta * 2**32; the integer offsets the lattices
+    # use fit int64 up to Delta = 2**62, in the same 8 bytes per axis
+    Delta = 1 << 62
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=2,
+                    mode=PRACTICAL, scale=1e-6)
+    grid = GridHierarchy(Delta, 2, ((Delta << 32) - 1, 1))
+    blob = broadcast_blob(params, grid, 7)
+    (n_cfg,) = struct.unpack_from("<I", blob)
+    assert len(blob) == 4 + n_cfg + 16
+    assert struct.unpack_from("<2q", blob, 4 + n_cfg) == grid.off == (Delta, 1)
+
+
 def test_protocol_on_larger_domain(rng):
     params64 = derive(k=3, r=1, eps=0.3, eta=0.3, Delta=64, d=2,
                       mode=PRACTICAL, scale=1e-6)

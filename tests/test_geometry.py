@@ -9,7 +9,27 @@ from capacore.geometry import (SHIFT_FRAC_BITS, GridHierarchy, Point, dist_pow,
                                format_point, next_pow2, parse_point_line,
                                read_points, sample_shift, write_points)
 
-from conftest import rand_points
+from conftest import floor_lattice, rand_points
+
+
+def _side(grid, level: int) -> float:
+    """g_level = Delta / 2**level (2*Delta at the root)."""
+    return 2.0 * grid.Delta if level == -1 else grid.Delta / (1 << level)
+
+
+def _cell_bounds(grid, cell):
+    """Per-axis [lo, hi) of the cell in real coordinates (1-based frame)."""
+    if cell.level == -1:
+        side = (2 * grid.Delta) << SHIFT_FRAC_BITS
+        anchor = grid.Delta << SHIFT_FRAC_BITS
+    else:
+        side, anchor = (grid.Delta << SHIFT_FRAC_BITS) >> cell.level, 0
+    scale = 1 << SHIFT_FRAC_BITS
+    out = []
+    for t, v in zip(cell.lattice, grid.shift_num):
+        lo = v - anchor + t * side
+        out.append((lo / scale + 1, (lo + side) / scale + 1))
+    return out
 
 
 def test_dist_pow_345_triangle():
@@ -65,6 +85,34 @@ def test_path_of_equals_lattice_of_at_every_level(d, log_delta):
                 assert path[level] == grid.lattice_of(c, level), (shift, c)
 
 
+@pytest.mark.parametrize("d, log_delta", [
+    (d, log_delta) for d in (1, 2, 3) for log_delta in (1, 2, 3, 6, 11, 20)]
+    + [(1, 62)])
+def test_lattices_equal_the_floor_division_definition(d, log_delta):
+    # level L is c - 1 - ceil(v / 2**32) and coarser levels are shifts of
+    # it; both must agree with floor division at every level, including the
+    # root, for the extreme shifts 0 and span - 1 on every axis
+    Delta = 1 << log_delta
+    span = Delta << SHIFT_FRAC_BITS
+    rng = random.Random(f"floor:{d}:{log_delta}")
+    shifts = [(0,) * d, (span - 1,) * d,
+              tuple(rng.choice((0, span - 1)) for _ in range(d)),
+              tuple(rng.choice((1, span - (1 << SHIFT_FRAC_BITS)))
+                    for _ in range(d)),
+              sample_shift(log_delta, Delta, d)]
+    coords = [(1,) * d, (Delta,) * d] + [
+        tuple(rng.randint(1, Delta) for _ in range(d)) for _ in range(30)]
+    for shift in shifts:
+        grid = GridHierarchy(Delta, d, shift)
+        for c in coords:
+            want = [floor_lattice(grid, c, level)
+                    for level in range(-1, grid.L + 1)]
+            assert [grid.lattice_of(c, level)
+                    for level in range(-1, grid.L + 1)] == want, (shift, c)
+            assert list(grid.path_of(c)) == want[1:], (shift, c)
+            assert all(-Delta <= t < Delta for t in want[-1])
+
+
 def test_containment_chain_via_corners(rng):
     for seed in range(10):
         grid = GridHierarchy.from_seed(seed, 16, 2)
@@ -73,8 +121,8 @@ def test_containment_chain_via_corners(rng):
                 child = grid.cell_of(p, level)
                 parent = grid.cell_of(p, level - 1)
                 assert grid.parent(child) == parent
-                cb = grid.cell_bounds(child)
-                pb = grid.cell_bounds(parent)
+                cb = _cell_bounds(grid, child)
+                pb = _cell_bounds(grid, parent)
                 for (clo, chi), (plo, phi) in zip(cb, pb):
                     assert plo <= clo and chi <= phi
 
@@ -83,7 +131,7 @@ def test_cell_bounds_contain_point(rng):
     grid = GridHierarchy.from_seed(3, 8, 2)
     for p in rand_points(rng, 50, 8):
         for level in range(-1, grid.L + 1):
-            bounds = grid.cell_bounds(grid.cell_of(p, level))
+            bounds = _cell_bounds(grid, grid.cell_of(p, level))
             for c, (lo, hi) in zip(p.coords, bounds):
                 assert lo <= c < hi
 
@@ -95,7 +143,7 @@ def test_same_cell_diameter(rng):
         cells = {}
         for p in pts:
             cells.setdefault(grid.cell_of(p, level), []).append(p)
-        bound = (math.sqrt(grid.d) * grid.side(level)) ** 2
+        bound = (math.sqrt(grid.d) * _side(grid, level)) ** 2
         for group in cells.values():
             for a in group:
                 for b in group:

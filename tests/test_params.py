@@ -116,6 +116,15 @@ def test_validation_errors():
             derive(**bad)
     with pytest.raises(UsageError):
         derive(mode=PRACTICAL, scale=-1.0, **good)
+    # non-finite r and scale, and Delta past the int64 lattice range
+    for bad in (dict(good, r=math.nan), dict(good, r=math.inf),
+                dict(good, Delta=1 << 63), dict(good, Delta=1 << 64)):
+        with pytest.raises(UsageError):
+            derive(**bad)
+    for scale in (math.nan, math.inf):
+        with pytest.raises(UsageError):
+            derive(mode=PRACTICAL, scale=scale, **good)
+    assert derive(**dict(good, Delta=1 << 62)).L == 62
 
 
 def test_delta_rounding():
