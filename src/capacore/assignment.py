@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .common import INFEASIBLE, UsageError, is_infeasible
 from .geometry import Point, alph_less, dist_pow
@@ -242,7 +242,6 @@ class Assignment:
     r: float
     mapping: dict                 # point -> center index
     weights: dict                 # point -> weight
-    levels: dict = field(default_factory=dict)  # point -> coreset level
 
     def cost(self) -> float:
         return sum(self.weights[p] * dist_pow(p, self.centers[i], self.r)
@@ -514,7 +513,6 @@ def canonicalize(by_level: dict, centers, r, audit: list | None = None):
     k = len(centers)
     out_map = {}
     out_weights = {}
-    out_levels = {}
     halfspaces = {}
     for lvl, (pts, weights, mapping) in sorted(by_level.items()):
         if pts:
@@ -529,8 +527,7 @@ def canonicalize(by_level: dict, centers, r, audit: list | None = None):
         for p in pts:
             out_map[p] = remapped[p]
             out_weights[p] = weights[p]
-            out_levels[p] = lvl
-    return Assignment(tuple(centers), r, out_map, out_weights, out_levels), halfspaces
+    return Assignment(tuple(centers), r, out_map, out_weights), halfspaces
 
 
 # --- transferred assignment over the full input ------------------------------
@@ -551,7 +548,7 @@ def transferred_assignment(points, centers, halfspaces, b_vec, xi,
     return mapping
 
 
-def transfer_full(full_points, coreset, halfspaces_by_level, centers, r=None):
+def transfer_full(full_points, coreset, halfspaces_by_level, centers):
     """Assignment of the whole input from the canonicalized coreset assignment.
 
     Points of kept parts follow the transferred assignment of their part;
@@ -559,8 +556,6 @@ def transfer_full(full_points, coreset, halfspaces_by_level, centers, r=None):
     """
     meta = coreset.meta
     params = meta.params
-    if r is None:
-        r = params.r
     k = len(centers)
     weights_by_part: dict = {}
     for p, w, lvl, j in coreset.entries:
@@ -592,7 +587,7 @@ def transfer_full(full_points, coreset, halfspaces_by_level, centers, r=None):
     for p in uncovered:
         mapping[p] = nearest_center_index(p, centers)
     weights = {p: 1.0 for p in full_points}
-    return Assignment(tuple(centers), r, mapping, weights)
+    return Assignment(tuple(centers), params.r, mapping, weights)
 
 
 def assignment_from_coreset(coreset, centers, t_cap, audit: list | None = None):

@@ -1,10 +1,11 @@
 """Mergeable, deletion-tolerant cell stores (the Storing contract).
 
-Both backings expose update / merge_in / read / serialize with identical
-observable semantics; read(alpha, beta) FAILs above alpha nonempty cells and
-recovers the points of the cells of count at most beta, so one store sized
-by the largest caps can be read under any smaller ones.  finalize() is read
-under the store's own caps.
+Both backings expose update / merge_in / finalize / serialize with identical
+observable semantics; finalize() FAILs above alpha nonempty cells and
+recovers the points of the cells of count at most beta, under the store's
+own caps.  A store that serves several guesses is sized by their largest
+caps; each guess's own caps apply to the read-out in the decision path
+(coreset.finalize_cells).
 
 * ExactCellStore keeps a keyed map of signed cell counts and point multisets.
   It never FAILs below the cell cap and always FAILs above it (delta = 0),
@@ -119,17 +120,14 @@ class ExactCellStore:
         return len(self.counts)
 
     def finalize(self):
-        return self.read(self.alpha, self.beta)
-
-    def read(self, alpha: float, beta: float):
-        """CellData under caps (alpha, beta): FAIL above alpha nonempty cells,
-        points recovered for the cells of count at most beta."""
-        if self.cell_count() > alpha:
+        """CellData: FAIL above alpha nonempty cells, points recovered for the
+        cells of count at most beta."""
+        if self.cell_count() > self.alpha:
             return FAIL
         cells = dict(self.counts)
         light = {}
         for lat, cnt in cells.items():
-            if cnt <= beta:
+            if cnt <= self.beta:
                 ctr = self.points.get(lat, Counter())
                 pts = []
                 for p in sorted(ctr):
@@ -335,21 +333,17 @@ class SketchCellStore:
         return math.inf if recovered is None else len(recovered)
 
     def finalize(self):
-        return self.read(self.alpha, self.beta)
-
-    def read(self, alpha: float, beta: float):
-        """CellData under caps (alpha, beta): FAIL when decoding fails or above
-        alpha decoded cells, points recovered for the cells of count at most
-        beta (at most the store's own beta)."""
+        """CellData: FAIL when decoding fails or above alpha decoded cells,
+        points recovered for the cells of count at most beta."""
         recovered = self._decode_cells()
-        if recovered is None or len(recovered) > alpha:
+        if recovered is None or len(recovered) > self.alpha:
             return FAIL
         cells = {}
         light = {}
         for code, cnt in recovered.items():
             lat = self._cell_decode(code)
             cells[lat] = cnt
-            if cnt <= beta:
+            if cnt <= self.beta:
                 light[lat] = self._cell_points(code, cnt)
                 if light[lat] is None:
                     return FAIL

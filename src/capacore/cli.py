@@ -17,8 +17,8 @@ from .assignment import assignment_from_coreset, transfer_full
 from .common import OracleCapError, UsageError, derive_seed, is_infeasible
 from .coreset import build_auto, read_coreset, write_coreset
 from .distributed import run_protocol
-from .geometry import (GridHierarchy, Point, check_domain, format_point,
-                       read_points, write_points)
+from .geometry import (GridHierarchy, Point, check_distinct, check_domain,
+                       format_point, read_points, write_points)
 from .params import PRACTICAL, THEORY, derive, derive_rounding_delta
 from .streaming import StreamEngine, check_live, read_stream
 
@@ -108,6 +108,7 @@ def cmd_build(args) -> int:
     else:
         points = read_points(args.input)
         check_domain(points, Delta, args.d)
+        check_distinct(points)
     if args.mode == "offline":
         coreset = build_auto(points, grid, params, seed,
                              exact_counts=args.exact_counts)
@@ -136,6 +137,7 @@ def cmd_eval(args) -> int:
     coreset = read_coreset(args.coreset)
     params = coreset.meta.params
     check_domain(points, params.Delta, params.d)
+    check_distinct(points)
     if args.center_samples < 1:
         raise UsageError(f"--center-samples must be at least 1, got "
                          f"{args.center_samples}")
@@ -194,6 +196,7 @@ def cmd_assign(args) -> int:
     if args.full_input:
         full_points = read_points(args.full_input)
         check_domain(full_points, params.Delta, params.d)
+        check_distinct(full_points)
     if len(centers) != params.k:
         print(f"warning: centers file has {len(centers)} centers, params say "
               f"k={params.k}", file=sys.stderr)

@@ -76,12 +76,6 @@ class WeightedCoreset:
     def total_weight(self) -> float:
         return sum(e[1] for e in self.entries)
 
-    def by_level(self) -> dict:
-        out: dict = {}
-        for p, w, lvl, j in self.entries:
-            out.setdefault(lvl, []).append((p, w, j))
-        return out
-
     def canonical(self):
         return (
             tuple((p.coords, p.tag, w, lvl, j) for p, w, lvl, j in self.entries),
@@ -197,10 +191,16 @@ def finalize_cells(sampling: Sampling, o: float, data: dict, n: int,
                    gates: list | None = None):
     """The coreset of guess o, or FAIL, from data[(family, level)] (CellData).
 
+    The guess's store caps (Params.caps) apply here, alike in every mode: a
+    (family, level) with more cells than its cell cap alpha, or a kept hhat
+    cell with more points than its light-point cap beta, FAILs the guess.
     n is the size of the input; a nonempty input never gets an empty coreset
     (such a guess FAILs).  A FAIL appends the gate that fired to gates."""
     params, grid = sampling.params, sampling.grid
     levels = range(0, grid.L + 1)
+    if any(len(data[(fam, lvl)].cells) > params.caps(fam, lvl, o)[0]
+           for fam in FAMILIES for lvl in levels):
+        return fail_at(gates, "store cell cap")
     bank = SampleBank.build(sampling, o, data)
     structure = mark_cells(bank.counts_for_marking(), params, o, grid)
     if structure.heavy_count() > params.heavy_cell_cap():
@@ -216,15 +216,14 @@ def finalize_cells(sampling: Sampling, o: float, data: dict, n: int,
     for lvl in levels:
         hhat = data[("hhat", lvl)]
         w = 1.0 / phi[lvl]
+        beta = params.caps("hhat", lvl, o)[1]
         lats = list(hhat.cells)
         for lat, j in zip(lats, structure.crucial_ranks(lvl, lats)):
             if (lvl, j) not in qualifying:
                 continue
-            pts = hhat.light_points.get(lat)
-            if pts is None:
-                # sampled points of a kept cell exceeded the recovery cap
+            if hhat.cells[lat] > beta:
                 return fail_at(gates, "light-point recovery cap")
-            entries.extend((p, w, lvl, j) for p in set(pts))
+            entries.extend((p, w, lvl, j) for p in set(hhat.light_points[lat]))
     if n > 0 and not entries:
         why = ("the h' estimator sample is empty"
                if not any(data[("hp", lvl)].cells for lvl in levels)
@@ -381,7 +380,7 @@ def write_coreset(path, coreset: WeightedCoreset):
             fh.write(f"{w!r} {format_point(p)}\n")
 
 
-def read_coreset(path, grid: GridHierarchy | None = None) -> WeightedCoreset:
+def read_coreset(path) -> WeightedCoreset:
     header: dict = {}
     entries = []
     pending_meta = None
@@ -424,8 +423,7 @@ def read_coreset(path, grid: GridHierarchy | None = None) -> WeightedCoreset:
     params = _parsed(path, header, "params", parse_serialized)
     check_domain((e[0] for e in entries), params.Delta, params.d)
     shift = _parsed(path, header, "shift", _int_tuple)
-    if grid is None:
-        grid = GridHierarchy(params.Delta, params.d, shift)
+    grid = GridHierarchy(params.Delta, params.d, shift)
     tables = {"phi": {}, "part": {}, "heavy": {}}
     for key in header:
         name, dot, index = key.partition(".")

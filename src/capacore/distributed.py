@@ -10,16 +10,15 @@ every guess the store serves is over).
 The coordinator is a stream engine fed by merges instead of updates: it
 merges each state once into its own store of that key (store merging is
 linear) and counts the machines' points as its net count.  It then
-finalizes like any engine, with two differences in how a guess reads its
-stores: a guess some machine reported over FAILs at the store cell cap, and
-merged content is read under no cell cap, as the protocol prescribes.
+finalizes like any engine, except that a guess some machine reported over
+FAILs at the store cell cap; the decision path applies each guess's caps to
+the merged content, as it does in every mode.
 Transport is an in-process byte channel; the byte counters are the
 communication cost.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 
 from .common import UsageError, derive_seed
@@ -88,6 +87,7 @@ class Coordinator(StreamEngine):
 
     def absorb(self, machine: "Machine", channel: ByteChannel):
         self.net += machine.local_n
+        self._data.clear()
         channel.send_to_coordinator(struct.pack("<q", machine.local_n))
         stores = list(self._stores.values())
         for message in machine.wire_messages():
@@ -98,10 +98,6 @@ class Coordinator(StreamEngine):
             blob = message[_HEADER.size + 2 * n_over:]
             if blob:
                 stores[index].merge_in(cellstore.deserialize(blob, self.grid))
-
-    def _caps(self, fam: str, lvl: int, o: float):
-        # the machines checked the cell cap; merged content is not re-checked
-        return math.inf, self.params.caps(fam, lvl, o)[1]
 
     def finalize_for_o(self, o: float, gates: list | None = None):
         if o in self._over:

@@ -51,11 +51,6 @@ def dist_pow(p: Point, q: Point, r: float):
     return sq ** (r / 2.0)
 
 
-class CellId(NamedTuple):
-    level: int
-    lattice: tuple
-
-
 def next_pow2(n: int) -> int:
     if n < 1:
         raise UsageError("Delta must be >= 1")
@@ -118,16 +113,6 @@ class GridHierarchy:
         path.reverse()
         return tuple(path)
 
-    def cell_of(self, p: Point, level: int) -> CellId:
-        return CellId(level, self.lattice_of(p.coords, level))
-
-    def parent(self, cell: CellId) -> CellId:
-        if cell.level <= -1:
-            raise UsageError("root cell has no parent")
-        if cell.level == 0:
-            return CellId(-1, tuple((t + 1) >> 1 for t in cell.lattice))
-        return CellId(cell.level - 1, tuple(t >> 1 for t in cell.lattice))
-
 
 # --- point file format ---------------------------------------------------
 # One point per line: d whitespace-separated integers, optional trailing
@@ -162,6 +147,17 @@ def check_domain(points, Delta: int, d: int):
         if not NO_TAG <= p.tag <= TAG_SPACE - 2:
             raise UsageError(f"point {format_point(p)!r} has a tag outside "
                              f"[-1, {TAG_SPACE - 2}]")
+
+
+def check_distinct(points):
+    """Reject a point listed twice (equal coordinates and tag): modes would
+    not count its copies alike, so copies must carry distinct tags."""
+    seen = set()
+    for p in points:
+        if p in seen:
+            raise UsageError(f"point {format_point(p)!r} is repeated; give "
+                             f"its copies distinct #tags to keep them")
+        seen.add(p)
 
 
 def format_point(p: Point) -> str:

@@ -494,7 +494,7 @@ class AuditReport:
                          f"{row.ratio!r},{row.violated}\n")
 
 
-def sandwich_audit(points, coreset, center_sets, t_values, eps=None, eta=None,
+def sandwich_audit(points, coreset, center_sets, t_values,
                    forms=(SYMMETRIC_FORM, TWO_TIER_FORM),
                    include_rounded: bool = False) -> AuditReport:
     """Evaluate the coreset guarantee for sampled centers and capacities.
@@ -504,9 +504,7 @@ def sandwich_audit(points, coreset, center_sets, t_values, eps=None, eta=None,
     the (1+eta)^2 / (1+eta) staircase of the strong-coreset definition.
     """
     params = coreset.meta.params
-    eps = params.eps if eps is None else eps
-    eta = params.eta if eta is None else eta
-    r = params.r
+    eps, eta, r = params.eps, params.eta, params.r
     core_pts = coreset.points()
     core_w = coreset.weights()
     rows = []

@@ -76,33 +76,24 @@ class Params:
     def part_sum_cap(self, i: int, o: float) -> float:
         return 10000.0 * (self.k * self.L + self.d_pow()) * self.T(i, o)
 
-    def alpha(self, i: int, o: float) -> float:
-        return 1e6 * (self.k + self.d_pow() * self.psi(i, o) * self.T(i, o)) * self.L**2
-
-    def alpha_prime(self, i: int, o: float) -> float:
-        return 1e6 * (self.k + self.d_pow() * self.psi_prime(i, o) * self.T(i, o)) * self.L**2
-
-    def alpha_hat(self, i: int, o: float) -> float:
-        return 1e6 * (self.k + self.d_pow() * self.phi(i, o) * self.T(i, o)) * self.L**2
-
-    def beta(self, i: int, o: float) -> float:
-        return 1.0
-
-    def beta_prime(self, i: int, o: float) -> float:
-        return 1.0
-
-    def beta_hat(self, i: int, o: float) -> float:
-        return 4e6 * (self.k + self.d_pow()) * self.L**2 * self.phi(i, o) * self.T(i, o)
-
     def caps(self, family: str, i: int, o: float):
-        """(alpha, beta): the cell cap and light-cell point cap of a store."""
+        """(alpha, beta): the cell cap and light-cell point cap of a store of
+        the family at level i for guess o, the one cap table of every mode.
+        alpha grows with the family's sampling rate; beta is 1 for the
+        estimating families h and h'."""
         if family == "h":
-            return self.alpha(i, o), self.beta(i, o)
-        if family == "hp":
-            return self.alpha_prime(i, o), self.beta_prime(i, o)
-        if family == "hhat":
-            return self.alpha_hat(i, o), self.beta_hat(i, o)
-        raise UsageError(f"unknown hash family {family!r}")
+            rate = self.psi(i, o)
+        elif family == "hp":
+            rate = self.psi_prime(i, o)
+        elif family == "hhat":
+            rate = self.phi(i, o)
+        else:
+            raise UsageError(f"unknown hash family {family!r}")
+        T = self.T(i, o)
+        alpha = 1e6 * (self.k + self.d_pow() * rate * T) * self.L**2
+        if family != "hhat":
+            return alpha, 1.0
+        return alpha, 4e6 * (self.k + self.d_pow()) * self.L**2 * rate * T
 
     # --- hash construction ----------------------------------------------
     def hash_lambda(self) -> int:

@@ -9,7 +9,7 @@ rank j of its level-(i-1) parent among that level's heavy cells.
 
 from __future__ import annotations
 
-from .geometry import CellId, GridHierarchy, Point
+from .geometry import GridHierarchy, Point
 
 
 class PartitionStructure:
@@ -26,28 +26,13 @@ class PartitionStructure:
     def heavy_count(self) -> int:
         return sum(len(c) for c in self.heavy.values())
 
-    def is_heavy(self, cell: CellId) -> bool:
-        return cell.lattice in self.heavy.get(cell.level, ())
-
-    def is_crucial(self, cell: CellId) -> bool:
-        return self.part_of_cell(cell) is not None
-
-    def part_of_cell(self, cell: CellId):
-        """Part index (i, j) of a crucial cell (a non-heavy cell whose parent
-        is heavy), else None."""
-        level, lat = cell
-        if level < 0:
-            return None
-        j = self.crucial_ranks(level, (lat,))[0]
-        return None if j is None else (level, j)
-
     def crucial_ranks(self, level: int, lattices) -> list:
         """Per lattice of a level >= 0: the rank j of the cell's heavy parent
         when the cell is crucial (its part is (level, j)), else None.
 
-        The parent follows the parent rule of GridHierarchy.parent inline:
-        the root pairs level-0 lattices by (t + 1) >> 1, every other level
-        halves them by t >> 1."""
+        The parent follows the parent rule of the grid hierarchy (see
+        geometry): the root pairs level-0 lattices by (t + 1) >> 1, every
+        other level halves them by t >> 1."""
         index = self.heavy_index.get(level - 1)
         if not index:
             return [None] * len(lattices)
@@ -61,7 +46,7 @@ class PartitionStructure:
         """Part (i, j) owning p, or None when p's root cell is not heavy.
 
         The levels come from one lattice path, the root from level 0 by the
-        parent rule (GridHierarchy.parent)."""
+        parent rule."""
         path = self.grid.path_of(p.coords)
         prev = tuple([(t + 1) >> 1 for t in path[0]])
         if prev not in self.heavy.get(-1, ()):
@@ -79,7 +64,7 @@ def mark_cells(counts: dict, params, o: float, grid: GridHierarchy) -> Partition
     counts maps level -> {lattice: estimate} and must cover every nonempty
     cell for levels -1 .. L-1 (missing cells default to estimate 0).  A
     level-i cell is heavy when its estimate reaches T_i(o) and its parent
-    (GridHierarchy.parent's rule, applied inline) is heavy.
+    (by the parent rule of crucial_ranks) is heavy.
     """
     L = grid.L
     T = params.T(-1, o)

@@ -6,10 +6,10 @@ the key drops the family at rate 0 or 1, where every family keeps the same
 points, so those families share one store.  Pooled content is a linear
 function of the updates the key keeps and therefore equal to running one
 store per (family, guess), for either backing.  A pooled store is sized by
-the largest caps among the (family, guess) pairs it serves and each pair
-reads it with read(alpha, beta) under its own caps; a larger sketch only
-lowers its failure rate.  finalize hands the cell data to the decision path
-every mode shares (coreset.finalize_cells).
+the largest caps among the (family, guess) pairs it serves, and finalize()
+reads it at most once, under those caps; a larger sketch only lowers its
+failure rate.  Every guess hands the read-outs to the decision path every
+mode shares (coreset.finalize_cells), which applies the guess's own caps.
 
 Routing.  A key keeps a point when the point's field value under the key's
 (family, level) hash lies below the key's threshold, so one field value per
@@ -28,7 +28,6 @@ Stream file format: one update per line, "+ x1 ... xd #tag" or
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 
 from .common import UsageError, derive_seed, is_fail
 from .coreset import Sampling, fail_at, finalize_cells, o_grid, search_o
@@ -55,6 +54,7 @@ class StreamEngine:
         # Sampling key -> (family, guess) pairs it serves
         self._served = self.sampling.served(self.o_values)
         self._stores = {}  # Sampling key -> store
+        self._data = {}  # Sampling key -> its store's finalize(), until a write
         for (fam, lvl, t), pairs in self._served.items():
             caps = [params.caps(f, lvl, o) for f, o in pairs]
             self._stores[(fam, lvl, t)] = cellstore.make_store(
@@ -83,6 +83,7 @@ class StreamEngine:
         if sign not in (1, -1):
             raise UsageError("sign must be +1 or -1")
         self.net += sign
+        self._data.clear()
         path = self.grid.path_of(p.coords)
         for lvl, store in self._keep_all:
             store.update(p, sign, path[lvl])
@@ -98,23 +99,18 @@ class StreamEngine:
             self.process(p, sign)
 
     # --- finalize ----------------------------------------------------------
-    def _caps(self, fam: str, lvl: int, o: float):
-        """The (alpha, beta) caps a guess reads its store under."""
-        return self.params.caps(fam, lvl, o)
-
-    def _cell_data(self, o: float, fam: str, lvl: int):
-        # a pooled store serves several pairs: read it under this one's caps
-        store = self._stores[self.sampling.key(fam, lvl, o)]
-        return store.read(*self._caps(fam, lvl, o))
+    def _cell_data(self, key: tuple):
+        """The finalize() of the store of a Sampling key, read once until the
+        stores next change."""
+        if key not in self._data:
+            self._data[key] = self._stores[key].finalize()
+        return self._data[key]
 
     def finalize_for_o(self, o: float, gates: list | None = None):
-        data = {}
-        for fam in FAMILIES:
-            for lvl in self._levels:
-                d = self._cell_data(o, fam, lvl)
-                if is_fail(d):
-                    return fail_at(gates, "store cell cap or sketch decoding")
-                data[(fam, lvl)] = d
+        data = {(fam, lvl): self._cell_data(self.sampling.key(fam, lvl, o))
+                for fam in FAMILIES for lvl in self._levels}
+        if any(is_fail(d) for d in data.values()):
+            return fail_at(gates, "store cell cap or sketch decoding")
         return finalize_cells(self.sampling, o, data, self.net, gates)
 
     def candidates(self):
@@ -155,13 +151,21 @@ def parse_update_line(line: str):
 
 def check_live(updates):
     """Reject a deletion of a point that has no live copy at that point of
-    the stream: multiplicities never go negative."""
-    live = Counter()
+    the stream, and an insertion of one that has: a live point has exactly
+    one copy, as in a points file (geometry.check_distinct)."""
+    live = set()
     for p, sign in updates:
-        live[p] += sign
-        if live[p] < 0:
+        if sign > 0 and p in live:
+            raise UsageError(f"stream inserts {format_point(p)!r}, which "
+                             f"already has a live copy; give its copies "
+                             f"distinct #tags to keep them")
+        if sign < 0 and p not in live:
             raise UsageError(f"stream deletes {format_point(p)!r}, "
                              f"which has no live copy")
+        if sign > 0:
+            live.add(p)
+        else:
+            live.remove(p)
 
 
 def read_stream(path):

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from capacore.cli import main
 from capacore.coreset import read_coreset
-from capacore.geometry import read_points
+from capacore.geometry import Point, read_points, write_points
 from capacore.streaming import write_stream
 
 
@@ -138,7 +140,8 @@ def test_stream_build_matches_offline(tmp_path):
                "--output", str(stream_out), "-k", "2", "--Delta", "8",
                "--eps", "0.4", "--eta", "0.4", "--seed", "3"])
     assert rc == 0
-    assert read_coreset(stream_out) == read_coreset(offline_path)
+    # the whole file: entries and every header (part, heavy and phi tables)
+    assert stream_out.read_bytes() == offline_path.read_bytes()
 
 
 def test_dist_build_single_machine_matches_offline(tmp_path, capsys):
@@ -152,7 +155,15 @@ def test_dist_build_single_machine_matches_offline(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "comm_bytes=" in out
-    assert read_coreset(dist_out) == read_coreset(offline_path)
+    assert dist_out.read_bytes() == offline_path.read_bytes()
+
+
+def test_dist_build_on_three_machines_matches_offline(tmp_path):
+    pts_path = _gen(tmp_path)
+    offline_path = _build(tmp_path, pts_path)
+    dist_out = _build(tmp_path, pts_path, name="core_dist.txt",
+                      extra=("--mode", "dist", "--machines", "3"))
+    assert dist_out.read_bytes() == offline_path.read_bytes()
 
 
 def test_eval_identity_clean_and_brute_check(tmp_path, capsys):
@@ -494,3 +505,73 @@ def test_centers_rejects_non_positive_k(tmp_path, capsys, k):
     assert rc == 2
     assert "-k" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _repeated_points(tmp_path, tagged: bool):
+    """30 distinct coordinate pairs on [1, 16]^2, each listed 4 times: as
+    repeated points, or as copies with distinct tags."""
+    coords = random.Random(1).sample(
+        [(x, y) for x in range(1, 17) for y in range(1, 17)], 30)
+    pts = [Point(c, 30 * copy + i if tagged else -1)
+           for copy in range(4) for i, c in enumerate(coords)]
+    path = tmp_path / ("tagged.txt" if tagged else "repeated.txt")
+    write_points(path, pts)
+    stream_path = tmp_path / (path.stem + ".stream")
+    write_stream(stream_path, [(p, +1) for p in pts])
+    return path, stream_path
+
+
+def _build16(path, out, mode):
+    return main(["build", "--mode", mode, "--input", str(path),
+                 "--output", str(out), "-k", "2", "--Delta", "16",
+                 "--seed", "1", "--exact-counts"])
+
+
+def test_build_rejects_repeated_points_in_every_mode(tmp_path, capsys):
+    path, stream_path = _repeated_points(tmp_path, tagged=False)
+    for mode, src, why in (("offline", path, "is repeated"),
+                           ("dist", path, "is repeated"),
+                           ("stream", stream_path, "already has a live copy")):
+        out = tmp_path / f"core-{mode}.txt"
+        assert _build16(src, out, mode) == 2
+        err = capsys.readouterr().err
+        assert why in err and "distinct #tags" in err
+        assert not out.exists()
+
+
+def test_copies_with_distinct_tags_build_the_same_file_in_every_mode(tmp_path):
+    path, stream_path = _repeated_points(tmp_path, tagged=True)
+    files = []
+    for mode, src in (("offline", path), ("stream", stream_path),
+                      ("dist", path)):
+        out = tmp_path / f"core-{mode}.txt"
+        assert _build16(src, out, mode) == 0
+        files.append(out.read_bytes())
+    assert files[0] == files[1] == files[2]
+    # every copy is an entry of its own (rates are 1 at this scale)
+    assert len(read_coreset(out)) == 120
+
+
+def test_eval_and_assign_reject_repeated_input_points(tmp_path, capsys):
+    tagged, _ = _repeated_points(tmp_path, tagged=True)
+    repeated, _ = _repeated_points(tmp_path, tagged=False)
+    core_path = tmp_path / "core.txt"
+    assert _build16(tagged, core_path, "offline") == 0
+    rc = main(["eval", "--input", str(repeated), "--coreset", str(core_path),
+               "--out", str(tmp_path / "audit.csv"), "--center-samples", "3"])
+    assert rc == 2
+    assert "is repeated" in capsys.readouterr().err
+    centers = tmp_path / "centers.txt"
+    centers.write_text("3 3\n12 12\n")
+    out = tmp_path / "assign.txt"
+    rc = main(["assign", "--coreset", str(core_path), "--centers", str(centers),
+               "--capacity", "80", "--full-input", str(repeated),
+               "--out", str(out)])
+    assert rc == 2
+    assert "is repeated" in capsys.readouterr().err
+    assert not out.exists()
+    # the centers file is not checked: equal centers are legal
+    centers.write_text("3 3\n3 3\n")
+    assert main(["assign", "--coreset", str(core_path), "--centers",
+                 str(centers), "--capacity", "80", "--full-input", str(tagged),
+                 "--out", str(out)]) == 0

@@ -1,16 +1,17 @@
-import math
 import random
 import struct
+from collections import Counter
 
 import pytest
 
-from capacore.common import derive_seed
-from capacore.coreset import build_auto, dedup_points, exact_threshold, o_grid
+from capacore.common import FAIL, derive_seed, is_fail
+from capacore.coreset import (Sampling, build_auto, dedup_points,
+                              exact_threshold, finalize_cells, o_grid)
 from capacore.cellstore import ExactCellStore
 from capacore.distributed import (_HEADER, ByteChannel, Coordinator, Machine,
                                   broadcast_blob, per_machine_byte_cap,
                                   run_protocol)
-from capacore.geometry import GridHierarchy
+from capacore.geometry import GridHierarchy, Point
 from capacore.hashing import KWiseHash, PointEncoder
 from capacore.params import FAMILIES, PRACTICAL, derive
 from capacore.streaming import StreamEngine
@@ -21,6 +22,17 @@ RATE1 = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
                mode=PRACTICAL, scale=1e-6)
 SAMPLING = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
                   mode=PRACTICAL, scale=1e-53)
+
+
+def _with_caps(alpha, beta=None):
+    """RATE1 whose store caps are alpha(o) and beta(o) (the schedule's beta
+    when beta is None) for every family and level."""
+    class Caps(type(RATE1)):
+        def caps(self, family, i, o):
+            own = super().caps(family, i, o)[1]
+            return alpha(o), own if beta is None else beta(o)
+
+    return Caps(**{f: getattr(RATE1, f) for f in RATE1.__dataclass_fields__})
 
 
 def _offline(points, params, seed, exact_counts):
@@ -85,16 +97,9 @@ def test_sketch_backing_protocol(rng):
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
 def test_machine_sends_each_distinct_store_once(rng, backing):
-    class GuessAlpha(type(RATE1)):
-        # cell caps that grow with the guess: a shard is over some guesses'
-        # caps and under others'
-        def alpha(self, i, o):
-            return o / 2
-
-        alpha_prime = alpha_hat = alpha
-
-    params = GuessAlpha(**{f: getattr(RATE1, f)
-                           for f in RATE1.__dataclass_fields__})
+    # cell caps that grow with the guess: a shard is over some guesses'
+    # caps and under others'
+    params = _with_caps(lambda o: o / 2)
     pts = dedup_points(rand_points(rng, 30, 8))
     grid = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
     machine = Machine(pts, params, grid, 8, backing, False, 64)
@@ -120,30 +125,50 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
     assert sorted(sent) == list(range(len(pooled)))
 
 
-def _rate(params, fam, lvl, o):
-    if fam == "hhat":
-        return params.phi(lvl, o)
-    return params.psi(lvl, o) if fam == "h" else params.psi_prime(lvl, o)
+def _own_caps_outcome(params, grid, seed, live, o, exact_counts):
+    """The reference outcome of guess o: finalize_cells over one exact store
+    per (family, level) under the guess's own caps; FAIL when one of them
+    FAILs."""
+    enc = PointEncoder(grid.Delta, grid.d)
+    data = {}
+    for fam in FAMILIES:
+        lam = params.hash_lambda() if fam == "hhat" \
+            else params.hash_lambda_prime()
+        for lvl in range(0, grid.L + 1):
+            hash_ = KWiseHash(derive_seed(seed, f"{fam}:{lvl}"), lam, enc)
+            if fam == "hhat":
+                rate = params.phi(lvl, o)
+            elif exact_counts:
+                rate = 1.0
+            else:
+                rate = params.psi(lvl, o) if fam == "h" \
+                    else params.psi_prime(lvl, o)
+            t = exact_threshold(rate, enc.modulus)
+            ref = ExactCellStore(grid, lvl, *params.caps(fam, lvl, o))
+            for p in live:
+                if t == enc.modulus or hash_.field_value(p) < t:
+                    ref.update(p, +1)
+            data[(fam, lvl)] = ref.finalize()
+            if is_fail(data[(fam, lvl)]):
+                return FAIL
+    return finalize_cells(Sampling(params, grid, seed, exact_counts), o,
+                          data, len(live))
+
+
+def _same_outcome(got, want):
+    if is_fail(want):
+        return is_fail(got)
+    return not is_fail(got) and got == want \
+        and got.meta.part_tau == want.meta.part_tau \
+        and got.meta.structure.heavy == want.meta.structure.heavy
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
 def test_pooled_stores_read_like_one_store_per_guess(rng, backing):
-    class GuessCaps(type(RATE1)):
-        # caps that grow with the guess and cross the instance's cell counts
-        # (alpha) and per-cell point counts (beta)
-        def alpha(self, i, o):
-            return 4 * o
-
-        def beta(self, i, o):
-            return o
-
-        alpha_prime = alpha_hat = alpha
-        beta_prime = beta_hat = beta
-
-    params = GuessCaps(**{f: getattr(RATE1, f)
-                          for f in RATE1.__dataclass_fields__})
+    # caps that grow with the guess and cross the instance's cell counts
+    # (alpha) and per-cell point counts (beta)
+    params = _with_caps(lambda o: 4 * o, lambda o: o / 8)
     grid = GridHierarchy.from_seed(derive_seed(12, "shift"), 8, 2)
-    enc = PointEncoder(8, 2)
     pts = rand_points(rng, 40, 8)
     live = [p for i, p in enumerate(pts) if i % 4]
     updates = [(p, +1) for p in pts] + [(p, -1) for p in pts[::4]]
@@ -153,22 +178,17 @@ def test_pooled_stores_read_like_one_store_per_guess(rng, backing):
     for shard in (live[0::2], live[1::2]):
         coord.absorb(Machine(shard, params, grid, 12, backing, False, 64),
                      ByteChannel())
+    outcomes = []
     for o in stream.o_values:
-        for lvl in range(0, grid.L + 1):
-            for fam in FAMILIES:
-                alpha, beta = params.caps(fam, lvl, o)
-                lam = params.hash_lambda() if fam == "hhat" \
-                    else params.hash_lambda_prime()
-                hash_ = KWiseHash(derive_seed(12, f"{fam}:{lvl}"), lam, enc)
-                t = exact_threshold(_rate(params, fam, lvl, o), enc.modulus)
-                # the reference: an exact store of this guess's own caps
-                ref = ExactCellStore(grid, lvl, alpha, beta)
-                for p in live:
-                    if t == enc.modulus or hash_.field_value(p) < t:
-                        ref.update(p, +1)
-                assert stream._cell_data(o, fam, lvl) == ref.finalize()
-                assert coord._cell_data(o, fam, lvl) == \
-                    ref.read(math.inf, beta)
+        want = _own_caps_outcome(params, grid, 12, live, o, False)
+        gates = []
+        assert _same_outcome(stream.finalize_for_o(o, gates), want), o
+        assert _same_outcome(coord.finalize_for_o(o), want), o
+        outcomes.append(gates[0] if gates else len(want))
+    # the caps bind on small guesses and both gates fire
+    assert "store cell cap" in outcomes
+    assert "light-point recovery cap" in outcomes
+    assert any(isinstance(x, int) and x > 0 for x in outcomes)
 
 
 def test_families_share_a_store_at_rate_one(rng):
@@ -176,46 +196,96 @@ def test_families_share_a_store_at_rate_one(rng):
     # both families for every guess
     engine = StreamEngine(RATE1, GridHierarchy.from_seed(13, 8, 2), 13,
                           exact_counts=True, n_max=64)
-    engine.process_stream((p, +1) for p in rand_points(rng, 30, 8))
-    reads = []
-
-    def spy(store):
-        read = store.read
-
-        def traced(alpha, beta):
-            reads.append(id(store))
-            return read(alpha, beta)
-        return traced
-
-    for store in engine._stores.values():
-        store.read = spy(store)
+    live = rand_points(rng, 30, 8)
+    engine.process_stream((p, +1) for p in live)
     for lvl in range(0, engine.grid.L + 1):
-        reads.clear()
-        for fam in ("h", "hp"):
-            for o in engine.o_values:
-                engine._cell_data(o, fam, lvl)
-        assert len(set(reads)) == 1
+        assert len({id(engine._stores[engine.sampling.key(fam, lvl, o)])
+                    for fam in ("h", "hp") for o in engine.o_values}) == 1
     keys = {engine.sampling.key(fam, lvl, o) for o in engine.o_values
             for lvl in range(0, engine.grid.L + 1) for fam in FAMILIES}
     assert len(engine._stores) == len(keys)
+    for o in engine.o_values:
+        want = _own_caps_outcome(RATE1, engine.grid, 13, live, o, True)
+        assert _same_outcome(engine.finalize_for_o(o), want), o
+
+
+def test_stream_finalize_reads_each_store_once(rng):
+    # cell caps that FAIL the first guesses, each of which reads every
+    # (family, level) it uses: the reads are cached per finalize
+    params = _with_caps(lambda o: 4 * o)
+    grid = GridHierarchy.from_seed(14, 8, 2)
+    engine = StreamEngine(params, grid, 14, n_max=64)
+    engine.process_stream((p, +1) for p in rand_points(rng, 40, 8))
+    reads = Counter()
+
+    def spy(key, store):
+        finalize = store.finalize
+
+        def traced():
+            reads[key] += 1
+            return finalize()
+        return traced
+
+    for key, store in engine._stores.items():
+        store.finalize = spy(key, store)
+    for _ in range(2):
+        core = engine.finalize()
+        assert len(core.meta.o_attempts) > 1
+        used = {engine.sampling.key(fam, lvl, o) for o in core.meta.o_attempts
+                for lvl in range(0, grid.L + 1) for fam in FAMILIES}
+        assert reads == Counter(used)
+        # an update makes the next finalize read the stores again
+        engine.process(Point((1, 1), 99), +1)
+        engine.process(Point((1, 1), 99), -1)
+        reads.clear()
+    # so does a merge: a coordinator finalized between two machines
+    pts = rand_points(rng, 40, 8)
+    coord = Coordinator(RATE1, grid, 14, "exact", False, 64)
+    for end in (20, 40):
+        coord.absorb(Machine(pts[end - 20:end], RATE1, grid, 14, "exact",
+                             False, 64), ByteChannel())
+        assert coord.finalize() == build_auto(pts[:end], grid, RATE1, 14,
+                                              exact_counts=False)
+
+
+def _all_fail(build):
+    with pytest.raises(RuntimeError, match="store cell cap"):
+        build()
 
 
 def test_machine_fail_propagates(rng):
-    class TinyAlpha(type(RATE1)):
-        def alpha(self, i, o):
-            return 0.5
-
-        def alpha_prime(self, i, o):
-            return 0.5
-
-        def alpha_hat(self, i, o):
-            return 0.5
-
-    tiny = TinyAlpha(**{f: getattr(RATE1, f)
-                        for f in RATE1.__dataclass_fields__})
+    # a cell cap of 0.5 binds on every nonempty store: the machine's report
+    # FAILs every guess, and offline and stream builds FAIL alike
+    tiny = _with_caps(lambda o: 0.5)
     pts = dedup_points(rand_points(rng, 10, 8))
-    with pytest.raises(RuntimeError, match="store cell cap"):
-        run_protocol([pts], tiny, seed=6)
+    _all_fail(lambda: run_protocol([pts], tiny, seed=6))
+    grid = GridHierarchy.from_seed(derive_seed(6, "shift"), 8, 2)
+    _all_fail(lambda: build_auto(pts, grid, tiny, 6, exact_counts=False))
+    engine = StreamEngine(tiny, grid, 6, n_max=64)
+    engine.process_stream((p, +1) for p in pts)
+    _all_fail(engine.finalize)
+
+
+def test_dist_fails_when_the_union_is_over_the_cell_cap():
+    # 12 points in 12 level-L cells: each 6-point shard is under a cell cap
+    # of 6 for every guess, the union is over it
+    capped = _with_caps(lambda o: 6)
+    pts = [Point((x, y), x) for x, y in zip(range(1, 9), (1, 3, 5, 7) * 2)]
+    pts += [Point((x, 8), 8 + x) for x in range(1, 5)]
+    grid = GridHierarchy.from_seed(derive_seed(6, "shift"), 8, 2)
+    engine = StreamEngine(capped, grid, 6, n_max=64)
+    engine.process_stream((p, +1) for p in pts)
+    coord = Coordinator(capped, grid, 6, "exact", False, 64)
+    for shard in (pts[0::2], pts[1::2]):
+        machine = Machine(shard, capped, grid, 6, "exact", False, 64)
+        assert all(store.cell_count() <= 6
+                   for store in machine.engine._stores.values())
+        coord.absorb(machine, ByteChannel())
+    assert not coord._over
+    _all_fail(lambda: build_auto(pts, grid, capped, 6, exact_counts=False))
+    _all_fail(engine.finalize)
+    _all_fail(coord.finalize)
+    _all_fail(lambda: run_protocol([pts[0::2], pts[1::2]], capped, seed=6))
 
 
 def test_broadcast_blob_contains_shift():

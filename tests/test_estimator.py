@@ -5,7 +5,7 @@ import pytest
 from capacore.common import derive_seed
 from capacore.coreset import OfflineBuilder, exact_threshold
 from capacore.estimator import ExactBank, SampleBank
-from capacore.geometry import CellId, GridHierarchy, Point
+from capacore.geometry import GridHierarchy, Point
 from capacore.hashing import KWiseHash, PointEncoder
 from capacore.params import PRACTICAL, derive
 from capacore.partition import exact_counts, mark_cells
@@ -43,10 +43,10 @@ def _pipeline_bank(points, grid, params, o, seed, exact_counts=False):
     return SampleBank.build(builder.sampling, o, data)
 
 
-def _estimate(bank, cell):
-    if cell.level == -1:
-        return bank.counts_for_marking()[-1].get(cell.lattice, 0.0)
-    return bank.h_cells[cell.level].get(cell.lattice, 0) / bank.psi[cell.level]
+def _estimate(bank, level, lattice):
+    if level == -1:
+        return bank.counts_for_marking()[-1].get(lattice, 0.0)
+    return bank.h_cells[level].get(lattice, 0) / bank.psi[level]
 
 
 def _fixed_rates(params, psi, psi_prime):
@@ -71,7 +71,7 @@ def test_rate_one_is_exact(rng):
         cells = exact_counts(pts, grid, levels=[lvl])[lvl]
         for lat, cnt in cells.items():
             for b in (bank, pipeline, exact):
-                assert _estimate(b, CellId(lvl, lat)) == cnt
+                assert _estimate(b, lvl, lat) == cnt
     assert pipeline.counts_for_marking() == exact.counts_for_marking()
     assert pipeline.hp_cells == exact.hp_cells
 
@@ -80,8 +80,8 @@ def test_empty_cell_estimates_zero(rng):
     grid = GridHierarchy.from_seed(4, 8, 2)
     pts = [Point((1, 1), 0)]
     bank = _bank(pts, grid, 1.0, 1.0, seed=1)
-    far = grid.cell_of(Point((8, 8)), grid.L)
-    assert _estimate(bank, far) == 0.0
+    far = grid.lattice_of((8, 8), grid.L)
+    assert _estimate(bank, grid.L, far) == 0.0
 
 
 def test_retained_points_pass_their_hash(rng):
@@ -109,12 +109,12 @@ def test_inverse_probability_variance(rng):
     # 100-point cell at rate 1/2: sampling distribution of the estimate
     grid = GridHierarchy.from_seed(4, 8, 2)
     pts = [Point((2, 2), i) for i in range(100)]
-    cell = grid.cell_of(pts[0], grid.L)
+    cell = grid.lattice_of(pts[0].coords, grid.L)
     trials = 1000
     est = []
     for seed in range(trials):
         bank = _bank(pts, grid, 0.5, 1.0, seed=seed)
-        est.append(_estimate(bank, cell))
+        est.append(_estimate(bank, grid.L, cell))
     mean = sum(est) / trials
     sigma_mean = math.sqrt(100 * (1 / 0.5 - 1)) / math.sqrt(trials)
     assert abs(mean - 100) <= 3 * sigma_mean

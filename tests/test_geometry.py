@@ -17,16 +17,16 @@ def _side(grid, level: int) -> float:
     return 2.0 * grid.Delta if level == -1 else grid.Delta / (1 << level)
 
 
-def _cell_bounds(grid, cell):
+def _cell_bounds(grid, level, lattice):
     """Per-axis [lo, hi) of the cell in real coordinates (1-based frame)."""
-    if cell.level == -1:
+    if level == -1:
         side = (2 * grid.Delta) << SHIFT_FRAC_BITS
         anchor = grid.Delta << SHIFT_FRAC_BITS
     else:
-        side, anchor = (grid.Delta << SHIFT_FRAC_BITS) >> cell.level, 0
+        side, anchor = (grid.Delta << SHIFT_FRAC_BITS) >> level, 0
     scale = 1 << SHIFT_FRAC_BITS
     out = []
-    for t, v in zip(cell.lattice, grid.shift_num):
+    for t, v in zip(lattice, grid.shift_num):
         lo = v - anchor + t * side
         out.append((lo / scale + 1, (lo + side) / scale + 1))
     return out
@@ -49,19 +49,19 @@ def test_dist_pow_dimension_mismatch():
 
 def test_cell_of_spec_examples():
     grid = GridHierarchy(8, 2, (0, 0))
-    assert grid.cell_of(Point((3, 7)), 0).lattice == (0, 0)
-    assert grid.cell_of(Point((3, 7)), 2).lattice == (1, 3)
+    assert grid.lattice_of((3, 7), 0) == (0, 0)
+    assert grid.lattice_of((3, 7), 2) == (1, 3)
 
 
 def test_root_cell_identical_for_all_points():
     for seed in range(40):
         grid = GridHierarchy.from_seed(seed, 8, 2)
-        roots = {grid.cell_of(Point((x, y)), -1)
+        roots = {grid.lattice_of((x, y), -1)
                  for x in range(1, 9) for y in range(1, 9)}
         assert len(roots) == 1
     # boundary shift: zero on every axis
     grid = GridHierarchy(8, 2, (0, 0))
-    assert len({grid.cell_of(Point((x, y)), -1)
+    assert len({grid.lattice_of((x, y), -1)
                 for x in range(1, 9) for y in range(1, 9)}) == 1
 
 
@@ -118,11 +118,14 @@ def test_containment_chain_via_corners(rng):
         grid = GridHierarchy.from_seed(seed, 16, 2)
         for p in rand_points(rng, 30, 16):
             for level in range(0, grid.L + 1):
-                child = grid.cell_of(p, level)
-                parent = grid.cell_of(p, level - 1)
-                assert grid.parent(child) == parent
-                cb = _cell_bounds(grid, child)
-                pb = _cell_bounds(grid, parent)
+                child = grid.lattice_of(p.coords, level)
+                parent = grid.lattice_of(p.coords, level - 1)
+                # the parent rule: the root pairs level-0 lattices by
+                # (t + 1) >> 1, every other level halves them by t >> 1
+                up = 1 if level == 0 else 0
+                assert tuple((t + up) >> 1 for t in child) == parent
+                cb = _cell_bounds(grid, level, child)
+                pb = _cell_bounds(grid, level - 1, parent)
                 for (clo, chi), (plo, phi) in zip(cb, pb):
                     assert plo <= clo and chi <= phi
 
@@ -131,7 +134,7 @@ def test_cell_bounds_contain_point(rng):
     grid = GridHierarchy.from_seed(3, 8, 2)
     for p in rand_points(rng, 50, 8):
         for level in range(-1, grid.L + 1):
-            bounds = _cell_bounds(grid, grid.cell_of(p, level))
+            bounds = _cell_bounds(grid, level, grid.lattice_of(p.coords, level))
             for c, (lo, hi) in zip(p.coords, bounds):
                 assert lo <= c < hi
 
@@ -142,7 +145,7 @@ def test_same_cell_diameter(rng):
     for level in range(0, grid.L + 1):
         cells = {}
         for p in pts:
-            cells.setdefault(grid.cell_of(p, level), []).append(p)
+            cells.setdefault(grid.lattice_of(p.coords, level), []).append(p)
         bound = (math.sqrt(grid.d) * _side(grid, level)) ** 2
         for group in cells.values():
             for a in group:
@@ -186,7 +189,7 @@ def test_grid_validation():
         GridHierarchy(8, 1, ((8 << 32),))
     grid = GridHierarchy(8, 2, (0, 0))
     with pytest.raises(UsageError):
-        grid.cell_of(Point((1, 1)), 4)
+        grid.lattice_of((1, 1), 4)
 
 
 def test_next_pow2():

@@ -53,8 +53,12 @@ def _check_modes_agree(backing, scale, exact_counts, case, seed):
     dist = _or_fail(lambda: run_protocol(
         [live[i::machines] for i in range(machines)], params, seed,
         backing=backing, exact_counts=exact_counts)[0])
-    assert stream == offline
-    assert dist == offline
+    for other in (stream, dist):
+        assert other == offline
+        if offline is not FAIL:
+            # __eq__ compares entries only; the partition must agree too
+            assert other.meta.part_tau == offline.meta.part_tau
+            assert other.meta.structure.heavy == offline.meta.structure.heavy
 
 
 # at Delta=8, scale 1e-53 puts psi and psi' below 1 and 1e-57 puts phi below 1

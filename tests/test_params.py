@@ -78,9 +78,23 @@ def test_caps_formulas():
     o = 32
     for i in range(0, 4):
         assert p.part_sum_cap(i, o) == 10000 * (2 * 3 + d_pow) * p.T(i, o)
-        assert p.alpha(i, o) == 1e6 * (2 + d_pow * p.psi(i, o) * p.T(i, o)) * 9
-        assert p.beta(i, o) == 1.0
-        assert p.beta_hat(i, o) == 4e6 * (2 + d_pow) * 9 * p.phi(i, o) * p.T(i, o)
+    # theory rates are 1 here; scale 1e-58 puts every rate below 1
+    sampled = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
+                     mode=PRACTICAL, scale=1e-58)
+    for q in (p, sampled):
+        for i in range(0, 4):
+            for fam, rate in (("h", q.psi(i, o)), ("hp", q.psi_prime(i, o)),
+                              ("hhat", q.phi(i, o))):
+                alpha, beta = q.caps(fam, i, o)
+                assert alpha == 1e6 * (2 + d_pow * rate * q.T(i, o)) * 9
+                if fam == "hhat":
+                    assert beta == 4e6 * (2 + d_pow) * 9 * rate * q.T(i, o)
+                else:
+                    assert beta == 1.0
+    assert max(sampled.psi(0, o), sampled.psi_prime(0, o),
+               sampled.phi(0, o)) < 1
+    with pytest.raises(UsageError):
+        p.caps("g", 0, o)
 
 
 def test_hash_lambda_even_and_clamped():

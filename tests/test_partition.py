@@ -8,7 +8,7 @@ from capacore.params import derive
 from capacore.partition import PartitionStructure, exact_counts, mark_cells
 from capacore import oracle
 
-from conftest import clustered_points, rand_points
+from conftest import clustered_points, floor_lattice, rand_points
 
 PARAMS = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2)
 
@@ -23,8 +23,8 @@ def test_single_point_tiny_o_marks_full_chain():
     p = Point((3, 6), 0)
     s, _ = _structure([p], grid, o=1e-9)
     for lvl in range(-1, grid.L):
-        assert s.is_heavy(grid.cell_of(p, lvl))
-    assert s.is_crucial(grid.cell_of(p, grid.L))
+        assert grid.lattice_of(p.coords, lvl) in s.heavy[lvl]
+    assert s.crucial_ranks(grid.L, [grid.lattice_of(p.coords, grid.L)]) == [0]
     assert s.part_of(p) == (grid.L, 0)
 
 
@@ -129,9 +129,8 @@ def test_part_of_cell_matches_part_of(rng):
         part = s.part_of(p)
         if part is None:
             continue
-        cell = grid.cell_of(p, part[0])
-        assert s.part_of_cell(cell) == part
-        assert s.is_crucial(cell)
+        i, j = part
+        assert s.crucial_ranks(i, [grid.lattice_of(p.coords, i)]) == [j]
 
 
 def test_root_heavy_whenever_o_below_opt(rng):
@@ -147,20 +146,20 @@ def test_root_heavy_whenever_o_below_opt(rng):
             continue
         for o in (opt / 10, opt / 2, opt):
             s, _ = _structure(pts, grid, o)
-            root = grid.cell_of(pts[0], -1)
-            assert s.is_heavy(root)
+            assert grid.lattice_of(pts[0].coords, -1) in s.heavy[-1]
 
 
 def _walk_part(structure, grid, p):
-    """Reference part of p: a cell_of walk, one lattice per level."""
-    prev = grid.cell_of(p, -1)
-    if prev.lattice not in structure.heavy[-1]:
+    """Reference part of p: a walk over the floor-division lattices of its
+    levels, one per level."""
+    prev = floor_lattice(grid, p.coords, -1)
+    if prev not in structure.heavy[-1]:
         return None
     for i in range(0, grid.L + 1):
-        cell = grid.cell_of(p, i)
-        if i == grid.L or cell.lattice not in structure.heavy[i]:
-            return (i, sorted(structure.heavy[i - 1]).index(prev.lattice))
-        prev = cell
+        lat = floor_lattice(grid, p.coords, i)
+        if i == grid.L or lat not in structure.heavy[i]:
+            return (i, sorted(structure.heavy[i - 1]).index(prev))
+        prev = lat
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -179,13 +178,13 @@ def test_part_of_matches_a_per_level_walk(d, log_delta):
         # random heavy markings: a few points' paths heavy down to a random
         # depth, plus stray heavy cells whose parents need not be heavy
         heavy = {lvl: set() for lvl in range(-1, grid.L)}
-        heavy[-1].add(grid.cell_of(points[0], -1).lattice)
+        heavy[-1].add(floor_lattice(grid, points[0].coords, -1))
         for p in rng.sample(points, 4):
             for lvl in range(0, rng.randint(0, grid.L)):
-                heavy[lvl].add(grid.cell_of(p, lvl).lattice)
+                heavy[lvl].add(floor_lattice(grid, p.coords, lvl))
         for p in rng.sample(points, 5):
             lvl = rng.randrange(0, grid.L)
-            heavy[lvl].add(grid.cell_of(p, lvl).lattice)
+            heavy[lvl].add(floor_lattice(grid, p.coords, lvl))
         structure = PartitionStructure(grid, heavy)
         parts = [structure.part_of(p) for p in points]
         assert parts == [_walk_part(structure, grid, p) for p in points]
