@@ -7,7 +7,8 @@ own caps.  A store that serves several guesses is sized by their largest
 caps; each guess's own caps apply to the read-out in the decision path
 (coreset.finalize_cells).
 
-* ExactCellStore keeps a keyed map of signed cell counts and point multisets.
+* ExactCellStore keeps plain dicts of signed cell counts and, per cell, of
+  signed point multiplicities; zero entries are dropped.
   It never FAILs below the cell cap and always FAILs above it (delta = 0),
   at the price of non-sublinear space.
 * SketchCellStore is a genuine linear sketch: cells hash into rows of
@@ -29,7 +30,6 @@ import copy
 import math
 import random
 import struct
-from collections import Counter
 
 from .common import FAIL, UsageError, derive_seed, is_fail
 from .geometry import GridHierarchy, Point
@@ -77,22 +77,24 @@ class ExactCellStore:
         self.beta = beta
         self.seed = seed
         self.counts: dict = {}
-        self.points: dict = {}  # lattice -> Counter(point -> multiplicity)
+        self.points: dict = {}  # lattice -> {point: signed multiplicity}
 
     def update(self, p: Point, sign: int, lat: tuple | None = None):
-        """Add sign copies of p; lat is p's lattice at this level, computed
-        when not given."""
+        """Add sign (a nonzero integer) copies of p; lat is p's lattice at
+        this level, computed when not given."""
         if lat is None:
             lat = self.grid.lattice_of(p.coords, self.level)
-        c = self.counts.get(lat, 0) + sign
+        counts = self.counts
+        c = counts.get(lat, 0) + sign
         if c:
-            self.counts[lat] = c
+            counts[lat] = c
         else:
-            self.counts.pop(lat, None)
+            del counts[lat]
         bucket = self.points.get(lat)
         if bucket is None:
-            bucket = self.points[lat] = Counter()
-        m = bucket[p] + sign
+            self.points[lat] = {p: sign}
+            return
+        m = bucket.get(p, 0) + sign
         if m:
             bucket[p] = m
         else:
@@ -108,11 +110,15 @@ class ExactCellStore:
                 self.counts[lat] = nc
             else:
                 self.counts.pop(lat, None)
-        for lat, ctr in other.points.items():
-            mine = self.points.setdefault(lat, Counter())
-            mine.update(ctr)
-            for p in [p for p, m in mine.items() if not m]:
-                del mine[p]
+        for lat, theirs in other.points.items():
+            mine = self.points.setdefault(lat, {})
+            # add multiplicities: dict.update would overwrite them
+            for p, m in theirs.items():
+                nm = mine.get(p, 0) + m
+                if nm:
+                    mine[p] = nm
+                else:
+                    del mine[p]
             if not mine:
                 del self.points[lat]
 
@@ -128,10 +134,10 @@ class ExactCellStore:
         light = {}
         for lat, cnt in cells.items():
             if cnt <= self.beta:
-                ctr = self.points.get(lat, Counter())
+                mults = self.points.get(lat, {})
                 pts = []
-                for p in sorted(ctr):
-                    pts.extend([p] * ctr[p])
+                for p in sorted(mults):
+                    pts.extend([p] * mults[p])
                 light[lat] = tuple(pts)
         return CellData(self.level, cells, light)
 
@@ -143,11 +149,11 @@ class ExactCellStore:
         out.append(struct.pack("<I", len(cells)))
         for lat, cnt in cells:
             out.append(struct.pack(f"<{d}qq", *lat, cnt))
-        light = [(lat, ctr) for lat, ctr in sorted(self.points.items())
+        light = [(lat, mults) for lat, mults in sorted(self.points.items())
                  if self.counts.get(lat, 0) <= self.beta]
         out.append(struct.pack("<I", len(light)))
-        for lat, ctr in light:
-            entries = sorted(ctr.items())
+        for lat, mults in light:
+            entries = sorted(mults.items())
             out.append(struct.pack(f"<{d}qI", *lat, len(entries)))
             for p, mult in entries:
                 out.append(struct.pack(f"<{d}qqq", *p.coords, p.tag, mult))
@@ -181,12 +187,12 @@ class ExactCellStore:
             vals = struct.unpack_from(f"<{d}qI", view, off)
             off += 8 * d + 4
             lat, npts = tuple(vals[:d]), vals[d]
-            ctr = Counter()
+            mults = {}
             for _ in range(npts):
                 pv = struct.unpack_from(f"<{d}qqq", view, off)
                 off += 8 * (d + 2)
-                ctr[Point(tuple(pv[:d]), pv[d])] = pv[d + 1]
-            store.points[lat] = ctr
+                mults[Point(tuple(pv[:d]), pv[d])] = pv[d + 1]
+            store.points[lat] = mults
         return store
 
 
@@ -253,27 +259,25 @@ class SketchCellStore:
             lat = self.grid.lattice_of(p.coords, self.level)
         code = self._cell_code(lat)
         pcode = self._enc.encode(p) + 1
-        ccheck = self._check(self._h2, code)
-        pcheck = self._check(self._p2, pcode)
+        # the signed keysum and checksum terms every bucket of p adds
+        ckey, ccheck = sign * code, sign * self._check(self._h2, code)
+        pkey, pcheck = sign * pcode, sign * self._check(self._p2, pcode)
         # a point's buckets do not depend on its cell's row
         pslots = [(prow, self._pair_hash(ab, pcode, self.pbuckets))
                   for prow, ab in enumerate(self._p1)]
-        for row in range(self.rows):
-            b = self._pair_hash(self._h1[row], code, self.buckets)
-            _bump(self.cell_state, (row, b), sign, code, ccheck)
+        cell_state, point_state = self.cell_state, self.point_state
+        for row, ab in enumerate(self._h1):
+            b = self._pair_hash(ab, code, self.buckets)
+            _add(cell_state, (row, b), sign, ckey, ccheck)
             for prow, pb in pslots:
-                _bump(self.point_state, (row, b, prow, pb), sign, pcode, pcheck)
+                _add(point_state, (row, b, prow, pb), sign, pkey, pcheck)
 
     def merge_in(self, other: "SketchCellStore"):
         _check_compatible(self, other)
         for mine, theirs in ((self.cell_state, other.cell_state),
                              (self.point_state, other.point_state)):
-            for key, rec in theirs.items():
-                acc = mine.setdefault(key, [0, 0, 0])
-                for i in range(3):
-                    acc[i] += rec[i]
-                if acc == [0, 0, 0]:
-                    del mine[key]
+            for key, (cnt, ksum, csum) in theirs.items():
+                _add(mine, key, cnt, ksum, csum)
 
     # --- recovery --------------------------------------------------------
     def _peel(self, state, hashes, width, check_ab, limit):
@@ -295,11 +299,13 @@ class SketchCellStore:
                 if not 0 < code <= limit or csum != cnt * check:
                     continue
                 recovered[code] = recovered.get(code, 0) + cnt
+                # the pure record (cnt, cnt * code, cnt * check) leaves every
+                # row of the key
                 for row, ab in enumerate(hashes):
                     slot = (row, self._pair_hash(ab, code, width))
                     if slot not in state:
                         return None  # inconsistent: peeled key missing a row
-                    _bump(state, slot, -cnt, code, check)
+                    _add(state, slot, -cnt, -ksum, -csum)
                 progress = True
         return None if state else recovered
 
@@ -414,15 +420,20 @@ class SketchCellStore:
             + self.rows * self.buckets * self.prows * self.pbuckets * 24
 
 
-def _bump(state, key, cnt, code, check):
-    """Add cnt copies of a key to the record at state[key]; a record back at
-    zero is dropped, so state holds nonzero records only."""
-    rec = state.setdefault(key, [0, 0, 0])
+def _add(state, slot, cnt, ksum, csum):
+    """Add (count, keysum, checksum) to the record at state[slot], making a
+    record only for a new slot; a record back at zero is dropped, so state
+    holds nonzero records only."""
+    rec = state.get(slot)
+    if rec is None:
+        if cnt or ksum or csum:
+            state[slot] = [cnt, ksum, csum]
+        return
     rec[0] += cnt
-    rec[1] += cnt * code
-    rec[2] += cnt * check
-    if rec == [0, 0, 0]:
-        del state[key]
+    rec[1] += ksum
+    rec[2] += csum
+    if not (rec[0] or rec[1] or rec[2]):
+        del state[slot]
 
 
 def make_store(backing: str, grid: GridHierarchy, level: int, alpha: float,

@@ -140,13 +140,15 @@ class Sampling:
         self.grid = grid
         self.seed = seed
         self.exact_counts = exact_counts
-        encoder = PointEncoder(grid.Delta, grid.d)
-        self.modulus = encoder.modulus
+        # the one encoder of every hash: a point encoded once has its field
+        # value under each of them (KWiseHash.code_value)
+        self.encoder = PointEncoder(grid.Delta, grid.d)
+        self.modulus = self.encoder.modulus
         self._hashes = {
             (fam, lvl): KWiseHash(
                 derive_seed(seed, f"{fam}:{lvl}"),
                 params.hash_lambda() if fam == "hhat"
-                else params.hash_lambda_prime(), encoder)
+                else params.hash_lambda_prime(), self.encoder)
             for fam in FAMILIES for lvl in range(0, grid.L + 1)}
 
     def rate(self, family: str, level: int, o: float) -> float:

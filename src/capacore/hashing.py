@@ -73,18 +73,28 @@ class KWiseHash:
         self.encoder = encoder
         self.modulus = encoder.modulus
         self._coeffs = None
+        self._rev = None  # the coefficients, highest degree first
 
     @property
     def coeffs(self):
-        # drawn on first use: hashes whose rates are 0 or 1 are never asked
         if self._coeffs is None:
-            rng = random.Random(self.seed)
-            self._coeffs = tuple(rng.randrange(self.modulus) for _ in range(self.lam))
+            self._draw()
         return self._coeffs
 
+    def _draw(self):
+        # drawn on first use: hashes whose rates are 0 or 1 are never asked
+        rng = random.Random(self.seed)
+        self._coeffs = tuple(rng.randrange(self.modulus) for _ in range(self.lam))
+        self._rev = self._coeffs[::-1]
+        return self._rev
+
     def field_value(self, p: Point) -> int:
-        return kernels.poly_eval_batch(self.coeffs, [self.encoder.encode(p)],
-                                       self.modulus)[0]
+        return self.code_value(self.encoder.encode(p))
+
+    def code_value(self, code: int) -> int:
+        """The field value of a point given by its encoding under this
+        hash's encoder, so that hashes sharing an encoder encode it once."""
+        return kernels.horner(self._rev or self._draw(), code, self.modulus)
 
     def field_values(self, points) -> list:
         encs = [self.encoder.encode(p) for p in points]

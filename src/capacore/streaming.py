@@ -17,9 +17,11 @@ Routing.  A key keeps a point when the point's field value under the key's
 (family, level), in increasing threshold order, that keep the point are a
 suffix found by bisection.  Keys without a family keep every point
 (threshold = modulus) or none (threshold 0, never written).  Each update
-therefore computes its lattice path once (GridHierarchy.path_of), hashes
-once per hashed (family, level) and caches no field value, and hands every
-store it writes the lattice of the store's level.
+therefore computes its lattice path once (GridHierarchy.path_of), encodes
+the point once (every hash shares Sampling.encoder), evaluates each hashed
+(family, level) polynomial on that code and caches no field value, and hands
+every store it writes the lattice of the store's level through the one store
+write, store.update(p, sign, lat).
 
 Stream file format: one update per line, "+ x1 ... xd #tag" or
 "- x1 ... xd #tag" (U+2212 minus accepted).
@@ -50,6 +52,10 @@ class StreamEngine:
             raise UsageError("empty o grid; n_max too small")
         self.net = 0
         self.sampling = Sampling(params, grid, seed, exact_counts)
+        # an exact store FAILs only above its cell cap, a sketch also when
+        # it cannot decode
+        self._read_gate = "store cell cap" if backing == "exact" \
+            else "store cell cap or sketch decoding"
         self._levels = range(0, grid.L + 1)
         # Sampling key -> (family, guess) pairs it serves
         self._served = self.sampling.served(self.o_values)
@@ -82,6 +88,8 @@ class StreamEngine:
     def process(self, p: Point, sign: int):
         if sign not in (1, -1):
             raise UsageError("sign must be +1 or -1")
+        # one encoding serves every hash (they share Sampling.encoder)
+        code = self.sampling.encoder.encode(p) if self._hashed else None
         self.net += sign
         self._data.clear()
         path = self.grid.path_of(p.coords)
@@ -89,7 +97,7 @@ class StreamEngine:
             store.update(p, sign, path[lvl])
         for lvl, hash_, thresholds, stores in self._hashed:
             # the stores with threshold above p's field value keep p
-            first = bisect_right(thresholds, hash_.field_values((p,))[0])
+            first = bisect_right(thresholds, hash_.code_value(code))
             lat = path[lvl]
             for store in stores[first:]:
                 store.update(p, sign, lat)
@@ -110,7 +118,7 @@ class StreamEngine:
         data = {(fam, lvl): self._cell_data(self.sampling.key(fam, lvl, o))
                 for fam in FAMILIES for lvl in self._levels}
         if any(is_fail(d) for d in data.values()):
-            return fail_at(gates, "store cell cap or sketch decoding")
+            return fail_at(gates, self._read_gate)
         return finalize_cells(self.sampling, o, data, self.net, gates)
 
     def candidates(self):

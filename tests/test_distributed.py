@@ -248,8 +248,8 @@ def test_stream_finalize_reads_each_store_once(rng):
                                               exact_counts=False)
 
 
-def _all_fail(build):
-    with pytest.raises(RuntimeError, match="store cell cap"):
+def _all_fail(build, gate="store cell cap"):
+    with pytest.raises(RuntimeError, match=f"failed at the {gate}$"):
         build()
 
 
@@ -264,6 +264,10 @@ def test_machine_fail_propagates(rng):
     engine = StreamEngine(tiny, grid, 6, n_max=64)
     engine.process_stream((p, +1) for p in pts)
     _all_fail(engine.finalize)
+    # a sketch-backed stream names both ways its stores FAIL
+    sketch = StreamEngine(tiny, grid, 6, backing="sketch", n_max=64)
+    sketch.process_stream((p, +1) for p in pts)
+    _all_fail(sketch.finalize, "store cell cap or sketch decoding")
 
 
 def test_dist_fails_when_the_union_is_over_the_cell_cap():

@@ -42,6 +42,18 @@ def test_eval_deterministic():
         assert a.field_value(p) == a.field_values([p])[0]
 
 
+@pytest.mark.parametrize("Delta", [8, 1 << 16])
+def test_field_values_are_the_polynomial_at_the_encoding(Delta):
+    # Delta 2**16 takes the 2**89 - 1 modulus: values beyond one 64-bit word
+    h = _hash(7, 6, Delta)
+    pts = rand_points(random.Random(3), 30, Delta)
+    want = [sum(c * pow(h.encoder.encode(p), i, h.modulus)
+                for i, c in enumerate(h.coeffs)) % h.modulus for p in pts]
+    assert h.field_values(pts) == want
+    assert [h.field_value(p) for p in pts] == want
+    assert [h.code_value(h.encoder.encode(p)) for p in pts] == want
+
+
 def test_validation():
     with pytest.raises(UsageError):
         _hash(1, 3, 8)

@@ -3,8 +3,9 @@
 import importlib.util
 from pathlib import Path
 
-from capacore import (assignment, coreset, distributed, estimator, kernels,
-                      oracle, partition, streaming)
+from capacore import (assignment, cellstore, coreset, distributed,
+                      estimator, hashing, kernels, oracle, partition,
+                      streaming)
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -32,6 +33,9 @@ def test_tracer_wraps_and_restores_every_hook():
                (estimator.ExactBank, "part_estimates"),
                (streaming, "mark_cells"),
                (kernels, "poly_eval_batch"),
+               (hashing.KWiseHash, "field_values"),
+               (cellstore.ExactCellStore, "update"),
+               (cellstore.SketchCellStore, "update"),
                (distributed.Coordinator, "absorb"),
                (distributed.Machine, "__init__"),
                (assignment.MinCostFlow, "solve"),

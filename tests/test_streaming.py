@@ -86,35 +86,44 @@ def test_interleaved_stream_matches_offline(rng, params, exact_counts):
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
-@pytest.mark.parametrize("Delta", [8, 64])
+@pytest.mark.parametrize("Delta", [8, 64, 1 << 16])
 def test_routing_writes_exactly_the_stores_keeps_selects(rng, Delta, backing):
     params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=2,
                     mode=PRACTICAL, scale=1e-53)
     grid = _grid(30 + Delta, Delta)
-    engine = StreamEngine(params, grid, seed=30, backing=backing, n_max=8000)
+    # at Delta 2**16, Delta**2 * 2**32 tag codes exceed 2**61 - 1: the
+    # modulus is 2**89 - 1 and field values pass one 64-bit word
+    wide = Delta > 1 << 8
+    n_max, n_updates = (64, 60) if wide else (8000, 200)
+    modulus = (1 << 89) - 1 if wide else (1 << 61) - 1
+    engine = StreamEngine(params, grid, seed=30, backing=backing, n_max=n_max)
+    assert engine.sampling.modulus == modulus
     keys = list(engine._stores)
     hashed = [key for key in keys if key[0] is not None]
     # rates strictly between 0 and 1, several thresholds on one hash, and
     # stores that keep nothing
     assert len(hashed) > len({key[:2] for key in hashed}) > 0
     assert any(key[2] == 0 for key in keys)
-    updates, _ = _random_stream(rng, 200, Delta=Delta)
+    updates, _ = _random_stream(rng, n_updates, Delta=Delta)
     engine.process_stream(updates)
     # reference: every store fed through the keep rule, one key at a time
     reference = StreamEngine(params, grid, seed=30, backing=backing,
-                             n_max=8000)
+                             n_max=n_max)
+    values = []
 
     def keeps(key, p):
         family, level, t = key
         if family is None:
             return t > 0
-        return reference.sampling.hash(family, level).field_value(p) < t
+        values.append(reference.sampling.hash(family, level).field_value(p))
+        return values[-1] < t
 
     for p, sign in updates:
         for key, store in reference._stores.items():
             if keeps(key, p):
                 store.update(p, sign)
     assert list(reference._stores) == keys
+    assert (max(values) >= 1 << 64) == wide
     for key, store in engine._stores.items():
         assert store.serialize() == reference._stores[key].serialize(), key
         if key[2] == 0:
