@@ -21,22 +21,28 @@ Serialized blobs are the distributed protocol's wire unit; their byte length
 is the communication cost.  Exact blobs carry points only for cells whose
 local count is at most beta (the cap-respecting wire shape), which preserves
 finalize output through merge because a cell light in the union is light in
-every shard.
+every shard.  One numpy encoder (encode_exact) writes every exact blob from
+sorted columns, whether a store's dicts or an exact-backed machine's shard
+columns give them; its sections are columnar (see encode_exact), and
+deserialize reads them back with numpy.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 import struct
+
+import numpy as np
 
 from .common import FAIL, UsageError, derive_seed, is_fail
 from .geometry import GridHierarchy, Point
 from .hashing import PointEncoder
 
 _MAGIC = b"CSTO"
-_VERSION = 1
+_SKETCH_VERSION = 1
+# exact blobs moved to columnar sections, of the same length, at version 2
+_EXACT_VERSION = 2
 _EXACT, _SKETCH = 0, 1
 
 _PRIME = (1 << 61) - 1
@@ -111,7 +117,10 @@ class ExactCellStore:
             else:
                 self.counts.pop(lat, None)
         for lat, theirs in other.points.items():
-            mine = self.points.setdefault(lat, {})
+            mine = self.points.get(lat)
+            if mine is None:
+                self.points[lat] = dict(theirs)
+                continue
             # add multiplicities: dict.update would overwrite them
             for p, m in theirs.items():
                 nm = mine.get(p, 0) + m
@@ -143,21 +152,18 @@ class ExactCellStore:
 
     def serialize(self) -> bytes:
         d = self.grid.d
-        out = [struct.pack("<4sBBh", _MAGIC, _VERSION, _EXACT, self.level),
-               struct.pack("<Hddq", d, self.alpha, self.beta, self.seed)]
-        cells = sorted(self.counts.items())
-        out.append(struct.pack("<I", len(cells)))
-        for lat, cnt in cells:
-            out.append(struct.pack(f"<{d}qq", *lat, cnt))
-        light = [(lat, mults) for lat, mults in sorted(self.points.items())
-                 if self.counts.get(lat, 0) <= self.beta]
-        out.append(struct.pack("<I", len(light)))
-        for lat, mults in light:
-            entries = sorted(mults.items())
-            out.append(struct.pack(f"<{d}qI", *lat, len(entries)))
-            for p, mult in entries:
-                out.append(struct.pack(f"<{d}qqq", *p.coords, p.tag, mult))
-        return b"".join(out)
+        # a deserialized store holds no points for its heavy cells, and a
+        # cell whose points cancel has count 0
+        cells = sorted(self.counts.keys() | self.points.keys())
+        mults = [self.points.get(lat, {}) for lat in cells]
+        entries = [(*p.coords, p.tag, m) for cell in mults
+                   for p, m in sorted(cell.items())]
+        return encode_exact(
+            self, np.array(cells, dtype=np.int64).reshape(-1, d),
+            np.array([self.counts.get(lat, 0) for lat in cells],
+                     dtype=np.int64),
+            np.array([len(cell) for cell in mults], dtype=np.int64),
+            np.array(entries, dtype=np.int64).reshape(-1, d + 2))
 
     def space_bytes(self):
         d = self.grid.d
@@ -167,33 +173,66 @@ class ExactCellStore:
 
     @classmethod
     def deserialize(cls, blob: bytes, grid: GridHierarchy) -> "ExactCellStore":
-        view = memoryview(blob)
-        magic, ver, backing, level = struct.unpack_from("<4sBBh", view, 0)
-        if magic != _MAGIC or ver != _VERSION or backing != _EXACT:
+        """The store an encode_exact blob describes, read with numpy."""
+        magic, ver, backing, level = struct.unpack_from("<4sBBh", blob, 0)
+        if magic != _MAGIC or ver != _EXACT_VERSION or backing != _EXACT:
             raise UsageError("not an exact cell-store blob")
-        off = 8
-        d, alpha, beta, seed = struct.unpack_from("<Hddq", view, off)
-        off += struct.calcsize("<Hddq")
+        d, alpha, beta, seed = struct.unpack_from("<Hddq", blob, 8)
         store = cls(grid, level, alpha, beta, seed)
-        (ncells,) = struct.unpack_from("<I", view, off)
-        off += 4
-        for _ in range(ncells):
-            vals = struct.unpack_from(f"<{d}qq", view, off)
-            off += 8 * (d + 1)
-            store.counts[tuple(vals[:d])] = vals[d]
-        (nlight,) = struct.unpack_from("<I", view, off)
-        off += 4
-        for _ in range(nlight):
-            vals = struct.unpack_from(f"<{d}qI", view, off)
-            off += 8 * d + 4
-            lat, npts = tuple(vals[:d]), vals[d]
-            mults = {}
-            for _ in range(npts):
-                pv = struct.unpack_from(f"<{d}qqq", view, off)
-                off += 8 * (d + 2)
-                mults[Point(tuple(pv[:d]), pv[d])] = pv[d + 1]
-            store.points[lat] = mults
+        off = 8 + struct.calcsize("<Hddq")
+        (ncells,) = struct.unpack_from("<I", blob, off)
+        cells = np.frombuffer(blob, "<i8", ncells * (d + 1), off + 4) \
+            .reshape(ncells, d + 1)
+        off += 4 + cells.nbytes
+        (nlight,) = struct.unpack_from("<I", blob, off)
+        lats = np.frombuffer(blob, "<i8", nlight * d, off + 4)
+        sizes = np.frombuffer(blob, "<u4", nlight, off + 4 + lats.nbytes)
+        off += 4 + lats.nbytes + sizes.nbytes
+        entries = np.frombuffer(blob, "<i8", int(sizes.sum()) * (d + 2), off) \
+            .reshape(-1, d + 2)
+        store.counts = dict(zip(_rows(cells[:, :d]), cells[:, d].tolist()))
+        pts = list(map(Point, _rows(entries[:, :d]), entries[:, d].tolist()))
+        mults = entries[:, d + 1].tolist()
+        ends = np.cumsum(sizes).tolist()
+        store.points = {
+            lat: dict(zip(pts[b - n:b], mults[b - n:b]))
+            for lat, n, b in zip(_rows(lats.reshape(nlight, d)),
+                                 sizes.tolist(), ends)}
         return store
+
+
+def _rows(a):
+    """The rows of a 2-d integer array as tuples of Python ints."""
+    return zip(*(a[:, j].tolist() for j in range(a.shape[1])))
+
+
+def encode_exact(store, lattices, counts, sizes, entries) -> bytes:
+    """The blob of an exact store with store's level, caps and seed whose
+    content is given in columns, the one exact encoder.
+
+    lattices (c x d) are the cells that have a count or hold points, in
+    lexicographic order, with their net counts (c) and numbers of distinct
+    points (c, called sizes); entries (sizes.sum() x (d + 2)) give each
+    cell's points in sort_key order, one row (coordinates, tag, signed
+    multiplicity) per point.  Layout, little-endian: the header (magic,
+    version, backing, level, d, alpha, beta, seed); the cell section, the
+    number of nonzero cells and one row (lattice, count) per cell; the
+    light section, the number of cells that hold points and have a count
+    of at most beta, their lattices, their uint32 sizes and their
+    entries."""
+    d = lattices.shape[1]
+    nonzero = counts != 0
+    light = (counts <= store.beta) & (sizes > 0)
+    return b"".join((
+        struct.pack("<4sBBhHddqI", _MAGIC, _EXACT_VERSION, _EXACT,
+                    store.level, d, store.alpha, store.beta, store.seed,
+                    int(nonzero.sum())),
+        np.column_stack((lattices[nonzero], counts[nonzero]))
+        .astype("<i8").tobytes(),
+        struct.pack("<I", int(light.sum())),
+        lattices[light].astype("<i8").tobytes(),
+        sizes[light].astype("<u4").tobytes(),
+        entries[np.repeat(light, sizes)].astype("<i8").tobytes()))
 
 
 class SketchCellStore:
@@ -374,7 +413,8 @@ class SketchCellStore:
         return rec, off
 
     def serialize(self) -> bytes:
-        out = [struct.pack("<4sBBh", _MAGIC, _VERSION, _SKETCH, self.level),
+        out = [struct.pack("<4sBBh", _MAGIC, _SKETCH_VERSION, _SKETCH,
+                           self.level),
                struct.pack("<Hdddq", self.grid.d, self.alpha, self.beta,
                            self.delta, self.seed)]
         out.append(struct.pack("<I", len(self.cell_state)))
@@ -389,7 +429,7 @@ class SketchCellStore:
     def deserialize(cls, blob: bytes, grid: GridHierarchy) -> "SketchCellStore":
         view = memoryview(blob)
         magic, ver, backing, level = struct.unpack_from("<4sBBh", view, 0)
-        if magic != _MAGIC or ver != _VERSION or backing != _SKETCH:
+        if magic != _MAGIC or ver != _SKETCH_VERSION or backing != _SKETCH:
             raise UsageError("not a sketch cell-store blob")
         off = 8
         d, alpha, beta, delta, seed = struct.unpack_from("<Hdddq", view, off)
@@ -445,14 +485,6 @@ def make_store(backing: str, grid: GridHierarchy, level: int, alpha: float,
     raise UsageError(f"unknown store backing {backing!r}")
 
 
-def merge(a, b):
-    """Pure merge: observable content equals the concatenated update streams."""
-    _check_compatible(a, b)
-    out = copy.deepcopy(a)
-    out.merge_in(b)
-    return out
-
-
 def deserialize(blob: bytes, grid: GridHierarchy):
     backing = blob[5]
     if backing == _EXACT:
@@ -463,6 +495,6 @@ def deserialize(blob: bytes, grid: GridHierarchy):
 
 
 __all__ = [
-    "CellData", "ExactCellStore", "SketchCellStore", "make_store", "merge",
-    "deserialize", "FAIL", "is_fail",
+    "CellData", "ExactCellStore", "SketchCellStore", "make_store",
+    "encode_exact", "deserialize", "FAIL", "is_fail",
 ]

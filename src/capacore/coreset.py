@@ -22,6 +22,7 @@ estimates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 
@@ -30,8 +31,8 @@ import numpy as np
 from .cellstore import CellData
 from .common import FAIL, UsageError, derive_seed, is_fail
 from .estimator import SampleBank
-from .geometry import (GridHierarchy, check_domain, format_point,
-                       parse_point_line)
+from .geometry import (NO_TAG, TAG_SPACE, GridHierarchy, check_domain,
+                       check_tag, format_point, parse_point_line)
 from .hashing import KWiseHash, PointEncoder
 from .params import FAMILIES, Params, coreset_size_bound, parse_serialized
 from .partition import PartitionStructure, mark_cells
@@ -39,7 +40,8 @@ from .partition import PartitionStructure, mark_cells
 __all__ = [
     "CoresetMeta", "WeightedCoreset", "OfflineBuilder", "build_for_o",
     "build_auto", "coreset_size_bound", "o_grid", "dedup_points",
-    "Sampling", "finalize_cells", "search_o", "write_coreset", "read_coreset",
+    "PointColumns", "Sampling", "finalize_cells", "search_o",
+    "write_coreset", "read_coreset",
 ]
 
 
@@ -260,69 +262,114 @@ def search_o(sampling: Sampling, guesses, build, n: int):
         f"o={guesses[-1]}); the last guess failed at the {gates[-1]}")
 
 
-class OfflineBuilder:
-    """Shared per-instance state reused across o guesses, held in columns.
+class PointColumns:
+    """A point multiset held in columns, for the builders that read a whole
+    point set at once (the offline builder and the exact-backed machines).
 
-    The deduplicated input is one n x d int64 array of level-L lattices
-    (GridHierarchy.off applied once) beside the Point list, both in
-    sort_key order; one np.lexsort over coordinates and tags gives that
-    order and exposes duplicates as equal neighbours.  Every hashed
-    (family, level) computes the points' field values once, when a key
-    first needs them.  The cell data of the points a Sampling key keeps is
-    built by one lexsort of their level lattices (level L shifted right by
-    L - level): equal lattices become runs, a run's length is its cell's
-    count, and its light points are a slice of the kept points in that
-    order.  It is cached under the key, so guesses sharing a key share it.
-    Coordinates and lattices fit int64 for every Delta <= 2**62."""
+    The distinct points, in sort_key order, sit beside one n x d int64
+    array of their level-L lattices (GridHierarchy.off applied once), their
+    tags and their multiplicities; one np.lexsort over coordinates and tags gives
+    that order and exposes copies as equal neighbours.  The points are
+    encoded once (every hash shares Sampling.encoder), and every hashed
+    (family, level) computes their field values once, when a key first
+    needs them, and ranks the rows by them: the rows a key keeps are a
+    prefix of that ranking, found by bisection at the key's threshold.
+    cells(key) groups the points a Sampling key keeps into cells by one
+    stable lexsort of their level lattices (level L shifted right by
+    L - level): equal lattices become runs, in the lexicographic order of
+    the lattices, and each run keeps the points' sort_key order.
+    Coordinates and lattices fit int64 for every Delta <= 2**62.  A tag
+    outside [-1, TAG_SPACE - 2] is a usage error."""
 
-    def __init__(self, points, grid: GridHierarchy, params: Params, seed: int,
-                 exact_counts: bool = True):
+    def __init__(self, points, sampling: Sampling):
         points = list(points)
+        tags = [p.tag for p in points]
+        if tags and not NO_TAG <= min(tags) <= max(tags) <= TAG_SPACE - 2:
+            for p in points:
+                check_tag(p)
+        grid = sampling.grid
         n, d = len(points), grid.d
         coords = np.array([p.coords for p in points],
                           dtype=np.int64).reshape(n, d)
-        tags = np.array([p.tag for p in points], dtype=np.int64)
+        tags = np.array(tags, dtype=np.int64)
         order = np.lexsort((tags,) + tuple(coords[:, a] for a in range(d))[::-1])
         coords, tags = coords[order], tags[order]
         new = np.ones(n, dtype=bool)
         new[1:] = (coords[1:] != coords[:-1]).any(axis=1) | (tags[1:] != tags[:-1])
-        self.points = [points[i] for i in order[new].tolist()]
+        starts = np.flatnonzero(new)
+        self.points = [points[i] for i in order[starts].tolist()]
+        self.tags = tags[starts]
+        self.mults = np.diff(np.append(starts, n))
+        self.sampling = sampling
+        # level-L lattices, one row per distinct point
+        self._off = np.array(grid.off, dtype=np.int64)
+        self.lattices = coords[starts] - 1 - self._off
+        self._codes = None  # the points' encodings, once a key hashes
+        # (family, level) -> the rows by increasing field value, and the
+        # field values in that order
+        self._ranked: dict = {}
+
+    def _kept_rows(self, family: str, level: int, t: int):
+        """The rows whose field value under the (family, level) hash lies
+        below t, in row order."""
+        if (family, level) not in self._ranked:
+            if self._codes is None:
+                self._codes = [self.sampling.encoder.encode(p)
+                               for p in self.points]
+            values = self.sampling.hash(family, level).code_values(self._codes)
+            order = sorted(range(len(values)), key=values.__getitem__)
+            self._ranked[(family, level)] = (
+                np.array(order, dtype=np.int64), [values[i] for i in order])
+        order, ranked = self._ranked[(family, level)]
+        return np.sort(order[:bisect_left(ranked, t)])
+
+    def coords(self, rows):
+        """The coordinates of rows, from their level-L lattices."""
+        return self.lattices[rows] + 1 + self._off
+
+    def cells(self, key: tuple):
+        """(rows, lattices, starts) of the points key keeps: their rows in
+        cell order, their lattices at the key's level in that order, and
+        the row position where each cell's run starts."""
+        family, level, t = key
+        rows = np.arange(len(self.points) if t else 0) if family is None \
+            else self._kept_rows(family, level, t)
+        lat = self.lattices[rows] >> (self.sampling.grid.L - level)
+        order = np.lexsort(lat.T[::-1])
+        lat, rows = lat[order], rows[order]
+        # the first row of each run of equal lattices starts a cell
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (lat[1:] != lat[:-1]).any(axis=1)
+        return rows, lat, np.flatnonzero(new)
+
+
+class OfflineBuilder:
+    """Shared per-instance state reused across o guesses.
+
+    The input is deduplicated: a point listed twice counts once.  Its
+    columns (PointColumns) give each Sampling key's cell data: a cell's
+    count is the length of its run and its light points are the run's
+    points.  The cell data is cached under the key, so guesses sharing a
+    key share it."""
+
+    def __init__(self, points, grid: GridHierarchy, params: Params, seed: int,
+                 exact_counts: bool = True):
         self.grid = grid
         self.params = params
         self.sampling = Sampling(params, grid, seed, exact_counts)
-        # level-L lattices, one row per point
-        self._lattices = coords[new] - 1 - np.array(grid.off, dtype=np.int64)
-        self._values: dict = {}  # (family, level) -> field values of points
+        self.columns = PointColumns(points, self.sampling)
+        self.points = self.columns.points
         self._data: dict = {}  # Sampling key -> CellData
-
-    def _field_values(self, family: str, level: int) -> list:
-        if (family, level) not in self._values:
-            self._values[(family, level)] = \
-                self.sampling.hash(family, level).field_values(self.points)
-        return self._values[(family, level)]
 
     def _cell_data(self, key: tuple) -> CellData:
         if key not in self._data:
-            family, level, t = key
-            if family is None:
-                rows = np.arange(len(self.points) if t else 0)
-            else:
-                rows = np.flatnonzero(np.fromiter(
-                    (v < t for v in self._field_values(family, level)),
-                    dtype=bool, count=len(self.points)))
-            lat = self._lattices[rows] >> (self.grid.L - level)
-            order = np.lexsort(lat.T[::-1])
-            lat, rows = lat[order], rows[order]
-            # the first row of each run of equal lattices starts a cell
-            new = np.ones(len(rows), dtype=bool)
-            new[1:] = (lat[1:] != lat[:-1]).any(axis=1)
-            starts = np.flatnonzero(new)
+            rows, lat, starts = self.columns.cells(key)
             bounds = list(zip(starts.tolist(),
                               starts[1:].tolist() + [len(rows)]))
             cells = [tuple(c) for c in lat[starts].tolist()]
             kept = [self.points[i] for i in rows.tolist()]
             self._data[key] = CellData(
-                level,
+                key[1],
                 {c: b - a for c, (a, b) in zip(cells, bounds)},
                 {c: tuple(kept[a:b]) for c, (a, b) in zip(cells, bounds)})
         return self._data[key]

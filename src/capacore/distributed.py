@@ -1,11 +1,16 @@
 """Coordinator/machines protocol simulation with exact byte accounting.
 
-Each machine runs the streaming engine's store layer over its shard, then
-ships one message per store, i.e. per distinct Sampling key (family, level,
-threshold), whose family is dropped at rate 0 or 1: the store's index, the
-guesses whose cell cap (for any family the store serves them for) its local
-nonempty-cell count exceeds, and the serialized store state (left out when
-every guess the store serves is over).
+Each machine holds one store per distinct Sampling key (family, level,
+threshold), whose family is dropped at rate 0 or 1, laid out by a stream
+engine's store layer, and ships one message per store: the store's index,
+the guesses whose cell cap (for any family the store serves them for) its
+local nonempty-cell count exceeds, and the serialized store state (left
+out when every guess the store serves is over).  A sketch-backed machine
+streams its shard into its stores.  An exact-backed machine does not: it
+holds its shard in columns (coreset.PointColumns), groups the points each
+key keeps into cells by one lexsort, and encodes the store's blob from
+those sorted arrays with the one exact encoder (cellstore.encode_exact),
+byte for byte the blob of the store the shard would have streamed into.
 
 The coordinator is a stream engine fed by merges instead of updates: it
 merges each state once into its own store of that key (store merging is
@@ -21,8 +26,10 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from .common import UsageError, derive_seed
-from .coreset import Sampling, fail_at
+from .coreset import PointColumns, Sampling, fail_at
 from .geometry import GridHierarchy
 from .params import Params
 from .streaming import StreamEngine
@@ -52,27 +59,57 @@ _HEADER = struct.Struct("<IH")  # store index, number of guesses over cap
 
 
 class Machine:
+    """One machine: its shard's content per store, sent once per store.
+
+    The machine's engine gives the store layout (the stores in wire order,
+    their caps and seeds, the Sampling keys and the guesses' cell caps).  A
+    sketch-backed machine streams its shard into the engine's stores.  An
+    exact-backed one leaves them empty: it holds the shard in columns
+    (coreset.PointColumns, where a point listed twice has multiplicity 2)
+    and encodes each store's blob straight from the key's cells, the blob
+    that streaming the shard into the store and serializing it gives."""
+
     def __init__(self, shard, params: Params, grid: GridHierarchy, seed: int,
                  backing: str, exact_counts: bool, n_max: int):
         self.engine = StreamEngine(params, grid, seed, backing=backing,
                                    exact_counts=exact_counts, n_max=n_max)
-        for p in shard:
-            self.engine.process(p, +1)
         self.local_n = len(shard)
+        if backing == "exact":
+            self._columns = PointColumns(shard, self.engine.sampling)
+        else:
+            self._columns = None
+            for p in shard:
+                self.engine.process(p, +1)
+
+    def _encode(self, store, rows, lat, starts) -> bytes:
+        """The blob of store holding the shard rows given in cell order,
+        with their lattices at the store's level and the cells' starts."""
+        cols = self._columns
+        mults = cols.mults[rows]
+        counts = np.add.reduceat(mults, starts) if len(rows) else mults
+        return cellstore.encode_exact(
+            store, lat[starts], counts, np.diff(np.append(starts, len(rows))),
+            np.column_stack((cols.coords(rows), cols.tags[rows], mults)))
 
     def wire_messages(self):
         """Yield one message per distinct store, in the engine's store order.
 
         A guess is over when its cell cap, for any family the store serves
-        it for, is below the store's local nonempty-cell count."""
+        it for, is below the store's local nonempty-cell count; the blob is
+        left out when every guess the store serves is over."""
         eng = self.engine
         for index, (key, store) in enumerate(eng._stores.items()):
-            cells = store.cell_count()
-            served = eng._served[key]
-            over = {o for fam, o in served
-                    if cells > eng.params.caps(fam, key[1], o)[0]}
-            blob = b"" if over == {o for _, o in served} else store.serialize()
-            over = sorted(eng.o_values.index(o) for o in over)
+            if self._columns is None:
+                cells = store.cell_count()
+            else:
+                rows, lat, starts = self._columns.cells(key)
+                cells = len(starts)
+            caps = eng._cell_caps[key]
+            over = [i for alpha, i in caps if cells > alpha]
+            blob = b""
+            if len(over) < len(caps):
+                blob = store.serialize() if self._columns is None \
+                    else self._encode(store, rows, lat, starts)
             yield _HEADER.pack(index, len(over)) \
                 + struct.pack(f"<{len(over)}H", *over) + blob
 

@@ -144,9 +144,15 @@ def check_domain(points, Delta: int, d: int):
         if not all(1 <= c <= Delta for c in p.coords):
             raise UsageError(f"point {format_point(p)!r} lies outside "
                              f"[1, {Delta}]^{d}")
-        if not NO_TAG <= p.tag <= TAG_SPACE - 2:
-            raise UsageError(f"point {format_point(p)!r} has a tag outside "
-                             f"[-1, {TAG_SPACE - 2}]")
+        check_tag(p)
+
+
+def check_tag(p: Point):
+    """Reject a tag outside [-1, TAG_SPACE-2], the range points are encoded
+    in; every mode checks it before its state changes."""
+    if not NO_TAG <= p.tag <= TAG_SPACE - 2:
+        raise UsageError(f"point {format_point(p)!r} has a tag outside "
+                         f"[-1, {TAG_SPACE - 2}]")
 
 
 def check_distinct(points):

@@ -13,7 +13,7 @@ import random
 
 from . import kernels
 from .common import UsageError
-from .geometry import TAG_SPACE, Point
+from .geometry import TAG_SPACE, Point, check_tag
 
 # Mersenne primes; smallest exceeding the encoding range is selected.
 PRIME_LADDER = (
@@ -49,7 +49,7 @@ class PointEncoder:
             acc = acc * self.Delta + (c - 1)
         code = p.tag + 1
         if not 0 <= code < TAG_SPACE:
-            raise UsageError(f"tag {p.tag} outside supported range")
+            check_tag(p)  # raises the one out-of-range tag error
         return acc * TAG_SPACE + code
 
     def decode(self, value: int) -> Point:
@@ -97,5 +97,8 @@ class KWiseHash:
         return kernels.horner(self._rev or self._draw(), code, self.modulus)
 
     def field_values(self, points) -> list:
-        encs = [self.encoder.encode(p) for p in points]
-        return kernels.poly_eval_batch(self.coeffs, encs, self.modulus)
+        return self.code_values([self.encoder.encode(p) for p in points])
+
+    def code_values(self, codes) -> list:
+        """code_value of every code in codes."""
+        return kernels.poly_eval_batch(self.coeffs, codes, self.modulus)

@@ -33,7 +33,8 @@ from bisect import bisect_right
 
 from .common import UsageError, derive_seed, is_fail
 from .coreset import Sampling, fail_at, finalize_cells, o_grid, search_o
-from .geometry import GridHierarchy, Point, format_point, parse_point_line
+from .geometry import (GridHierarchy, Point, check_tag, format_point,
+                       parse_point_line)
 from .params import FAMILIES, Params
 # unused here: the benchmark's tracer wraps streaming.mark_cells by name
 from .partition import mark_cells  # noqa: F401
@@ -58,16 +59,26 @@ class StreamEngine:
             else "store cell cap or sketch decoding"
         self._levels = range(0, grid.L + 1)
         # Sampling key -> (family, guess) pairs it serves
-        self._served = self.sampling.served(self.o_values)
+        served = self.sampling.served(self.o_values)
         self._stores = {}  # Sampling key -> store
         self._data = {}  # Sampling key -> its store's finalize(), until a write
-        for (fam, lvl, t), pairs in self._served.items():
+        # Sampling key -> (cell cap, guess index) per guess it serves, in
+        # guess order; the cap is the smallest of the families it serves
+        # the guess for
+        self._cell_caps = {}
+        guess_index = {o: i for i, o in enumerate(self.o_values)}
+        for (fam, lvl, t), pairs in served.items():
             caps = [params.caps(f, lvl, o) for f, o in pairs]
             self._stores[(fam, lvl, t)] = cellstore.make_store(
                 backing, grid, lvl, max(a for a, _ in caps),
                 max(b for _, b in caps),
                 derive_seed(seed, f"store:{fam or 'any'}:{lvl}"),
                 delta=0.001 / (3 * (grid.L + 1)))
+            alpha: dict = {}
+            for (_, o), (a, _) in zip(pairs, caps):
+                alpha[o] = min(a, alpha.get(o, a))
+            self._cell_caps[(fam, lvl, t)] = [(alpha[o], guess_index[o])
+                                              for o in sorted(alpha)]
         # routing table: the store of each level that keeps every point, and
         # per hashed (family, level) its hash, thresholds and stores by
         # threshold; _stores keeps its order (the wire indexes stores by it)
@@ -88,8 +99,14 @@ class StreamEngine:
     def process(self, p: Point, sign: int):
         if sign not in (1, -1):
             raise UsageError("sign must be +1 or -1")
-        # one encoding serves every hash (they share Sampling.encoder)
-        code = self.sampling.encoder.encode(p) if self._hashed else None
+        # one encoding serves every hash (they share Sampling.encoder); it
+        # rejects an out-of-range tag, as check_tag does when nothing hashes,
+        # before any state changes
+        if self._hashed:
+            code = self.sampling.encoder.encode(p)
+        else:
+            check_tag(p)
+            code = None
         self.net += sign
         self._data.clear()
         path = self.grid.path_of(p.coords)

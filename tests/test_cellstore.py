@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from capacore import cellstore
 from capacore.cellstore import (CellData, ExactCellStore, SketchCellStore,
-                                deserialize, make_store, merge)
+                                deserialize, make_store)
 from capacore.common import UsageError, is_fail
 from capacore.geometry import GridHierarchy, Point
 
@@ -13,6 +14,14 @@ from conftest import rand_points
 
 GRID = GridHierarchy.from_seed(21, 8, 2)
 LEVEL = 2
+
+
+def merge(a, b):
+    """Pure merge: a copy of a with b merged in (merge_in rejects stores
+    of different backings, levels, caps or seeds)."""
+    out = copy.deepcopy(a)
+    out.merge_in(b)
+    return out
 
 
 def _reference_fold(updates, grid, level, alpha, beta):
@@ -264,3 +273,34 @@ def test_sketch_space_meter():
     exact = ExactCellStore(GRID, 2, 16, 3)
     exact.update(Point((1, 1), 0), +1)
     assert exact.space_bytes() > 0
+
+
+def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
+    # a deletion before its insertion leaves a negative multiplicity; a
+    # cell whose points cancel has count 0, leaves the cell section and
+    # still ships its points; a cell of count 3 > beta ships none
+    a = Point((4, 4), 0)
+    lat = GRID.lattice_of(a.coords, LEVEL)
+    same = [Point(c, 1) for c in itertools.product(range(1, 9), repeat=2)
+            if c != a.coords and GRID.lattice_of(c, LEVEL) == lat]
+    store = ExactCellStore(GRID, LEVEL, 100, 2)
+    store.update(a, +1)
+    store.update(same[0], -1)
+    for p in rand_points(random.Random(5), 12, 8):
+        store.update(p, +1)
+    heavy = GRID.lattice_of((8, 8), LEVEL)
+    for tag in (50, 51, 52):
+        store.update(Point((8, 8), tag), +1)
+    assert lat not in store.counts and store.counts[heavy] >= 3
+    blob = store.serialize()
+    back = deserialize(blob, GRID)
+    assert back.counts == store.counts
+    assert back.points == {c: pts for c, pts in store.points.items()
+                           if store.counts.get(c, 0) <= 2}
+    assert back.serialize() == blob
+    # the per-record wire length: header, cells, light cells, points
+    d = GRID.d
+    light = [c for c in store.points if store.counts.get(c, 0) <= 2]
+    assert len(blob) == 42 + len(store.counts) * (8 * d + 8) \
+        + len(light) * (8 * d + 4) \
+        + sum(len(store.points[c]) for c in light) * (8 * d + 16)

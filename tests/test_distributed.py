@@ -1,13 +1,14 @@
+import math
 import random
 import struct
 from collections import Counter
 
 import pytest
 
-from capacore.common import FAIL, derive_seed, is_fail
+from capacore.common import FAIL, UsageError, derive_seed, is_fail
 from capacore.coreset import (Sampling, build_auto, dedup_points,
                               exact_threshold, finalize_cells, o_grid)
-from capacore.cellstore import ExactCellStore
+from capacore.cellstore import ExactCellStore, deserialize
 from capacore.distributed import (_HEADER, ByteChannel, Coordinator, Machine,
                                   broadcast_blob, per_machine_byte_cap,
                                   run_protocol)
@@ -24,15 +25,50 @@ SAMPLING = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
                   mode=PRACTICAL, scale=1e-53)
 
 
-def _with_caps(alpha, beta=None):
-    """RATE1 whose store caps are alpha(o) and beta(o) (the schedule's beta
-    when beta is None) for every family and level."""
-    class Caps(type(RATE1)):
+def _with_caps(alpha, beta=None, base=RATE1):
+    """base (RATE1) whose store caps are alpha(o) and beta(o) (the
+    schedule's beta when beta is None) for every family and level."""
+    class Caps(type(base)):
         def caps(self, family, i, o):
             own = super().caps(family, i, o)[1]
             return alpha(o), own if beta is None else beta(o)
 
-    return Caps(**{f: getattr(RATE1, f) for f in RATE1.__dataclass_fields__})
+    return Caps(**{f: getattr(base, f) for f in base.__dataclass_fields__})
+
+
+def _reference_stores(machine, shard):
+    """One exact store per store of the machine's layout, fed the points of
+    shard its Sampling key keeps, point by point through update."""
+    eng = machine.engine
+    values = {}  # (family, level) -> field value per point of shard
+
+    def keeps(fam, lvl, t):
+        if fam is None:
+            return [t > 0] * len(shard)
+        if (fam, lvl) not in values:
+            hash_ = eng.sampling.hash(fam, lvl)
+            values[(fam, lvl)] = [hash_.field_value(p) for p in shard]
+        return [v < t for v in values[(fam, lvl)]]
+
+    refs = []
+    for (fam, lvl, t), store in eng._stores.items():
+        ref = ExactCellStore(eng.grid, lvl, store.alpha, store.beta,
+                             store.seed)
+        for p, keep in zip(shard, keeps(fam, lvl, t)):
+            if keep:
+                ref.update(p, +1)
+        refs.append(ref)
+    return refs
+
+
+def _read_messages(machine):
+    """(store index, guess indices over, blob) per wire message."""
+    out = []
+    for message in machine.wire_messages():
+        index, n_over = _HEADER.unpack_from(message)
+        over = struct.unpack_from(f"<{n_over}H", message, _HEADER.size)
+        out.append((index, over, message[_HEADER.size + 2 * n_over:]))
+    return out
 
 
 def _offline(points, params, seed, exact_counts):
@@ -103,7 +139,7 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
     pts = dedup_points(rand_points(rng, 30, 8))
     grid = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
     machine = Machine(pts, params, grid, 8, backing, False, 64)
-    exact = Machine(pts, params, grid, 8, "exact", False, 64).engine
+    refs = _reference_stores(machine, pts)
     engine = machine.engine
     # one store per distinct Sampling key, for either backing
     triples = [(o, fam, lvl) for o in engine.o_values
@@ -113,16 +149,56 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
     assert len(pooled) < len(triples)
     keys = list(engine._stores)
     sent = []
-    for message in machine.wire_messages():
-        index, n_over = _HEADER.unpack_from(message)
+    for index, over, blob in _read_messages(machine):
         sent.append(index)
-        over = struct.unpack_from(f"<{n_over}H", message, _HEADER.size)
-        cells = exact._stores[keys[index]].cell_count()
-        assert {engine.o_values[i] for i in over} == \
-            {o for o, fam, lvl in triples
-             if engine.sampling.key(fam, lvl, o) == keys[index]
-             and cells > o / 2}
+        cells = refs[index].cell_count()
+        want = {o for o, fam, lvl in triples
+                if engine.sampling.key(fam, lvl, o) == keys[index]
+                and cells > o / 2}
+        assert {engine.o_values[i] for i in over} == want
+        served = {o for o, fam, lvl in triples
+                  if engine.sampling.key(fam, lvl, o) == keys[index]}
+        assert (blob == b"") == (want == served)
     assert sorted(sent) == list(range(len(pooled)))
+
+
+@pytest.mark.parametrize("beta", [None, 1])
+@pytest.mark.parametrize("Delta,scale", [(8, 1e-53), (1 << 16, 1e-53),
+                                         (1 << 62, 1e-6)])
+def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
+                                                             scale, beta):
+    # hashed keys, keys that keep every point and, below Delta 2**62, keys
+    # that keep none; beta = 1 ships no point of a cell of count 2
+    base = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=2,
+                  mode=PRACTICAL, scale=scale)
+    params = _with_caps(lambda o: math.inf,
+                        None if beta is None else (lambda o: beta), base)
+    grid = GridHierarchy.from_seed(derive_seed(15, "shift"), Delta, 2)
+    pts = rand_points(rng, 40, Delta)
+    # a second copy of a point, and a point sharing its level-L cell
+    pts += [pts[0], Point(pts[0].coords, 99)]
+    for shard in ([], pts[:20], pts):
+        machine = Machine(shard, params, grid, 15, "exact", False, 64)
+        keys = list(machine.engine._stores)
+        assert any(key[2] == 0 for key in keys) == (Delta < 1 << 62)
+        assert {key[0] is None for key in keys} == {False, True}
+        refs = _reference_stores(machine, shard)
+        messages = _read_messages(machine)
+        assert [index for index, _, _ in messages] == list(range(len(keys)))
+        for index, over, blob in messages:
+            assert over == ()
+            assert blob == refs[index].serialize(), keys[index]
+    # the stores that keep every point count the repeated point twice (the
+    # offline builder counts it once) and ship it with multiplicity 2 unless
+    # beta = 1 leaves its cell's points out
+    keep_all = [deserialize(blob, grid) for index, _, blob in messages
+                if keys[index][0] is None and keys[index][2]]
+    assert keep_all
+    for store in keep_all:
+        lat = grid.lattice_of(pts[0].coords, store.level)
+        assert store.counts[lat] >= 3
+        assert store.points.get(lat, {}).get(pts[0]) == \
+            (None if beta == 1 else 2)
 
 
 def _own_caps_outcome(params, grid, seed, live, o, exact_counts):
@@ -282,8 +358,8 @@ def test_dist_fails_when_the_union_is_over_the_cell_cap():
     coord = Coordinator(capped, grid, 6, "exact", False, 64)
     for shard in (pts[0::2], pts[1::2]):
         machine = Machine(shard, capped, grid, 6, "exact", False, 64)
-        assert all(store.cell_count() <= 6
-                   for store in machine.engine._stores.values())
+        assert all(deserialize(blob, grid).cell_count() <= 6
+                   for _, _, blob in _read_messages(machine))
         coord.absorb(machine, ByteChannel())
     assert not coord._over
     _all_fail(lambda: build_auto(pts, grid, capped, 6, exact_counts=False))
@@ -338,3 +414,28 @@ def test_nonempty_input_fails_in_every_mode_instead_of_empty_coreset():
         engine.finalize()
     with pytest.raises(RuntimeError):
         run_protocol([pts[0::2], pts[1::2]], params, 1)
+
+
+@pytest.mark.parametrize("tag", [-2, 2 ** 32 - 1, 2 ** 40, 2 ** 70])
+def test_out_of_range_tag_is_rejected_in_every_mode(rng, tag):
+    # RATE1 hashes no level, SAMPLING does: either way the tag is rejected
+    # before the engine's net count or any store changes
+    bad = Point((1, 1), tag)
+    pts = dedup_points(rand_points(rng, 10, 8)) + [bad]
+    grid = GridHierarchy.from_seed(derive_seed(16, "shift"), 8, 2)
+    for params in (RATE1, SAMPLING):
+        for backing in ("exact", "sketch"):
+            engine = StreamEngine(params, grid, 16, backing=backing, n_max=64)
+            engine.process_stream((p, +1) for p in pts[:-1])
+            blobs = [store.serialize() for store in engine._stores.values()]
+            with pytest.raises(UsageError, match="tag outside"):
+                engine.process(bad, +1)
+            assert engine.net == len(pts) - 1
+            assert [store.serialize()
+                    for store in engine._stores.values()] == blobs
+        with pytest.raises(UsageError, match="tag outside"):
+            build_auto(pts, grid, params, 16)
+        for backing in ("exact", "sketch"):
+            with pytest.raises(UsageError, match="tag outside"):
+                run_protocol([pts[:5], pts[5:]], params, 16, backing=backing,
+                             n_max=64)
