@@ -22,7 +22,6 @@ estimates.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 
@@ -263,25 +262,25 @@ def search_o(sampling: Sampling, guesses, build, n: int):
 
 
 class PointColumns:
-    """A point multiset held in columns, for the builders that read a whole
+    """A point set held in columns, for the builders that read a whole
     point set at once (the offline builder and the exact-backed machines).
 
     The distinct points, in sort_key order, sit beside one n x d int64
-    array of their level-L lattices (GridHierarchy.off applied once), their
-    tags and their multiplicities; one np.lexsort over coordinates and tags gives
-    that order and exposes copies as equal neighbours.  The points are
-    encoded once (every hash shares Sampling.encoder), and every hashed
-    (family, level) computes their field values once, when a key first
-    needs them, and ranks the rows by them: the rows a key keeps are a
-    prefix of that ranking, found by bisection at the key's threshold.
-    cells(key) groups the points a Sampling key keeps into cells by one
-    stable lexsort of their level lattices (level L shifted right by
-    L - level): equal lattices become runs, in the lexicographic order of
-    the lattices, and each run keeps the points' sort_key order.
-    Coordinates and lattices fit int64 for every Delta <= 2**62.  A tag
-    outside [-1, TAG_SPACE - 2] is a usage error."""
+    array of their level-L lattices (GridHierarchy.off applied once); one
+    np.lexsort over coordinates and tags gives that order and exposes
+    copies as equal neighbours.  With multiplicities, the columns also
+    keep each distinct point's tag and multiplicity (a point listed twice
+    has multiplicity 2), which the machines' blobs record.  Every hashed
+    (family, level) computes the points' field values once, when a key
+    first needs them.  cells(key) groups the points a Sampling key keeps
+    into cells by one stable lexsort of their level lattices (level L
+    shifted right by L - level): equal lattices become runs, in the
+    lexicographic order of the lattices, and each run keeps the points'
+    sort_key order.  Coordinates and lattices fit int64 for every
+    Delta <= 2**62.  A tag outside [-1, TAG_SPACE - 2] is a usage error."""
 
-    def __init__(self, points, sampling: Sampling):
+    def __init__(self, points, sampling: Sampling,
+                 multiplicities: bool = False):
         points = list(points)
         tags = [p.tag for p in points]
         if tags and not NO_TAG <= min(tags) <= max(tags) <= TAG_SPACE - 2:
@@ -298,30 +297,24 @@ class PointColumns:
         new[1:] = (coords[1:] != coords[:-1]).any(axis=1) | (tags[1:] != tags[:-1])
         starts = np.flatnonzero(new)
         self.points = [points[i] for i in order[starts].tolist()]
-        self.tags = tags[starts]
-        self.mults = np.diff(np.append(starts, n))
+        if multiplicities:
+            self.tags = tags[starts]
+            self.mults = np.diff(np.append(starts, n))
         self.sampling = sampling
         # level-L lattices, one row per distinct point
         self._off = np.array(grid.off, dtype=np.int64)
         self.lattices = coords[starts] - 1 - self._off
-        self._codes = None  # the points' encodings, once a key hashes
-        # (family, level) -> the rows by increasing field value, and the
-        # field values in that order
-        self._ranked: dict = {}
+        self._values: dict = {}  # (family, level) -> field values of points
 
     def _kept_rows(self, family: str, level: int, t: int):
         """The rows whose field value under the (family, level) hash lies
         below t, in row order."""
-        if (family, level) not in self._ranked:
-            if self._codes is None:
-                self._codes = [self.sampling.encoder.encode(p)
-                               for p in self.points]
-            values = self.sampling.hash(family, level).code_values(self._codes)
-            order = sorted(range(len(values)), key=values.__getitem__)
-            self._ranked[(family, level)] = (
-                np.array(order, dtype=np.int64), [values[i] for i in order])
-        order, ranked = self._ranked[(family, level)]
-        return np.sort(order[:bisect_left(ranked, t)])
+        if (family, level) not in self._values:
+            self._values[(family, level)] = \
+                self.sampling.hash(family, level).field_values(self.points)
+        return np.flatnonzero(np.fromiter(
+            (v < t for v in self._values[(family, level)]),
+            dtype=bool, count=len(self.points)))
 
     def coords(self, rows):
         """The coordinates of rows, from their level-L lattices."""

@@ -75,7 +75,8 @@ class Machine:
                                    exact_counts=exact_counts, n_max=n_max)
         self.local_n = len(shard)
         if backing == "exact":
-            self._columns = PointColumns(shard, self.engine.sampling)
+            self._columns = PointColumns(shard, self.engine.sampling,
+                                         multiplicities=True)
         else:
             self._columns = None
             for p in shard:

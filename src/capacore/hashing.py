@@ -97,8 +97,5 @@ class KWiseHash:
         return kernels.horner(self._rev or self._draw(), code, self.modulus)
 
     def field_values(self, points) -> list:
-        return self.code_values([self.encoder.encode(p) for p in points])
-
-    def code_values(self, codes) -> list:
-        """code_value of every code in codes."""
-        return kernels.poly_eval_batch(self.coeffs, codes, self.modulus)
+        encs = [self.encoder.encode(p) for p in points]
+        return kernels.poly_eval_batch(self.coeffs, encs, self.modulus)
