@@ -30,7 +30,11 @@ def _seed_from(args) -> int:
         return args.seed
     env = os.environ.get("CAPACORE_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"CAPACORE_SEED must be an integer, got "
+                             f"{env!r}") from None
     return 0
 
 
@@ -60,8 +64,13 @@ def _resolve_delta(requested: int) -> int:
 def cmd_gen(args) -> int:
     seed = _seed_from(args)
     rng = random.Random(seed)
+    if args.n < 0:
+        raise UsageError(f"--n must be at least 0, got {args.n}")
     if args.d < 1:
         raise UsageError(f"--d must be at least 1, got {args.d}")
+    if not 0 <= args.spread < math.inf:
+        raise UsageError(f"--spread must be finite and at least 0, got "
+                         f"{args.spread}")
     if args.kind == "gaussian" and args.clusters < 1:
         raise UsageError(f"--clusters must be at least 1, got {args.clusters}")
     Delta = _resolve_delta(args.Delta)
@@ -141,6 +150,9 @@ def cmd_eval(args) -> int:
     if args.center_samples < 1:
         raise UsageError(f"--center-samples must be at least 1, got "
                          f"{args.center_samples}")
+    if args.brute_check < 0:
+        raise UsageError(f"--brute-check must be at least 0, got "
+                         f"{args.brute_check}")
     rng = random.Random(derive_seed(seed, "eval-centers"))
     center_sets = [oracle.sample_lattice(rng, params.Delta, params.d, params.k)
                    for _ in range(args.center_samples)]

@@ -2,10 +2,8 @@
 
 Each machine holds one store per distinct Sampling key (family, level,
 threshold), whose family is dropped at rate 0 or 1, laid out by a stream
-engine's store layer, and ships one message per store: the store's index,
-the guesses whose cell cap (for any family the store serves them for) its
-local nonempty-cell count exceeds, and the serialized store state (left
-out when every guess the store serves is over).  A sketch-backed machine
+engine's store layer, and ships one message per store: the store's
+serialized state, in the layout's store order.  A sketch-backed machine
 streams its shard into its stores.  An exact-backed machine does not: it
 holds its shard in columns (coreset.PointColumns), groups the points each
 key keeps into cells by one lexsort, and encodes the store's blob from
@@ -13,11 +11,13 @@ those sorted arrays with the one exact encoder (cellstore.encode_exact),
 byte for byte the blob of the store the shard would have streamed into.
 
 The coordinator is a stream engine fed by merges instead of updates: it
-merges each state once into its own store of that key (store merging is
-linear) and counts the machines' points as its net count.  It then
-finalizes like any engine, except that a guess some machine reported over
-FAILs at the store cell cap; the decision path applies each guess's caps to
-the merged content, as it does in every mode.
+pairs the messages with its own stores by position, merges each state once
+into its store of that key (store merging is linear) and counts the
+machines' points as its net count.  It then finalizes like any engine: the
+decision path applies each guess's caps to the merged content, as it does
+in every mode.  A machine checks no cap itself: a shard holds only
+insertions, so a merged store has every cell of each machine's store of
+its key, and a guess over a cap on one machine is over it on the merge.
 Transport is an in-process byte channel; the byte counters are the
 communication cost.
 """
@@ -29,7 +29,7 @@ import struct
 import numpy as np
 
 from .common import UsageError, derive_seed
-from .coreset import PointColumns, Sampling, fail_at
+from .coreset import PointColumns, Sampling
 from .geometry import GridHierarchy
 from .params import Params
 from .streaming import StreamEngine
@@ -55,14 +55,11 @@ class ByteChannel:
         return self.to_coordinator + self.to_machine
 
 
-_HEADER = struct.Struct("<IH")  # store index, number of guesses over cap
-
-
 class Machine:
     """One machine: its shard's content per store, sent once per store.
 
-    The machine's engine gives the store layout (the stores in wire order,
-    their caps and seeds, the Sampling keys and the guesses' cell caps).  A
+    The machine's engine gives the store layout (the Sampling keys and
+    their stores in wire order, with the stores' pooled caps and seeds).  A
     sketch-backed machine streams its shard into the engine's stores.  An
     exact-backed one leaves them empty: it holds the shard in columns
     (coreset.PointColumns, where a point listed twice has multiplicity 2)
@@ -93,54 +90,25 @@ class Machine:
             np.column_stack((cols.coords(rows), cols.tags[rows], mults)))
 
     def wire_messages(self):
-        """Yield one message per distinct store, in the engine's store order.
-
-        A guess is over when its cell cap, for any family the store serves
-        it for, is below the store's local nonempty-cell count; the blob is
-        left out when every guess the store serves is over."""
-        eng = self.engine
-        for index, (key, store) in enumerate(eng._stores.items()):
+        """Yield each store's blob, in the engine's store order."""
+        for key, store in self.engine._stores.items():
             if self._columns is None:
-                cells = store.cell_count()
+                yield store.serialize()
             else:
-                rows, lat, starts = self._columns.cells(key)
-                cells = len(starts)
-            caps = eng._cell_caps[key]
-            over = [i for alpha, i in caps if cells > alpha]
-            blob = b""
-            if len(over) < len(caps):
-                blob = store.serialize() if self._columns is None \
-                    else self._encode(store, rows, lat, starts)
-            yield _HEADER.pack(index, len(over)) \
-                + struct.pack(f"<{len(over)}H", *over) + blob
+                yield self._encode(store, *self._columns.cells(key))
 
 
 class Coordinator(StreamEngine):
     """A stream engine whose stores start empty and absorb machine state."""
 
-    def __init__(self, params: Params, grid: GridHierarchy, seed: int,
-                 backing: str, exact_counts: bool, n_max: int):
-        super().__init__(params, grid, seed, backing, exact_counts, n_max)
-        self._over: set = set()  # guesses a machine reported over a cell cap
-
     def absorb(self, machine: "Machine", channel: ByteChannel):
         self.net += machine.local_n
         self._data.clear()
         channel.send_to_coordinator(struct.pack("<q", machine.local_n))
-        stores = list(self._stores.values())
-        for message in machine.wire_messages():
-            message = channel.send_to_coordinator(message)
-            index, n_over = _HEADER.unpack_from(message)
-            over = struct.unpack_from(f"<{n_over}H", message, _HEADER.size)
-            self._over.update(self.o_values[i] for i in over)
-            blob = message[_HEADER.size + 2 * n_over:]
-            if blob:
-                stores[index].merge_in(cellstore.deserialize(blob, self.grid))
-
-    def finalize_for_o(self, o: float, gates: list | None = None):
-        if o in self._over:
-            return fail_at(gates, "store cell cap")
-        return super().finalize_for_o(o, gates)
+        for store, blob in zip(self._stores.values(), machine.wire_messages(),
+                               strict=True):
+            blob = channel.send_to_coordinator(blob)
+            store.merge_in(cellstore.deserialize(blob, self.grid))
 
 
 def broadcast_blob(params: Params, grid: GridHierarchy, seed: int) -> bytes:
@@ -177,13 +145,12 @@ def per_machine_byte_cap(params: Params, grid: GridHierarchy, o_values,
     """Wire budget of one machine holding at most n points, exact backing.
 
     The broadcast and the shard size, then one message per distinct Sampling
-    key (sampled counts): its header, 2 bytes per guess the key serves, and
-    an exact blob of at most min(n, (2**level + 1)**d) cells and n points."""
+    key (sampled counts): an exact blob of at most min(n, (2**level + 1)**d)
+    cells and n points."""
     d = grid.d
     served = Sampling(params, grid, 0, exact_counts=False).served(o_values)
     total = len(broadcast_blob(params, grid, 0)) + 8
-    for (_, lvl, _), pairs in served.items():
+    for _, lvl, _ in served:
         cells = min(n, (2 ** lvl + 1) ** d)
-        total += _HEADER.size + 2 * len({o for _, o in pairs}) \
-            + 42 + cells * (16 * d + 12) + n * (8 * d + 16)
+        total += 42 + cells * (16 * d + 12) + n * (8 * d + 16)
     return total

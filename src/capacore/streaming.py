@@ -62,11 +62,6 @@ class StreamEngine:
         served = self.sampling.served(self.o_values)
         self._stores = {}  # Sampling key -> store
         self._data = {}  # Sampling key -> its store's finalize(), until a write
-        # Sampling key -> (cell cap, guess index) per guess it serves, in
-        # guess order; the cap is the smallest of the families it serves
-        # the guess for
-        self._cell_caps = {}
-        guess_index = {o: i for i, o in enumerate(self.o_values)}
         for (fam, lvl, t), pairs in served.items():
             caps = [params.caps(f, lvl, o) for f, o in pairs]
             self._stores[(fam, lvl, t)] = cellstore.make_store(
@@ -74,14 +69,9 @@ class StreamEngine:
                 max(b for _, b in caps),
                 derive_seed(seed, f"store:{fam or 'any'}:{lvl}"),
                 delta=0.001 / (3 * (grid.L + 1)))
-            alpha: dict = {}
-            for (_, o), (a, _) in zip(pairs, caps):
-                alpha[o] = min(a, alpha.get(o, a))
-            self._cell_caps[(fam, lvl, t)] = [(alpha[o], guess_index[o])
-                                              for o in sorted(alpha)]
         # routing table: the store of each level that keeps every point, and
         # per hashed (family, level) its hash, thresholds and stores by
-        # threshold; _stores keeps its order (the wire indexes stores by it)
+        # threshold; _stores keeps its order (the wire sends stores in it)
         self._keep_all = []
         hashed: dict = {}
         for (fam, lvl, t), store in self._stores.items():

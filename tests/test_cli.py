@@ -282,6 +282,14 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert a.read_text() == b.read_text()
 
 
+def test_env_seed_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CAPACORE_SEED", "abc")
+    out = tmp_path / "a.txt"
+    assert main(["gen", "--out", str(out), "--n", "10", "--Delta", "8"]) == 2
+    assert "CAPACORE_SEED" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_uniform_kind(tmp_path):
     path = tmp_path / "u.txt"
     rc = main(["gen", "--out", str(path), "--n", "50", "--Delta", "8",
@@ -437,7 +445,9 @@ def test_assign_capacity_out_of_domain(tmp_path, capsys, capacity, code):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [("--clusters", "0"), ("--d", "0")])
+@pytest.mark.parametrize("extra", [("--clusters", "0"), ("--d", "0"),
+                                   ("--spread", "nan"), ("--spread", "inf"),
+                                   ("--spread", "-0.5"), ("--n", "-3")])
 def test_gen_rejects_empty_clusters_and_dimension(tmp_path, capsys, extra):
     out = tmp_path / "pts.txt"
     rc = main(["gen", "--out", str(out), "--n", "5", "--seed", "1", *extra])
@@ -492,6 +502,17 @@ def test_eval_rejects_non_positive_center_samples(tmp_path, capsys, samples):
                "--out", str(audit), "--center-samples", samples])
     assert rc == 2
     assert "--center-samples" in capsys.readouterr().err
+    assert not audit.exists()
+
+
+def test_eval_rejects_negative_brute_check(tmp_path, capsys):
+    pts_path = _gen(tmp_path, n=30)
+    core_path = _build(tmp_path, pts_path)
+    audit = tmp_path / "audit.csv"
+    rc = main(["eval", "--input", str(pts_path), "--coreset", str(core_path),
+               "--out", str(audit), "--brute-check", "-1"])
+    assert rc == 2
+    assert "--brute-check" in capsys.readouterr().err
     assert not audit.exists()
 
 

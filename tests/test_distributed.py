@@ -9,7 +9,7 @@ from capacore.common import FAIL, UsageError, derive_seed, is_fail
 from capacore.coreset import (Sampling, build_auto, dedup_points,
                               exact_threshold, finalize_cells, o_grid)
 from capacore.cellstore import ExactCellStore, deserialize
-from capacore.distributed import (_HEADER, ByteChannel, Coordinator, Machine,
+from capacore.distributed import (ByteChannel, Coordinator, Machine,
                                   broadcast_blob, per_machine_byte_cap,
                                   run_protocol)
 from capacore.geometry import GridHierarchy, Point
@@ -61,14 +61,14 @@ def _reference_stores(machine, shard):
     return refs
 
 
-def _read_messages(machine):
-    """(store index, guess indices over, blob) per wire message."""
-    out = []
-    for message in machine.wire_messages():
-        index, n_over = _HEADER.unpack_from(message)
-        over = struct.unpack_from(f"<{n_over}H", message, _HEADER.size)
-        out.append((index, over, message[_HEADER.size + 2 * n_over:]))
-    return out
+def _over_every_guess(machine, refs):
+    """The Sampling keys whose reference store has more cells than the
+    cell cap of every (family, guess) pair the key serves."""
+    eng = machine.engine
+    served = eng.sampling.served(eng.o_values)
+    return [key for key, ref in zip(eng._stores, refs)
+            if all(ref.cell_count() > eng.params.caps(f, key[1], o)[0]
+                   for f, o in served[key])]
 
 
 def _offline(points, params, seed, exact_counts):
@@ -134,7 +134,8 @@ def test_sketch_backing_protocol(rng):
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
 def test_machine_sends_each_distinct_store_once(rng, backing):
     # cell caps that grow with the guess: a shard is over some guesses'
-    # caps and under others'
+    # caps and under others'; the machine sends every store all the same,
+    # one blob each, in layout order
     params = _with_caps(lambda o: o / 2)
     pts = dedup_points(rand_points(rng, 30, 8))
     grid = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
@@ -147,19 +148,25 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
     pooled = {engine.sampling.key(fam, lvl, o) for o, fam, lvl in triples}
     assert len({id(s) for s in engine._stores.values()}) == len(pooled)
     assert len(pooled) < len(triples)
-    keys = list(engine._stores)
-    sent = []
-    for index, over, blob in _read_messages(machine):
-        sent.append(index)
-        cells = refs[index].cell_count()
-        want = {o for o, fam, lvl in triples
-                if engine.sampling.key(fam, lvl, o) == keys[index]
-                and cells > o / 2}
-        assert {engine.o_values[i] for i in over} == want
-        served = {o for o, fam, lvl in triples
-                  if engine.sampling.key(fam, lvl, o) == keys[index]}
-        assert (blob == b"") == (want == served)
-    assert sorted(sent) == list(range(len(pooled)))
+    messages = list(machine.wire_messages())
+    assert len(messages) == len(pooled)
+    for blob, store, ref in zip(messages, engine._stores.values(), refs):
+        assert blob == (ref if backing == "exact" else store).serialize()
+
+
+def test_absorb_rejects_a_machine_with_another_store_layout(rng):
+    # a larger n_max adds guesses, and with them Sampling keys after the
+    # others; caps that do not depend on the guess keep every store that
+    # both layouts have mergeable, so only the number of stores differs
+    params = _with_caps(lambda o: 6, lambda o: 2, SAMPLING)
+    pts = dedup_points(rand_points(rng, 20, 8))
+    grid = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
+    for n_max in (32, 8000):
+        coord = Coordinator(params, grid, 8, "exact", False, 64)
+        machine = Machine(pts, params, grid, 8, "exact", False, n_max)
+        assert len(machine.engine._stores) != len(coord._stores)
+        with pytest.raises(ValueError, match="zip"):
+            coord.absorb(machine, ByteChannel())
 
 
 @pytest.mark.parametrize("beta", [None, 1])
@@ -183,16 +190,15 @@ def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
         assert any(key[2] == 0 for key in keys) == (Delta < 1 << 62)
         assert {key[0] is None for key in keys} == {False, True}
         refs = _reference_stores(machine, shard)
-        messages = _read_messages(machine)
-        assert [index for index, _, _ in messages] == list(range(len(keys)))
-        for index, over, blob in messages:
-            assert over == ()
-            assert blob == refs[index].serialize(), keys[index]
+        messages = list(machine.wire_messages())
+        assert len(messages) == len(keys)
+        for key, blob, ref in zip(keys, messages, refs):
+            assert blob == ref.serialize(), key
     # the stores that keep every point count the repeated point twice (the
     # offline builder counts it once) and ship it with multiplicity 2 unless
     # beta = 1 leaves its cell's points out
-    keep_all = [deserialize(blob, grid) for index, _, blob in messages
-                if keys[index][0] is None and keys[index][2]]
+    keep_all = [deserialize(blob, grid) for key, blob in zip(keys, messages)
+                if key[0] is None and key[2]]
     assert keep_all
     for store in keep_all:
         lat = grid.lattice_of(pts[0].coords, store.level)
@@ -239,11 +245,15 @@ def _same_outcome(got, want):
         and got.meta.structure.heavy == want.meta.structure.heavy
 
 
-@pytest.mark.parametrize("backing", ["exact", "sketch"])
-def test_pooled_stores_read_like_one_store_per_guess(rng, backing):
+@pytest.mark.parametrize("backing,alpha", [
+    ("exact", None), ("sketch", None), ("exact", 6), ("sketch", 6)],
+    ids=["exact", "sketch", "exact-cap6", "sketch-cap6"])
+def test_pooled_stores_read_like_one_store_per_guess(rng, backing, alpha):
     # caps that grow with the guess and cross the instance's cell counts
-    # (alpha) and per-cell point counts (beta)
-    params = _with_caps(lambda o: 4 * o, lambda o: o / 8)
+    # (alpha) and per-cell point counts (beta); a constant cell cap of 6
+    # makes some machine stores over every guess they serve
+    params = _with_caps((lambda o: 4 * o) if alpha is None else
+                        (lambda o: alpha), lambda o: o / 8)
     grid = GridHierarchy.from_seed(derive_seed(12, "shift"), 8, 2)
     pts = rand_points(rng, 40, 8)
     live = [p for i, p in enumerate(pts) if i % 4]
@@ -251,9 +261,12 @@ def test_pooled_stores_read_like_one_store_per_guess(rng, backing):
     stream = StreamEngine(params, grid, 12, backing=backing, n_max=64)
     stream.process_stream(updates)
     coord = Coordinator(params, grid, 12, backing, False, 64)
+    over = []
     for shard in (live[0::2], live[1::2]):
-        coord.absorb(Machine(shard, params, grid, 12, backing, False, 64),
-                     ByteChannel())
+        machine = Machine(shard, params, grid, 12, backing, False, 64)
+        over += _over_every_guess(machine, _reference_stores(machine, shard))
+        coord.absorb(machine, ByteChannel())
+    assert over or alpha is None
     outcomes = []
     for o in stream.o_values:
         want = _own_caps_outcome(params, grid, 12, live, o, False)
@@ -261,6 +274,8 @@ def test_pooled_stores_read_like_one_store_per_guess(rng, backing):
         assert _same_outcome(stream.finalize_for_o(o, gates), want), o
         assert _same_outcome(coord.finalize_for_o(o), want), o
         outcomes.append(gates[0] if gates else len(want))
+    if alpha is not None:
+        return
     # the caps bind on small guesses and both gates fire
     assert "store cell cap" in outcomes
     assert "light-point recovery cap" in outcomes
@@ -330,8 +345,8 @@ def _all_fail(build, gate="store cell cap"):
 
 
 def test_machine_fail_propagates(rng):
-    # a cell cap of 0.5 binds on every nonempty store: the machine's report
-    # FAILs every guess, and offline and stream builds FAIL alike
+    # a cell cap of 0.5 binds on every nonempty store: dist, offline and
+    # stream builds FAIL every guess alike
     tiny = _with_caps(lambda o: 0.5)
     pts = dedup_points(rand_points(rng, 10, 8))
     _all_fail(lambda: run_protocol([pts], tiny, seed=6))
@@ -344,6 +359,9 @@ def test_machine_fail_propagates(rng):
     sketch = StreamEngine(tiny, grid, 6, backing="sketch", n_max=64)
     sketch.process_stream((p, +1) for p in pts)
     _all_fail(sketch.finalize, "store cell cap or sketch decoding")
+    _all_fail(lambda: run_protocol([pts[:5], pts[5:]], tiny, seed=6,
+                                   backing="sketch"),
+              "store cell cap or sketch decoding")
 
 
 def test_dist_fails_when_the_union_is_over_the_cell_cap():
@@ -359,9 +377,8 @@ def test_dist_fails_when_the_union_is_over_the_cell_cap():
     for shard in (pts[0::2], pts[1::2]):
         machine = Machine(shard, capped, grid, 6, "exact", False, 64)
         assert all(deserialize(blob, grid).cell_count() <= 6
-                   for _, _, blob in _read_messages(machine))
+                   for blob in machine.wire_messages())
         coord.absorb(machine, ByteChannel())
-    assert not coord._over
     _all_fail(lambda: build_auto(pts, grid, capped, 6, exact_counts=False))
     _all_fail(engine.finalize)
     _all_fail(coord.finalize)
