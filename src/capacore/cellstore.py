@@ -22,9 +22,10 @@ is the communication cost.  Exact blobs carry points only for cells whose
 local count is at most beta (the cap-respecting wire shape), which preserves
 finalize output through merge because a cell light in the union is light in
 every shard.  One numpy encoder (encode_exact) writes every exact blob from
-sorted columns, whether a store's dicts or an exact-backed machine's shard
-columns give them; its sections are columnar (see encode_exact), and
-deserialize reads them back with numpy.
+sorted columns, whether a store's dicts or a dist machine's shard columns
+(encode_rows, which also gives a machine's sketch blobs) give them; its
+sections are columnar (see encode_exact), and deserialize reads them back
+with numpy.
 """
 
 from __future__ import annotations
@@ -372,11 +373,6 @@ class SketchCellStore:
                              for pcode, mult in pts.items() for _ in range(mult)),
                             key=Point.sort_key))
 
-    def cell_count(self):
-        """Nonempty cells; a sketch counts them by decoding (inf if it cannot)."""
-        recovered = self._decode_cells()
-        return math.inf if recovered is None else len(recovered)
-
     def finalize(self):
         """CellData: FAIL when decoding fails or above alpha decoded cells,
         points recovered for the cells of count at most beta."""
@@ -485,6 +481,28 @@ def make_store(backing: str, grid: GridHierarchy, level: int, alpha: float,
     raise UsageError(f"unknown store backing {backing!r}")
 
 
+def encode_rows(store, columns, rows, lat, starts) -> bytes:
+    """The blob of a store of store's backing, level, caps and seed holding
+    the rows of columns (coreset.PointColumns with multiplicities) grouped
+    into cells by PointColumns.cells.  A sketch is fed each row once, with
+    its multiplicity as the sign: sketch content is linear in the updates
+    and serialize sorts its records, so the blob is the one streaming the
+    points one by one gives."""
+    sizes = np.diff(np.append(starts, len(rows)))
+    mults = columns.mults[rows]
+    if isinstance(store, ExactCellStore):
+        counts = np.add.reduceat(mults, starts) if len(rows) else mults
+        return encode_exact(store, lat[starts], counts, sizes, np.column_stack(
+            (columns.coords(rows), columns.tags[rows], mults)))
+    fresh = SketchCellStore(store.grid, store.level, store.alpha, store.beta,
+                            store.seed, store.delta)
+    cells = [tuple(cell) for cell in lat[starts].tolist()]
+    for i, m, c in zip(rows.tolist(), mults.tolist(),
+                       np.repeat(np.arange(len(cells)), sizes).tolist()):
+        fresh.update(columns.points[i], m, cells[c])
+    return fresh.serialize()
+
+
 def deserialize(blob: bytes, grid: GridHierarchy):
     backing = blob[5]
     if backing == _EXACT:
@@ -496,5 +514,5 @@ def deserialize(blob: bytes, grid: GridHierarchy):
 
 __all__ = [
     "CellData", "ExactCellStore", "SketchCellStore", "make_store",
-    "encode_exact", "deserialize", "FAIL", "is_fail",
+    "encode_exact", "encode_rows", "deserialize", "FAIL", "is_fail",
 ]

@@ -107,6 +107,8 @@ def _derive_params(args, Delta: int):
 
 def cmd_build(args) -> int:
     seed = _seed_from(args)
+    if args.mode == "dist" and args.machines < 1:
+        raise UsageError(f"--machines must be at least 1, got {args.machines}")
     Delta = _resolve_delta(args.Delta)
     params = _derive_params(args, Delta)
     grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), Delta, args.d)
@@ -238,6 +240,8 @@ def cmd_centers(args) -> int:
     seed = _seed_from(args)
     if args.k is not None and args.k < 1:
         raise UsageError(f"-k must be at least 1, got {args.k}")
+    if args.iters < 0:
+        raise UsageError(f"--iters must be at least 0, got {args.iters}")
     coreset = read_coreset(args.coreset)
     params = coreset.meta.params
     pts = coreset.points()

@@ -263,7 +263,7 @@ def search_o(sampling: Sampling, guesses, build, n: int):
 
 class PointColumns:
     """A point set held in columns, for the builders that read a whole
-    point set at once (the offline builder and the exact-backed machines).
+    point set at once (the offline builder and the dist machines).
 
     The distinct points, in sort_key order, sit beside one n x d int64
     array of their level-L lattices (GridHierarchy.off applied once); one

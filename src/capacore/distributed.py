@@ -3,12 +3,11 @@
 Each machine holds one store per distinct Sampling key (family, level,
 threshold), whose family is dropped at rate 0 or 1, laid out by a stream
 engine's store layer, and ships one message per store: the store's
-serialized state, in the layout's store order.  A sketch-backed machine
-streams its shard into its stores.  An exact-backed machine does not: it
-holds its shard in columns (coreset.PointColumns), groups the points each
-key keeps into cells by one lexsort, and encodes the store's blob from
-those sorted arrays with the one exact encoder (cellstore.encode_exact),
-byte for byte the blob of the store the shard would have streamed into.
+serialized state, in the layout's store order; the coordinator's engine
+lays out every machine of a run.  With either backing a machine holds its
+shard in columns (coreset.PointColumns), groups the points each key keeps
+into cells by one lexsort and encodes each blob from them
+(cellstore.encode_rows), the blob of the store the shard streamed into.
 
 The coordinator is a stream engine fed by merges instead of updates: it
 pairs the messages with its own stores by position, merges each state once
@@ -25,8 +24,6 @@ communication cost.
 from __future__ import annotations
 
 import struct
-
-import numpy as np
 
 from .common import UsageError, derive_seed
 from .coreset import PointColumns, Sampling
@@ -58,55 +55,36 @@ class ByteChannel:
 class Machine:
     """One machine: its shard's content per store, sent once per store.
 
-    The machine's engine gives the store layout (the Sampling keys and
-    their stores in wire order, with the stores' pooled caps and seeds).  A
-    sketch-backed machine streams its shard into the engine's stores.  An
-    exact-backed one leaves them empty: it holds the shard in columns
-    (coreset.PointColumns, where a point listed twice has multiplicity 2)
-    and encodes each store's blob straight from the key's cells, the blob
-    that streaming the shard into the store and serializing it gives."""
+    layout is the engine whose stores (Sampling keys in wire order, with
+    their backing, pooled caps and seeds) the blobs follow; the machine
+    writes none of them.  The shard sits in columns (coreset.PointColumns,
+    where a point listed twice has multiplicity 2), and each blob is
+    encoded from its key's cells (cellstore.encode_rows)."""
 
-    def __init__(self, shard, params: Params, grid: GridHierarchy, seed: int,
-                 backing: str, exact_counts: bool, n_max: int):
-        self.engine = StreamEngine(params, grid, seed, backing=backing,
-                                   exact_counts=exact_counts, n_max=n_max)
+    def __init__(self, shard, layout: StreamEngine):
+        self.layout = layout
         self.local_n = len(shard)
-        if backing == "exact":
-            self._columns = PointColumns(shard, self.engine.sampling,
-                                         multiplicities=True)
-        else:
-            self._columns = None
-            for p in shard:
-                self.engine.process(p, +1)
-
-    def _encode(self, store, rows, lat, starts) -> bytes:
-        """The blob of store holding the shard rows given in cell order,
-        with their lattices at the store's level and the cells' starts."""
-        cols = self._columns
-        mults = cols.mults[rows]
-        counts = np.add.reduceat(mults, starts) if len(rows) else mults
-        return cellstore.encode_exact(
-            store, lat[starts], counts, np.diff(np.append(starts, len(rows))),
-            np.column_stack((cols.coords(rows), cols.tags[rows], mults)))
+        self._columns = PointColumns(shard, layout.sampling,
+                                     multiplicities=True)
 
     def wire_messages(self):
-        """Yield each store's blob, in the engine's store order."""
-        for key, store in self.engine._stores.items():
-            if self._columns is None:
-                yield store.serialize()
-            else:
-                yield self._encode(store, *self._columns.cells(key))
+        """Yield each store's blob, in the layout's store order."""
+        columns = self._columns
+        for key, store in self.layout._stores.items():
+            yield cellstore.encode_rows(store, columns, *columns.cells(key))
 
 
 class Coordinator(StreamEngine):
     """A stream engine whose stores start empty and absorb machine state."""
 
     def absorb(self, machine: "Machine", channel: ByteChannel):
+        """Merge a machine laid out by this coordinator (else ValueError)."""
+        if machine.layout is not self:
+            raise ValueError("the machine is laid out by another engine")
         self.net += machine.local_n
         self._data.clear()
         channel.send_to_coordinator(struct.pack("<q", machine.local_n))
-        for store, blob in zip(self._stores.values(), machine.wire_messages(),
-                               strict=True):
+        for store, blob in zip(self._stores.values(), machine.wire_messages()):
             blob = channel.send_to_coordinator(blob)
             store.merge_in(cellstore.deserialize(blob, self.grid))
 
@@ -135,8 +113,7 @@ def run_protocol(shards, params: Params, seed: int, backing: str = "exact",
     coord = Coordinator(params, grid, seed, backing, exact_counts, n_max)
     for shard in shards:
         channel.send_to_machine(bcast)
-        machine = Machine(shard, params, grid, seed, backing, exact_counts, n_max)
-        coord.absorb(machine, channel)
+        coord.absorb(Machine(shard, coord), channel)
     return coord.finalize(), channel.total()
 
 

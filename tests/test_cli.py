@@ -528,6 +528,28 @@ def test_centers_rejects_non_positive_k(tmp_path, capsys, k):
     assert not out.exists()
 
 
+def test_dist_build_rejects_fewer_than_one_machine(tmp_path, capsys):
+    pts_path = _gen(tmp_path, n=20)
+    out = tmp_path / "core.txt"
+    rc = main(["build", "--input", str(pts_path), "--output", str(out),
+               "-k", "2", "--Delta", "8", "--mode", "dist",
+               "--machines", "0"])
+    assert rc == 2
+    assert "--machines" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_centers_rejects_negative_iters(tmp_path, capsys):
+    pts_path = _gen(tmp_path, n=30)
+    core_path = _build(tmp_path, pts_path)
+    out = tmp_path / "z.txt"
+    rc = main(["centers", "--coreset", str(core_path), "--out", str(out),
+               "--iters", "-1"])
+    assert rc == 2
+    assert "--iters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _repeated_points(tmp_path, tagged: bool):
     """30 distinct coordinate pairs on [1, 16]^2, each listed 4 times: as
     repeated points, or as copies with distinct tags."""

@@ -39,7 +39,7 @@ def _with_caps(alpha, beta=None, base=RATE1):
 def _reference_stores(machine, shard):
     """One exact store per store of the machine's layout, fed the points of
     shard its Sampling key keeps, point by point through update."""
-    eng = machine.engine
+    eng = machine.layout
     values = {}  # (family, level) -> field value per point of shard
 
     def keeps(fam, lvl, t):
@@ -64,7 +64,7 @@ def _reference_stores(machine, shard):
 def _over_every_guess(machine, refs):
     """The Sampling keys whose reference store has more cells than the
     cell cap of every (family, guess) pair the key serves."""
-    eng = machine.engine
+    eng = machine.layout
     served = eng.sampling.served(eng.o_values)
     return [key for key, ref in zip(eng._stores, refs)
             if all(ref.cell_count() > eng.params.caps(f, key[1], o)[0]
@@ -139,9 +139,15 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
     params = _with_caps(lambda o: o / 2)
     pts = dedup_points(rand_points(rng, 30, 8))
     grid = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
-    machine = Machine(pts, params, grid, 8, backing, False, 64)
-    refs = _reference_stores(machine, pts)
-    engine = machine.engine
+    engine = StreamEngine(params, grid, 8, backing=backing, n_max=64)
+    machine = Machine(pts, engine)
+    # an exact store fed point by point, or a sketch streamed the shard
+    if backing == "exact":
+        refs = _reference_stores(machine, pts)
+    else:
+        stream = StreamEngine(params, grid, 8, backing=backing, n_max=64)
+        stream.process_stream((p, +1) for p in pts)
+        refs = list(stream._stores.values())
     # one store per distinct Sampling key, for either backing
     triples = [(o, fam, lvl) for o in engine.o_values
                for lvl in range(0, grid.L + 1) for fam in FAMILIES]
@@ -150,23 +156,29 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
     assert len(pooled) < len(triples)
     messages = list(machine.wire_messages())
     assert len(messages) == len(pooled)
-    for blob, store, ref in zip(messages, engine._stores.values(), refs):
-        assert blob == (ref if backing == "exact" else store).serialize()
+    for blob, ref in zip(messages, refs):
+        assert blob == ref.serialize()
 
 
 def test_absorb_rejects_a_machine_with_another_store_layout(rng):
     # a larger n_max adds guesses, and with them Sampling keys after the
     # others; caps that do not depend on the guess keep every store that
-    # both layouts have mergeable, so only the number of stores differs
+    # both layouts have mergeable, so only the number of stores differs.
+    # The raise leaves the coordinator as it was
     params = _with_caps(lambda o: 6, lambda o: 2, SAMPLING)
     pts = dedup_points(rand_points(rng, 20, 8))
     grid = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
     for n_max in (32, 8000):
         coord = Coordinator(params, grid, 8, "exact", False, 64)
-        machine = Machine(pts, params, grid, 8, "exact", False, n_max)
-        assert len(machine.engine._stores) != len(coord._stores)
-        with pytest.raises(ValueError, match="zip"):
-            coord.absorb(machine, ByteChannel())
+        layout = StreamEngine(params, grid, 8, n_max=n_max)
+        machine = Machine(pts, layout)
+        assert len(layout._stores) != len(coord._stores)
+        channel = ByteChannel()
+        with pytest.raises(ValueError, match="another engine"):
+            coord.absorb(machine, channel)
+        assert coord.net == 0 and channel.total() == 0
+        assert all(not store.counts and not store.points
+                   for store in coord._stores.values())
 
 
 @pytest.mark.parametrize("beta", [None, 1])
@@ -184,9 +196,10 @@ def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
     pts = rand_points(rng, 40, Delta)
     # a second copy of a point, and a point sharing its level-L cell
     pts += [pts[0], Point(pts[0].coords, 99)]
+    layout = StreamEngine(params, grid, 15, n_max=64)
     for shard in ([], pts[:20], pts):
-        machine = Machine(shard, params, grid, 15, "exact", False, 64)
-        keys = list(machine.engine._stores)
+        machine = Machine(shard, layout)
+        keys = list(layout._stores)
         assert any(key[2] == 0 for key in keys) == (Delta < 1 << 62)
         assert {key[0] is None for key in keys} == {False, True}
         refs = _reference_stores(machine, shard)
@@ -205,6 +218,52 @@ def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
         assert store.counts[lat] >= 3
         assert store.points.get(lat, {}).get(pts[0]) == \
             (None if beta == 1 else 2)
+
+
+@pytest.mark.parametrize("Delta", [8, 1 << 16])
+def test_sketch_machine_blobs_equal_a_stream_engine_fed_the_shard(rng, Delta):
+    # the reference routes each point by bisection (StreamEngine.process),
+    # the machine by the columns' keep rule; keys that keep none, keys that
+    # keep every point and hashed keys
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=2,
+                    mode=PRACTICAL, scale=1e-53)
+    grid = GridHierarchy.from_seed(derive_seed(17, "shift"), Delta, 2)
+    pts = rand_points(rng, 40, Delta)
+    # a second copy of a point (multiplicity 2), and a point sharing its
+    # level-L cell
+    pts += [pts[0], Point(pts[0].coords, 99)]
+    layout = StreamEngine(params, grid, 17, backing="sketch", n_max=64)
+    keys = list(layout._stores)
+    assert any(key[2] == 0 for key in keys)
+    assert {key[0] is None for key in keys} == {False, True}
+    for shard in ([], pts[:20], pts):
+        reference = StreamEngine(params, grid, 17, backing="sketch", n_max=64)
+        reference.process_stream((p, +1) for p in shard)
+        messages = list(Machine(shard, layout).wire_messages())
+        assert len(messages) == len(keys)
+        for key, blob, ref in zip(keys, messages,
+                                  reference._stores.values()):
+            assert blob == ref.serialize(), key
+    # the machine writes none of the layout's stores
+    assert all(not store.cell_state for store in layout._stores.values())
+
+
+def test_run_protocol_builds_one_stream_engine(rng, monkeypatch):
+    # the coordinator lays out every machine: one engine per run
+    built = []
+    init = StreamEngine.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamEngine, "__init__", counted)
+    pts = dedup_points(rand_points(rng, 30, 8))
+    for backing in ("exact", "sketch"):
+        built.clear()
+        run_protocol([pts[0::3], pts[1::3], pts[2::3]], RATE1, seed=18,
+                     backing=backing)
+        assert built == [Coordinator]
 
 
 def _own_caps_outcome(params, grid, seed, live, o, exact_counts):
@@ -263,7 +322,7 @@ def test_pooled_stores_read_like_one_store_per_guess(rng, backing, alpha):
     coord = Coordinator(params, grid, 12, backing, False, 64)
     over = []
     for shard in (live[0::2], live[1::2]):
-        machine = Machine(shard, params, grid, 12, backing, False, 64)
+        machine = Machine(shard, coord)
         over += _over_every_guess(machine, _reference_stores(machine, shard))
         coord.absorb(machine, ByteChannel())
     assert over or alpha is None
@@ -333,8 +392,7 @@ def test_stream_finalize_reads_each_store_once(rng):
     pts = rand_points(rng, 40, 8)
     coord = Coordinator(RATE1, grid, 14, "exact", False, 64)
     for end in (20, 40):
-        coord.absorb(Machine(pts[end - 20:end], RATE1, grid, 14, "exact",
-                             False, 64), ByteChannel())
+        coord.absorb(Machine(pts[end - 20:end], coord), ByteChannel())
         assert coord.finalize() == build_auto(pts[:end], grid, RATE1, 14,
                                               exact_counts=False)
 
@@ -375,7 +433,7 @@ def test_dist_fails_when_the_union_is_over_the_cell_cap():
     engine.process_stream((p, +1) for p in pts)
     coord = Coordinator(capped, grid, 6, "exact", False, 64)
     for shard in (pts[0::2], pts[1::2]):
-        machine = Machine(shard, capped, grid, 6, "exact", False, 64)
+        machine = Machine(shard, coord)
         assert all(deserialize(blob, grid).cell_count() <= 6
                    for blob in machine.wire_messages())
         coord.absorb(machine, ByteChannel())
