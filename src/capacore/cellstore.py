@@ -24,8 +24,13 @@ finalize output through merge because a cell light in the union is light in
 every shard.  One numpy encoder (encode_exact) writes every exact blob from
 sorted columns, whether a store's dicts or a dist machine's shard columns
 (encode_rows, which also gives a machine's sketch blobs) give them; its
-sections are columnar (see encode_exact), and deserialize reads them back
-with numpy.
+sections are columnar (see encode_exact).  One parser (parse_exact) reads
+them back as numpy arrays (ExactBlob); ExactCellStore.deserialize builds a
+store from them, and merge_exact merges any number of them in columns
+into the CellData that merging their stores and finalizing gives, with
+light points drawn from one table of Points (point_table).  A truncated
+blob, one with bytes after its last section or record, or one made for
+another dimension is a usage error, with either backing.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,37 +180,156 @@ class ExactCellStore:
 
     @classmethod
     def deserialize(cls, blob: bytes, grid: GridHierarchy) -> "ExactCellStore":
-        """The store an encode_exact blob describes, read with numpy."""
-        magic, ver, backing, level = struct.unpack_from("<4sBBh", blob, 0)
-        if magic != _MAGIC or ver != _EXACT_VERSION or backing != _EXACT:
-            raise UsageError("not an exact cell-store blob")
-        d, alpha, beta, seed = struct.unpack_from("<Hddq", blob, 8)
-        store = cls(grid, level, alpha, beta, seed)
-        off = 8 + struct.calcsize("<Hddq")
-        (ncells,) = struct.unpack_from("<I", blob, off)
-        cells = np.frombuffer(blob, "<i8", ncells * (d + 1), off + 4) \
-            .reshape(ncells, d + 1)
-        off += 4 + cells.nbytes
-        (nlight,) = struct.unpack_from("<I", blob, off)
-        lats = np.frombuffer(blob, "<i8", nlight * d, off + 4)
-        sizes = np.frombuffer(blob, "<u4", nlight, off + 4 + lats.nbytes)
-        off += 4 + lats.nbytes + sizes.nbytes
-        entries = np.frombuffer(blob, "<i8", int(sizes.sum()) * (d + 2), off) \
-            .reshape(-1, d + 2)
-        store.counts = dict(zip(_rows(cells[:, :d]), cells[:, d].tolist()))
-        pts = list(map(Point, _rows(entries[:, :d]), entries[:, d].tolist()))
-        mults = entries[:, d + 1].tolist()
-        ends = np.cumsum(sizes).tolist()
+        """The store an encode_exact blob describes (parse_exact)."""
+        b = parse_exact(blob, grid)
+        d = grid.d
+        store = cls(grid, b.level, b.alpha, b.beta, b.seed)
+        store.counts = dict(zip(_rows(b.cells[:, :d]), b.cells[:, d].tolist()))
+        pts = list(map(Point, _rows(b.entries[:, :d]), b.entries[:, d].tolist()))
+        mults = b.entries[:, d + 1].tolist()
+        ends = np.cumsum(b.sizes).tolist()
         store.points = {
-            lat: dict(zip(pts[b - n:b], mults[b - n:b]))
-            for lat, n, b in zip(_rows(lats.reshape(nlight, d)),
-                                 sizes.tolist(), ends)}
+            lat: dict(zip(pts[e - n:e], mults[e - n:e]))
+            for lat, n, e in zip(_rows(b.light), b.sizes.tolist(), ends)}
         return store
 
 
 def _rows(a):
     """The rows of a 2-d integer array as tuples of Python ints."""
     return zip(*(a[:, j].tolist() for j in range(a.shape[1])))
+
+
+class ExactBlob(NamedTuple):
+    """The header and sections of an exact blob (encode_exact), as arrays
+    over the blob's bytes."""
+    level: int
+    alpha: float
+    beta: float
+    seed: int
+    cells: np.ndarray    # (c, d + 1): each nonzero cell's lattice and count
+    light: np.ndarray    # (l, d): the lattices of the cells that ship points
+    sizes: np.ndarray    # (l,) uint32: their numbers of entries
+    entries: np.ndarray  # (sizes.sum(), d + 2): coordinates, tag, multiplicity
+
+
+_EXACT_HEAD = struct.Struct("<4sBBhHddqI")
+
+
+def _section(blob, off: int, dtype: str, count: int):
+    """count items of dtype at offset off of blob, and the offset after
+    them; a blob too short to hold them is a usage error."""
+    end = off + count * np.dtype(dtype).itemsize
+    if end > len(blob):
+        raise UsageError("truncated cell-store blob")
+    return np.frombuffer(blob, dtype, count, off), end
+
+
+def _check_d(d: int, grid: GridHierarchy):
+    if d != grid.d:
+        raise UsageError(f"cell-store blob is {d}-d, the grid {grid.d}-d")
+
+
+def parse_exact(blob: bytes, grid: GridHierarchy) -> ExactBlob:
+    """The sections of an encode_exact blob of grid's dimension; a blob of
+    another kind or dimension, a truncated blob or one with bytes after its
+    last section is a usage error."""
+    if len(blob) < _EXACT_HEAD.size:
+        raise UsageError("truncated cell-store blob")
+    magic, ver, backing, level, d, alpha, beta, seed, ncells = \
+        _EXACT_HEAD.unpack_from(blob)
+    if magic != _MAGIC or ver != _EXACT_VERSION or backing != _EXACT:
+        raise UsageError("not an exact cell-store blob")
+    _check_d(d, grid)
+    cells, off = _section(blob, _EXACT_HEAD.size, "<i8", ncells * (d + 1))
+    (nlight,), off = _section(blob, off, "<u4", 1)
+    light, off = _section(blob, off, "<i8", int(nlight) * d)
+    sizes, off = _section(blob, off, "<u4", int(nlight))
+    entries, off = _section(blob, off, "<i8", int(sizes.sum()) * (d + 2))
+    if off != len(blob):
+        raise UsageError(f"{len(blob) - off} bytes after the last section "
+                         f"of an exact cell-store blob")
+    return ExactBlob(level, alpha, beta, seed, cells.reshape(ncells, d + 1),
+                     light.reshape(-1, d), sizes, entries.reshape(-1, d + 2))
+
+
+def _stacked(arrays, width: int):
+    """The rows of int64 arrays of width columns as one array, also of
+    none."""
+    return np.concatenate([np.empty((0, width), dtype=np.int64), *arrays])
+
+
+def point_table(blobs, d: int):
+    """(points, ids): one Point per distinct (coordinates, tag) among the
+    entries of the ExactBlobs blobs of dimension d, in sort_key order, and
+    per blob the row in points of each of its entries."""
+    rows = _stacked((b.entries[:, :d + 1] for b in blobs), d + 1)
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    first = rows[new]
+    points = list(map(Point, _rows(first[:, :d]), first[:, d].tolist()))
+    ends = np.cumsum([len(b.entries) for b in blobs], dtype=np.int64)
+    return points, np.split(ids, ends[:-1])
+
+
+def merge_exact(store, blobs, ids, points):
+    """The finalize() of an empty store like store (its level, caps and
+    seed) after merge_in of each ExactBlob of blobs, computed in columns:
+    counts summed per lattice and multiplicities per (lattice, point), zeros
+    dropped, then store's alpha and beta applied.  points and ids are a
+    point_table holding the blobs' entries: ids[i] places blobs[i]'s."""
+    for b in blobs:
+        if (b.level, b.alpha, b.beta, b.seed) != \
+                (store.level, store.alpha, store.beta, store.seed):
+            raise UsageError("cannot merge stores with different level/caps/seeds")
+    d = store.grid.d
+    cells = _stacked((b.cells for b in blobs), d + 1)
+    entries = _stacked((b.entries for b in blobs), d + 2)
+    # one row per cell record and per entry, grouped by lattice; an
+    # entry's lattice is its light cell's and it adds 0 to the count
+    lat = _stacked([cells[:, :d]] + [np.repeat(b.light, b.sizes, axis=0)
+                                     for b in blobs], d)
+    order = np.lexsort(lat.T[::-1])
+    lat = lat[order]
+    new = np.ones(len(lat), dtype=bool)
+    new[1:] = (lat[1:] != lat[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.append(cells[:, d], np.zeros(len(entries), dtype=np.int64))
+    counts = np.add.reduceat(counts[order], starts) if len(lat) else counts
+    nonzero = counts != 0
+    if np.count_nonzero(nonzero) > store.alpha:
+        return FAIL
+    light = nonzero & (counts <= store.beta)
+    # the entries of light cells by (cell, point), multiplicities summed
+    group = np.cumsum(new) - 1
+    is_entry = order >= len(cells)
+    group, rows = group[is_entry], order[is_entry] - len(cells)
+    keep = light[group]
+    group, rows = group[keep], rows[keep]
+    pid = np.concatenate([np.empty(0, dtype=np.int64), *ids])[rows]
+    by = np.lexsort((pid, group))
+    group, pid, mults = group[by], pid[by], entries[rows[by], d + 1]
+    first = np.ones(len(pid), dtype=bool)
+    first[1:] = (pid[1:] != pid[:-1]) | (group[1:] != group[:-1])
+    at = np.flatnonzero(first)
+    mults = np.add.reduceat(mults, at) if len(at) else mults
+    # a light cell lists its points in sort_key order (point_table's),
+    # each once per copy
+    copies = np.maximum(mults, 0)
+    group, pid = np.repeat(group[at], copies), np.repeat(pid[at], copies)
+    kept = [points[i] for i in pid.tolist()]
+    lights = np.flatnonzero(light)
+    bounds = zip(np.searchsorted(group, lights).tolist(),
+                 np.searchsorted(group, lights, side="right").tolist())
+    lattices = lat[starts]
+    return CellData(
+        store.level,
+        dict(zip(_rows(lattices[nonzero]), counts[nonzero].tolist())),
+        {c: tuple(kept[a:b])
+         for c, (a, b) in zip(_rows(lattices[lights]), bounds)})
 
 
 def encode_exact(store, lattices, counts, sizes, entries) -> bytes:
@@ -423,28 +548,41 @@ class SketchCellStore:
 
     @classmethod
     def deserialize(cls, blob: bytes, grid: GridHierarchy) -> "SketchCellStore":
+        """The store a sketch blob describes; a blob of another kind or
+        dimension, a truncated blob or one with bytes after its last record
+        is a usage error."""
         view = memoryview(blob)
-        magic, ver, backing, level = struct.unpack_from("<4sBBh", view, 0)
-        if magic != _MAGIC or ver != _SKETCH_VERSION or backing != _SKETCH:
-            raise UsageError("not a sketch cell-store blob")
-        off = 8
-        d, alpha, beta, delta, seed = struct.unpack_from("<Hdddq", view, off)
-        off += struct.calcsize("<Hdddq")
-        store = cls(grid, level, alpha, beta, seed, delta)
-        (ncell,) = struct.unpack_from("<I", view, off)
-        off += 4
-        for _ in range(ncell):
-            row, b = struct.unpack_from("<Iq", view, off)
-            off += struct.calcsize("<Iq")
-            rec, off = cls._unpack_rec(view, off)
-            store.cell_state[(row, b)] = rec
-        (npt,) = struct.unpack_from("<I", view, off)
-        off += 4
-        for _ in range(npt):
-            row, b, prow, pb = struct.unpack_from("<IqIq", view, off)
-            off += struct.calcsize("<IqIq")
-            rec, off = cls._unpack_rec(view, off)
-            store.point_state[(row, b, prow, pb)] = rec
+        try:
+            magic, ver, backing, level = struct.unpack_from("<4sBBh", view, 0)
+            if magic != _MAGIC or ver != _SKETCH_VERSION or backing != _SKETCH:
+                raise UsageError("not a sketch cell-store blob")
+            off = 8
+            d, alpha, beta, delta, seed = struct.unpack_from("<Hdddq", view, off)
+            _check_d(d, grid)
+            off += struct.calcsize("<Hdddq")
+            store = cls(grid, level, alpha, beta, seed, delta)
+            (ncell,) = struct.unpack_from("<I", view, off)
+            off += 4
+            for _ in range(ncell):
+                row, b = struct.unpack_from("<Iq", view, off)
+                off += struct.calcsize("<Iq")
+                rec, off = cls._unpack_rec(view, off)
+                store.cell_state[(row, b)] = rec
+            (npt,) = struct.unpack_from("<I", view, off)
+            off += 4
+            for _ in range(npt):
+                row, b, prow, pb = struct.unpack_from("<IqIq", view, off)
+                off += struct.calcsize("<IqIq")
+                rec, off = cls._unpack_rec(view, off)
+                store.point_state[(row, b, prow, pb)] = rec
+        except struct.error:  # a fixed-size field runs past the end
+            off = None
+        # a record cut by the end of the blob reads short and ends past it
+        if off is None or off > len(blob):
+            raise UsageError("truncated cell-store blob")
+        if off < len(blob):
+            raise UsageError(f"{len(blob) - off} bytes after the last record "
+                             f"of a sketch cell-store blob")
         return store
 
     def space_bytes(self):
@@ -504,7 +642,8 @@ def encode_rows(store, columns, rows, lat, starts) -> bytes:
 
 
 def deserialize(blob: bytes, grid: GridHierarchy):
-    backing = blob[5]
+    """The store a blob of either backing describes."""
+    backing = blob[5] if len(blob) > 5 else None
     if backing == _EXACT:
         return ExactCellStore.deserialize(blob, grid)
     if backing == _SKETCH:
@@ -514,5 +653,6 @@ def deserialize(blob: bytes, grid: GridHierarchy):
 
 __all__ = [
     "CellData", "ExactCellStore", "SketchCellStore", "make_store",
-    "encode_exact", "encode_rows", "deserialize", "FAIL", "is_fail",
+    "encode_exact", "encode_rows", "deserialize", "ExactBlob", "parse_exact",
+    "point_table", "merge_exact", "FAIL", "is_fail",
 ]

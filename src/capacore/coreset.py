@@ -268,16 +268,19 @@ class PointColumns:
     The distinct points, in sort_key order, sit beside one n x d int64
     array of their level-L lattices (GridHierarchy.off applied once); one
     np.lexsort over coordinates and tags gives that order and exposes
-    copies as equal neighbours.  With multiplicities, the columns also
-    keep each distinct point's tag and multiplicity (a point listed twice
-    has multiplicity 2), which the machines' blobs record.  Every hashed
+    copies as equal neighbours.  The columns keep each distinct point's tag
+    and, with multiplicities, its multiplicity (a point listed twice has
+    multiplicity 2), which the machines' blobs record.  Every hashed
     (family, level) computes the points' field values once, when a key
-    first needs them.  cells(key) groups the points a Sampling key keeps
-    into cells by one stable lexsort of their level lattices (level L
-    shifted right by L - level): equal lattices become runs, in the
-    lexicographic order of the lattices, and each run keeps the points'
-    sort_key order.  Coordinates and lattices fit int64 for every
-    Delta <= 2**62.  A tag outside [-1, TAG_SPACE - 2] is a usage error."""
+    first needs them, in one pass over the points' codes
+    (PointEncoder.encode_columns, made once), and a key keeps the rows
+    whose values lie below its threshold by one comparison.  cells(key)
+    groups the points a Sampling key keeps into cells by one stable lexsort
+    of their level lattices (level L shifted right by L - level): equal
+    lattices become runs, in the lexicographic order of the lattices, and
+    each run keeps the points' sort_key order.  Coordinates and lattices
+    fit int64 for every Delta <= 2**62.  A tag outside [-1, TAG_SPACE - 2]
+    is a usage error."""
 
     def __init__(self, points, sampling: Sampling,
                  multiplicities: bool = False):
@@ -297,24 +300,28 @@ class PointColumns:
         new[1:] = (coords[1:] != coords[:-1]).any(axis=1) | (tags[1:] != tags[:-1])
         starts = np.flatnonzero(new)
         self.points = [points[i] for i in order[starts].tolist()]
+        self.tags = tags[starts]
         if multiplicities:
-            self.tags = tags[starts]
             self.mults = np.diff(np.append(starts, n))
         self.sampling = sampling
         # level-L lattices, one row per distinct point
         self._off = np.array(grid.off, dtype=np.int64)
         self.lattices = coords[starts] - 1 - self._off
+        self._codes = None  # the points' codes, made when a key first hashes
         self._values: dict = {}  # (family, level) -> field values of points
 
     def _kept_rows(self, family: str, level: int, t: int):
         """The rows whose field value under the (family, level) hash lies
         below t, in row order."""
         if (family, level) not in self._values:
+            if self._codes is None:
+                self._codes = self.sampling.encoder.encode_columns(
+                    self.coords(slice(None)), self.tags)
             self._values[(family, level)] = \
-                self.sampling.hash(family, level).field_values(self.points)
-        return np.flatnonzero(np.fromiter(
-            (v < t for v in self._values[(family, level)]),
-            dtype=bool, count=len(self.points)))
+                self.sampling.hash(family, level).field_values(self._codes)
+        values = self._values[(family, level)]
+        # t in the values' own type: uint64 never meets an int64 operand
+        return np.flatnonzero(values < values.dtype.type(t))
 
     def coords(self, rows):
         """The coordinates of rows, from their level-L lattices."""

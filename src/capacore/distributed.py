@@ -5,18 +5,24 @@ threshold), whose family is dropped at rate 0 or 1, laid out by a stream
 engine's store layer, and ships one message per store: the store's
 serialized state, in the layout's store order; the coordinator's engine
 lays out every machine of a run.  With either backing a machine holds its
-shard in columns (coreset.PointColumns), groups the points each key keeps
-into cells by one lexsort and encodes each blob from them
-(cellstore.encode_rows), the blob of the store the shard streamed into.
+shard in columns (coreset.PointColumns), hashes them in one numpy pass per
+hashed (family, level), groups the points each key keeps into cells by one
+lexsort and encodes each blob from them (cellstore.encode_rows), the blob
+of the store the shard streamed into.
 
-The coordinator is a stream engine fed by merges instead of updates: it
-pairs the messages with its own stores by position, merges each state once
-into its store of that key (store merging is linear) and counts the
-machines' points as its net count.  It then finalizes like any engine: the
-decision path applies each guess's caps to the merged content, as it does
-in every mode.  A machine checks no cap itself: a shard holds only
-insertions, so a merged store has every cell of each machine's store of
-its key, and a guess over a cap on one machine is over it on the merge.
+The coordinator is a stream engine fed by machine messages instead of
+updates: it pairs the messages with its own stores by position and counts
+the machines' points as its net count.  A sketch message merges into its
+store of that key (store merging is linear).  An exact message stays
+parsed (cellstore.parse_exact) until a read, which merges the key's
+messages in columns (cellstore.merge_exact) with one Point per distinct
+point of the run (cellstore.point_table, built at the first read after
+the last absorb); that equals merging the deserialized stores and
+finalizing.  It then finalizes like any engine: the decision path applies
+each guess's caps to the merged content, as it does in every mode.  A
+machine checks no cap itself: a shard holds only insertions, so a merged
+store has every cell of each machine's store of its key, and a guess over
+a cap on one machine is over it on the merge.
 Transport is an in-process byte channel; the byte counters are the
 communication cost.
 """
@@ -75,18 +81,49 @@ class Machine:
 
 
 class Coordinator(StreamEngine):
-    """A stream engine whose stores start empty and absorb machine state."""
+    """A stream engine fed by machine messages instead of updates.
+
+    Sketch blobs merge into its stores as they arrive.  Exact blobs stay
+    parsed (cellstore.ExactBlob) per Sampling key, and a read merges a key's
+    blobs in columns (cellstore.merge_exact) with the light points taken
+    from one point table, built at the first read after the last absorb."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Sampling key -> the parsed blob of each machine, exact backing
+        self._blobs = {key: [] for key in self._stores} \
+            if self.backing == "exact" else None
+        self._table = None  # (points, key -> ids per blob), until an absorb
 
     def absorb(self, machine: "Machine", channel: ByteChannel):
-        """Merge a machine laid out by this coordinator (else ValueError)."""
+        """Take in a machine laid out by this coordinator (else ValueError)."""
         if machine.layout is not self:
             raise ValueError("the machine is laid out by another engine")
         self.net += machine.local_n
         self._data.clear()
+        self._table = None
         channel.send_to_coordinator(struct.pack("<q", machine.local_n))
-        for store, blob in zip(self._stores.values(), machine.wire_messages()):
+        for (key, store), blob in zip(self._stores.items(),
+                                      machine.wire_messages()):
             blob = channel.send_to_coordinator(blob)
-            store.merge_in(cellstore.deserialize(blob, self.grid))
+            if self._blobs is None:
+                store.merge_in(cellstore.deserialize(blob, self.grid))
+            else:
+                self._blobs[key].append(cellstore.parse_exact(blob, self.grid))
+
+    def _read(self, key: tuple):
+        if self._blobs is None:
+            return super()._read(key)
+        if self._table is None:
+            points, ids = cellstore.point_table(
+                [b for blobs in self._blobs.values() for b in blobs],
+                self.grid.d)
+            ids = iter(ids)
+            self._table = points, {key: [next(ids) for _ in blobs]
+                                   for key, blobs in self._blobs.items()}
+        points, ids = self._table
+        return cellstore.merge_exact(self._stores[key], self._blobs[key],
+                                     ids[key], points)
 
 
 def broadcast_blob(params: Params, grid: GridHierarchy, seed: int) -> bytes:

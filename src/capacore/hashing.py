@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from . import kernels
 from .common import UsageError
 from .geometry import TAG_SPACE, Point, check_tag
 
 # Mersenne primes; smallest exceeding the encoding range is selected.
 PRIME_LADDER = (
-    (1 << 61) - 1,
+    kernels.MERSENNE_61,
     (1 << 89) - 1,
     (1 << 107) - 1,
     (1 << 127) - 1,
@@ -61,6 +63,18 @@ class PointEncoder:
             acc //= self.Delta
         return Point(tuple(coords), code - 1)
 
+    def encode_columns(self, coords, tags):
+        """The codes of the points whose coordinates are the rows of coords
+        (n x d) and whose tags are tags (n, each in [-1, TAG_SPACE - 2]),
+        as an array: uint64 when the modulus is 2**61 - 1, where every code
+        fits, else Python ints (dtype object)."""
+        kind = np.dtype(np.uint64 if self.modulus == kernels.MERSENNE_61
+                        else object).type
+        acc = np.zeros(len(tags), dtype=kind)
+        for j in reversed(range(self.d)):
+            acc = acc * kind(self.Delta) + (coords[:, j] - 1).astype(kind)
+        return acc * kind(TAG_SPACE) + (tags + 1).astype(kind)
+
 
 class KWiseHash:
     """Field values of a lambda-wise independent polynomial hash."""
@@ -96,6 +110,10 @@ class KWiseHash:
         hash's encoder, so that hashes sharing an encoder encode it once."""
         return kernels.horner(self._rev or self._draw(), code, self.modulus)
 
-    def field_values(self, points) -> list:
-        encs = [self.encoder.encode(p) for p in points]
-        return kernels.poly_eval_batch(self.coeffs, encs, self.modulus)
+    def field_values(self, points):
+        """The field values of points, Points or the array of their codes
+        under this hash's encoder (PointEncoder.encode_columns), as an array
+        (kernels.poly_eval_batch)."""
+        if not isinstance(points, np.ndarray):
+            points = [self.encoder.encode(p) for p in points]
+        return kernels.poly_eval_batch(self.coeffs, points, self.modulus)

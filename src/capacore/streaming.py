@@ -52,6 +52,7 @@ class StreamEngine:
         if not self.o_values:
             raise UsageError("empty o grid; n_max too small")
         self.net = 0
+        self.backing = backing
         self.sampling = Sampling(params, grid, seed, exact_counts)
         # an exact store FAILs only above its cell cap, a sketch also when
         # it cannot decode
@@ -115,11 +116,15 @@ class StreamEngine:
 
     # --- finalize ----------------------------------------------------------
     def _cell_data(self, key: tuple):
-        """The finalize() of the store of a Sampling key, read once until the
-        stores next change."""
+        """The read-out (_read) of a Sampling key, read once until the stores
+        next change."""
         if key not in self._data:
-            self._data[key] = self._stores[key].finalize()
+            self._data[key] = self._read(key)
         return self._data[key]
+
+    def _read(self, key: tuple):
+        """The finalize() of the store of a Sampling key."""
+        return self._stores[key].finalize()
 
     def finalize_for_o(self, o: float, gates: list | None = None):
         data = {(fam, lvl): self._cell_data(self.sampling.key(fam, lvl, o))

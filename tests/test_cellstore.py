@@ -304,3 +304,94 @@ def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
     assert len(blob) == 42 + len(store.counts) * (8 * d + 8) \
         + len(light) * (8 * d + 4) \
         + sum(len(store.points[c]) for c in light) * (8 * d + 16)
+
+
+def _filled(backing):
+    store = make_store(backing, GRID, LEVEL, 100, 2, seed=9)
+    for p in rand_points(random.Random(7), 12, 8):
+        store.update(p, +1)
+    return store
+
+
+@pytest.mark.parametrize("backing", ["exact", "sketch"])
+def test_blob_with_trailing_bytes_is_a_usage_error(backing):
+    blob = _filled(backing).serialize()
+    for extra in (b"\0", bytes(3), bytes(8)):
+        with pytest.raises(UsageError, match="bytes after the last"):
+            deserialize(blob + extra, GRID)
+    if backing == "exact":
+        with pytest.raises(UsageError, match="8 bytes after the last"):
+            cellstore.parse_exact(blob + bytes(8), GRID)
+
+
+@pytest.mark.parametrize("backing", ["exact", "sketch"])
+def test_truncated_blob_is_a_usage_error(backing):
+    blob = _filled(backing).serialize()
+    # cutting 1 to 16 bytes, leaving 0 to 47, and cuts between
+    cuts = set(range(1, 17)) | set(range(len(blob) - 47, len(blob) + 1))
+    cuts |= set(range(13, len(blob), 13))
+    for cut in sorted(cuts):
+        with pytest.raises(UsageError):
+            deserialize(blob[:len(blob) - cut], GRID)
+        if backing == "exact":
+            with pytest.raises(UsageError):
+                cellstore.parse_exact(blob[:len(blob) - cut], GRID)
+    with pytest.raises(UsageError, match="truncated"):
+        deserialize(blob[:-3], GRID)
+
+
+@pytest.mark.parametrize("backing", ["exact", "sketch"])
+def test_blob_of_another_dimension_is_a_usage_error(backing):
+    blob = _filled(backing).serialize()
+    grid3 = GridHierarchy.from_seed(21, 8, 3)
+    with pytest.raises(UsageError, match="2-d, the grid 3-d"):
+        deserialize(blob, grid3)
+    if backing == "exact":
+        with pytest.raises(UsageError, match="2-d, the grid 3-d"):
+            cellstore.parse_exact(blob, grid3)
+    # the blob itself is sound
+    assert deserialize(blob, GRID).finalize() == _filled(backing).finalize()
+
+
+@pytest.mark.parametrize("beta", [0, 2, 100])
+def test_merge_exact_equals_the_fold_on_signed_blobs(beta):
+    # blobs of stores that saw deletions: a point's copies cancel across
+    # blobs, a multiplicity and a cell count go negative, a cell's count
+    # returns to 0 while its points still ship; cell caps above, at and
+    # below the merged cell count
+    rng = random.Random(41)
+    pool = rand_points(rng, 40, 8)
+    pool.insert(1, Point(pool[0].coords, 99))
+    updates, _ = _churned_stream(rng, pool)
+    updates.append((pool[5], -1))
+
+    def fold_and_blobs(alpha):
+        parts = [ExactCellStore(GRID, LEVEL, alpha, beta, seed=3)
+                 for _ in range(3)]
+        for i, (p, sign) in enumerate(updates):
+            parts[i % 3].update(p, sign)
+        blobs = [part.serialize() for part in parts]
+        fold = ExactCellStore(GRID, LEVEL, alpha, beta, seed=3)
+        for blob in blobs:
+            fold.merge_in(deserialize(blob, GRID))
+        return fold, [cellstore.parse_exact(blob, GRID) for blob in blobs]
+
+    fold, parsed = fold_and_blobs(200)
+    cells = len(fold.counts)
+    assert any(c < 0 for c in fold.counts.values())
+    for alpha in (200, cells, cells - 1):
+        fold, parsed = fold_and_blobs(alpha)
+        points, ids = cellstore.point_table(parsed, GRID.d)
+        assert len(points) == len({tuple(row) for b in parsed
+                                   for row in b.entries[:, :-1].tolist()})
+        want = fold.finalize()
+        got = cellstore.merge_exact(fold, parsed, ids, points)
+        assert is_fail(want) == (alpha < cells)
+        if is_fail(want):
+            assert is_fail(got)
+            continue
+        assert (got.cells, got.light_points) == \
+            (want.cells, want.light_points)
+    with pytest.raises(UsageError, match="different level/caps/seeds"):
+        cellstore.merge_exact(ExactCellStore(GRID, LEVEL, alpha, beta, seed=4),
+                              parsed, ids, points)

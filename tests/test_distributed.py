@@ -179,6 +179,7 @@ def test_absorb_rejects_a_machine_with_another_store_layout(rng):
         assert coord.net == 0 and channel.total() == 0
         assert all(not store.counts and not store.points
                    for store in coord._stores.values())
+        assert not any(coord._blobs.values())
 
 
 @pytest.mark.parametrize("beta", [None, 1])

@@ -2,8 +2,10 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from capacore import kernels
 from capacore.common import UsageError
 from capacore.coreset import exact_threshold
 from capacore.geometry import Point
@@ -36,7 +38,7 @@ def test_eval_deterministic():
     b = _hash(5, 8, 16)
     pts = [Point((x, y), t) for x in range(1, 17) for y in range(1, 5)
            for t in (-1, 0, 3)]
-    assert a.field_values(pts) == b.field_values(pts)
+    assert a.field_values(pts).tolist() == b.field_values(pts).tolist()
     assert _keeps(a, 0.37, pts) == _keeps(b, 0.37, pts)
     for p in pts[:20]:
         assert a.field_value(p) == a.field_values([p])[0]
@@ -49,9 +51,60 @@ def test_field_values_are_the_polynomial_at_the_encoding(Delta):
     pts = rand_points(random.Random(3), 30, Delta)
     want = [sum(c * pow(h.encoder.encode(p), i, h.modulus)
                 for i, c in enumerate(h.coeffs)) % h.modulus for p in pts]
-    assert h.field_values(pts) == want
+    assert h.field_values(pts).tolist() == want
     assert [h.field_value(p) for p in pts] == want
     assert [h.code_value(h.encoder.encode(p)) for p in pts] == want
+
+
+M61 = (1 << 61) - 1
+
+
+@pytest.mark.parametrize("lam", [4, 3888])
+def test_numpy_kernel_equals_horner_bit_for_bit(lam):
+    # 0, 1, p - 1, the largest code of domains whose codes fit below p
+    # (Delta**d * 2**32 - 1), random codes; random coefficients and the
+    # largest ones, which make every limb product as large as it gets
+    rng = random.Random(lam)
+    largest = []
+    for Delta, d in ((8, 2), (1 << 14, 2), (1 << 9, 3), (1 << 28, 1)):
+        enc = PointEncoder(Delta, d)
+        assert enc.modulus == M61 and enc.range == Delta ** d << 32
+        largest.append(enc.range - 1)
+    xs = [0, 1, M61 - 1] + largest + [rng.randrange(M61) for _ in range(40)]
+    for coeffs in (tuple(rng.randrange(M61) for _ in range(lam)),
+                   (M61 - 1,) * lam):
+        got = kernels.poly_eval_batch(coeffs, np.array(xs, dtype=np.uint64),
+                                      M61)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [kernels.horner(coeffs[::-1], x, M61)
+                                for x in xs]
+
+
+def test_numpy_kernel_reduces_a_fold_past_2_61():
+    # at x = p - 2 the limb sum of (p - 2) x plus this constant term is
+    # 3 * 2**61 - 1, whose fold of 2**61 = 1 is 2**61 + 1: the value 2 only
+    # after the kernel's last fold
+    x, c = M61 - 2, 2305843009213693949
+    got = kernels.poly_eval_batch((c, M61 - 2), np.array([x], np.uint64), M61)
+    assert got.tolist() == [((M61 - 2) * x + c) % M61] == [2]
+
+
+@pytest.mark.parametrize("Delta,d", [(8, 2), (1 << 14, 2), (1 << 16, 2),
+                                     (1 << 9, 3)])
+def test_encode_columns_equals_encode(Delta, d):
+    # 2**16 in 2-d takes the 2**89 - 1 modulus: codes and field values are
+    # Python ints there, from the per-point Horner
+    enc = PointEncoder(Delta, d)
+    pts = rand_points(random.Random(4), 30, Delta, d)
+    pts += [Point((1,) * d, -1), Point((Delta,) * d, (1 << 32) - 2)]
+    coords = np.array([p.coords for p in pts], dtype=np.int64)
+    tags = np.array([p.tag for p in pts], dtype=np.int64)
+    codes = enc.encode_columns(coords, tags)
+    assert codes.dtype == (np.uint64 if enc.modulus == M61 else object)
+    assert codes.tolist() == [enc.encode(p) for p in pts]
+    h = KWiseHash(11, 6, enc)
+    assert h.field_values(codes).tolist() == h.field_values(pts).tolist() \
+        == [h.field_value(p) for p in pts]
 
 
 def test_validation():

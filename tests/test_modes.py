@@ -1,4 +1,7 @@
-"""Property test: offline, stream and dist builds agree on random streams."""
+"""Offline, stream and dist builds agree: a property test on random
+streams, and fixed cases whose point codes exceed 64 bits."""
+
+import random
 
 import pytest
 
@@ -6,11 +9,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from capacore.common import FAIL, derive_seed  # noqa: E402
-from capacore.coreset import build_auto  # noqa: E402
+from capacore.coreset import build_auto, dedup_points  # noqa: E402
 from capacore.distributed import run_protocol  # noqa: E402
 from capacore.geometry import GridHierarchy, Point  # noqa: E402
 from capacore.params import PRACTICAL, derive  # noqa: E402
 from capacore.streaming import StreamEngine  # noqa: E402
+
+from conftest import clustered_points  # noqa: E402
 
 DELTA = 8
 COORDS = st.tuples(st.integers(1, DELTA), st.integers(1, DELTA))
@@ -78,3 +83,30 @@ def test_offline_stream_dist_build_the_same_coreset(scale, exact_counts, case, s
 @given(case=streams(), seed=st.integers(0, 1000))
 def test_sketch_backing_builds_the_same_coreset(scale, exact_counts, case, seed):
     _check_modes_agree("sketch", scale, exact_counts, case, seed)
+
+
+@pytest.mark.parametrize("scale,exact_counts", [(1e-63, True), (1e-15, False)])
+def test_modes_agree_where_codes_exceed_64_bits(scale, exact_counts):
+    # Delta 2**15 in 2-d takes the 2**89 - 1 modulus, so every hash runs the
+    # per-point Python Horner: at 1e-63 phi < 1 keeps part of the level-15
+    # points, at 1e-15 the sampled h and h' counts pick a large guess
+    Delta = 1 << 15
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=2,
+                    mode=PRACTICAL, scale=scale)
+    grid = GridHierarchy.from_seed(derive_seed(1, "shift"), Delta, 2)
+    live = dedup_points(clustered_points(random.Random(1), 60, Delta,
+                                         spread=Delta / 64))
+    churn = [Point(p.coords, 100 + i) for i, p in enumerate(live[:20])]
+    updates = [(p, +1) for p in live + churn] + [(p, -1) for p in churn]
+    offline = build_auto(live, grid, params, 1, exact_counts=exact_counts)
+    engine = StreamEngine(params, grid, 1, exact_counts=exact_counts,
+                          n_max=Delta ** 2)
+    assert engine.sampling.modulus == (1 << 89) - 1
+    engine.process_stream(updates)
+    dist, _ = run_protocol([live[i::3] for i in range(3)], params, 1,
+                           exact_counts=exact_counts)
+    assert len(offline) < len(live) if exact_counts else offline.meta.o > 1
+    for other in (engine.finalize(), dist):
+        assert other == offline
+        assert other.meta.part_tau == offline.meta.part_tau
+        assert other.meta.structure.heavy == offline.meta.structure.heavy
