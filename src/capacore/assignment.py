@@ -24,8 +24,9 @@ FLOW_SCALE = 1 << 20  # weight/cost quantization inside the flow solver
 class MinCostFlow:
     """Successive shortest augmenting paths with node potentials.
 
-    A general min-cost flow over an explicit graph; the oracle solves its
-    transportation problems with it, independently of TransportSolver.
+    A general min-cost flow over an explicit graph.  No pipeline code calls
+    it: it is the tests' reference for the oracle's transportation simplex
+    (oracle._transport_plan).
     """
 
     def __init__(self, n: int):

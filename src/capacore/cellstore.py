@@ -1,11 +1,11 @@
 """Mergeable, deletion-tolerant cell stores (the Storing contract).
 
 Both backings expose update / merge_in / finalize / serialize with identical
-observable semantics; finalize() FAILs above alpha nonempty cells and
-recovers the points of the cells of count at most beta, under the store's
-own caps.  A store that serves several guesses is sized by their largest
-caps; each guess's own caps apply to the read-out in the decision path
-(coreset.finalize_cells).
+observable semantics; finalize() FAILs above alpha nonempty cells (a
+common.Fail at the "store cell cap") and recovers the points of the cells
+of count at most beta, under the store's own caps.  A store that serves
+several guesses is sized by their largest caps; each guess's own caps
+apply to the read-out in the decision path (coreset.finalize_cells).
 
 * ExactCellStore keeps plain dicts of signed cell counts and, per cell, of
   signed point multiplicities; zero entries are dropped.
@@ -15,7 +15,7 @@ caps; each guess's own caps apply to the read-out in the decision path
   buckets holding (signed count, signed keysum, signed checksum) for
   1-sparse recovery, and each bucket nests a second-level decoder that
   recovers the points of cells claiming at most beta members.  Any
-  inconsistent recovery yields FAIL.
+  inconsistent recovery FAILs at "sketch decoding".
 
 Serialized blobs are the distributed protocol's wire unit; their byte length
 is the communication cost.  Exact blobs carry points only for cells whose
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .common import FAIL, UsageError, derive_seed, is_fail
+from .common import Fail, UsageError, derive_seed, is_fail
 from .geometry import GridHierarchy, Point
 from .hashing import PointEncoder
 
@@ -145,7 +145,7 @@ class ExactCellStore:
         """CellData: FAIL above alpha nonempty cells, points recovered for the
         cells of count at most beta."""
         if self.cell_count() > self.alpha:
-            return FAIL
+            return Fail("store cell cap")
         cells = dict(self.counts)
         light = {}
         for lat, cnt in cells.items():
@@ -301,7 +301,7 @@ def merge_exact(store, blobs, ids, points):
     counts = np.add.reduceat(counts[order], starts) if len(lat) else counts
     nonzero = counts != 0
     if np.count_nonzero(nonzero) > store.alpha:
-        return FAIL
+        return Fail("store cell cap")
     light = nonzero & (counts <= store.beta)
     # the entries of light cells by (cell, point), multiplicities summed
     group = np.cumsum(new) - 1
@@ -502,8 +502,10 @@ class SketchCellStore:
         """CellData: FAIL when decoding fails or above alpha decoded cells,
         points recovered for the cells of count at most beta."""
         recovered = self._decode_cells()
-        if recovered is None or len(recovered) > self.alpha:
-            return FAIL
+        if recovered is None:
+            return Fail("sketch decoding")
+        if len(recovered) > self.alpha:
+            return Fail("store cell cap")
         cells = {}
         light = {}
         for code, cnt in recovered.items():
@@ -512,7 +514,7 @@ class SketchCellStore:
             if cnt <= self.beta:
                 light[lat] = self._cell_points(code, cnt)
                 if light[lat] is None:
-                    return FAIL
+                    return Fail("sketch decoding")
         return CellData(self.level, cells, light)
 
     @staticmethod
@@ -654,5 +656,5 @@ def deserialize(blob: bytes, grid: GridHierarchy):
 __all__ = [
     "CellData", "ExactCellStore", "SketchCellStore", "make_store",
     "encode_exact", "encode_rows", "deserialize", "ExactBlob", "parse_exact",
-    "point_table", "merge_exact", "FAIL", "is_fail",
+    "point_table", "merge_exact", "Fail", "is_fail",
 ]

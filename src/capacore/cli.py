@@ -124,7 +124,8 @@ def cmd_build(args) -> int:
         coreset = build_auto(points, grid, params, seed,
                              exact_counts=args.exact_counts)
     elif args.mode == "stream":
-        n_max = max(Delta ** args.d, sum(1 for _, s in updates if s > 0))
+        # the stream never holds more live points than it inserts
+        n_max = sum(1 for _, s in updates if s > 0)
         engine = StreamEngine(params, grid, seed, backing=args.backing,
                               exact_counts=args.exact_counts, n_max=n_max)
         engine.process_stream(updates)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 
 
 class UsageError(ValueError):
@@ -13,28 +14,22 @@ class OracleCapError(UsageError):
     """A brute-force oracle was asked to exceed its documented caps (exit 4)."""
 
 
-class _Fail:
-    """FAIL outcome of a build/store.  A value, not an exception."""
+@dataclass(frozen=True)
+class Fail:
+    """FAIL outcome of a build or a store read, naming the gate that fired.
+    A value, not an exception."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    gate: str
 
     def __repr__(self):
-        return "FAIL"
+        return f"FAIL({self.gate})"
 
     def __bool__(self):
         return False
 
 
-FAIL = _Fail()
-
-
 def is_fail(x) -> bool:
-    return x is FAIL
+    return isinstance(x, Fail)
 
 
 class _Infeasible:

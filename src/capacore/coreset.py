@@ -1,15 +1,15 @@
 """Per-part sampled coresets with FAIL gates and guess enumeration.
 
-finalize_cells is the decision path of every mode.  From per-level cell
-data of the three hash families it marks cells from (estimated) counts,
-applies the two FAIL gates (total heavy cells, per-level part mass), keeps
-parts whose estimated size reaches gamma*T_i(o), and retains the
-hhat-sampled points of each kept level-i part at weight exactly 1/phi_i.
-The offline builder, the stream engine and the distributed coordinator only
-differ in how they produce that cell data.  search_o is the guess loop of
-every mode: it enumerates o over powers of two and returns the smallest
-guess that does not FAIL, the empty coreset when there is no guess (an
-empty input), or raises the one all-FAIL error.
+finalize_cells is the decision path of every mode.  It reads the cell data
+of each (family, level) of a guess through a read function, marks cells
+from (estimated) counts, applies the caps, keeps parts whose estimated size
+reaches gamma*T_i(o), and retains the hhat-sampled points of each kept
+level-i part at weight exactly 1/phi_i.  The offline builder, the stream
+engine and the distributed coordinator only differ in the read function.
+A FAIL is a value, common.Fail, naming its gate.  search_o is the guess
+loop of every mode: for n points it tries o_grid(n), smallest first, and
+returns the first guess that does not FAIL, the empty coreset when there is
+no guess (an empty input), or raises the one all-FAIL error.
 
 Sampling owns the sampling decision of every mode.  Hash polynomials are
 seeded per (family, level) only, so every guess, mode and machine sees
@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .cellstore import CellData
-from .common import FAIL, UsageError, derive_seed, is_fail
+from .common import Fail, UsageError, derive_seed, is_fail
 from .estimator import SampleBank
 from .geometry import (NO_TAG, TAG_SPACE, GridHierarchy, check_domain,
                        check_tag, format_point, parse_point_line)
@@ -183,34 +183,34 @@ class Sampling:
         return self._hashes[(family, level)]
 
 
-def fail_at(gates: list | None, gate: str):
-    """FAIL, recording the gate that fired in gates (an output list)."""
-    if gates is not None:
-        gates.append(gate)
-    return FAIL
+def finalize_cells(sampling: Sampling, o: float, read, n: int):
+    """The coreset of guess o, or a Fail naming the gate that fired.
 
-
-def finalize_cells(sampling: Sampling, o: float, data: dict, n: int,
-                   gates: list | None = None):
-    """The coreset of guess o, or FAIL, from data[(family, level)] (CellData).
-
-    The guess's store caps (Params.caps) apply here, alike in every mode: a
-    (family, level) with more cells than its cell cap alpha, or a kept hhat
-    cell with more points than its light-point cap beta, FAILs the guess.
-    n is the size of the input; a nonempty input never gets an empty coreset
-    (such a guess FAILs).  A FAIL appends the gate that fired to gates."""
+    read(key) gives a Sampling key's CellData, or its store's Fail; each
+    (family, level) is read once, and the first Fail read is returned.  The
+    guess's own store caps (Params.caps) apply here, alike in every mode:
+    alpha at the "store cell cap" and, on kept hhat cells, beta at the
+    "light-point recovery cap".  n is the size of the input; a nonempty
+    input never gets an empty coreset (the "empty-coreset gate")."""
     params, grid = sampling.params, sampling.grid
     levels = range(0, grid.L + 1)
+    data = {}
+    for fam in FAMILIES:
+        for lvl in levels:
+            cells = read(sampling.key(fam, lvl, o))
+            if is_fail(cells):
+                return cells
+            data[(fam, lvl)] = cells
     if any(len(data[(fam, lvl)].cells) > params.caps(fam, lvl, o)[0]
            for fam in FAMILIES for lvl in levels):
-        return fail_at(gates, "store cell cap")
+        return Fail("store cell cap")
     bank = SampleBank.build(sampling, o, data)
     structure = mark_cells(bank.counts_for_marking(), params, o, grid)
     if structure.heavy_count() > params.heavy_cell_cap():
-        return fail_at(gates, "heavy-cell cap")
+        return Fail("heavy-cell cap")
     tau_union, tau_part = bank.part_estimates(structure)
     if any(tau_union[lvl] > params.part_sum_cap(lvl, o) for lvl in levels):
-        return fail_at(gates, "part-sum cap")
+        return Fail("part-sum cap")
     qualifying = {part: tau for part, tau in tau_part.items()
                   if tau >= params.gamma * params.T(part[0], o)}
 
@@ -225,40 +225,39 @@ def finalize_cells(sampling: Sampling, o: float, data: dict, n: int,
             if (lvl, j) not in qualifying:
                 continue
             if hhat.cells[lat] > beta:
-                return fail_at(gates, "light-point recovery cap")
+                return Fail("light-point recovery cap")
             entries.extend((p, w, lvl, j) for p in set(hhat.light_points[lat]))
     if n > 0 and not entries:
         why = ("the h' estimator sample is empty"
                if not any(data[("hp", lvl)].cells for lvl in levels)
                else "no sampled point lies in a kept part")
-        return fail_at(gates, f"empty-coreset gate: {why}")
+        return Fail(f"empty-coreset gate: {why}")
     meta = CoresetMeta(params, sampling.seed, grid.shift_num, o, (o,),
                        structure, qualifying, phi, sampling.exact_counts)
     return WeightedCoreset(entries, meta)
 
 
-def search_o(sampling: Sampling, guesses, build, n: int):
-    """The first guess (smallest first) whose build(o, gates) does not FAIL,
-    with the guesses tried recorded in its meta.
+def search_o(sampling: Sampling, n: int, build):
+    """The first guess of o_grid(n) (smallest first) whose build(o) does not
+    FAIL, with the guesses tried recorded in its meta.
 
     No guess (an empty input) gives the empty coreset.  When every guess
-    FAILs it raises RuntimeError naming the gate that fired on the last."""
+    FAILs it raises RuntimeError naming the gate of the last one."""
+    guesses = o_grid(n, sampling.params)
     if not guesses:
         structure = mark_cells({-1: {}}, sampling.params, 1.0, sampling.grid)
         meta = CoresetMeta(sampling.params, sampling.seed,
                            sampling.grid.shift_num, 0.0, (), structure, {}, {},
                            sampling.exact_counts)
         return WeightedCoreset([], meta)
-    attempts, gates = [], []
-    for o in guesses:
-        attempts.append(o)
-        result = build(o, gates)
+    for tried, o in enumerate(guesses, 1):
+        result = build(o)
         if not is_fail(result):
-            result.meta.o_attempts = tuple(attempts)
+            result.meta.o_attempts = tuple(guesses[:tried])
             return result
     raise RuntimeError(
         f"all {len(guesses)} o-guesses returned FAIL (n={n}, last "
-        f"o={guesses[-1]}); the last guess failed at the {gates[-1]}")
+        f"o={guesses[-1]}); the last guess failed at the {result.gate}")
 
 
 class PointColumns:
@@ -374,15 +373,12 @@ class OfflineBuilder:
                 {c: tuple(kept[a:b]) for c, (a, b) in zip(cells, bounds)})
         return self._data[key]
 
-    def build_for_o(self, o: float, gates: list | None = None):
-        data = {(fam, lvl): self._cell_data(self.sampling.key(fam, lvl, o))
-                for fam in FAMILIES for lvl in range(0, self.grid.L + 1)}
-        return finalize_cells(self.sampling, o, data, len(self.points), gates)
+    def build_for_o(self, o: float):
+        return finalize_cells(self.sampling, o, self._cell_data,
+                              len(self.points))
 
     def build_auto(self):
-        n = len(self.points)
-        return search_o(self.sampling, o_grid(n, self.params),
-                        self.build_for_o, n)
+        return search_o(self.sampling, len(self.points), self.build_for_o)
 
 
 def build_for_o(points, grid: GridHierarchy, params: Params, o: float, seed: int,

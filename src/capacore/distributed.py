@@ -3,8 +3,11 @@
 Each machine holds one store per distinct Sampling key (family, level,
 threshold), whose family is dropped at rate 0 or 1, laid out by a stream
 engine's store layer, and ships one message per store: the store's
-serialized state, in the layout's store order; the coordinator's engine
-lays out every machine of a run.  With either backing a machine holds its
+serialized state, in the layout's store order.  The coordinator's engine
+lays out every machine of a run, over the guesses the run can try:
+o_grid(n) for the run's n points (StreamEngine with n_max = n), and the
+broadcast carries n beside the configuration, so a machine lays out the
+same stores.  With either backing a machine holds its
 shard in columns (coreset.PointColumns), hashes them in one numpy pass per
 hashed (family, level), groups the points each key keeps into cells by one
 lexsort and encodes each blob from them (cellstore.encode_rows), the blob
@@ -137,17 +140,17 @@ def broadcast_blob(params: Params, grid: GridHierarchy, seed: int) -> bytes:
 
 
 def run_protocol(shards, params: Params, seed: int, backing: str = "exact",
-                 exact_counts: bool = False, n_max: int | None = None):
+                 exact_counts: bool = False):
     """Simulate the s-machine protocol; returns (coreset, comm_bytes), or
-    raises RuntimeError when every guess FAILs (coreset.search_o)."""
+    raises RuntimeError when every guess FAILs (coreset.search_o).  Shards
+    without a point give the empty coreset."""
     if not shards:
         raise UsageError("need at least one shard")
     grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), params.Delta, params.d)
-    if n_max is None:
-        n_max = max(grid.Delta ** grid.d, sum(len(s) for s in shards))
+    n = sum(len(s) for s in shards)
     channel = ByteChannel()
-    bcast = broadcast_blob(params, grid, seed)
-    coord = Coordinator(params, grid, seed, backing, exact_counts, n_max)
+    bcast = broadcast_blob(params, grid, seed) + struct.pack("<q", n)
+    coord = Coordinator(params, grid, seed, backing, exact_counts, n)
     for shard in shards:
         channel.send_to_machine(bcast)
         coord.absorb(Machine(shard, coord), channel)
@@ -158,12 +161,13 @@ def per_machine_byte_cap(params: Params, grid: GridHierarchy, o_values,
                          n: int) -> int:
     """Wire budget of one machine holding at most n points, exact backing.
 
-    The broadcast and the shard size, then one message per distinct Sampling
-    key (sampled counts): an exact blob of at most min(n, (2**level + 1)**d)
-    cells and n points."""
+    The broadcast with the run's point count and the shard size, then one
+    message per distinct Sampling key of the guesses o_values (sampled
+    counts): an exact blob of at most min(n, (2**level + 1)**d) cells and n
+    points."""
     d = grid.d
     served = Sampling(params, grid, 0, exact_counts=False).served(o_values)
-    total = len(broadcast_blob(params, grid, 0)) + 8
+    total = len(broadcast_blob(params, grid, 0)) + 8 + 8
     for _, lvl, _ in served:
         cells = min(n, (2 ** lvl + 1) ** d)
         total += 42 + cells * (16 * d + 12) + n * (8 * d + 16)

@@ -1,15 +1,18 @@
 """One-pass dynamic-stream coreset construction.
 
-The engine routes every update to one cell store per distinct Sampling key
-(family, level, threshold) over all guesses o, levels and hash families;
-the key drops the family at rate 0 or 1, where every family keeps the same
-points, so those families share one store.  Pooled content is a linear
-function of the updates the key keeps and therefore equal to running one
-store per (family, guess), for either backing.  A pooled store is sized by
-the largest caps among the (family, guess) pairs it serves, and finalize()
-reads it at most once, under those caps; a larger sketch only lowers its
-failure rate.  Every guess hands the read-outs to the decision path every
-mode shares (coreset.finalize_cells), which applies the guess's own caps.
+The engine lays out the guesses a stream of at most n_max live points can
+try, o_grid(n_max), and routes every update to one cell store per distinct
+Sampling key (family, level, threshold) over those guesses, levels and hash
+families; the key drops the family at rate 0 or 1, where every family keeps
+the same points, so those families share one store.  Pooled content is a
+linear function of the updates the key keeps and therefore equal to running
+one store per (family, guess), for either backing.  A pooled store is sized
+by the largest caps among the (family, guess) pairs it serves, and
+finalize() reads it at most once, under those caps; a larger sketch only
+lowers its failure rate.  finalize() runs the guess loop every mode shares
+(coreset.search_o) over o_grid(net), a prefix of the layout, and each guess
+reads the stores through the shared decision path (coreset.finalize_cells),
+which applies the guess's own caps.
 
 Routing.  A key keeps a point when the point's field value under the key's
 (family, level) hash lies below the key's threshold, so one field value per
@@ -31,11 +34,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .common import UsageError, derive_seed, is_fail
-from .coreset import Sampling, fail_at, finalize_cells, o_grid, search_o
+from .common import UsageError, derive_seed
+from .coreset import Sampling, finalize_cells, o_grid, search_o
 from .geometry import (GridHierarchy, Point, check_tag, format_point,
                        parse_point_line)
-from .params import FAMILIES, Params
+from .params import Params
 # unused here: the benchmark's tracer wraps streaming.mark_cells by name
 from .partition import mark_cells  # noqa: F401
 from . import cellstore
@@ -49,16 +52,9 @@ class StreamEngine:
         self.grid = grid
         self.n_max = n_max if n_max is not None else grid.Delta ** grid.d
         self.o_values = o_grid(self.n_max, params)
-        if not self.o_values:
-            raise UsageError("empty o grid; n_max too small")
         self.net = 0
         self.backing = backing
         self.sampling = Sampling(params, grid, seed, exact_counts)
-        # an exact store FAILs only above its cell cap, a sketch also when
-        # it cannot decode
-        self._read_gate = "store cell cap" if backing == "exact" \
-            else "store cell cap or sketch decoding"
-        self._levels = range(0, grid.L + 1)
         # Sampling key -> (family, guess) pairs it serves
         served = self.sampling.served(self.o_values)
         self._stores = {}  # Sampling key -> store
@@ -126,25 +122,17 @@ class StreamEngine:
         """The finalize() of the store of a Sampling key."""
         return self._stores[key].finalize()
 
-    def finalize_for_o(self, o: float, gates: list | None = None):
-        data = {(fam, lvl): self._cell_data(self.sampling.key(fam, lvl, o))
-                for fam in FAMILIES for lvl in self._levels}
-        if any(is_fail(d) for d in data.values()):
-            return fail_at(gates, self._read_gate)
-        return finalize_cells(self.sampling, o, data, self.net, gates)
+    def finalize_for_o(self, o: float):
+        return finalize_cells(self.sampling, o, self._cell_data, self.net)
 
-    def candidates(self):
+    def finalize(self):
+        """Smallest non-FAIL guess of o_grid(net) (coreset.search_o), which
+        the stores lay out while net <= n_max; an empty stream yields the
+        empty coreset."""
         if self.net > self.n_max:
             raise UsageError(
                 f"net point count {self.net} exceeds engine n_max {self.n_max}")
-        limit = self.params.o_grid_limit(max(self.net, 0))
-        return [o for o in self.o_values if o <= limit]
-
-    def finalize(self):
-        """Smallest non-FAIL guess (coreset.search_o); an empty stream yields
-        the empty coreset."""
-        return search_o(self.sampling, self.candidates(), self.finalize_for_o,
-                        self.net)
+        return search_o(self.sampling, self.net, self.finalize_for_o)
 
     def space_bytes(self):
         return sum(store.space_bytes() for store in self._stores.values())

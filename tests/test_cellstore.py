@@ -7,7 +7,7 @@ import pytest
 from capacore import cellstore
 from capacore.cellstore import (CellData, ExactCellStore, SketchCellStore,
                                 deserialize, make_store)
-from capacore.common import UsageError, is_fail
+from capacore.common import Fail, UsageError, is_fail
 from capacore.geometry import GridHierarchy, Point
 
 from conftest import rand_points
@@ -156,10 +156,26 @@ def test_exact_fail_iff_alpha_exceeded():
     store.update(Point((1, 1), 0), +1)
     assert not is_fail(store.finalize())
     store.update(Point((8, 8), 1), +1)
-    assert is_fail(store.finalize())
+    assert store.finalize() == Fail("store cell cap")
     # removing one cell brings it back under the cap, deterministically
     store.update(Point((8, 8), 1), -1)
     assert not is_fail(store.finalize())
+
+
+def test_sketch_fail_names_its_gate():
+    # alpha 1 sizes 8 buckets per row: 3 cells peel and are over the cell
+    # cap, 300 cells leave no bucket pure and the peel stops
+    grid = GridHierarchy.from_seed(21, 64, 2)
+    store = SketchCellStore(grid, grid.L, alpha=1, beta=1, seed=1)
+    cells = [Point((x, y), 0) for x in range(1, 61, 3) for y in range(1, 46, 3)]
+    for p in cells[:3]:
+        store.update(p, +1)
+    assert store.finalize() == Fail("store cell cap")
+    for p in cells[3:]:
+        store.update(p, +1)
+    assert store.finalize() == Fail("sketch decoding")
+    assert repr(store.finalize()) == "FAIL(sketch decoding)"
+    assert not store.finalize()
 
 
 def test_beta_filters_light_cells():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from capacore.common import FAIL, UsageError, derive_seed, is_fail
+from capacore.common import UsageError, derive_seed, is_fail
 from capacore.coreset import (Sampling, build_auto, dedup_points,
                               exact_threshold, finalize_cells, o_grid)
 from capacore.cellstore import ExactCellStore, deserialize
@@ -129,6 +129,40 @@ def test_sketch_backing_protocol(rng):
     offline = _offline(pts, RATE1, 5, exact_counts=False)
     assert core == offline
     assert comm > 0
+
+
+@pytest.mark.parametrize("Delta", [8, 1 << 62])
+def test_run_protocol_lays_out_the_guesses_of_its_points(rng, monkeypatch,
+                                                         Delta):
+    # one message per Sampling key of o_grid(n) for the run's n points,
+    # whatever Delta; no point lays out no store and gives the empty coreset
+    sent = []
+    wire = Machine.wire_messages
+
+    def counted(machine):
+        blobs = list(wire(machine))
+        sent.append(len(blobs))
+        return iter(blobs)
+
+    monkeypatch.setattr(Machine, "wire_messages", counted)
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=2,
+                    mode=PRACTICAL, scale=1e-6)
+    grid = GridHierarchy.from_seed(derive_seed(4, "shift"), Delta, 2)
+    for n in (0, 1, 30):
+        pts = dedup_points(rand_points(rng, n, Delta))
+        sent.clear()
+        core, comm = run_protocol([pts[0::3], pts[1::3], pts[2::3]],
+                                  params, seed=4)
+        guesses = o_grid(len(pts), params)
+        served = Sampling(params, grid, 4, exact_counts=False).served(guesses)
+        assert sent == [len(served)] * 3
+        assert comm <= 3 * per_machine_byte_cap(params, grid, guesses,
+                                                len(pts))
+        assert core == _offline(pts, params, 4, exact_counts=False)
+        if n == 0:
+            # the broadcast, the run's point count and each shard's size
+            assert len(core) == 0 and core.meta.o_attempts == ()
+            assert comm == 3 * (len(broadcast_blob(params, grid, 4)) + 16)
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
@@ -292,14 +326,28 @@ def _own_caps_outcome(params, grid, seed, live, o, exact_counts):
                     ref.update(p, +1)
             data[(fam, lvl)] = ref.finalize()
             if is_fail(data[(fam, lvl)]):
-                return FAIL
-    return finalize_cells(Sampling(params, grid, seed, exact_counts), o,
-                          data, len(live))
+                return data[(fam, lvl)]
+    sampling = Sampling(params, grid, seed, exact_counts)
+    return finalize_cells(sampling, o, _reader(sampling, o, data), len(live))
+
+
+def _reader(sampling, o, data):
+    """The read function of guess o that gives data[(family, level)] in the
+    order finalize_cells reads them (families, then levels), checking the
+    Sampling key each read asks for; two (family, level)s with one key may
+    hold different caps here, so the read goes by position."""
+    reads = iter(data.items())
+
+    def read(key):
+        (fam, lvl), cells = next(reads)
+        assert key == sampling.key(fam, lvl, o)
+        return cells
+    return read
 
 
 def _same_outcome(got, want):
     if is_fail(want):
-        return is_fail(got)
+        return got == want  # the same gate
     return not is_fail(got) and got == want \
         and got.meta.part_tau == want.meta.part_tau \
         and got.meta.structure.heavy == want.meta.structure.heavy
@@ -330,10 +378,10 @@ def test_pooled_stores_read_like_one_store_per_guess(rng, backing, alpha):
     outcomes = []
     for o in stream.o_values:
         want = _own_caps_outcome(params, grid, 12, live, o, False)
-        gates = []
-        assert _same_outcome(stream.finalize_for_o(o, gates), want), o
+        got = stream.finalize_for_o(o)
+        assert _same_outcome(got, want), o
         assert _same_outcome(coord.finalize_for_o(o), want), o
-        outcomes.append(gates[0] if gates else len(want))
+        outcomes.append(got.gate if is_fail(got) else len(want))
     if alpha is not None:
         return
     # the caps bind on small guesses and both gates fire
@@ -399,28 +447,59 @@ def test_stream_finalize_reads_each_store_once(rng):
 
 
 def _all_fail(build, gate="store cell cap"):
-    with pytest.raises(RuntimeError, match=f"failed at the {gate}$"):
+    """The all-FAIL error of build, which names gate."""
+    with pytest.raises(RuntimeError, match=f"failed at the {gate}$") as err:
         build()
+    return str(err.value)
 
 
 def test_machine_fail_propagates(rng):
     # a cell cap of 0.5 binds on every nonempty store: dist, offline and
-    # stream builds FAIL every guess alike
+    # stream builds FAIL every guess alike, with one error
     tiny = _with_caps(lambda o: 0.5)
     pts = dedup_points(rand_points(rng, 10, 8))
-    _all_fail(lambda: run_protocol([pts], tiny, seed=6))
     grid = GridHierarchy.from_seed(derive_seed(6, "shift"), 8, 2)
-    _all_fail(lambda: build_auto(pts, grid, tiny, 6, exact_counts=False))
-    engine = StreamEngine(tiny, grid, 6, n_max=64)
-    engine.process_stream((p, +1) for p in pts)
-    _all_fail(engine.finalize)
-    # a sketch-backed stream names both ways its stores FAIL
-    sketch = StreamEngine(tiny, grid, 6, backing="sketch", n_max=64)
-    sketch.process_stream((p, +1) for p in pts)
-    _all_fail(sketch.finalize, "store cell cap or sketch decoding")
-    _all_fail(lambda: run_protocol([pts[:5], pts[5:]], tiny, seed=6,
-                                   backing="sketch"),
-              "store cell cap or sketch decoding")
+    errors = {_all_fail(lambda: run_protocol([pts], tiny, seed=6)),
+              _all_fail(lambda: build_auto(pts, grid, tiny, 6,
+                                           exact_counts=False))}
+    for backing in ("exact", "sketch"):
+        engine = StreamEngine(tiny, grid, 6, backing=backing, n_max=64)
+        engine.process_stream((p, +1) for p in pts)
+        errors.add(_all_fail(engine.finalize))
+    # a sketch that decodes more cells than its cap FAILs at the cap too
+    errors.add(_all_fail(lambda: run_protocol(
+        [pts[:5], pts[5:]], tiny, seed=6, backing="sketch")))
+    assert len(errors) == 1
+
+
+def test_sketch_decoding_fail_propagates(rng):
+    # cell caps that hold every cell of the coarser levels and one cell at
+    # the finest: an exact store there is over its cap, a sketch sized for
+    # one cell (72 buckets) cannot peel over a hundred cells, and every
+    # build names the first gate its guesses meet
+    base = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=16, d=2,
+                  mode=PRACTICAL, scale=1e-6)
+
+    class Caps(type(base)):
+        def caps(self, family, i, o):
+            beta = super().caps(family, i, o)[1]
+            return ((2 ** i + 1) ** 2 if i < self.L else 1), beta
+
+    params = Caps(**{f: getattr(base, f) for f in base.__dataclass_fields__})
+    pts = dedup_points(rand_points(rng, 200, 16))
+    grid = GridHierarchy.from_seed(derive_seed(6, "shift"), 16, 2)
+    errors = {}
+    for backing, gate in (("exact", "store cell cap"),
+                          ("sketch", "sketch decoding")):
+        engine = StreamEngine(params, grid, 6, backing=backing,
+                              n_max=len(pts))
+        engine.process_stream((p, +1) for p in pts)
+        errors[backing] = {
+            _all_fail(engine.finalize, gate),
+            _all_fail(lambda: run_protocol([pts[0::2], pts[1::2]], params,
+                                           seed=6, backing=backing), gate)}
+    errors["exact"].add(_all_fail(lambda: build_auto(pts, grid, params, 6)))
+    assert [len(e) for e in errors.values()] == [1, 1]
 
 
 def test_dist_fails_when_the_union_is_over_the_cell_cap():
@@ -513,5 +592,4 @@ def test_out_of_range_tag_is_rejected_in_every_mode(rng, tag):
             build_auto(pts, grid, params, 16)
         for backing in ("exact", "sketch"):
             with pytest.raises(UsageError, match="tag outside"):
-                run_protocol([pts[:5], pts[5:]], params, 16, backing=backing,
-                             n_max=64)
+                run_protocol([pts[:5], pts[5:]], params, 16, backing=backing)

@@ -6,6 +6,11 @@ from pathlib import Path
 from capacore import (assignment, cellstore, coreset, distributed,
                       estimator, hashing, kernels, oracle, partition,
                       streaming)
+from capacore.common import derive_seed
+from capacore.geometry import GridHierarchy
+from capacore.params import PRACTICAL, derive
+
+from conftest import rand_points
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -53,3 +58,37 @@ def test_tracer_wraps_and_restores_every_hook():
     for owner, attr, raw in patches:
         assert _current(owner, attr) is raw, (owner, attr)
     assert streaming.mark_cells is partition.mark_cells
+
+
+def test_hooks_stay_on_the_build_path(rng):
+    # the per-guess build and the per-store read-out are timed through
+    # these hooks: a build that goes round them reads as zero work
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
+                    mode=PRACTICAL, scale=1e-6)
+    grid = GridHierarchy.from_seed(derive_seed(1, "shift"), 8, 2)
+    pts = rand_points(rng, 20, 8)
+
+    def stream():
+        engine = streaming.StreamEngine(params, grid, 1, n_max=len(pts))
+        engine.process_stream((p, +1) for p in pts)
+        return engine.finalize()
+
+    builds = {
+        "offline": (lambda: coreset.build_auto(pts, grid, params, 1),
+                    ["coreset.build_for_o"]),
+        "stream": (stream, ["streaming.finalize_for_o", "cellstore.finalize"]),
+        "dist": (lambda: distributed.run_protocol([pts[0::2], pts[1::2]],
+                                                  params, 1),
+                 ["streaming.finalize_for_o", "cellstore.finalize"]),
+    }
+    spans = _spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install_layers(tracer)
+        for mode, (build, hooks) in builds.items():
+            tracer.reset()
+            build()
+            for name in hooks:
+                assert tracer.calls(name) >= 1, (mode, name)
+    finally:
+        tracer.uninstall()

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from capacore.common import UsageError, derive_seed, is_fail
-from capacore.coreset import build_auto, build_for_o, dedup_points
+from capacore.coreset import build_auto, build_for_o, dedup_points, o_grid
 from capacore.geometry import GridHierarchy, Point
 from capacore.params import PRACTICAL, derive
 from capacore.streaming import (StreamEngine, parse_update_line, read_stream,
@@ -195,18 +195,18 @@ def test_per_o_finalize_and_select(rng):
     engine = StreamEngine(RATE1, grid, seed=8, n_max=len(pts))
     for p in pts:
         engine.process(p, +1)
-    results = {o: engine.finalize_for_o(o) for o in engine.candidates()}
-    o_sel = next(o for o in engine.candidates() if not is_fail(results[o]))
+    # the engine laid out the guesses of n_max = len(pts) = net
+    guesses = o_grid(len(pts), RATE1)
+    assert engine.o_values == guesses
+    results = {o: engine.finalize_for_o(o) for o in guesses}
+    o_sel = next(o for o in guesses if not is_fail(results[o]))
     auto = engine.finalize()
     assert o_sel == auto.meta.o
     assert results[o_sel].entries == auto.entries
-    for o in engine.candidates():
+    for o in guesses:
         offline = build_for_o(pts, grid, RATE1, o, seed=8, exact_counts=False)
-        got = results[o]
-        if is_fail(offline):
-            assert is_fail(got)
-        else:
-            assert got == offline
+        # a FAIL compares by its gate
+        assert results[o] == offline
 
 
 def test_sketch_backing_stream_matches_exact_backing(rng):
