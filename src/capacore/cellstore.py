@@ -173,6 +173,8 @@ class ExactCellStore:
             np.array(entries, dtype=np.int64).reshape(-1, d + 2))
 
     def space_bytes(self):
+        """The bytes of the entries the store holds, not the capacity its
+        dicts have allocated, which does not shrink after deletions."""
         d = self.grid.d
         actual = 24 + len(self.counts) * (8 * d + 8)
         actual += sum(len(c) for c in self.points.values()) * (8 * d + 16)
@@ -621,22 +623,21 @@ def make_store(backing: str, grid: GridHierarchy, level: int, alpha: float,
     raise UsageError(f"unknown store backing {backing!r}")
 
 
-def encode_rows(store, columns, rows, lat, starts) -> bytes:
+def encode_rows(store, columns, rows, lattices, starts, counts) -> bytes:
     """The blob of a store of store's backing, level, caps and seed holding
-    the rows of columns (coreset.PointColumns with multiplicities) grouped
-    into cells by PointColumns.cells.  A sketch is fed each row once, with
-    its multiplicity as the sign: sketch content is linear in the updates
-    and serialize sorts its records, so the blob is the one streaming the
-    points one by one gives."""
+    the rows of columns (coreset.PointColumns), distinct points with their
+    multiplicities, grouped into cells with counts by PointColumns.cells.
+    A sketch is fed each row once, with its multiplicity as the sign: its
+    content is linear in the updates and serialize sorts its records, so
+    the blob is the one streaming the points one by one gives."""
     sizes = np.diff(np.append(starts, len(rows)))
     mults = columns.mults[rows]
     if isinstance(store, ExactCellStore):
-        counts = np.add.reduceat(mults, starts) if len(rows) else mults
-        return encode_exact(store, lat[starts], counts, sizes, np.column_stack(
+        return encode_exact(store, lattices, counts, sizes, np.column_stack(
             (columns.coords(rows), columns.tags[rows], mults)))
     fresh = SketchCellStore(store.grid, store.level, store.alpha, store.beta,
                             store.seed, store.delta)
-    cells = [tuple(cell) for cell in lat[starts].tolist()]
+    cells = [tuple(cell) for cell in lattices.tolist()]
     for i, m, c in zip(rows.tolist(), mults.tolist(),
                        np.repeat(np.arange(len(cells)), sizes).tolist()):
         fresh.update(columns.points[i], m, cells[c])

@@ -112,13 +112,12 @@ def cmd_build(args) -> int:
     Delta = _resolve_delta(args.Delta)
     params = _derive_params(args, Delta)
     grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), Delta, args.d)
+    # the builders reject points outside the domain themselves
     if args.mode == "stream":
         updates = read_stream(args.input)
-        check_domain((p for p, _ in updates), Delta, args.d)
         check_live(updates)
     else:
         points = read_points(args.input)
-        check_domain(points, Delta, args.d)
         check_distinct(points)
     if args.mode == "offline":
         coreset = build_auto(points, grid, params, seed,

@@ -4,8 +4,9 @@ finalize_cells is the decision path of every mode.  It reads the cell data
 of each (family, level) of a guess through a read function, marks cells
 from (estimated) counts, applies the caps, keeps parts whose estimated size
 reaches gamma*T_i(o), and retains the hhat-sampled points of each kept
-level-i part at weight exactly 1/phi_i.  The offline builder, the stream
-engine and the distributed coordinator only differ in the read function.
+level-i part at weight exactly 1/phi_i per copy.  The offline builder, the
+stream engine and the distributed coordinator only differ in the read
+function.
 A FAIL is a value, common.Fail, naming its gate.  search_o is the guess
 loop of every mode: for n points it tries o_grid(n), smallest first, and
 returns the first guess that does not FAIL, the empty coreset when there is
@@ -22,6 +23,7 @@ estimates.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -31,7 +33,7 @@ from .cellstore import CellData
 from .common import Fail, UsageError, derive_seed, is_fail
 from .estimator import SampleBank
 from .geometry import (NO_TAG, TAG_SPACE, GridHierarchy, check_domain,
-                       check_tag, format_point, parse_point_line)
+                       format_point, parse_point_line)
 from .hashing import KWiseHash, PointEncoder
 from .params import FAMILIES, Params, coreset_size_bound, parse_serialized
 from .partition import PartitionStructure, mark_cells
@@ -153,15 +155,10 @@ class Sampling:
             for fam in FAMILIES for lvl in range(0, grid.L + 1)}
 
     def rate(self, family: str, level: int, o: float) -> float:
-        """psi, psi' or phi; exact counts keep every point in the two
-        estimating families."""
-        if family == "hhat":
-            return self.params.phi(level, o)
-        if self.exact_counts:
+        """Params.rate, but 1 for h and h' with exact counts."""
+        if self.exact_counts and family != "hhat":
             return 1.0
-        if family == "h":
-            return self.params.psi(level, o)
-        return self.params.psi_prime(level, o)
+        return self.params.rate(family, level, o)
 
     def key(self, family: str, level: int, o: float) -> tuple:
         t = exact_threshold(self.rate(family, level, o), self.modulus)
@@ -218,15 +215,18 @@ def finalize_cells(sampling: Sampling, o: float, read, n: int):
     entries = []
     for lvl in levels:
         hhat = data[("hhat", lvl)]
-        w = 1.0 / phi[lvl]
         beta = params.caps("hhat", lvl, o)[1]
         lats = list(hhat.cells)
+        kept = []  # each copy of a kept point, with its part
         for lat, j in zip(lats, structure.crucial_ranks(lvl, lats)):
             if (lvl, j) not in qualifying:
                 continue
             if hhat.cells[lat] > beta:
                 return Fail("light-point recovery cap")
-            entries.extend((p, w, lvl, j) for p in set(hhat.light_points[lat]))
+            kept += [(p, j) for p in hhat.light_points[lat]]
+        # one entry per kept point, of weight 1/phi per copy
+        entries.extend((p, copies / phi[lvl], lvl, j)
+                       for (p, j), copies in Counter(kept).items())
     if n > 0 and not entries:
         why = ("the h' estimator sample is empty"
                if not any(data[("hp", lvl)].cells for lvl in levels)
@@ -264,44 +264,43 @@ class PointColumns:
     """A point set held in columns, for the builders that read a whole
     point set at once (the offline builder and the dist machines).
 
-    The distinct points, in sort_key order, sit beside one n x d int64
-    array of their level-L lattices (GridHierarchy.off applied once); one
-    np.lexsort over coordinates and tags gives that order and exposes
-    copies as equal neighbours.  The columns keep each distinct point's tag
-    and, with multiplicities, its multiplicity (a point listed twice has
-    multiplicity 2), which the machines' blobs record.  Every hashed
-    (family, level) computes the points' field values once, when a key
-    first needs them, in one pass over the points' codes
-    (PointEncoder.encode_columns, made once), and a key keeps the rows
-    whose values lie below its threshold by one comparison.  cells(key)
-    groups the points a Sampling key keeps into cells by one stable lexsort
-    of their level lattices (level L shifted right by L - level): equal
-    lattices become runs, in the lexicographic order of the lattices, and
-    each run keeps the points' sort_key order.  Coordinates and lattices
-    fit int64 for every Delta <= 2**62.  A tag outside [-1, TAG_SPACE - 2]
-    is a usage error."""
+    Its n input points, copies counted, are held as the distinct points in
+    sort_key order (one np.lexsort over coordinates and tags), each with its
+    tag and multiplicity (2 for a point listed twice), beside one int64
+    array of their level-L lattices (GridHierarchy.off applied once; int64
+    fits every Delta <= 2**62).  The columns are checked in numpy: a point
+    outside the domain, ragged input or a value beyond int64 raises
+    geometry.check_domain's usage error.  Each hashed (family, level)
+    computes the points' field values once, when a key first needs them,
+    from the points' codes (PointEncoder.encode_columns, made once), and a
+    key keeps the rows whose values lie below its threshold.  cells(key)
+    groups the kept points into cells by one stable lexsort of their level
+    lattices (level L shifted right by L - level): equal lattices become
+    runs, in lexicographic order, each in sort_key order."""
 
-    def __init__(self, points, sampling: Sampling,
-                 multiplicities: bool = False):
+    def __init__(self, points, sampling: Sampling):
         points = list(points)
-        tags = [p.tag for p in points]
-        if tags and not NO_TAG <= min(tags) <= max(tags) <= TAG_SPACE - 2:
-            for p in points:
-                check_tag(p)
         grid = sampling.grid
         n, d = len(points), grid.d
-        coords = np.array([p.coords for p in points],
-                          dtype=np.int64).reshape(n, d)
-        tags = np.array(tags, dtype=np.int64)
+        try:  # ragged, other-dimensional or int64-overflowing input raises
+            coords = np.array([p.coords for p in points],
+                              dtype=np.int64).reshape(n, d)
+            tags = np.array([p.tag for p in points], dtype=np.int64)
+            inside = ((coords >= 1) & (coords <= grid.Delta)).all() and \
+                ((tags >= NO_TAG) & (tags <= TAG_SPACE - 2)).all()
+        except (ValueError, OverflowError):
+            inside = False
+        if not inside:
+            check_domain(points, grid.Delta, d)  # raises its message
         order = np.lexsort((tags,) + tuple(coords[:, a] for a in range(d))[::-1])
         coords, tags = coords[order], tags[order]
         new = np.ones(n, dtype=bool)
         new[1:] = (coords[1:] != coords[:-1]).any(axis=1) | (tags[1:] != tags[:-1])
         starts = np.flatnonzero(new)
+        self.n = n
         self.points = [points[i] for i in order[starts].tolist()]
         self.tags = tags[starts]
-        if multiplicities:
-            self.mults = np.diff(np.append(starts, n))
+        self.mults = np.diff(np.append(starts, n))
         self.sampling = sampling
         # level-L lattices, one row per distinct point
         self._off = np.array(grid.off, dtype=np.int64)
@@ -327,9 +326,9 @@ class PointColumns:
         return self.lattices[rows] + 1 + self._off
 
     def cells(self, key: tuple):
-        """(rows, lattices, starts) of the points key keeps: their rows in
-        cell order, their lattices at the key's level in that order, and
-        the row position where each cell's run starts."""
+        """(rows, cells, starts, counts) of the points key keeps: their rows
+        in cell order, each cell's lattice at the key's level, the row where
+        its run starts, and its count (its rows' multiplicities summed)."""
         family, level, t = key
         rows = np.arange(len(self.points) if t else 0) if family is None \
             else self._kept_rows(family, level, t)
@@ -339,17 +338,20 @@ class PointColumns:
         # the first row of each run of equal lattices starts a cell
         new = np.ones(len(rows), dtype=bool)
         new[1:] = (lat[1:] != lat[:-1]).any(axis=1)
-        return rows, lat, np.flatnonzero(new)
+        starts = np.flatnonzero(new)
+        mults = self.mults[rows]
+        counts = np.add.reduceat(mults, starts) if len(rows) else mults
+        return rows, lat[starts], starts, counts
 
 
 class OfflineBuilder:
     """Shared per-instance state reused across o guesses.
 
-    The input is deduplicated: a point listed twice counts once.  Its
-    columns (PointColumns) give each Sampling key's cell data: a cell's
-    count is the length of its run and its light points are the run's
-    points.  The cell data is cached under the key, so guesses sharing a
-    key share it."""
+    The input's columns (PointColumns) give each Sampling key's cell data,
+    with copies counted as a stream or the dist machines count them: a
+    cell's count is its points' summed multiplicity, its light points list
+    each copy, and n is the input's length.  The cell data is cached under
+    the key, so guesses sharing a key share it."""
 
     def __init__(self, points, grid: GridHierarchy, params: Params, seed: int,
                  exact_counts: bool = True):
@@ -362,23 +364,24 @@ class OfflineBuilder:
 
     def _cell_data(self, key: tuple) -> CellData:
         if key not in self._data:
-            rows, lat, starts = self.columns.cells(key)
-            bounds = list(zip(starts.tolist(),
-                              starts[1:].tolist() + [len(rows)]))
-            cells = [tuple(c) for c in lat[starts].tolist()]
-            kept = [self.points[i] for i in rows.tolist()]
+            rows, cells, _, counts = self.columns.cells(key)
+            # each kept point once per copy, cell by cell
+            copies = np.repeat(rows, self.columns.mults[rows]).tolist()
+            kept = [self.points[i] for i in copies]
+            ends, counts = np.cumsum(counts).tolist(), counts.tolist()
+            cells = [tuple(c) for c in cells.tolist()]
             self._data[key] = CellData(
-                key[1],
-                {c: b - a for c, (a, b) in zip(cells, bounds)},
-                {c: tuple(kept[a:b]) for c, (a, b) in zip(cells, bounds)})
+                key[1], dict(zip(cells, counts)),
+                {c: tuple(kept[e - m:e])
+                 for c, m, e in zip(cells, counts, ends)})
         return self._data[key]
 
     def build_for_o(self, o: float):
         return finalize_cells(self.sampling, o, self._cell_data,
-                              len(self.points))
+                              self.columns.n)
 
     def build_auto(self):
-        return search_o(self.sampling, len(self.points), self.build_for_o)
+        return search_o(self.sampling, self.columns.n, self.build_for_o)
 
 
 def build_for_o(points, grid: GridHierarchy, params: Params, o: float, seed: int,
@@ -428,6 +431,7 @@ def write_coreset(path, coreset: WeightedCoreset):
 def read_coreset(path) -> WeightedCoreset:
     header: dict = {}
     entries = []
+    listed = set()
     pending_meta = None
     with open(path) as fh:
         for raw in fh:
@@ -459,6 +463,10 @@ def read_coreset(path) -> WeightedCoreset:
             point = parse_point_line(rest)
             if point is None:
                 raise UsageError(f"{path}: coreset entry {line!r} has no point")
+            if point in listed:
+                raise UsageError(f"{path}: coreset lists point "
+                                 f"{format_point(point)!r} twice")
+            listed.add(point)
             lvl, j = pending_meta
             pending_meta = None
             entries.append((point, _parse_weight(path, w_str), lvl, j))

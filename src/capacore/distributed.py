@@ -67,14 +67,13 @@ class Machine:
     layout is the engine whose stores (Sampling keys in wire order, with
     their backing, pooled caps and seeds) the blobs follow; the machine
     writes none of them.  The shard sits in columns (coreset.PointColumns,
-    where a point listed twice has multiplicity 2), and each blob is
-    encoded from its key's cells (cellstore.encode_rows)."""
+    copies counted as in every mode), and each blob is encoded from its
+    key's cells (cellstore.encode_rows)."""
 
     def __init__(self, shard, layout: StreamEngine):
         self.layout = layout
         self.local_n = len(shard)
-        self._columns = PointColumns(shard, layout.sampling,
-                                     multiplicities=True)
+        self._columns = PointColumns(shard, layout.sampling)
 
     def wire_messages(self):
         """Yield each store's blob, in the layout's store order."""

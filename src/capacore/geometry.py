@@ -135,8 +135,8 @@ def parse_point_line(line: str) -> Point | None:
 
 
 def check_domain(points, Delta: int, d: int):
-    """Reject points that are not d-dimensional, lie outside [1, Delta]^d or
-    carry a tag outside [-1, TAG_SPACE-2] (the range points are encoded in)."""
+    """Reject a point that is not d-dimensional, lies outside [1, Delta]^d or
+    has a tag outside [-1, TAG_SPACE-2]: the point check of every mode."""
     for p in points:
         if len(p.coords) != d:
             raise UsageError(f"point {format_point(p)!r} has {len(p.coords)} "
@@ -144,20 +144,16 @@ def check_domain(points, Delta: int, d: int):
         if not all(1 <= c <= Delta for c in p.coords):
             raise UsageError(f"point {format_point(p)!r} lies outside "
                              f"[1, {Delta}]^{d}")
-        check_tag(p)
-
-
-def check_tag(p: Point):
-    """Reject a tag outside [-1, TAG_SPACE-2], the range points are encoded
-    in; every mode checks it before its state changes."""
-    if not NO_TAG <= p.tag <= TAG_SPACE - 2:
-        raise UsageError(f"point {format_point(p)!r} has a tag outside "
-                         f"[-1, {TAG_SPACE - 2}]")
+        if not NO_TAG <= p.tag <= TAG_SPACE - 2:
+            raise UsageError(f"point {format_point(p)!r} has a tag outside "
+                             f"[-1, {TAG_SPACE - 2}]")
 
 
 def check_distinct(points):
-    """Reject a point listed twice (equal coordinates and tag): modes would
-    not count its copies alike, so copies must carry distinct tags."""
+    """Reject a point listed twice (equal coordinates and tag).  Every mode
+    counts copies alike, but the files name a point by its coordinates and
+    tag (an assignment maps each to its center), so copies in a file need
+    distinct tags to be told apart."""
     seen = set()
     for p in points:
         if p in seen:

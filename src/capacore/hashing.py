@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .common import UsageError
-from .geometry import TAG_SPACE, Point, check_tag
+from .geometry import TAG_SPACE, Point, check_domain
 
 # Mersenne primes; smallest exceeding the encoding range is selected.
 PRIME_LADDER = (
@@ -46,12 +46,14 @@ class PointEncoder:
         assert 1.0 / self.modulus < QUANTIZATION_LIMIT
 
     def encode(self, p: Point) -> int:
+        """The code of p; a point outside the domain is a usage error."""
+        coords, code = p.coords, p.tag + 1
+        if len(coords) != self.d or not 0 <= code < TAG_SPACE or \
+                not 1 <= min(coords) <= max(coords) <= self.Delta:
+            check_domain((p,), self.Delta, self.d)
         acc = 0
-        for c in reversed(p.coords):
+        for c in reversed(coords):
             acc = acc * self.Delta + (c - 1)
-        code = p.tag + 1
-        if not 0 <= code < TAG_SPACE:
-            check_tag(p)  # raises the one out-of-range tag error
         return acc * TAG_SPACE + code
 
     def decode(self, value: int) -> Point:

@@ -69,6 +69,14 @@ class Params:
     def psi_prime(self, i: int, o: float) -> float:
         return min(1.0, 1e6 * self.lam_prime / (self.gamma * self.T(i, o)))
 
+    def rate(self, family: str, i: int, o: float) -> float:
+        """The sampling rate of a hash family at level i for guess o: psi
+        for h, psi' for h' and phi for hhat."""
+        rates = {"h": self.psi, "hp": self.psi_prime, "hhat": self.phi}
+        if family not in rates:
+            raise UsageError(f"unknown hash family {family!r}")
+        return rates[family](i, o)
+
     # --- FAIL gates and store caps --------------------------------------
     def heavy_cell_cap(self) -> float:
         return 20000.0 * (self.k + self.d_pow()) * self.L
@@ -81,14 +89,7 @@ class Params:
         the family at level i for guess o, the one cap table of every mode.
         alpha grows with the family's sampling rate; beta is 1 for the
         estimating families h and h'."""
-        if family == "h":
-            rate = self.psi(i, o)
-        elif family == "hp":
-            rate = self.psi_prime(i, o)
-        elif family == "hhat":
-            rate = self.phi(i, o)
-        else:
-            raise UsageError(f"unknown hash family {family!r}")
+        rate = self.rate(family, i, o)
         T = self.T(i, o)
         alpha = 1e6 * (self.k + self.d_pow() * rate * T) * self.L**2
         if family != "hhat":

@@ -36,8 +36,7 @@ from bisect import bisect_right
 
 from .common import UsageError, derive_seed
 from .coreset import Sampling, finalize_cells, o_grid, search_o
-from .geometry import (GridHierarchy, Point, check_tag, format_point,
-                       parse_point_line)
+from .geometry import GridHierarchy, Point, format_point, parse_point_line
 from .params import Params
 # unused here: the benchmark's tracer wraps streaming.mark_cells by name
 from .partition import mark_cells  # noqa: F401
@@ -86,14 +85,8 @@ class StreamEngine:
     def process(self, p: Point, sign: int):
         if sign not in (1, -1):
             raise UsageError("sign must be +1 or -1")
-        # one encoding serves every hash (they share Sampling.encoder); it
-        # rejects an out-of-range tag, as check_tag does when nothing hashes,
-        # before any state changes
-        if self._hashed:
-            code = self.sampling.encoder.encode(p)
-        else:
-            check_tag(p)
-            code = None
+        # one encoding serves every hash and rejects a point off the domain
+        code = self.sampling.encoder.encode(p)
         self.net += sign
         self._data.clear()
         path = self.grid.path_of(p.coords)

@@ -82,7 +82,8 @@ def test_sampling_membership_reproducible(rng):
 def test_offline_cell_data_matches_a_per_point_reference(d, log_delta, scale):
     # the columnar builder against a dict built point by point, for every
     # Sampling key of every guess plus the rate-0 and rate-1 keys of every
-    # level; the input repeats points and puts several tags on one
+    # level; the input repeats points, whose copies count in the cells and
+    # are listed in their light points, and puts several tags on one
     # coordinate tuple
     Delta = 1 << log_delta
     params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=d,
@@ -124,7 +125,7 @@ def test_offline_cell_data_matches_a_per_point_reference(d, log_delta, scale):
             light: dict = {}
             for p in kept:
                 light.setdefault(floor_lattice(grid, p.coords, lvl),
-                                 []).append(p)
+                                 []).extend([p] * points.count(p))
             data = builder._cell_data((fam, lvl, t))
             assert data.level == lvl
             assert data.cells == {lat: len(pts) for lat, pts in light.items()}
@@ -296,4 +297,20 @@ def test_malformed_header_is_a_usage_error(tmp_path, rng, prefix, bad, key):
             bad.format(line=lines[i]).split("\n")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(UsageError, match=f"{path}: .*'{key}'"):
+        read_coreset(path)
+
+
+def test_repeated_entry_is_a_usage_error(tmp_path, rng):
+    # a copied entry pair would add a second entry of one point, whose
+    # weight the coreset's weights() could not tell apart
+    core = build_auto(dedup_points(rand_points(rng, 12, 8)), _grid(8),
+                      RATE1, seed=8)
+    path = tmp_path / "core.txt"
+    write_coreset(path, core)
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith("% entrymeta="))
+    path.write_text("\n".join(lines + lines[i:i + 2]) + "\n")
+    point = lines[i + 1].partition(" ")[2]
+    with pytest.raises(UsageError, match=f"{path}: .*'{point}' twice"):
         read_coreset(path)

@@ -242,8 +242,8 @@ def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
         assert len(messages) == len(keys)
         for key, blob, ref in zip(keys, messages, refs):
             assert blob == ref.serialize(), key
-    # the stores that keep every point count the repeated point twice (the
-    # offline builder counts it once) and ship it with multiplicity 2 unless
+    # the stores that keep every point count the repeated point twice, as
+    # every mode counts copies, and ship it with multiplicity 2 unless
     # beta = 1 leaves its cell's points out
     keep_all = [deserialize(blob, grid) for key, blob in zip(keys, messages)
                 if key[0] is None and key[2]]
@@ -571,11 +571,18 @@ def test_nonempty_input_fails_in_every_mode_instead_of_empty_coreset():
         run_protocol([pts[0::2], pts[1::2]], params, 1)
 
 
-@pytest.mark.parametrize("tag", [-2, 2 ** 32 - 1, 2 ** 40, 2 ** 70])
-def test_out_of_range_tag_is_rejected_in_every_mode(rng, tag):
-    # RATE1 hashes no level, SAMPLING does: either way the tag is rejected
+@pytest.mark.parametrize("bad,why", [
+    *(pytest.param(Point((1, 1), tag), "tag outside", id=str(tag))
+      for tag in (-2, 2 ** 32 - 1, 2 ** 40, 2 ** 70)),
+    pytest.param(Point((0, 3)), "lies outside", id="x=0"),
+    pytest.param(Point((9, 3)), "lies outside", id="x=Delta+1"),
+    pytest.param(Point((1, 2, 3)), "has 3 coordinates", id="3-d"),
+    pytest.param(Point((1,)), "has 1 coordinates", id="1-d")])
+def test_out_of_range_tag_is_rejected_in_every_mode(rng, bad, why):
+    # a tag outside its range, a coordinate outside [1, Delta] and a point
+    # of the wrong dimension raise check_domain's error in every mode;
+    # RATE1 hashes no level, SAMPLING does: either way the stream raises
     # before the engine's net count or any store changes
-    bad = Point((1, 1), tag)
     pts = dedup_points(rand_points(rng, 10, 8)) + [bad]
     grid = GridHierarchy.from_seed(derive_seed(16, "shift"), 8, 2)
     for params in (RATE1, SAMPLING):
@@ -583,13 +590,15 @@ def test_out_of_range_tag_is_rejected_in_every_mode(rng, tag):
             engine = StreamEngine(params, grid, 16, backing=backing, n_max=64)
             engine.process_stream((p, +1) for p in pts[:-1])
             blobs = [store.serialize() for store in engine._stores.values()]
-            with pytest.raises(UsageError, match="tag outside"):
+            with pytest.raises(UsageError, match=why):
                 engine.process(bad, +1)
             assert engine.net == len(pts) - 1
             assert [store.serialize()
                     for store in engine._stores.values()] == blobs
-        with pytest.raises(UsageError, match="tag outside"):
+        with pytest.raises(UsageError, match=why):
             build_auto(pts, grid, params, 16)
-        for backing in ("exact", "sketch"):
-            with pytest.raises(UsageError, match="tag outside"):
-                run_protocol([pts[:5], pts[5:]], params, 16, backing=backing)
+        # a shard mixing the bad point with good ones, and one of it alone
+        for shards in ([pts[:5], pts[5:]], [pts[:-1], [bad]]):
+            for backing in ("exact", "sketch"):
+                with pytest.raises(UsageError, match=why):
+                    run_protocol(shards, params, 16, backing=backing)

@@ -1,5 +1,6 @@
 """Offline, stream and dist builds agree: a property test on random
-streams, and fixed cases whose point codes exceed 64 bits."""
+streams whose live points may have copies, a case of copies only, and
+fixed cases whose point codes exceed 64 bits."""
 
 import random
 
@@ -23,10 +24,14 @@ COORDS = st.tuples(st.integers(1, DELTA), st.integers(1, DELTA))
 
 @st.composite
 def streams(draw):
-    """Distinct live points, and an insert/delete stream whose net multiset
-    is exactly those points: churn points are inserted and deleted later."""
-    live = [Point(c, i) for i, c in enumerate(
-        draw(st.lists(COORDS, min_size=1, max_size=30)))]
+    """Live points, each listed one to three times (equal coordinates and
+    tag), and an insert/delete stream whose net multiset is exactly those
+    points: churn points are inserted and deleted later."""
+    distinct = draw(st.lists(COORDS, min_size=1, max_size=30))
+    copies = draw(st.lists(st.integers(1, 3), min_size=len(distinct),
+                           max_size=len(distinct)))
+    live = [Point(c, i) for i, (c, m) in enumerate(zip(distinct, copies))
+            for _ in range(m)]
     churn = [Point(c, len(live) + i) for i, c in enumerate(
         draw(st.lists(COORDS, max_size=10)))]
     updates = draw(st.permutations([(p, +1) for p in live + churn]))
@@ -117,3 +122,26 @@ def test_modes_agree_where_codes_exceed_64_bits(scale, exact_counts):
         assert other == offline
         assert other.meta.part_tau == offline.meta.part_tau
         assert other.meta.structure.heavy == offline.meta.structure.heavy
+
+
+@pytest.mark.parametrize("backing", ["exact", "sketch"])
+def test_copies_count_alike_in_every_mode(backing):
+    # 30 untagged coordinate pairs, each listed 4 times: every copy counts
+    # in the cells, so the modes agree on part_tau, and every kept point
+    # weighs its 4 copies (rates are 1 at this scale)
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=16, d=2,
+                    mode=PRACTICAL, scale=1e-6)
+    grid = GridHierarchy.from_seed(derive_seed(1, "shift"), 16, 2)
+    coords = random.Random(1).sample(
+        [(x, y) for x in range(1, 17) for y in range(1, 17)], 30)
+    pts = [Point(c) for _ in range(4) for c in coords]
+    offline = build_auto(pts, grid, params, 1, exact_counts=True)
+    engine = StreamEngine(params, grid, 1, backing=backing, exact_counts=True,
+                          n_max=len(pts))
+    engine.process_stream((p, +1) for p in pts)
+    dist, _ = run_protocol([pts[i::3] for i in range(3)], params, 1,
+                           backing=backing, exact_counts=True)
+    assert len(offline) == 30 and offline.total_weight() == 120
+    for other in (engine.finalize(), dist):
+        assert other == offline
+        assert other.meta.part_tau == offline.meta.part_tau

@@ -85,6 +85,7 @@ def test_caps_formulas():
         for i in range(0, 4):
             for fam, rate in (("h", q.psi(i, o)), ("hp", q.psi_prime(i, o)),
                               ("hhat", q.phi(i, o))):
+                assert q.rate(fam, i, o) == rate
                 alpha, beta = q.caps(fam, i, o)
                 assert alpha == 1e6 * (2 + d_pow * rate * q.T(i, o)) * 9
                 if fam == "hhat":
@@ -95,6 +96,8 @@ def test_caps_formulas():
                sampled.phi(0, o)) < 1
     with pytest.raises(UsageError):
         p.caps("g", 0, o)
+    with pytest.raises(UsageError):
+        p.rate("g", 0, o)
 
 
 def test_hash_lambda_even_and_clamped():
