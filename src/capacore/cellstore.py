@@ -8,14 +8,14 @@ several guesses is sized by their largest caps; each guess's own caps
 apply to the read-out in the decision path (coreset.finalize_cells).
 
 * ExactCellStore keeps plain dicts of signed cell counts and, per cell, of
-  signed point multiplicities; zero entries are dropped.
+  signed point multiplicities (none below beta 1); zero entries are dropped.
   It never FAILs below the cell cap and always FAILs above it (delta = 0),
   at the price of non-sublinear space.
 * SketchCellStore is a genuine linear sketch: cells hash into rows of
   buckets holding (signed count, signed keysum, signed checksum) for
-  1-sparse recovery, and each bucket nests a second-level decoder that
-  recovers the points of cells claiming at most beta members.  Any
-  inconsistent recovery FAILs at "sketch decoding".
+  1-sparse recovery, and from beta 1 each bucket nests a second-level
+  decoder that recovers the points of cells claiming at most beta
+  members.  Any inconsistent recovery FAILs at "sketch decoding".
 
 Serialized blobs are the distributed protocol's wire unit; their byte length
 is the communication cost.  Exact blobs carry points only for cells whose
@@ -103,6 +103,8 @@ class ExactCellStore:
             counts[lat] = c
         else:
             del counts[lat]
+        if self.beta < 1:  # no cell lists its points
+            return
         bucket = self.points.get(lat)
         if bucket is None:
             self.points[lat] = {p: sign}
@@ -425,13 +427,15 @@ class SketchCellStore:
         if lat is None:
             lat = self.grid.lattice_of(p.coords, self.level)
         code = self._cell_code(lat)
-        pcode = self._enc.encode(p) + 1
         # the signed keysum and checksum terms every bucket of p adds
         ckey, ccheck = sign * code, sign * self._check(self._h2, code)
-        pkey, pcheck = sign * pcode, sign * self._check(self._p2, pcode)
-        # a point's buckets do not depend on its cell's row
-        pslots = [(prow, self._pair_hash(ab, pcode, self.pbuckets))
-                  for prow, ab in enumerate(self._p1)]
+        pslots = []  # no cell lists its points below beta 1
+        if self.beta >= 1:
+            pcode = self._enc.encode(p) + 1
+            pkey, pcheck = sign * pcode, sign * self._check(self._p2, pcode)
+            # a point's buckets do not depend on its cell's row
+            pslots = [(prow, self._pair_hash(ab, pcode, self.pbuckets))
+                      for prow, ab in enumerate(self._p1)]
         cell_state, point_state = self.cell_state, self.point_state
         for row, ab in enumerate(self._h1):
             b = self._pair_hash(ab, code, self.buckets)
@@ -480,8 +484,9 @@ class SketchCellStore:
         state = {key: list(rec) for key, rec in self.cell_state.items()}
         return self._peel(state, self._h1, self.buckets, self._h2, math.inf)
 
-    def _cell_points(self, code: int, cnt: int):
-        """The cnt points of a cell, decoded from its first pure bucket."""
+    def _cell_points(self, code: int, cnt: int, tables: dict):
+        """The cnt points of a cell, decoded from its first pure bucket;
+        tables maps each (row, bucket) to {(prow, pbucket): record}."""
         check = self._check(self._h2, code)
         for row, ab in enumerate(self._h1):
             b = self._pair_hash(ab, code, self.buckets)
@@ -489,9 +494,8 @@ class SketchCellStore:
                 break
         else:
             return None
-        state = {(prow, pb): list(rec)
-                 for (r, rb, prow, pb), rec in self.point_state.items()
-                 if r == row and rb == b}
+        state = {slot: list(rec)
+                 for slot, rec in tables.get((row, b), {}).items()}
         pts = self._peel(state, self._p1, self.pbuckets, self._p2,
                          self._enc.range)
         if pts is None or sum(pts.values()) != cnt:
@@ -508,13 +512,16 @@ class SketchCellStore:
             return Fail("sketch decoding")
         if len(recovered) > self.alpha:
             return Fail("store cell cap")
+        tables: dict = {}
+        for (row, b, prow, pb), rec in self.point_state.items():
+            tables.setdefault((row, b), {})[(prow, pb)] = rec
         cells = {}
         light = {}
         for code, cnt in recovered.items():
             lat = self._cell_decode(code)
             cells[lat] = cnt
             if cnt <= self.beta:
-                light[lat] = self._cell_points(code, cnt)
+                light[lat] = self._cell_points(code, cnt, tables)
                 if light[lat] is None:
                     return Fail("sketch decoding")
         return CellData(self.level, cells, light)
@@ -594,8 +601,8 @@ class SketchCellStore:
 
     def nominal_bytes(self):
         """Size of the fully materialized sketch (the contract's space budget)."""
-        return 40 + self.rows * self.buckets * 24 \
-            + self.rows * self.buckets * self.prows * self.pbuckets * 24
+        points = self.prows * self.pbuckets * 24 if self.beta >= 1 else 0
+        return 40 + self.rows * self.buckets * (24 + points)
 
 
 def _add(state, slot, cnt, ksum, csum):

@@ -149,7 +149,7 @@ def run_protocol(shards, params: Params, seed: int, backing: str = "exact",
     n = sum(len(s) for s in shards)
     channel = ByteChannel()
     bcast = broadcast_blob(params, grid, seed) + struct.pack("<q", n)
-    coord = Coordinator(params, grid, seed, backing, exact_counts, n)
+    coord = Coordinator(params, grid, seed, backing, exact_counts, n_max=n)
     for shard in shards:
         channel.send_to_machine(bcast)
         coord.absorb(Machine(shard, coord), channel)

@@ -87,13 +87,13 @@ class Params:
     def caps(self, family: str, i: int, o: float):
         """(alpha, beta): the cell cap and light-cell point cap of a store of
         the family at level i for guess o, the one cap table of every mode.
-        alpha grows with the family's sampling rate; beta is 1 for the
-        estimating families h and h'."""
+        alpha grows with the family's sampling rate; beta is 0 for the
+        counting families h and h': only hhat's points become entries."""
         rate = self.rate(family, i, o)
         T = self.T(i, o)
         alpha = 1e6 * (self.k + self.d_pow() * rate * T) * self.L**2
         if family != "hhat":
-            return alpha, 1.0
+            return alpha, 0.0
         return alpha, 4e6 * (self.k + self.d_pow()) * self.L**2 * rate * T
 
     # --- hash construction ----------------------------------------------

@@ -44,12 +44,15 @@ from . import cellstore
 
 
 class StreamEngine:
+    """n_max, required, bounds the live points: Delta**d rejects more copies
+    than the domain has points and lays out guesses no short stream tries."""
+
     def __init__(self, params: Params, grid: GridHierarchy, seed: int,
-                 backing: str = "exact", exact_counts: bool = False,
-                 n_max: int | None = None):
+                 backing: str = "exact", exact_counts: bool = False, *,
+                 n_max: int):
         self.params = params
         self.grid = grid
-        self.n_max = n_max if n_max is not None else grid.Delta ** grid.d
+        self.n_max = n_max
         self.o_values = o_grid(self.n_max, params)
         self.net = 0
         self.backing = backing

@@ -281,11 +281,16 @@ def test_sketch_recovery_success_rate(rng):
 
 
 def test_sketch_space_meter():
-    store = SketchCellStore(GRID, 2, alpha=16, beta=3, seed=1, delta=0.05)
-    nominal = store.nominal_bytes()
-    for p in rand_points(random.Random(0), 30, 8):
-        store.update(p, +1)
-    assert 0 < store.space_bytes() <= nominal
+    # below beta 1 a sketch has no point tables, nominally or in use
+    for beta in (3, 0):
+        store = SketchCellStore(GRID, 2, alpha=16, beta=beta, seed=1,
+                                delta=0.05)
+        nominal = store.nominal_bytes()
+        for p in rand_points(random.Random(0), 30, 8):
+            store.update(p, +1)
+        assert 0 < store.space_bytes() <= nominal
+    assert not store.point_state
+    assert nominal == 40 + store.rows * store.buckets * 24
     exact = ExactCellStore(GRID, 2, 16, 3)
     exact.update(Point((1, 1), 0), +1)
     assert exact.space_bytes() > 0
@@ -373,8 +378,9 @@ def test_blob_of_another_dimension_is_a_usage_error(backing):
 def test_merge_exact_equals_the_fold_on_signed_blobs(beta):
     # blobs of stores that saw deletions: a point's copies cancel across
     # blobs, a multiplicity and a cell count go negative, a cell's count
-    # returns to 0 while its points still ship; cell caps above, at and
-    # below the merged cell count
+    # returns to 0 while its points still ship (at beta 0 the stores keep
+    # and ship counts only); cell caps above, at and below the merged cell
+    # count
     rng = random.Random(41)
     pool = rand_points(rng, 40, 8)
     pool.insert(1, Point(pool[0].coords, 99))

@@ -32,9 +32,9 @@ def _check_reads_equal_the_fold(backing, shards, caps, base, seed):
     if caps is not None:
         params = _with_caps(lambda o: caps[0], lambda o: caps[1], params)
     grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), 8, 2)
-    coord = Coordinator(params, grid, seed, backing, False, 64)
+    coord = Coordinator(params, grid, seed, backing, False, n_max=64)
     # empty stores of the coordinator's layout, merged into blob by blob
-    fold = StreamEngine(params, grid, seed, backing, False, 64)
+    fold = StreamEngine(params, grid, seed, backing, False, n_max=64)
     for shard in shards:
         machine = Machine(shard, coord)
         for store, blob in zip(fold._stores.values(),

@@ -194,6 +194,45 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
         assert blob == ref.serialize()
 
 
+@pytest.mark.parametrize("backing", ["exact", "sketch"])
+def test_counting_stores_hold_and_ship_no_point(backing):
+    # at k = 3 and Delta = 64 two level-6 stores serve h alone: only hhat's
+    # points become entries, so after the stream and in every machine's
+    # blobs those stores hold counts only, and the modes still agree
+    params = derive(k=3, r=2, eps=0.4, eta=0.4, Delta=64, d=2,
+                    mode=PRACTICAL, scale=1e-6)
+    grid = GridHierarchy.from_seed(derive_seed(1, "shift"), 64, 2)
+    pts = rand_points(random.Random(1), 100, 64)
+    engine = StreamEngine(params, grid, 1, backing=backing, n_max=len(pts))
+    engine.process_stream((p, +1) for p in pts)
+    counting = [key for key, pairs in
+                engine.sampling.served(engine.o_values).items()
+                if all(fam != "hhat" for fam, _ in pairs)]
+    assert len(counting) == 2
+
+    def cells_and_points(store):
+        if backing == "exact":
+            return store.counts, store.points
+        return store.cell_state, store.point_state
+
+    for key in counting:
+        cells, points = cells_and_points(engine._stores[key])
+        assert cells and not points
+    coord = Coordinator(params, grid, 1, backing, n_max=len(pts))
+    for shard in (pts[i::4] for i in range(4)):
+        machine = Machine(shard, coord)
+        for key, blob in zip(coord._stores, machine.wire_messages()):
+            if key in counting:
+                cells, points = cells_and_points(deserialize(blob, grid))
+                assert cells and not points
+        coord.absorb(machine, ByteChannel())
+    offline = build_auto(pts, grid, params, 1, exact_counts=False)
+    for other in (engine.finalize(), coord.finalize()):
+        assert other == offline
+        assert other.meta.part_tau == offline.meta.part_tau
+        assert other.meta.structure.heavy == offline.meta.structure.heavy
+
+
 def test_absorb_rejects_a_machine_with_another_store_layout(rng):
     # a larger n_max adds guesses, and with them Sampling keys after the
     # others; caps that do not depend on the guess keep every store that
@@ -203,7 +242,7 @@ def test_absorb_rejects_a_machine_with_another_store_layout(rng):
     pts = dedup_points(rand_points(rng, 20, 8))
     grid = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
     for n_max in (32, 8000):
-        coord = Coordinator(params, grid, 8, "exact", False, 64)
+        coord = Coordinator(params, grid, 8, "exact", False, n_max=64)
         layout = StreamEngine(params, grid, 8, n_max=n_max)
         machine = Machine(pts, layout)
         assert len(layout._stores) != len(coord._stores)
@@ -368,7 +407,7 @@ def test_pooled_stores_read_like_one_store_per_guess(rng, backing, alpha):
     updates = [(p, +1) for p in pts] + [(p, -1) for p in pts[::4]]
     stream = StreamEngine(params, grid, 12, backing=backing, n_max=64)
     stream.process_stream(updates)
-    coord = Coordinator(params, grid, 12, backing, False, 64)
+    coord = Coordinator(params, grid, 12, backing, False, n_max=64)
     over = []
     for shard in (live[0::2], live[1::2]):
         machine = Machine(shard, coord)
@@ -439,7 +478,7 @@ def test_stream_finalize_reads_each_store_once(rng):
         reads.clear()
     # so does a merge: a coordinator finalized between two machines
     pts = rand_points(rng, 40, 8)
-    coord = Coordinator(RATE1, grid, 14, "exact", False, 64)
+    coord = Coordinator(RATE1, grid, 14, "exact", False, n_max=64)
     for end in (20, 40):
         coord.absorb(Machine(pts[end - 20:end], coord), ByteChannel())
         assert coord.finalize() == build_auto(pts[:end], grid, RATE1, 14,
@@ -511,7 +550,7 @@ def test_dist_fails_when_the_union_is_over_the_cell_cap():
     grid = GridHierarchy.from_seed(derive_seed(6, "shift"), 8, 2)
     engine = StreamEngine(capped, grid, 6, n_max=64)
     engine.process_stream((p, +1) for p in pts)
-    coord = Coordinator(capped, grid, 6, "exact", False, 64)
+    coord = Coordinator(capped, grid, 6, "exact", False, n_max=64)
     for shard in (pts[0::2], pts[1::2]):
         machine = Machine(shard, coord)
         assert all(deserialize(blob, grid).cell_count() <= 6

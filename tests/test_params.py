@@ -91,7 +91,7 @@ def test_caps_formulas():
                 if fam == "hhat":
                     assert beta == 4e6 * (2 + d_pow) * 9 * rate * q.T(i, o)
                 else:
-                    assert beta == 1.0
+                    assert beta == 0.0
     assert max(sampled.psi(0, o), sampled.psi_prime(0, o),
                sampled.phi(0, o)) < 1
     with pytest.raises(UsageError):

@@ -38,8 +38,8 @@ def _random_stream(rng, n_updates, Delta=8, delete_frac=0.3):
 
 def test_insert_then_delete_is_empty():
     grid = _grid(1)
-    engine = StreamEngine(RATE1, grid, seed=1)
-    empty = StreamEngine(RATE1, grid, seed=1).finalize()
+    engine = StreamEngine(RATE1, grid, seed=1, n_max=64)
+    empty = StreamEngine(RATE1, grid, seed=1, n_max=64).finalize()
     engine.process(Point((3, 3), 0), +1)
     engine.process(Point((3, 3), 0), -1)
     assert engine.finalize() == empty
@@ -47,7 +47,7 @@ def test_insert_then_delete_is_empty():
 
 
 def test_empty_stream_returns_empty_coreset():
-    engine = StreamEngine(RATE1, _grid(2), seed=2)
+    engine = StreamEngine(RATE1, _grid(2), seed=2, n_max=64)
     core = engine.finalize()
     assert len(core) == 0
     assert core.meta.o_attempts == ()
