@@ -3,9 +3,11 @@
 Both backings expose update / merge_in / finalize / serialize with identical
 observable semantics; finalize() FAILs above alpha nonempty cells (a
 common.Fail at the "store cell cap") and recovers the points of the cells
-of count at most beta, under the store's own caps.  A store that serves
-several guesses is sized by their largest caps; each guess's own caps
-apply to the read-out in the decision path (coreset.finalize_cells).
+of count at most beta, under the store's own caps, as a CellData: columns
+of lattices and counts and a point table, converted from the store's dicts
+once.  A store that serves several guesses is sized by their largest caps;
+each guess's own caps apply to the read-out in the decision path
+(coreset.finalize_cells).
 
 * ExactCellStore keeps plain dicts of signed cell counts and, per cell, of
   signed point multiplicities (none below beta 1); zero entries are dropped.
@@ -27,10 +29,10 @@ sorted columns, whether a store's dicts or a dist machine's shard columns
 sections are columnar (see encode_exact).  One parser (parse_exact) reads
 them back as numpy arrays (ExactBlob); ExactCellStore.deserialize builds a
 store from them, and merge_exact merges any number of them in columns
-into the CellData that merging their stores and finalizing gives, with
-light points drawn from one table of Points (point_table).  A truncated
-blob, one with bytes after its last section or record, or one made for
-another dimension is a usage error, with either backing.
+into the CellData that merging their stores and finalizing gives, whose
+point table is one table of Points over all of them (point_table).  A
+truncated blob, one with bytes after its last section or record, or one
+made for another dimension is a usage error, with either backing.
 """
 
 from __future__ import annotations
@@ -56,23 +58,61 @@ _PRIME = (1 << 61) - 1
 
 
 class CellData:
-    """Finalize output: nonempty cells, their counts, points of light cells."""
+    """Finalize output in columns: a level's nonempty cells, their counts
+    and the points of its light cells.
 
-    def __init__(self, level: int, cells: dict, light_points: dict):
+    lattices (m x d, int64) are the cells in lexicographic order, with their
+    int64 counts.  The light cells' points are rows of a table: cell c lists
+    the distinct points points[ids[e]] for e in offsets[c]:offsets[c + 1],
+    in sort_key order, each with mults[e] > 0 copies; a cell whose points
+    are not recovered (count above beta) has an empty range.  The producers
+    are the stores' finalize(), merge_exact and the offline builder's
+    columns (coreset.OfflineBuilder)."""
+
+    def __init__(self, level: int, lattices, counts, points, ids, mults,
+                 offsets):
         self.level = level
-        self.cells = cells              # lattice -> count
-        self.light_points = light_points  # lattice -> tuple of points
+        self.lattices = lattices
+        self.counts = counts
+        self.points = points
+        self.ids = ids
+        self.mults = mults
+        self.offsets = offsets
 
     def canonical(self):
-        return (
-            self.level,
-            tuple(sorted(self.cells.items())),
-            tuple((lat, tuple(sorted(pts)))
-                  for lat, pts in sorted(self.light_points.items())),
-        )
+        """(level, (lattice, count) per cell, (lattice, points) per cell
+        that lists points, each point once per copy), in tuples."""
+        cells = list(map(tuple, self.lattices.tolist()))
+        ids, mults = self.ids.tolist(), self.mults.tolist()
+        ends = self.offsets.tolist()
+        light = tuple(
+            (lat, tuple(self.points[i] for e in range(a, b)
+                        for i in [ids[e]] * mults[e]))
+            for lat, a, b in zip(cells, ends, ends[1:]) if b > a)
+        return (self.level, tuple(zip(cells, self.counts.tolist())), light)
 
     def __eq__(self, other):
         return isinstance(other, CellData) and self.canonical() == other.canonical()
+
+
+def _from_dicts(level: int, d: int, counts: dict, light: dict) -> CellData:
+    """The CellData of cell counts {lattice: count} and, per light cell, its
+    signed point multiplicities {point: multiplicity}; a point of
+    multiplicity below 1 is not listed."""
+    cells = sorted(counts)
+    points, mults, offsets = [], [], [0]
+    for lat in cells:
+        mine = light.get(lat, {})
+        for p in sorted(mine):
+            if mine[p] > 0:
+                points.append(p)
+                mults.append(mine[p])
+        offsets.append(len(points))
+    return CellData(level, np.array(cells, dtype=np.int64).reshape(-1, d),
+                    np.array([counts[c] for c in cells], dtype=np.int64),
+                    points, np.arange(len(points)),
+                    np.array(mults, dtype=np.int64),
+                    np.array(offsets, dtype=np.int64))
 
 
 def _check_compatible(a, b):
@@ -92,9 +132,11 @@ class ExactCellStore:
         self.counts: dict = {}
         self.points: dict = {}  # lattice -> {point: signed multiplicity}
 
-    def update(self, p: Point, sign: int, lat: tuple | None = None):
+    def update(self, p: Point, sign: int, lat: tuple | None = None,
+               code: int | None = None):
         """Add sign (a nonzero integer) copies of p; lat is p's lattice at
-        this level, computed when not given."""
+        this level, computed when not given; code, p's PointEncoder code,
+        serves the sketch store's update and is not read here."""
         if lat is None:
             lat = self.grid.lattice_of(p.coords, self.level)
         counts = self.counts
@@ -148,16 +190,9 @@ class ExactCellStore:
         cells of count at most beta."""
         if self.cell_count() > self.alpha:
             return Fail("store cell cap")
-        cells = dict(self.counts)
-        light = {}
-        for lat, cnt in cells.items():
-            if cnt <= self.beta:
-                mults = self.points.get(lat, {})
-                pts = []
-                for p in sorted(mults):
-                    pts.extend([p] * mults[p])
-                light[lat] = tuple(pts)
-        return CellData(self.level, cells, light)
+        return _from_dicts(self.level, self.grid.d, self.counts, {
+            lat: self.points.get(lat, {})
+            for lat, cnt in self.counts.items() if cnt <= self.beta})
 
     def serialize(self) -> bytes:
         d = self.grid.d
@@ -320,20 +355,13 @@ def merge_exact(store, blobs, ids, points):
     first[1:] = (pid[1:] != pid[:-1]) | (group[1:] != group[:-1])
     at = np.flatnonzero(first)
     mults = np.add.reduceat(mults, at) if len(at) else mults
-    # a light cell lists its points in sort_key order (point_table's),
-    # each once per copy
-    copies = np.maximum(mults, 0)
-    group, pid = np.repeat(group[at], copies), np.repeat(pid[at], copies)
-    kept = [points[i] for i in pid.tolist()]
-    lights = np.flatnonzero(light)
-    bounds = zip(np.searchsorted(group, lights).tolist(),
-                 np.searchsorted(group, lights, side="right").tolist())
-    lattices = lat[starts]
-    return CellData(
-        store.level,
-        dict(zip(_rows(lattices[nonzero]), counts[nonzero].tolist())),
-        {c: tuple(kept[a:b])
-         for c, (a, b) in zip(_rows(lattices[lights]), bounds)})
+    # a light cell lists its points of a positive multiplicity in
+    # sort_key order (point_table's)
+    listed, group, pid = mults > 0, group[at], pid[at]
+    offsets = np.append(0, np.cumsum(np.bincount(
+        group[listed], minlength=len(starts))[nonzero]))
+    return CellData(store.level, lat[starts][nonzero], counts[nonzero],
+                    points, pid[listed], mults[listed], offsets)
 
 
 def encode_exact(store, lattices, counts, sizes, entries) -> bytes:
@@ -421,24 +449,26 @@ class SketchCellStore:
         return (code * code + ab[0] * code + ab[1]) % _PRIME
 
     # --- updates ---------------------------------------------------------
-    def update(self, p: Point, sign: int, lat: tuple | None = None):
-        """Add sign copies of p; lat is p's lattice at this level, computed
-        when not given."""
+    def update(self, p: Point, sign: int, lat: tuple | None = None,
+               code: int | None = None):
+        """Add sign copies of p; lat is p's lattice at this level and code
+        its PointEncoder code (whose encode checks the domain), each
+        computed when not given."""
         if lat is None:
             lat = self.grid.lattice_of(p.coords, self.level)
-        code = self._cell_code(lat)
+        ccode = self._cell_code(lat)
         # the signed keysum and checksum terms every bucket of p adds
-        ckey, ccheck = sign * code, sign * self._check(self._h2, code)
+        ckey, ccheck = sign * ccode, sign * self._check(self._h2, ccode)
         pslots = []  # no cell lists its points below beta 1
         if self.beta >= 1:
-            pcode = self._enc.encode(p) + 1
+            pcode = (self._enc.encode(p) if code is None else code) + 1
             pkey, pcheck = sign * pcode, sign * self._check(self._p2, pcode)
             # a point's buckets do not depend on its cell's row
             pslots = [(prow, self._pair_hash(ab, pcode, self.pbuckets))
                       for prow, ab in enumerate(self._p1)]
         cell_state, point_state = self.cell_state, self.point_state
         for row, ab in enumerate(self._h1):
-            b = self._pair_hash(ab, code, self.buckets)
+            b = self._pair_hash(ab, ccode, self.buckets)
             _add(cell_state, (row, b), sign, ckey, ccheck)
             for prow, pb in pslots:
                 _add(point_state, (row, b, prow, pb), sign, pkey, pcheck)
@@ -485,8 +515,9 @@ class SketchCellStore:
         return self._peel(state, self._h1, self.buckets, self._h2, math.inf)
 
     def _cell_points(self, code: int, cnt: int, tables: dict):
-        """The cnt points of a cell, decoded from its first pure bucket;
-        tables maps each (row, bucket) to {(prow, pbucket): record}."""
+        """{point: copies} of the cnt points of a cell, decoded from its
+        first pure bucket; tables maps each (row, bucket) to
+        {(prow, pbucket): record}."""
         check = self._check(self._h2, code)
         for row, ab in enumerate(self._h1):
             b = self._pair_hash(ab, code, self.buckets)
@@ -500,9 +531,8 @@ class SketchCellStore:
                          self._enc.range)
         if pts is None or sum(pts.values()) != cnt:
             return None
-        return tuple(sorted((self._enc.decode(pcode - 1)
-                             for pcode, mult in pts.items() for _ in range(mult)),
-                            key=Point.sort_key))
+        return {self._enc.decode(pcode - 1): mult
+                for pcode, mult in pts.items()}
 
     def finalize(self):
         """CellData: FAIL when decoding fails or above alpha decoded cells,
@@ -524,7 +554,7 @@ class SketchCellStore:
                 light[lat] = self._cell_points(code, cnt, tables)
                 if light[lat] is None:
                     return Fail("sketch decoding")
-        return CellData(self.level, cells, light)
+        return _from_dicts(self.level, self.grid.d, cells, light)
 
     @staticmethod
     def _pack_rec(rec) -> bytes:

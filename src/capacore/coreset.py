@@ -4,7 +4,10 @@ finalize_cells is the decision path of every mode.  It reads the cell data
 of each (family, level) of a guess through a read function, marks cells
 from (estimated) counts, applies the caps, keeps parts whose estimated size
 reaches gamma*T_i(o), and retains the hhat-sampled points of each kept
-level-i part at weight exactly 1/phi_i per copy.  The offline builder, the
+level-i part at weight exactly 1/phi_i per copy.  It runs in numpy on the
+columns of cellstore.CellData (lattices, counts, a point table): the gates
+and the part filter are masks, and Python objects are made only for the
+entries of a guess that passes its gates.  The offline builder, the
 stream engine and the distributed coordinator only differ in the read
 function.
 A FAIL is a value, common.Fail, naming its gate.  search_o is the guess
@@ -23,9 +26,10 @@ estimates.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .geometry import (NO_TAG, TAG_SPACE, GridHierarchy, check_domain,
                        format_point, parse_point_line)
 from .hashing import KWiseHash, PointEncoder
 from .params import FAMILIES, Params, coreset_size_bound, parse_serialized
-from .partition import PartitionStructure, mark_cells
+from .partition import PartitionStructure, lattice_array, mark_cells
 
 __all__ = [
     "CoresetMeta", "WeightedCoreset", "OfflineBuilder", "build_for_o",
@@ -67,7 +71,7 @@ class WeightedCoreset:
     def __init__(self, entries, meta: CoresetMeta):
         # entries: (point, weight, level, part_j), canonically ordered (a
         # Point compares as its sort_key)
-        self.entries = sorted(entries, key=lambda e: (e[2], e[3], e[0]))
+        self.entries = sorted(entries, key=itemgetter(2, 3, 0))
         self.meta = meta
 
     def points(self):
@@ -198,7 +202,7 @@ def finalize_cells(sampling: Sampling, o: float, read, n: int):
             if is_fail(cells):
                 return cells
             data[(fam, lvl)] = cells
-    if any(len(data[(fam, lvl)].cells) > params.caps(fam, lvl, o)[0]
+    if any(len(data[(fam, lvl)].counts) > params.caps(fam, lvl, o)[0]
            for fam in FAMILIES for lvl in levels):
         return Fail("store cell cap")
     bank = SampleBank.build(sampling, o, data)
@@ -208,28 +212,35 @@ def finalize_cells(sampling: Sampling, o: float, read, n: int):
     tau_union, tau_part = bank.part_estimates(structure)
     if any(tau_union[lvl] > params.part_sum_cap(lvl, o) for lvl in levels):
         return Fail("part-sum cap")
-    qualifying = {part: tau for part, tau in tau_part.items()
-                  if tau >= params.gamma * params.T(part[0], o)}
-
     phi = {lvl: params.phi(lvl, o) for lvl in levels}
+    qualifying = {}  # qualifying (i, j) -> estimated size
     entries = []
     for lvl in levels:
+        js, taus = tau_part[lvl]
+        good = taus >= params.gamma * params.T(lvl, o)
+        if not good.any():
+            continue  # no part of the level qualifies, so none keeps points
+        js = js[good]
+        qualifying.update(zip(zip(repeat(lvl), js.tolist()),
+                              taus[good].tolist()))
+        # per part rank j, whether (lvl, j) qualifies; rank -1 reads the
+        # last slot, False
+        qualifies = np.zeros(len(structure.lattices[lvl - 1]) + 1, dtype=bool)
+        qualifies[js] = True
         hhat = data[("hhat", lvl)]
-        beta = params.caps("hhat", lvl, o)[1]
-        lats = list(hhat.cells)
-        kept = []  # each copy of a kept point, with its part
-        for lat, j in zip(lats, structure.crucial_ranks(lvl, lats)):
-            if (lvl, j) not in qualifying:
-                continue
-            if hhat.cells[lat] > beta:
-                return Fail("light-point recovery cap")
-            kept += [(p, j) for p in hhat.light_points[lat]]
-        # one entry per kept point, of weight 1/phi per copy
-        entries.extend((p, copies / phi[lvl], lvl, j)
-                       for (p, j), copies in Counter(kept).items())
+        ranks = structure.crucial_ranks(lvl, hhat.lattices)
+        kept = qualifies[ranks]
+        if (hhat.counts[kept] > params.caps("hhat", lvl, o)[1]).any():
+            return Fail("light-point recovery cap")
+        # one entry per point of a kept cell, of weight 1/phi per copy
+        cell = np.repeat(np.arange(len(kept)), np.diff(hhat.offsets))
+        rows = np.flatnonzero(kept[cell])
+        points = map(hhat.points.__getitem__, hhat.ids[rows].tolist())
+        entries.extend(zip(points, (hhat.mults[rows] / phi[lvl]).tolist(),
+                           repeat(lvl), ranks[cell[rows]].tolist()))
     if n > 0 and not entries:
         why = ("the h' estimator sample is empty"
-               if not any(data[("hp", lvl)].cells for lvl in levels)
+               if not any(len(data[("hp", lvl)].counts) for lvl in levels)
                else "no sampled point lies in a kept part")
         return Fail(f"empty-coreset gate: {why}")
     meta = CoresetMeta(params, sampling.seed, grid.shift_num, o, (o,),
@@ -245,9 +256,9 @@ def search_o(sampling: Sampling, n: int, build):
     FAILs it raises RuntimeError naming the gate of the last one."""
     guesses = o_grid(n, sampling.params)
     if not guesses:
-        structure = mark_cells({-1: {}}, sampling.params, 1.0, sampling.grid)
         meta = CoresetMeta(sampling.params, sampling.seed,
-                           sampling.grid.shift_num, 0.0, (), structure, {}, {},
+                           sampling.grid.shift_num, 0.0, (),
+                           PartitionStructure(sampling.grid, {}), {}, {},
                            sampling.exact_counts)
         return WeightedCoreset([], meta)
     for tried, o in enumerate(guesses, 1):
@@ -349,9 +360,9 @@ class OfflineBuilder:
 
     The input's columns (PointColumns) give each Sampling key's cell data,
     with copies counted as a stream or the dist machines count them: a
-    cell's count is its points' summed multiplicity, its light points list
-    each copy, and n is the input's length.  The cell data is cached under
-    the key, so guesses sharing a key share it."""
+    cell's count is its points' summed multiplicity, every cell lists its
+    points with their multiplicities, and n is the input's length.  The
+    cell data is cached under the key, so guesses sharing a key share it."""
 
     def __init__(self, points, grid: GridHierarchy, params: Params, seed: int,
                  exact_counts: bool = True):
@@ -364,16 +375,11 @@ class OfflineBuilder:
 
     def _cell_data(self, key: tuple) -> CellData:
         if key not in self._data:
-            rows, cells, _, counts = self.columns.cells(key)
-            # each kept point once per copy, cell by cell
-            copies = np.repeat(rows, self.columns.mults[rows]).tolist()
-            kept = [self.points[i] for i in copies]
-            ends, counts = np.cumsum(counts).tolist(), counts.tolist()
-            cells = [tuple(c) for c in cells.tolist()]
+            rows, cells, starts, counts = self.columns.cells(key)
+            # every cell lists its kept points: rows of columns.points
             self._data[key] = CellData(
-                key[1], dict(zip(cells, counts)),
-                {c: tuple(kept[e - m:e])
-                 for c, m, e in zip(cells, counts, ends)})
+                key[1], cells, counts, self.points, rows,
+                self.columns.mults[rows], np.append(starts, len(rows)))
         return self._data[key]
 
     def build_for_o(self, o: float):
@@ -489,8 +495,11 @@ def read_coreset(path) -> WeightedCoreset:
         if any(len(lat) != params.d for lat in cells):
             raise UsageError(f"{path}: malformed coreset header "
                              f"'heavy.{lvl}': a cell is not {params.d}-d")
-    for lvl in range(-1, grid.L):
-        heavy.setdefault(lvl, set())
+        try:
+            heavy[lvl] = lattice_array(cells, params.d)
+        except OverflowError:
+            raise UsageError(f"{path}: malformed coreset header 'heavy."
+                             f"{lvl}': a cell lies beyond int64") from None
     meta = CoresetMeta(
         params, _parsed(path, header, "seed", int), shift,
         _parsed(path, header, "o", float),

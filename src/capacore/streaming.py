@@ -23,8 +23,8 @@ suffix found by bisection.  Keys without a family keep every point
 therefore computes its lattice path once (GridHierarchy.path_of), encodes
 the point once (every hash shares Sampling.encoder), evaluates each hashed
 (family, level) polynomial on that code and caches no field value, and hands
-every store it writes the lattice of the store's level through the one store
-write, store.update(p, sign, lat).
+every store it writes the lattice of the store's level and that code through
+the one store write, store.update(p, sign, lat, code).
 
 Stream file format: one update per line, "+ x1 ... xd #tag" or
 "- x1 ... xd #tag" (U+2212 minus accepted).
@@ -94,13 +94,13 @@ class StreamEngine:
         self._data.clear()
         path = self.grid.path_of(p.coords)
         for lvl, store in self._keep_all:
-            store.update(p, sign, path[lvl])
+            store.update(p, sign, path[lvl], code)
         for lvl, hash_, thresholds, stores in self._hashed:
             # the stores with threshold above p's field value keep p
             first = bisect_right(thresholds, hash_.code_value(code))
             lat = path[lvl]
             for store in stores[first:]:
-                store.update(p, sign, lat)
+                store.update(p, sign, lat, code)
 
     def process_stream(self, updates):
         for p, sign in updates:

@@ -42,6 +42,20 @@ def floor_lattice(grid, coords, level: int) -> tuple:
                  for c, v in zip(coords, grid.shift_num))
 
 
+def cell_dicts(data) -> tuple:
+    """A CellData as dicts: {lattice: count}, and {lattice: its points,
+    each once per copy} over the cells that list points."""
+    _, cells, light = data.canonical()
+    return dict(cells), dict(light)
+
+
+def part_taus(tau_part) -> dict:
+    """SampleBank.part_estimates' per-level part columns as
+    {(level, j): estimate}."""
+    return {(lvl, j): tau for lvl, (js, taus) in tau_part.items()
+            for j, tau in zip(js.tolist(), taus.tolist())}
+
+
 @pytest.fixture
 def rng():
     return random.Random(12345)

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from capacore import cellstore
-from capacore.cellstore import (CellData, ExactCellStore, SketchCellStore,
-                                deserialize, make_store)
+from capacore.cellstore import (ExactCellStore, SketchCellStore, deserialize,
+                                make_store)
 from capacore.common import Fail, UsageError, is_fail
 from capacore.geometry import GridHierarchy, Point
 
-from conftest import rand_points
+from conftest import cell_dicts, rand_points
 
 GRID = GridHierarchy.from_seed(21, 8, 2)
 LEVEL = 2
@@ -25,6 +25,8 @@ def merge(a, b):
 
 
 def _reference_fold(updates, grid, level, alpha, beta):
+    """The CellData.canonical() of a store fed updates, or None above
+    alpha cells."""
     counts = {}
     pts = {}
     for p, sign in updates:
@@ -41,8 +43,9 @@ def _reference_fold(updates, grid, level, alpha, beta):
             expanded = []
             for p in sorted(pts[lat], key=lambda q: q.sort_key()):
                 expanded.extend([p] * pts[lat][p])
-            light[lat] = tuple(expanded)
-    return CellData(level, counts, light)
+            if expanded:
+                light[lat] = tuple(expanded)
+    return (level, tuple(sorted(counts.items())), tuple(sorted(light.items())))
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
@@ -53,7 +56,7 @@ def test_insert_delete_cancels(backing):
     store.update(Point((3, 3), 0), -1)
     after = store.finalize()
     assert after == empty
-    assert after.cells == {}
+    assert len(after.counts) == 0
 
 
 def _churned_stream(rng, pool):
@@ -122,10 +125,10 @@ def test_two_tags_count_two():
     store = ExactCellStore(GRID, LEVEL, 10, 5)
     store.update(Point((3, 3), 0), +1)
     store.update(Point((3, 3), 1), +1)
-    data = store.finalize()
+    cells, light = cell_dicts(store.finalize())
     lat = GRID.lattice_of((3, 3), LEVEL)
-    assert data.cells[lat] == 2
-    assert len(data.light_points[lat]) == 2
+    assert cells[lat] == 2
+    assert len(light[lat]) == 2
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
@@ -148,7 +151,7 @@ def test_replay_oracle_random_stream(backing, rng):
     got = store.finalize()
     want = _reference_fold(updates, GRID, LEVEL, 200, 4)
     assert not is_fail(got)
-    assert got == want
+    assert got.canonical() == want
 
 
 def test_exact_fail_iff_alpha_exceeded():
@@ -183,14 +186,13 @@ def test_beta_filters_light_cells():
     store.update(Point((1, 1), 0), +1)
     store.update(Point((1, 2), 1), +1)  # same level-3 cell? distinct coords
     store.update(Point((8, 8), 2), +1)
-    data = store.finalize()
-    for lat, cnt in data.cells.items():
+    cells, light = cell_dicts(store.finalize())
+    for lat, cnt in cells.items():
         if cnt <= 1:
-            assert lat in data.light_points
+            assert lat in light
         else:
-            assert lat not in data.light_points
-    assert sum(1 for cnt in data.cells.values() if cnt <= 1) == \
-        len(data.light_points)
+            assert lat not in light
+    assert sum(1 for cnt in cells.values() if cnt <= 1) == len(light)
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
@@ -412,8 +414,7 @@ def test_merge_exact_equals_the_fold_on_signed_blobs(beta):
         if is_fail(want):
             assert is_fail(got)
             continue
-        assert (got.cells, got.light_points) == \
-            (want.cells, want.light_points)
+        assert got == want
     with pytest.raises(UsageError, match="different level/caps/seeds"):
         cellstore.merge_exact(ExactCellStore(GRID, LEVEL, alpha, beta, seed=4),
                               parsed, ids, points)

@@ -15,7 +15,8 @@ from capacore.hashing import KWiseHash, PointEncoder
 from capacore.params import PRACTICAL, THEORY, coreset_size_bound, derive
 from capacore.partition import mark_cells
 
-from conftest import clustered_points, floor_lattice, rand_points
+from conftest import (cell_dicts, clustered_points, floor_lattice, part_taus,
+                      rand_points)
 
 RATE1 = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
                mode=PRACTICAL, scale=1e-6)
@@ -128,9 +129,9 @@ def test_offline_cell_data_matches_a_per_point_reference(d, log_delta, scale):
                                  []).extend([p] * points.count(p))
             data = builder._cell_data((fam, lvl, t))
             assert data.level == lvl
-            assert data.cells == {lat: len(pts) for lat, pts in light.items()}
-            assert data.light_points == {lat: tuple(pts)
-                                         for lat, pts in light.items()}
+            assert cell_dicts(data) == (
+                {lat: len(pts) for lat, pts in light.items()},
+                {lat: tuple(pts) for lat, pts in light.items()})
     # at scale 1e-57 some rate lies strictly between 0 and 1 on every
     # instance here, so hashed keys are checked too
     assert hashed or scale != 1e-57
@@ -225,7 +226,7 @@ def test_expected_size_monte_carlo(rng):
     o = probe.meta.o
     bank = ExactBank(pts, grid)
     structure = mark_cells(bank.counts_for_marking(), SAMPLING, o, grid)
-    _, tau_part = bank.part_estimates(structure)
+    tau_part = part_taus(bank.part_estimates(structure)[1])
     expected = 0.0
     variance = 0.0
     for part, size in tau_part.items():

@@ -145,3 +145,34 @@ def test_copies_count_alike_in_every_mode(backing):
     for other in (engine.finalize(), dist):
         assert other == offline
         assert other.meta.part_tau == offline.meta.part_tau
+
+
+# Delta = 2**40 at d = 1 and d = 3: d * (L + 2) bits exceed 63 at d = 3, so
+# no lattice packs into one int64 key.  With exact counts at these scales
+# phi < 1 at the finest level, where every entry lies; sampled counts at
+# 1e-6 keep every rate at 1.
+@pytest.mark.parametrize("d,scale,exact_counts,backing", [
+    (1, 3e-64, True, "exact"), (1, 3e-64, True, "sketch"),
+    (1, 1e-6, False, "exact"),
+    (3, 3e-69, True, "exact"), (3, 3e-69, True, "sketch"),
+    (3, 1e-6, False, "exact")])
+def test_modes_agree_in_other_dimensions(d, scale, exact_counts, backing):
+    Delta = 1 << 40
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=d,
+                    mode=PRACTICAL, scale=scale)
+    grid = GridHierarchy.from_seed(derive_seed(1, "shift"), Delta, d)
+    live = dedup_points(clustered_points(random.Random(d), 16, Delta, d=d,
+                                         spread=Delta / 64))
+    churn = [Point(p.coords, 100 + i) for i, p in enumerate(live[:6])]
+    updates = [(p, +1) for p in live + churn] + [(p, -1) for p in churn]
+    offline = build_auto(live, grid, params, 1, exact_counts=exact_counts)
+    engine = StreamEngine(params, grid, 1, backing=backing,
+                          exact_counts=exact_counts, n_max=len(live) + 6)
+    engine.process_stream(updates)
+    dist, _ = run_protocol([live[i::3] for i in range(3)], params, 1,
+                           backing=backing, exact_counts=exact_counts)
+    assert 0 < len(offline) and (len(offline) < len(live)) == exact_counts
+    for other in (engine.finalize(), dist):
+        assert other == offline
+        assert other.meta.part_tau == offline.meta.part_tau
+        assert other.meta.structure.heavy == offline.meta.structure.heavy

@@ -5,7 +5,8 @@ import pytest
 from capacore.geometry import (SHIFT_FRAC_BITS, GridHierarchy, Point, dist_pow,
                                sample_shift)
 from capacore.params import derive
-from capacore.partition import PartitionStructure, exact_counts, mark_cells
+from capacore.partition import (PartitionStructure, exact_counts,
+                                lattice_array, mark_cells)
 from capacore import oracle
 
 from conftest import clustered_points, floor_lattice, rand_points
@@ -24,7 +25,8 @@ def test_single_point_tiny_o_marks_full_chain():
     s, _ = _structure([p], grid, o=1e-9)
     for lvl in range(-1, grid.L):
         assert grid.lattice_of(p.coords, lvl) in s.heavy[lvl]
-    assert s.crucial_ranks(grid.L, [grid.lattice_of(p.coords, grid.L)]) == [0]
+    assert s.crucial_ranks(grid.L, lattice_array(
+        [grid.lattice_of(p.coords, grid.L)], 2)).tolist() == [0]
     assert s.part_of(p) == (grid.L, 0)
 
 
@@ -130,7 +132,8 @@ def test_part_of_cell_matches_part_of(rng):
         if part is None:
             continue
         i, j = part
-        assert s.crucial_ranks(i, [grid.lattice_of(p.coords, i)]) == [j]
+        assert s.crucial_ranks(i, lattice_array(
+            [grid.lattice_of(p.coords, i)], 2)).tolist() == [j]
 
 
 def test_root_heavy_whenever_o_below_opt(rng):
@@ -185,13 +188,16 @@ def test_part_of_matches_a_per_level_walk(d, log_delta):
         for p in rng.sample(points, 5):
             lvl = rng.randrange(0, grid.L)
             heavy[lvl].add(floor_lattice(grid, p.coords, lvl))
-        structure = PartitionStructure(grid, heavy)
+        structure = PartitionStructure(grid, {
+            lvl: lattice_array(cells, d) for lvl, cells in heavy.items()})
         parts = [structure.part_of(p) for p in points]
         assert parts == [_walk_part(structure, grid, p) for p in points]
         assert heavy[-1] and all(part is not None for part in parts)
         levels.update(part[0] for part in parts)
         # a root that is not heavy owns no part
-        no_root = PartitionStructure(grid, {**heavy, -1: set()})
+        no_root = PartitionStructure(grid, {
+            lvl: lattice_array(cells if lvl >= 0 else (), d)
+            for lvl, cells in heavy.items()})
         assert all(no_root.part_of(p) is None for p in points)
     # the markings reach parts on more than one level (at Delta = 2 a
     # marking may leave every point on the same one)

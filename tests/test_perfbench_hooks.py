@@ -61,8 +61,9 @@ def test_tracer_wraps_and_restores_every_hook():
 
 
 def test_hooks_stay_on_the_build_path(rng):
-    # the per-guess build and the per-store read-out are timed through
-    # these hooks: a build that goes round them reads as zero work
+    # the per-guess build, the per-store read-out and the decision path's
+    # layers are timed through these hooks: a build that goes round them
+    # reads as zero work
     params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
                     mode=PRACTICAL, scale=1e-6)
     grid = GridHierarchy.from_seed(derive_seed(1, "shift"), 8, 2)
@@ -88,7 +89,9 @@ def test_hooks_stay_on_the_build_path(rng):
         for mode, (build, hooks) in builds.items():
             tracer.reset()
             build()
-            for name in hooks:
+            for name in hooks + ["partition.mark_cells",
+                                 "estimator.part_estimates",
+                                 "estimator.SampleBank.build"]:
                 assert tracer.calls(name) >= 1, (mode, name)
     finally:
         tracer.uninstall()
