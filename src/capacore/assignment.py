@@ -7,6 +7,24 @@ the split points to their nearest centers, per-level canonicalization by
 switching tied pairs into alphabetic order, half-space extraction, and
 finally the transferred assignment that extends the canonicalized coreset
 assignment to the full input.
+
+Every step reads one dist^r table per point set: an (n, k) numpy array of
+the points' distances to the centers, each entry equal to dist_pow.  For
+r = 2 the entries are exact integers, held in int64 when the largest
+squared distance the coordinates allow (axis by axis), times FLOW_SCALE,
+lies below 2^63, and as Python ints otherwise; r = 1 takes np.sqrt of the
+float64 squares and any other r Python's float ** (r / 2) per entry, as
+dist_pow does.  Scaled flow costs round each entry times the scale half to
+even (np.rint, as Python's round), and a pair key dist^r(x, z_i) -
+dist^r(x, z_j) is a difference of two columns.
+
+transfer_full runs over the input in columns: each point's part in one
+pass per level (PartitionStructure.parts), each level's half-spaces as
+masks, the parts' estimated region masses b by one np.bincount in entry
+order (so each sum runs left to right, as a loop would add them).  Its
+mapping keeps the insertion order of the per-point rule: the kept parts in
+the order they first appear in the input, input order within a part, then
+the points outside every kept part, whose cost() sums in that order.
 """
 
 from __future__ import annotations
@@ -15,10 +33,13 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .common import INFEASIBLE, UsageError, is_infeasible
 from .geometry import Point, alph_less, dist_pow
 
 FLOW_SCALE = 1 << 20  # weight/cost quantization inside the flow solver
+_INT64_LIMIT = 1 << 63
 
 
 class MinCostFlow:
@@ -237,6 +258,89 @@ def nearest_center_index(p: Point, centers) -> int:
     return best
 
 
+# --- the dist^r table ----------------------------------------------------------
+
+def coord_array(points, d: int) -> np.ndarray:
+    """The points' coordinates as an (n, d) array: int64, or object (the
+    Python numbers themselves) when a coordinate is not an int64 integer."""
+    rows = [p.coords for p in points]
+    if not rows:
+        return np.empty((0, d), dtype=np.int64)
+    try:
+        coords = np.array(rows)
+    except ValueError:
+        coords = None
+    if coords is None or coords.ndim != 2 or coords.shape[1] != d:
+        raise UsageError("dimension mismatch between points")
+    if coords.dtype != np.int64:
+        coords = np.empty((len(rows), d), dtype=object)
+        coords[:] = rows
+    return coords
+
+
+def squared_dists(coords, center_coords) -> np.ndarray:
+    """(n, k) exact squared distances, summed axis by axis as dist_pow sums
+    them: int64 when the largest the coordinates allow (the per-axis
+    largest point-center gaps, squared and summed) times FLOW_SCALE lies
+    below 2^63, Python ints otherwise."""
+    n, k = len(coords), len(center_coords)
+    if not n or not k:
+        return np.zeros((n, k), dtype=np.int64)
+    x, z = coords, center_coords
+    if x.dtype == z.dtype == np.int64:
+        gaps = [max(int(x[:, a].max()) - int(z[:, a].min()),
+                    int(z[:, a].max()) - int(x[:, a].min()))
+                for a in range(x.shape[1])]
+        if sum(g * g for g in gaps) * FLOW_SCALE >= _INT64_LIMIT:
+            x, z = x.astype(object), z.astype(object)
+    else:
+        x, z = x.astype(object), z.astype(object)
+    sq = np.empty((n, k), dtype=x.dtype)
+    for j in range(k):
+        diff = x - z[j]
+        col = diff[:, 0] * diff[:, 0]
+        for a in range(1, x.shape[1]):
+            col = col + diff[:, a] * diff[:, a]
+        sq[:, j] = col
+    return sq
+
+
+def dist_power(sq, r) -> np.ndarray:
+    """dist^r from squared distances, entry by entry equal to dist_pow:
+    the squares themselves for r = 2, np.sqrt of their float64 values for
+    r = 1, Python's float ** (r / 2) for any other r (np.power may differ
+    in the last bit)."""
+    if r == 2:
+        return sq
+    flat = sq.astype(np.float64)  # rounded to nearest, as float() rounds
+    if r == 1:
+        return np.sqrt(flat)
+    e = r / 2.0
+    return np.array([v ** e for v in flat.ravel().tolist()],
+                    dtype=np.float64).reshape(sq.shape)
+
+
+def dist_table(points, centers, r) -> np.ndarray:
+    """The (n, k) dist^r table of points to centers."""
+    d = len(centers[0].coords) if centers else \
+        (len(points[0].coords) if points else 0)
+    return dist_power(squared_dists(coord_array(points, d),
+                                    coord_array(centers, d)), r)
+
+
+def scaled_costs(table, scale) -> list:
+    """round(dist^r * scale) per entry, rows as lists of Python ints."""
+    if table.dtype == np.int64 and isinstance(scale, int) and \
+            (not table.size or int(table.max()) * scale < _INT64_LIMIT):
+        return (table * scale).tolist()
+    if table.dtype == np.float64:
+        with np.errstate(over="ignore"):  # inf: round() below raises
+            scaled = np.rint(table * scale)
+        if np.all(np.abs(scaled) < _INT64_LIMIT):
+            return scaled.astype(np.int64).tolist()
+    return [[round(v * scale) for v in row] for row in table.tolist()]
+
+
 @dataclass
 class Assignment:
     centers: tuple
@@ -298,16 +402,18 @@ def fractional_assign(points, weights, centers, t_cap, r,
         raise UsageError(f"capacity must not be NaN or -inf, got {t_cap}")
     w_scaled = {p: round(weights[p] * scale) for p in pts}
     total = sum(w_scaled.values())
+    d = len(centers[0].coords)
+    sq = squared_dists(coord_array(pts, d), coord_array(centers, d))
     if t_cap == float("inf"):
-        shares = {p: {nearest_center_index(p, centers): w_scaled[p]} for p in pts}
+        nearest = np.argmin(sq, axis=1).tolist()
+        shares = {p: {j: w_scaled[p]} for p, j in zip(pts, nearest)}
         return FractionalAssignment(centers, r, weights, shares, scale)
     t_scaled = round(t_cap * scale)
     if total > k * t_scaled:
         return INFEASIBLE
     solver = TransportSolver([t_scaled] * k)
-    for p in pts:
-        if not solver.insert([round(dist_pow(p, z, r) * scale) for z in centers],
-                             w_scaled[p]):
+    for p, costs in zip(pts, scaled_costs(dist_power(sq, r), scale)):
+        if not solver.insert(costs, w_scaled[p]):
             return INFEASIBLE
     # centers in index order, the order cost() and integralize walk them
     shares = {p: dict(sorted(alloc.items()))
@@ -430,40 +536,78 @@ def region_of(x: Point, halfspaces: dict, k: int) -> int:
     return 0
 
 
-def extract_halfspaces(points, mapping: dict, centers, r) -> dict:
-    """Cutoffs separating each assigned pair; valid once switching has run."""
+def extract_halfspaces(points, mapping: dict, centers, r, table=None) -> dict:
+    """Cutoffs separating each assigned pair; valid once switching has run.
+
+    table: the points' dist_table, made here when not given."""
     k = len(centers)
+    if table is None:
+        table = dist_table(points, centers, r)
+    at = np.array([mapping[p] for p in points], dtype=np.int64)
     out = {}
     for i in range(k):
         for j in range(i + 1, k):
-            mine = [p for p in points if mapping[p] == i]
-            theirs = [p for p in points if mapping[p] == j]
-            if not mine:
+            mine = np.flatnonzero(at == i)
+            if not len(mine):
                 out[(i, j)] = HalfSpace(centers[i], centers[j], r, "none")
-            elif not theirs:
+            elif not (at == j).any():
                 out[(i, j)] = HalfSpace(centers[i], centers[j], r, "all")
             else:
-                border = max(mine, key=lambda p: (
-                    pair_key(p, centers[i], centers[j], r), p.sort_key()))
-                out[(i, j)] = HalfSpace(
-                    centers[i], centers[j], r, "cut",
-                    pair_key(border, centers[i], centers[j], r), border)
+                # the largest (pair key, sort key) among the points at i
+                keys = table[mine, i] - table[mine, j]
+                top = np.flatnonzero(keys == keys.max()).tolist()
+                at_top = max(top, key=lambda t: points[mine[t]].sort_key())
+                out[(i, j)] = HalfSpace(centers[i], centers[j], r, "cut",
+                                        keys[at_top:at_top + 1].tolist()[0],
+                                        points[mine[at_top]])
+    return out
+
+
+def regions(table, coords, tags, halfspaces: dict) -> np.ndarray:
+    """region_of over rows: each row's region index in 0..k, from its
+    dist_table row, its coordinates and its tag.  The half-spaces are
+    masks (key < cut_key, and on an equal key the sort key at most the cut
+    point's); a row's region is the first i whose k-1 memberships all
+    hold, else 0."""
+    m, k = table.shape
+    contains = {}
+    for (i, j), hs in halfspaces.items():
+        if hs.kind != "cut":
+            contains[(i, j)] = np.full(m, hs.kind == "all")
+            continue
+        keys = table[:, i] - table[:, j]
+        tied = keys == hs.cut_key
+        # (coords, tag) <= the cut point's, lexicographically
+        less, equal = np.zeros(m, dtype=bool), np.ones(m, dtype=bool)
+        for a, c in enumerate(hs.cut_point.coords):
+            less |= equal & (coords[:, a] < c)
+            equal &= coords[:, a] == c
+        at_most = less | (equal & (tags <= hs.cut_point.tag))
+        contains[(i, j)] = (keys < hs.cut_key) | (tied & at_most)
+    out = np.zeros(m, dtype=np.int64)
+    for i in range(k - 1, -1, -1):
+        member = np.ones(m, dtype=bool)
+        for j in range(k):
+            if j != i:
+                member &= contains[(i, j)] if i < j else ~contains[(j, i)]
+        out[member] = i + 1
     return out
 
 
 # --- canonicalization --------------------------------------------------------
 
-def _min_cost_same_sizes(points, centers, sizes, r):
-    """Min-cost reassignment with the exact per-center point counts."""
+def _min_cost_same_sizes(points, sizes, table):
+    """Min-cost reassignment with the exact per-center point counts; table
+    is the points' dist_table."""
     solver = TransportSolver(sizes)
-    for p in points:
-        costs = [round(dist_pow(p, z, r) * FLOW_SCALE) for z in centers]
+    for costs in scaled_costs(table, FLOW_SCALE):
         if not solver.insert(costs, 1):
             raise AssertionError("size-preserving reassignment infeasible")
     return {p: next(iter(share)) for p, share in zip(points, solver.shares)}
 
 
-def switch_ties(points, mapping: dict, centers, r, audit: list | None = None):
+def switch_ties(points, mapping: dict, centers, r, audit: list | None = None,
+                table=None):
     """Reorder tied pairs so alphabetically smaller points sit at lower centers.
 
     Each scan takes the pairs (i, j) in order and the points of i in input
@@ -471,10 +615,13 @@ def switch_ties(points, mapping: dict, centers, r, audit: list | None = None):
     equal pair key (the first such q in input order), then starts over.
     Strict key inversions cannot occur at min cost; each executed switch
     strictly decreases the rank potential, which bounds the loop.
+    table: the points' dist_table, made here when not given.
     """
     k = len(centers)
+    if table is None:
+        table = dist_table(points, centers, r)
     rank = {p: n for n, p in enumerate(sorted(points, key=lambda q: q.sort_key()))}
-    keys = {(i, j): {p: pair_key(p, centers[i], centers[j], r) for p in points}
+    keys = {(i, j): dict(zip(points, (table[:, i] - table[:, j]).tolist()))
             for i in range(k) for j in range(i + 1, k)}
     potential = sum((k - mapping[p]) * rank[p] for p in points) \
         if audit is not None else None
@@ -520,11 +667,14 @@ def canonicalize(by_level: dict, centers, r, audit: list | None = None):
             sizes = [0] * k
             for p in pts:
                 sizes[mapping[p]] += 1
-            remapped = _min_cost_same_sizes(pts, centers, sizes, r)
-            remapped = switch_ties(pts, remapped, centers, r, audit)
+            table = dist_table(pts, centers, r)
+            remapped = _min_cost_same_sizes(pts, sizes, table)
+            remapped = switch_ties(pts, remapped, centers, r, audit,
+                                   table=table)
         else:
-            remapped = {}
-        halfspaces[lvl] = extract_halfspaces(pts, remapped, centers, r)
+            remapped, table = {}, None
+        halfspaces[lvl] = extract_halfspaces(pts, remapped, centers, r,
+                                             table=table)
         for p in pts:
             out_map[p] = remapped[p]
             out_weights[p] = weights[p]
@@ -533,60 +683,94 @@ def canonicalize(by_level: dict, centers, r, audit: list | None = None):
 
 # --- transferred assignment over the full input ------------------------------
 
-def transferred_assignment(points, centers, halfspaces, b_vec, xi,
-                           T) -> dict:
-    """Direct transfer rule: region centers with enough estimated mass,
-    everything else to the heaviest region's center."""
-    k = len(centers)
-    i_star = max(range(1, k + 1), key=lambda i: (b_vec[i], -i))
-    mapping = {}
-    for p in points:
-        region = region_of(p, halfspaces, k)
-        if region >= 1 and b_vec[region] >= 2 * xi * T:
-            mapping[p] = region - 1
-        else:
-            mapping[p] = i_star - 1
-    return mapping
+def transferred_assignment(region, part, b, threshold) -> np.ndarray:
+    """The direct transfer rule, over points of kept parts: a point in
+    region i >= 1 of its part goes to center i - 1 when the part's estimated
+    mass b[part, i] reaches the part's threshold (2 xi T), every other point
+    to the center of its part's heaviest region (the smallest i on ties).
+
+    region, part: per point; b: (parts, k + 1) masses, column 0 the mass
+    outside every region; threshold: per part."""
+    heaviest = np.argmax(b[:, 1:], axis=1)
+    enough = (region >= 1) & (b[part, region] >= threshold[part])
+    return np.where(enough, region - 1, heaviest[part])
 
 
 def transfer_full(full_points, coreset, halfspaces_by_level, centers):
     """Assignment of the whole input from the canonicalized coreset assignment.
 
     Points of kept parts follow the transferred assignment of their part;
-    points outside every kept part go to their nearest center.
+    points outside every kept part go to their nearest center.  The input
+    points and the coreset's entries share one dist^r table.
     """
     meta = coreset.meta
     params = meta.params
+    structure = meta.structure
     k = len(centers)
-    weights_by_part: dict = {}
-    for p, w, lvl, j in coreset.entries:
-        weights_by_part.setdefault((lvl, j), []).append((p, w))
+    n = len(full_points)
+    entries = coreset.entries
+    points = list(full_points) + [e[0] for e in entries]
+    coords = coord_array(points, params.d)
+    tags = np.array([p.tag for p in points], dtype=np.int64)
+    sq = squared_dists(coords, coord_array(centers, params.d))
+    table = dist_power(sq, params.r)
 
-    part_maps = {}
-    for part in meta.part_tau:
-        lvl = part[0]
-        hs = halfspaces_by_level.get(lvl, {})
-        b_vec = [0.0] * (k + 1)
-        for p, w in weights_by_part.get(part, ()):
-            b_vec[region_of(p, hs, k)] += w
-        T = 0.5 * params.gamma * params.T(lvl, meta.o)
-        part_maps[part] = (hs, b_vec, T)
+    # per row, the index of its kept part in part_tau's order, or -1; an
+    # input point's part (i, j) is row offset[i] + j of a table over the
+    # heavy cells of levels -1 .. L-1 (j ranks a heavy cell of level i - 1)
+    kept = list(meta.part_tau)
+    sizes = [len(structure.lattices[lvl]) for lvl in range(-1, structure.L)]
+    offset = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    lookup = np.full(offset[-1], -1, dtype=np.int64)
+    for m, (lvl, jj) in enumerate(kept):
+        if 0 <= lvl <= structure.L and 0 <= jj < sizes[lvl]:
+            lookup[offset[lvl] + jj] = m
+    level, j = structure.parts(coords[:n])
+    part = np.full(len(points), -1, dtype=np.int64)
+    inside = np.flatnonzero(level >= 0)
+    part[inside] = lookup[offset[level[inside]] + j[inside]]
+    index = {kp: m for m, kp in enumerate(kept)}
+    part[n:] = [index.get((lvl, jj), -1) for _, _, lvl, jj in entries]
+    level = np.concatenate([level, np.array([e[2] for e in entries],
+                                            dtype=np.int64)])
 
-    groups: dict = {}
-    uncovered = []
-    for p in full_points:
-        part = meta.structure.part_of(p)
-        if part is not None and part in part_maps:
-            groups.setdefault(part, []).append(p)
-        else:
-            uncovered.append(p)
-    mapping = {}
-    for part, pts in groups.items():
-        hs, b_vec, T = part_maps[part]
-        mapping.update(transferred_assignment(
-            pts, centers, hs, b_vec, params.xi, T))
-    for p in uncovered:
-        mapping[p] = nearest_center_index(p, centers)
+    region = np.zeros(len(points), dtype=np.int64)
+    for lvl in np.flatnonzero(np.bincount(level[part >= 0])).tolist():
+        rows = np.flatnonzero((level == lvl) & (part >= 0))
+        hs = halfspaces_by_level.get(lvl)
+        if hs is None:
+            # a level without coreset entries: the half-spaces of no point
+            hs = extract_halfspaces([], {}, centers, params.r)
+        region[rows] = regions(table[rows], coords[rows], tags[rows], hs)
+
+    # b: per kept part, the entries' weights by region, in entry order
+    ent = np.arange(n, len(points))[part[n:] >= 0]
+    w = np.array([e[1] for e in entries], dtype=np.float64)[ent - n]
+    b = np.bincount(part[ent] * (k + 1) + region[ent], weights=w,
+                    minlength=len(kept) * (k + 1)).reshape(len(kept), k + 1)
+    # per kept part, 2 xi T with T = gamma T_i(o) / 2
+    per_level = {lvl: 2 * params.xi * (0.5 * params.gamma
+                                       * params.T(lvl, meta.o))
+                 for lvl in {lvl for lvl, _ in kept}}
+    threshold = np.array([per_level[lvl] for lvl, _ in kept],
+                         dtype=np.float64)
+
+    center = np.empty(n, dtype=np.int64)
+    covered = np.flatnonzero(part[:n] >= 0)
+    center[covered] = transferred_assignment(region[covered], part[covered],
+                                             b, threshold)
+    uncovered = np.flatnonzero(part[:n] < 0)
+    center[uncovered] = np.argmin(sq[uncovered], axis=1)
+
+    # kept parts in order of first appearance, input order within a part,
+    # then the uncovered points
+    first = np.full(len(kept), n, dtype=np.int64)
+    np.minimum.at(first, part[covered], covered)
+    rank = np.full(n, n, dtype=np.int64)
+    rank[covered] = first[part[covered]]
+    order = np.argsort(rank, kind="stable").tolist()
+    mapping = dict(zip([full_points[m] for m in order],
+                       center[order].tolist()))
     weights = {p: 1.0 for p in full_points}
     return Assignment(tuple(centers), params.r, mapping, weights)
 

@@ -10,9 +10,10 @@ Cells are held in columns: a level's lattices are the rows of an (m, d)
 int64 array in lexicographic order.  Lattices are joined through
 lattice_keys, one fixed-width bytes key per row that sorts as the rows do,
 so np.searchsorted finds a lattice's rank among sorted lattices for every d
-and Delta.  mark_cells and crucial_ranks, the decision path's marking, run
-on these arrays; PartitionStructure's tuple-set view (heavy, heavy_index,
-part_of) is made on first use, for the accepted coreset.
+and Delta.  mark_cells and crucial_ranks, the decision path's marking, and
+parts, the transfer's part of every input point, run on these arrays;
+PartitionStructure's tuple-set view (heavy) is made on first use, for the
+coreset file.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import GridHierarchy, Point
+from .geometry import GridHierarchy
 
 _SIGN = np.int64(-1 << 63)
 
@@ -62,12 +63,6 @@ class PartitionStructure:
         return {lvl: frozenset(map(tuple, lats.tolist()))
                 for lvl, lats in self.lattices.items()}
 
-    @cached_property
-    def heavy_index(self) -> dict:
-        """level -> {heavy lattice tuple: its rank j, lexicographic}."""
-        return {lvl: dict(zip(map(tuple, lats.tolist()), range(len(lats))))
-                for lvl, lats in self.lattices.items()}
-
     def heavy_count(self) -> int:
         return sum(len(lats) for lats in self.lattices.values())
 
@@ -93,21 +88,32 @@ class PartitionStructure:
             ranks[self.rank(level, lattices) >= 0] = -1
         return ranks
 
-    def part_of(self, p: Point):
-        """Part (i, j) owning p, or None when p's root cell is not heavy.
+    def parts(self, coords):
+        """Per row of coords ((n, d) int64 points), its part (i, j) as two
+        int64 arrays, or -1 in both where the row's root cell is not heavy.
 
-        The levels come from one lattice path, the root from level 0 by the
-        parent rule."""
-        heavy = self.heavy
-        path = self.grid.path_of(p.coords)
-        prev = tuple([(t + 1) >> 1 for t in path[0]])
-        if prev not in heavy[-1]:
-            return None
-        for i, lat in enumerate(path):
-            if i == self.L or lat not in heavy[i]:
-                return (i, self.heavy_index[i - 1][prev])
-            prev = lat
-        raise AssertionError("unreachable: level-L cells are never heavy")
+        A part is read off the row's lattice path: the first level i whose
+        cell is not heavy (level L never is), and the rank j of its parent
+        among the heavy cells of level i - 1.  One rank join per level, over
+        the rows still on heavy cells; the levels are the level-L lattice
+        shifted right, the root that of level 0 by the parent rule."""
+        n = len(coords)
+        level = np.full(n, -1, dtype=np.int64)
+        part_j = np.full(n, -1, dtype=np.int64)
+        lats = coords - 1 - np.array(self.grid.off, dtype=np.int64)
+        prev = self.rank(-1, parents(lats >> self.L, 0))
+        rows = np.flatnonzero(prev >= 0)
+        prev = prev[rows]
+        for i in range(self.L + 1):
+            if not len(rows):
+                break
+            here = self.rank(i, lats[rows] >> (self.L - i)) if i < self.L \
+                else np.full(len(rows), -1, dtype=np.int64)
+            stop = here < 0
+            level[rows[stop]] = i
+            part_j[rows[stop]] = prev[stop]
+            rows, prev = rows[~stop], here[~stop]
+        return level, part_j
 
 
 def mark_cells(counts: dict, params, o: float, grid: GridHierarchy) -> PartitionStructure:

@@ -42,6 +42,28 @@ def floor_lattice(grid, coords, level: int) -> tuple:
                  for c, v in zip(coords, grid.shift_num))
 
 
+def heavy_index(structure) -> dict:
+    """level -> {heavy lattice tuple: its rank j, lexicographic}."""
+    return {lvl: dict(zip(map(tuple, lats.tolist()), range(len(lats))))
+            for lvl, lats in structure.lattices.items()}
+
+
+def part_of(structure, p):
+    """The part (i, j) owning p, or None when p's root cell is not heavy:
+    the scalar reference of PartitionStructure.parts.  The levels come
+    from one lattice path, the root from level 0 by the parent rule."""
+    heavy, index = structure.heavy, heavy_index(structure)
+    path = structure.grid.path_of(p.coords)
+    prev = tuple([(t + 1) >> 1 for t in path[0]])
+    if prev not in heavy[-1]:
+        return None
+    for i, lat in enumerate(path):
+        if i == structure.L or lat not in heavy[i]:
+            return (i, index[i - 1][prev])
+        prev = lat
+    raise AssertionError("unreachable: level-L cells are never heavy")
+
+
 def cell_dicts(data) -> tuple:
     """A CellData as dicts: {lattice: count}, and {lattice: its points,
     each once per copy} over the cells that list points."""

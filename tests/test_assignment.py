@@ -2,23 +2,26 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from capacore import oracle
 from capacore.assignment import (FLOW_SCALE, Assignment, FractionalAssignment,
                                  HalfSpace, MinCostFlow, TransportSolver,
                                  _min_cost_same_sizes, assignment_from_coreset,
-                                 canonicalize, extract_halfspaces,
-                                 fractional_assign, halfspace_member,
-                                 integralize, nearest_center_index, pair_key,
-                                 region_of, switch_ties, transfer_full,
+                                 canonicalize, coord_array, dist_table,
+                                 extract_halfspaces, fractional_assign,
+                                 halfspace_member, integralize,
+                                 nearest_center_index, pair_key, region_of,
+                                 regions, scaled_costs, squared_dists,
+                                 switch_ties, transfer_full,
                                  transferred_assignment)
-from capacore.common import derive_seed, is_infeasible
-from capacore.coreset import build_auto, dedup_points
+from capacore.common import UsageError, derive_seed, is_infeasible
+from capacore.coreset import WeightedCoreset, build_auto, dedup_points
 from capacore.geometry import GridHierarchy, Point, alph_less, dist_pow
 from capacore.params import PRACTICAL, derive
 
-from conftest import clustered_points, rand_points
+from conftest import clustered_points, part_of, rand_points
 
 
 def _unit_weights(points):
@@ -405,7 +408,7 @@ def test_switch_ties_matches_restart_reference():
             sizes = [0] * k
             for p in pts:
                 sizes[rng.randrange(k)] += 1
-            mapping = _min_cost_same_sizes(pts, Z, sizes, 2)
+            mapping = _min_cost_same_sizes(pts, sizes, dist_table(pts, Z, 2))
         want_audit, got_audit = [], []
         want = _switch_ties_reference(pts, dict(mapping), Z, 2, want_audit)
         got = switch_ties(pts, dict(mapping), Z, 2, got_audit)
@@ -435,13 +438,21 @@ def _reference_def39(points, centers, halfspaces, b_vec, xi, T):
     return out
 
 
+def _transfer_one_part(pts, halfspaces, b, xi, T):
+    """transferred_assignment over the points of one part, their regions
+    from region_of."""
+    region = np.array([region_of(p, halfspaces, len(b) - 1) for p in pts])
+    return transferred_assignment(region, np.zeros(len(pts), dtype=np.int64),
+                                  np.array([b]), np.array([2 * xi * T]))
+
+
 def test_transfer_all_mass_one_region(rng):
     Z = (Point((2, 2)), Point((7, 7)))
     pts = [Point((x, y), 10 * x + y) for x in (1, 2) for y in (1, 2)]
     hs = extract_halfspaces(pts, {p: 0 for p in pts}, Z, 2)
     b = [0.0, 10.0, 0.0]
-    mapping = transferred_assignment(pts, Z, hs, b, xi=0.01, T=10)
-    assert all(v == 0 for v in mapping.values())
+    mapping = _transfer_one_part(pts, hs, b, xi=0.01, T=10)
+    assert all(v == 0 for v in mapping.tolist())
 
 
 def test_transfer_fallback_when_all_small(rng):
@@ -450,8 +461,8 @@ def test_transfer_fallback_when_all_small(rng):
     hs = extract_halfspaces(pts, {p: nearest_center_index(p, Z) for p in pts},
                             Z, 2)
     b = [0.0, 0.004, 0.005]
-    mapping = transferred_assignment(pts, Z, hs, b, xi=0.5, T=10)
-    assert all(v == 1 for v in mapping.values())  # i* = argmax b = center 2
+    mapping = _transfer_one_part(pts, hs, b, xi=0.5, T=10)
+    assert all(v == 1 for v in mapping.tolist())  # i* = argmax b = center 2
 
 
 def test_transfer_full_matches_reference(rng):
@@ -478,16 +489,192 @@ def test_transfer_full_matches_reference(rng):
                 b_vec[region_of(p, hs, 2)] += w
             T = 0.5 * params.gamma * params.T(lvl, core.meta.o)
             part_points = [p for p in pts
-                           if core.meta.structure.part_of(p) == part]
+                           if part_of(core.meta.structure, p) == part]
             ref = _reference_def39(part_points, Z, hs, b_vec, params.xi, T)
             for p in part_points:
                 assert full.mapping[p] == ref[p]
         # points outside kept parts go to the nearest center
         for p in pts:
-            part = core.meta.structure.part_of(p)
+            part = part_of(core.meta.structure, p)
             if part is None or part not in core.meta.part_tau:
                 assert full.mapping[p] == nearest_center_index(p, Z)
 
+
+
+# --- the columnar path against the scalar rules --------------------------------
+
+# the largest per-axis gap whose square times FLOW_SCALE stays below 2^63
+GATE_GAP = math.isqrt(((1 << 63) - 1) // FLOW_SCALE)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 2.5])
+def test_dist_table_equals_dist_pow(r):
+    rng = random.Random(f"table:{r}")
+    cases = [(GATE_GAP, 1, np.int64), (GATE_GAP + 1, 1, object),
+             (1 << 40, 2, object), (255, 3, np.int64)]
+    for gap, d, dtype in cases:
+        # one point and one center gap apart on the first axis: at d = 1
+        # the gate's bound is that gap
+        pts = [Point((1,) * d, 0), Point((1 + gap,) + (1,) * (d - 1), 1)]
+        pts += [Point(tuple(rng.randint(1, 1 + gap) for _ in range(d)), m)
+                for m in range(2, 30)]
+        Z = [Point((1 + gap,) + (1,) * (d - 1)), Point((1,) * d),
+             Point(tuple(rng.randint(1, 1 + gap) for _ in range(d)))]
+        sq = squared_dists(coord_array(pts, d), coord_array(Z, d))
+        assert sq.dtype == dtype
+        table = dist_table(pts, Z, r)
+        assert table.dtype == (dtype if r == 2 else np.float64)
+        for row, p in zip(table.tolist(), pts):
+            assert row == [dist_pow(p, z, r) for z in Z]
+        assert scaled_costs(table, FLOW_SCALE) == [
+            [round(dist_pow(p, z, r) * FLOW_SCALE) for z in Z] for p in pts]
+
+
+def test_dist_table_rejects_mixed_dimensions():
+    with pytest.raises(UsageError):
+        dist_table([Point((1, 1)), Point((1, 1, 1))], [Point((2, 2))], 2)
+    with pytest.raises(UsageError):
+        dist_table([Point((1, 1))], [Point((2, 2, 2))], 2)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_regions_match_region_of(r, k):
+    rng = random.Random(f"regions:{r}:{k}")
+    tag_ties = 0
+    for trial in range(12):
+        Delta = rng.choice([4, 6])
+        # centers on a line and few grid points give equal pair keys; copies
+        # of a point under other tags tie on coordinates too
+        row = rng.randint(1, Delta)
+        Z = [Point((rng.randint(1, Delta), row)) for _ in range(k)]
+        pts = rand_points(rng, rng.randint(1, 20), Delta)
+        pts += [Point(p.coords, 100 + m) for m, p in enumerate(pts[:4])]
+        mapping = {p: rng.randrange(k) for p in pts}
+        # the second set is a level with no entries
+        for hs in (extract_halfspaces(pts, mapping, Z, r),
+                   extract_halfspaces([], {}, Z, r)):
+            probe = [Point((x, y), tag) for x in range(1, Delta + 1)
+                     for y in range(1, Delta + 1) for tag in (-1, 50, 150)]
+            probe += pts
+            got = regions(dist_table(probe, Z, r), coord_array(probe, 2),
+                          np.array([p.tag for p in probe]), hs)
+            assert got.tolist() == [region_of(x, hs, k) for x in probe]
+            tag_ties += sum(
+                1 for h in hs.values() if h.kind == "cut" for x in probe
+                if x.coords == h.cut_point.coords and x.tag != h.cut_point.tag)
+    assert tag_ties > 0 or k == 1  # k = 1 has no pair
+
+
+def _transfer_full_reference(full_points, core, halfspaces, Z):
+    """The per-point transfer: part_of, region_of and _reference_def39 one
+    point at a time, the mapping in its insertion order."""
+    meta, params = core.meta, core.meta.params
+    k = len(Z)
+    by_part = {}
+    for p, w, lvl, j in core.entries:
+        by_part.setdefault((lvl, j), []).append((p, w))
+    rules = {}
+    for part in meta.part_tau:
+        hs = halfspaces.get(part[0], {})
+        b_vec = [0.0] * (k + 1)
+        for p, w in by_part.get(part, ()):
+            b_vec[region_of(p, hs, k)] += w
+        rules[part] = (hs, b_vec,
+                       0.5 * params.gamma * params.T(part[0], meta.o))
+    groups, uncovered = {}, []
+    for p in full_points:
+        part = part_of(meta.structure, p)
+        if part in rules:
+            groups.setdefault(part, []).append(p)
+        else:
+            uncovered.append(p)
+    mapping = {}
+    for part, pts in groups.items():
+        hs, b_vec, T = rules[part]
+        mapping.update(_reference_def39(pts, Z, hs, b_vec, params.xi, T))
+    for p in uncovered:
+        mapping[p] = nearest_center_index(p, Z)
+    return mapping
+
+
+def _transfer_case(Delta, d, r, k, seed, Z=None):
+    """A built coreset of clustered points (with copies under other tags),
+    its canonical half-spaces, and a full input of those points plus
+    uniform ones."""
+    params = derive(k=k, r=r, eps=0.4, eta=0.4, Delta=Delta, d=d,
+                    mode=PRACTICAL, scale=1e-6)
+    rng = random.Random(f"transfer:{Delta}:{d}:{r}:{k}:{seed}")
+    pts = dedup_points(clustered_points(rng, 40, Delta, d=d, clusters=k,
+                                        spread=max(1.0, Delta / 16)))
+    pts += [Point(p.coords, 1000 + m) for m, p in enumerate(pts[:6])]
+    grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), Delta, d)
+    core = build_auto(pts, grid, params, seed=seed)
+    if Z is None:
+        Z = [Point(tuple(rng.randint(1, Delta) for _ in range(d)))
+             for _ in range(k)]
+    integral, _, halfspaces = assignment_from_coreset(
+        core, Z, math.ceil(1.1 * len(pts) / k))
+    assert not is_infeasible(integral)
+    full = pts + [Point(tuple(rng.randint(1, Delta) for _ in range(d)),
+                        2000 + m) for m in range(10)]
+    return core, halfspaces, Z, full
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_transfer_full_matches_the_per_point_transfer(r, k):
+    for seed in (1, 2):
+        core, halfspaces, Z, full = _transfer_case(8, 2, r, k, seed)
+        got = transfer_full(full, core, halfspaces, Z)
+        assert list(got.mapping.items()) == list(
+            _transfer_full_reference(full, core, halfspaces, Z).items())
+        assert list(got.weights) == full
+        # an empty full input
+        assert transfer_full([], core, halfspaces, Z).mapping == {}
+
+
+def test_transfer_full_just_past_the_int64_gate():
+    # d = 1 with a point at 1 and a center GATE_GAP + 1 away: squared
+    # distances times FLOW_SCALE pass 2^63, one unit closer they do not
+    for gap, dtype in ((GATE_GAP, np.int64), (GATE_GAP + 1, object)):
+        Z = [Point((1 + gap,)), Point((1 << 21,))]
+        core, halfspaces, Z, full = _transfer_case(1 << 22, 1, 2, 2, 1, Z)
+        full = [Point((1,), 3000)] + full
+        assert squared_dists(coord_array(full + core.points(), 1),
+                             coord_array(Z, 1)).dtype == dtype
+        got = transfer_full(full, core, halfspaces, Z)
+        assert list(got.mapping.items()) == list(
+            _transfer_full_reference(full, core, halfspaces, Z).items())
+
+
+def test_transfer_full_ignores_kept_parts_beyond_the_heavy_cells():
+    # a coreset file can name such parts: no input point lies in them
+    core, halfspaces, Z, full = _transfer_case(8, 2, 2, 2, 1)
+    want = list(_transfer_full_reference(full, core, halfspaces, Z).items())
+    L = core.meta.structure.L
+    core.meta.part_tau.update({(0, 99): 1.0, (1, 10 ** 6): 1.0,
+                               (L + 3, 0): 1.0, (-1, 0): 1.0})
+    assert list(transfer_full(full, core, halfspaces, Z).mapping.items()) \
+        == want
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_transfer_full_over_a_level_with_no_entries(k):
+    core, halfspaces, Z, full = _transfer_case(8, 2, 2, k, 3)
+    lvl = next(lvl for lvl, _ in core.meta.part_tau
+               if any(e[2] == lvl for e in core.entries) and any(
+                   part_of(core.meta.structure, p) is not None and
+                   part_of(core.meta.structure, p)[0] == lvl for p in full))
+    emptied = WeightedCoreset([e for e in core.entries if e[2] != lvl],
+                              core.meta)
+    missing = {i: hs for i, hs in halfspaces.items() if i != lvl}
+    none = {**missing, lvl: extract_halfspaces([], {}, Z, 2)}
+    want = list(_transfer_full_reference(full, emptied, none, Z).items())
+    assert list(transfer_full(full, emptied, none, Z).mapping.items()) == want
+    # a level missing from the half-spaces reads as one without entries
+    assert list(transfer_full(full, emptied, missing, Z).mapping.items()) \
+        == want
 
 def test_end_to_end_cost_and_size(rng):
     params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,

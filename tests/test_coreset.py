@@ -15,8 +15,8 @@ from capacore.hashing import KWiseHash, PointEncoder
 from capacore.params import PRACTICAL, THEORY, coreset_size_bound, derive
 from capacore.partition import mark_cells
 
-from conftest import (cell_dicts, clustered_points, floor_lattice, part_taus,
-                      rand_points)
+from conftest import (cell_dicts, clustered_points, floor_lattice, part_of,
+                      part_taus, rand_points)
 
 RATE1 = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
                mode=PRACTICAL, scale=1e-6)
@@ -37,7 +37,7 @@ def test_rate_one_keeps_all_qualifying_points(rng):
     bank = ExactBank(pts, grid)
     structure = mark_cells(bank.counts_for_marking(), RATE1, 4, grid)
     expected = {p for p in pts
-                if structure.part_of(p) in core.meta.part_tau}
+                if part_of(structure, p) in core.meta.part_tau}
     assert set(core.points()) == expected
     assert all(w == 1.0 for _, w, _, _ in core.entries)
 
@@ -65,7 +65,7 @@ def test_sampling_membership_reproducible(rng):
     structure = core.meta.structure
     chosen = set(core.points())
     for p in pts:
-        part = structure.part_of(p)
+        part = part_of(structure, p)
         if part is None or part not in core.meta.part_tau:
             assert p not in chosen
             continue

@@ -13,7 +13,7 @@ from capacore.params import PRACTICAL, derive
 from capacore.partition import (PartitionStructure, exact_counts,
                                 lattice_array, mark_cells)
 
-from conftest import part_taus, rand_points
+from conftest import part_of, part_taus, rand_points
 
 PARAMS = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2)
 
@@ -166,7 +166,7 @@ def test_part_estimates_exact_at_rate_one(rng):
     union_b, parts_b = bank.part_estimates(structure)
     union_e, parts_e = exact.part_estimates(structure)
     assert (union_b, part_taus(parts_b)) == (union_e, part_taus(parts_e))
-    total = sum(1 for p in pts if structure.part_of(p) is not None)
+    total = sum(1 for p in pts if part_of(structure, p) is not None)
     assert sum(union_e.values()) == total
 
 

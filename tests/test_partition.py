@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from capacore.geometry import (SHIFT_FRAC_BITS, GridHierarchy, Point, dist_pow,
@@ -9,7 +10,8 @@ from capacore.partition import (PartitionStructure, exact_counts,
                                 lattice_array, mark_cells)
 from capacore import oracle
 
-from conftest import clustered_points, floor_lattice, rand_points
+from conftest import (clustered_points, floor_lattice, heavy_index, part_of,
+                      rand_points)
 
 PARAMS = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2)
 
@@ -27,7 +29,7 @@ def test_single_point_tiny_o_marks_full_chain():
         assert grid.lattice_of(p.coords, lvl) in s.heavy[lvl]
     assert s.crucial_ranks(grid.L, lattice_array(
         [grid.lattice_of(p.coords, grid.L)], 2)).tolist() == [0]
-    assert s.part_of(p) == (grid.L, 0)
+    assert part_of(s, p) == (grid.L, 0)
 
 
 def test_huge_o_marks_nothing():
@@ -36,7 +38,7 @@ def test_huge_o_marks_nothing():
     s, _ = _structure(pts, grid, o=1e12)
     assert s.heavy_count() == 0
     for p in pts:
-        assert s.part_of(p) is None
+        assert part_of(s, p) is None
 
 
 def test_heavy_cell_count_bound_vs_opt(rng):
@@ -59,7 +61,7 @@ def test_part_of_first_level_crucial():
     for o in [2 ** e for e in range(-20, 40)]:
         s, _ = _structure(pts, grid, o)
         if s.heavy_count() == 1:
-            assert s.part_of(pts[0]) == (0, 0)
+            assert part_of(s, pts[0]) == (0, 0)
             return
     pytest.fail("no o produced a root-only marking")
 
@@ -73,7 +75,7 @@ def test_parts_disjoint_and_share_parent_cell(rng):
             s, _ = _structure(pts, grid, o, params)
             groups = {}
             for p in pts:
-                part = s.part_of(p)
+                part = part_of(s, p)
                 if part is not None:
                     groups.setdefault(part, []).append(p)
             for (i, j), group in groups.items():
@@ -92,7 +94,7 @@ def test_determinism(rng):
     a = mark_cells(counts, PARAMS, 16, grid)
     b = mark_cells(counts, PARAMS, 16, grid)
     assert a.heavy == b.heavy
-    assert a.heavy_index == b.heavy_index
+    assert heavy_index(a) == heavy_index(b)
 
 
 def test_small_parts_mass_bound(rng):
@@ -105,7 +107,7 @@ def test_small_parts_mass_bound(rng):
             small_mass = 0
             sizes = {}
             for p in pts:
-                part = s.part_of(p)
+                part = part_of(s, p)
                 if part is not None:
                     sizes[part] = sizes.get(part, 0) + 1
             for (i, j), size in sizes.items():
@@ -118,7 +120,7 @@ def test_heavy_index_is_lexicographic():
     grid = GridHierarchy.from_seed(3, 8, 2)
     pts = [Point((1, 1), 0), Point((8, 8), 1), Point((1, 8), 2), Point((8, 1), 3)]
     s, _ = _structure(pts, grid, o=1e-6)
-    for lvl, index in s.heavy_index.items():
+    for lvl, index in heavy_index(s).items():
         ordered = sorted(index, key=lambda lat: lat)
         assert [index[lat] for lat in ordered] == list(range(len(ordered)))
 
@@ -128,7 +130,7 @@ def test_part_of_cell_matches_part_of(rng):
     pts = rand_points(rng, 30, 8)
     s, _ = _structure(sorted(set(pts), key=lambda p: p.sort_key()), grid, 8)
     for p in pts:
-        part = s.part_of(p)
+        part = part_of(s, p)
         if part is None:
             continue
         i, j = part
@@ -165,6 +167,14 @@ def _walk_part(structure, grid, p):
         prev = lat
 
 
+def _columnar_parts(structure, points):
+    """PartitionStructure.parts as part_of's values."""
+    level, j = structure.parts(np.array([p.coords for p in points],
+                                        dtype=np.int64))
+    return [None if i < 0 else (i, jj)
+            for i, jj in zip(level.tolist(), j.tolist())]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("log_delta", [1, 2, 3, 6, 11, 20])
 def test_part_of_matches_a_per_level_walk(d, log_delta):
@@ -190,15 +200,17 @@ def test_part_of_matches_a_per_level_walk(d, log_delta):
             heavy[lvl].add(floor_lattice(grid, p.coords, lvl))
         structure = PartitionStructure(grid, {
             lvl: lattice_array(cells, d) for lvl, cells in heavy.items()})
-        parts = [structure.part_of(p) for p in points]
+        parts = [part_of(structure, p) for p in points]
         assert parts == [_walk_part(structure, grid, p) for p in points]
+        assert _columnar_parts(structure, points) == parts
         assert heavy[-1] and all(part is not None for part in parts)
         levels.update(part[0] for part in parts)
         # a root that is not heavy owns no part
         no_root = PartitionStructure(grid, {
             lvl: lattice_array(cells if lvl >= 0 else (), d)
             for lvl, cells in heavy.items()})
-        assert all(no_root.part_of(p) is None for p in points)
+        assert all(part_of(no_root, p) is None for p in points)
+        assert _columnar_parts(no_root, points) == [None] * len(points)
     # the markings reach parts on more than one level (at Delta = 2 a
     # marking may leave every point on the same one)
     assert len(levels) > 1 or Delta == 2

@@ -7,7 +7,7 @@ from capacore import (assignment, cellstore, coreset, distributed,
                       estimator, hashing, kernels, oracle, partition,
                       streaming)
 from capacore.common import derive_seed
-from capacore.geometry import GridHierarchy
+from capacore.geometry import GridHierarchy, Point
 from capacore.params import PRACTICAL, derive
 
 from conftest import rand_points
@@ -93,5 +93,28 @@ def test_hooks_stay_on_the_build_path(rng):
                                  "estimator.part_estimates",
                                  "estimator.SampleBank.build"]:
                 assert tracer.calls(name) >= 1, (mode, name)
+    finally:
+        tracer.uninstall()
+
+
+def test_hooks_stay_on_the_assign_path(rng):
+    # the assign stage is timed through these five hooks: a rewrite that
+    # goes round one of them reads as zero work there
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
+                    mode=PRACTICAL, scale=1e-6)
+    grid = GridHierarchy.from_seed(derive_seed(1, "shift"), 8, 2)
+    pts = coreset.dedup_points(rand_points(rng, 20, 8))
+    core = coreset.build_auto(pts, grid, params, 1)
+    centers = [Point((2, 2)), Point((7, 6))]
+    spans = _spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install_layers(tracer)
+        integral, _, halfspaces = assignment.assignment_from_coreset(
+            core, centers, len(pts))
+        assignment.transfer_full(pts, core, halfspaces, centers)
+        for fn in ("fractional_assign", "integralize", "switch_ties",
+                   "canonicalize", "transfer_full"):
+            assert tracer.calls(f"assignment.{fn}") >= 1, fn
     finally:
         tracer.uninstall()
