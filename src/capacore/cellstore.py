@@ -53,6 +53,16 @@ _SKETCH_VERSION = 1
 # exact blobs moved to columnar sections, of the same length, at version 2
 _EXACT_VERSION = 2
 _EXACT, _SKETCH = 0, 1
+# blob layouts, little-endian: an exact blob's header (magic, version,
+# backing, level, d, alpha, beta, seed, number of nonzero cells); a sketch
+# blob's header (magic, version, backing, level, d, alpha, beta, delta,
+# seed); the record counts of both (an exact blob's light cells); the slots
+# of a sketch's cell and point records
+_EXACT_HEAD = struct.Struct("<4sBBhHddqI")
+_SKETCH_HEAD = struct.Struct("<4sBBhHdddq")
+_COUNT = struct.Struct("<I")
+_CELL_SLOT = struct.Struct("<Iq")
+_POINT_SLOT = struct.Struct("<IqIq")
 
 _PRIME = (1 << 61) - 1
 
@@ -251,9 +261,6 @@ class ExactBlob(NamedTuple):
     entries: np.ndarray  # (sizes.sum(), d + 2): coordinates, tag, multiplicity
 
 
-_EXACT_HEAD = struct.Struct("<4sBBhHddqI")
-
-
 def _section(blob, off: int, dtype: str, count: int):
     """count items of dtype at offset off of blob, and the offset after
     them; a blob too short to hold them is a usage error."""
@@ -382,12 +389,12 @@ def encode_exact(store, lattices, counts, sizes, entries) -> bytes:
     nonzero = counts != 0
     light = (counts <= store.beta) & (sizes > 0)
     return b"".join((
-        struct.pack("<4sBBhHddqI", _MAGIC, _EXACT_VERSION, _EXACT,
-                    store.level, d, store.alpha, store.beta, store.seed,
-                    int(nonzero.sum())),
+        _EXACT_HEAD.pack(_MAGIC, _EXACT_VERSION, _EXACT, store.level, d,
+                         store.alpha, store.beta, store.seed,
+                         int(nonzero.sum())),
         np.column_stack((lattices[nonzero], counts[nonzero]))
         .astype("<i8").tobytes(),
-        struct.pack("<I", int(light.sum())),
+        _COUNT.pack(int(light.sum())),
         lattices[light].astype("<i8").tobytes(),
         sizes[light].astype("<u4").tobytes(),
         entries[np.repeat(light, sizes)].astype("<i8").tobytes()))
@@ -575,16 +582,15 @@ class SketchCellStore:
         return rec, off
 
     def serialize(self) -> bytes:
-        out = [struct.pack("<4sBBh", _MAGIC, _SKETCH_VERSION, _SKETCH,
-                           self.level),
-               struct.pack("<Hdddq", self.grid.d, self.alpha, self.beta,
-                           self.delta, self.seed)]
-        out.append(struct.pack("<I", len(self.cell_state)))
-        for (row, b), rec in sorted(self.cell_state.items()):
-            out.append(struct.pack("<Iq", row, b) + self._pack_rec(rec))
-        out.append(struct.pack("<I", len(self.point_state)))
-        for (row, b, prow, pb), rec in sorted(self.point_state.items()):
-            out.append(struct.pack("<IqIq", row, b, prow, pb) + self._pack_rec(rec))
+        out = [_SKETCH_HEAD.pack(_MAGIC, _SKETCH_VERSION, _SKETCH, self.level,
+                                 self.grid.d, self.alpha, self.beta,
+                                 self.delta, self.seed),
+               _COUNT.pack(len(self.cell_state))]
+        for slot, rec in sorted(self.cell_state.items()):
+            out.append(_CELL_SLOT.pack(*slot) + self._pack_rec(rec))
+        out.append(_COUNT.pack(len(self.point_state)))
+        for slot, rec in sorted(self.point_state.items()):
+            out.append(_POINT_SLOT.pack(*slot) + self._pack_rec(rec))
         return b"".join(out)
 
     @classmethod
@@ -594,28 +600,21 @@ class SketchCellStore:
         is a usage error."""
         view = memoryview(blob)
         try:
-            magic, ver, backing, level = struct.unpack_from("<4sBBh", view, 0)
+            magic, ver, backing, level, d, alpha, beta, delta, seed = \
+                _SKETCH_HEAD.unpack_from(view)
             if magic != _MAGIC or ver != _SKETCH_VERSION or backing != _SKETCH:
                 raise UsageError("not a sketch cell-store blob")
-            off = 8
-            d, alpha, beta, delta, seed = struct.unpack_from("<Hdddq", view, off)
             _check_d(d, grid)
-            off += struct.calcsize("<Hdddq")
             store = cls(grid, level, alpha, beta, seed, delta)
-            (ncell,) = struct.unpack_from("<I", view, off)
-            off += 4
-            for _ in range(ncell):
-                row, b = struct.unpack_from("<Iq", view, off)
-                off += struct.calcsize("<Iq")
-                rec, off = cls._unpack_rec(view, off)
-                store.cell_state[(row, b)] = rec
-            (npt,) = struct.unpack_from("<I", view, off)
-            off += 4
-            for _ in range(npt):
-                row, b, prow, pb = struct.unpack_from("<IqIq", view, off)
-                off += struct.calcsize("<IqIq")
-                rec, off = cls._unpack_rec(view, off)
-                store.point_state[(row, b, prow, pb)] = rec
+            off = _SKETCH_HEAD.size
+            for layout, state in ((_CELL_SLOT, store.cell_state),
+                                  (_POINT_SLOT, store.point_state)):
+                (nrec,) = _COUNT.unpack_from(view, off)
+                off += _COUNT.size
+                for _ in range(nrec):
+                    slot = layout.unpack_from(view, off)
+                    rec, off = cls._unpack_rec(view, off + layout.size)
+                    state[slot] = rec
         except struct.error:  # a fixed-size field runs past the end
             off = None
         # a record cut by the end of the blob reads short and ends past it

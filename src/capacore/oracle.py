@@ -1,18 +1,19 @@
 """Ground-truth machinery for validating coresets and assignments.
 
-exact_cost realizes the capacitated cost as a transportation problem solved
-by the oracle's own primal transportation simplex (_transport_plan), an
-algorithm the assignment pipeline's shortest-path TransportSolver does not
-use: integral for unit weights, the fractional relaxation for weighted
-inputs.  Points with equal coordinates share one supply row and a slack row
-takes the capacity left free.  The start plan sends each row to its
-cheapest center with room, so an audit whose capacities do not bind is
-certified by a single vectorised pricing; binding ones pivot on a strongly
+CostCurve is the one cost evaluator: it sets up a (point set, centers) pair
+once, grouping points with equal coordinates into supply rows and computing
+each row's dist^r to each center once, and answers the capacitated cost at
+any capacity t; exact_cost is its value at one t.  t = INF takes the
+nearest-center sum, two centers an exchange-greedy prefix walk, any other
+number the oracle's own primal transportation simplex (_transport_plan), an
+algorithm the pipeline's shortest-path TransportSolver does not use:
+integral for unit weights, the fractional relaxation for weighted inputs.
+A slack row takes the capacity left free.  The start plan sends each row to
+its cheapest center with room, so an audit whose capacities do not bind is
+certified by one vectorised pricing; binding ones pivot on a strongly
 feasible tree.  Costs are exact integers for r == 2 and dist**r on a 2**40
 scale otherwise (Python ints when int64 pricing could overflow), tight
-enough for the 1e-9 cross-validation tolerance.  For k == 2 exact_cost
-takes CostCurve's exchange-greedy prefix walk instead, which the tests
-cross-check against the simplex and the brute-force enumeration.
+enough for the 1e-9 cross-validation tolerance.
 """
 
 from __future__ import annotations
@@ -180,91 +181,12 @@ def _transport_plan(costs, supply, cap):
             del branch[p]
 
 
-def _cost_flow(points, centers, t, r, weights=None):
-    """Transportation optimum, INF when the capacities cannot hold the input.
-
-    Points with equal coordinates share one supply row.  Unit weights
-    (weights None) give the integral optimum at capacity floor(t) (a basic
-    plan of integer data is integral); weights give the fractional optimum
-    in ORACLE_SCALE units.  The value sums dist_pow over the plan, point by
-    point in input order.
-    """
-    k = len(centers)
-    unit = weights is None
-    cap = math.floor(t) if unit else round(t * ORACLE_SCALE)
-    # one row per coordinate that ships units; points shipping none get -1
-    rows, row_of, units, supply = {}, [], [], []
-    for p in points:
-        x = 1 if unit else round(weights[p] * ORACLE_SCALE)
-        i = -1
-        if x:
-            i = rows.setdefault(p.coords, len(rows))
-            if i == len(supply):
-                supply.append(0)
-            supply[i] += x
-        row_of.append(i)
-        units.append(x)
-    if sum(supply) > k * cap:
-        return INF
-    if not supply:
-        return 0 if unit else 0.0
-    coords = list(rows)
-    every = coords + [z.coords for z in centers]
-    span = max(abs(x) for c in every for x in c)
-    if r == 2 and len(set(map(len, every))) == 1 and \
-            len(coords[0]) * (2 * span) ** 2 < 1 << 63:
-        # exact integer costs: scaling by ORACLE_SCALE moves no optimum;
-        # dist_pow below rejects mixed dimensions and keeps huge ones exact
-        rc = np.array(coords, dtype=np.int64)
-        zc = np.array([z.coords for z in centers], dtype=np.int64)
-        dist = ((rc[:, None, :] - zc[None, :, :]) ** 2).sum(axis=2).tolist()
-    else:
-        dist = [[dist_pow(Point(c), z, r) for z in centers] for c in coords]
-    costs = dist if r == 2 else \
-        [[round(x * ORACLE_SCALE) for x in row] for row in dist]
-    plan = _transport_plan(costs, supply, cap)
-    # hand each row's shipments to its points, columns in increasing order
-    shipped = [[] for _ in supply]
-    for (i, j), x in sorted(plan.items()):
-        if x and i < len(supply):
-            shipped[i].append([j, x])
-    value = 0 if unit else 0.0
-    for i, x in zip(row_of, units):
-        while x:
-            part = shipped[i][0]
-            take = min(x, part[1])
-            if unit:
-                value += dist[i][part[0]]
-            else:
-                value += take / ORACLE_SCALE * dist[i][part[0]]
-            part[1] -= take
-            x -= take
-            if not part[1]:
-                shipped[i].pop(0)
-    return value
-
-
 def exact_cost(points, centers, t, r, weights=None):
-    """Capacitated clustering cost; INF when no feasible partition exists.
-
-    Unit-weight inputs get the exact integral optimum (an optimal basic
-    plan of integer data is integral);
-    weighted inputs get the fractional transportation optimum, with the
-    integralized value available separately as an upper bracket.  Two
-    centers take the exchange walk of CostCurve, more the transportation
-    simplex.
-    """
-    points = list(points)
-    if not points:
-        return 0.0
-    if t == INF:
-        if weights is None:
-            return float(sum(min(dist_pow(p, z, r) for z in centers) for p in points))
-        return float(sum(weights[p] * min(dist_pow(p, z, r) for z in centers)
-                         for p in points))
-    if len(centers) == 2:
-        return CostCurve(points, centers, r, weights).at(t)
-    return _cost_flow(points, centers, t, r, weights)
+    """Capacitated clustering cost at capacity t, CostCurve's value there;
+    INF when no feasible partition exists.  Unit weights get the integral
+    optimum, weighted inputs the fractional one (rounded_cost is the
+    integralized upper bracket)."""
+    return CostCurve(points, centers, r, weights).at(t)
 
 
 def rounded_cost(points, centers, t, r, weights):
@@ -325,34 +247,18 @@ def brute_opt(points, k, r, Delta, d):
             f"brute_opt would enumerate {total} center sets (cap "
             f"{BRUTE_OPT_CANDIDATE_CAP})")
     pts = list(points)
-    D = np.empty((len(pts), M))
-    for jj, z in enumerate(candidates):
-        for ii, p in enumerate(pts):
-            D[ii, jj] = dist_pow(p, z, r)
+    D = np.array([[dist_pow(p, z, r) for z in candidates] for p in pts],
+                 dtype=float).reshape(len(pts), M)
+    # center sets in lexicographic order: each prefix of k - 1 centers
+    # scores every last center after its own at once
     best_val, best_combo = INF, None
-    if k == 1:
-        sums = D.sum(axis=0)
-        j = int(sums.argmin())
-        return float(sums[j]), (candidates[j],)
-    if k == 2:
-        for a in range(M - 1):
-            rest = np.minimum(D[:, a:a + 1], D[:, a + 1:]).sum(axis=0)
-            j = int(rest.argmin())
-            if rest[j] < best_val:
-                best_val, best_combo = float(rest[j]), (a, a + 1 + j)
-    elif k == 3:
-        for a in range(M - 2):
-            for b in range(a + 1, M - 1):
-                base = np.minimum(D[:, a], D[:, b])[:, None]
-                rest = np.minimum(base, D[:, b + 1:]).sum(axis=0)
-                j = int(rest.argmin())
-                if rest[j] < best_val:
-                    best_val, best_combo = float(rest[j]), (a, b, b + 1 + j)
-    else:
-        for combo in itertools.combinations(range(M), k):
-            val = float(D[:, combo].min(axis=1).sum())
-            if val < best_val:
-                best_val, best_combo = val, combo
+    for prefix in itertools.combinations(range(M - 1), k - 1):
+        first = prefix[-1] + 1 if prefix else 0
+        near = D[:, prefix].min(axis=1, initial=INF)
+        rest = np.minimum(near[:, None], D[:, first:]).sum(axis=0)
+        j = int(rest.argmin())
+        if rest[j] < best_val:
+            best_val, best_combo = float(rest[j]), prefix + (first + j,)
     return best_val, tuple(candidates[j] for j in best_combo)
 
 
@@ -381,11 +287,12 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 class CostCurve:
-    """cost_t for many capacities of one (point set, centers) pair.
+    """cost_t of one (point set, centers) pair at any number of capacities.
 
-    For two centers the exchange structure is precomputed once (base cost,
-    per-side loads, sorted switching penalties), making each capacity query
-    a prefix walk instead of a fresh solve.
+    The set-up runs once.  The rows that ship units (1 per point, or weight
+    * ORACLE_SCALE) come first, in the order of their first shipping point,
+    then the rows that ship none.  The dist^r table is numpy int64 for
+    r == 2 while it fits, dist_pow otherwise.
     """
 
     def __init__(self, points, centers, r, weights=None):
@@ -395,26 +302,79 @@ class CostCurve:
         self.weights = weights
         self._cache = {}
         self._k2 = None
-        if len(centers) == 2 and self.points:
-            z0, z1 = centers
-            unit = weights is None
+        self._costs = None
+        unit = weights is None
+        self._units = [1] * len(self.points) if unit else \
+            [round(weights[p] * ORACLE_SCALE) for p in self.points]
+        rows = dict.fromkeys(p.coords for p, x
+                             in zip(self.points, self._units) if x)
+        self._supply = [0] * len(rows)
+        rows |= dict.fromkeys(p.coords for p in self.points)
+        index = {c: i for i, c in enumerate(rows)}
+        self._row_of = [index[p.coords] for p in self.points]
+        for i, x in zip(self._row_of, self._units):
+            if x:
+                self._supply[i] += x
+        self._total = sum(self._supply)
+        self._dist = self._table(list(rows))
+
+    def _table(self, coords):
+        """dist^r of each row to each center: exact integers for r == 2."""
+        r = self.r
+        if not coords:
+            return []
+        every = coords + [z.coords for z in self.centers]
+        span = max(abs(x) for c in every for x in c)
+        d = len(coords[0])
+        if r == 2 and len(set(map(len, every))) == 1 and \
+                d * (2 * span) ** 2 < 1 << 63:
+            # dist_pow below rejects mixed dimensions and keeps huge ones
+            # exact
+            rc = np.array(coords, dtype=np.int64)
+            zc = np.array([z.coords for z in self.centers],
+                          dtype=np.int64).reshape(-1, d)
+            return ((rc[:, None, :] - zc[None, :, :]) ** 2).sum(axis=2).tolist()
+        return [[dist_pow(Point(c), z, r) for z in self.centers]
+                for c in coords]
+
+    def at(self, t: float) -> float:
+        """cost_t, INF when the capacities cannot hold the input."""
+        if t not in self._cache:
+            if not self.points:
+                value = 0.0
+            elif t == INF:
+                near = [min(row) for row in self._dist]
+                if self.weights is None:
+                    value = float(sum(near[i] for i in self._row_of))
+                else:
+                    value = float(sum(self.weights[p] * near[i] for p, i
+                                      in zip(self.points, self._row_of)))
+            elif len(self.centers) == 2:
+                value = self._k2_at(t)
+            else:
+                value = self._solve(t)
+            self._cache[t] = value
+        return self._cache[t]
+
+    def _k2_at(self, t: float) -> float:
+        """Two centers: the nearest-center plan (base cost, per-side loads)
+        and each side's switching penalties, sorted once, make each
+        capacity a prefix walk over the heavier side's penalties."""
+        unit = self.weights is None
+        if self._k2 is None:
             base, tot = 0.0, [0.0, 0.0]
             counts = [0, 0]
             pens = ([], [])
-            for p in self.points:
-                w = 1.0 if unit else weights[p]
-                c0, c1 = dist_pow(p, z0, r), dist_pow(p, z1, r)
+            for p, i in zip(self.points, self._row_of):
+                w = 1.0 if unit else self.weights[p]
+                c0, c1 = self._dist[i]
                 side = 0 if c0 <= c1 else 1
                 tot[side] += w
                 counts[side] += 1
                 base += w * (c0 if side == 0 else c1)
                 pens[side].append((abs(c1 - c0), w))
-            self._k2 = (base, tot, counts,
-                        tuple(sorted(pens[0])), tuple(sorted(pens[1])), unit)
-
-    def _k2_at(self, t: float) -> float:
-        base, tot, counts, pens0, pens1 = self._k2[:5]
-        unit = self._k2[5]
+            self._k2 = (base, tot, counts, sorted(pens[0]), sorted(pens[1]))
+        base, tot, counts, pens0, pens1 = self._k2
         cap = math.floor(t) if unit and t < INF else t
         if tot[0] + tot[1] > 2 * cap:
             return INF
@@ -435,14 +395,47 @@ class CostCurve:
                         break
         return value
 
-    def at(self, t: float) -> float:
-        if t not in self._cache:
-            if self._k2 is not None:
-                self._cache[t] = self._k2_at(t)
-            else:
-                self._cache[t] = exact_cost(self.points, self.centers, t,
-                                            self.r, self.weights)
-        return self._cache[t]
+    def _solve(self, t: float):
+        """The transportation optimum at capacity t, for any number of
+        centers; INF when the capacities cannot hold the input.
+
+        Unit weights give the integral optimum at capacity floor(t) (a
+        basic plan of integer data is integral); weights give the
+        fractional optimum in ORACLE_SCALE units.  The value sums dist^r
+        over the plan, point by point in input order.
+        """
+        unit = self.weights is None
+        cap = math.floor(t) if unit else round(t * ORACLE_SCALE)
+        if self._total > len(self.centers) * cap:
+            return INF
+        if not self._supply:
+            return 0 if unit else 0.0
+        dist = self._dist
+        if self._costs is None:
+            m = len(self._supply)
+            self._costs = dist[:m] if self.r == 2 else \
+                [[round(x * ORACLE_SCALE) for x in row] for row in dist[:m]]
+        plan = _transport_plan(self._costs, self._supply, cap)
+        # hand each row's shipments to its points, columns in increasing
+        # order
+        shipped = [[] for _ in self._supply]
+        for (i, j), x in sorted(plan.items()):
+            if x and i < len(shipped):
+                shipped[i].append([j, x])
+        value = 0 if unit else 0.0
+        for i, x in zip(self._row_of, self._units):
+            while x:
+                part = shipped[i][0]
+                take = min(x, part[1])
+                if unit:
+                    value += dist[i][part[0]]
+                else:
+                    value += take / ORACLE_SCALE * dist[i][part[0]]
+                part[1] -= take
+                x -= take
+                if not part[1]:
+                    shipped[i].pop(0)
+        return value
 
 
 @dataclass
@@ -486,7 +479,7 @@ class AuditReport:
             for row in self.rows:
                 rounded = "" if row.cost_coreset_rounded is None \
                     else repr(row.cost_coreset_rounded)
-                # exact_cost is an int on the unit-weight flow path: one
+                # the simplex values unit weights as an int: one
                 # rendering for every row
                 fh.write(f"{row.z_id},{row.t!r},{row.form},"
                          f"{float(row.cost_Q)!r},"

@@ -20,6 +20,14 @@ gates shows here:
   runs with clusters of 0.6, 0.3 and 0.1 of n, where the capacity
   t = ceil(1.1 n / k) binds.  They were taken from the per-point
   reconstruction, before the dist^r table.
+* the CSVs of CLI ``eval`` for k in {2, 3, 4} and r in {1, 2, 3}: over
+  unit-weight coresets (the default scale keeps every point), at Delta 8
+  and at Delta 256 with r = 3, where dist^r on the 2^40 scale passes 2^63;
+  and over coresets with non-integer weights (scale 1e-57 or 1e-60 with
+  exact counts), with --t-grid full and --include-rounded.  The inputs
+  repeat coordinates under distinct tags.  They were taken from the oracle
+  that solved one transportation problem per (Z, t) pair, before CostCurve
+  set each pair up once.
 """
 
 import hashlib
@@ -448,3 +456,73 @@ def _assign_id(case):
 def test_assign_files_match_their_golden_digest(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _assign_digests(*case) == ASSIGNS[case]
+
+
+# (Delta, k, r, params mode, exact counts, t grid, rounded) -> sha256 of the
+# eval CSV (_eval_digest)
+UNIT = "practical:1e-6"
+EVALS = {
+    (8, 2, 1, UNIT, False, 'full', False):
+        'af814ace8204a0f8c8f166aa3f9445d0a2a384ca73e50a2115107bd6abcb801b',
+    (8, 2, 2, UNIT, False, 'full', False):
+        '212f40d00ab242bf167ed79d2eeae3c068cc66c4139a65d8e95b9077fb4ec162',
+    (8, 2, 3, UNIT, False, 'full', False):
+        '1d2013e225c22cad48117df7a6f12802da7c846ede54ed7ab43b1ad34a41d2f5',
+    (8, 3, 1, UNIT, False, 'full', False):
+        '31148df736dcde3c519f574601e7a110cd886c1008a5619f0fcb27ed346927be',
+    (8, 3, 2, UNIT, False, 'full', False):
+        '2953dac26efca49dd94e69a185dc91cef89c703e1499dbaf65a3674b43c8cc50',
+    (8, 3, 3, UNIT, False, 'full', False):
+        '51d079075c29c24f65e700005b444db20e568cbeb9a31bdc4a0da171b4961f3a',
+    (8, 4, 1, UNIT, False, 'full', False):
+        'e265e40542a60b514401113e844233a416985c520bdbfbbd6db32cdfd08e5a00',
+    (8, 4, 2, UNIT, False, 'full', False):
+        '9534cea1ae7577d94132944a5a850ce175badb8b8bb364fc894e3516fbd2ad91',
+    (8, 4, 3, UNIT, False, 'full', False):
+        '7b18fe40fc24073a8962f767cdac090a6d965419fa7b8a0390ef4099f49efc1b',
+    (8, 3, 2, UNIT, False, 'auto', True):
+        'e359682cbd353b85e600a3d9349bd37f213b4f493b4c054b37748aa08c2a4579',
+    (256, 3, 3, UNIT, False, 'auto', False):
+        '6c341ac73f1dc8514ae59223f3695a254e62b005db5cfb65892175a6929fccaa',
+    (256, 4, 2, UNIT, False, 'full', True):
+        'c38aa4ba67bb8490e05331c4fa39d2a0db0f9da906f163705f79a8529044cb1c',
+    (8, 2, 2, 'practical:1e-57', True, 'auto', False):
+        '4efa0cd231b40e85bbf0be847abc95ef7c7fcce1040ca9d2c0e11f9d084fe31f',
+    (8, 2, 2, 'practical:1e-57', True, 'full', True):
+        '7c01cc995478b17d40b660a3aa528095c7cf6bc0cc3e9b7f70a9184e58f7db06',
+    (8, 4, 2, 'practical:1e-60', True, 'full', True):
+        'aaa3237b4316bbd92476552d475f63537415cfef89c477a5fef784d36219f75d',
+
+}
+
+
+def _eval_digest(Delta, k, r, params_mode, exact_counts, t_grid, rounded):
+    """Generate 40 points (three clusters, coordinates repeated under
+    distinct tags), build a coreset through the CLI and audit it at four
+    center sets; runs in the current directory, so the CSV's header lines
+    name relative paths."""
+    assert main(["gen", "--out", "pts.txt", "--n", "40", "--Delta",
+                 str(Delta), "--spread", str(Delta / 8), "--seed", "1"]) == 0
+    assert main(["build", "--input", "pts.txt", "--output", "core.txt",
+                 "-k", str(k), "-r", str(r), "--Delta", str(Delta),
+                 "--params-mode", params_mode, "--seed", "1",
+                 *(["--exact-counts"] if exact_counts else [])]) == 0
+    assert main(["eval", "--input", "pts.txt", "--coreset", "core.txt",
+                 "--out", "eval.csv", "--center-samples", "4",
+                 "--t-grid", t_grid, "--seed", "1",
+                 *(["--include-rounded"] if rounded else [])]) == 0
+    with open("eval.csv", "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _eval_id(case):
+    Delta, k, r, params_mode, exact_counts, t_grid, rounded = case
+    return f"Delta{Delta}-k{k}-r{r}-{params_mode.split(':')[1]}" + \
+        ("-exact" if exact_counts else "") + f"-{t_grid}" + \
+        ("-rounded" if rounded else "")
+
+
+@pytest.mark.parametrize("case", sorted(EVALS), ids=_eval_id)
+def test_eval_files_match_their_golden_digest(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _eval_digest(*case) == EVALS[case]

@@ -69,7 +69,7 @@ def test_greedy2_agrees_with_flow(rng):
         Z = [Point((2, 2)), Point((7, 5))]
         t = rng.randint(math.ceil(len(pts) / 2), len(pts) + 1)
         fast = oracle.CostCurve(pts, Z, 2).at(t)
-        slow = oracle._cost_flow(pts, Z, t, 2)
+        slow = oracle.CostCurve(pts, Z, 2)._solve(t)
         assert fast == pytest.approx(slow, rel=1e-9) or (fast == slow == INF)
 
 
@@ -85,7 +85,7 @@ def test_matching_special_case(rng):
             z = Point((rng.randint(1, 8), rng.randint(1, 8)))
             if z not in Z:
                 Z.append(z)
-        got = oracle._cost_flow(pts, Z, 1, 2)
+        got = oracle.CostCurve(pts, Z, 2)._solve(1)
         best = min(
             sum(dist_pow(p, Z[perm[i]], 2) for i, p in enumerate(pts))
             for perm in itertools.permutations(range(k))
@@ -108,7 +108,7 @@ def test_weighted_cost_is_fractional_lower_bracket(rng):
     Z = [Point((2, 2)), Point((7, 7))]
     weights = {p: 1.0 + (i % 3) * 0.5 for i, p in enumerate(pts)}
     t = sum(weights.values()) / 2 * 1.2
-    relaxed = oracle._cost_flow(pts, Z, t, 2, weights)
+    relaxed = oracle.CostCurve(pts, Z, 2, weights)._solve(t)
     rounded = oracle.rounded_cost(pts, Z, t, 2, weights)
     brute = oracle.brute_partitions(pts, Z, t, 2, weights)
     assert relaxed <= brute + 1e-9
@@ -137,6 +137,20 @@ def test_brute_opt_two_separated_clusters(rng):
         if z1.coords < z2.coords
     )
     assert val == pytest.approx(split)
+
+
+def test_brute_opt_matches_enumeration(rng):
+    lattice = oracle.lattice_points(4, 2)
+    for trial in range(30):
+        k, r = rng.randint(1, 4), rng.choice([1, 2, 3])
+        pts = rand_points(rng, rng.randint(1, 10), 4)
+        val, Z = oracle.brute_opt(pts, k, r, 4, 2)
+        assert len(set(Z)) == k
+        assert val == pytest.approx(
+            sum(min(dist_pow(p, z, r) for z in Z) for p in pts), abs=1e-9)
+        want = min(sum(min(dist_pow(p, z, r) for z in combo) for p in pts)
+                   for combo in itertools.combinations(lattice, k))
+        assert val == pytest.approx(want, abs=1e-9)
 
 
 def test_brute_opt_cap():
@@ -174,7 +188,7 @@ def test_corrupted_weights_reported(rng, tmp_path):
     rng2 = random.Random(6)
     lattice = oracle.lattice_points(8, 2)
     centers = [tuple(rng2.sample(lattice, 2)) for _ in range(15)]
-    # one k = 3 set: exact_cost's unit-weight flow path returns an int
+    # one k = 3 set: the simplex's unit-weight value is an int
     centers.append(tuple(rng2.sample(lattice, 3)))
     t_values = list(range(math.ceil(len(pts) / 2), len(pts) + 1))
     report = oracle.sandwich_audit(pts, doubled, centers, t_values)
@@ -284,7 +298,7 @@ def test_transport_simplex_matches_flow_reference():
         total = len(pts) if weights is None else sum(weights.values())
         # factors below 1 leave too little room: INF
         t = total / k * rng.uniform(0.8, 1.6)
-        got = oracle._cost_flow(pts, Z, t, r, weights)
+        got = oracle.CostCurve(pts, Z, r, weights)._solve(t)
         want = _flow_reference(pts, Z, t, r, weights)
         if want == INF or (weights is None and r == 2):
             assert got == want
@@ -315,8 +329,75 @@ def test_weighted_transport_simplex_matches_linprog():
         res = optimize.linprog(c, A_ub=a_ub, b_ub=[t] * k, A_eq=a_eq,
                                b_eq=[weights[p] for p in pts], method="highs")
         assert res.status == 0
-        got = oracle._cost_flow(pts, Z, t, r, weights)
+        got = oracle.CostCurve(pts, Z, r, weights)._solve(t)
         assert got == pytest.approx(res.fun, rel=1e-9)
+
+
+def _distinct_centers(rng, k, Delta):
+    Z = []
+    while len(Z) < k:
+        z = Point((rng.randint(1, Delta), rng.randint(1, Delta)))
+        if z not in Z:
+            Z.append(z)
+    return Z
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_cost_curve_matches_linprog_over_full_grids(k):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(300 + k)
+    for trial in range(6):
+        pts = rand_points(rng, rng.randint(k, 14), 8)
+        # repeated coordinates share a supply row
+        pts += [Point(p.coords, 100 + i) for i, p in enumerate(pts[:3])]
+        Z = _distinct_centers(rng, k, 8)
+        r = rng.choice([1, 2, 3])
+        n = len(pts)
+        c = [dist_pow(p, z, r) for p in pts for z in Z]
+        a_eq = [[1.0 if col // k == i else 0.0 for col in range(n * k)]
+                for i in range(n)]
+        a_ub = [[1.0 if col % k == j else 0.0 for col in range(n * k)]
+                for j in range(k)]
+        for weights in (None, {p: rng.uniform(0.5, 1.5) for p in pts}):
+            w = [1.0 if weights is None else weights[p] for p in pts]
+            curve = oracle.CostCurve(pts, Z, r, weights)
+            # the CLI's full grid, from one capacity too small for the input
+            for t in range(math.floor(sum(w) / k), math.ceil(sum(w)) + 1):
+                cap = t if weights is None else t * 1.0
+                res = optimize.linprog(c, A_ub=a_ub, b_ub=[cap] * k,
+                                       A_eq=a_eq, b_eq=w, method="highs")
+                got = curve.at(t)
+                if res.status == 2:
+                    assert got == INF
+                else:
+                    assert res.status == 0
+                    assert got == pytest.approx(res.fun, rel=1e-9)
+
+
+def test_cost_curve_computes_each_distance_once(monkeypatch):
+    calls = []
+    real = oracle.dist_pow
+
+    def counted(p, q, r):
+        calls.append((p.coords, q.coords))
+        return real(p, q, r)
+
+    monkeypatch.setattr(oracle, "dist_pow", counted)
+    rng = random.Random(17)
+    pts = rand_points(rng, 30, 8)
+    pts += [Point(p.coords, 100 + i) for i, p in enumerate(pts[:8])]
+    rows = len({p.coords for p in pts})
+    for k in (2, 3, 4):
+        Z = _distinct_centers(rng, k, 8)
+        for weights in (None, {p: rng.uniform(0.5, 1.5) for p in pts}):
+            total = len(pts) if weights is None else sum(weights.values())
+            capacities = [INF] + [total / k * f for f in
+                                  (0.9, 1.0, 1.05, 1.1, 1.2, 1.3, 1.5, 2, 3)]
+            calls.clear()
+            curve = oracle.CostCurve(pts, Z, 3, weights)
+            values = [curve.at(t) for t in capacities]
+            assert values[1] == INF and values[-1] != INF
+            assert len(calls) == len(set(calls)) == rows * k
 
 
 def test_transport_simplex_beyond_int64():
