@@ -349,8 +349,11 @@ class Assignment:
     weights: dict                 # point -> weight
 
     def cost(self) -> float:
-        return sum(self.weights[p] * dist_pow(p, self.centers[i], self.r)
-                   for p, i in self.mapping.items())
+        # a left fold in mapping order: builtin sum compensates from 3.12 on
+        total = 0
+        for p, i in self.mapping.items():
+            total += self.weights[p] * dist_pow(p, self.centers[i], self.r)
+        return total
 
     def size_vector(self):
         out = [0.0] * len(self.centers)

@@ -1,19 +1,24 @@
 """Ground-truth machinery for validating coresets and assignments.
 
 CostCurve is the one cost evaluator: it sets up a (point set, centers) pair
-once, grouping points with equal coordinates into supply rows and computing
-each row's dist^r to each center once, and answers the capacitated cost at
-any capacity t; exact_cost is its value at one t.  t = INF takes the
+once, in numpy arrays (each point's supply row, points with equal
+coordinates sharing one, and units; the row supplies; each row's dist^r to
+each center, computed once), and answers the capacitated cost at any
+capacity t; exact_cost is its value at one t.  t = INF takes the
 nearest-center sum, two centers an exchange-greedy prefix walk, any other
 number the oracle's own primal transportation simplex (_transport_plan), an
 algorithm the pipeline's shortest-path TransportSolver does not use:
 integral for unit weights, the fractional relaxation for weighted inputs.
 A slack row takes the capacity left free.  The start plan sends each row to
-its cheapest center with room, so an audit whose capacities do not bind is
-certified by one vectorised pricing; binding ones pivot on a strongly
-feasible tree.  Costs are exact integers for r == 2 and dist**r on a 2**40
-scale otherwise (Python ints when int64 pricing could overflow), tight
-enough for the 1e-9 cross-validation tolerance.
+its cheapest center with room, in at most k numpy passes, so an audit whose
+capacities do not bind is certified by one vectorised pricing; binding ones
+pivot on a strongly feasible tree whose leaf rows stay implicit.  Costs are
+exact integers for r == 2 and dist**r on a 2**40 scale otherwise (Python
+ints when int64 pricing could overflow), tight enough for the 1e-9
+cross-validation tolerance.  Values sum over the points in input order:
+exactly for unit weights at r == 2, and otherwise left to right in floats
+(np.cumsum or a plain loop, never the builtin sum, which compensates from
+Python 3.12 on), so each value is the same float on every Python.
 """
 
 from __future__ import annotations
@@ -36,13 +41,15 @@ BRUTE_PARTITION_CAP = 10
 BRUTE_OPT_CANDIDATE_CAP = 3_000_000
 
 
-def _transport_plan(costs, supply, cap):
-    """Optimal plan {(row, column): units} of one transportation problem.
+def _transport_plan(C, supply, cap):
+    """Optimal basis (anchor, flow) of one transportation problem.
 
-    Row i ships supply[i] > 0 units, each of the k columns takes at most
-    cap, and a unit from row i to column j costs the integer costs[i][j].
-    A slack row (index len(costs)) ships the k * cap - sum(supply) units
-    the columns keep free, at cost 0.
+    Row i < m ships supply[i] > 0 units, each of the k columns takes at most
+    cap, and a unit from row i to column j costs C[i, j].  C is an
+    (m + 1) x k integer array, int64 or Python ints (object), whose last
+    row is a zero slack row: it ships the k * cap - sum(supply) units the
+    columns keep free.  supply is int64 while its sum fits, object
+    otherwise.
 
     Primal transportation simplex with MODI pricing.  The tree is rooted at
     the slack row and kept strongly feasible: the row of every zero-flow
@@ -50,48 +57,66 @@ def _transport_plan(costs, supply, cap):
     the first blocking one met on the pivot cycle from its apex along the
     entering direction (Cunningham, Math. Programming 11, 1976), which rules
     out cycling on the degenerate instances ties produce.  A tree has at most
-    k - 1 rows of degree two or more; every other row is a leaf whose
-    potential is read off its one column, so each pricing is a few numpy
-    passes over the (rows + 1) x k cost array and only the core of columns
-    and branching rows is walked in Python.  Flows stay Python ints.
+    k - 1 rows of degree two or more besides the slack row; every other row
+    is a leaf that ships its whole supply on anchor[row].  Leaf rows stay
+    implicit: flow holds, as Python ints, the units of the core's cells
+    only (the slack row's and the branching rows'), a leaf row's cell
+    becomes explicit when a pivot makes the row branch, and a row left with
+    one cell drops back to a leaf.  A leaf's potential is read off its
+    anchor, so each pricing is a few numpy passes over C, and only the core
+    of columns and branching rows is walked in Python.
     """
-    m, k = len(costs), len(costs[0])
+    m, k = C.shape[0] - 1, C.shape[1]
     slack, nodes = m, m + 1      # rows are nodes 0..m, column j is node m+1+j
-    table = costs + [[0] * k]
-    top = max(map(max, costs))
-    # potentials stay within 2k tree steps of the root: (4k + 2) * top
-    # bounds every reduced cost, or pricing runs on Python ints
-    C = np.array(table, dtype=np.int64 if (4 * k + 2) * top < 1 << 62
-                 else object)
+    total = int(supply.sum())
+    anchor = np.zeros(nodes, dtype=np.intp)
+    flow, branch = {}, {}
 
     # start: rows by decreasing regret, each to its cheapest column with
-    # room, split when a column fills; the slack row fills the rest
+    # room, split when a column fills.  Each pass sends every row before the
+    # first one that fills a column to its cheapest open column at once;
+    # only that row walks its preferences, so at most k passes
     if k > 1:
         two = np.sort(C[:m], axis=1)[:, :2]
-        order = np.argsort(two[:, 0] - two[:, 1], kind="stable").tolist()
+        rest = np.argsort(two[:, 0] - two[:, 1], kind="stable")
     else:
-        order = range(m)
-    prefs = np.argsort(C[:m], axis=1, kind="stable").tolist()
+        rest = np.arange(m)
     room = [cap] * k
-    flow = {}
-    for i in order:
-        left = supply[i]
-        for j in prefs[i]:
+    while rest.size:
+        cols = [j for j in range(k) if room[j]]
+        pick = C[rest[:, None], cols].argmin(axis=1)
+        load = np.cumsum(np.where(pick[:, None] == np.arange(len(cols)),
+                                  supply[rest, None], 0), axis=0)
+        # a column's load never passes the total: clip its room there
+        limit = np.array([min(room[j], total) for j in cols],
+                         dtype=supply.dtype)
+        fills = load[np.arange(rest.size), pick] >= limit[pick]
+        f = int(fills.argmax()) if fills.any() else rest.size
+        anchor[rest[:f]] = np.take(cols, pick[:f])
+        if f:
+            for c, j in enumerate(cols):
+                room[j] -= int(load[f - 1, c])
+        if f == rest.size:
+            break
+        i, left = int(rest[f]), int(supply[rest[f]])
+        cells = {}
+        for j in sorted(range(k), key=C[i].tolist().__getitem__):
             if room[j]:
-                take = min(left, room[j])
-                flow[i, j] = take
+                cells[j] = take = min(left, room[j])
                 room[j] -= take
                 left -= take
                 if not left:
                     break
-    for j in range(k):
-        if room[j]:
-            flow[slack, j] = room[j]
+        anchor[i] = next(iter(cells))
+        if len(cells) > 1:
+            branch[i] = list(cells)
+            flow.update(((i, j), x) for j, x in cells.items())
+        rest = rest[f + 1:]
+    cells = [j for j in range(k) if room[j]]
+    for j in cells:
+        flow[slack, j] = room[j]
     # positive cells form a forest; zero-flow slack cells join the columns
     # cut off from the slack row (union-find over columns, the slack row k)
-    cols = {}
-    for i, j in flow:
-        cols.setdefault(i, []).append(j)
     link = list(range(k + 1))
 
     def find(a):
@@ -99,18 +124,18 @@ def _transport_plan(costs, supply, cap):
             link[a] = a = link[link[a]]
         return a
 
-    for i, cs in cols.items():
+    for cs in branch.values():
         for j in cs[1:]:
             link[find(j)] = find(cs[0])
-    for j in cols.get(slack, ()):
+    for j in cells:
         link[find(j)] = find(k)
     for j in range(k):
         if find(j) != find(k):
             flow[slack, j] = 0
-            cols.setdefault(slack, []).append(j)
+            cells.append(j)
             link[find(j)] = find(k)
-    anchor = np.array([cols[i][0] for i in range(nodes)])
-    branch = {i: cs for i, cs in cols.items() if len(cs) > 1 or i == slack}
+    branch[slack] = cells
+    anchor[slack] = cells[0]
 
     def to_root(a):
         # core nodes have a BFS parent; a leaf row hangs off its one column
@@ -135,20 +160,20 @@ def _transport_plan(costs, supply, cap):
             if a < nodes:
                 for j in branch[a]:
                     if v[j] is None:
-                        v[j] = table[a][j] - u[a]
+                        v[j] = C[a, j] - u[a]
                         parent[nodes + j] = a
                         stack.append(nodes + j)
             else:
                 for i in col_rows[a - nodes]:
                     if i not in u:
-                        u[i] = table[i][a - nodes] - v[a - nodes]
+                        u[i] = C[i, a - nodes] - v[a - nodes]
                         parent[i] = a
                         stack.append(i)
         vv = np.array(v, dtype=C.dtype)
         reduced = C - (C[rows, anchor] - vv[anchor])[:, None] - vv
         e = int(reduced.argmin())
         if reduced.flat[e] >= 0:
-            return flow
+            return anchor, flow
         i, j = divmod(e, k)
         up_i, up_j = to_root(i), to_root(nodes + j)
         while len(up_i) > 1 and len(up_j) > 1 and up_i[-2] == up_j[-2]:
@@ -156,6 +181,13 @@ def _transport_plan(costs, supply, cap):
             up_j.pop()
         # the cycle from its apex: down to row i, across (i, j), up again
         cycle = up_i[::-1] + up_j
+        if i in branch:
+            branch[i].append(j)
+        else:
+            # a leaf row joins the core: its one cell becomes explicit
+            a = int(anchor[i])
+            branch[i] = [a, j]
+            flow[i, a] = int(supply[i])
         flow[i, j] = 0
         steps, theta, leave = [], None, None
         for a, b in zip(cycle, cycle[1:]):
@@ -169,15 +201,13 @@ def _transport_plan(costs, supply, cap):
         for cell, sign in steps:
             flow[cell] += sign * theta
         del flow[leave]
-        if i in branch:
-            branch[i].append(j)
-        else:
-            branch[i] = [int(anchor[i]), j]
         p, q = leave
         branch[p].remove(q)
         if anchor[p] == q:
             anchor[p] = branch[p][0]
         if p != slack and len(branch[p]) == 1:
+            # back to a leaf: its whole supply on its anchor
+            del flow[p, branch[p][0]]
             del branch[p]
 
 
@@ -213,7 +243,9 @@ def brute_partitions(points, centers, t, r, weights=None):
             loads[lab] += w[i]
         if any(load > cap + 1e-12 for load in loads):
             continue
-        val = sum(w[i] * costs[i][lab] for i, lab in enumerate(labels))
+        val = 0     # a left fold: builtin sum compensates from 3.12 on
+        for i, lab in enumerate(labels):
+            val += w[i] * costs[i][lab]
         if val < best:
             best = val
     return best
@@ -286,13 +318,35 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
+def _left_sum(values) -> float:
+    """The float sum of a float64 array, left to right as a plain loop
+    adds (np.cumsum), on every Python: builtin sum compensates from 3.12
+    on."""
+    return float(np.cumsum(values)[-1])
+
+
+def _exact_sum(values) -> int:
+    """The exact sum of non-negative integers, in int64 only while no
+    partial sum can pass 2**63."""
+    if values.dtype != object and \
+            values.size * int(values.max(initial=0)) >= 1 << 63:
+        values = values.astype(object)
+    return int(values.sum())
+
+
 class CostCurve:
     """cost_t of one (point set, centers) pair at any number of capacities.
 
-    The set-up runs once.  The rows that ship units (1 per point, or weight
-    * ORACLE_SCALE) come first, in the order of their first shipping point,
-    then the rows that ship none.  The dist^r table is numpy int64 for
-    r == 2 while it fits, dist_pow otherwise.
+    The set-up runs once, in arrays: each point's supply row (points of
+    equal coordinates share one) and units (1 per point, or weight *
+    ORACLE_SCALE), the row supplies, and the dist^r table D of the rows.
+    The rows that ship units come first, in the order of their first
+    shipping point, then the rows that ship none.  D is int64 for r == 2
+    while it fits, Python ints past that, and dist_pow's floats for any
+    other r.  The first solve adds the scaled cost matrix with its zero
+    slack row.  Every value sums over the points in input order: exactly
+    for unit weights at r == 2 (an int from the simplex), left to right in
+    floats otherwise (np.cumsum), the same float on every Python.
     """
 
     def __init__(self, points, centers, r, weights=None):
@@ -302,40 +356,79 @@ class CostCurve:
         self.weights = weights
         self._cache = {}
         self._k2 = None
-        self._costs = None
-        unit = weights is None
-        self._units = [1] * len(self.points) if unit else \
-            [round(weights[p] * ORACLE_SCALE) for p in self.points]
-        rows = dict.fromkeys(p.coords for p, x
-                             in zip(self.points, self._units) if x)
-        self._supply = [0] * len(rows)
-        rows |= dict.fromkeys(p.coords for p in self.points)
-        index = {c: i for i, c in enumerate(rows)}
-        self._row_of = [index[p.coords] for p in self.points]
-        for i, x in zip(self._row_of, self._units):
-            if x:
-                self._supply[i] += x
-        self._total = sum(self._supply)
-        self._dist = self._table(list(rows))
+        self._C = None
+        coords = [p.coords for p in self.points]
+        if weights is None:
+            rows = dict.fromkeys(coords)
+        else:
+            w = [weights[p] for p in self.points]
+            self._w = np.array(w, dtype=np.float64)
+            units = np.rint(self._w * ORACLE_SCALE)
+            # round(weight * ORACLE_SCALE): rint rounds half to even too
+            self._units = units.astype(np.int64) \
+                if np.all(np.abs(units) < 1 << 63) else \
+                np.array([round(x * ORACLE_SCALE) for x in w], dtype=object)
+            self._share = (self._units / ORACLE_SCALE).astype(np.float64)
+            ships = self._units != 0
+            rows = dict.fromkeys(itertools.compress(coords, ships.tolist()))
+            m = len(rows)
+            rows |= dict.fromkeys(coords)
+        index = dict(zip(rows, range(len(rows))))
+        self._row_of = np.fromiter(map(index.__getitem__, coords), np.intp,
+                                   len(coords))
+        if weights is None:
+            self._total = len(coords)
+            self._supply = np.bincount(self._row_of, minlength=len(rows))
+        else:
+            units = self._units[ships]
+            self._total = _exact_sum(units)
+            if self._total >= 1 << 63:
+                units = units.astype(object)
+            self._supply = np.zeros(m, dtype=units.dtype)
+            np.add.at(self._supply, self._row_of[ships], units)
+        if coords:
+            self._D = self._table(list(rows))
+            if weights is not None:
+                self._Df = self._D.astype(np.float64)
 
     def _table(self, coords):
         """dist^r of each row to each center: exact integers for r == 2."""
-        r = self.r
-        if not coords:
-            return []
-        every = coords + [z.coords for z in self.centers]
-        span = max(abs(x) for c in every for x in c)
-        d = len(coords[0])
-        if r == 2 and len(set(map(len, every))) == 1 and \
-                d * (2 * span) ** 2 < 1 << 63:
+        r, k, d = self.r, len(self.centers), len(coords[0])
+        zs = [z.coords for z in self.centers]
+        if r == 2 and len(set(map(len, coords + zs))) == 1:
             # dist_pow below rejects mixed dimensions and keeps huge ones
             # exact
-            rc = np.array(coords, dtype=np.int64)
-            zc = np.array([z.coords for z in self.centers],
-                          dtype=np.int64).reshape(-1, d)
-            return ((rc[:, None, :] - zc[None, :, :]) ** 2).sum(axis=2).tolist()
-        return [[dist_pow(Point(c), z, r) for z in self.centers]
-                for c in coords]
+            try:
+                rc = np.fromiter(itertools.chain.from_iterable(coords),
+                                 np.int64, len(coords) * d).reshape(-1, d)
+                zc = np.fromiter(itertools.chain.from_iterable(zs),
+                                 np.int64, k * d).reshape(k, d)
+                span = max(int(rc.max()), -int(rc.min()),
+                           int(zc.max(initial=0)), -int(zc.min(initial=0)))
+            except OverflowError:
+                span = None
+            if span is not None and d * (2 * span) ** 2 < 1 << 63:
+                return ((rc[:, None, :] - zc[None, :, :]) ** 2).sum(axis=2)
+        return np.array([[dist_pow(Point(c), z, r) for z in self.centers]
+                         for c in coords],
+                        dtype=object if r == 2 else np.float64)
+
+    def _cost_matrix(self):
+        """The shipping rows' costs, dist^r for r == 2 and round(dist^r *
+        ORACLE_SCALE) otherwise, over a zero slack row.  Potentials stay
+        within 2k tree steps of the root, so (4k + 2) * top bounds every
+        reduced cost: int64 below 2**62, Python ints past it."""
+        m, k = self._supply.size, len(self.centers)
+        costs = self._D[:m] if self.r == 2 else \
+            np.rint(self._D[:m] * ORACLE_SCALE)
+        fits = (4 * k + 2) * int(costs.max()) < 1 << 62
+        C = np.zeros((m + 1, k), dtype=np.int64 if fits else object)
+        if fits or self.r == 2:
+            C[:m] = costs
+        else:
+            C[:m] = [[round(x * ORACLE_SCALE) for x in row]
+                     for row in self._D[:m].tolist()]
+        return C
 
     def at(self, t: float) -> float:
         """cost_t, INF when the capacities cannot hold the input."""
@@ -343,12 +436,13 @@ class CostCurve:
             if not self.points:
                 value = 0.0
             elif t == INF:
-                near = [min(row) for row in self._dist]
-                if self.weights is None:
-                    value = float(sum(near[i] for i in self._row_of))
+                if self.weights is not None:
+                    near = self._Df.min(axis=1)[self._row_of]
+                    value = _left_sum(self._w * near)
                 else:
-                    value = float(sum(self.weights[p] * near[i] for p, i
-                                      in zip(self.points, self._row_of)))
+                    near = self._D.min(axis=1)[self._row_of]
+                    value = _left_sum(near) if near.dtype == np.float64 \
+                        else float(_exact_sum(near))
             elif len(self.centers) == 2:
                 value = self._k2_at(t)
             else:
@@ -359,35 +453,41 @@ class CostCurve:
     def _k2_at(self, t: float) -> float:
         """Two centers: the nearest-center plan (base cost, per-side loads)
         and each side's switching penalties, sorted once, make each
-        capacity a prefix walk over the heavier side's penalties."""
+        capacity a prefix walk over the heavier side's penalties (for unit
+        weights, a prefix sum, added left to right once)."""
         unit = self.weights is None
         if self._k2 is None:
             base, tot = 0.0, [0.0, 0.0]
             counts = [0, 0]
             pens = ([], [])
-            for p, i in zip(self.points, self._row_of):
+            dist = self._D.tolist()
+            for p, i in zip(self.points, self._row_of.tolist()):
                 w = 1.0 if unit else self.weights[p]
-                c0, c1 = self._dist[i]
+                c0, c1 = dist[i]
                 side = 0 if c0 <= c1 else 1
                 tot[side] += w
                 counts[side] += 1
                 base += w * (c0 if side == 0 else c1)
                 pens[side].append((abs(c1 - c0), w))
-            self._k2 = (base, tot, counts, sorted(pens[0]), sorted(pens[1]))
-        base, tot, counts, pens0, pens1 = self._k2
+            pens = [sorted(side) for side in pens]
+            if unit:
+                pens = [list(itertools.accumulate((pen for pen, _ in side),
+                                                  initial=0))
+                        for side in pens]
+            self._k2 = (base, tot, counts, pens)
+        base, tot, counts, pens = self._k2
         cap = math.floor(t) if unit and t < INF else t
         if tot[0] + tot[1] > 2 * cap:
             return INF
         value = base
-        for heavy, pens in ((0, pens0), (1, pens1)):
+        for heavy in (0, 1):
             if tot[heavy] <= cap:
                 continue
             if unit:
-                m = counts[heavy] - int(cap)
-                value += sum(pen for pen, _ in pens[:m])
+                value += pens[heavy][counts[heavy] - int(cap)]
             else:
                 move = tot[heavy] - cap
-                for pen, w in pens:
+                for pen, w in pens[heavy]:
                     take = min(w, move)
                     value += pen * take
                     move -= take
@@ -401,41 +501,66 @@ class CostCurve:
 
         Unit weights give the integral optimum at capacity floor(t) (a
         basic plan of integer data is integral); weights give the
-        fractional optimum in ORACLE_SCALE units.  The value sums dist^r
-        over the plan, point by point in input order.
+        fractional optimum in ORACLE_SCALE units.  Each point of a row with
+        one positive cell takes that cell's dist^r, in columns; only the
+        points of rows split over several columns are handed their row's
+        shipments, columns in increasing order, point by point in input
+        order.
         """
         unit = self.weights is None
         cap = math.floor(t) if unit else round(t * ORACLE_SCALE)
         if self._total > len(self.centers) * cap:
             return INF
-        if not self._supply:
+        m = self._supply.size
+        if not m:
             return 0 if unit else 0.0
-        dist = self._dist
-        if self._costs is None:
-            m = len(self._supply)
-            self._costs = dist[:m] if self.r == 2 else \
-                [[round(x * ORACLE_SCALE) for x in row] for row in dist[:m]]
-        plan = _transport_plan(self._costs, self._supply, cap)
-        # hand each row's shipments to its points, columns in increasing
-        # order
-        shipped = [[] for _ in self._supply]
-        for (i, j), x in sorted(plan.items()):
-            if x and i < len(shipped):
-                shipped[i].append([j, x])
-        value = 0 if unit else 0.0
-        for i, x in zip(self._row_of, self._units):
-            while x:
-                part = shipped[i][0]
-                take = min(x, part[1])
-                if unit:
-                    value += dist[i][part[0]]
+        if self._C is None:
+            self._C = self._cost_matrix()
+        anchor, flow = _transport_plan(self._C, self._supply, cap)
+        col = np.zeros(len(self._D), dtype=np.intp)
+        col[:m] = anchor[:m]
+        split = {}
+        for (i, j), x in sorted(flow.items()):
+            if x and i < m:
+                split.setdefault(i, []).append([j, x])
+        for i in [i for i, parts in split.items() if len(parts) == 1]:
+            col[i] = split.pop(i)[0][0]
+        rows = self._row_of
+        D = self._D if unit else self._Df
+        vals = D[rows, col[rows]]
+        if not unit:
+            vals = self._share * vals
+        spans = []      # (point, its parts' terms) of points over columns
+        if split:
+            in_split = np.zeros(len(col), dtype=bool)
+            in_split[list(split)] = True
+            for p in np.flatnonzero(in_split[rows]).tolist():
+                i = int(rows[p])
+                parts = split[i]
+                x = 1 if unit else int(self._units[p])
+                terms = []
+                while x:
+                    part = parts[0]
+                    take = min(x, part[1])
+                    terms.append(D[i, part[0]] if unit else
+                                 take / ORACLE_SCALE * D[i, part[0]])
+                    part[1] -= take
+                    x -= take
+                    if not part[1]:
+                        parts.pop(0)
+                if len(terms) > 1:
+                    spans.append((p, terms))
                 else:
-                    value += take / ORACLE_SCALE * dist[i][part[0]]
-                part[1] -= take
-                x -= take
-                if not part[1]:
-                    shipped[i].pop(0)
-        return value
+                    vals[p] = terms[0] if terms else 0.0
+        if spans:
+            pieces, prev = [], 0
+            for p, terms in spans:
+                pieces += [vals[prev:p], terms]
+                prev = p + 1
+            vals = np.concatenate(pieces + [vals[prev:]])
+        if unit and self.r == 2:
+            return _exact_sum(vals)
+        return _left_sum(vals)
 
 
 @dataclass

@@ -36,6 +36,7 @@ import random
 
 import pytest
 
+from capacore import assignment, oracle
 from capacore.cli import main
 from capacore.common import derive_seed
 from capacore.coreset import OfflineBuilder, build_auto, dedup_points
@@ -526,3 +527,51 @@ def _eval_id(case):
 def test_eval_files_match_their_golden_digest(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _eval_digest(*case) == EVALS[case]
+
+
+def _sum_312(iterable, start=0):
+    """builtin sum as CPython 3.12 takes it: exact ints up to the first
+    float, then Neumaier's compensated summation over the floats (ints
+    after that are added uncompensated)."""
+    items = iter(iterable)
+    total = start
+    for x in items:
+        total += x
+        if type(total) is float:
+            break
+    else:
+        return total
+    comp = 0.0
+    for x in items:
+        if type(x) is float:
+            t = total + x
+            if abs(total) >= abs(x):
+                comp += (total - t) + x
+            else:
+                comp += (x - t) + total
+            total = t
+        else:
+            total += x
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+# r = 1 and r = 3 cases, whose float sums a compensated sum would change
+ODD_R = [("eval", case) for case in sorted(EVALS) if case[2] != 2] + \
+    [("assign", case) for case in sorted(ASSIGNS) if case[2] != 2]
+
+
+@pytest.mark.parametrize(
+    "kind,case", ODD_R,
+    ids=[f"{kind}-{(_eval_id if kind == 'eval' else _assign_id)(case)}"
+         for kind, case in ODD_R])
+def test_digests_hold_under_a_compensated_sum(kind, case, tmp_path,
+                                              monkeypatch):
+    """The oracle and the assignment sum floats left to right themselves,
+    so Python 3.12's compensated builtin sum leaves every digest as it is."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(oracle, "sum", _sum_312, raising=False)
+    monkeypatch.setattr(assignment, "sum", _sum_312, raising=False)
+    if kind == "eval":
+        assert _eval_digest(*case) == EVALS[case]
+    else:
+        assert _assign_digests(*case) == ASSIGNS[case]

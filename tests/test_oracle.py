@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from capacore import oracle
@@ -398,6 +399,246 @@ def test_cost_curve_computes_each_distance_once(monkeypatch):
             values = [curve.at(t) for t in capacities]
             assert values[1] == INF and values[-1] != INF
             assert len(calls) == len(set(calls)) == rows * k
+
+
+def _reference_plan(costs, supply, cap):
+    """The oracle's transportation simplex on dicts and lists, every cell
+    explicit: ({(row, column): units} over the tree, pivot count).  The
+    scalar reference of oracle._transport_plan: the same start, pricing,
+    entering and leaving rules, so the same pivots and the same plan."""
+    m, k = len(costs), len(costs[0])
+    slack, nodes = m, m + 1      # rows are nodes 0..m, column j is node m+1+j
+    table = costs + [[0] * k]
+    top = max(map(max, costs))
+    C = np.array(table, dtype=np.int64 if (4 * k + 2) * top < 1 << 62
+                 else object)
+    if k > 1:
+        two = np.sort(C[:m], axis=1)[:, :2]
+        order = np.argsort(two[:, 0] - two[:, 1], kind="stable").tolist()
+    else:
+        order = range(m)
+    prefs = np.argsort(C[:m], axis=1, kind="stable").tolist()
+    room = [cap] * k
+    flow = {}
+    for i in order:
+        left = supply[i]
+        for j in prefs[i]:
+            if room[j]:
+                take = min(left, room[j])
+                flow[i, j] = take
+                room[j] -= take
+                left -= take
+                if not left:
+                    break
+    for j in range(k):
+        if room[j]:
+            flow[slack, j] = room[j]
+    cols = {}
+    for i, j in flow:
+        cols.setdefault(i, []).append(j)
+    link = list(range(k + 1))
+
+    def find(a):
+        while link[a] != a:
+            link[a] = a = link[link[a]]
+        return a
+
+    for i, cs in cols.items():
+        for j in cs[1:]:
+            link[find(j)] = find(cs[0])
+    for j in cols.get(slack, ()):
+        link[find(j)] = find(k)
+    for j in range(k):
+        if find(j) != find(k):
+            flow[slack, j] = 0
+            cols.setdefault(slack, []).append(j)
+            link[find(j)] = find(k)
+    anchor = np.array([cols[i][0] for i in range(nodes)])
+    branch = {i: cs for i, cs in cols.items() if len(cs) > 1 or i == slack}
+
+    def to_root(a):
+        path = [a]
+        while a != slack:
+            a = parent[a] if a in parent else nodes + int(anchor[a])
+            path.append(a)
+        return path
+
+    rows = np.arange(nodes)
+    pivots = 0
+    while True:
+        col_rows = [[] for _ in range(k)]
+        for i, cs in branch.items():
+            for j in cs:
+                col_rows[j].append(i)
+        u, v = {slack: 0}, [None] * k
+        parent = {}
+        stack = [slack]
+        while stack:
+            a = stack.pop()
+            if a < nodes:
+                for j in branch[a]:
+                    if v[j] is None:
+                        v[j] = table[a][j] - u[a]
+                        parent[nodes + j] = a
+                        stack.append(nodes + j)
+            else:
+                for i in col_rows[a - nodes]:
+                    if i not in u:
+                        u[i] = table[i][a - nodes] - v[a - nodes]
+                        parent[i] = a
+                        stack.append(i)
+        vv = np.array(v, dtype=C.dtype)
+        reduced = C - (C[rows, anchor] - vv[anchor])[:, None] - vv
+        e = int(reduced.argmin())
+        if reduced.flat[e] >= 0:
+            return flow, pivots
+        pivots += 1
+        i, j = divmod(e, k)
+        up_i, up_j = to_root(i), to_root(nodes + j)
+        while len(up_i) > 1 and len(up_j) > 1 and up_i[-2] == up_j[-2]:
+            up_i.pop()
+            up_j.pop()
+        cycle = up_i[::-1] + up_j
+        flow[i, j] = 0
+        steps, theta, leave = [], None, None
+        for a, b in zip(cycle, cycle[1:]):
+            if a < nodes:
+                steps.append(((a, b - nodes), 1))
+            else:
+                cell = (b, a - nodes)
+                steps.append((cell, -1))
+                if theta is None or flow[cell] < theta:
+                    theta, leave = flow[cell], cell
+        for cell, sign in steps:
+            flow[cell] += sign * theta
+        del flow[leave]
+        if i in branch:
+            branch[i].append(j)
+        else:
+            branch[i] = [int(anchor[i]), j]
+        p, q = leave
+        branch[p].remove(q)
+        if anchor[p] == q:
+            anchor[p] = branch[p][0]
+        if p != slack and len(branch[p]) == 1:
+            del branch[p]
+
+
+def _reference_solve(points, centers, t, r, weights=None):
+    """CostCurve._solve by its scalar reference: (the plan's positive cells
+    {(row, column): units}, the value, the pivot count); the value sums
+    dist_pow over the plan point by point in input order, each row handing
+    its shipments to its points columns in increasing order."""
+    scale = oracle.ORACLE_SCALE
+    unit = weights is None
+    units = [1 if unit else round(weights[p] * scale) for p in points]
+    rows = dict.fromkeys(p.coords for p, x in zip(points, units) if x)
+    supply = [0] * len(rows)
+    rows |= dict.fromkeys(p.coords for p in points)
+    index = {c: i for i, c in enumerate(rows)}
+    row_of = [index[p.coords] for p in points]
+    for i, x in zip(row_of, units):
+        if x:
+            supply[i] += x
+    dist = [[dist_pow(Point(c), z, r) for z in centers] for c in rows]
+    cap = math.floor(t) if unit else round(t * scale)
+    if sum(supply) > len(centers) * cap:
+        return None, INF, 0
+    m = len(supply)
+    costs = dist[:m] if r == 2 else \
+        [[round(x * scale) for x in row] for row in dist[:m]]
+    plan, pivots = _reference_plan(costs, supply, cap)
+    cells = {cell: x for cell, x in plan.items() if x and cell[0] < m}
+    shipped = [[] for _ in supply]
+    for (i, j), x in sorted(cells.items()):
+        shipped[i].append([j, x])
+    value = 0 if unit else 0.0
+    for i, x in zip(row_of, units):
+        while x:
+            part = shipped[i][0]
+            take = min(x, part[1])
+            if unit:
+                value += dist[i][part[0]]
+            else:
+                value += take / scale * dist[i][part[0]]
+            part[1] -= take
+            x -= take
+            if not part[1]:
+                shipped[i].pop(0)
+    return cells, value, pivots
+
+
+def _plan_cells(curve, t):
+    """The positive cells {(row, column): units} of curve's plan at t: each
+    leaf row's supply on its anchor, the core's cells from the flow."""
+    unit = curve.weights is None
+    cap = math.floor(t) if unit else round(t * oracle.ORACLE_SCALE)
+    supply = curve._supply.tolist()
+    anchor, flow = oracle._transport_plan(curve._cost_matrix(),
+                                          curve._supply, cap)
+    core = {i for i, _ in flow}
+    cells = {(i, int(anchor[i])): x for i, x in enumerate(supply)
+             if i not in core}
+    cells.update({(i, j): x for (i, j), x in flow.items()
+                  if x and i < len(supply)})
+    return cells
+
+
+def test_transport_plan_matches_its_scalar_reference():
+    rng = random.Random(23)
+    wide = solved = pivoted = 0
+    for trial in range(1000):
+        k, r = rng.randint(3, 6), rng.choice([1, 2, 3, 2.5])
+        Delta = 1 << 40 if trial % 10 == 0 else rng.choice([4, 8, 16])
+        pts = rand_points(rng, rng.randint(1, 24), Delta)
+        # repeated coordinates share a row; repeated centers tie
+        pts += [Point(p.coords, 100 + i)
+                for i, p in enumerate(pts[:rng.randint(0, 8)])]
+        Z = [Point((rng.randint(1, Delta), rng.randint(1, Delta)))
+             for _ in range(k)]
+        if rng.random() < 0.3:
+            Z[rng.randrange(1, k)] = Z[0]
+        weights = [None, {p: 1 / 1.4333 for p in pts},
+                   {p: 8.64 for p in pts},
+                   {p: rng.choice([1 / 1.4333, 8.64, 1.0]) for p in pts}
+                   ][trial % 4]
+        total = len(pts) if weights is None else sum(weights.values())
+        curve = oracle.CostCurve(pts, Z, r, weights)
+        if Delta == 1 << 40 and r == 3:
+            # scaled costs past 2**63: pricing on Python ints
+            assert curve._cost_matrix().dtype == object
+            wide += 1
+        # just feasible, binding, slack
+        for t in (total / k, total / k * rng.uniform(1.0, 1.3),
+                  total / k * rng.uniform(1.3, 3.0)):
+            t = math.ceil(t) if weights is None else t
+            cells, want, pivots = _reference_solve(pts, Z, t, r, weights)
+            got = curve._solve(t)
+            assert (repr(got), type(got)) == (repr(want), type(want))
+            if cells is not None:
+                assert _plan_cells(curve, t) == cells
+                pivoted += pivots > 0
+                solved += 1
+    assert wide >= 10 and solved >= 2000 and pivoted >= 500
+
+
+def test_cost_curve_sums_never_wrap():
+    # every r = 2 table entry passes the int64 gate, their sum over the
+    # points passes 2**63: numpy would wrap it without a warning
+    rng = random.Random(9)
+    top = (1 << 30) - 64
+    pts = [Point((top - rng.randint(0, 32), top - rng.randint(0, 32)), i)
+           for i in range(12)]
+    Z = [Point((1, 1)), Point((2, 1)), Point((1, 2))]
+    curve = oracle.CostCurve(pts, Z, 2)
+    assert curve._D.dtype == np.int64
+    near = sum(min(dist_pow(p, z, 2) for z in Z) for p in pts)
+    assert near >= 1 << 63
+    assert curve.at(INF) == float(near)
+    for t in (4, 5, 12):
+        got = curve.at(t)
+        want = _reference_solve(pts, Z, t, 2)[1]
+        assert type(got) is int and got == want >= near
 
 
 def test_transport_simplex_beyond_int64():
