@@ -47,6 +47,7 @@ import numpy as np
 from .common import Fail, UsageError, derive_seed, is_fail
 from .geometry import GridHierarchy, Point
 from .hashing import PointEncoder
+from .partition import sorted_runs
 
 _MAGIC = b"CSTO"
 _SKETCH_VERSION = 1
@@ -307,15 +308,13 @@ def _stacked(arrays, width: int):
 def point_table(blobs, d: int):
     """(points, ids): one Point per distinct (coordinates, tag) among the
     entries of the ExactBlobs blobs of dimension d, in sort_key order, and
-    per blob the row in points of each of its entries."""
+    per blob the row in points of each of its entries.  The entries are
+    sorted once, by the lattice_keys of their rows (partition.sorted_runs)."""
     rows = _stacked((b.entries[:, :d + 1] for b in blobs), d + 1)
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    order, new = sorted_runs(rows)
     ids = np.empty(len(rows), dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
-    first = rows[new]
+    first = rows[order[new]]
     points = list(map(Point, _rows(first[:, :d]), first[:, d].tolist()))
     ends = np.cumsum([len(b.entries) for b in blobs], dtype=np.int64)
     return points, np.split(ids, ends[:-1])
@@ -326,7 +325,10 @@ def merge_exact(store, blobs, ids, points):
     seed) after merge_in of each ExactBlob of blobs, computed in columns:
     counts summed per lattice and multiplicities per (lattice, point), zeros
     dropped, then store's alpha and beta applied.  points and ids are a
-    point_table holding the blobs' entries: ids[i] places blobs[i]'s."""
+    point_table holding the blobs' entries: ids[i] places blobs[i]'s.  The
+    cell records and entries are grouped by one sort of the lattice_keys of
+    their lattices, and the light entries by one sort of the keys of their
+    (cell, point row) pairs (partition.sorted_runs)."""
     for b in blobs:
         if (b.level, b.alpha, b.beta, b.seed) != \
                 (store.level, store.alpha, store.beta, store.seed):
@@ -338,10 +340,7 @@ def merge_exact(store, blobs, ids, points):
     # entry's lattice is its light cell's and it adds 0 to the count
     lat = _stacked([cells[:, :d]] + [np.repeat(b.light, b.sizes, axis=0)
                                      for b in blobs], d)
-    order = np.lexsort(lat.T[::-1])
-    lat = lat[order]
-    new = np.ones(len(lat), dtype=bool)
-    new[1:] = (lat[1:] != lat[:-1]).any(axis=1)
+    order, new = sorted_runs(lat)
     starts = np.flatnonzero(new)
     counts = np.append(cells[:, d], np.zeros(len(entries), dtype=np.int64))
     counts = np.add.reduceat(counts[order], starts) if len(lat) else counts
@@ -356,10 +355,8 @@ def merge_exact(store, blobs, ids, points):
     keep = light[group]
     group, rows = group[keep], rows[keep]
     pid = np.concatenate([np.empty(0, dtype=np.int64), *ids])[rows]
-    by = np.lexsort((pid, group))
+    by, first = sorted_runs(np.column_stack((group, pid)))
     group, pid, mults = group[by], pid[by], entries[rows[by], d + 1]
-    first = np.ones(len(pid), dtype=bool)
-    first[1:] = (pid[1:] != pid[:-1]) | (group[1:] != group[:-1])
     at = np.flatnonzero(first)
     mults = np.add.reduceat(mults, at) if len(at) else mults
     # a light cell lists its points of a positive multiplicity in
@@ -367,8 +364,9 @@ def merge_exact(store, blobs, ids, points):
     listed, group, pid = mults > 0, group[at], pid[at]
     offsets = np.append(0, np.cumsum(np.bincount(
         group[listed], minlength=len(starts))[nonzero]))
-    return CellData(store.level, lat[starts][nonzero], counts[nonzero],
-                    points, pid[listed], mults[listed], offsets)
+    return CellData(store.level, lat[order[starts[nonzero]]],
+                    counts[nonzero], points, pid[listed], mults[listed],
+                    offsets)
 
 
 def encode_exact(store, lattices, counts, sizes, entries) -> bytes:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -40,7 +40,8 @@ from .geometry import (NO_TAG, TAG_SPACE, GridHierarchy, check_domain,
                        format_point, parse_point_line)
 from .hashing import KWiseHash, PointEncoder
 from .params import FAMILIES, Params, coreset_size_bound, parse_serialized
-from .partition import PartitionStructure, lattice_array, mark_cells
+from .partition import (PartitionStructure, lattice_array, mark_cells,
+                        sorted_runs)
 
 __all__ = [
     "CoresetMeta", "WeightedCoreset", "OfflineBuilder", "build_for_o",
@@ -70,7 +71,9 @@ class WeightedCoreset:
 
     def __init__(self, entries, meta: CoresetMeta):
         # entries: (point, weight, level, part_j), canonically ordered (a
-        # Point compares as its sort_key)
+        # Point compares as its sort_key) by this one sort, whatever order
+        # they come in; entries already in order (the offline and dist
+        # builds) take it in one pass
         self.entries = sorted(entries, key=itemgetter(2, 3, 0))
         self.meta = meta
 
@@ -81,7 +84,11 @@ class WeightedCoreset:
         return {e[0]: e[1] for e in self.entries}
 
     def total_weight(self) -> float:
-        return sum(e[1] for e in self.entries)
+        """The weights summed left to right in entry order (np.cumsum, as
+        part sums are), the same float on every Python version."""
+        weights = np.fromiter(map(itemgetter(1), self.entries), float,
+                              len(self.entries))
+        return float(np.cumsum(weights)[-1]) if len(weights) else 0.0
 
     def canonical(self):
         return (
@@ -232,12 +239,17 @@ def finalize_cells(sampling: Sampling, o: float, read, n: int):
         kept = qualifies[ranks]
         if (hhat.counts[kept] > params.caps("hhat", lvl, o)[1]).any():
             return Fail("light-point recovery cap")
-        # one entry per point of a kept cell, of weight 1/phi per copy
+        # one entry per point of a kept cell, of weight 1/phi per copy, by
+        # part rank and point row: sort_key order within each part where
+        # the point table is in sort_key order
         cell = np.repeat(np.arange(len(kept)), np.diff(hhat.offsets))
         rows = np.flatnonzero(kept[cell])
-        points = map(hhat.points.__getitem__, hhat.ids[rows].tolist())
+        ids, js = hhat.ids[rows], ranks[cell[rows]]
+        by = np.lexsort((ids, js))
+        rows, ids, js = rows[by], ids[by], js[by]
+        points = map(hhat.points.__getitem__, ids.tolist())
         entries.extend(zip(points, (hhat.mults[rows] / phi[lvl]).tolist(),
-                           repeat(lvl), ranks[cell[rows]].tolist()))
+                           repeat(lvl), js.tolist()))
     if n > 0 and not entries:
         why = ("the h' estimator sample is empty"
                if not any(len(data[("hp", lvl)].counts) for lvl in levels)
@@ -276,46 +288,47 @@ class PointColumns:
     point set at once (the offline builder and the dist machines).
 
     Its n input points, copies counted, are held as the distinct points in
-    sort_key order (one np.lexsort over coordinates and tags), each with its
-    tag and multiplicity (2 for a point listed twice), beside one int64
-    array of their level-L lattices (GridHierarchy.off applied once; int64
-    fits every Delta <= 2**62).  The columns are checked in numpy: a point
-    outside the domain, ragged input or a value beyond int64 raises
-    geometry.check_domain's usage error.  Each hashed (family, level)
-    computes the points' field values once, when a key first needs them,
-    from the points' codes (PointEncoder.encode_columns, made once), and a
-    key keeps the rows whose values lie below its threshold.  cells(key)
-    groups the kept points into cells by one stable lexsort of their level
-    lattices (level L shifted right by L - level): equal lattices become
-    runs, in lexicographic order, each in sort_key order."""
+    sort_key order (one sort of the lattice_keys of their coordinates and
+    tags), each with its tag and multiplicity (2 for a point listed twice),
+    beside one int64 array of their level-L lattices (GridHierarchy.off
+    applied once; int64 fits every Delta <= 2**62).  The coordinates are
+    read with np.fromiter and checked in numpy: a point outside the domain,
+    ragged input or a value beyond int64 raises geometry.check_domain's
+    usage error.  Each hashed (family, level) computes the points' field
+    values once, when a key first needs them, from the points' codes
+    (PointEncoder.encode_columns, made once), and a key keeps the rows whose
+    values lie below its threshold.  cells(key) groups the kept points into
+    cells by one stable sort of the lattice_keys of their level lattices
+    (level L shifted right by L - level): equal lattices become runs, in
+    lexicographic order, each in sort_key order."""
 
     def __init__(self, points, sampling: Sampling):
         points = list(points)
         grid = sampling.grid
         n, d = len(points), grid.d
         try:  # ragged, other-dimensional or int64-overflowing input raises
-            coords = np.array([p.coords for p in points],
-                              dtype=np.int64).reshape(n, d)
-            tags = np.array([p.tag for p in points], dtype=np.int64)
+            if n and set(map(len, map(itemgetter(0), points))) != {d}:
+                raise ValueError("ragged input")
+            coords = np.fromiter(chain.from_iterable(
+                map(itemgetter(0), points)), np.int64, n * d).reshape(n, d)
+            tags = np.fromiter(map(itemgetter(1), points), np.int64, n)
             inside = ((coords >= 1) & (coords <= grid.Delta)).all() and \
                 ((tags >= NO_TAG) & (tags <= TAG_SPACE - 2)).all()
         except (ValueError, OverflowError):
             inside = False
         if not inside:
             check_domain(points, grid.Delta, d)  # raises its message
-        order = np.lexsort((tags,) + tuple(coords[:, a] for a in range(d))[::-1])
-        coords, tags = coords[order], tags[order]
-        new = np.ones(n, dtype=bool)
-        new[1:] = (coords[1:] != coords[:-1]).any(axis=1) | (tags[1:] != tags[:-1])
+        order, new = sorted_runs(np.column_stack((coords, tags)))
         starts = np.flatnonzero(new)
+        first = order[starts]
         self.n = n
-        self.points = [points[i] for i in order[starts].tolist()]
-        self.tags = tags[starts]
+        self.points = [points[i] for i in first.tolist()]
+        self.tags = tags[first]
         self.mults = np.diff(np.append(starts, n))
         self.sampling = sampling
         # level-L lattices, one row per distinct point
         self._off = np.array(grid.off, dtype=np.int64)
-        self.lattices = coords[starts] - 1 - self._off
+        self.lattices = coords[first] - 1 - self._off
         self._codes = None  # the points' codes, made when a key first hashes
         self._values: dict = {}  # (family, level) -> field values of points
 
@@ -339,20 +352,20 @@ class PointColumns:
     def cells(self, key: tuple):
         """(rows, cells, starts, counts) of the points key keeps: their rows
         in cell order, each cell's lattice at the key's level, the row where
-        its run starts, and its count (its rows' multiplicities summed)."""
+        its run starts, and its count (its rows' multiplicities summed).
+        The rows are grouped by one stable sort of the lattice_keys of
+        their lattices (partition.sorted_runs)."""
         family, level, t = key
         rows = np.arange(len(self.points) if t else 0) if family is None \
             else self._kept_rows(family, level, t)
         lat = self.lattices[rows] >> (self.sampling.grid.L - level)
-        order = np.lexsort(lat.T[::-1])
-        lat, rows = lat[order], rows[order]
         # the first row of each run of equal lattices starts a cell
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = (lat[1:] != lat[:-1]).any(axis=1)
+        order, new = sorted_runs(lat)
+        rows = rows[order]
         starts = np.flatnonzero(new)
         mults = self.mults[rows]
         counts = np.add.reduceat(mults, starts) if len(rows) else mults
-        return rows, lat[starts], starts, counts
+        return rows, lat[order[starts]], starts, counts
 
 
 class OfflineBuilder:

@@ -10,8 +10,9 @@ broadcast carries n beside the configuration, so a machine lays out the
 same stores.  With either backing a machine holds its
 shard in columns (coreset.PointColumns), hashes them in one numpy pass per
 hashed (family, level), groups the points each key keeps into cells by one
-lexsort and encodes each blob from them (cellstore.encode_rows), the blob
-of the store the shard streamed into.
+sort of their lattice keys (partition.lattice_keys) and encodes each blob
+from them (cellstore.encode_rows), the blob of the store the shard
+streamed into.
 
 The coordinator is a stream engine fed by machine messages instead of
 updates: it pairs the messages with its own stores by position and counts

@@ -7,13 +7,16 @@ off its root-to-leaf cell path: the first non-heavy level i together with the
 rank j of its level-(i-1) parent among that level's heavy cells.
 
 Cells are held in columns: a level's lattices are the rows of an (m, d)
-int64 array in lexicographic order.  Lattices are joined through
-lattice_keys, one fixed-width bytes key per row that sorts as the rows do,
-so np.searchsorted finds a lattice's rank among sorted lattices for every d
-and Delta.  mark_cells and crucial_ranks, the decision path's marking, and
-parts, the transfer's part of every input point, run on these arrays;
-PartitionStructure's tuple-set view (heavy) is made on first use, for the
-coreset file.
+int64 array in lexicographic order.  lattice_keys is the one place that
+turns integer rows (lattices, or point coordinates beside a tag) into keys
+that sort as the rows do: one int64 per row when the columns' spans fit 63
+bits, else one fixed-width bytes key per row.  Every sort of rows
+(sorted_runs) and every join of lattices (PartitionStructure.rank, a
+np.searchsorted over the keys of the heavy cells and the query rows, made
+in one call) goes through it, for every d and Delta.  mark_cells and
+crucial_ranks, the decision path's marking, and parts, the transfer's part
+of every input point, run on these arrays; PartitionStructure's tuple-set
+view (heavy) is made on first use, for the coreset file.
 """
 
 from __future__ import annotations
@@ -27,12 +30,45 @@ from .geometry import GridHierarchy
 _SIGN = np.int64(-1 << 63)
 
 
-def lattice_keys(lattices) -> np.ndarray:
-    """One bytes key per row of an (m, d) int64 lattice array: each
-    coordinate's sign bit flipped, written big-endian, so the keys compare
-    as the rows do lexicographically."""
-    flipped = np.ascontiguousarray(lattices ^ _SIGN, dtype=">i8")
-    return flipped.view(f"S{8 * lattices.shape[1]}").ravel()
+def lattice_keys(rows) -> np.ndarray:
+    """One key per row of an (m, w) int64 array, such that the keys compare
+    as the rows do lexicographically.
+
+    Each column is offset by its own minimum and takes the bits its span
+    needs; when the widths add up to at most 63 bits the key is the columns
+    packed into one int64, first column highest.  Offsets and widths come
+    from the rows themselves, so any int64 rows have keys, and keys of two
+    calls do not compare: rows joined by key are encoded in one call.
+    Wider rows get a bytes key: each value's sign bit flipped, written
+    big-endian."""
+    m, w = rows.shape
+    if not m:
+        return np.empty(0, dtype=np.int64)
+    cols = np.asfortranarray(rows).T  # each column contiguous
+    lows = cols.min(axis=1).tolist()
+    bits = [(high - low).bit_length()
+            for high, low in zip(cols.max(axis=1).tolist(), lows)]
+    if sum(bits) > 63:
+        flipped = np.ascontiguousarray(rows ^ _SIGN, dtype=">i8")
+        return flipped.view(f"S{8 * w}").ravel()
+    # col - low lies in [0, 2**width), so it does not wrap
+    keys = cols[0] - lows[0]
+    for col, low, width in zip(cols[1:], lows[1:], bits[1:]):
+        keys <<= width
+        keys |= col - low
+    return keys
+
+
+def sorted_runs(rows):
+    """(order, new) for an (m, w) int64 array: the stable order that sorts
+    its rows lexicographically (np.lexsort's), and along it whether each
+    row starts a run of equal rows."""
+    keys = lattice_keys(rows)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return order, new
 
 
 def parents(lattices, level: int):
@@ -55,7 +91,6 @@ class PartitionStructure:
         # levels -1 .. L-1; a level not given has none
         empty = np.empty((0, grid.d), dtype=np.int64)
         self.lattices = {**{lvl: empty for lvl in range(-1, grid.L)}, **heavy}
-        self._keys: dict = {}  # level -> lattice_keys of its heavy cells
 
     @cached_property
     def heavy(self) -> dict:
@@ -69,13 +104,12 @@ class PartitionStructure:
     def rank(self, level: int, lattices) -> np.ndarray:
         """Per row of lattices ((m, d) int64), its rank among the heavy
         cells of level, or -1 where it is not heavy: a searchsorted join
-        over lattice_keys."""
-        heavy = self._keys.get(level)
-        if heavy is None:
-            heavy = self._keys[level] = lattice_keys(self.lattices[level])
+        over the lattice_keys of the heavy cells and the rows."""
+        heavy = self.lattices[level]
         if not len(heavy) or not len(lattices):
             return np.full(len(lattices), -1, dtype=np.int64)
-        keys = lattice_keys(lattices)
+        keys = lattice_keys(np.concatenate((heavy, lattices)))
+        heavy, keys = keys[:len(heavy)], keys[len(heavy):]
         rows = np.minimum(heavy.searchsorted(keys), len(heavy) - 1)
         return np.where(heavy[rows] == keys, rows, -1)
 

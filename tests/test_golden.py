@@ -36,7 +36,7 @@ import random
 
 import pytest
 
-from capacore import assignment, oracle
+from capacore import assignment, coreset, oracle
 from capacore.cli import main
 from capacore.common import derive_seed
 from capacore.coreset import OfflineBuilder, build_auto, dedup_points
@@ -575,3 +575,21 @@ def test_digests_hold_under_a_compensated_sum(kind, case, tmp_path,
         assert _eval_digest(*case) == EVALS[case]
     else:
         assert _assign_digests(*case) == ASSIGNS[case]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_total_weight_holds_under_a_compensated_sum(seed, monkeypatch):
+    """WeightedCoreset.total_weight sums its weights left to right itself,
+    so Python 3.12's compensated builtin sum leaves it as it is: at scale
+    1e-57 with exact counts the weights are not integers, and the two
+    sums differ."""
+    pts = _points(seed, 40)
+    grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), DELTA, 2)
+    core = build_auto(pts, grid, _params(1e-57), seed, exact_counts=True)
+    weights = [w for _, w, _, _ in core.entries]
+    left = 0.0
+    for w in weights:
+        left += w
+    assert _sum_312(weights) != left
+    monkeypatch.setattr(coreset, "sum", _sum_312, raising=False)
+    assert core.total_weight() == left

@@ -214,3 +214,28 @@ def test_part_of_matches_a_per_level_walk(d, log_delta):
     # the markings reach parts on more than one level (at Delta = 2 a
     # marking may leave every point on the same one)
     assert len(levels) > 1 or Delta == 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_crucial_ranks_match_a_tuple_reference(d):
+    # random heavy cells on every level, parents heavy or not, so that
+    # cells under light parents sit between cells under heavy ones
+    Delta = 64
+    rng = random.Random(f"crucial:{d}")
+    grid = GridHierarchy(Delta, d, sample_shift(d, Delta, d))
+    points = [tuple(rng.randint(1, Delta) for _ in range(d))
+              for _ in range(200)]
+    for trial in range(20):
+        heavy = {lvl: {grid.lattice_of(c, lvl)
+                       for c in rng.sample(points, rng.randint(0, 60))}
+                 for lvl in range(-1, grid.L)}
+        structure = PartitionStructure(grid, {
+            lvl: lattice_array(cells, d) for lvl, cells in heavy.items()})
+        for lvl in range(0, grid.L + 1):
+            cells = sorted({grid.lattice_of(c, lvl) for c in points})
+            index = {lat: j for j, lat in enumerate(sorted(heavy[lvl - 1]))}
+            ref = [-1 if lvl < grid.L and lat in heavy[lvl] else index.get(
+                tuple((t + 1) >> 1 if lvl == 0 else t >> 1 for t in lat), -1)
+                for lat in cells]
+            assert structure.crucial_ranks(
+                lvl, lattice_array(cells, d)).tolist() == ref, (trial, lvl)
