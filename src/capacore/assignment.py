@@ -8,15 +8,13 @@ switching tied pairs into alphabetic order, half-space extraction, and
 finally the transferred assignment that extends the canonicalized coreset
 assignment to the full input.
 
-Every step reads one dist^r table per point set: an (n, k) numpy array of
-the points' distances to the centers, each entry equal to dist_pow.  For
-r = 2 the entries are exact integers, held in int64 when the largest
-squared distance the coordinates allow (axis by axis), times FLOW_SCALE,
-lies below 2^63, and as Python ints otherwise; r = 1 takes np.sqrt of the
-float64 squares and any other r Python's float ** (r / 2) per entry, as
-dist_pow does.  Scaled flow costs round each entry times the scale half to
-even (np.rint, as Python's round), and a pair key dist^r(x, z_i) -
-dist^r(x, z_j) is a difference of two columns.
+Every step reads one dist^r table per point set, geometry.dist_table (the
+table the oracle reads too): an (n, k) numpy array of the points'
+distances to the centers, each entry equal to dist_pow, exact integers for
+r = 2.  Scaled flow costs round each entry times the scale half to even
+(geometry.scaled_table), a pair key dist^r(x, z_i) - dist^r(x, z_j) is a
+difference of two columns, and a point's nearest center is
+geometry.nearest_centers' first argmin of its squared distances.
 
 transfer_full runs over the input in columns: each point's part in one
 pass per level (PartitionStructure.parts), each level's half-spaces as
@@ -36,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import INFEASIBLE, UsageError, is_infeasible
-from .geometry import Point, alph_less, dist_pow
+from .geometry import (Point, alph_less, coord_array, dist_pow, dist_table,
+                       nearest_centers, scaled_table)
 
 FLOW_SCALE = 1 << 20  # weight/cost quantization inside the flow solver
-_INT64_LIMIT = 1 << 63
 
 
 class MinCostFlow:
@@ -249,96 +247,9 @@ class TransportSolver:
         return True
 
 
-def nearest_center_index(p: Point, centers) -> int:
-    best, best_sq = 0, None
-    for idx, z in enumerate(centers):
-        sq = sum((a - b) ** 2 for a, b in zip(p.coords, z.coords))
-        if best_sq is None or sq < best_sq:
-            best, best_sq = idx, sq
-    return best
-
-
-# --- the dist^r table ----------------------------------------------------------
-
-def coord_array(points, d: int) -> np.ndarray:
-    """The points' coordinates as an (n, d) array: int64, or object (the
-    Python numbers themselves) when a coordinate is not an int64 integer."""
-    rows = [p.coords for p in points]
-    if not rows:
-        return np.empty((0, d), dtype=np.int64)
-    try:
-        coords = np.array(rows)
-    except ValueError:
-        coords = None
-    if coords is None or coords.ndim != 2 or coords.shape[1] != d:
-        raise UsageError("dimension mismatch between points")
-    if coords.dtype != np.int64:
-        coords = np.empty((len(rows), d), dtype=object)
-        coords[:] = rows
-    return coords
-
-
-def squared_dists(coords, center_coords) -> np.ndarray:
-    """(n, k) exact squared distances, summed axis by axis as dist_pow sums
-    them: int64 when the largest the coordinates allow (the per-axis
-    largest point-center gaps, squared and summed) times FLOW_SCALE lies
-    below 2^63, Python ints otherwise."""
-    n, k = len(coords), len(center_coords)
-    if not n or not k:
-        return np.zeros((n, k), dtype=np.int64)
-    x, z = coords, center_coords
-    if x.dtype == z.dtype == np.int64:
-        gaps = [max(int(x[:, a].max()) - int(z[:, a].min()),
-                    int(z[:, a].max()) - int(x[:, a].min()))
-                for a in range(x.shape[1])]
-        if sum(g * g for g in gaps) * FLOW_SCALE >= _INT64_LIMIT:
-            x, z = x.astype(object), z.astype(object)
-    else:
-        x, z = x.astype(object), z.astype(object)
-    sq = np.empty((n, k), dtype=x.dtype)
-    for j in range(k):
-        diff = x - z[j]
-        col = diff[:, 0] * diff[:, 0]
-        for a in range(1, x.shape[1]):
-            col = col + diff[:, a] * diff[:, a]
-        sq[:, j] = col
-    return sq
-
-
-def dist_power(sq, r) -> np.ndarray:
-    """dist^r from squared distances, entry by entry equal to dist_pow:
-    the squares themselves for r = 2, np.sqrt of their float64 values for
-    r = 1, Python's float ** (r / 2) for any other r (np.power may differ
-    in the last bit)."""
-    if r == 2:
-        return sq
-    flat = sq.astype(np.float64)  # rounded to nearest, as float() rounds
-    if r == 1:
-        return np.sqrt(flat)
-    e = r / 2.0
-    return np.array([v ** e for v in flat.ravel().tolist()],
-                    dtype=np.float64).reshape(sq.shape)
-
-
-def dist_table(points, centers, r) -> np.ndarray:
-    """The (n, k) dist^r table of points to centers."""
-    d = len(centers[0].coords) if centers else \
-        (len(points[0].coords) if points else 0)
-    return dist_power(squared_dists(coord_array(points, d),
-                                    coord_array(centers, d)), r)
-
-
 def scaled_costs(table, scale) -> list:
     """round(dist^r * scale) per entry, rows as lists of Python ints."""
-    if table.dtype == np.int64 and isinstance(scale, int) and \
-            (not table.size or int(table.max()) * scale < _INT64_LIMIT):
-        return (table * scale).tolist()
-    if table.dtype == np.float64:
-        with np.errstate(over="ignore"):  # inf: round() below raises
-            scaled = np.rint(table * scale)
-        if np.all(np.abs(scaled) < _INT64_LIMIT):
-            return scaled.astype(np.int64).tolist()
-    return [[round(v * scale) for v in row] for row in table.tolist()]
+    return scaled_table(table, scale).tolist()
 
 
 @dataclass
@@ -405,17 +316,16 @@ def fractional_assign(points, weights, centers, t_cap, r,
         raise UsageError(f"capacity must not be NaN or -inf, got {t_cap}")
     w_scaled = {p: round(weights[p] * scale) for p in pts}
     total = sum(w_scaled.values())
-    d = len(centers[0].coords)
-    sq = squared_dists(coord_array(pts, d), coord_array(centers, d))
     if t_cap == float("inf"):
-        nearest = np.argmin(sq, axis=1).tolist()
+        nearest = nearest_centers(pts, centers).tolist()
         shares = {p: {j: w_scaled[p]} for p, j in zip(pts, nearest)}
         return FractionalAssignment(centers, r, weights, shares, scale)
+    table = dist_table(pts, centers, r)
     t_scaled = round(t_cap * scale)
     if total > k * t_scaled:
         return INFEASIBLE
     solver = TransportSolver([t_scaled] * k)
-    for p, costs in zip(pts, scaled_costs(dist_power(sq, r), scale)):
+    for p, costs in zip(pts, scaled_costs(table, scale)):
         if not solver.insert(costs, w_scaled[p]):
             return INFEASIBLE
     # centers in index order, the order cost() and integralize walk them
@@ -486,12 +396,9 @@ def integralize(frac: FractionalAssignment, stats: dict | None = None) -> Assign
     if len(split) > k - 1:
         raise AssertionError(
             f"cycle elimination left {len(split)} split points (> k-1)")
-    mapping = {}
-    for p, alloc in shares.items():
-        if len(alloc) == 1:
-            mapping[p] = next(iter(alloc))
-        else:
-            mapping[p] = nearest_center_index(p, frac.centers)
+    nearest = dict(zip(split, nearest_centers(split, frac.centers).tolist()))
+    mapping = {p: nearest[p] if p in nearest else next(iter(alloc))
+               for p, alloc in shares.items()}
     return Assignment(frac.centers, frac.r, mapping, dict(frac.weights))
 
 
@@ -715,8 +622,7 @@ def transfer_full(full_points, coreset, halfspaces_by_level, centers):
     points = list(full_points) + [e[0] for e in entries]
     coords = coord_array(points, params.d)
     tags = np.array([p.tag for p in points], dtype=np.int64)
-    sq = squared_dists(coords, coord_array(centers, params.d))
-    table = dist_power(sq, params.r)
+    table = dist_table(coords, centers, params.r)
 
     # per row, the index of its kept part in part_tau's order, or -1; an
     # input point's part (i, j) is row offset[i] + j of a table over the
@@ -763,7 +669,7 @@ def transfer_full(full_points, coreset, halfspaces_by_level, centers):
     center[covered] = transferred_assignment(region[covered], part[covered],
                                              b, threshold)
     uncovered = np.flatnonzero(part[:n] < 0)
-    center[uncovered] = np.argmin(sq[uncovered], axis=1)
+    center[uncovered] = nearest_centers(coords[uncovered], centers)
 
     # kept parts in order of first appearance, input order within a part,
     # then the uncovered points

@@ -398,6 +398,15 @@ def encode_exact(store, lattices, counts, sizes, entries) -> bytes:
         entries[np.repeat(light, sizes)].astype("<i8").tobytes()))
 
 
+def exact_blob_bound(d: int, cells: int, points: int) -> int:
+    """The most bytes encode_exact writes for at most cells d-dimensional
+    cells holding at most points distinct points: the header, the light
+    cells' count, per cell a (lattice, count) row and a light lattice with
+    its size, per point one entry row."""
+    return _EXACT_HEAD.size + _COUNT.size \
+        + cells * (8 * (d + 1) + 8 * d + 4) + points * 8 * (d + 2)
+
+
 class SketchCellStore:
     def __init__(self, grid: GridHierarchy, level: int, alpha: float, beta: float,
                  seed: int, delta: float = 0.01):
@@ -690,6 +699,7 @@ def deserialize(blob: bytes, grid: GridHierarchy):
 
 __all__ = [
     "CellData", "ExactCellStore", "SketchCellStore", "make_store",
-    "encode_exact", "encode_rows", "deserialize", "ExactBlob", "parse_exact",
+    "encode_exact", "exact_blob_bound", "encode_rows", "deserialize",
+    "ExactBlob", "parse_exact",
     "point_table", "merge_exact", "Fail", "is_fail",
 ]

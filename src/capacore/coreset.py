@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -37,7 +37,7 @@ from .cellstore import CellData
 from .common import Fail, UsageError, derive_seed, is_fail
 from .estimator import SampleBank
 from .geometry import (NO_TAG, TAG_SPACE, GridHierarchy, check_domain,
-                       format_point, parse_point_line)
+                       coord_array, format_point, parse_point_line)
 from .hashing import KWiseHash, PointEncoder
 from .params import FAMILIES, Params, coreset_size_bound, parse_serialized
 from .partition import (PartitionStructure, lattice_array, mark_cells,
@@ -292,13 +292,14 @@ class PointColumns:
     tags), each with its tag and multiplicity (2 for a point listed twice),
     beside one int64 array of their level-L lattices (GridHierarchy.off
     applied once; int64 fits every Delta <= 2**62).  The coordinates are
-    read with np.fromiter and checked in numpy: a point outside the domain,
-    ragged input or a value beyond int64 raises geometry.check_domain's
-    usage error.  Each hashed (family, level) computes the points' field
-    values once, when a key first needs them, from the points' codes
-    (PointEncoder.encode_columns, made once), and a key keeps the rows whose
-    values lie below its threshold.  cells(key) groups the kept points into
-    cells by one stable sort of the lattice_keys of their level lattices
+    read by geometry.coord_array and checked in numpy: a point outside the
+    domain, ragged input or a value beyond int64 raises
+    geometry.check_domain's usage error.  Each hashed (family, level)
+    computes the points' field values once, when a key first needs them,
+    from the points' codes (PointEncoder.encode_columns, made once), and a
+    key keeps the rows whose values lie below its threshold.  cells(key)
+    groups the kept points into cells by one stable sort of the
+    lattice_keys of their level lattices
     (level L shifted right by L - level): equal lattices become runs, in
     lexicographic order, each in sort_key order."""
 
@@ -307,12 +308,10 @@ class PointColumns:
         grid = sampling.grid
         n, d = len(points), grid.d
         try:  # ragged, other-dimensional or int64-overflowing input raises
-            if n and set(map(len, map(itemgetter(0), points))) != {d}:
-                raise ValueError("ragged input")
-            coords = np.fromiter(chain.from_iterable(
-                map(itemgetter(0), points)), np.int64, n * d).reshape(n, d)
+            coords = coord_array(points, d)
             tags = np.fromiter(map(itemgetter(1), points), np.int64, n)
-            inside = ((coords >= 1) & (coords <= grid.Delta)).all() and \
+            inside = coords.dtype == np.int64 and \
+                ((coords >= 1) & (coords <= grid.Delta)).all() and \
                 ((tags >= NO_TAG) & (tags <= TAG_SPACE - 2)).all()
         except (ValueError, OverflowError):
             inside = False
@@ -378,7 +377,7 @@ class OfflineBuilder:
     cell data is cached under the key, so guesses sharing a key share it."""
 
     def __init__(self, points, grid: GridHierarchy, params: Params, seed: int,
-                 exact_counts: bool = True):
+                 exact_counts: bool = False):
         self.grid = grid
         self.params = params
         self.sampling = Sampling(params, grid, seed, exact_counts)
@@ -404,12 +403,12 @@ class OfflineBuilder:
 
 
 def build_for_o(points, grid: GridHierarchy, params: Params, o: float, seed: int,
-                exact_counts: bool = True):
+                exact_counts: bool = False):
     return OfflineBuilder(points, grid, params, seed, exact_counts).build_for_o(o)
 
 
 def build_auto(points, grid: GridHierarchy, params: Params, seed: int,
-               exact_counts: bool = True) -> WeightedCoreset:
+               exact_counts: bool = False) -> WeightedCoreset:
     return OfflineBuilder(points, grid, params, seed, exact_counts).build_auto()
 
 

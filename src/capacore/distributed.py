@@ -168,9 +168,6 @@ def per_machine_byte_cap(params: Params, grid: GridHierarchy, o_values,
     d = grid.d
     served = Sampling(params, grid, 0, exact_counts=False).served(o_values)
     total = len(broadcast_blob(params, grid, 0)) + 8 + 8
-    # an exact blob's header, then its count of light cells
-    head = cellstore._EXACT_HEAD.size + 4
     for _, lvl, _ in served:
-        cells = min(n, (2 ** lvl + 1) ** d)
-        total += head + cells * (16 * d + 12) + n * (8 * d + 16)
+        total += cellstore.exact_blob_bound(d, min(n, (2 ** lvl + 1) ** d), n)
     return total

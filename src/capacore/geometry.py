@@ -5,19 +5,32 @@ coordinate offsets so that the single level -1 root cell provably covers the
 whole domain for every dyadic shift in [0, Delta); the root lattice is
 anchored half a root-cell to the left of the finer grids, which pairs the two
 possible level-0 indices {-1, 0} per axis into one parent.
+
+Every cost is a weighted sum of dist^r entries, and every (n, k) table of
+them is made here, for the assignment stage and the oracle alike:
+coord_array reads points into int64 columns (Python ints past int64),
+dist_table makes the table, each entry equal to dist_pow, scaled_table
+rounds it to a flow scale, and nearest_centers is the one nearest-center
+rule.  The one int64 gate is dist_table's: exact squared distances stay
+int64 while the largest one the per-axis gaps allow lies below 2^63.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .common import UsageError
 
 SHIFT_FRAC_BITS = 32
 # the largest supported Delta: coordinates and lattices then fit int64
 MAX_DELTA = 1 << 62
+_INT64_LIMIT = 1 << 63
 
 NO_TAG = -1
 TAG_SPACE = 1 << 32  # tag codes 0 .. 2**32-1, i.e. tags -1 .. 2**32-2
@@ -49,6 +62,87 @@ def dist_pow(p: Point, q: Point, r: float):
     if r == 1:
         return math.sqrt(sq)
     return sq ** (r / 2.0)
+
+
+# --- dist^r tables -----------------------------------------------------------
+
+def coord_array(points, d: int) -> np.ndarray:
+    """The (n, d) integer coordinates of Points or of coordinate rows, read
+    by np.fromiter: int64, or object (the Python ints) when one passes
+    int64.  A row of another length is a usage error."""
+    rows = list(map(itemgetter(0), points)) \
+        if points and isinstance(points[0], Point) else points
+    n = len(rows)
+    if n and set(map(len, rows)) != {d}:
+        raise UsageError("dimension mismatch between points")
+    try:
+        return np.fromiter(chain.from_iterable(rows), np.int64,
+                           n * d).reshape(n, d)
+    except OverflowError:
+        coords = np.empty((n, d), dtype=object)
+        coords[:] = rows
+        return coords
+
+
+def dist_table(points, centers, r) -> np.ndarray:
+    """The (n, k) dist^r table of points (Points, coordinate rows or a
+    coord_array) to the Points centers, each entry equal to dist_pow.
+
+    Squared distances are exact: int64 while the largest one the per-axis
+    point-center gaps allow lies below 2^63 (the one int64 gate), Python
+    ints otherwise.  r = 2 keeps them, r = 1 takes np.sqrt of their float64
+    values, any other r Python's float ** (r / 2) per entry, as dist_pow
+    does (np.power may differ in the last bit)."""
+    n, k = len(points), len(centers)
+    if not n or not k:
+        return np.zeros((n, k), dtype=np.int64 if r == 2 else np.float64)
+    z = coord_array(centers, len(centers[0].coords))
+    x = points if isinstance(points, np.ndarray) else \
+        coord_array(points, z.shape[1])
+    if x.shape[1] != z.shape[1]:
+        raise UsageError("dimension mismatch between points")
+    if x.dtype != np.int64 or z.dtype != np.int64 or sum(
+            max(xh - zl, zh - xl) ** 2 for xl, xh, zl, zh in zip(
+                x.min(axis=0).tolist(), x.max(axis=0).tolist(),
+                z.min(axis=0).tolist(), z.max(axis=0).tolist())) \
+            >= _INT64_LIMIT:
+        x, z = x.astype(object), z.astype(object)
+    sq = np.empty((n, k), dtype=x.dtype)
+    for j in range(k):
+        diff = x - z[j]
+        col = diff[:, 0] * diff[:, 0]
+        for a in range(1, x.shape[1]):
+            col = col + diff[:, a] * diff[:, a]
+        sq[:, j] = col
+    if r == 2:
+        return sq
+    flat = sq.astype(np.float64)  # rounded to nearest, as float() rounds
+    if r == 1:
+        return np.sqrt(flat)
+    e = r / 2.0
+    return np.array([v ** e for v in flat.ravel().tolist()],
+                    dtype=np.float64).reshape(n, k)
+
+
+def nearest_centers(points, centers) -> np.ndarray:
+    """Each point's nearest center: the first argmin of its exact squared
+    distances, so a tie goes to the lower index."""
+    return dist_table(points, centers, 2).argmin(axis=1)
+
+
+def scaled_table(table, scale: int) -> np.ndarray:
+    """round(entry * scale) over a dist_table, half to even as Python's
+    round (np.rint): int64 while every value fits, Python ints past it."""
+    if table.dtype == np.float64:
+        with np.errstate(over="ignore"):  # inf: round() below raises
+            scaled = np.rint(table * scale)
+        if np.all(np.abs(scaled) < _INT64_LIMIT):
+            return scaled.astype(np.int64)
+    elif table.dtype == np.int64 and isinstance(scale, int) and \
+            (not table.size or int(table.max()) * scale < _INT64_LIMIT):
+        return table * scale
+    return np.array([round(v * scale) for v in table.ravel().tolist()],
+                    dtype=object).reshape(table.shape)
 
 
 def next_pow2(n: int) -> int:

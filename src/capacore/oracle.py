@@ -12,9 +12,14 @@ integral for unit weights, the fractional relaxation for weighted inputs.
 A slack row takes the capacity left free.  The start plan sends each row to
 its cheapest center with room, in at most k numpy passes, so an audit whose
 capacities do not bind is certified by one vectorised pricing; binding ones
-pivot on a strongly feasible tree whose leaf rows stay implicit.  Costs are
-exact integers for r == 2 and dist**r on a 2**40 scale otherwise (Python
-ints when int64 pricing could overflow), tight enough for the 1e-9
+pivot on a strongly feasible tree whose leaf rows stay implicit.
+
+The dist^r table is geometry.dist_table, the one the pipeline's assignment
+stage reads: the oracle's independence rests on its own solver, not on its
+own distances (brute_partitions, brute_opt and the tests' HiGHS
+cross-checks take theirs from dist_pow).  Costs are exact integers for
+r == 2 and dist**r on a 2**40 scale otherwise (geometry.scaled_table;
+Python ints when int64 pricing could overflow), tight enough for the 1e-9
 cross-validation tolerance.  Values sum over the points in input order:
 exactly for unit weights at r == 2, and otherwise left to right in floats
 (np.cumsum or a plain loop, never the builtin sum, which compensates from
@@ -31,7 +36,7 @@ import numpy as np
 
 from .assignment import integralize, fractional_assign
 from .common import OracleCapError, UsageError, is_infeasible
-from .geometry import Point, dist_pow
+from .geometry import Point, dist_pow, dist_table, scaled_table
 
 INF = float("inf")
 
@@ -341,10 +346,10 @@ class CostCurve:
     equal coordinates share one) and units (1 per point, or weight *
     ORACLE_SCALE), the row supplies, and the dist^r table D of the rows.
     The rows that ship units come first, in the order of their first
-    shipping point, then the rows that ship none.  D is int64 for r == 2
-    while it fits, Python ints past that, and dist_pow's floats for any
-    other r.  The first solve adds the scaled cost matrix with its zero
-    slack row.  Every value sums over the points in input order: exactly
+    shipping point, then the rows that ship none.  D is geometry.dist_table
+    of the rows: int64 for r == 2 under its int64 gate, Python ints past
+    it, and dist_pow's floats for any other r.  The first solve adds the
+    scaled cost matrix with its zero slack row.  Every value sums over the points in input order: exactly
     for unit weights at r == 2 (an int from the simplex), left to right in
     floats otherwise (np.cumsum), the same float on every Python.
     """
@@ -387,47 +392,22 @@ class CostCurve:
             self._supply = np.zeros(m, dtype=units.dtype)
             np.add.at(self._supply, self._row_of[ships], units)
         if coords:
-            self._D = self._table(list(rows))
+            self._D = dist_table(list(rows), self.centers, self.r)
             if weights is not None:
                 self._Df = self._D.astype(np.float64)
 
-    def _table(self, coords):
-        """dist^r of each row to each center: exact integers for r == 2."""
-        r, k, d = self.r, len(self.centers), len(coords[0])
-        zs = [z.coords for z in self.centers]
-        if r == 2 and len(set(map(len, coords + zs))) == 1:
-            # dist_pow below rejects mixed dimensions and keeps huge ones
-            # exact
-            try:
-                rc = np.fromiter(itertools.chain.from_iterable(coords),
-                                 np.int64, len(coords) * d).reshape(-1, d)
-                zc = np.fromiter(itertools.chain.from_iterable(zs),
-                                 np.int64, k * d).reshape(k, d)
-                span = max(int(rc.max()), -int(rc.min()),
-                           int(zc.max(initial=0)), -int(zc.min(initial=0)))
-            except OverflowError:
-                span = None
-            if span is not None and d * (2 * span) ** 2 < 1 << 63:
-                return ((rc[:, None, :] - zc[None, :, :]) ** 2).sum(axis=2)
-        return np.array([[dist_pow(Point(c), z, r) for z in self.centers]
-                         for c in coords],
-                        dtype=object if r == 2 else np.float64)
-
     def _cost_matrix(self):
         """The shipping rows' costs, dist^r for r == 2 and round(dist^r *
-        ORACLE_SCALE) otherwise, over a zero slack row.  Potentials stay
-        within 2k tree steps of the root, so (4k + 2) * top bounds every
-        reduced cost: int64 below 2**62, Python ints past it."""
+        ORACLE_SCALE) (scaled_table) otherwise, over a zero slack row.
+        Potentials stay within 2k tree steps of the root, so (4k + 2) * top
+        bounds every reduced cost: int64 below 2**62, Python ints past
+        it."""
         m, k = self._supply.size, len(self.centers)
         costs = self._D[:m] if self.r == 2 else \
-            np.rint(self._D[:m] * ORACLE_SCALE)
+            scaled_table(self._D[:m], ORACLE_SCALE)
         fits = (4 * k + 2) * int(costs.max()) < 1 << 62
         C = np.zeros((m + 1, k), dtype=np.int64 if fits else object)
-        if fits or self.r == 2:
-            C[:m] = costs
-        else:
-            C[:m] = [[round(x * ORACLE_SCALE) for x in row]
-                     for row in self._D[:m].tolist()]
+        C[:m] = costs
         return C
 
     def at(self, t: float) -> float:

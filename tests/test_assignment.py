@@ -9,16 +9,16 @@ from capacore import oracle
 from capacore.assignment import (FLOW_SCALE, Assignment, FractionalAssignment,
                                  HalfSpace, MinCostFlow, TransportSolver,
                                  _min_cost_same_sizes, assignment_from_coreset,
-                                 canonicalize, coord_array, dist_table,
-                                 extract_halfspaces, fractional_assign,
-                                 halfspace_member, integralize,
-                                 nearest_center_index, pair_key, region_of,
-                                 regions, scaled_costs, squared_dists,
-                                 switch_ties, transfer_full,
+                                 canonicalize, extract_halfspaces,
+                                 fractional_assign, halfspace_member,
+                                 integralize, pair_key, region_of, regions,
+                                 scaled_costs, switch_ties, transfer_full,
                                  transferred_assignment)
 from capacore.common import UsageError, derive_seed, is_infeasible
 from capacore.coreset import WeightedCoreset, build_auto, dedup_points
-from capacore.geometry import GridHierarchy, Point, alph_less, dist_pow
+from capacore.geometry import (GridHierarchy, Point, alph_less, coord_array,
+                               dist_pow, dist_table, nearest_centers,
+                               scaled_table)
 from capacore.params import PRACTICAL, derive
 
 from conftest import clustered_points, part_of, rand_points
@@ -26,6 +26,12 @@ from conftest import clustered_points, part_of, rand_points
 
 def _unit_weights(points):
     return {p: 1.0 for p in points}
+
+
+def _nearest(p, Z):
+    """The scalar nearest-center rule: the first index of least squared
+    distance."""
+    return min(range(len(Z)), key=lambda i: dist_pow(p, Z[i], 2))
 
 
 def test_uncapacitated_is_nearest_center():
@@ -304,7 +310,7 @@ def test_canonicalize_separated_clusters_no_switches(rng):
     Z = (Point((2, 2)), Point((7, 7)))
     pts = [Point((x, y), 10 * x + y) for x in (1, 2, 3) for y in (1, 2)]
     pts += [Point((x, y), 10 * x + y) for x in (6, 7) for y in (6, 7, 8)]
-    mapping = {p: nearest_center_index(p, Z) for p in pts}
+    mapping = {p: _nearest(p, Z) for p in pts}
     audit = []
     switch_ties(pts, dict(mapping), Z, 2, audit)
     assert audit == []
@@ -458,7 +464,7 @@ def test_transfer_all_mass_one_region(rng):
 def test_transfer_fallback_when_all_small(rng):
     Z = (Point((2, 2)), Point((7, 7)))
     pts = [Point((x, y), 10 * x + y) for x in (1, 7) for y in (1, 7)]
-    hs = extract_halfspaces(pts, {p: nearest_center_index(p, Z) for p in pts},
+    hs = extract_halfspaces(pts, {p: _nearest(p, Z) for p in pts},
                             Z, 2)
     b = [0.0, 0.004, 0.005]
     mapping = _transfer_one_part(pts, hs, b, xi=0.5, T=10)
@@ -497,37 +503,52 @@ def test_transfer_full_matches_reference(rng):
         for p in pts:
             part = part_of(core.meta.structure, p)
             if part is None or part not in core.meta.part_tau:
-                assert full.mapping[p] == nearest_center_index(p, Z)
+                assert full.mapping[p] == _nearest(p, Z)
 
 
 
 # --- the columnar path against the scalar rules --------------------------------
 
-# the largest per-axis gap whose square times FLOW_SCALE stays below 2^63
-GATE_GAP = math.isqrt(((1 << 63) - 1) // FLOW_SCALE)
+# the largest gap whose square stays below 2^63: at d = 1 the int64 gate's
+# bound on the squared distances
+GATE_GAP = math.isqrt((1 << 63) - 1)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 2.5])
 def test_dist_table_equals_dist_pow(r):
+    # the pipeline's table and CostCurve's, on both sides of the int64
+    # gate: (lowest coordinate, gap on every axis, d, squares' dtype)
     rng = random.Random(f"table:{r}")
-    cases = [(GATE_GAP, 1, np.int64), (GATE_GAP + 1, 1, object),
-             (1 << 40, 2, object), (255, 3, np.int64)]
-    for gap, d, dtype in cases:
-        # one point and one center gap apart on the first axis: at d = 1
-        # the gate's bound is that gap
-        pts = [Point((1,) * d, 0), Point((1 + gap,) + (1,) * (d - 1), 1)]
-        pts += [Point(tuple(rng.randint(1, 1 + gap) for _ in range(d)), m)
+    cases = [(1, GATE_GAP, 1, np.int64), (1, GATE_GAP + 1, 1, object),
+             (1, (1 << 31) - 1, 2, np.int64), (1, 1 << 31, 2, object),
+             (1, 1 << 40, 2, object), (1, 255, 3, np.int64),
+             ((1 << 40) - 300, 255, 2, np.int64),
+             ((1 << 62) - 300, 255, 2, np.int64),
+             ((1 << 62) - (1 << 40), 1 << 40, 2, object),
+             (1 << 63, 255, 2, object)]
+    for low, gap, d, dtype in cases:
+        # one point and one center gap apart on every axis: the gate's
+        # bound is d * gap^2
+        pts = [Point((low,) * d, 0), Point((low + gap,) * d, 1)]
+        pts += [Point(tuple(rng.randint(low, low + gap) for _ in range(d)), m)
                 for m in range(2, 30)]
-        Z = [Point((1 + gap,) + (1,) * (d - 1)), Point((1,) * d),
-             Point(tuple(rng.randint(1, 1 + gap) for _ in range(d)))]
-        sq = squared_dists(coord_array(pts, d), coord_array(Z, d))
-        assert sq.dtype == dtype
+        pts += [Point(pts[2].coords, 30)]  # a copy shares a CostCurve row
+        Z = [Point((low + gap,) * d), Point((low,) * d),
+             Point(tuple(rng.randint(low, low + gap) for _ in range(d)))]
+        assert dist_table(pts, Z, 2).dtype == dtype
+        want = [[dist_pow(p, z, r) for z in Z] for p in pts]
         table = dist_table(pts, Z, r)
         assert table.dtype == (dtype if r == 2 else np.float64)
-        for row, p in zip(table.tolist(), pts):
-            assert row == [dist_pow(p, z, r) for z in Z]
+        assert table.tolist() == want
+        curve = oracle.CostCurve(pts, Z, r)
+        assert curve._D.dtype == table.dtype
+        rows = dict(zip((p.coords for p in pts), want))
+        assert curve._D.tolist() == list(rows.values())
+        for scale in (FLOW_SCALE, oracle.ORACLE_SCALE):
+            assert scaled_table(table, scale).tolist() == [
+                [round(v * scale) for v in row] for row in want]
         assert scaled_costs(table, FLOW_SCALE) == [
-            [round(dist_pow(p, z, r) * FLOW_SCALE) for z in Z] for p in pts]
+            [round(v * FLOW_SCALE) for v in row] for row in want]
 
 
 def test_dist_table_rejects_mixed_dimensions():
@@ -535,6 +556,23 @@ def test_dist_table_rejects_mixed_dimensions():
         dist_table([Point((1, 1)), Point((1, 1, 1))], [Point((2, 2))], 2)
     with pytest.raises(UsageError):
         dist_table([Point((1, 1))], [Point((2, 2, 2))], 2)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_nearest_center_compares_exact_squares(r):
+    # squares 2^60 + 1 and 2^60 are one float: the exact rule picks the
+    # second center, at every r
+    a = 1 << 30
+    Z = [Point((1 + a, 2)), Point((1 + a, 1))]
+    rng = random.Random(f"nearest:{r}")
+    pts = [Point((1, 1), 0)] + [
+        Point((rng.randint(1, 2 * a), rng.randint(1, 2 * a)), m)
+        for m in range(1, 40)]
+    want = [_nearest(p, Z) for p in pts]
+    assert want[0] == 1
+    assert nearest_centers(pts, Z).tolist() == want
+    frac = fractional_assign(pts, _unit_weights(pts), Z, float("inf"), r)
+    assert [next(iter(frac.shares[p])) for p in pts] == want
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -594,7 +632,7 @@ def _transfer_full_reference(full_points, core, halfspaces, Z):
         hs, b_vec, T = rules[part]
         mapping.update(_reference_def39(pts, Z, hs, b_vec, params.xi, T))
     for p in uncovered:
-        mapping[p] = nearest_center_index(p, Z)
+        mapping[p] = _nearest(p, Z)
     return mapping
 
 
@@ -636,13 +674,12 @@ def test_transfer_full_matches_the_per_point_transfer(r, k):
 
 def test_transfer_full_just_past_the_int64_gate():
     # d = 1 with a point at 1 and a center GATE_GAP + 1 away: squared
-    # distances times FLOW_SCALE pass 2^63, one unit closer they do not
+    # distances may pass 2^63, one unit closer they may not
     for gap, dtype in ((GATE_GAP, np.int64), (GATE_GAP + 1, object)):
-        Z = [Point((1 + gap,)), Point((1 << 21,))]
-        core, halfspaces, Z, full = _transfer_case(1 << 22, 1, 2, 2, 1, Z)
+        Z = [Point((1 + gap,)), Point((1 << 31,))]
+        core, halfspaces, Z, full = _transfer_case(1 << 32, 1, 2, 2, 1, Z)
         full = [Point((1,), 3000)] + full
-        assert squared_dists(coord_array(full + core.points(), 1),
-                             coord_array(Z, 1)).dtype == dtype
+        assert dist_table(full + core.points(), Z, 2).dtype == dtype
         got = transfer_full(full, core, halfspaces, Z)
         assert list(got.mapping.items()) == list(
             _transfer_full_reference(full, core, halfspaces, Z).items())

@@ -327,6 +327,18 @@ def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
     assert len(blob) == 42 + len(store.counts) * (8 * d + 8) \
         + len(light) * (8 * d + 4) \
         + sum(len(store.points[c]) for c in light) * (8 * d + 16)
+    cells = set(store.counts) | set(store.points)
+    assert len(blob) <= cellstore.exact_blob_bound(
+        d, len(cells), sum(map(len, store.points.values())))
+
+
+def test_exact_blob_bound_is_met_when_every_cell_is_light():
+    store = ExactCellStore(GRID, LEVEL, 100, 100)
+    pts = rand_points(random.Random(6), 30, 8)
+    for p in pts:
+        store.update(p, +1)
+    assert len(store.serialize()) == cellstore.exact_blob_bound(
+        GRID.d, len(store.counts), len(set(pts)))
 
 
 def _filled(backing):

@@ -45,7 +45,7 @@ def test_rate_one_keeps_all_qualifying_points(rng):
 def test_coreset_subset_and_weights_exact(rng):
     pts = dedup_points(rand_points(rng, 40, 8))
     grid = _grid(7)
-    core = build_auto(pts, grid, SAMPLING, seed=7)
+    core = build_auto(pts, grid, SAMPLING, seed=7, exact_counts=True)
     point_set = set(pts)
     for p, w, lvl, j in core.entries:
         assert p in point_set
@@ -58,7 +58,7 @@ def test_sampling_membership_reproducible(rng):
     pts = dedup_points(rand_points(rng, 60, 8))
     grid = _grid(3)
     seed = 11
-    core = build_auto(pts, grid, SAMPLING, seed=seed)
+    core = build_auto(pts, grid, SAMPLING, seed=seed, exact_counts=True)
     o = core.meta.o
     enc = PointEncoder(8, 2)
     builder = OfflineBuilder(pts, grid, SAMPLING, seed)
@@ -183,8 +183,8 @@ def test_build_auto_singleton():
 def test_build_auto_deterministic(rng):
     pts = rand_points(rng, 50, 8)
     grid = _grid(4)
-    a = build_auto(pts, grid, SAMPLING, seed=4)
-    b = build_auto(pts, grid, SAMPLING, seed=4)
+    a = build_auto(pts, grid, SAMPLING, seed=4, exact_counts=True)
+    b = build_auto(pts, grid, SAMPLING, seed=4, exact_counts=True)
     assert a == b
     assert a.meta.o_attempts == b.meta.o_attempts
 
@@ -222,7 +222,7 @@ def test_o_grid_follows_universe_bound():
 def test_expected_size_monte_carlo(rng):
     pts = dedup_points(rand_points(rng, 40, 8))
     grid = _grid(6)
-    probe = build_auto(pts, grid, SAMPLING, seed=0)
+    probe = build_auto(pts, grid, SAMPLING, seed=0, exact_counts=True)
     o = probe.meta.o
     bank = ExactBank(pts, grid)
     structure = mark_cells(bank.counts_for_marking(), SAMPLING, o, grid)
@@ -237,7 +237,8 @@ def test_expected_size_monte_carlo(rng):
     trials = 250
     total = 0
     for seed in range(trials):
-        core = build_for_o(pts, grid, SAMPLING, o, seed=seed)
+        core = build_for_o(pts, grid, SAMPLING, o, seed=seed,
+                           exact_counts=True)
         total += len(core)
     mean = total / trials
     sigma_mean = math.sqrt(max(variance, 1e-12)) / math.sqrt(trials)
@@ -256,7 +257,7 @@ def test_theory_mode_size_bound(rng):
 def test_file_roundtrip(tmp_path, rng):
     pts = dedup_points(rand_points(rng, 35, 8))
     grid = _grid(8)
-    core = build_auto(pts, grid, SAMPLING, seed=8)
+    core = build_auto(pts, grid, SAMPLING, seed=8, exact_counts=True)
     path = tmp_path / "core.txt"
     write_coreset(path, core)
     back = read_coreset(path)
@@ -285,7 +286,7 @@ def test_file_roundtrip(tmp_path, rng):
 ])
 def test_malformed_header_is_a_usage_error(tmp_path, rng, prefix, bad, key):
     core = build_auto(dedup_points(rand_points(rng, 35, 8)), _grid(8),
-                      SAMPLING, seed=8)
+                      SAMPLING, seed=8, exact_counts=True)
     path = tmp_path / "core.txt"
     write_coreset(path, core)
     lines = path.read_text().splitlines()

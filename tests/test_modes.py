@@ -10,7 +10,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from capacore.common import derive_seed  # noqa: E402
-from capacore.coreset import build_auto, dedup_points  # noqa: E402
+from capacore.coreset import (build_auto, dedup_points,  # noqa: E402
+                              write_coreset)
 from capacore.distributed import run_protocol  # noqa: E402
 from capacore.geometry import GridHierarchy, Point  # noqa: E402
 from capacore.params import PRACTICAL, derive  # noqa: E402
@@ -176,3 +177,24 @@ def test_modes_agree_in_other_dimensions(d, scale, exact_counts, backing):
         assert other == offline
         assert other.meta.part_tau == offline.meta.part_tau
         assert other.meta.structure.heavy == offline.meta.structure.heavy
+
+
+def test_library_defaults_give_one_coreset_file(tmp_path):
+    # every builder defaults to sampled counts, so the files, which record
+    # exact_counts, agree
+    pts = dedup_points(clustered_points(random.Random(5), 400, 64,
+                                        clusters=3, spread=6.0))
+    params = derive(k=3, r=2, eps=0.4, eta=0.4, Delta=64, d=2,
+                    mode=PRACTICAL, scale=1e-6)
+    grid = GridHierarchy.from_seed(derive_seed(1, "shift"), 64, 2)
+    engine = StreamEngine(params, grid, 1, n_max=len(pts))
+    engine.process_stream((p, +1) for p in pts)
+    cores = {"offline": build_auto(pts, grid, params, 1),
+             "stream": engine.finalize(),
+             "dist": run_protocol([pts[i::3] for i in range(3)], params,
+                                  1)[0]}
+    texts = set()
+    for mode, core in cores.items():
+        write_coreset(tmp_path / mode, core)
+        texts.add((tmp_path / mode).read_text())
+    assert len(texts) == 1

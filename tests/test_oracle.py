@@ -376,14 +376,16 @@ def test_cost_curve_matches_linprog_over_full_grids(k):
 
 
 def test_cost_curve_computes_each_distance_once(monkeypatch):
+    # one (row, center) pair per entry of the shared dist^r tables made
     calls = []
-    real = oracle.dist_pow
+    real = oracle.dist_table
 
-    def counted(p, q, r):
-        calls.append((p.coords, q.coords))
-        return real(p, q, r)
+    def counted(rows, centers, r):
+        calls.extend(itertools.product(map(tuple, rows),
+                                       [z.coords for z in centers]))
+        return real(rows, centers, r)
 
-    monkeypatch.setattr(oracle, "dist_pow", counted)
+    monkeypatch.setattr(oracle, "dist_table", counted)
     rng = random.Random(17)
     pts = rand_points(rng, 30, 8)
     pts += [Point(p.coords, 100 + i) for i, p in enumerate(pts[:8])]
