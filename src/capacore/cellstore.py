@@ -40,6 +40,8 @@ from __future__ import annotations
 import math
 import random
 import struct
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -66,6 +68,7 @@ _CELL_SLOT = struct.Struct("<Iq")
 _POINT_SLOT = struct.Struct("<IqIq")
 
 _PRIME = (1 << 61) - 1
+_NO_POINTS: dict = {}  # the points of a cell that lists none; never written
 
 
 class CellData:
@@ -73,12 +76,14 @@ class CellData:
     and the points of its light cells.
 
     lattices (m x d, int64) are the cells in lexicographic order, with their
-    int64 counts.  The light cells' points are rows of a table: cell c lists
-    the distinct points points[ids[e]] for e in offsets[c]:offsets[c + 1],
-    in sort_key order, each with mults[e] > 0 copies; a cell whose points
-    are not recovered (count above beta) has an empty range.  The producers
-    are the stores' finalize(), merge_exact and the offline builder's
-    columns (coreset.OfflineBuilder)."""
+    int64 counts.  The light cells' points are rows of a table of distinct
+    Points in sort_key order: cell c lists the points points[ids[e]] for e
+    in offsets[c]:offsets[c + 1], ids increasing, each with mults[e] > 0
+    copies; a cell whose points are not recovered (count above beta) has an
+    empty range.  Every producer lists its table in that order: the stores'
+    finalize() (_from_dicts), merge_exact (point_table) and the offline
+    builder's columns (coreset.OfflineBuilder), so row order is point order
+    across cells too."""
 
     def __init__(self, level: int, lattices, counts, points, ids, mults,
                  offsets):
@@ -109,21 +114,40 @@ class CellData:
 def _from_dicts(level: int, d: int, counts: dict, light: dict) -> CellData:
     """The CellData of cell counts {lattice: count} and, per light cell, its
     signed point multiplicities {point: multiplicity}; a point of
-    multiplicity below 1 is not listed."""
-    cells = sorted(counts)
-    points, mults, offsets = [], [], [0]
-    for lat in cells:
-        mine = light.get(lat, {})
-        for p in sorted(mine):
-            if mine[p] > 0:
-                points.append(p)
-                mults.append(mine[p])
-        offsets.append(len(points))
-    return CellData(level, np.array(cells, dtype=np.int64).reshape(-1, d),
-                    np.array([counts[c] for c in cells], dtype=np.int64),
-                    points, np.arange(len(points)),
-                    np.array(mults, dtype=np.int64),
-                    np.array(offsets, dtype=np.int64))
+    multiplicity below 1 is not listed.
+
+    In columns, as merge_exact: the cells are sorted by one sorted_runs over
+    their lattices, the listed (cell, point, multiplicity) rows are gathered
+    once, the point table is sorted by one sorted_runs over (coordinates,
+    tag), and the rows are grouped into cells by one lexsort on (cell,
+    position in the table)."""
+    m, cells = len(counts), list(counts)
+    lattices = np.fromiter(chain.from_iterable(cells), np.int64,
+                           m * d).reshape(m, d)
+    order = sorted_runs(lattices)[0]
+    cells = list(map(cells.__getitem__, order.tolist()))
+    buckets = [light.get(lat, _NO_POINTS) for lat in cells]
+    sizes = np.fromiter(map(len, buckets), np.int64, m)
+    pts = list(chain.from_iterable(buckets))
+    mults = np.fromiter(chain.from_iterable(map(dict.values, buckets)),
+                        np.int64, len(pts))
+    rows = np.flatnonzero(mults > 0)
+    points, ids, cell = [], rows, rows  # when no row is listed
+    if len(rows):
+        coords = np.fromiter(chain.from_iterable(map(itemgetter(0), pts)),
+                             np.int64, len(pts) * d).reshape(-1, d)
+        tags = np.fromiter(map(itemgetter(1), pts), np.int64, len(pts))
+        by, new = sorted_runs(np.column_stack((coords, tags))[rows])
+        points = list(map(pts.__getitem__, rows[by[new]].tolist()))
+        ids = np.empty(len(rows), dtype=np.int64)
+        ids[by] = np.cumsum(new) - 1
+        cell = np.repeat(np.arange(m), sizes)[rows]
+        within = np.lexsort((ids, cell))
+        ids, cell, rows = ids[within], cell[within], rows[within]
+    offsets = np.append(0, np.cumsum(np.bincount(cell, minlength=m)))
+    return CellData(level, lattices[order],
+                    np.fromiter(map(counts.__getitem__, cells), np.int64, m),
+                    points, ids, mults[rows], offsets)
 
 
 def _check_compatible(a, b):

@@ -67,14 +67,16 @@ class CoresetMeta:
 
 
 class WeightedCoreset:
-    """Sampled points with weights plus the metadata needed for assignment."""
+    """Sampled points with weights plus the metadata needed for assignment.
+
+    entries, (point, weight, level, part_j), are kept in the order given,
+    unsorted.  Every build gives them in canonical (level, part_j, point)
+    order (a Point compares as its sort_key), because finalize_cells emits
+    them so; read_coreset, whose file may list them in any order, is the
+    one place that sorts them."""
 
     def __init__(self, entries, meta: CoresetMeta):
-        # entries: (point, weight, level, part_j), canonically ordered (a
-        # Point compares as its sort_key) by this one sort, whatever order
-        # they come in; entries already in order (the offline and dist
-        # builds) take it in one pass
-        self.entries = sorted(entries, key=itemgetter(2, 3, 0))
+        self.entries = list(entries)
         self.meta = meta
 
     def points(self):
@@ -199,7 +201,10 @@ def finalize_cells(sampling: Sampling, o: float, read, n: int):
     guess's own store caps (Params.caps) apply here, alike in every mode:
     alpha at the "store cell cap" and, on kept hhat cells, beta at the
     "light-point recovery cap".  n is the size of the input; a nonempty
-    input never gets an empty coreset (the "empty-coreset gate")."""
+    input never gets an empty coreset (the "empty-coreset gate").  The
+    entries come in canonical (level, part, point) order, which
+    WeightedCoreset keeps: each level's by part rank and then by row of
+    the hhat cell data's point table, which is in sort_key order."""
     params, grid = sampling.params, sampling.grid
     levels = range(0, grid.L + 1)
     data = {}
@@ -240,8 +245,8 @@ def finalize_cells(sampling: Sampling, o: float, read, n: int):
         if (hhat.counts[kept] > params.caps("hhat", lvl, o)[1]).any():
             return Fail("light-point recovery cap")
         # one entry per point of a kept cell, of weight 1/phi per copy, by
-        # part rank and point row: sort_key order within each part where
-        # the point table is in sort_key order
+        # part rank and point row: every producer's point table is in
+        # sort_key order, so this is canonical (level, part, point) order
         cell = np.repeat(np.arange(len(kept)), np.diff(hhat.offsets))
         rows = np.flatnonzero(kept[cell])
         ids, js = hhat.ids[rows], ranks[cell[rows]]
@@ -447,6 +452,9 @@ def write_coreset(path, coreset: WeightedCoreset):
 
 
 def read_coreset(path) -> WeightedCoreset:
+    """The coreset a write_coreset file describes, its entries sorted into
+    canonical (level, part, point) order whatever order the file lists
+    them in."""
     header: dict = {}
     entries = []
     listed = set()
@@ -520,7 +528,7 @@ def read_coreset(path) -> WeightedCoreset:
         PartitionStructure(grid, heavy), tables["part"], tables["phi"],
         _parsed(path, header, "exact_counts", lambda v: bool(int(v))),
     )
-    return WeightedCoreset(entries, meta)
+    return WeightedCoreset(sorted(entries, key=itemgetter(2, 3, 0)), meta)
 
 
 def _parsed(path, header: dict, key: str, parse):

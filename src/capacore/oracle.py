@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,13 +266,34 @@ def sample_lattice(rng, Delta: int, d: int, k: int) -> tuple:
 
     The draw takes the same indices; index idx decodes in the lattice's
     itertools.product order, coordinate i being idx // Delta**(d-1-i) % Delta.
+    Past sys.maxsize lattice points, whose range has no len() for
+    rng.sample, the indices come from _draw_distinct, the draw rng.sample
+    makes on so large a population.
     """
-    if k > Delta ** d:
+    size = Delta ** d
+    if k > size:
         raise UsageError(f"cannot draw {k} distinct centers from the "
-                         f"{Delta ** d} lattice points")
+                         f"{size} lattice points")
+    indices = rng.sample(range(size), k) if size <= sys.maxsize \
+        else _draw_distinct(rng, size, k)
     return tuple(Point(tuple(idx // Delta ** (d - 1 - i) % Delta + 1
                              for i in range(d)))
-                 for idx in rng.sample(range(Delta ** d), k))
+                 for idx in indices)
+
+
+def _draw_distinct(rng, size: int, k: int) -> list:
+    """k distinct indices below size, each rng.randrange(size), a repeat
+    drawn again: the draw of rng.sample(range(size), k) wherever it keeps
+    a set of the indices taken, which it does once size exceeds
+    21 + 4**ceil(log4(3k)) (21 for k <= 5), so at every size past
+    sys.maxsize."""
+    indices, seen = [], set()
+    while len(indices) < k:
+        idx = rng.randrange(size)
+        if idx not in seen:
+            seen.add(idx)
+            indices.append(idx)
+    return indices
 
 
 def brute_opt(points, k, r, Delta, d):

@@ -618,3 +618,25 @@ def test_eval_and_assign_reject_repeated_input_points(tmp_path, capsys):
     assert main(["assign", "--coreset", str(core_path), "--centers",
                  str(centers), "--capacity", "80", "--full-input", str(tagged),
                  "--out", str(out)]) == 0
+
+
+def test_eval_where_the_lattice_passes_int64(tmp_path, capsys):
+    # Delta**d = 2**96 lattice points: eval draws its centers past the
+    # range rng.sample takes
+    Delta = str(2 ** 32)
+    pts_path = tmp_path / "wide.txt"
+    assert main(["gen", "--out", str(pts_path), "--kind", "uniform",
+                 "--d", "3", "--Delta", Delta, "--n", "300",
+                 "--seed", "1"]) == 0
+    core_path = tmp_path / "core.txt"
+    assert main(["build", "--input", str(pts_path), "--output",
+                 str(core_path), "-k", "3", "--d", "3", "--Delta", Delta,
+                 "--seed", "1"]) == 0
+    audit = tmp_path / "audit.csv"
+    assert main(["eval", "--input", str(pts_path), "--coreset",
+                 str(core_path), "--out", str(audit), "--center-samples",
+                 "2"]) == 0
+    assert "violations=0" in capsys.readouterr().out
+    rows = [line for line in audit.read_text().splitlines()
+            if line[:1].isdigit()]
+    assert len(rows) == 60  # 2 center sets x 15 capacities x 2 forms

@@ -690,3 +690,24 @@ def test_sample_lattice_draws_the_lattice_sample():
                     tuple(want.sample(lattice, k))
     with pytest.raises(UsageError):
         oracle.sample_lattice(random.Random(1), 2, 1, 3)
+
+
+@pytest.mark.parametrize("size", [10 ** 6, 2 ** 40])
+@pytest.mark.parametrize("k", [1, 3, 50])
+def test_draw_distinct_is_the_sample_of_a_large_population(size, k):
+    for seed in range(5):
+        got, want = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert oracle._draw_distinct(got, size, k) == \
+                want.sample(range(size), k)
+
+
+def test_sample_lattice_past_the_int64_range():
+    # 2**96 lattice points: range(Delta ** d) has no len() for rng.sample
+    Delta, d = 2 ** 32, 3
+    got = oracle.sample_lattice(random.Random(1), Delta, d, 2)
+    want = oracle._draw_distinct(random.Random(1), Delta ** d, 2)
+    assert got == tuple(
+        Point(tuple(idx // Delta ** (d - 1 - i) % Delta + 1
+                    for i in range(d))) for idx in want)
+    assert all(1 <= c <= Delta for p in got for c in p.coords)
