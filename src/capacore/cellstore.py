@@ -4,35 +4,35 @@ Both backings expose update / merge_in / finalize / serialize with identical
 observable semantics; finalize() FAILs above alpha nonempty cells (a
 common.Fail at the "store cell cap") and recovers the points of the cells
 of count at most beta, under the store's own caps, as a CellData: columns
-of lattices and counts and a point table, converted from the store's dicts
-once.  A store that serves several guesses is sized by their largest caps;
-each guess's own caps apply to the read-out in the decision path
-(coreset.finalize_cells).
+of lattices and counts and a point table.  A store that serves several
+guesses is sized by their largest caps; each guess's own caps apply to the
+read-out in the decision path (coreset.finalize_cells).
 
-* ExactCellStore keeps plain dicts of signed cell counts and, per cell, of
-  signed point multiplicities (none below beta 1); zero entries are dropped.
-  It never FAILs below the cell cap and always FAILs above it (delta = 0),
-  at the price of non-sublinear space.
+* ExactCellStore's content is one signed point multiset: a dict of nonzero
+  signed cell counts and one of nonzero signed point multiplicities (none
+  below beta 1).  It never FAILs below the cell cap and always FAILs above
+  it (delta = 0), at the price of non-sublinear space.
 * SketchCellStore is a genuine linear sketch: cells hash into rows of
   buckets holding (signed count, signed keysum, signed checksum) for
   1-sparse recovery, and from beta 1 each bucket nests a second-level
   decoder that recovers the points of cells claiming at most beta
-  members.  Any inconsistent recovery FAILs at "sketch decoding".
+  members.  Any inconsistent recovery FAILs at "sketch decoding".  Its
+  hash pairs are drawn once per (seed, level, rows, point rows).
 
 Serialized blobs are the distributed protocol's wire unit; their byte length
 is the communication cost.  Exact blobs carry points only for cells whose
 local count is at most beta (the cap-respecting wire shape), which preserves
 finalize output through merge because a cell light in the union is light in
 every shard.  One numpy encoder (encode_exact) writes every exact blob from
-sorted columns, whether a store's dicts or a dist machine's shard columns
-(encode_rows, which also gives a machine's sketch blobs) give them; its
-sections are columnar (see encode_exact).  One parser (parse_exact) reads
-them back as numpy arrays (ExactBlob); ExactCellStore.deserialize builds a
-store from them, and merge_exact merges any number of them in columns
-into the CellData that merging their stores and finalizing gives, whose
-point table is one table of Points over all of them (point_table).  A
-truncated blob, one with bytes after its last section or record, or one
-made for another dimension is a usage error, with either backing.
+sorted columns: a store's points, grouped into cells as it writes, or a
+dist machine's shard columns (encode_rows, which also gives a machine's
+sketch blobs).  One parser (parse_exact) reads them back as numpy arrays
+(ExactBlob).  merge_exact is the one read-out: it merges the content of
+any number of shards in columns into a CellData with one point table, be
+they the machines' blobs at the coordinator (point_table) or a store's own
+content (the sketch's: the cells and points it decodes).  A truncated
+blob, one with bytes after its last section or record, or one made for
+another dimension is a usage error, with either backing.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -68,7 +69,6 @@ _CELL_SLOT = struct.Struct("<Iq")
 _POINT_SLOT = struct.Struct("<IqIq")
 
 _PRIME = (1 << 61) - 1
-_NO_POINTS: dict = {}  # the points of a cell that lists none; never written
 
 
 class CellData:
@@ -80,10 +80,9 @@ class CellData:
     Points in sort_key order: cell c lists the points points[ids[e]] for e
     in offsets[c]:offsets[c + 1], ids increasing, each with mults[e] > 0
     copies; a cell whose points are not recovered (count above beta) has an
-    empty range.  Every producer lists its table in that order: the stores'
-    finalize() (_from_dicts), merge_exact (point_table) and the offline
-    builder's columns (coreset.OfflineBuilder), so row order is point order
-    across cells too."""
+    empty range.  Both producers, merge_exact and the offline builder's
+    columns (coreset.OfflineBuilder), list their tables in that order, so
+    row order is point order across cells too."""
 
     def __init__(self, level: int, lattices, counts, points, ids, mults,
                  offsets):
@@ -111,45 +110,6 @@ class CellData:
         return isinstance(other, CellData) and self.canonical() == other.canonical()
 
 
-def _from_dicts(level: int, d: int, counts: dict, light: dict) -> CellData:
-    """The CellData of cell counts {lattice: count} and, per light cell, its
-    signed point multiplicities {point: multiplicity}; a point of
-    multiplicity below 1 is not listed.
-
-    In columns, as merge_exact: the cells are sorted by one sorted_runs over
-    their lattices, the listed (cell, point, multiplicity) rows are gathered
-    once, the point table is sorted by one sorted_runs over (coordinates,
-    tag), and the rows are grouped into cells by one lexsort on (cell,
-    position in the table)."""
-    m, cells = len(counts), list(counts)
-    lattices = np.fromiter(chain.from_iterable(cells), np.int64,
-                           m * d).reshape(m, d)
-    order = sorted_runs(lattices)[0]
-    cells = list(map(cells.__getitem__, order.tolist()))
-    buckets = [light.get(lat, _NO_POINTS) for lat in cells]
-    sizes = np.fromiter(map(len, buckets), np.int64, m)
-    pts = list(chain.from_iterable(buckets))
-    mults = np.fromiter(chain.from_iterable(map(dict.values, buckets)),
-                        np.int64, len(pts))
-    rows = np.flatnonzero(mults > 0)
-    points, ids, cell = [], rows, rows  # when no row is listed
-    if len(rows):
-        coords = np.fromiter(chain.from_iterable(map(itemgetter(0), pts)),
-                             np.int64, len(pts) * d).reshape(-1, d)
-        tags = np.fromiter(map(itemgetter(1), pts), np.int64, len(pts))
-        by, new = sorted_runs(np.column_stack((coords, tags))[rows])
-        points = list(map(pts.__getitem__, rows[by[new]].tolist()))
-        ids = np.empty(len(rows), dtype=np.int64)
-        ids[by] = np.cumsum(new) - 1
-        cell = np.repeat(np.arange(m), sizes)[rows]
-        within = np.lexsort((ids, cell))
-        ids, cell, rows = ids[within], cell[within], rows[within]
-    offsets = np.append(0, np.cumsum(np.bincount(cell, minlength=m)))
-    return CellData(level, lattices[order],
-                    np.fromiter(map(counts.__getitem__, cells), np.int64, m),
-                    points, ids, mults[rows], offsets)
-
-
 def _check_compatible(a, b):
     if type(a) is not type(b) or a.level != b.level or a.alpha != b.alpha \
             or a.beta != b.beta or a.seed != b.seed:
@@ -164,8 +124,8 @@ class ExactCellStore:
         self.alpha = alpha
         self.beta = beta
         self.seed = seed
-        self.counts: dict = {}
-        self.points: dict = {}  # lattice -> {point: signed multiplicity}
+        self.counts: dict = {}  # lattice -> nonzero signed count
+        self.points: dict = {}  # Point -> nonzero signed multiplicity
 
     def update(self, p: Point, sign: int, lat: tuple | None = None,
                code: int | None = None):
@@ -182,75 +142,58 @@ class ExactCellStore:
             del counts[lat]
         if self.beta < 1:  # no cell lists its points
             return
-        bucket = self.points.get(lat)
-        if bucket is None:
-            self.points[lat] = {p: sign}
-            return
-        m = bucket.get(p, 0) + sign
+        points = self.points
+        m = points.get(p, 0) + sign
         if m:
-            bucket[p] = m
+            points[p] = m
         else:
-            del bucket[p]
-            if not bucket:
-                del self.points[lat]
+            del points[p]
 
     def merge_in(self, other: "ExactCellStore"):
         _check_compatible(self, other)
-        for lat, c in other.counts.items():
-            nc = self.counts.get(lat, 0) + c
-            if nc:
-                self.counts[lat] = nc
-            else:
-                self.counts.pop(lat, None)
-        for lat, theirs in other.points.items():
-            mine = self.points.get(lat)
-            if mine is None:
-                self.points[lat] = dict(theirs)
-                continue
-            # add multiplicities: dict.update would overwrite them
-            for p, m in theirs.items():
-                nm = mine.get(p, 0) + m
-                if nm:
-                    mine[p] = nm
+        # add counts and multiplicities: dict.update would overwrite them
+        for mine, theirs in ((self.counts, other.counts),
+                             (self.points, other.points)):
+            for key, v in theirs.items():
+                nv = mine.get(key, 0) + v
+                if nv:
+                    mine[key] = nv
                 else:
-                    del mine[p]
-            if not mine:
-                del self.points[lat]
+                    del mine[key]
 
     def cell_count(self):
         return len(self.counts)
 
     def finalize(self):
         """CellData: FAIL above alpha nonempty cells, points recovered for the
-        cells of count at most beta."""
-        if self.cell_count() > self.alpha:
-            return Fail("store cell cap")
-        return _from_dicts(self.level, self.grid.d, self.counts, {
-            lat: self.points.get(lat, {})
-            for lat, cnt in self.counts.items() if cnt <= self.beta})
+        cells of count at most beta (merge_exact of the store's content)."""
+        return _merge_dicts(self, self.counts, self.points)
 
     def serialize(self) -> bytes:
-        d = self.grid.d
+        """The store's encode_exact blob; its points are grouped here."""
+        d, lattice_of = self.grid.d, self.grid.lattice_of
+        held: dict = {}  # lattice -> its points, in sort_key order
+        for p in sorted(self.points):
+            held.setdefault(lattice_of(p.coords, self.level), []).append(p)
         # a deserialized store holds no points for its heavy cells, and a
         # cell whose points cancel has count 0
-        cells = sorted(self.counts.keys() | self.points.keys())
-        mults = [self.points.get(lat, {}) for lat in cells]
-        entries = [(*p.coords, p.tag, m) for cell in mults
-                   for p, m in sorted(cell.items())]
+        cells = sorted(self.counts.keys() | held.keys())
+        listed = [held.get(lat, ()) for lat in cells]
+        entries = [(*p.coords, p.tag, self.points[p])
+                   for pts in listed for p in pts]
         return encode_exact(
             self, np.array(cells, dtype=np.int64).reshape(-1, d),
             np.array([self.counts.get(lat, 0) for lat in cells],
                      dtype=np.int64),
-            np.array([len(cell) for cell in mults], dtype=np.int64),
+            np.array([len(pts) for pts in listed], dtype=np.int64),
             np.array(entries, dtype=np.int64).reshape(-1, d + 2))
 
     def space_bytes(self):
         """The bytes of the entries the store holds, not the capacity its
         dicts have allocated, which does not shrink after deletions."""
         d = self.grid.d
-        actual = 24 + len(self.counts) * (8 * d + 8)
-        actual += sum(len(c) for c in self.points.values()) * (8 * d + 16)
-        return actual
+        return 24 + len(self.counts) * (8 * d + 8) \
+            + len(self.points) * (8 * d + 16)
 
     @classmethod
     def deserialize(cls, blob: bytes, grid: GridHierarchy) -> "ExactCellStore":
@@ -259,12 +202,9 @@ class ExactCellStore:
         d = grid.d
         store = cls(grid, b.level, b.alpha, b.beta, b.seed)
         store.counts = dict(zip(_rows(b.cells[:, :d]), b.cells[:, d].tolist()))
-        pts = list(map(Point, _rows(b.entries[:, :d]), b.entries[:, d].tolist()))
-        mults = b.entries[:, d + 1].tolist()
-        ends = np.cumsum(b.sizes).tolist()
-        store.points = {
-            lat: dict(zip(pts[e - n:e], mults[e - n:e]))
-            for lat, n, e in zip(_rows(b.light), b.sizes.tolist(), ends)}
+        store.points = dict(zip(
+            map(Point, _rows(b.entries[:, :d]), b.entries[:, d].tolist()),
+            b.entries[:, d + 1].tolist()))
         return store
 
 
@@ -345,14 +285,14 @@ def point_table(blobs, d: int):
 
 
 def merge_exact(store, blobs, ids, points):
-    """The finalize() of an empty store like store (its level, caps and
-    seed) after merge_in of each ExactBlob of blobs, computed in columns:
-    counts summed per lattice and multiplicities per (lattice, point), zeros
-    dropped, then store's alpha and beta applied.  points and ids are a
-    point_table holding the blobs' entries: ids[i] places blobs[i]'s.  The
-    cell records and entries are grouped by one sort of the lattice_keys of
-    their lattices, and the light entries by one sort of the keys of their
-    (cell, point row) pairs (partition.sorted_runs)."""
+    """The one read-out of store content: the CellData of the ExactBlobs
+    blobs summed, under store's level, caps and seed.  Counts are summed per
+    lattice and multiplicities per (lattice, point), zeros dropped; above
+    store.alpha nonzero cells it FAILs, and each cell of count at most
+    store.beta lists its points of a positive multiplicity.  points and ids
+    are a point_table of the blobs' entries: ids[i] places blobs[i]'s.  One
+    sorted_runs groups the cell records and entries by lattice, one the
+    light entries by (cell, point row)."""
     for b in blobs:
         if (b.level, b.alpha, b.beta, b.seed) != \
                 (store.level, store.alpha, store.beta, store.seed):
@@ -393,6 +333,31 @@ def merge_exact(store, blobs, ids, points):
                     offsets)
 
 
+def _merge_dicts(store, counts: dict, points: dict) -> CellData:
+    """merge_exact of store content in dicts, as one shard: {lattice: count}
+    and {Point: multiplicity}, each point in its cell at the store's level
+    (GridHierarchy.lattices).  The points are distinct: one sort lists them
+    in table order, and the table holds the dicts' own Points."""
+    d, m, n = store.grid.d, len(counts), len(points)
+    pts = list(points)
+    entries = np.column_stack((
+        np.fromiter(chain.from_iterable(map(itemgetter(0), pts)), np.int64,
+                    n * d).reshape(n, d),
+        np.fromiter(map(itemgetter(1), pts), np.int64, n),
+        np.fromiter(points.values(), np.int64, n)))
+    order = sorted_runs(entries[:, :d + 1])[0]
+    entries = entries[order]
+    cells = np.fromiter(chain.from_iterable(counts), np.int64, m * d)
+    shard = ExactBlob(
+        store.level, store.alpha, store.beta, store.seed,
+        np.column_stack((cells.reshape(m, d),
+                         np.fromiter(counts.values(), np.int64, m))),
+        store.grid.lattices(entries[:, :d], store.level),
+        np.ones(n, dtype=np.int64), entries)
+    return merge_exact(store, [shard], [np.arange(n)],
+                       list(map(pts.__getitem__, order.tolist())))
+
+
 def encode_exact(store, lattices, counts, sizes, entries) -> bytes:
     """The blob of an exact store with store's level, caps and seed whose
     content is given in columns, the one exact encoder.
@@ -431,6 +396,18 @@ def exact_blob_bound(d: int, cells: int, points: int) -> int:
         + cells * (8 * (d + 1) + 8 * d + 4) + points * 8 * (d + 2)
 
 
+@lru_cache(maxsize=1024)
+def _hash_draws(seed: int, level: int, rows: int, prows: int):
+    """A sketch's hash pairs (a, b), drawn once per (seed, level, rows,
+    prows), in this order: one per cell row (h1), the cell checksum's (h2),
+    one per point row (p1) and the point checksum's (p2)."""
+    rng = random.Random(derive_seed(seed, f"sketch:{level}"))
+    pairs = [(rng.randrange(1, _PRIME), rng.randrange(_PRIME))
+             for _ in range(rows + prows + 2)]
+    return tuple(pairs[:rows]), pairs[rows], tuple(pairs[rows + 1:-1]), \
+        pairs[-1]
+
+
 class SketchCellStore:
     def __init__(self, grid: GridHierarchy, level: int, alpha: float, beta: float,
                  seed: int, delta: float = 0.01):
@@ -449,13 +426,8 @@ class SketchCellStore:
         self.prows = 4
         self.pbuckets = max(8, 4 * math.ceil(beta))
         self._enc = PointEncoder(grid.Delta, grid.d)
-        rng = random.Random(derive_seed(seed, f"sketch:{level}"))
-        self._h1 = [(rng.randrange(1, _PRIME), rng.randrange(_PRIME))
-                    for _ in range(self.rows)]
-        self._h2 = (rng.randrange(1, _PRIME), rng.randrange(_PRIME))
-        self._p1 = [(rng.randrange(1, _PRIME), rng.randrange(_PRIME))
-                    for _ in range(self.prows)]
-        self._p2 = (rng.randrange(1, _PRIME), rng.randrange(_PRIME))
+        self._h1, self._h2, self._p1, self._p2 = _hash_draws(
+            seed, level, self.rows, self.prows)
         self._off = 1 << (grid.L + 1)
         self._base = 1 << (grid.L + 2)
         self.cell_state: dict = {}   # (row, bucket) -> [count, keysum, checksum]
@@ -583,16 +555,15 @@ class SketchCellStore:
         tables: dict = {}
         for (row, b, prow, pb), rec in self.point_state.items():
             tables.setdefault((row, b), {})[(prow, pb)] = rec
-        cells = {}
-        light = {}
+        cells, points = {}, {}
         for code, cnt in recovered.items():
-            lat = self._cell_decode(code)
-            cells[lat] = cnt
+            cells[self._cell_decode(code)] = cnt
             if cnt <= self.beta:
-                light[lat] = self._cell_points(code, cnt, tables)
-                if light[lat] is None:
+                pts = self._cell_points(code, cnt, tables)
+                if pts is None:
                     return Fail("sketch decoding")
-        return _from_dicts(self.level, self.grid.d, cells, light)
+                points.update(pts)
+        return _merge_dicts(self, cells, points)
 
     @staticmethod
     def _pack_rec(rec) -> bytes:
@@ -701,7 +672,7 @@ def encode_rows(store, columns, rows, lattices, starts, counts) -> bytes:
     mults = columns.mults[rows]
     if isinstance(store, ExactCellStore):
         return encode_exact(store, lattices, counts, sizes, np.column_stack(
-            (columns.coords(rows), columns.tags[rows], mults)))
+            (columns.coords[rows], columns.tags[rows], mults)))
     fresh = SketchCellStore(store.grid, store.level, store.alpha, store.beta,
                             store.seed, store.delta)
     cells = [tuple(cell) for cell in lattices.tolist()]
@@ -724,6 +695,6 @@ def deserialize(blob: bytes, grid: GridHierarchy):
 __all__ = [
     "CellData", "ExactCellStore", "SketchCellStore", "make_store",
     "encode_exact", "exact_blob_bound", "encode_rows", "deserialize",
-    "ExactBlob", "parse_exact",
-    "point_table", "merge_exact", "Fail", "is_fail",
+    "ExactBlob", "parse_exact", "point_table", "merge_exact", "Fail",
+    "is_fail",
 ]

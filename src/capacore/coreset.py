@@ -295,18 +295,18 @@ class PointColumns:
     Its n input points, copies counted, are held as the distinct points in
     sort_key order (one sort of the lattice_keys of their coordinates and
     tags), each with its tag and multiplicity (2 for a point listed twice),
-    beside one int64 array of their level-L lattices (GridHierarchy.off
-    applied once; int64 fits every Delta <= 2**62).  The coordinates are
-    read by geometry.coord_array and checked in numpy: a point outside the
+    beside int64 arrays of their coordinates and level-L lattices (int64
+    fits every Delta <= 2**62).  The coordinates are read by
+    geometry.coord_array and checked in numpy: a point outside the
     domain, ragged input or a value beyond int64 raises
     geometry.check_domain's usage error.  Each hashed (family, level)
     computes the points' field values once, when a key first needs them,
     from the points' codes (PointEncoder.encode_columns, made once), and a
     key keeps the rows whose values lie below its threshold.  cells(key)
     groups the kept points into cells by one stable sort of the
-    lattice_keys of their level lattices
-    (level L shifted right by L - level): equal lattices become runs, in
-    lexicographic order, each in sort_key order."""
+    lattice_keys of their lattices at the key's level
+    (GridHierarchy.coarsen): equal lattices become runs, in lexicographic
+    order, each in sort_key order."""
 
     def __init__(self, points, sampling: Sampling):
         points = list(points)
@@ -330,9 +330,9 @@ class PointColumns:
         self.tags = tags[first]
         self.mults = np.diff(np.append(starts, n))
         self.sampling = sampling
-        # level-L lattices, one row per distinct point
-        self._off = np.array(grid.off, dtype=np.int64)
-        self.lattices = coords[first] - 1 - self._off
+        # one row per distinct point
+        self.coords = coords[first]
+        self.lattices = grid.lattices(self.coords, grid.L)
         self._codes = None  # the points' codes, made when a key first hashes
         self._values: dict = {}  # (family, level) -> field values of points
 
@@ -342,16 +342,12 @@ class PointColumns:
         if (family, level) not in self._values:
             if self._codes is None:
                 self._codes = self.sampling.encoder.encode_columns(
-                    self.coords(slice(None)), self.tags)
+                    self.coords, self.tags)
             self._values[(family, level)] = \
                 self.sampling.hash(family, level).field_values(self._codes)
         values = self._values[(family, level)]
         # t in the values' own type: uint64 never meets an int64 operand
         return np.flatnonzero(values < values.dtype.type(t))
-
-    def coords(self, rows):
-        """The coordinates of rows, from their level-L lattices."""
-        return self.lattices[rows] + 1 + self._off
 
     def cells(self, key: tuple):
         """(rows, cells, starts, counts) of the points key keeps: their rows
@@ -362,7 +358,7 @@ class PointColumns:
         family, level, t = key
         rows = np.arange(len(self.points) if t else 0) if family is None \
             else self._kept_rows(family, level, t)
-        lat = self.lattices[rows] >> (self.sampling.grid.L - level)
+        lat = self.sampling.grid.coarsen(self.lattices[rows], level)
         # the first row of each run of equal lattices starts a cell
         order, new = sorted_runs(lat)
         rows = rows[order]

@@ -196,6 +196,22 @@ class GridHierarchy:
             return tuple([((t >> self.L) + 1) >> 1 for t in lat])
         return tuple([t >> (self.L - level) for t in lat])
 
+    def lattices(self, coords, level: int) -> np.ndarray:
+        """lattice_of over the rows of an (n, d) int64 array of coordinates
+        in [1, Delta], as an (n, d) int64 array: the level-L lattices
+        coords - 1 - off, coarsened."""
+        return self.coarsen(coords - 1 - np.array(self.off, dtype=np.int64),
+                            level)
+
+    def coarsen(self, finest, level: int) -> np.ndarray:
+        """The lattices at level of level-L lattices ((n, d) int64): shifted
+        right by L - level, the root by the parent rule of level 0."""
+        if not -1 <= level <= self.L:
+            raise UsageError(f"level {level} outside [-1, {self.L}]")
+        if level == -1:
+            return ((finest >> self.L) + 1) >> 1
+        return finest >> (self.L - level)
+
     def path_of(self, coords) -> tuple:
         """The lattices of levels 0..L, from one lattice_of at level L: each
         coarser level is the finer one shifted right by one."""

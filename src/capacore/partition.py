@@ -129,19 +129,19 @@ class PartitionStructure:
         A part is read off the row's lattice path: the first level i whose
         cell is not heavy (level L never is), and the rank j of its parent
         among the heavy cells of level i - 1.  One rank join per level, over
-        the rows still on heavy cells; the levels are the level-L lattice
-        shifted right, the root that of level 0 by the parent rule."""
+        the rows still on heavy cells, whose lattices GridHierarchy.coarsen
+        gives."""
         n = len(coords)
         level = np.full(n, -1, dtype=np.int64)
         part_j = np.full(n, -1, dtype=np.int64)
-        lats = coords - 1 - np.array(self.grid.off, dtype=np.int64)
-        prev = self.rank(-1, parents(lats >> self.L, 0))
+        lats, coarsen = self.grid.lattices(coords, self.L), self.grid.coarsen
+        prev = self.rank(-1, coarsen(lats, -1))
         rows = np.flatnonzero(prev >= 0)
         prev = prev[rows]
         for i in range(self.L + 1):
             if not len(rows):
                 break
-            here = self.rank(i, lats[rows] >> (self.L - i)) if i < self.L \
+            here = self.rank(i, coarsen(lats[rows], i)) if i < self.L \
                 else np.full(len(rows), -1, dtype=np.int64)
             stop = here < 0
             level[rows[stop]] = i

@@ -315,21 +315,23 @@ def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
     for tag in (50, 51, 52):
         store.update(Point((8, 8), tag), +1)
     assert lat not in store.counts and store.counts[heavy] >= 3
+    cell_of = {p: GRID.lattice_of(p.coords, LEVEL) for p in store.points}
+    shipped = {p: m for p, m in store.points.items()
+               if store.counts.get(cell_of[p], 0) <= 2}
+    assert store.points[same[0]] == -1 and same[0] in shipped
     blob = store.serialize()
     back = deserialize(blob, GRID)
     assert back.counts == store.counts
-    assert back.points == {c: pts for c, pts in store.points.items()
-                           if store.counts.get(c, 0) <= 2}
+    assert back.points == shipped
     assert back.serialize() == blob
     # the per-record wire length: header, cells, light cells, points
     d = GRID.d
-    light = [c for c in store.points if store.counts.get(c, 0) <= 2]
+    light = {cell_of[p] for p in shipped}
     assert len(blob) == 42 + len(store.counts) * (8 * d + 8) \
-        + len(light) * (8 * d + 4) \
-        + sum(len(store.points[c]) for c in light) * (8 * d + 16)
-    cells = set(store.counts) | set(store.points)
+        + len(light) * (8 * d + 4) + len(shipped) * (8 * d + 16)
+    cells = set(store.counts) | set(cell_of.values())
     assert len(blob) <= cellstore.exact_blob_bound(
-        d, len(cells), sum(map(len, store.points.values())))
+        d, len(cells), len(store.points))
 
 
 def test_exact_blob_bound_is_met_when_every_cell_is_light():

@@ -640,3 +640,26 @@ def test_eval_where_the_lattice_passes_int64(tmp_path, capsys):
     rows = [line for line in audit.read_text().splitlines()
             if line[:1].isdigit()]
     assert len(rows) == 60  # 2 center sets x 15 capacities x 2 forms
+
+
+def test_sketch_backed_stream_and_dist_builds_match_offline(tmp_path):
+    # gen's defaults at n = 300 and Delta = 256, as in the CI job's step
+    pts_path = tmp_path / "pts.txt"
+    assert main(["gen", "--out", str(pts_path), "--n", "300",
+                 "--Delta", "256", "--seed", "1"]) == 0
+    stream_path = tmp_path / "updates.txt"
+    write_stream(stream_path, [(p, +1) for p in read_points(pts_path)])
+    common = ["-k", "3", "--Delta", "256", "--seed", "1"]
+    outs = {}
+    for name, extra in (("offline", ["--input", str(pts_path)]),
+                        ("stream", ["--mode", "stream", "--backing", "sketch",
+                                    "--input", str(stream_path)]),
+                        ("dist", ["--mode", "dist", "--machines", "4",
+                                  "--backing", "sketch",
+                                  "--input", str(pts_path)])):
+        outs[name] = tmp_path / f"core_{name}.txt"
+        assert main(["build", *extra, "--output", str(outs[name]),
+                     *common]) == 0
+    assert len(read_coreset(outs["offline"])) > 0
+    for name in ("stream", "dist"):
+        assert outs[name].read_bytes() == outs["offline"].read_bytes(), name

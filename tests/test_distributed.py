@@ -290,7 +290,7 @@ def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
     for store in keep_all:
         lat = grid.lattice_of(pts[0].coords, store.level)
         assert store.counts[lat] >= 3
-        assert store.points.get(lat, {}).get(pts[0]) == \
+        assert store.points.get(pts[0]) == \
             (None if beta == 1 else 2)
 
 

@@ -3,9 +3,9 @@ mode emits coreset entries in canonical (level, part, point) order without
 sorting them; read_coreset, whose file may list entries in any order, is
 the one place that sorts.
 
-The dict-and-sorted read-out the stores used before their columnar one
-(_from_dicts_reference) is kept here as the scalar reference of
-cellstore._from_dicts."""
+A scalar dict-and-sorted read-out (_from_dicts_reference) is kept here as
+the reference of the stores' finalize(), which is cellstore.merge_exact
+over the store's content."""
 
 import random
 from operator import itemgetter
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from capacore import cellstore
-from capacore.cellstore import CellData, make_store
+from capacore.cellstore import CellData, ExactCellStore, make_store
 from capacore.common import derive_seed, is_fail
 from capacore.coreset import (OfflineBuilder, build_auto, dedup_points,
                               o_grid, read_coreset, write_coreset)
@@ -48,6 +48,18 @@ def _from_dicts_reference(level, d, counts, light):
                     np.array(offsets, dtype=np.int64))
 
 
+def _light_of(store) -> dict:
+    """An exact store's light cells as the reference takes them: per cell
+    of count at most beta, its points' multiplicities, the points grouped
+    by lattice_of."""
+    light = {lat: {} for lat, cnt in store.counts.items() if cnt <= store.beta}
+    for p, m in store.points.items():
+        lat = store.grid.lattice_of(p.coords, store.level)
+        if lat in light:
+            light[lat][p] = m
+    return light
+
+
 def _assert_table_in_order(data):
     """data's point table is strictly increasing in sort_key order, and each
     cell lists its rows of the table in increasing order."""
@@ -71,12 +83,15 @@ def _cell_major(core) -> bool:
         e[2], e[3], grid.lattice_of(e[0].coords, e[2]), e[0]))
 
 
-# --- the columnar read-out against its scalar reference ----------------------
+# --- the stores' read-out against its scalar reference ---------------------
 
 def _pt(*coords, tag=0):
     return Point(coords, tag)
 
 
+# no shift at Delta = 8: the level-2 lattice of (x, y) is
+# ((x - 1) >> 1, (y - 1) >> 1), so each point below lies in its cell
+FLAT = GridHierarchy(8, 2, (0, 0))
 A, B, C = (0, 1), (1, 0), (2, 2)
 READOUTS = {
     # a light cell whose points all cancel lists none, beside one that lists
@@ -95,8 +110,14 @@ READOUTS = {
 
 @pytest.mark.parametrize("case", sorted(READOUTS))
 def test_readout_matches_the_reference(case):
+    # content a merge of shard stores can hold: a cell over beta on one
+    # machine ships its count alone, so a count need not sum its points
     counts, light = READOUTS[case]
-    got = cellstore._from_dicts(2, 2, counts, light)
+    store = ExactCellStore(FLAT, 2, 1e9, 3)
+    store.counts = dict(counts)
+    store.points = {p: m for pts in light.values() for p, m in pts.items()}
+    assert _light_of(store) == light
+    got = store.finalize()
     assert got == _from_dicts_reference(2, 2, counts, light)
     _assert_table_in_order(got)
     assert got.ids.dtype == got.mults.dtype == got.offsets.dtype == np.int64
@@ -106,7 +127,7 @@ def test_readout_matches_the_reference(case):
 @pytest.mark.parametrize("d, log_delta, level", [(2, 3, 3), (1, 6, 5),
                                                  (3, 40, 38), (3, 40, 3)])
 def test_readout_matches_the_reference_on_store_dicts(d, log_delta, level):
-    # an exact store's dicts after inserts and deletions, several tags per
+    # an exact store after inserts and deletions, several tags per
     # coordinate tuple; d = 3 at Delta = 2**40 gives (coordinates, tag)
     # rows wider than 63 bits, whose keys are bytes keys
     Delta = 1 << log_delta
@@ -117,14 +138,71 @@ def test_readout_matches_the_reference_on_store_dicts(d, log_delta, level):
     for _ in range(120):
         store.update(Point(rng.choice(pool), rng.randint(-1, 3)),
                      rng.choice((1, 1, 2, -1)))
-    light = {lat: store.points.get(lat, {})
-             for lat, cnt in store.counts.items() if cnt <= store.beta}
+    light = _light_of(store)
     assert len(light) < len(store.counts)  # some cell is over beta
-    got = cellstore._from_dicts(level, d, store.counts, light)
+    got = store.finalize()
     assert got == _from_dicts_reference(level, d, store.counts, light)
-    assert got == store.finalize()
     assert len(got.points) > 1
     _assert_table_in_order(got)
+
+
+def _check_readout(store):
+    """store.finalize() equals the reference, merge_exact over the store's
+    own blob, and a FAIL one cell below its cell count."""
+    got = store.finalize()
+    assert got == _from_dicts_reference(store.level, store.grid.d,
+                                        store.counts, _light_of(store))
+    _assert_table_in_order(got)
+    blob = cellstore.parse_exact(store.serialize(), store.grid)
+    points, ids = cellstore.point_table([blob], store.grid.d)
+    assert cellstore.merge_exact(store, [blob], ids, points) == got
+    capped = ExactCellStore(store.grid, store.level, len(store.counts) - 1,
+                            store.beta, store.seed)
+    capped.counts, capped.points = store.counts, store.points
+    failed = capped.finalize()
+    assert is_fail(failed) and failed.gate == "store cell cap"
+    return got
+
+
+@pytest.mark.parametrize("beta", [0.5, 1, 3])
+@pytest.mark.parametrize("d, log_delta", [(1, 4), (2, 3), (3, 6), (3, 40)])
+def test_store_readout_on_random_signed_updates(d, log_delta, beta):
+    # updates dealt to three shards at random, so a shard may see a point's
+    # deletion before its insertion or without it; the last third of the
+    # updates undoes the first third, so points cancel in the merge.  Level
+    # 0 cells hold many points (over beta), level L one coordinate tuple
+    Delta = 1 << log_delta
+    rng = random.Random(f"signed:{d}:{log_delta}:{beta}")
+    grid = GridHierarchy.from_seed(rng.randrange(1 << 30), Delta, d)
+    pool = [Point(tuple(rng.randint(1, Delta) for _ in range(d)),
+                  rng.randint(-1, 2)) for _ in range(10)]
+    seen = set()
+    for level in sorted({0, grid.L // 2, grid.L}):
+        updates = [(rng.choice(pool), rng.choice((1, 1, 2, -1)))
+                   for _ in range(40)]
+        updates += [(p, -sign) for p, sign in updates[:20]]
+        shards = [ExactCellStore(grid, level, 1e9, beta, 7) for _ in range(3)]
+        whole = ExactCellStore(grid, level, 1e9, beta, 7)
+        for p, sign in updates:
+            rng.choice(shards).update(p, sign)
+            whole.update(p, sign)
+        merged = ExactCellStore(grid, level, 1e9, beta, 7)
+        for shard in shards:
+            merged.merge_in(shard)
+        assert (merged.counts, merged.points) == (whole.counts, whole.points)
+        empty = ExactCellStore(grid, level, 1e9, beta, 7)
+        for store in shards + [merged, empty]:
+            data = _check_readout(store)
+            seen.add(("negative", any(m < 0 for m in store.points.values())))
+            seen.add(("over beta", any(c > beta
+                                       for c in store.counts.values())))
+            seen.add(("lists", len(data.points) > 0))
+        assert not len(empty.finalize().lattices)
+    assert {("over beta", True), ("lists", beta >= 1)} <= seen
+    if beta >= 1:
+        assert ("negative", True) in seen
+    else:  # below beta 1 no cell lists its points
+        assert all(not store.points for store in shards)
 
 
 # --- every producer's table is in sort_key order ----------------------------

@@ -2,6 +2,7 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from capacore.common import UsageError
@@ -111,6 +112,34 @@ def test_lattices_equal_the_floor_division_definition(d, log_delta):
                     for level in range(-1, grid.L + 1)] == want, (shift, c)
             assert list(grid.path_of(c)) == want[1:], (shift, c)
             assert all(-Delta <= t < Delta for t in want[-1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("log_delta", [1, 2, 5, 16, 40, 61, 62])
+def test_columnar_lattices_equal_lattice_of(d, log_delta):
+    # GridHierarchy.lattices, the int64 form, and coarsen of its level-L
+    # lattices, at every level from the root to L, for the extreme shifts
+    # and random ones, on the domain's corners and random points
+    Delta = 1 << log_delta
+    span = Delta << SHIFT_FRAC_BITS
+    rng = random.Random(f"columns:{d}:{log_delta}")
+    shifts = [(0,) * d, (span - 1,) * d] + [
+        tuple(rng.randrange(span) for _ in range(d)) for _ in range(3)]
+    rows = [(1,) * d, (Delta,) * d] + [
+        tuple(rng.randint(1, Delta) for _ in range(d)) for _ in range(30)]
+    coords = np.array(rows, dtype=np.int64)
+    for shift in shifts:
+        grid = GridHierarchy(Delta, d, shift)
+        finest = grid.lattices(coords, grid.L)
+        for level in range(-1, grid.L + 1):
+            got = grid.lattices(coords, level)
+            assert got.dtype == np.int64 and got.shape == (len(rows), d)
+            assert list(map(tuple, got.tolist())) == [
+                grid.lattice_of(c, level) for c in rows], (shift, level)
+            assert np.array_equal(grid.coarsen(finest, level), got)
+        for level in (-2, grid.L + 1):
+            with pytest.raises(UsageError):
+                grid.lattices(coords, level)
 
 
 def test_containment_chain_via_corners(rng):
