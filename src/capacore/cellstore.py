@@ -20,19 +20,27 @@ read-out in the decision path (coreset.finalize_cells).
   hash pairs are drawn once per (seed, level, rows, point rows).
 
 Serialized blobs are the distributed protocol's wire unit; their byte length
-is the communication cost.  Exact blobs carry points only for cells whose
-local count is at most beta (the cap-respecting wire shape), which preserves
-finalize output through merge because a cell light in the union is light in
-every shard.  One numpy encoder (encode_exact) writes every exact blob from
-sorted columns: a store's points, grouped into cells as it writes, or a
-dist machine's shard columns (encode_rows, which also gives a machine's
-sketch blobs).  One parser (parse_exact) reads them back as numpy arrays
-(ExactBlob).  merge_exact is the one read-out: it merges the content of
-any number of shards in columns into a CellData with one point table, be
-they the machines' blobs at the coordinator (point_table) or a store's own
-content (the sketch's: the cells and points it decodes).  A truncated
-blob, one with bytes after its last section or record, or one made for
-another dimension is a usage error, with either backing.
+is the communication cost.  With the exact backing a machine sends each
+point at most once: one point message (encode_points) holds the rows
+(coordinates, tag, multiplicity), in sort_key order, of the points that
+some store lists, and each store's message (encode_exact) holds its
+nonzero cells with their counts and, for the cells whose local count is at
+most beta (the cap-respecting wire shape), the uint32 numbers of their
+points' rows in that point message.  Shipping light cells only preserves
+finalize output through merge, because a cell light in the union is light
+in every shard.  One encoder, encode_exact_shard, writes a dist machine's
+messages from its shard's columns, and ExactCellStore.serialize's point
+message and store message of the store's own content.  parse_points and
+parse_exact read the two messages back as numpy arrays (ExactBlob), and a
+row number at or past its point message's rows is a usage error.
+merge_exact is the one read-out: it merges the content of any number of
+shards in columns into a CellData with one point table, be they the
+machines' messages at the coordinator (point_table, over their point
+messages) or a store's own content (the sketch's: the cells and points it
+decodes).  A truncated blob, one with bytes after its last section or
+record, one made for another dimension, or a store message with no point
+message before it is a usage error.  Sketch blobs (encode_sketch gives a
+machine's) carry their records alone.
 """
 
 from __future__ import annotations
@@ -54,15 +62,20 @@ from .partition import sorted_runs
 
 _MAGIC = b"CSTO"
 _SKETCH_VERSION = 1
-# exact blobs moved to columnar sections, of the same length, at version 2
-_EXACT_VERSION = 2
-_EXACT, _SKETCH = 0, 1
-# blob layouts, little-endian: an exact blob's header (magic, version,
-# backing, level, d, alpha, beta, seed, number of nonzero cells); a sketch
-# blob's header (magic, version, backing, level, d, alpha, beta, delta,
-# seed); the record counts of both (an exact blob's light cells); the slots
-# of a sketch's cell and point records
+# exact blobs moved to columnar sections at version 2, and at version 3 to
+# a point message beside store messages that list row numbers into it
+_EXACT_VERSION = 3
+# the kind byte after the version: a store message of either backing, or
+# an exact point message
+_EXACT, _SKETCH, _POINTS = 0, 1, 2
+# blob layouts, little-endian: an exact store message's header (magic,
+# version, kind, level, d, alpha, beta, seed, number of nonzero cells); a
+# point message's header (magic, version, kind, d, number of rows); a
+# sketch blob's header (magic, version, kind, level, d, alpha, beta, delta,
+# seed); the record counts of both store kinds (an exact message's light
+# cells); the slots of a sketch's cell and point records
 _EXACT_HEAD = struct.Struct("<4sBBhHddqI")
+_POINTS_HEAD = struct.Struct("<4sBBHI")
 _SKETCH_HEAD = struct.Struct("<4sBBhHdddq")
 _COUNT = struct.Struct("<I")
 _CELL_SLOT = struct.Struct("<Iq")
@@ -170,23 +183,29 @@ class ExactCellStore:
         return _merge_dicts(self, self.counts, self.points)
 
     def serialize(self) -> bytes:
-        """The store's encode_exact blob; its points are grouped here."""
+        """The point message of the points the store lists, then its store
+        message (encode_exact_shard); its points are grouped into cells
+        here."""
         d, lattice_of = self.grid.d, self.grid.lattice_of
-        held: dict = {}  # lattice -> its points, in sort_key order
-        for p in sorted(self.points):
-            held.setdefault(lattice_of(p.coords, self.level), []).append(p)
+        pts = sorted(self.points)
+        lats = [lattice_of(p.coords, self.level) for p in pts]
         # a deserialized store holds no points for its heavy cells, and a
         # cell whose points cancel has count 0
-        cells = sorted(self.counts.keys() | held.keys())
-        listed = [held.get(lat, ()) for lat in cells]
-        entries = [(*p.coords, p.tag, self.points[p])
-                   for pts in listed for p in pts]
-        return encode_exact(
-            self, np.array(cells, dtype=np.int64).reshape(-1, d),
-            np.array([self.counts.get(lat, 0) for lat in cells],
-                     dtype=np.int64),
-            np.array([len(pts) for pts in listed], dtype=np.int64),
-            np.array(entries, dtype=np.int64).reshape(-1, d + 2))
+        cells = sorted(self.counts.keys() | set(lats))
+        index = {lat: c for c, lat in enumerate(cells)}
+        cell = np.array([index[lat] for lat in lats], dtype=np.int64)
+        sizes = np.bincount(cell, minlength=len(cells))
+        content = (self, np.argsort(cell, kind="stable"),
+                   np.array(cells, dtype=np.int64).reshape(-1, d),
+                   np.cumsum(sizes) - sizes,
+                   np.array([self.counts.get(lat, 0) for lat in cells],
+                            dtype=np.int64))
+        return b"".join(encode_exact_shard(
+            np.array([p.coords for p in pts], dtype=np.int64)
+            .reshape(-1, d),
+            np.array([p.tag for p in pts], dtype=np.int64),
+            np.array([self.points[p] for p in pts], dtype=np.int64),
+            [content]))
 
     def space_bytes(self):
         """The bytes of the entries the store holds, not the capacity its
@@ -197,14 +216,17 @@ class ExactCellStore:
 
     @classmethod
     def deserialize(cls, blob: bytes, grid: GridHierarchy) -> "ExactCellStore":
-        """The store an encode_exact blob describes (parse_exact)."""
-        b = parse_exact(blob, grid)
+        """The store a point message followed by one store message
+        describes (serialize's blob; parse_points, then parse_exact)."""
+        table, off = _read_points(blob, grid)
+        b = parse_exact(memoryview(blob)[off:], grid, len(table))
         d = grid.d
         store = cls(grid, b.level, b.alpha, b.beta, b.seed)
         store.counts = dict(zip(_rows(b.cells[:, :d]), b.cells[:, d].tolist()))
+        listed = table[b.rows]
         store.points = dict(zip(
-            map(Point, _rows(b.entries[:, :d]), b.entries[:, d].tolist()),
-            b.entries[:, d + 1].tolist()))
+            map(Point, _rows(listed[:, :d]), listed[:, d].tolist()),
+            listed[:, d + 1].tolist()))
         return store
 
 
@@ -214,16 +236,16 @@ def _rows(a):
 
 
 class ExactBlob(NamedTuple):
-    """The header and sections of an exact blob (encode_exact), as arrays
-    over the blob's bytes."""
+    """The header and sections of an exact store message (encode_exact),
+    as arrays over the message's bytes."""
     level: int
     alpha: float
     beta: float
     seed: int
-    cells: np.ndarray    # (c, d + 1): each nonzero cell's lattice and count
-    light: np.ndarray    # (l, d): the lattices of the cells that ship points
-    sizes: np.ndarray    # (l,) uint32: their numbers of entries
-    entries: np.ndarray  # (sizes.sum(), d + 2): coordinates, tag, multiplicity
+    cells: np.ndarray  # (c, d + 1): each nonzero cell's lattice and count
+    light: np.ndarray  # (l, d): the lattices of the cells that list points
+    sizes: np.ndarray  # (l,) uint32: their numbers of points
+    rows: np.ndarray   # (sizes.sum(),) uint32: the points' point-message rows
 
 
 def _section(blob, off: int, dtype: str, count: int):
@@ -240,27 +262,61 @@ def _check_d(d: int, grid: GridHierarchy):
         raise UsageError(f"cell-store blob is {d}-d, the grid {grid.d}-d")
 
 
-def parse_exact(blob: bytes, grid: GridHierarchy) -> ExactBlob:
-    """The sections of an encode_exact blob of grid's dimension; a blob of
-    another kind or dimension, a truncated blob or one with bytes after its
-    last section is a usage error."""
+def _check_end(blob, off: int, what: str):
+    if off != len(blob):
+        raise UsageError(f"{len(blob) - off} bytes after the last section "
+                         f"of an exact {what}")
+
+
+def _read_points(blob, grid: GridHierarchy):
+    """The rows of the point message at the start of blob, and the offset
+    after it."""
+    if len(blob) < _POINTS_HEAD.size:
+        raise UsageError("truncated cell-store blob")
+    magic, ver, kind, d, n = _POINTS_HEAD.unpack_from(blob)
+    if magic != _MAGIC or ver != _EXACT_VERSION or kind != _POINTS:
+        if magic == _MAGIC and ver == _EXACT_VERSION and kind == _EXACT:
+            raise UsageError("an exact store message with no point message "
+                             "before it")
+        raise UsageError("not an exact point message")
+    _check_d(d, grid)
+    rows, off = _section(blob, _POINTS_HEAD.size, "<i8", n * (d + 2))
+    return rows.reshape(n, d + 2), off
+
+
+def parse_points(blob: bytes, grid: GridHierarchy) -> np.ndarray:
+    """The (m, d + 2) rows of an encode_points message of grid's dimension;
+    a store message (no point message before it), a blob of another kind
+    or dimension, a truncated message or one with bytes after its rows is
+    a usage error."""
+    rows, off = _read_points(blob, grid)
+    _check_end(blob, off, "point message")
+    return rows
+
+
+def parse_exact(blob: bytes, grid: GridHierarchy, points: int) -> ExactBlob:
+    """The sections of an encode_exact store message of grid's dimension
+    whose point message has points rows; a blob of another kind or
+    dimension, a truncated message, one with bytes after its last section
+    or one listing a row at or past points is a usage error."""
     if len(blob) < _EXACT_HEAD.size:
         raise UsageError("truncated cell-store blob")
     magic, ver, backing, level, d, alpha, beta, seed, ncells = \
         _EXACT_HEAD.unpack_from(blob)
     if magic != _MAGIC or ver != _EXACT_VERSION or backing != _EXACT:
-        raise UsageError("not an exact cell-store blob")
+        raise UsageError("not an exact cell-store message")
     _check_d(d, grid)
     cells, off = _section(blob, _EXACT_HEAD.size, "<i8", ncells * (d + 1))
     (nlight,), off = _section(blob, off, "<u4", 1)
     light, off = _section(blob, off, "<i8", int(nlight) * d)
     sizes, off = _section(blob, off, "<u4", int(nlight))
-    entries, off = _section(blob, off, "<i8", int(sizes.sum()) * (d + 2))
-    if off != len(blob):
-        raise UsageError(f"{len(blob) - off} bytes after the last section "
-                         f"of an exact cell-store blob")
+    rows, off = _section(blob, off, "<u4", int(sizes.sum()))
+    _check_end(blob, off, "store message")
+    if len(rows) and int(rows.max()) >= points:
+        raise UsageError(f"an exact store message lists row {rows.max()}, "
+                         f"its point message has {points} rows")
     return ExactBlob(level, alpha, beta, seed, cells.reshape(ncells, d + 1),
-                     light.reshape(-1, d), sizes, entries.reshape(-1, d + 2))
+                     light.reshape(-1, d), sizes, rows)
 
 
 def _stacked(arrays, width: int):
@@ -269,28 +325,31 @@ def _stacked(arrays, width: int):
     return np.concatenate([np.empty((0, width), dtype=np.int64), *arrays])
 
 
-def point_table(blobs, d: int):
-    """(points, ids): one Point per distinct (coordinates, tag) among the
-    entries of the ExactBlobs blobs of dimension d, in sort_key order, and
-    per blob the row in points of each of its entries.  The entries are
-    sorted once, by the lattice_keys of their rows (partition.sorted_runs)."""
-    rows = _stacked((b.entries[:, :d + 1] for b in blobs), d + 1)
+def point_table(messages, d: int):
+    """(points, tables): one Point per distinct (coordinates, tag) among the
+    rows of the parsed point messages messages (parse_points) of dimension
+    d, in sort_key order, and per message its (ids, mults): the row in
+    points and the multiplicity of each of its rows.  The rows are sorted
+    once, by their lattice_keys (partition.sorted_runs)."""
+    rows = _stacked((m[:, :d + 1] for m in messages), d + 1)
     order, new = sorted_runs(rows)
     ids = np.empty(len(rows), dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
     first = rows[order[new]]
     points = list(map(Point, _rows(first[:, :d]), first[:, d].tolist()))
-    ends = np.cumsum([len(b.entries) for b in blobs], dtype=np.int64)
-    return points, np.split(ids, ends[:-1])
+    ends = np.cumsum([len(m) for m in messages], dtype=np.int64)
+    return points, [(i, m[:, d + 1])
+                    for i, m in zip(np.split(ids, ends[:-1]), messages)]
 
 
-def merge_exact(store, blobs, ids, points):
+def merge_exact(store, blobs, tables, points):
     """The one read-out of store content: the CellData of the ExactBlobs
     blobs summed, under store's level, caps and seed.  Counts are summed per
     lattice and multiplicities per (lattice, point), zeros dropped; above
     store.alpha nonzero cells it FAILs, and each cell of count at most
-    store.beta lists its points of a positive multiplicity.  points and ids
-    are a point_table of the blobs' entries: ids[i] places blobs[i]'s.  One
+    store.beta lists its points of a positive multiplicity.  tables and
+    points are a point_table of the blobs' point messages: tables[i] gives,
+    per row of blobs[i]'s, its row in points and its multiplicity.  One
     sorted_runs groups the cell records and entries by lattice, one the
     light entries by (cell, point row)."""
     for b in blobs:
@@ -299,14 +358,19 @@ def merge_exact(store, blobs, ids, points):
             raise UsageError("cannot merge stores with different level/caps/seeds")
     d = store.grid.d
     cells = _stacked((b.cells for b in blobs), d + 1)
-    entries = _stacked((b.entries for b in blobs), d + 2)
+    # each entry's point row and multiplicity, gathered from its table
+    none = np.empty(0, dtype=np.int64)
+    pid = np.concatenate([none, *(ids[b.rows]
+                                  for b, (ids, _) in zip(blobs, tables))])
+    mult = np.concatenate([none, *(m[b.rows]
+                                   for b, (_, m) in zip(blobs, tables))])
     # one row per cell record and per entry, grouped by lattice; an
     # entry's lattice is its light cell's and it adds 0 to the count
     lat = _stacked([cells[:, :d]] + [np.repeat(b.light, b.sizes, axis=0)
                                      for b in blobs], d)
     order, new = sorted_runs(lat)
     starts = np.flatnonzero(new)
-    counts = np.append(cells[:, d], np.zeros(len(entries), dtype=np.int64))
+    counts = np.append(cells[:, d], np.zeros(len(pid), dtype=np.int64))
     counts = np.add.reduceat(counts[order], starts) if len(lat) else counts
     nonzero = counts != 0
     if np.count_nonzero(nonzero) > store.alpha:
@@ -318,9 +382,9 @@ def merge_exact(store, blobs, ids, points):
     group, rows = group[is_entry], order[is_entry] - len(cells)
     keep = light[group]
     group, rows = group[keep], rows[keep]
-    pid = np.concatenate([np.empty(0, dtype=np.int64), *ids])[rows]
-    by, first = sorted_runs(np.column_stack((group, pid)))
-    group, pid, mults = group[by], pid[by], entries[rows[by], d + 1]
+    by, first = sorted_runs(np.column_stack((group, pid[rows])))
+    rows = rows[by]
+    group, pid, mults = group[by], pid[rows], mult[rows]
     at = np.flatnonzero(first)
     mults = np.add.reduceat(mults, at) if len(at) else mults
     # a light cell lists its points of a positive multiplicity in
@@ -343,38 +407,56 @@ def _merge_dicts(store, counts: dict, points: dict) -> CellData:
     entries = np.column_stack((
         np.fromiter(chain.from_iterable(map(itemgetter(0), pts)), np.int64,
                     n * d).reshape(n, d),
-        np.fromiter(map(itemgetter(1), pts), np.int64, n),
-        np.fromiter(points.values(), np.int64, n)))
-    order = sorted_runs(entries[:, :d + 1])[0]
+        np.fromiter(map(itemgetter(1), pts), np.int64, n)))
+    order = sorted_runs(entries)[0]
     entries = entries[order]
     cells = np.fromiter(chain.from_iterable(counts), np.int64, m * d)
+    rows = np.arange(n)
     shard = ExactBlob(
         store.level, store.alpha, store.beta, store.seed,
         np.column_stack((cells.reshape(m, d),
                          np.fromiter(counts.values(), np.int64, m))),
         store.grid.lattices(entries[:, :d], store.level),
-        np.ones(n, dtype=np.int64), entries)
-    return merge_exact(store, [shard], [np.arange(n)],
+        np.ones(n, dtype=np.int64), rows)
+    mults = np.fromiter(points.values(), np.int64, n)[order]
+    return merge_exact(store, [shard], [(rows, mults)],
                        list(map(pts.__getitem__, order.tolist())))
 
 
-def encode_exact(store, lattices, counts, sizes, entries) -> bytes:
-    """The blob of an exact store with store's level, caps and seed whose
-    content is given in columns, the one exact encoder.
+def _light(beta: float, counts, sizes):
+    """Whether each cell, of net count counts and sizes distinct points,
+    lists its points on the wire: it holds points and counts at most
+    beta."""
+    return (counts <= beta) & (sizes > 0)
+
+
+def encode_points(rows) -> bytes:
+    """The point message of rows (m x (d + 2)): one (coordinates, tag,
+    signed multiplicity) row per distinct point, in sort_key order.
+    Layout, little-endian: the header (magic, version, kind, d, m) and the
+    rows as int64."""
+    return _POINTS_HEAD.pack(_MAGIC, _EXACT_VERSION, _POINTS,
+                             rows.shape[1] - 2, len(rows)) \
+        + rows.astype("<i8").tobytes()
+
+
+def encode_exact(store, lattices, counts, sizes, rows) -> bytes:
+    """The store message of an exact store with store's level, caps and
+    seed whose content is given in columns.
 
     lattices (c x d) are the cells that have a count or hold points, in
     lexicographic order, with their net counts (c) and numbers of distinct
-    points (c, called sizes); entries (sizes.sum() x (d + 2)) give each
-    cell's points in sort_key order, one row (coordinates, tag, signed
-    multiplicity) per point.  Layout, little-endian: the header (magic,
-    version, backing, level, d, alpha, beta, seed); the cell section, the
-    number of nonzero cells and one row (lattice, count) per cell; the
-    light section, the number of cells that hold points and have a count
-    of at most beta, their lattices, their uint32 sizes and their
-    entries."""
+    points (c, called sizes); rows (sizes.sum()) give each cell's points in
+    sort_key order as their rows in the point message sent before it (a
+    number is read only for the points of light cells).  Layout,
+    little-endian: the header (magic, version, kind, level, d, alpha, beta,
+    seed); the cell section, the number of nonzero cells and one row
+    (lattice, count) per cell; the light section, the number of cells that
+    hold points and have a count of at most beta, their lattices, their
+    uint32 sizes and their points' uint32 row numbers."""
     d = lattices.shape[1]
     nonzero = counts != 0
-    light = (counts <= store.beta) & (sizes > 0)
+    light = _light(store.beta, counts, sizes)
     return b"".join((
         _EXACT_HEAD.pack(_MAGIC, _EXACT_VERSION, _EXACT, store.level, d,
                          store.alpha, store.beta, store.seed,
@@ -384,16 +466,22 @@ def encode_exact(store, lattices, counts, sizes, entries) -> bytes:
         _COUNT.pack(int(light.sum())),
         lattices[light].astype("<i8").tobytes(),
         sizes[light].astype("<u4").tobytes(),
-        entries[np.repeat(light, sizes)].astype("<i8").tobytes()))
+        rows[np.repeat(light, sizes)].astype("<u4").tobytes()))
+
+
+def points_blob_bound(d: int, points: int) -> int:
+    """The bytes encode_points writes for points d-dimensional rows: the
+    header and one (coordinates, tag, multiplicity) row per point."""
+    return _POINTS_HEAD.size + points * 8 * (d + 2)
 
 
 def exact_blob_bound(d: int, cells: int, points: int) -> int:
     """The most bytes encode_exact writes for at most cells d-dimensional
     cells holding at most points distinct points: the header, the light
     cells' count, per cell a (lattice, count) row and a light lattice with
-    its size, per point one entry row."""
+    its size, per point one uint32 row number."""
     return _EXACT_HEAD.size + _COUNT.size \
-        + cells * (8 * (d + 1) + 8 * d + 4) + points * 8 * (d + 2)
+        + cells * (8 * (d + 1) + 8 * d + 4) + points * 4
 
 
 @lru_cache(maxsize=1024)
@@ -661,31 +749,58 @@ def make_store(backing: str, grid: GridHierarchy, level: int, alpha: float,
     raise UsageError(f"unknown store backing {backing!r}")
 
 
-def encode_rows(store, columns, rows, lattices, starts, counts) -> bytes:
-    """The blob of a store of store's backing, level, caps and seed holding
+def encode_sketch(store, columns, rows, lattices, starts, counts) -> bytes:
+    """The blob of a sketch store of store's level, caps and seed holding
     the rows of columns (coreset.PointColumns), distinct points with their
     multiplicities, grouped into cells with counts by PointColumns.cells.
-    A sketch is fed each row once, with its multiplicity as the sign: its
-    content is linear in the updates and serialize sorts its records, so
-    the blob is the one streaming the points one by one gives."""
+    A fresh sketch is fed each row once, with its multiplicity as the
+    sign: its content is linear in the updates and serialize sorts its
+    records, so the blob is the one streaming the points one by one
+    gives."""
     sizes = np.diff(np.append(starts, len(rows)))
-    mults = columns.mults[rows]
-    if isinstance(store, ExactCellStore):
-        return encode_exact(store, lattices, counts, sizes, np.column_stack(
-            (columns.coords[rows], columns.tags[rows], mults)))
     fresh = SketchCellStore(store.grid, store.level, store.alpha, store.beta,
                             store.seed, store.delta)
     cells = [tuple(cell) for cell in lattices.tolist()]
-    for i, m, c in zip(rows.tolist(), mults.tolist(),
+    for i, m, c in zip(rows.tolist(), columns.mults[rows].tolist(),
                        np.repeat(np.arange(len(cells)), sizes).tolist()):
         fresh.update(columns.points[i], m, cells[c])
     return fresh.serialize()
 
 
+def encode_exact_shard(coords, tags, mults, stores) -> list:
+    """The messages of exact stores over one shard, the one exact encoder
+    of point messages and store messages.
+
+    coords, tags and mults hold the shard's distinct points in sort_key
+    order, one row each with its signed multiplicity.  stores lists, in
+    wire order, (store, rows, lattices, starts, counts) per store, its
+    content as PointColumns.cells gives it: its points' rows in cell
+    order, its cells (those with a count or points, in lexicographic
+    order), the row where each cell's run starts and the cells' counts.
+    The first message is the point message of the rows that some store's
+    light cells list (encode_points), then each store's message
+    (encode_exact) lists them by their rows in it.  No store sends no
+    message."""
+    if not stores:
+        return []
+    held = []
+    listed = np.zeros(len(tags), dtype=bool)
+    for store, rows, lattices, starts, counts in stores:
+        sizes = np.diff(np.append(starts, len(rows)))
+        listed[rows[np.repeat(_light(store.beta, counts, sizes), sizes)]] = True
+        held.append((store, lattices, counts, sizes, rows))
+    number = np.cumsum(listed) - 1
+    return [encode_points(np.column_stack(
+        (coords[listed], tags[listed], mults[listed])))] \
+        + [encode_exact(store, lattices, counts, sizes, number[rows])
+           for store, lattices, counts, sizes, rows in held]
+
+
 def deserialize(blob: bytes, grid: GridHierarchy):
-    """The store a blob of either backing describes."""
+    """The store a blob of either backing describes (an exact store's
+    starts with its point message)."""
     backing = blob[5] if len(blob) > 5 else None
-    if backing == _EXACT:
+    if backing in (_EXACT, _POINTS):
         return ExactCellStore.deserialize(blob, grid)
     if backing == _SKETCH:
         return SketchCellStore.deserialize(blob, grid)
@@ -694,7 +809,8 @@ def deserialize(blob: bytes, grid: GridHierarchy):
 
 __all__ = [
     "CellData", "ExactCellStore", "SketchCellStore", "make_store",
-    "encode_exact", "exact_blob_bound", "encode_rows", "deserialize",
-    "ExactBlob", "parse_exact", "point_table", "merge_exact", "Fail",
+    "encode_points", "encode_exact", "points_blob_bound", "exact_blob_bound",
+    "encode_sketch", "encode_exact_shard", "deserialize", "ExactBlob",
+    "parse_points", "parse_exact", "point_table", "merge_exact", "Fail",
     "is_fail",
 ]

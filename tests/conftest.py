@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 
@@ -69,6 +70,15 @@ def cell_dicts(data) -> tuple:
     each once per copy} over the cells that list points."""
     _, cells, light = data.canonical()
     return dict(cells), dict(light)
+
+
+def split_exact(blob: bytes) -> tuple:
+    """An exact store's serialize() blob as (its point message, its store
+    message): the point message's header gives d and its number of
+    rows, of d + 2 int64 columns each."""
+    d, rows = struct.unpack_from("<HI", blob, 6)
+    end = 12 + rows * 8 * (d + 2)
+    return blob[:end], blob[end:]
 
 
 def part_taus(tau_part) -> dict:

@@ -10,7 +10,7 @@ from capacore.cellstore import (ExactCellStore, SketchCellStore, deserialize,
 from capacore.common import Fail, UsageError, is_fail
 from capacore.geometry import GridHierarchy, Point
 
-from conftest import cell_dicts, rand_points
+from conftest import cell_dicts, rand_points, split_exact
 
 GRID = GridHierarchy.from_seed(21, 8, 2)
 LEVEL = 2
@@ -324,13 +324,21 @@ def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
     assert back.counts == store.counts
     assert back.points == shipped
     assert back.serialize() == blob
-    # the per-record wire length: header, cells, light cells, points
+    # the wire length: the point message (header, one row per shipped
+    # point), then the store message (header, cells, light cells, one row
+    # number per shipped point)
     d = GRID.d
     light = {cell_of[p] for p in shipped}
-    assert len(blob) == 42 + len(store.counts) * (8 * d + 8) \
-        + len(light) * (8 * d + 4) + len(shipped) * (8 * d + 16)
+    head, body = split_exact(blob)
+    assert len(head) == 12 + len(shipped) * (8 * d + 16)
+    assert len(body) == 42 + len(store.counts) * (8 * d + 8) \
+        + len(light) * (8 * d + 4) + len(shipped) * 4
+    rows = cellstore.parse_points(head, GRID)
+    assert {Point(tuple(r[:d]), r[d]): r[d + 1]
+            for r in rows.tolist()} == shipped
     cells = set(store.counts) | set(cell_of.values())
-    assert len(blob) <= cellstore.exact_blob_bound(
+    assert len(head) <= cellstore.points_blob_bound(d, len(store.points))
+    assert len(body) <= cellstore.exact_blob_bound(
         d, len(cells), len(store.points))
 
 
@@ -339,7 +347,9 @@ def test_exact_blob_bound_is_met_when_every_cell_is_light():
     pts = rand_points(random.Random(6), 30, 8)
     for p in pts:
         store.update(p, +1)
-    assert len(store.serialize()) == cellstore.exact_blob_bound(
+    head, body = split_exact(store.serialize())
+    assert len(head) == cellstore.points_blob_bound(GRID.d, len(set(pts)))
+    assert len(body) == cellstore.exact_blob_bound(
         GRID.d, len(store.counts), len(set(pts)))
 
 
@@ -357,8 +367,20 @@ def test_blob_with_trailing_bytes_is_a_usage_error(backing):
         with pytest.raises(UsageError, match="bytes after the last"):
             deserialize(blob + extra, GRID)
     if backing == "exact":
+        head, body = split_exact(blob)
+        rows = len(cellstore.parse_points(head, GRID))
         with pytest.raises(UsageError, match="8 bytes after the last"):
-            cellstore.parse_exact(blob + bytes(8), GRID)
+            cellstore.parse_exact(body + bytes(8), GRID, rows)
+
+
+def test_point_message_with_trailing_bytes_is_a_usage_error():
+    head, body = split_exact(_filled("exact").serialize())
+    assert len(cellstore.parse_points(head, GRID))
+    for extra in (b"\0", bytes(3), bytes(8), body):
+        with pytest.raises(UsageError,
+                           match=f"{len(extra)} bytes after the last section "
+                                 f"of an exact point message"):
+            cellstore.parse_points(head + extra, GRID)
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
@@ -370,11 +392,21 @@ def test_truncated_blob_is_a_usage_error(backing):
     for cut in sorted(cuts):
         with pytest.raises(UsageError):
             deserialize(blob[:len(blob) - cut], GRID)
-        if backing == "exact":
-            with pytest.raises(UsageError):
-                cellstore.parse_exact(blob[:len(blob) - cut], GRID)
     with pytest.raises(UsageError, match="truncated"):
         deserialize(blob[:-3], GRID)
+    if backing == "exact":
+        head, body = split_exact(blob)
+        rows = len(cellstore.parse_points(head, GRID))
+        for cut in range(1, len(body) + 1):
+            with pytest.raises(UsageError, match="truncated"):
+                cellstore.parse_exact(body[:len(body) - cut], GRID, rows)
+
+
+def test_truncated_point_message_is_a_usage_error():
+    head, _ = split_exact(_filled("exact").serialize())
+    for cut in range(1, len(head) + 1):
+        with pytest.raises(UsageError, match="truncated"):
+            cellstore.parse_points(head[:len(head) - cut], GRID)
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
@@ -384,10 +416,47 @@ def test_blob_of_another_dimension_is_a_usage_error(backing):
     with pytest.raises(UsageError, match="2-d, the grid 3-d"):
         deserialize(blob, grid3)
     if backing == "exact":
+        head, body = split_exact(blob)
+        rows = len(cellstore.parse_points(head, GRID))
         with pytest.raises(UsageError, match="2-d, the grid 3-d"):
-            cellstore.parse_exact(blob, grid3)
+            cellstore.parse_exact(body, grid3, rows)
     # the blob itself is sound
     assert deserialize(blob, GRID).finalize() == _filled(backing).finalize()
+
+
+def test_point_message_of_another_dimension_is_a_usage_error():
+    head, _ = split_exact(_filled("exact").serialize())
+    grid3 = GridHierarchy.from_seed(21, 8, 3)
+    with pytest.raises(UsageError, match="2-d, the grid 3-d"):
+        cellstore.parse_points(head, grid3)
+    assert cellstore.parse_points(head, GRID).shape[1] == 4
+
+
+def test_row_number_past_the_point_message_is_a_usage_error():
+    head, body = split_exact(_filled("exact").serialize())
+    rows = len(cellstore.parse_points(head, GRID))
+    listed = cellstore.parse_exact(body, GRID, rows).rows
+    assert rows > 1 and listed.max() == rows - 1
+    for short in (rows - 1, 0):
+        with pytest.raises(UsageError, match=f"lists row {rows - 1}, its "
+                                             f"point message has {short} rows"):
+            cellstore.parse_exact(body, GRID, short)
+    # a point message one row short, before the same store message
+    table = cellstore.parse_points(head, GRID)
+    with pytest.raises(UsageError, match="lists row"):
+        deserialize(cellstore.encode_points(table[:-1]) + body, GRID)
+
+
+def test_store_message_with_no_point_message_is_a_usage_error():
+    head, body = split_exact(_filled("exact").serialize())
+    for blob in (body, body + head):
+        with pytest.raises(UsageError, match="no point message before it"):
+            deserialize(blob, GRID)
+        with pytest.raises(UsageError, match="no point message before it"):
+            cellstore.parse_points(blob, GRID)
+    # a point message is not a store message either
+    with pytest.raises(UsageError, match="not an exact cell-store message"):
+        cellstore.parse_exact(head, GRID, len(head))
 
 
 @pytest.mark.parametrize("beta", [0, 2, 100])
@@ -412,18 +481,22 @@ def test_merge_exact_equals_the_fold_on_signed_blobs(beta):
         fold = ExactCellStore(GRID, LEVEL, alpha, beta, seed=3)
         for blob in blobs:
             fold.merge_in(deserialize(blob, GRID))
-        return fold, [cellstore.parse_exact(blob, GRID) for blob in blobs]
+        tables = [cellstore.parse_points(split_exact(blob)[0], GRID)
+                  for blob in blobs]
+        return fold, tables, [
+            cellstore.parse_exact(split_exact(blob)[1], GRID, len(table))
+            for blob, table in zip(blobs, tables)]
 
-    fold, parsed = fold_and_blobs(200)
+    fold, _, parsed = fold_and_blobs(200)
     cells = len(fold.counts)
     assert any(c < 0 for c in fold.counts.values())
     for alpha in (200, cells, cells - 1):
-        fold, parsed = fold_and_blobs(alpha)
-        points, ids = cellstore.point_table(parsed, GRID.d)
-        assert len(points) == len({tuple(row) for b in parsed
-                                   for row in b.entries[:, :-1].tolist()})
+        fold, messages, parsed = fold_and_blobs(alpha)
+        points, tables = cellstore.point_table(messages, GRID.d)
+        assert len(points) == len({tuple(row) for m in messages
+                                   for row in m[:, :-1].tolist()})
         want = fold.finalize()
-        got = cellstore.merge_exact(fold, parsed, ids, points)
+        got = cellstore.merge_exact(fold, parsed, tables, points)
         assert is_fail(want) == (alpha < cells)
         if is_fail(want):
             assert is_fail(got)
@@ -431,4 +504,4 @@ def test_merge_exact_equals_the_fold_on_signed_blobs(beta):
         assert got == want
     with pytest.raises(UsageError, match="different level/caps/seeds"):
         cellstore.merge_exact(ExactCellStore(GRID, LEVEL, alpha, beta, seed=4),
-                              parsed, ids, points)
+                              parsed, tables, points)

@@ -1,19 +1,20 @@
 """Property test: a coordinator's read of every store equals the finalize()
-of an empty store into which each machine's blob was deserialized and
-merged, with either backing."""
+of an empty store into which the store each machine's messages describe
+was merged, with either backing: a sketch blob deserialized, or an exact
+store message read with its machine's point message."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from capacore.cellstore import deserialize  # noqa: E402
 from capacore.common import derive_seed, is_fail  # noqa: E402
 from capacore.distributed import ByteChannel, Coordinator, Machine  # noqa: E402
 from capacore.geometry import GridHierarchy, Point  # noqa: E402
 from capacore.streaming import StreamEngine  # noqa: E402
 
-from test_distributed import RATE1, SAMPLING, _with_caps  # noqa: E402
+from test_distributed import (RATE1, SAMPLING, _wire_stores,  # noqa: E402
+                              _with_caps)
 
 # tags 0..2 on an 8 x 8 grid: a shard lists some points twice
 POINTS = st.builds(Point, st.tuples(st.integers(1, 8), st.integers(1, 8)),
@@ -33,13 +34,15 @@ def _check_reads_equal_the_fold(backing, shards, caps, base, seed):
         params = _with_caps(lambda o: caps[0], lambda o: caps[1], params)
     grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), 8, 2)
     coord = Coordinator(params, grid, seed, backing, False, n_max=64)
-    # empty stores of the coordinator's layout, merged into blob by blob
+    # empty stores of the coordinator's layout, merged into machine by
+    # machine
     fold = StreamEngine(params, grid, seed, backing, False, n_max=64)
     for shard in shards:
         machine = Machine(shard, coord)
-        for store, blob in zip(fold._stores.values(),
-                               machine.wire_messages()):
-            store.merge_in(deserialize(blob, grid))
+        shipped = _wire_stores(machine)
+        assert len(shipped) == len(fold._stores)
+        for store, wire in zip(fold._stores.values(), shipped):
+            store.merge_in(wire)
         coord.absorb(machine, ByteChannel())
     assert list(coord._stores) == list(fold._stores)
     for key, store in fold._stores.items():

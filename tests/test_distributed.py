@@ -3,12 +3,14 @@ import random
 import struct
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from capacore.common import UsageError, derive_seed, is_fail
 from capacore.coreset import (Sampling, build_auto, dedup_points,
                               exact_threshold, finalize_cells, o_grid)
-from capacore.cellstore import ExactCellStore, deserialize
+from capacore.cellstore import (ExactCellStore, deserialize, encode_points,
+                                parse_points)
 from capacore.distributed import (ByteChannel, Coordinator, Machine,
                                   broadcast_blob, per_machine_byte_cap,
                                   run_protocol)
@@ -59,6 +61,35 @@ def _reference_stores(machine, shard):
                 ref.update(p, +1)
         refs.append(ref)
     return refs
+
+
+def _wire_stores(machine):
+    """The stores a machine's messages describe, in layout order: each
+    sketch blob deserialized, or each exact store message read with the
+    machine's point message before it (serialize's layout)."""
+    grid = machine.layout.grid
+    messages = list(machine.wire_messages())
+    if machine.layout.backing == "sketch":
+        return [deserialize(blob, grid) for blob in messages]
+    return [deserialize(messages[0] + blob, grid) for blob in messages[1:]]
+
+
+def _shipped(store):
+    """An exact store's content as the wire carries it: its counts, and
+    the points of its light cells with their multiplicities."""
+    back = deserialize(store.serialize(), store.grid)
+    return back.counts, back.points
+
+
+def _point_rows(machine) -> dict:
+    """{Point: multiplicity} over the rows of an exact machine's point
+    message, each point once."""
+    d = machine.layout.grid.d
+    rows = parse_points(next(iter(machine.wire_messages())),
+                        machine.layout.grid).tolist()
+    table = {Point(tuple(r[:d]), r[d]): r[d + 1] for r in rows}
+    assert len(table) == len(rows)
+    return table
 
 
 def _over_every_guess(machine, refs):
@@ -134,8 +165,9 @@ def test_sketch_backing_protocol(rng):
 @pytest.mark.parametrize("Delta", [8, 1 << 62])
 def test_run_protocol_lays_out_the_guesses_of_its_points(rng, monkeypatch,
                                                          Delta):
-    # one message per Sampling key of o_grid(n) for the run's n points,
-    # whatever Delta; no point lays out no store and gives the empty coreset
+    # one point message and one message per Sampling key of o_grid(n) for
+    # the run's n points, whatever Delta; no point lays out no store, sends
+    # no message and gives the empty coreset
     sent = []
     wire = Machine.wire_messages
 
@@ -155,7 +187,8 @@ def test_run_protocol_lays_out_the_guesses_of_its_points(rng, monkeypatch,
                                   params, seed=4)
         guesses = o_grid(len(pts), params)
         served = Sampling(params, grid, 4, exact_counts=False).served(guesses)
-        assert sent == [len(served)] * 3
+        assert sent == [len(served) + 1 if served else 0] * 3
+        assert bool(served) == (n > 0)
         assert comm <= 3 * per_machine_byte_cap(params, grid, guesses,
                                                 len(pts))
         assert core == _offline(pts, params, 4, exact_counts=False)
@@ -169,7 +202,8 @@ def test_run_protocol_lays_out_the_guesses_of_its_points(rng, monkeypatch,
 def test_machine_sends_each_distinct_store_once(rng, backing):
     # cell caps that grow with the guess: a shard is over some guesses'
     # caps and under others'; the machine sends every store all the same,
-    # one blob each, in layout order
+    # one message each, in layout order (with the exact backing after the
+    # point message)
     params = _with_caps(lambda o: o / 2)
     pts = dedup_points(rand_points(rng, 30, 8))
     grid = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
@@ -189,9 +223,17 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
     assert len({id(s) for s in engine._stores.values()}) == len(pooled)
     assert len(pooled) < len(triples)
     messages = list(machine.wire_messages())
-    assert len(messages) == len(pooled)
-    for blob, ref in zip(messages, refs):
-        assert blob == ref.serialize()
+    assert len(messages) == len(pooled) + (backing == "exact")
+    if backing == "sketch":
+        for blob, ref in zip(messages, refs):
+            assert blob == ref.serialize()
+        return
+    # an exact store message lists its points by row numbers: its content,
+    # read with the point message, is the reference store's on the wire
+    stores = _wire_stores(machine)
+    assert len(stores) == len(pooled)
+    for store, ref in zip(stores, refs):
+        assert (store.counts, store.points) == _shipped(ref)
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
@@ -221,9 +263,9 @@ def test_counting_stores_hold_and_ship_no_point(backing):
     coord = Coordinator(params, grid, 1, backing, n_max=len(pts))
     for shard in (pts[i::4] for i in range(4)):
         machine = Machine(shard, coord)
-        for key, blob in zip(coord._stores, machine.wire_messages()):
+        for key, store in zip(coord._stores, _wire_stores(machine)):
             if key in counting:
-                cells, points = cells_and_points(deserialize(blob, grid))
+                cells, points = cells_and_points(store)
                 assert cells and not points
         coord.absorb(machine, ByteChannel())
     offline = build_auto(pts, grid, params, 1, exact_counts=False)
@@ -255,13 +297,63 @@ def test_absorb_rejects_a_machine_with_another_store_layout(rng):
         assert not any(coord._blobs.values())
 
 
+def _one_row_short(messages):
+    head = parse_points(messages[0], GRID8)
+    return [encode_points(head[:-1])] + messages[1:]
+
+
+def _one_more_column(messages):
+    head = parse_points(messages[0], GRID8)
+    return [encode_points(np.column_stack((head[:, :1], head)))] \
+        + messages[1:]
+
+
+GRID8 = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
+MALFORMED = {
+    "row-past-the-point-count": (_one_row_short, "lists row"),
+    "no-point-message": (lambda m: m[1:], "no point message before it"),
+    "truncated-point-message": (lambda m: [m[0][:-1]] + m[1:], "truncated"),
+    "point-message-with-trailing-bytes": (
+        lambda m: [m[0] + bytes(8)] + m[1:],
+        "8 bytes after the last section of an exact point message"),
+    "point-message-of-another-dimension": (_one_more_column,
+                                           "3-d, the grid 2-d"),
+    "a-store-message-short": (lambda m: m[:-1], "store messages for"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_coordinator_rejects_malformed_exact_messages(rng, monkeypatch,
+                                                      case):
+    # each is a usage error that leaves the coordinator as it was; the
+    # machine's own messages are then taken in
+    tamper, why = MALFORMED[case]
+    pts = dedup_points(rand_points(rng, 30, 8))
+    coord = Coordinator(RATE1, GRID8, 8, "exact", False, n_max=len(pts))
+    machine = Machine(pts, coord)
+    wire = Machine.wire_messages
+    messages = list(wire(machine))
+    monkeypatch.setattr(Machine, "wire_messages",
+                        lambda self: iter(tamper(messages)))
+    with pytest.raises(UsageError, match=why):
+        coord.absorb(machine, ByteChannel())
+    assert coord.net == 0 and not coord._points
+    assert not any(coord._blobs.values())
+    monkeypatch.setattr(Machine, "wire_messages", wire)
+    coord.absorb(machine, ByteChannel())
+    assert coord.finalize() == _offline(pts, RATE1, 8, exact_counts=False)
+
+
 @pytest.mark.parametrize("beta", [None, 1])
 @pytest.mark.parametrize("Delta,scale", [(8, 1e-53), (1 << 16, 1e-53),
                                          (1 << 62, 1e-6)])
 def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
                                                              scale, beta):
     # hashed keys, keys that keep every point and, below Delta 2**62, keys
-    # that keep none; beta = 1 ships no point of a cell of count 2
+    # that keep none; beta = 1 ships no point of a cell of count 2.  For
+    # every key the content a machine's messages carry equals an exact
+    # store fed the shard point by point, and the point message holds
+    # exactly the rows some store message lists
     base = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=2,
                   mode=PRACTICAL, scale=scale)
     params = _with_caps(lambda o: math.inf,
@@ -277,21 +369,59 @@ def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
         assert any(key[2] == 0 for key in keys) == (Delta < 1 << 62)
         assert {key[0] is None for key in keys} == {False, True}
         refs = _reference_stores(machine, shard)
-        messages = list(machine.wire_messages())
-        assert len(messages) == len(keys)
-        for key, blob, ref in zip(keys, messages, refs):
-            assert blob == ref.serialize(), key
+        stores = _wire_stores(machine)
+        assert len(stores) == len(keys)
+        listed = {}
+        for key, store, ref in zip(keys, stores, refs):
+            assert (store.counts, store.points) == _shipped(ref), key
+            if key[2] == 0:  # a key that keeps none ships an empty store
+                assert not store.counts and not store.points
+            listed.update(store.points)
+        assert _point_rows(machine) == listed
     # the stores that keep every point count the repeated point twice, as
-    # every mode counts copies, and ship it with multiplicity 2 unless
-    # beta = 1 leaves its cell's points out
-    keep_all = [deserialize(blob, grid) for key, blob in zip(keys, messages)
+    # every mode counts copies, and ship it once, in one row of
+    # multiplicity 2, unless beta = 1 leaves its cell's points out
+    keep_all = [store for key, store in zip(keys, stores)
                 if key[0] is None and key[2]]
     assert keep_all
     for store in keep_all:
         lat = grid.lattice_of(pts[0].coords, store.level)
         assert store.counts[lat] >= 3
-        assert store.points.get(pts[0]) == \
-            (None if beta == 1 else 2)
+        assert store.points.get(pts[0]) == (None if beta == 1 else 2)
+    # the point message: one row, or at beta = 1 none, since every store
+    # that keeps the point counts at least 2 in its cell
+    assert _point_rows(machine).get(pts[0]) == (None if beta == 1 else 2)
+
+
+def test_one_machine_ships_each_point_once_for_every_keep_all_store(rng):
+    # RATE1 keeps every point at every level, in L + 1 stores whose caps
+    # list every cell's points.  The machine sends each point's 8 (d + 2)
+    # bytes once, in its point message, and 4 bytes per point per store
+    pts = dedup_points(rand_points(rng, 60, 8))
+    grid = GridHierarchy.from_seed(derive_seed(4, "shift"), 8, 2)
+    coord = Coordinator(RATE1, grid, 4, "exact", False, n_max=len(pts))
+    machine = Machine(pts, coord)
+    assert [key[:2] for key in coord._stores] == \
+        [(None, lvl) for lvl in range(grid.L + 1)]
+    messages = list(machine.wire_messages())
+    head, bodies = messages[0], messages[1:]
+    assert len(bodies) == grid.L + 1
+    d = grid.d
+    assert len(head) == 12 + len(pts) * 8 * (d + 2)
+    assert set(_point_rows(machine)) == set(pts)
+    for body in bodies:
+        store = deserialize(head + body, grid)
+        assert set(store.points) == set(pts)
+        cells = len(store.counts)
+        assert len(body) == 42 + cells * (8 * d + 8) \
+            + cells * (8 * d + 4) + len(pts) * 4
+    # the wire total: the broadcast, the two counts and the messages
+    channel = ByteChannel()
+    bcast = broadcast_blob(RATE1, grid, 4)
+    channel.send_to_machine(bcast + struct.pack("<q", len(pts)))
+    coord.absorb(machine, channel)
+    assert channel.total() == len(bcast) + 16 + sum(map(len, messages))
+    assert coord.finalize() == _offline(pts, RATE1, 4, exact_counts=False)
 
 
 @pytest.mark.parametrize("Delta", [8, 1 << 16])
@@ -553,8 +683,8 @@ def test_dist_fails_when_the_union_is_over_the_cell_cap():
     coord = Coordinator(capped, grid, 6, "exact", False, n_max=64)
     for shard in (pts[0::2], pts[1::2]):
         machine = Machine(shard, coord)
-        assert all(deserialize(blob, grid).cell_count() <= 6
-                   for blob in machine.wire_messages())
+        assert all(store.cell_count() <= 6
+                   for store in _wire_stores(machine))
         coord.absorb(machine, ByteChannel())
     _all_fail(lambda: build_auto(pts, grid, capped, 6, exact_counts=False))
     _all_fail(engine.finalize)

@@ -23,7 +23,7 @@ from capacore.geometry import GridHierarchy, Point
 from capacore.params import PRACTICAL, derive
 from capacore.streaming import StreamEngine
 
-from conftest import clustered_points, rand_points
+from conftest import clustered_points, rand_points, split_exact
 from test_distributed import RATE1, SAMPLING, _with_caps
 
 
@@ -148,14 +148,17 @@ def test_readout_matches_the_reference_on_store_dicts(d, log_delta, level):
 
 def _check_readout(store):
     """store.finalize() equals the reference, merge_exact over the store's
-    own blob, and a FAIL one cell below its cell count."""
+    own point and store messages, and a FAIL one cell below its cell
+    count."""
     got = store.finalize()
     assert got == _from_dicts_reference(store.level, store.grid.d,
                                         store.counts, _light_of(store))
     _assert_table_in_order(got)
-    blob = cellstore.parse_exact(store.serialize(), store.grid)
-    points, ids = cellstore.point_table([blob], store.grid.d)
-    assert cellstore.merge_exact(store, [blob], ids, points) == got
+    head, body = split_exact(store.serialize())
+    rows = cellstore.parse_points(head, store.grid)
+    blob = cellstore.parse_exact(body, store.grid, len(rows))
+    points, tables = cellstore.point_table([rows], store.grid.d)
+    assert cellstore.merge_exact(store, [blob], tables, points) == got
     capped = ExactCellStore(store.grid, store.level, len(store.counts) - 1,
                             store.beta, store.seed)
     capped.counts, capped.points = store.counts, store.points
