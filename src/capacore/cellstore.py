@@ -20,27 +20,19 @@ read-out in the decision path (coreset.finalize_cells).
   hash pairs are drawn once per (seed, level, rows, point rows).
 
 Serialized blobs are the distributed protocol's wire unit; their byte length
-is the communication cost.  With the exact backing a machine sends each
-point at most once: one point message (encode_points) holds the rows
-(coordinates, tag, multiplicity), in sort_key order, of the points that
-some store lists, and each store's message (encode_exact) holds its
-nonzero cells with their counts and, for the cells whose local count is at
-most beta (the cap-respecting wire shape), the uint32 numbers of their
-points' rows in that point message.  Shipping light cells only preserves
-finalize output through merge, because a cell light in the union is light
-in every shard.  One encoder, encode_exact_shard, writes a dist machine's
-messages from its shard's columns, and ExactCellStore.serialize's point
-message and store message of the store's own content.  parse_points and
-parse_exact read the two messages back as numpy arrays (ExactBlob), and a
-row number at or past its point message's rows is a usage error.
-merge_exact is the one read-out: it merges the content of any number of
-shards in columns into a CellData with one point table, be they the
-machines' messages at the coordinator (point_table, over their point
-messages) or a store's own content (the sketch's: the cells and points it
-decodes).  A truncated blob, one with bytes after its last section or
-record, one made for another dimension, or a store message with no point
-message before it is a usage error.  Sketch blobs (encode_sketch gives a
-machine's) carry their records alone.
+is the communication cost.  An exact machine sends each point at most once
+(encode_exact_shard, also ExactCellStore.serialize's encoder): a point
+message (encode_points) of the rows that some store lists, then per store
+a message (encode_exact) of its cell rows and the listed points' row
+numbers in the point message.  A cell lists its points when its count is
+at most beta, which preserves finalize output through merge: a cell light
+in the union is light in every shard.  Every section is at the width its
+values need (_narrow writes one, _wide reads one).  merge_exact is the one
+read-out: it merges shards in columns (parse_points, parse_exact) into a
+CellData over one point table, be they the machines' messages at the
+coordinator (point_table) or a store's own content.  A malformed message
+is a usage error.  Sketch blobs (encode_sketch gives a machine's) carry
+their records alone.
 """
 
 from __future__ import annotations
@@ -56,30 +48,29 @@ from typing import NamedTuple
 import numpy as np
 
 from .common import Fail, UsageError, derive_seed, is_fail
-from .geometry import GridHierarchy, Point
+from .geometry import TAG_SPACE, GridHierarchy, Point
 from .hashing import PointEncoder
 from .partition import sorted_runs
 
 _MAGIC = b"CSTO"
 _SKETCH_VERSION = 1
-# exact blobs moved to columnar sections at version 2, and at version 3 to
-# a point message beside store messages that list row numbers into it
-_EXACT_VERSION = 3
+# version 2: columnar sections; 3: a point message; 4: narrow sections
+_EXACT_VERSION = 4
 # the kind byte after the version: a store message of either backing, or
 # an exact point message
 _EXACT, _SKETCH, _POINTS = 0, 1, 2
 # blob layouts, little-endian: an exact store message's header (magic,
-# version, kind, level, d, alpha, beta, seed, number of nonzero cells); a
-# point message's header (magic, version, kind, d, number of rows); a
-# sketch blob's header (magic, version, kind, level, d, alpha, beta, delta,
-# seed); the record counts of both store kinds (an exact message's light
-# cells); the slots of a sketch's cell and point records
+# version, kind, level, d, alpha, beta, seed, number of cell rows); a point
+# message's header (magic, version, kind, d, number of rows); a sketch
+# blob's header (magic, version, kind, level, d, alpha, beta, delta, seed);
+# a sketch's record counts and the slots of its cell and point records
 _EXACT_HEAD = struct.Struct("<4sBBhHddqI")
 _POINTS_HEAD = struct.Struct("<4sBBHI")
 _SKETCH_HEAD = struct.Struct("<4sBBhHdddq")
 _COUNT = struct.Struct("<I")
 _CELL_SLOT = struct.Struct("<Iq")
 _POINT_SLOT = struct.Struct("<IqIq")
+_WIDTHS = (1, 2, 4, 8)
 
 _PRIME = (1 << 61) - 1
 
@@ -222,7 +213,9 @@ class ExactCellStore:
         b = parse_exact(memoryview(blob)[off:], grid, len(table))
         d = grid.d
         store = cls(grid, b.level, b.alpha, b.beta, b.seed)
-        store.counts = dict(zip(_rows(b.cells[:, :d]), b.cells[:, d].tolist()))
+        # a cell of count 0 has a row only for the points it lists
+        cells = b.cells[b.cells[:, d] != 0]
+        store.counts = dict(zip(_rows(cells[:, :d]), cells[:, d].tolist()))
         listed = table[b.rows]
         store.points = dict(zip(
             map(Point, _rows(listed[:, :d]), listed[:, d].tolist()),
@@ -236,25 +229,42 @@ def _rows(a):
 
 
 class ExactBlob(NamedTuple):
-    """The header and sections of an exact store message (encode_exact),
-    as arrays over the message's bytes."""
+    """An exact store message's header and sections (parse_exact)."""
     level: int
     alpha: float
     beta: float
     seed: int
-    cells: np.ndarray  # (c, d + 1): each nonzero cell's lattice and count
-    light: np.ndarray  # (l, d): the lattices of the cells that list points
-    sizes: np.ndarray  # (l,) uint32: their numbers of points
-    rows: np.ndarray   # (sizes.sum(),) uint32: the points' point-message rows
+    cells: np.ndarray  # (c, d + 2): each cell row's lattice, count and size
+    rows: np.ndarray   # (sizes.sum(),): the listed points' point-message rows
 
 
-def _section(blob, off: int, dtype: str, count: int):
-    """count items of dtype at offset off of blob, and the offset after
-    them; a blob too short to hold them is a usage error."""
-    end = off + count * np.dtype(dtype).itemsize
+def _width(top: int) -> int:
+    """The fewest bytes of _WIDTHS whose signed integers hold -top - 1 to top."""
+    return next(w for w in _WIDTHS if top < 1 << 8 * w - 1)
+
+
+def _narrow(values) -> bytes:
+    """The section of an int64 array: a width byte, then the values in C
+    order as little-endian signed integers of the narrowest width of
+    _WIDTHS that holds them all (1 for none)."""
+    width = _width(max(int(values.max()), -1 - int(values.min()))
+                   if values.size else 0)
+    return bytes((width,)) + values.astype(f"<i{width}").tobytes()
+
+
+def _wide(blob, off: int, count: int):
+    """The count values of the section (_narrow's) at offset off of blob,
+    as int64, and the offset after them; a blob too short to hold them or a
+    width byte other than 1, 2, 4 or 8 is a usage error."""
+    # with no width byte left, the end falls past the blob's
+    width = blob[off] if off < len(blob) else 1
+    if width not in _WIDTHS:
+        raise UsageError(f"width byte {width} in an exact cell-store message")
+    end = off + 1 + count * width
     if end > len(blob):
         raise UsageError("truncated cell-store blob")
-    return np.frombuffer(blob, dtype, count, off), end
+    return np.frombuffer(blob, f"<i{width}", count, off + 1) \
+        .astype(np.int64, copy=False), end
 
 
 def _check_d(d: int, grid: GridHierarchy):
@@ -280,7 +290,7 @@ def _read_points(blob, grid: GridHierarchy):
                              "before it")
         raise UsageError("not an exact point message")
     _check_d(d, grid)
-    rows, off = _section(blob, _POINTS_HEAD.size, "<i8", n * (d + 2))
+    rows, off = _wide(blob, _POINTS_HEAD.size, n * (d + 2))
     return rows.reshape(n, d + 2), off
 
 
@@ -297,8 +307,9 @@ def parse_points(blob: bytes, grid: GridHierarchy) -> np.ndarray:
 def parse_exact(blob: bytes, grid: GridHierarchy, points: int) -> ExactBlob:
     """The sections of an encode_exact store message of grid's dimension
     whose point message has points rows; a blob of another kind or
-    dimension, a truncated message, one with bytes after its last section
-    or one listing a row at or past points is a usage error."""
+    dimension, a truncated message, one with bytes after its last section,
+    a negative size or one listing a row outside [0, points) is a usage
+    error."""
     if len(blob) < _EXACT_HEAD.size:
         raise UsageError("truncated cell-store blob")
     magic, ver, backing, level, d, alpha, beta, seed, ncells = \
@@ -306,17 +317,22 @@ def parse_exact(blob: bytes, grid: GridHierarchy, points: int) -> ExactBlob:
     if magic != _MAGIC or ver != _EXACT_VERSION or backing != _EXACT:
         raise UsageError("not an exact cell-store message")
     _check_d(d, grid)
-    cells, off = _section(blob, _EXACT_HEAD.size, "<i8", ncells * (d + 1))
-    (nlight,), off = _section(blob, off, "<u4", 1)
-    light, off = _section(blob, off, "<i8", int(nlight) * d)
-    sizes, off = _section(blob, off, "<u4", int(nlight))
-    rows, off = _section(blob, off, "<u4", int(sizes.sum()))
+    cells, off = _wide(blob, _EXACT_HEAD.size, ncells * (d + 2))
+    cells = cells.reshape(ncells, d + 2)
+    sizes = cells[:, d + 1]
+    # each listed row takes a byte: a larger size cannot be read (and
+    # sizes that large could wrap their sum)
+    if ncells and not 0 <= sizes.min() <= sizes.max() <= len(blob):
+        bad = sizes.min() if sizes.min() < 0 else sizes.max()
+        raise UsageError(f"a cell of size {bad} in an exact store message "
+                         f"of {len(blob)} bytes")
+    rows, off = _wide(blob, off, int(sizes.sum()))
     _check_end(blob, off, "store message")
-    if len(rows) and int(rows.max()) >= points:
-        raise UsageError(f"an exact store message lists row {rows.max()}, "
+    if len(rows) and not 0 <= rows.min() <= rows.max() < points:
+        bad = rows.min() if rows.min() < 0 else rows.max()
+        raise UsageError(f"an exact store message lists row {bad}, "
                          f"its point message has {points} rows")
-    return ExactBlob(level, alpha, beta, seed, cells.reshape(ncells, d + 1),
-                     light.reshape(-1, d), sizes, rows)
+    return ExactBlob(level, alpha, beta, seed, cells, rows)
 
 
 def _stacked(arrays, width: int):
@@ -350,41 +366,37 @@ def merge_exact(store, blobs, tables, points):
     store.beta lists its points of a positive multiplicity.  tables and
     points are a point_table of the blobs' point messages: tables[i] gives,
     per row of blobs[i]'s, its row in points and its multiplicity.  One
-    sorted_runs groups the cell records and entries by lattice, one the
-    light entries by (cell, point row)."""
+    sorted_runs groups the cell rows by lattice, and each listed point
+    takes its cell row's group; one more groups the listed points of light
+    cells by (cell, point row)."""
     for b in blobs:
         if (b.level, b.alpha, b.beta, b.seed) != \
                 (store.level, store.alpha, store.beta, store.seed):
             raise UsageError("cannot merge stores with different level/caps/seeds")
     d = store.grid.d
-    cells = _stacked((b.cells for b in blobs), d + 1)
-    # each entry's point row and multiplicity, gathered from its table
+    cells = _stacked((b.cells for b in blobs), d + 2)
+    # each listed point's row and multiplicity, gathered from its table
     none = np.empty(0, dtype=np.int64)
     pid = np.concatenate([none, *(ids[b.rows]
                                   for b, (ids, _) in zip(blobs, tables))])
     mult = np.concatenate([none, *(m[b.rows]
                                    for b, (_, m) in zip(blobs, tables))])
-    # one row per cell record and per entry, grouped by lattice; an
-    # entry's lattice is its light cell's and it adds 0 to the count
-    lat = _stacked([cells[:, :d]] + [np.repeat(b.light, b.sizes, axis=0)
-                                     for b in blobs], d)
-    order, new = sorted_runs(lat)
+    order, new = sorted_runs(cells[:, :d])
     starts = np.flatnonzero(new)
-    counts = np.append(cells[:, d], np.zeros(len(pid), dtype=np.int64))
-    counts = np.add.reduceat(counts[order], starts) if len(lat) else counts
+    counts = np.add.reduceat(cells[order, d], starts) if len(cells) else none
     nonzero = counts != 0
     if np.count_nonzero(nonzero) > store.alpha:
         return Fail("store cell cap")
     light = nonzero & (counts <= store.beta)
-    # the entries of light cells by (cell, point), multiplicities summed
-    group = np.cumsum(new) - 1
-    is_entry = order >= len(cells)
-    group, rows = group[is_entry], order[is_entry] - len(cells)
+    # each cell row's group, repeated once per point it lists
+    group = np.empty(len(cells), dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    group = np.repeat(group, cells[:, d + 1])
     keep = light[group]
-    group, rows = group[keep], rows[keep]
-    by, first = sorted_runs(np.column_stack((group, pid[rows])))
-    rows = rows[by]
-    group, pid, mults = group[by], pid[rows], mult[rows]
+    group, pid, mult = group[keep], pid[keep], mult[keep]
+    # light cells' listed points by (cell, point), multiplicities summed
+    by, first = sorted_runs(np.column_stack((group, pid)))
+    group, pid, mults = group[by], pid[by], mult[by]
     at = np.flatnonzero(first)
     mults = np.add.reduceat(mults, at) if len(at) else mults
     # a light cell lists its points of a positive multiplicity in
@@ -392,7 +404,7 @@ def merge_exact(store, blobs, tables, points):
     listed, group, pid = mults > 0, group[at], pid[at]
     offsets = np.append(0, np.cumsum(np.bincount(
         group[listed], minlength=len(starts))[nonzero]))
-    return CellData(store.level, lat[order[starts[nonzero]]],
+    return CellData(store.level, cells[order[starts[nonzero]], :d],
                     counts[nonzero], points, pid[listed], mults[listed],
                     offsets)
 
@@ -409,79 +421,64 @@ def _merge_dicts(store, counts: dict, points: dict) -> CellData:
                     n * d).reshape(n, d),
         np.fromiter(map(itemgetter(1), pts), np.int64, n)))
     order = sorted_runs(entries)[0]
-    entries = entries[order]
-    cells = np.fromiter(chain.from_iterable(counts), np.int64, m * d)
-    rows = np.arange(n)
-    shard = ExactBlob(
-        store.level, store.alpha, store.beta, store.seed,
-        np.column_stack((cells.reshape(m, d),
-                         np.fromiter(counts.values(), np.int64, m))),
-        store.grid.lattices(entries[:, :d], store.level),
-        np.ones(n, dtype=np.int64), rows)
+    # a cell row (lattice, count, 0) per count, then (lattice, 0, 1) per point
+    cells = np.zeros((m + n, d + 2), dtype=np.int64)
+    cells[:m, :d] = np.fromiter(chain.from_iterable(counts), np.int64,
+                                m * d).reshape(m, d)
+    cells[:m, d] = np.fromiter(counts.values(), np.int64, m)
+    cells[m:, :d] = store.grid.lattices(entries[order, :d], store.level)
+    cells[m:, d + 1] = 1
+    shard = ExactBlob(store.level, store.alpha, store.beta, store.seed,
+                      cells, np.arange(n))
     mults = np.fromiter(points.values(), np.int64, n)[order]
-    return merge_exact(store, [shard], [(rows, mults)],
+    return merge_exact(store, [shard], [(np.arange(n), mults)],
                        list(map(pts.__getitem__, order.tolist())))
 
 
-def _light(beta: float, counts, sizes):
-    """Whether each cell, of net count counts and sizes distinct points,
-    lists its points on the wire: it holds points and counts at most
-    beta."""
-    return (counts <= beta) & (sizes > 0)
-
-
 def encode_points(rows) -> bytes:
-    """The point message of rows (m x (d + 2)): one (coordinates, tag,
-    signed multiplicity) row per distinct point, in sort_key order.
-    Layout, little-endian: the header (magic, version, kind, d, m) and the
-    rows as int64."""
+    """The point message of rows (m x (d + 2), int64): one (coordinates,
+    tag, signed multiplicity) row per distinct point, in sort_key order.
+    Layout, little-endian: the header (magic, version, kind, d, m), then
+    the rows as one section (_narrow)."""
     return _POINTS_HEAD.pack(_MAGIC, _EXACT_VERSION, _POINTS,
-                             rows.shape[1] - 2, len(rows)) \
-        + rows.astype("<i8").tobytes()
+                             rows.shape[1] - 2, len(rows)) + _narrow(rows)
 
 
 def encode_exact(store, lattices, counts, sizes, rows) -> bytes:
     """The store message of an exact store with store's level, caps and
-    seed whose content is given in columns.
-
-    lattices (c x d) are the cells that have a count or hold points, in
-    lexicographic order, with their net counts (c) and numbers of distinct
-    points (c, called sizes); rows (sizes.sum()) give each cell's points in
-    sort_key order as their rows in the point message sent before it (a
-    number is read only for the points of light cells).  Layout,
-    little-endian: the header (magic, version, kind, level, d, alpha, beta,
-    seed); the cell section, the number of nonzero cells and one row
-    (lattice, count) per cell; the light section, the number of cells that
-    hold points and have a count of at most beta, their lattices, their
-    uint32 sizes and their points' uint32 row numbers."""
-    d = lattices.shape[1]
-    nonzero = counts != 0
-    light = _light(store.beta, counts, sizes)
+    seed whose content is given in columns: its cells (c x d) in
+    lexicographic order, with their net counts and the numbers of points
+    they list (sizes), and the listed points' rows in the point message
+    sent before it, cell by cell.  Layout, little-endian: the header
+    (magic, version, kind, level, d, alpha, beta, seed, number of cell
+    rows); the cell section (_narrow), one row (lattice, count, size) per
+    cell with a nonzero count or size; the row section, rows."""
+    kept = (counts != 0) | (sizes > 0)
     return b"".join((
-        _EXACT_HEAD.pack(_MAGIC, _EXACT_VERSION, _EXACT, store.level, d,
-                         store.alpha, store.beta, store.seed,
-                         int(nonzero.sum())),
-        np.column_stack((lattices[nonzero], counts[nonzero]))
-        .astype("<i8").tobytes(),
-        _COUNT.pack(int(light.sum())),
-        lattices[light].astype("<i8").tobytes(),
-        sizes[light].astype("<u4").tobytes(),
-        rows[np.repeat(light, sizes)].astype("<u4").tobytes()))
+        _EXACT_HEAD.pack(_MAGIC, _EXACT_VERSION, _EXACT, store.level,
+                         lattices.shape[1], store.alpha, store.beta,
+                         store.seed, int(kept.sum())),
+        _narrow(np.column_stack((lattices, counts, sizes))[kept]),
+        _narrow(rows)))
 
 
-def points_blob_bound(d: int, points: int) -> int:
-    """The bytes encode_points writes for points d-dimensional rows: the
-    header and one (coordinates, tag, multiplicity) row per point."""
-    return _POINTS_HEAD.size + points * 8 * (d + 2)
+def points_blob_bound(d: int, Delta: int, n: int) -> int:
+    """The most bytes encode_points writes for at most n points of
+    [1, Delta]^d, copies counted: the header and the width byte, then one
+    (coordinates, tag, multiplicity) row per point at the width that Delta,
+    the largest tag (TAG_SPACE - 2) and n need."""
+    return _POINTS_HEAD.size + 1 \
+        + n * (d + 2) * _width(max(Delta, TAG_SPACE - 2, n))
 
 
-def exact_blob_bound(d: int, cells: int, points: int) -> int:
-    """The most bytes encode_exact writes for at most cells d-dimensional
-    cells holding at most points distinct points: the header, the light
-    cells' count, per cell a (lattice, count) row and a light lattice with
-    its size, per point one uint32 row number."""
-    return _EXACT_HEAD.size + _COUNT.size \
-        + cells * (8 * (d + 1) + 8 * d + 4) + points * 4
+def exact_blob_bound(d: int, Delta: int, cells: int, n: int) -> int:
+    """The most bytes encode_exact writes for at most cells cells of a grid
+    over [1, Delta]^d holding at most n points, copies counted: the header
+    and two width bytes, per cell a (lattice, count, size) row at the width
+    that Delta (lattices lie in [-Delta, Delta]) and n need, per point one
+    row number below n."""
+    return _EXACT_HEAD.size + 2 + cells * (d + 2) * _width(max(Delta, n)) \
+        + n * _width(n)
 
 
 @lru_cache(maxsize=1024)
@@ -778,17 +775,19 @@ def encode_exact_shard(coords, tags, mults, stores) -> list:
     order, its cells (those with a count or points, in lexicographic
     order), the row where each cell's run starts and the cells' counts.
     The first message is the point message of the rows that some store's
-    light cells list (encode_points), then each store's message
-    (encode_exact) lists them by their rows in it.  No store sends no
-    message."""
+    light cells (count at most beta) list (encode_points), then each
+    store's message (encode_exact) lists them by their rows in it.  No
+    store sends no message."""
     if not stores:
         return []
     held = []
     listed = np.zeros(len(tags), dtype=bool)
     for store, rows, lattices, starts, counts in stores:
         sizes = np.diff(np.append(starts, len(rows)))
-        listed[rows[np.repeat(_light(store.beta, counts, sizes), sizes)]] = True
-        held.append((store, lattices, counts, sizes, rows))
+        light = (counts <= store.beta) & (sizes > 0)
+        rows = rows[np.repeat(light, sizes)]
+        listed[rows] = True
+        held.append((store, lattices, counts, np.where(light, sizes, 0), rows))
     number = np.cumsum(listed) - 1
     return [encode_points(np.column_stack(
         (coords[listed], tags[listed], mults[listed])))] \

@@ -12,10 +12,10 @@ key keeps into cells by one sort of their lattice keys
 (partition.lattice_keys).  A sketch machine ships one message per store,
 the blob of the store the shard streamed into (cellstore.encode_sketch).
 An exact machine ships each point at most once (cellstore.encode_exact_shard):
-first one point message, the rows (coordinates, tag, multiplicity) of the
-points that some store's light cells list, then one message per store, its
-cells with their counts and its light cells' points as uint32 row numbers
-into that point message.  A layout with no store sends no message.
+first one point message, the rows of the points that some store's light
+cells list, then per store its cell rows and those points' row numbers in
+the point message, each section at the width its values need.  A layout
+with no store sends no message.
 
 The coordinator is a stream engine fed by machine messages instead of
 updates: it pairs the store messages with its own stores by position and
@@ -187,11 +187,12 @@ def per_machine_byte_cap(params: Params, grid: GridHierarchy, o_values,
     guesses o_values (sampled counts) lay out a store, one point message of
     at most n rows; then one store message per distinct Sampling key of
     them, of at most min(n, (2**level + 1)**d) cells and n row numbers."""
-    d = grid.d
+    d, Delta = grid.d, grid.Delta
     served = Sampling(params, grid, 0, exact_counts=False).served(o_values)
     total = len(broadcast_blob(params, grid, 0)) + 8 + 8
     if served:
-        total += cellstore.points_blob_bound(d, n)
+        total += cellstore.points_blob_bound(d, Delta, n)
     for _, lvl, _ in served:
-        total += cellstore.exact_blob_bound(d, min(n, (2 ** lvl + 1) ** d), n)
+        total += cellstore.exact_blob_bound(
+            d, Delta, min(n, (2 ** lvl + 1) ** d), n)
     return total

@@ -75,9 +75,10 @@ def cell_dicts(data) -> tuple:
 def split_exact(blob: bytes) -> tuple:
     """An exact store's serialize() blob as (its point message, its store
     message): the point message's header gives d and its number of
-    rows, of d + 2 int64 columns each."""
+    rows, of d + 2 values each, and the width byte after it the bytes of
+    a value."""
     d, rows = struct.unpack_from("<HI", blob, 6)
-    end = 12 + rows * 8 * (d + 2)
+    end = 13 + rows * (d + 2) * blob[12]
     return blob[:end], blob[end:]
 
 

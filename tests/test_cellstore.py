@@ -1,14 +1,16 @@
 import copy
 import itertools
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from capacore import cellstore
 from capacore.cellstore import (ExactCellStore, SketchCellStore, deserialize,
                                 make_store)
 from capacore.common import Fail, UsageError, is_fail
-from capacore.geometry import GridHierarchy, Point
+from capacore.geometry import TAG_SPACE, GridHierarchy, Point
 
 from conftest import cell_dicts, rand_points, split_exact
 
@@ -300,8 +302,8 @@ def test_sketch_space_meter():
 
 def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
     # a deletion before its insertion leaves a negative multiplicity; a
-    # cell whose points cancel has count 0, leaves the cell section and
-    # still ships its points; a cell of count 3 > beta ships none
+    # cell whose points cancel has count 0 and a cell row only for the
+    # points it ships; a cell of count 3 > beta ships none
     a = Point((4, 4), 0)
     lat = GRID.lattice_of(a.coords, LEVEL)
     same = [Point(c, 1) for c in itertools.product(range(1, 9), repeat=2)
@@ -324,33 +326,47 @@ def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
     assert back.counts == store.counts
     assert back.points == shipped
     assert back.serialize() == blob
-    # the wire length: the point message (header, one row per shipped
-    # point), then the store message (header, cells, light cells, one row
-    # number per shipped point)
+    # the wire length, every value fitting one byte: the point message
+    # (header, width byte, one row per shipped point), then the store
+    # message (header, width byte, one (lattice, count, size) row per cell
+    # with a count or shipped points, width byte, one row number per
+    # shipped point)
     d = GRID.d
     light = {cell_of[p] for p in shipped}
+    rows_of = set(store.counts) | light
     head, body = split_exact(blob)
-    assert len(head) == 12 + len(shipped) * (8 * d + 16)
-    assert len(body) == 42 + len(store.counts) * (8 * d + 8) \
-        + len(light) * (8 * d + 4) + len(shipped) * 4
+    assert len(head) == 13 + len(shipped) * (d + 2)
+    assert len(body) == 40 + len(rows_of) * (d + 2) + len(shipped)
     rows = cellstore.parse_points(head, GRID)
     assert {Point(tuple(r[:d]), r[d]): r[d + 1]
             for r in rows.tolist()} == shipped
+    sizes = {c: sum(cell_of[p] == c for p in shipped) for c in light}
+    parsed = cellstore.parse_exact(body, GRID, len(rows))
+    assert [(tuple(r[:d]), r[d], r[d + 1]) for r in parsed.cells.tolist()] \
+        == [(c, store.counts.get(c, 0), sizes.get(c, 0))
+            for c in sorted(rows_of)]
+    assert (lat, 0, 2) in {(tuple(r[:d]), r[d], r[d + 1])
+                           for r in parsed.cells.tolist()}
     cells = set(store.counts) | set(cell_of.values())
-    assert len(head) <= cellstore.points_blob_bound(d, len(store.points))
-    assert len(body) <= cellstore.exact_blob_bound(
-        d, len(cells), len(store.points))
+    n = sum(map(abs, store.points.values()))
+    assert len(head) <= cellstore.points_blob_bound(d, GRID.Delta, n)
+    assert len(body) <= cellstore.exact_blob_bound(d, GRID.Delta,
+                                                   len(cells), n)
 
 
 def test_exact_blob_bound_is_met_when_every_cell_is_light():
+    # the largest tag needs the point message's 8 bytes per value, and
+    # n = 30 points at Delta = 8 one byte per value of the store message
     store = ExactCellStore(GRID, LEVEL, 100, 100)
     pts = rand_points(random.Random(6), 30, 8)
+    pts[7] = Point(pts[7].coords, TAG_SPACE - 2)
     for p in pts:
         store.update(p, +1)
     head, body = split_exact(store.serialize())
-    assert len(head) == cellstore.points_blob_bound(GRID.d, len(set(pts)))
+    assert len(head) == cellstore.points_blob_bound(GRID.d, GRID.Delta,
+                                                    len(set(pts)))
     assert len(body) == cellstore.exact_blob_bound(
-        GRID.d, len(store.counts), len(set(pts)))
+        GRID.d, GRID.Delta, len(store.counts), len(set(pts)))
 
 
 def _filled(backing):
@@ -505,3 +521,205 @@ def test_merge_exact_equals_the_fold_on_signed_blobs(beta):
     with pytest.raises(UsageError, match="different level/caps/seeds"):
         cellstore.merge_exact(ExactCellStore(GRID, LEVEL, alpha, beta, seed=4),
                               parsed, tables, points)
+
+
+# the edges of each signed width: each case's values and the narrowest of
+# 1, 2, 4 and 8 bytes that holds them
+_EDGES = [
+    ([], 1), ([0], 1), ([-1], 1), ([127], 1), ([-128], 1), ([-128, 127], 1),
+    ([128], 2), ([-129], 2), ([-1, 128], 2), ([2 ** 15 - 1], 2),
+    ([-2 ** 15], 2), ([2 ** 15], 4), ([-2 ** 15 - 1], 4), ([2 ** 31 - 1], 4),
+    ([-2 ** 31], 4), ([2 ** 31], 8), ([-2 ** 31 - 1], 8),
+    ([TAG_SPACE - 2], 8), ([1 << 62], 8), ([2 ** 63 - 1], 8), ([-2 ** 63], 8),
+    ([0, 2 ** 63 - 1, -2 ** 63, 5], 8),
+]
+
+
+@pytest.mark.parametrize("values, width", _EDGES)
+def test_a_section_takes_the_narrowest_width_that_holds_it(values, width):
+    arr = np.array(values, dtype=np.int64)
+    section = cellstore._narrow(arr)
+    assert section[0] == width
+    assert len(section) == 1 + width * len(values)
+    # each value as a little-endian signed integer of that width
+    assert section[1:] == b"".join(v.to_bytes(width, "little", signed=True)
+                                   for v in values)
+    # no narrower width holds them all
+    for w in (1, 2, 4, 8):
+        if w < width:
+            assert any(not -(1 << 8 * w - 1) <= v < 1 << 8 * w - 1
+                       for v in values)
+    # read back as int64, at any offset, with bytes after the section
+    blob = b"\x07" + section + b"\x01\x02"
+    back, end = cellstore._wide(blob, 1, len(values))
+    assert back.dtype == np.int64 and back.tolist() == values
+    assert end == 1 + len(section)
+    for cut in range(1, len(section) + 1):
+        with pytest.raises(UsageError, match="truncated"):
+            cellstore._wide(blob[:1 + len(section) - cut], 1, len(values))
+
+
+def _point_message(rows, d, width):
+    """A point message written from the layout: header (magic, version 4,
+    kind 2, d, number of rows), width byte, rows."""
+    return struct.pack("<4sBBHI", b"CSTO", 4, 2, d, len(rows)) \
+        + bytes([width]) + np.array(rows, f"<i{width}").tobytes()
+
+
+def _store_message(cells, rows, width, seed=9, d=2):
+    """A store message of GRID's level LEVEL, caps (100, 2), written from
+    the layout: header (magic, version 4, kind 0, level, d, alpha, beta,
+    seed, number of cell rows), then two sections of one width."""
+    return struct.pack("<4sBBhHddqI", b"CSTO", 4, 0, LEVEL, d, 100.0, 2.0,
+                       seed, len(cells)) \
+        + bytes([width]) + np.array(cells, f"<i{width}").tobytes() \
+        + bytes([width]) + np.array(rows, f"<i{width}").tobytes()
+
+
+def test_exact_messages_follow_the_v4_layout():
+    head, body = split_exact(_filled("exact").serialize())
+    table = cellstore.parse_points(head, GRID)
+    parsed = cellstore.parse_exact(body, GRID, len(table))
+    assert head == _point_message(table.tolist(), 2, 1)
+    assert body == _store_message(parsed.cells.tolist(),
+                                  parsed.rows.tolist(), 1)
+    assert parsed.cells.shape[1] == GRID.d + 2
+    assert len(parsed.rows) == parsed.cells[:, -1].sum()
+
+
+def _wide_store(Delta, tag):
+    """A store of a 2-d grid of Delta whose points include (Delta, Delta)
+    with tag tag, and a point deleted but never inserted."""
+    grid = GridHierarchy.from_seed(5, Delta, 2)
+    store = ExactCellStore(grid, 1, 100, 5)
+    pts = [Point((1, 1), 0), Point((Delta, Delta), tag),
+           Point((Delta // 2, 1), tag // 2), Point((Delta, 1), 3)]
+    for p in pts:
+        store.update(p, +1)
+    store.update(Point((1, Delta), 7), -1)
+    return grid, store
+
+
+@pytest.mark.parametrize("Delta, tag, width", [
+    (8, 5, 1), (1 << 10, 300, 2), (1 << 20, 1 << 20, 4),
+    (1 << 40, TAG_SPACE - 2, 8), (1 << 62, TAG_SPACE - 2, 8)])
+def test_wide_values_roundtrip_and_every_cut_is_truncated(Delta, tag, width):
+    # coordinates up to Delta = 2**62 and tags up to 2**32 - 2 give the
+    # point message 8 bytes per value
+    grid, store = _wide_store(Delta, tag)
+    blob = store.serialize()
+    head, body = split_exact(blob)
+    assert head[12] == width
+    back = deserialize(blob, grid)
+    assert (back.counts, back.points) == (store.counts, store.points)
+    assert back.finalize() == store.finalize()
+    n = sum(map(abs, store.points.values()))
+    cells = len(set(store.counts) | {grid.lattice_of(p.coords, 1)
+                                     for p in store.points})
+    assert len(head) <= cellstore.points_blob_bound(2, Delta, n)
+    assert len(body) <= cellstore.exact_blob_bound(2, Delta, cells, n)
+    rows = len(cellstore.parse_points(head, grid))
+    for cut in range(1, len(head) + 1):
+        with pytest.raises(UsageError, match="truncated"):
+            cellstore.parse_points(head[:len(head) - cut], grid)
+    for cut in range(1, len(body) + 1):
+        with pytest.raises(UsageError, match="truncated"):
+            cellstore.parse_exact(body[:len(body) - cut], grid, rows)
+    for cut in range(1, len(body) + 1):
+        with pytest.raises(UsageError, match="truncated"):
+            deserialize(blob[:len(blob) - cut], grid)
+
+
+@pytest.mark.parametrize("bad", [0, 3, 16])
+def test_a_width_byte_other_than_1_2_4_8_is_a_usage_error(bad):
+    head, body = split_exact(_filled("exact").serialize())
+    rows = len(cellstore.parse_points(head, GRID))
+    cells = cellstore.parse_exact(body, GRID, rows).cells
+    # the point message's section, and the store message's two sections
+    at_rows = 38 + 1 + cells.size
+    assert body[38] == body[at_rows] == head[12] == 1
+    for blob, at in ((head, 12), (body, 38), (body, at_rows)):
+        bent = blob[:at] + bytes([bad]) + blob[at + 1:]
+        with pytest.raises(UsageError, match=f"width byte {bad} in an exact"):
+            if blob is head:
+                cellstore.parse_points(bent, GRID)
+            else:
+                cellstore.parse_exact(bent, GRID, rows)
+
+
+def test_a_negative_size_or_row_number_is_a_usage_error():
+    ok = _store_message([[0, 0, 1, 1], [0, 1, 1, 1]], [0, 1], 1)
+    assert cellstore.parse_exact(ok, GRID, 2).rows.tolist() == [0, 1]
+    with pytest.raises(UsageError, match="a cell of size -1 in an exact "
+                                         "store message of 48 bytes"):
+        cellstore.parse_exact(
+            _store_message([[0, 0, 1, 1], [0, 1, 1, -1]], [], 1), GRID, 2)
+    for bad in (-1, -128):
+        with pytest.raises(UsageError, match=f"lists row {bad}, its point "
+                                             f"message has 2 rows"):
+            cellstore.parse_exact(
+                _store_message([[0, 0, 1, 2]], [0, bad], 1), GRID, 2)
+    # a size past the message's bytes cannot be read, also where the sizes'
+    # sum wraps an int64 to 0; one that fits them is cut short
+    with pytest.raises(UsageError, match="a cell of size 100 in an exact "
+                                         "store message of 44 bytes"):
+        cellstore.parse_exact(_store_message([[0, 0, 1, 100]], [], 1),
+                              GRID, 2)
+    wrap = [[0, j, 1, 1 << 62] for j in range(4)]
+    with pytest.raises(UsageError, match=f"a cell of size {1 << 62} in"):
+        cellstore.parse_exact(_store_message(wrap, [], 8), GRID, 2)
+    with pytest.raises(UsageError, match="truncated"):
+        cellstore.parse_exact(_store_message([[0, 0, 1, 30]], [], 1),
+                              GRID, 2)
+
+
+def _one_cell_pair():
+    """Two points of one level-LEVEL cell of GRID."""
+    a = Point((4, 4), 0)
+    lat = GRID.lattice_of(a.coords, LEVEL)
+    b = next(Point(c, 1) for c in itertools.product(range(1, 9), repeat=2)
+             if c != a.coords and GRID.lattice_of(c, LEVEL) == lat)
+    return a, b, lat
+
+
+def test_a_cell_of_count_0_listing_points_survives_the_wire():
+    # +1 of a and -1 of b net the cell to count 0: its row has count 0
+    # and lists both points
+    a, b, lat = _one_cell_pair()
+    store = ExactCellStore(GRID, LEVEL, 100, 2)
+    store.update(a, +1)
+    store.update(b, -1)
+    store.update(Point((8, 8), 5), +1)
+    assert lat not in store.counts and len(store.points) == 3
+    blob = store.serialize()
+    back = deserialize(blob, GRID)
+    assert (back.counts, back.points) == (store.counts, store.points)
+    assert back.finalize() == store.finalize()
+    assert back.serialize() == blob
+    # undoing both updates on either side gives the same store
+    for s in (store, back):
+        s.update(a, -1)
+        s.update(b, +1)
+    assert (back.counts, back.points) == (store.counts, store.points)
+    assert len(store.points) == 1
+    assert back.finalize() == store.finalize()
+
+
+def test_a_point_deleted_before_its_insertion_survives_the_wire():
+    a, b, lat = _one_cell_pair()
+    store = ExactCellStore(GRID, LEVEL, 100, 2)
+    store.update(a, -1)
+    store.update(b, +1)
+    store.update(b, +1)
+    assert store.counts == {lat: 1} and store.points == {a: -1, b: 2}
+    back = deserialize(store.serialize(), GRID)
+    assert (back.counts, back.points) == (store.counts, store.points)
+    assert back.finalize() == store.finalize()
+    # the insertion arrives after the wire, in either store
+    inserted = ExactCellStore(GRID, LEVEL, 100, 2)
+    inserted.update(a, +1)
+    back.merge_in(inserted)
+    store.update(a, +1)
+    assert (back.counts, back.points) == (store.counts, {b: 2})
+    assert back.finalize() == store.finalize()
+    assert cell_dicts(store.finalize()) == ({lat: 2}, {lat: (b, b)})

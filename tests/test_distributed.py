@@ -153,6 +153,59 @@ def test_comm_bytes_grow_with_machines_and_stay_under_cap(rng):
     assert comm_by_s[5] > comm_by_s[1]
 
 
+def _fixed_width_byte_cap(params, grid, o_values, n):
+    """per_machine_byte_cap at 8 bytes per value: the broadcast and two
+    counts; one point message (12-byte header, 8 (d + 2) bytes per point);
+    per store a 42-byte header and light-cell count, 8 (d + 1) bytes per
+    cell row, 8 d + 4 per light cell and 4 per row number."""
+    d = grid.d
+    served = Sampling(params, grid, 0, exact_counts=False).served(o_values)
+    total = len(broadcast_blob(params, grid, 0)) + 16
+    if served:
+        total += 12 + n * 8 * (d + 2)
+    for _, lvl, _ in served:
+        cells = min(n, (2 ** lvl + 1) ** d)
+        total += 46 + cells * (8 * (d + 1) + 8 * d + 4) + 4 * n
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("Delta", [8, 256, 1 << 40])
+def test_byte_cap_is_below_the_fixed_width_cap(d, Delta):
+    grid = GridHierarchy.from_seed(derive_seed(4, "shift"), Delta, d)
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=d,
+                    mode=PRACTICAL, scale=1e-6)
+    for n in (5, 400, 8000):
+        guesses = o_grid(n, params)
+        assert per_machine_byte_cap(params, grid, guesses, n) \
+            < _fixed_width_byte_cap(params, grid, guesses, n)
+
+
+@pytest.mark.parametrize("backing", ["exact", "sketch"])
+def test_dist_equals_offline_where_wire_values_need_8_bytes(backing):
+    # d = 1 at Delta = 2**40, tags up to the largest, 2**32 - 2: the exact
+    # point messages take 8 bytes per value and stay under the cap
+    Delta = 1 << 40
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=1,
+                    mode=PRACTICAL, scale=1e-6)
+    rng = random.Random(40)
+    pts = dedup_points([Point((rng.randint(1, Delta),), 4294967294 - i)
+                        for i in range(24)] + [Point((1,), 0),
+                                               Point((Delta,), 1)])
+    grid = GridHierarchy.from_seed(derive_seed(6, "shift"), Delta, 1)
+    shards = [pts[0::3], pts[1::3], pts[2::3]]
+    core, comm = run_protocol(shards, params, seed=6, backing=backing)
+    assert core == _offline(pts, params, 6, exact_counts=False)
+    if backing == "exact":
+        heads = [next(iter(Machine(shard, Coordinator(
+            params, grid, 6, "exact", False, n_max=len(pts))).wire_messages()))
+            for shard in shards]
+        assert all(head[12] == 8 for head in heads)
+        assert comm <= 3 * per_machine_byte_cap(params, grid,
+                                                o_grid(len(pts), params),
+                                                len(pts))
+
+
 def test_sketch_backing_protocol(rng):
     pts = dedup_points(rand_points(rng, 25, 8))
     core, comm = run_protocol([pts[:13], pts[13:]], RATE1, seed=5,
@@ -395,8 +448,9 @@ def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
 
 def test_one_machine_ships_each_point_once_for_every_keep_all_store(rng):
     # RATE1 keeps every point at every level, in L + 1 stores whose caps
-    # list every cell's points.  The machine sends each point's 8 (d + 2)
-    # bytes once, in its point message, and 4 bytes per point per store
+    # list every cell's points.  Every wire value fits one byte: the
+    # machine sends each point's d + 2 bytes once, in its point message,
+    # and per store one (d + 2)-byte row per cell and 1 byte per point
     pts = dedup_points(rand_points(rng, 60, 8))
     grid = GridHierarchy.from_seed(derive_seed(4, "shift"), 8, 2)
     coord = Coordinator(RATE1, grid, 4, "exact", False, n_max=len(pts))
@@ -407,14 +461,13 @@ def test_one_machine_ships_each_point_once_for_every_keep_all_store(rng):
     head, bodies = messages[0], messages[1:]
     assert len(bodies) == grid.L + 1
     d = grid.d
-    assert len(head) == 12 + len(pts) * 8 * (d + 2)
+    assert len(head) == 13 + len(pts) * (d + 2)
     assert set(_point_rows(machine)) == set(pts)
     for body in bodies:
         store = deserialize(head + body, grid)
         assert set(store.points) == set(pts)
         cells = len(store.counts)
-        assert len(body) == 42 + cells * (8 * d + 8) \
-            + cells * (8 * d + 4) + len(pts) * 4
+        assert len(body) == 40 + cells * (d + 2) + len(pts)
     # the wire total: the broadcast, the two counts and the messages
     channel = ByteChannel()
     bcast = broadcast_blob(RATE1, grid, 4)
