@@ -20,19 +20,25 @@ read-out in the decision path (coreset.finalize_cells).
   hash pairs are drawn once per (seed, level, rows, point rows).
 
 Serialized blobs are the distributed protocol's wire unit; their byte length
-is the communication cost.  An exact machine sends each point at most once
-(encode_exact_shard, also ExactCellStore.serialize's encoder): a point
-message (encode_points) of the rows that some store lists, then per store
-a message (encode_exact) of its cell rows and the listed points' row
-numbers in the point message.  A cell lists its points when its count is
-at most beta, which preserves finalize output through merge: a cell light
-in the union is light in every shard.  Every section is at the width its
-values need (_narrow writes one, _wide reads one).  merge_exact is the one
-read-out: it merges shards in columns (parse_points, parse_exact) into a
-CellData over one point table, be they the machines' messages at the
-coordinator (point_table) or a store's own content.  A malformed message
-is a usage error.  Sketch blobs (encode_sketch gives a machine's) carry
-their records alone.
+is the communication cost.  An exact shard sends each point at most once
+and each count once: a point message (encode_points) of the points that
+some store's light cells (count at most beta) list, then per store a
+message (encode_exact) of its residual rows: per cell, the summed
+multiplicity of the store's points in it that the point message does not
+hold, where that is nonzero.  The reader derives the rest: the point
+message's rows that the store keeps count toward their cells at its level,
+and the residual rows are added.  Over shards of insertions (the dist
+machines) the sum is exact, and so is the listing: a cell light in the
+union is light in every shard, which lists all its points there, so its
+residual is 0 on every shard and its points are all in the point messages;
+a listed point of a cell heavy in the union is only counted.
+ExactCellStore.serialize writes its own content by the same rule.  Every
+section is at the width its values need (_narrow writes one, _wide reads
+one).  merge_exact is the one read-out: it merges listed points and count
+rows in columns (parse_points, parse_exact) into a CellData, be they the
+machines' messages at the coordinator or a store's own content.  A
+malformed message is a usage error.  Sketch blobs (encode_sketch gives a
+machine's) carry their records alone.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import math
 import random
 import struct
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -54,14 +60,15 @@ from .partition import sorted_runs
 
 _MAGIC = b"CSTO"
 _SKETCH_VERSION = 1
-# version 2: columnar sections; 3: a point message; 4: narrow sections
-_EXACT_VERSION = 4
+# version 2: columnar sections; 3: a point message; 4: narrow sections;
+# 5: residual rows
+_EXACT_VERSION = 5
 # the kind byte after the version: a store message of either backing, or
 # an exact point message
 _EXACT, _SKETCH, _POINTS = 0, 1, 2
 # blob layouts, little-endian: an exact store message's header (magic,
-# version, kind, level, d, alpha, beta, seed, number of cell rows); a point
-# message's header (magic, version, kind, d, number of rows); a sketch
+# version, kind, level, d, alpha, beta, seed, number of residual rows); a
+# point message's header (magic, version, kind, d, number of rows); a sketch
 # blob's header (magic, version, kind, level, d, alpha, beta, delta, seed);
 # a sketch's record counts and the slots of its cell and point records
 _EXACT_HEAD = struct.Struct("<4sBBhHddqI")
@@ -174,29 +181,26 @@ class ExactCellStore:
         return _merge_dicts(self, self.counts, self.points)
 
     def serialize(self) -> bytes:
-        """The point message of the points the store lists, then its store
-        message (encode_exact_shard); its points are grouped into cells
-        here."""
-        d, lattice_of = self.grid.d, self.grid.lattice_of
+        """The point message of the points of its light cells (count at
+        most beta, 0 for a cell whose points cancel), then its store message
+        of residual rows: per cell, its count less the multiplicities of
+        the points listed there (nonzero for a cell over beta, and for a
+        light cell whose held points do not make up its count, as after
+        merging in a deserialized store's cell over beta)."""
+        d, n = self.grid.d, len(self.points)
         pts = sorted(self.points)
-        lats = [lattice_of(p.coords, self.level) for p in pts]
-        # a deserialized store holds no points for its heavy cells, and a
-        # cell whose points cancel has count 0
-        cells = sorted(self.counts.keys() | set(lats))
-        index = {lat: c for c, lat in enumerate(cells)}
-        cell = np.array([index[lat] for lat in lats], dtype=np.int64)
-        sizes = np.bincount(cell, minlength=len(cells))
-        content = (self, np.argsort(cell, kind="stable"),
-                   np.array(cells, dtype=np.int64).reshape(-1, d),
-                   np.cumsum(sizes) - sizes,
-                   np.array([self.counts.get(lat, 0) for lat in cells],
-                            dtype=np.int64))
-        return b"".join(encode_exact_shard(
-            np.array([p.coords for p in pts], dtype=np.int64)
-            .reshape(-1, d),
-            np.array([p.tag for p in pts], dtype=np.int64),
-            np.array([self.points[p] for p in pts], dtype=np.int64),
-            [content]))
+        rows = np.array([(*p.coords, p.tag, self.points[p]) for p in pts],
+                        dtype=np.int64).reshape(n, d + 2)
+        cells = list(_rows(self.grid.lattices(rows[:, :d], self.level)))
+        listed = np.array([self.counts.get(lat, 0) <= self.beta
+                           for lat in cells], dtype=bool)
+        residual = dict(self.counts)
+        for lat, m in zip(compress(cells, listed),
+                          rows[listed, d + 1].tolist()):
+            residual[lat] = residual.get(lat, 0) - m
+        return encode_points(rows[listed]) + encode_exact(self, np.array(
+            sorted((*lat, r) for lat, r in residual.items() if r),
+            dtype=np.int64).reshape(-1, d + 1))
 
     def space_bytes(self):
         """The bytes of the entries the store holds, not the capacity its
@@ -208,18 +212,28 @@ class ExactCellStore:
     @classmethod
     def deserialize(cls, blob: bytes, grid: GridHierarchy) -> "ExactCellStore":
         """The store a point message followed by one store message
-        describes (serialize's blob; parse_points, then parse_exact)."""
-        table, off = _read_points(blob, grid)
-        b = parse_exact(memoryview(blob)[off:], grid, len(table))
+        describes (serialize's blob; parse_points, then parse_exact): it
+        holds every row of the point message (none below beta 1), and its
+        counts are those rows' multiplicities summed per cell plus the
+        residual rows, zeros dropped."""
+        rows, off = _read_points(blob, grid)
+        b = parse_exact(memoryview(blob)[off:], grid)
         d = grid.d
         store = cls(grid, b.level, b.alpha, b.beta, b.seed)
-        # a cell of count 0 has a row only for the points it lists
-        cells = b.cells[b.cells[:, d] != 0]
-        store.counts = dict(zip(_rows(cells[:, :d]), cells[:, d].tolist()))
-        listed = table[b.rows]
-        store.points = dict(zip(
-            map(Point, _rows(listed[:, :d]), listed[:, d].tolist()),
-            listed[:, d + 1].tolist()))
+        if b.beta >= 1:
+            store.points = dict(zip(
+                map(Point, _rows(rows[:, :d]), rows[:, d].tolist()),
+                rows[:, d + 1].tolist()))
+        lattices = np.concatenate((grid.lattices(rows[:, :d], b.level),
+                                   b.cells[:, :d]))
+        order, new = sorted_runs(lattices)
+        starts = np.flatnonzero(new)
+        sums = np.add.reduceat(np.concatenate(
+            (rows[:, d + 1], b.cells[:, d]))[order], starts) \
+            if len(order) else np.empty(0, dtype=np.int64)
+        kept = sums != 0
+        store.counts = dict(zip(_rows(lattices[order[starts[kept]]]),
+                                sums[kept].tolist()))
         return store
 
 
@@ -229,13 +243,12 @@ def _rows(a):
 
 
 class ExactBlob(NamedTuple):
-    """An exact store message's header and sections (parse_exact)."""
+    """An exact store message's header and section (parse_exact)."""
     level: int
     alpha: float
     beta: float
     seed: int
-    cells: np.ndarray  # (c, d + 2): each cell row's lattice, count and size
-    rows: np.ndarray   # (sizes.sum(),): the listed points' point-message rows
+    cells: np.ndarray  # (c, d + 1): each residual row's lattice and count
 
 
 def _width(top: int) -> int:
@@ -304,12 +317,10 @@ def parse_points(blob: bytes, grid: GridHierarchy) -> np.ndarray:
     return rows
 
 
-def parse_exact(blob: bytes, grid: GridHierarchy, points: int) -> ExactBlob:
-    """The sections of an encode_exact store message of grid's dimension
-    whose point message has points rows; a blob of another kind or
-    dimension, a truncated message, one with bytes after its last section,
-    a negative size or one listing a row outside [0, points) is a usage
-    error."""
+def parse_exact(blob: bytes, grid: GridHierarchy) -> ExactBlob:
+    """The header and residual rows of an encode_exact store message of
+    grid's dimension; a blob of another kind or dimension, a truncated
+    message or one with bytes after its section is a usage error."""
     if len(blob) < _EXACT_HEAD.size:
         raise UsageError("truncated cell-store blob")
     magic, ver, backing, level, d, alpha, beta, seed, ncells = \
@@ -317,22 +328,9 @@ def parse_exact(blob: bytes, grid: GridHierarchy, points: int) -> ExactBlob:
     if magic != _MAGIC or ver != _EXACT_VERSION or backing != _EXACT:
         raise UsageError("not an exact cell-store message")
     _check_d(d, grid)
-    cells, off = _wide(blob, _EXACT_HEAD.size, ncells * (d + 2))
-    cells = cells.reshape(ncells, d + 2)
-    sizes = cells[:, d + 1]
-    # each listed row takes a byte: a larger size cannot be read (and
-    # sizes that large could wrap their sum)
-    if ncells and not 0 <= sizes.min() <= sizes.max() <= len(blob):
-        bad = sizes.min() if sizes.min() < 0 else sizes.max()
-        raise UsageError(f"a cell of size {bad} in an exact store message "
-                         f"of {len(blob)} bytes")
-    rows, off = _wide(blob, off, int(sizes.sum()))
+    cells, off = _wide(blob, _EXACT_HEAD.size, ncells * (d + 1))
     _check_end(blob, off, "store message")
-    if len(rows) and not 0 <= rows.min() <= rows.max() < points:
-        bad = rows.min() if rows.min() < 0 else rows.max()
-        raise UsageError(f"an exact store message lists row {bad}, "
-                         f"its point message has {points} rows")
-    return ExactBlob(level, alpha, beta, seed, cells, rows)
+    return ExactBlob(level, alpha, beta, seed, cells.reshape(ncells, d + 1))
 
 
 def _stacked(arrays, width: int):
@@ -341,79 +339,52 @@ def _stacked(arrays, width: int):
     return np.concatenate([np.empty((0, width), dtype=np.int64), *arrays])
 
 
-def point_table(messages, d: int):
-    """(points, tables): one Point per distinct (coordinates, tag) among the
-    rows of the parsed point messages messages (parse_points) of dimension
-    d, in sort_key order, and per message its (ids, mults): the row in
-    points and the multiplicity of each of its rows.  The rows are sorted
-    once, by their lattice_keys (partition.sorted_runs)."""
-    rows = _stacked((m[:, :d + 1] for m in messages), d + 1)
-    order, new = sorted_runs(rows)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    first = rows[order[new]]
-    points = list(map(Point, _rows(first[:, :d]), first[:, d].tolist()))
-    ends = np.cumsum([len(m) for m in messages], dtype=np.int64)
-    return points, [(i, m[:, d + 1])
-                    for i, m in zip(np.split(ids, ends[:-1]), messages)]
-
-
-def merge_exact(store, blobs, tables, points):
-    """The one read-out of store content: the CellData of the ExactBlobs
-    blobs summed, under store's level, caps and seed.  Counts are summed per
-    lattice and multiplicities per (lattice, point), zeros dropped; above
-    store.alpha nonzero cells it FAILs, and each cell of count at most
-    store.beta lists its points of a positive multiplicity.  tables and
-    points are a point_table of the blobs' point messages: tables[i] gives,
-    per row of blobs[i]'s, its row in points and its multiplicity.  One
-    sorted_runs groups the cell rows by lattice, and each listed point
-    takes its cell row's group; one more groups the listed points of light
-    cells by (cell, point row)."""
+def merge_exact(store, blobs, points, ids, mults, lattices, *,
+                counted: bool = True):
+    """The one read-out of store content: the CellData of the count rows of
+    the ExactBlobs blobs and of the listed points, under store's level,
+    caps and seed.  The listed points are the rows ids (increasing) of the
+    table points (in sort_key order), with their multiplicities mults and
+    their cells' lattices at the store's level.  Counts are summed per
+    lattice, the listed points' multiplicities among them when counted
+    (the blobs then hold residual rows), zeros dropped; above store.alpha
+    nonzero cells it FAILs, and each cell of count at most store.beta lists
+    its points of a positive multiplicity.  One sorted_runs groups the
+    points and the count rows by lattice; being stable, it keeps each
+    cell's points in table order."""
     for b in blobs:
         if (b.level, b.alpha, b.beta, b.seed) != \
                 (store.level, store.alpha, store.beta, store.seed):
             raise UsageError("cannot merge stores with different level/caps/seeds")
-    d = store.grid.d
-    cells = _stacked((b.cells for b in blobs), d + 2)
-    # each listed point's row and multiplicity, gathered from its table
-    none = np.empty(0, dtype=np.int64)
-    pid = np.concatenate([none, *(ids[b.rows]
-                                  for b, (ids, _) in zip(blobs, tables))])
-    mult = np.concatenate([none, *(m[b.rows]
-                                   for b, (_, m) in zip(blobs, tables))])
-    order, new = sorted_runs(cells[:, :d])
+    d, n = store.grid.d, len(ids)
+    cells = _stacked((lattices, *(b.cells[:, :d] for b in blobs)), d)
+    values = np.concatenate((mults if counted else np.zeros(n, np.int64),
+                             *(b.cells[:, d] for b in blobs)))
+    order, new = sorted_runs(cells)
     starts = np.flatnonzero(new)
-    counts = np.add.reduceat(cells[order, d], starts) if len(cells) else none
+    counts = np.add.reduceat(values[order], starts) if len(order) \
+        else values
     nonzero = counts != 0
     if np.count_nonzero(nonzero) > store.alpha:
         return Fail("store cell cap")
     light = nonzero & (counts <= store.beta)
-    # each cell row's group, repeated once per point it lists
-    group = np.empty(len(cells), dtype=np.int64)
-    group[order] = np.cumsum(new) - 1
-    group = np.repeat(group, cells[:, d + 1])
-    keep = light[group]
-    group, pid, mult = group[keep], pid[keep], mult[keep]
-    # light cells' listed points by (cell, point), multiplicities summed
-    by, first = sorted_runs(np.column_stack((group, pid)))
-    group, pid, mults = group[by], pid[by], mult[by]
-    at = np.flatnonzero(first)
-    mults = np.add.reduceat(mults, at) if len(at) else mults
-    # a light cell lists its points of a positive multiplicity in
-    # sort_key order (point_table's)
-    listed, group, pid = mults > 0, group[at], pid[at]
+    # the listed points in cell order, each with its cell's group
+    point = order < n
+    at, group = order[point], (np.cumsum(new) - 1)[point]
+    keep = light[group] & (mults[at] > 0)
+    at, group = at[keep], group[keep]
     offsets = np.append(0, np.cumsum(np.bincount(
-        group[listed], minlength=len(starts))[nonzero]))
-    return CellData(store.level, cells[order[starts[nonzero]], :d],
-                    counts[nonzero], points, pid[listed], mults[listed],
-                    offsets)
+        group, minlength=len(starts))[nonzero]))
+    return CellData(store.level, cells[order[starts[nonzero]]],
+                    counts[nonzero], points, ids[at], mults[at], offsets)
 
 
 def _merge_dicts(store, counts: dict, points: dict) -> CellData:
-    """merge_exact of store content in dicts, as one shard: {lattice: count}
-    and {Point: multiplicity}, each point in its cell at the store's level
-    (GridHierarchy.lattices).  The points are distinct: one sort lists them
-    in table order, and the table holds the dicts' own Points."""
+    """merge_exact of store content in dicts, {lattice: count} and {Point:
+    multiplicity}, each point in its cell at the store's level
+    (GridHierarchy.lattices) and not counted there: the counts are the
+    count rows.  The points are distinct: one sort lists them in table
+    order, and the table holds the dicts' own Points."""
     d, m, n = store.grid.d, len(counts), len(points)
     pts = list(points)
     entries = np.column_stack((
@@ -421,18 +392,15 @@ def _merge_dicts(store, counts: dict, points: dict) -> CellData:
                     n * d).reshape(n, d),
         np.fromiter(map(itemgetter(1), pts), np.int64, n)))
     order = sorted_runs(entries)[0]
-    # a cell row (lattice, count, 0) per count, then (lattice, 0, 1) per point
-    cells = np.zeros((m + n, d + 2), dtype=np.int64)
-    cells[:m, :d] = np.fromiter(chain.from_iterable(counts), np.int64,
-                                m * d).reshape(m, d)
-    cells[:m, d] = np.fromiter(counts.values(), np.int64, m)
-    cells[m:, :d] = store.grid.lattices(entries[order, :d], store.level)
-    cells[m:, d + 1] = 1
-    shard = ExactBlob(store.level, store.alpha, store.beta, store.seed,
-                      cells, np.arange(n))
-    mults = np.fromiter(points.values(), np.int64, n)[order]
-    return merge_exact(store, [shard], [(np.arange(n), mults)],
-                       list(map(pts.__getitem__, order.tolist())))
+    rows = np.empty((m, d + 1), dtype=np.int64)
+    rows[:, :d] = np.fromiter(chain.from_iterable(counts), np.int64,
+                              m * d).reshape(m, d)
+    rows[:, d] = np.fromiter(counts.values(), np.int64, m)
+    shard = ExactBlob(store.level, store.alpha, store.beta, store.seed, rows)
+    return merge_exact(
+        store, [shard], list(map(pts.__getitem__, order.tolist())),
+        np.arange(n), np.fromiter(points.values(), np.int64, n)[order],
+        store.grid.lattices(entries[order, :d], store.level), counted=False)
 
 
 def encode_points(rows) -> bytes:
@@ -444,22 +412,15 @@ def encode_points(rows) -> bytes:
                              rows.shape[1] - 2, len(rows)) + _narrow(rows)
 
 
-def encode_exact(store, lattices, counts, sizes, rows) -> bytes:
+def encode_exact(store, cells) -> bytes:
     """The store message of an exact store with store's level, caps and
-    seed whose content is given in columns: its cells (c x d) in
-    lexicographic order, with their net counts and the numbers of points
-    they list (sizes), and the listed points' rows in the point message
-    sent before it, cell by cell.  Layout, little-endian: the header
-    (magic, version, kind, level, d, alpha, beta, seed, number of cell
-    rows); the cell section (_narrow), one row (lattice, count, size) per
-    cell with a nonzero count or size; the row section, rows."""
-    kept = (counts != 0) | (sizes > 0)
-    return b"".join((
-        _EXACT_HEAD.pack(_MAGIC, _EXACT_VERSION, _EXACT, store.level,
-                         lattices.shape[1], store.alpha, store.beta,
-                         store.seed, int(kept.sum())),
-        _narrow(np.column_stack((lattices, counts, sizes))[kept]),
-        _narrow(rows)))
+    seed whose residual rows are cells ((c, d + 1) int64: lattice, nonzero
+    count), in lexicographic order.  Layout, little-endian: the header
+    (magic, version, kind, level, d, alpha, beta, seed, c), then the rows
+    as one section (_narrow)."""
+    return _EXACT_HEAD.pack(_MAGIC, _EXACT_VERSION, _EXACT, store.level,
+                            cells.shape[1] - 1, store.alpha, store.beta,
+                            store.seed, len(cells)) + _narrow(cells)
 
 
 def points_blob_bound(d: int, Delta: int, n: int) -> int:
@@ -474,11 +435,11 @@ def points_blob_bound(d: int, Delta: int, n: int) -> int:
 def exact_blob_bound(d: int, Delta: int, cells: int, n: int) -> int:
     """The most bytes encode_exact writes for at most cells cells of a grid
     over [1, Delta]^d holding at most n points, copies counted: the header
-    and two width bytes, per cell a (lattice, count, size) row at the width
-    that Delta (lattices lie in [-Delta, Delta]) and n need, per point one
-    row number below n."""
-    return _EXACT_HEAD.size + 2 + cells * (d + 2) * _width(max(Delta, n)) \
-        + n * _width(n)
+    and the width byte, then at most min(n, cells) residual rows (a
+    residual counts at least one point), each a lattice and a count at the
+    width that Delta (lattices lie in [-Delta, Delta]) and n need."""
+    return _EXACT_HEAD.size + 1 \
+        + min(n, cells) * (d + 1) * _width(max(Delta, n))
 
 
 @lru_cache(maxsize=1024)
@@ -764,37 +725,6 @@ def encode_sketch(store, columns, rows, lattices, starts, counts) -> bytes:
     return fresh.serialize()
 
 
-def encode_exact_shard(coords, tags, mults, stores) -> list:
-    """The messages of exact stores over one shard, the one exact encoder
-    of point messages and store messages.
-
-    coords, tags and mults hold the shard's distinct points in sort_key
-    order, one row each with its signed multiplicity.  stores lists, in
-    wire order, (store, rows, lattices, starts, counts) per store, its
-    content as PointColumns.cells gives it: its points' rows in cell
-    order, its cells (those with a count or points, in lexicographic
-    order), the row where each cell's run starts and the cells' counts.
-    The first message is the point message of the rows that some store's
-    light cells (count at most beta) list (encode_points), then each
-    store's message (encode_exact) lists them by their rows in it.  No
-    store sends no message."""
-    if not stores:
-        return []
-    held = []
-    listed = np.zeros(len(tags), dtype=bool)
-    for store, rows, lattices, starts, counts in stores:
-        sizes = np.diff(np.append(starts, len(rows)))
-        light = (counts <= store.beta) & (sizes > 0)
-        rows = rows[np.repeat(light, sizes)]
-        listed[rows] = True
-        held.append((store, lattices, counts, np.where(light, sizes, 0), rows))
-    number = np.cumsum(listed) - 1
-    return [encode_points(np.column_stack(
-        (coords[listed], tags[listed], mults[listed])))] \
-        + [encode_exact(store, lattices, counts, sizes, number[rows])
-           for store, lattices, counts, sizes, rows in held]
-
-
 def deserialize(blob: bytes, grid: GridHierarchy):
     """The store a blob of either backing describes (an exact store's
     starts with its point message)."""
@@ -809,7 +739,6 @@ def deserialize(blob: bytes, grid: GridHierarchy):
 __all__ = [
     "CellData", "ExactCellStore", "SketchCellStore", "make_store",
     "encode_points", "encode_exact", "points_blob_bound", "exact_blob_bound",
-    "encode_sketch", "encode_exact_shard", "deserialize", "ExactBlob",
-    "parse_points", "parse_exact", "point_table", "merge_exact", "Fail",
-    "is_fail",
+    "encode_sketch", "deserialize", "ExactBlob", "parse_points",
+    "parse_exact", "merge_exact", "Fail", "is_fail",
 ]

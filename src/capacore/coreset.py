@@ -36,8 +36,9 @@ import numpy as np
 from .cellstore import CellData
 from .common import Fail, UsageError, derive_seed, is_fail
 from .estimator import SampleBank
-from .geometry import (NO_TAG, TAG_SPACE, GridHierarchy, check_domain,
-                       coord_array, format_point, parse_point_line)
+from .geometry import (NO_TAG, TAG_SPACE, GridHierarchy, Point,
+                       check_domain, coord_array, format_point,
+                       parse_point_line)
 from .hashing import KWiseHash, PointEncoder
 from .params import FAMILIES, Params, coreset_size_bound, parse_serialized
 from .partition import (PartitionStructure, lattice_array, mark_cells,
@@ -290,7 +291,8 @@ def search_o(sampling: Sampling, n: int, build):
 
 class PointColumns:
     """A point set held in columns, for the builders that read a whole
-    point set at once (the offline builder and the dist machines).
+    point set at once (the offline builder, the dist machines and the dist
+    coordinator's union of their point messages).
 
     Its n input points, copies counted, are held as the distinct points in
     sort_key order (one sort of the lattice_keys of their coordinates and
@@ -299,14 +301,15 @@ class PointColumns:
     fits every Delta <= 2**62).  The coordinates are read by
     geometry.coord_array and checked in numpy: a point outside the
     domain, ragged input or a value beyond int64 raises
-    geometry.check_domain's usage error.  Each hashed (family, level)
-    computes the points' field values once, when a key first needs them,
-    from the points' codes (PointEncoder.encode_columns, made once), and a
-    key keeps the rows whose values lie below its threshold.  cells(key)
-    groups the kept points into cells by one stable sort of the
-    lattice_keys of their lattices at the key's level
-    (GridHierarchy.coarsen): equal lattices become runs, in lexicographic
-    order, each in sort_key order."""
+    geometry.check_domain's usage error.  from_rows holds rows that carry
+    their multiplicities instead.  Each hashed (family, level) computes the
+    points' field values once, when a key first needs them, from the
+    points' codes (PointEncoder.encode_columns, made once), and rows(key)
+    are the rows whose values lie below the key's threshold.  group(rows,
+    level) groups rows into cells by one stable sort of the lattice_keys of
+    their lattices at level (GridHierarchy.coarsen): equal lattices become
+    runs, in lexicographic order, each in sort_key order; cells(key) groups
+    the rows key keeps."""
 
     def __init__(self, points, sampling: Sampling):
         points = list(points)
@@ -325,20 +328,48 @@ class PointColumns:
         order, new = sorted_runs(np.column_stack((coords, tags)))
         starts = np.flatnonzero(new)
         first = order[starts]
+        self._hold(sampling, n, [points[i] for i in first.tolist()],
+                   coords[first], tags[first], np.diff(np.append(starts, n)))
+
+    @classmethod
+    def from_rows(cls, rows, sampling: Sampling) -> "PointColumns":
+        """The columns of (coordinates, tag, multiplicity) int64 rows of
+        points in the domain: a point in several rows is held once, with
+        their multiplicities summed."""
+        d = sampling.grid.d
+        order, new = sorted_runs(rows[:, :d + 1])
+        starts = np.flatnonzero(new)
+        first = rows[order[starts]]
+        mults = np.add.reduceat(rows[order, d + 1], starts) if len(rows) \
+            else rows[:, d + 1]
+        columns = cls.__new__(cls)
+        columns._hold(sampling, int(mults.sum()),
+                      list(map(Point, map(tuple, first[:, :d].tolist()),
+                               first[:, d].tolist())),
+                      first[:, :d], first[:, d], mults)
+        return columns
+
+    def _hold(self, sampling, n, points, coords, tags, mults):
+        """Hold n points, copies counted, as the distinct Points points in
+        sort_key order with their coordinates, tags and multiplicities."""
         self.n = n
-        self.points = [points[i] for i in first.tolist()]
-        self.tags = tags[first]
-        self.mults = np.diff(np.append(starts, n))
+        self.points = points
+        self.tags = tags
+        self.mults = mults
         self.sampling = sampling
         # one row per distinct point
-        self.coords = coords[first]
-        self.lattices = grid.lattices(self.coords, grid.L)
+        self.coords = coords
+        self.lattices = sampling.grid.lattices(coords, sampling.grid.L)
         self._codes = None  # the points' codes, made when a key first hashes
         self._values: dict = {}  # (family, level) -> field values of points
 
-    def _kept_rows(self, family: str, level: int, t: int):
-        """The rows whose field value under the (family, level) hash lies
-        below t, in row order."""
+    def rows(self, key: tuple):
+        """The rows a Sampling key keeps, in row order: those whose field
+        value under the key's (family, level) hash lies below its
+        threshold, every row or none for a key without a family."""
+        family, level, t = key
+        if family is None:
+            return np.arange(len(self.points) if t else 0)
         if (family, level) not in self._values:
             if self._codes is None:
                 self._codes = self.sampling.encoder.encode_columns(
@@ -349,15 +380,12 @@ class PointColumns:
         # t in the values' own type: uint64 never meets an int64 operand
         return np.flatnonzero(values < values.dtype.type(t))
 
-    def cells(self, key: tuple):
-        """(rows, cells, starts, counts) of the points key keeps: their rows
-        in cell order, each cell's lattice at the key's level, the row where
-        its run starts, and its count (its rows' multiplicities summed).
-        The rows are grouped by one stable sort of the lattice_keys of
-        their lattices (partition.sorted_runs)."""
-        family, level, t = key
-        rows = np.arange(len(self.points) if t else 0) if family is None \
-            else self._kept_rows(family, level, t)
+    def group(self, rows, level: int):
+        """(rows, cells, starts, counts) of the given rows: the rows in cell
+        order, each cell's lattice at level, the row where its run starts,
+        and its count (its rows' multiplicities summed).  The rows are
+        grouped by one stable sort of the lattice_keys of their lattices
+        (partition.sorted_runs)."""
         lat = self.sampling.grid.coarsen(self.lattices[rows], level)
         # the first row of each run of equal lattices starts a cell
         order, new = sorted_runs(lat)
@@ -366,6 +394,10 @@ class PointColumns:
         mults = self.mults[rows]
         counts = np.add.reduceat(mults, starts) if len(rows) else mults
         return rows, lat[order[starts]], starts, counts
+
+    def cells(self, key: tuple):
+        """group of the rows key keeps, at the key's level."""
+        return self.group(self.rows(key), key[1])
 
 
 class OfflineBuilder:

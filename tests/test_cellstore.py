@@ -302,8 +302,8 @@ def test_sketch_space_meter():
 
 def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
     # a deletion before its insertion leaves a negative multiplicity; a
-    # cell whose points cancel has count 0 and a cell row only for the
-    # points it ships; a cell of count 3 > beta ships none
+    # cell whose points cancel has count 0 and ships them with no residual
+    # row; a cell of count 3 > beta ships none, its count a residual row
     a = Point((4, 4), 0)
     lat = GRID.lattice_of(a.coords, LEVEL)
     same = [Point(c, 1) for c in itertools.product(range(1, 9), repeat=2)
@@ -328,25 +328,24 @@ def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
     assert back.serialize() == blob
     # the wire length, every value fitting one byte: the point message
     # (header, width byte, one row per shipped point), then the store
-    # message (header, width byte, one (lattice, count, size) row per cell
-    # with a count or shipped points, width byte, one row number per
-    # shipped point)
+    # message (header, width byte, one (lattice, residual) row per cell
+    # whose count is not its shipped points' multiplicities summed)
     d = GRID.d
-    light = {cell_of[p] for p in shipped}
-    rows_of = set(store.counts) | light
+    residual = dict(store.counts)
+    for p, m in shipped.items():
+        residual[cell_of[p]] = residual.get(cell_of[p], 0) - m
+    residual = {c: r for c, r in residual.items() if r}
+    assert residual == {c: n for c, n in store.counts.items() if n > 2}
+    assert heavy in residual and lat not in residual
     head, body = split_exact(blob)
     assert len(head) == 13 + len(shipped) * (d + 2)
-    assert len(body) == 40 + len(rows_of) * (d + 2) + len(shipped)
+    assert len(body) == 39 + len(residual) * (d + 1)
     rows = cellstore.parse_points(head, GRID)
     assert {Point(tuple(r[:d]), r[d]): r[d + 1]
             for r in rows.tolist()} == shipped
-    sizes = {c: sum(cell_of[p] == c for p in shipped) for c in light}
-    parsed = cellstore.parse_exact(body, GRID, len(rows))
-    assert [(tuple(r[:d]), r[d], r[d + 1]) for r in parsed.cells.tolist()] \
-        == [(c, store.counts.get(c, 0), sizes.get(c, 0))
-            for c in sorted(rows_of)]
-    assert (lat, 0, 2) in {(tuple(r[:d]), r[d], r[d + 1])
-                           for r in parsed.cells.tolist()}
+    parsed = cellstore.parse_exact(body, GRID)
+    assert [(tuple(r[:d]), r[d]) for r in parsed.cells.tolist()] \
+        == sorted(residual.items())
     cells = set(store.counts) | set(cell_of.values())
     n = sum(map(abs, store.points.values()))
     assert len(head) <= cellstore.points_blob_bound(d, GRID.Delta, n)
@@ -354,19 +353,29 @@ def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
                                                    len(cells), n)
 
 
-def test_exact_blob_bound_is_met_when_every_cell_is_light():
+def test_blob_bounds_are_met_when_every_cell_is_light_or_heavy():
     # the largest tag needs the point message's 8 bytes per value, and
-    # n = 30 points at Delta = 8 one byte per value of the store message
-    store = ExactCellStore(GRID, LEVEL, 100, 100)
+    # n = 30 points at Delta = 8 one byte per value of the store message.
+    # Every cell light lists every point and sends no residual row; every
+    # cell heavy (beta 0) lists none and sends one residual row per cell
     pts = rand_points(random.Random(6), 30, 8)
     pts[7] = Point(pts[7].coords, TAG_SPACE - 2)
-    for p in pts:
-        store.update(p, +1)
-    head, body = split_exact(store.serialize())
-    assert len(head) == cellstore.points_blob_bound(GRID.d, GRID.Delta,
-                                                    len(set(pts)))
-    assert len(body) == cellstore.exact_blob_bound(
-        GRID.d, GRID.Delta, len(store.counts), len(set(pts)))
+    n = len(set(pts))
+    for beta in (100, 0):
+        store = ExactCellStore(GRID, LEVEL, 100, beta)
+        for p in pts:
+            store.update(p, +1)
+        head, body = split_exact(store.serialize())
+        cells = len(store.counts)
+        assert cells < n
+        if beta:
+            assert len(head) == cellstore.points_blob_bound(GRID.d,
+                                                            GRID.Delta, n)
+            assert len(body) == 39
+        else:
+            assert len(head) == 13
+            assert len(body) == cellstore.exact_blob_bound(
+                GRID.d, GRID.Delta, cells, n)
 
 
 def _filled(backing):
@@ -384,9 +393,9 @@ def test_blob_with_trailing_bytes_is_a_usage_error(backing):
             deserialize(blob + extra, GRID)
     if backing == "exact":
         head, body = split_exact(blob)
-        rows = len(cellstore.parse_points(head, GRID))
+        assert len(cellstore.parse_exact(body, GRID).cells)
         with pytest.raises(UsageError, match="8 bytes after the last"):
-            cellstore.parse_exact(body + bytes(8), GRID, rows)
+            cellstore.parse_exact(body + bytes(8), GRID)
 
 
 def test_point_message_with_trailing_bytes_is_a_usage_error():
@@ -412,10 +421,9 @@ def test_truncated_blob_is_a_usage_error(backing):
         deserialize(blob[:-3], GRID)
     if backing == "exact":
         head, body = split_exact(blob)
-        rows = len(cellstore.parse_points(head, GRID))
         for cut in range(1, len(body) + 1):
             with pytest.raises(UsageError, match="truncated"):
-                cellstore.parse_exact(body[:len(body) - cut], GRID, rows)
+                cellstore.parse_exact(body[:len(body) - cut], GRID)
 
 
 def test_truncated_point_message_is_a_usage_error():
@@ -433,9 +441,8 @@ def test_blob_of_another_dimension_is_a_usage_error(backing):
         deserialize(blob, grid3)
     if backing == "exact":
         head, body = split_exact(blob)
-        rows = len(cellstore.parse_points(head, GRID))
         with pytest.raises(UsageError, match="2-d, the grid 3-d"):
-            cellstore.parse_exact(body, grid3, rows)
+            cellstore.parse_exact(body, grid3)
     # the blob itself is sound
     assert deserialize(blob, GRID).finalize() == _filled(backing).finalize()
 
@@ -448,21 +455,6 @@ def test_point_message_of_another_dimension_is_a_usage_error():
     assert cellstore.parse_points(head, GRID).shape[1] == 4
 
 
-def test_row_number_past_the_point_message_is_a_usage_error():
-    head, body = split_exact(_filled("exact").serialize())
-    rows = len(cellstore.parse_points(head, GRID))
-    listed = cellstore.parse_exact(body, GRID, rows).rows
-    assert rows > 1 and listed.max() == rows - 1
-    for short in (rows - 1, 0):
-        with pytest.raises(UsageError, match=f"lists row {rows - 1}, its "
-                                             f"point message has {short} rows"):
-            cellstore.parse_exact(body, GRID, short)
-    # a point message one row short, before the same store message
-    table = cellstore.parse_points(head, GRID)
-    with pytest.raises(UsageError, match="lists row"):
-        deserialize(cellstore.encode_points(table[:-1]) + body, GRID)
-
-
 def test_store_message_with_no_point_message_is_a_usage_error():
     head, body = split_exact(_filled("exact").serialize())
     for blob in (body, body + head):
@@ -472,7 +464,7 @@ def test_store_message_with_no_point_message_is_a_usage_error():
             cellstore.parse_points(blob, GRID)
     # a point message is not a store message either
     with pytest.raises(UsageError, match="not an exact cell-store message"):
-        cellstore.parse_exact(head, GRID, len(head))
+        cellstore.parse_exact(head, GRID)
 
 
 @pytest.mark.parametrize("beta", [0, 2, 100])
@@ -497,22 +489,21 @@ def test_merge_exact_equals_the_fold_on_signed_blobs(beta):
         fold = ExactCellStore(GRID, LEVEL, alpha, beta, seed=3)
         for blob in blobs:
             fold.merge_in(deserialize(blob, GRID))
-        tables = [cellstore.parse_points(split_exact(blob)[0], GRID)
-                  for blob in blobs]
-        return fold, tables, [
-            cellstore.parse_exact(split_exact(blob)[1], GRID, len(table))
-            for blob, table in zip(blobs, tables)]
+        return fold, [cellstore.parse_points(split_exact(blob)[0], GRID)
+                      for blob in blobs], [
+            cellstore.parse_exact(split_exact(blob)[1], GRID)
+            for blob in blobs]
 
     fold, _, parsed = fold_and_blobs(200)
     cells = len(fold.counts)
     assert any(c < 0 for c in fold.counts.values())
     for alpha in (200, cells, cells - 1):
         fold, messages, parsed = fold_and_blobs(alpha)
-        points, tables = cellstore.point_table(messages, GRID.d)
-        assert len(points) == len({tuple(row) for m in messages
-                                   for row in m[:, :-1].tolist()})
+        listed = _summed(messages)
+        assert len(listed[0]) == len({tuple(row) for m in messages
+                                      for row in m[:, :-1].tolist()})
         want = fold.finalize()
-        got = cellstore.merge_exact(fold, parsed, tables, points)
+        got = cellstore.merge_exact(fold, parsed, *listed)
         assert is_fail(want) == (alpha < cells)
         if is_fail(want):
             assert is_fail(got)
@@ -520,7 +511,24 @@ def test_merge_exact_equals_the_fold_on_signed_blobs(beta):
         assert got == want
     with pytest.raises(UsageError, match="different level/caps/seeds"):
         cellstore.merge_exact(ExactCellStore(GRID, LEVEL, alpha, beta, seed=4),
-                              parsed, tables, points)
+                              parsed, *listed)
+
+
+def _summed(messages):
+    """merge_exact's listed points over the rows of parsed point messages:
+    a table of each distinct point once in sort_key order, its row ids,
+    its multiplicities summed over the messages, and its cells at LEVEL."""
+    mults = {}
+    for rows in messages:
+        for *coords, tag, m in rows.tolist():
+            p = Point(tuple(coords), tag)
+            mults[p] = mults.get(p, 0) + m
+    points = sorted(mults)
+    coords = np.array([p.coords for p in points],
+                      dtype=np.int64).reshape(-1, GRID.d)
+    return (points, np.arange(len(points)),
+            np.array([mults[p] for p in points], dtype=np.int64),
+            GRID.lattices(coords, LEVEL))
 
 
 # the edges of each signed width: each case's values and the narrowest of
@@ -560,31 +568,34 @@ def test_a_section_takes_the_narrowest_width_that_holds_it(values, width):
 
 
 def _point_message(rows, d, width):
-    """A point message written from the layout: header (magic, version 4,
+    """A point message written from the layout: header (magic, version 5,
     kind 2, d, number of rows), width byte, rows."""
-    return struct.pack("<4sBBHI", b"CSTO", 4, 2, d, len(rows)) \
+    return struct.pack("<4sBBHI", b"CSTO", 5, 2, d, len(rows)) \
         + bytes([width]) + np.array(rows, f"<i{width}").tobytes()
 
 
-def _store_message(cells, rows, width, seed=9, d=2):
+def _store_message(cells, width, seed=9, d=2):
     """A store message of GRID's level LEVEL, caps (100, 2), written from
-    the layout: header (magic, version 4, kind 0, level, d, alpha, beta,
-    seed, number of cell rows), then two sections of one width."""
-    return struct.pack("<4sBBhHddqI", b"CSTO", 4, 0, LEVEL, d, 100.0, 2.0,
+    the layout: header (magic, version 5, kind 0, level, d, alpha, beta,
+    seed, number of residual rows), width byte, rows."""
+    return struct.pack("<4sBBhHddqI", b"CSTO", 5, 0, LEVEL, d, 100.0, 2.0,
                        seed, len(cells)) \
-        + bytes([width]) + np.array(cells, f"<i{width}").tobytes() \
-        + bytes([width]) + np.array(rows, f"<i{width}").tobytes()
+        + bytes([width]) + np.array(cells, f"<i{width}").tobytes()
 
 
-def test_exact_messages_follow_the_v4_layout():
-    head, body = split_exact(_filled("exact").serialize())
+def test_exact_messages_follow_the_v5_layout():
+    store = _filled("exact")
+    head, body = split_exact(store.serialize())
     table = cellstore.parse_points(head, GRID)
-    parsed = cellstore.parse_exact(body, GRID, len(table))
+    parsed = cellstore.parse_exact(body, GRID)
     assert head == _point_message(table.tolist(), 2, 1)
-    assert body == _store_message(parsed.cells.tolist(),
-                                  parsed.rows.tolist(), 1)
-    assert parsed.cells.shape[1] == GRID.d + 2
-    assert len(parsed.rows) == parsed.cells[:, -1].sum()
+    assert body == _store_message(parsed.cells.tolist(), 1)
+    # a residual row per cell over beta 2, holding its count; the light
+    # cells' counts are their listed rows' multiplicities
+    assert parsed.cells.shape[1] == GRID.d + 1
+    assert {tuple(r[:-1]): r[-1] for r in parsed.cells.tolist()} == \
+        {lat: c for lat, c in store.counts.items() if c > 2}
+    assert len(table) == sum(c for c in store.counts.values() if c <= 2)
 
 
 def _wide_store(Delta, tag):
@@ -618,13 +629,12 @@ def test_wide_values_roundtrip_and_every_cut_is_truncated(Delta, tag, width):
                                      for p in store.points})
     assert len(head) <= cellstore.points_blob_bound(2, Delta, n)
     assert len(body) <= cellstore.exact_blob_bound(2, Delta, cells, n)
-    rows = len(cellstore.parse_points(head, grid))
     for cut in range(1, len(head) + 1):
         with pytest.raises(UsageError, match="truncated"):
             cellstore.parse_points(head[:len(head) - cut], grid)
     for cut in range(1, len(body) + 1):
         with pytest.raises(UsageError, match="truncated"):
-            cellstore.parse_exact(body[:len(body) - cut], grid, rows)
+            cellstore.parse_exact(body[:len(body) - cut], grid)
     for cut in range(1, len(body) + 1):
         with pytest.raises(UsageError, match="truncated"):
             deserialize(blob[:len(blob) - cut], grid)
@@ -633,44 +643,35 @@ def test_wide_values_roundtrip_and_every_cut_is_truncated(Delta, tag, width):
 @pytest.mark.parametrize("bad", [0, 3, 16])
 def test_a_width_byte_other_than_1_2_4_8_is_a_usage_error(bad):
     head, body = split_exact(_filled("exact").serialize())
-    rows = len(cellstore.parse_points(head, GRID))
-    cells = cellstore.parse_exact(body, GRID, rows).cells
-    # the point message's section, and the store message's two sections
-    at_rows = 38 + 1 + cells.size
-    assert body[38] == body[at_rows] == head[12] == 1
-    for blob, at in ((head, 12), (body, 38), (body, at_rows)):
+    assert len(cellstore.parse_exact(body, GRID).cells)
+    # the point message's section, and the store message's
+    assert body[38] == head[12] == 1
+    for blob, at in ((head, 12), (body, 38)):
         bent = blob[:at] + bytes([bad]) + blob[at + 1:]
         with pytest.raises(UsageError, match=f"width byte {bad} in an exact"):
             if blob is head:
                 cellstore.parse_points(bent, GRID)
             else:
-                cellstore.parse_exact(bent, GRID, rows)
+                cellstore.parse_exact(bent, GRID)
+        with pytest.raises(UsageError, match=f"width byte {bad} in an exact"):
+            deserialize(bent if blob is head else head + bent, GRID)
 
 
-def test_a_negative_size_or_row_number_is_a_usage_error():
-    ok = _store_message([[0, 0, 1, 1], [0, 1, 1, 1]], [0, 1], 1)
-    assert cellstore.parse_exact(ok, GRID, 2).rows.tolist() == [0, 1]
-    with pytest.raises(UsageError, match="a cell of size -1 in an exact "
-                                         "store message of 48 bytes"):
-        cellstore.parse_exact(
-            _store_message([[0, 0, 1, 1], [0, 1, 1, -1]], [], 1), GRID, 2)
-    for bad in (-1, -128):
-        with pytest.raises(UsageError, match=f"lists row {bad}, its point "
-                                             f"message has 2 rows"):
-            cellstore.parse_exact(
-                _store_message([[0, 0, 1, 2]], [0, bad], 1), GRID, 2)
-    # a size past the message's bytes cannot be read, also where the sizes'
-    # sum wraps an int64 to 0; one that fits them is cut short
-    with pytest.raises(UsageError, match="a cell of size 100 in an exact "
-                                         "store message of 44 bytes"):
-        cellstore.parse_exact(_store_message([[0, 0, 1, 100]], [], 1),
-                              GRID, 2)
-    wrap = [[0, j, 1, 1 << 62] for j in range(4)]
-    with pytest.raises(UsageError, match=f"a cell of size {1 << 62} in"):
-        cellstore.parse_exact(_store_message(wrap, [], 8), GRID, 2)
-    with pytest.raises(UsageError, match="truncated"):
-        cellstore.parse_exact(_store_message([[0, 0, 1, 30]], [], 1),
-                              GRID, 2)
+def test_a_residual_section_is_read_at_its_width_and_length():
+    # residual rows of either sign at each width; a section one row short,
+    # and bytes after it
+    for cells, width in (([[0, 0, 3], [1, -2, -1]], 1),
+                         ([[0, 0, 300], [-4, 4, -129]], 2),
+                         ([[5, 5, 1 << 40]], 8)):
+        blob = _store_message(cells, width)
+        assert cellstore.parse_exact(blob, GRID).cells.tolist() == cells
+        with pytest.raises(UsageError, match="truncated"):
+            cellstore.parse_exact(blob[:-3 * width], GRID)
+        with pytest.raises(UsageError, match="1 bytes after the last section"):
+            cellstore.parse_exact(blob + b"\0", GRID)
+    empty = _store_message([], 1)
+    assert len(empty) == 39
+    assert cellstore.parse_exact(empty, GRID).cells.shape == (0, GRID.d + 1)
 
 
 def _one_cell_pair():
@@ -683,8 +684,8 @@ def _one_cell_pair():
 
 
 def test_a_cell_of_count_0_listing_points_survives_the_wire():
-    # +1 of a and -1 of b net the cell to count 0: its row has count 0
-    # and lists both points
+    # +1 of a and -1 of b net the cell to count 0: it lists both points,
+    # whose multiplicities sum to its count, so it has no residual row
     a, b, lat = _one_cell_pair()
     store = ExactCellStore(GRID, LEVEL, 100, 2)
     store.update(a, +1)

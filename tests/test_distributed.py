@@ -9,8 +9,8 @@ import pytest
 from capacore.common import UsageError, derive_seed, is_fail
 from capacore.coreset import (Sampling, build_auto, dedup_points,
                               exact_threshold, finalize_cells, o_grid)
-from capacore.cellstore import (ExactCellStore, deserialize, encode_points,
-                                parse_points)
+from capacore.cellstore import (ExactCellStore, deserialize, encode_exact,
+                                encode_points, parse_exact, parse_points)
 from capacore.distributed import (ByteChannel, Coordinator, Machine,
                                   broadcast_blob, per_machine_byte_cap,
                                   run_protocol)
@@ -38,25 +38,25 @@ def _with_caps(alpha, beta=None, base=RATE1):
     return Caps(**{f: getattr(base, f) for f in base.__dataclass_fields__})
 
 
+def _kept(layout, key, points) -> np.ndarray:
+    """Whether a Sampling key of layout keeps each of points, by its
+    (family, level) hash one point at a time."""
+    fam, lvl, t = key
+    if fam is None:
+        return np.full(len(points), t > 0)
+    hash_ = layout.sampling.hash(fam, lvl)
+    return np.array([hash_.field_value(p) < t for p in points], dtype=bool)
+
+
 def _reference_stores(machine, shard):
     """One exact store per store of the machine's layout, fed the points of
     shard its Sampling key keeps, point by point through update."""
     eng = machine.layout
-    values = {}  # (family, level) -> field value per point of shard
-
-    def keeps(fam, lvl, t):
-        if fam is None:
-            return [t > 0] * len(shard)
-        if (fam, lvl) not in values:
-            hash_ = eng.sampling.hash(fam, lvl)
-            values[(fam, lvl)] = [hash_.field_value(p) for p in shard]
-        return [v < t for v in values[(fam, lvl)]]
-
     refs = []
-    for (fam, lvl, t), store in eng._stores.items():
-        ref = ExactCellStore(eng.grid, lvl, store.alpha, store.beta,
+    for key, store in eng._stores.items():
+        ref = ExactCellStore(eng.grid, key[1], store.alpha, store.beta,
                              store.seed)
-        for p, keep in zip(shard, keeps(fam, lvl, t)):
+        for p, keep in zip(shard, _kept(eng, key, shard)):
             if keep:
                 ref.update(p, +1)
         refs.append(ref)
@@ -65,18 +65,24 @@ def _reference_stores(machine, shard):
 
 def _wire_stores(machine):
     """The stores a machine's messages describe, in layout order: each
-    sketch blob deserialized, or each exact store message read with the
-    machine's point message before it (serialize's layout)."""
-    grid = machine.layout.grid
+    sketch blob deserialized, or each exact store message read after a
+    point message of the rows of the machine's that its key keeps
+    (serialize's layout)."""
+    layout = machine.layout
+    grid, d = layout.grid, layout.grid.d
     messages = list(machine.wire_messages())
-    if machine.layout.backing == "sketch":
+    if layout.backing == "sketch":
         return [deserialize(blob, grid) for blob in messages]
-    return [deserialize(messages[0] + blob, grid) for blob in messages[1:]]
+    rows = parse_points(messages[0], grid)
+    points = [Point(tuple(r[:d]), r[d]) for r in rows.tolist()]
+    return [deserialize(encode_points(rows[_kept(layout, key, points)])
+                        + blob, grid)
+            for key, blob in zip(layout._stores, messages[1:])]
 
 
 def _shipped(store):
-    """An exact store's content as the wire carries it: its counts, and
-    the points of its light cells with their multiplicities."""
+    """An exact store's content as its own wire carries it: its counts,
+    and the points of its light cells with their multiplicities."""
     back = deserialize(store.serialize(), store.grid)
     return back.counts, back.points
 
@@ -153,32 +159,39 @@ def test_comm_bytes_grow_with_machines_and_stay_under_cap(rng):
     assert comm_by_s[5] > comm_by_s[1]
 
 
-def _fixed_width_byte_cap(params, grid, o_values, n):
-    """per_machine_byte_cap at 8 bytes per value: the broadcast and two
-    counts; one point message (12-byte header, 8 (d + 2) bytes per point);
-    per store a 42-byte header and light-cell count, 8 (d + 1) bytes per
-    cell row, 8 d + 4 per light cell and 4 per row number."""
+def _fixed_width_byte_cap(params, grid, o_values, n, width=8):
+    """per_machine_byte_cap with store rows at width bytes per value: the
+    broadcast and two counts; one point message (12-byte header, width
+    byte, 8 (d + 2) bytes per point, as its tags need 8); per store a
+    38-byte header, a width byte and at most min(n, cells) residual rows
+    of d + 1 values, and no row numbers."""
     d = grid.d
     served = Sampling(params, grid, 0, exact_counts=False).served(o_values)
     total = len(broadcast_blob(params, grid, 0)) + 16
     if served:
-        total += 12 + n * 8 * (d + 2)
+        total += 13 + n * 8 * (d + 2)
     for _, lvl, _ in served:
         cells = min(n, (2 ** lvl + 1) ** d)
-        total += 46 + cells * (8 * (d + 1) + 8 * d + 4) + 4 * n
+        total += 39 + cells * (d + 1) * width
     return total
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("Delta", [8, 256, 1 << 40])
 def test_byte_cap_is_below_the_fixed_width_cap(d, Delta):
+    # lattices and counts of Delta 8 and 256 and n up to 8,000 take 2 bytes
+    # at most, those of Delta 2**40 take 8
     grid = GridHierarchy.from_seed(derive_seed(4, "shift"), Delta, d)
     params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=d,
                     mode=PRACTICAL, scale=1e-6)
     for n in (5, 400, 8000):
         guesses = o_grid(n, params)
-        assert per_machine_byte_cap(params, grid, guesses, n) \
-            < _fixed_width_byte_cap(params, grid, guesses, n)
+        cap = per_machine_byte_cap(params, grid, guesses, n)
+        assert cap == _fixed_width_byte_cap(
+            params, grid, guesses, n,
+            8 if Delta > 1 << 31 else 1 if max(Delta, n) < 128 else 2)
+        if Delta < 1 << 31:
+            assert cap < _fixed_width_byte_cap(params, grid, guesses, n)
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
@@ -281,12 +294,13 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
         for blob, ref in zip(messages, refs):
             assert blob == ref.serialize()
         return
-    # an exact store message lists its points by row numbers: its content,
-    # read with the point message, is the reference store's on the wire
+    # an exact store message holds residual rows: its content, read with
+    # the point message's rows its key keeps, is the reference store's on
+    # the wire
     stores = _wire_stores(machine)
     assert len(stores) == len(pooled)
     for store, ref in zip(stores, refs):
-        assert (store.counts, store.points) == _shipped(ref)
+        assert _shipped(store) == _shipped(ref)
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
@@ -350,11 +364,6 @@ def test_absorb_rejects_a_machine_with_another_store_layout(rng):
         assert not any(coord._blobs.values())
 
 
-def _one_row_short(messages):
-    head = parse_points(messages[0], GRID8)
-    return [encode_points(head[:-1])] + messages[1:]
-
-
 def _one_more_column(messages):
     head = parse_points(messages[0], GRID8)
     return [encode_points(np.column_stack((head[:, :1], head)))] \
@@ -362,8 +371,17 @@ def _one_more_column(messages):
 
 
 GRID8 = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
+def _one_row_bent(messages, column, value):
+    head = parse_points(messages[0], GRID8)
+    head[-1, column] = value
+    return [encode_points(head)] + messages[1:]
+
+
 MALFORMED = {
-    "row-past-the-point-count": (_one_row_short, "lists row"),
+    "point-row-of-multiplicity-0": (
+        lambda m: _one_row_bent(m, 3, 0), "multiplicity below 1"),
+    "point-row-outside-the-domain": (
+        lambda m: _one_row_bent(m, 0, 9), "outside the domain"),
     "no-point-message": (lambda m: m[1:], "no point message before it"),
     "truncated-point-message": (lambda m: [m[0][:-1]] + m[1:], "truncated"),
     "point-message-with-trailing-bytes": (
@@ -426,10 +444,10 @@ def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
         assert len(stores) == len(keys)
         listed = {}
         for key, store, ref in zip(keys, stores, refs):
-            assert (store.counts, store.points) == _shipped(ref), key
+            assert _shipped(store) == _shipped(ref), key
             if key[2] == 0:  # a key that keeps none ships an empty store
                 assert not store.counts and not store.points
-            listed.update(store.points)
+            listed.update(_shipped(store)[1])
         assert _point_rows(machine) == listed
     # the stores that keep every point count the repeated point twice, as
     # every mode counts copies, and ship it once, in one row of
@@ -450,7 +468,7 @@ def test_one_machine_ships_each_point_once_for_every_keep_all_store(rng):
     # RATE1 keeps every point at every level, in L + 1 stores whose caps
     # list every cell's points.  Every wire value fits one byte: the
     # machine sends each point's d + 2 bytes once, in its point message,
-    # and per store one (d + 2)-byte row per cell and 1 byte per point
+    # and per store a header and an empty residual section
     pts = dedup_points(rand_points(rng, 60, 8))
     grid = GridHierarchy.from_seed(derive_seed(4, "shift"), 8, 2)
     coord = Coordinator(RATE1, grid, 4, "exact", False, n_max=len(pts))
@@ -466,8 +484,8 @@ def test_one_machine_ships_each_point_once_for_every_keep_all_store(rng):
     for body in bodies:
         store = deserialize(head + body, grid)
         assert set(store.points) == set(pts)
-        cells = len(store.counts)
-        assert len(body) == 40 + cells * (d + 2) + len(pts)
+        assert sum(store.counts.values()) == len(pts)
+        assert len(body) == 39
     # the wire total: the broadcast, the two counts and the messages
     channel = ByteChannel()
     bcast = broadcast_blob(RATE1, grid, 4)
@@ -475,6 +493,150 @@ def test_one_machine_ships_each_point_once_for_every_keep_all_store(rng):
     coord.absorb(machine, channel)
     assert channel.total() == len(bcast) + 16 + sum(map(len, messages))
     assert coord.finalize() == _offline(pts, RATE1, 4, exact_counts=False)
+
+
+def _recorded(monkeypatch):
+    """The list that each Machine.wire_messages call from now on appends
+    its messages to."""
+    sent = []
+    wire = Machine.wire_messages
+
+    def recorded(machine):
+        sent.append(list(wire(machine)))
+        return iter(sent[-1])
+
+    monkeypatch.setattr(Machine, "wire_messages", recorded)
+    return sent
+
+
+@pytest.mark.parametrize("exact_counts", [False, True])
+def test_rate_one_store_messages_are_headers_and_comm_is_exact(
+        rng, monkeypatch, exact_counts):
+    # RATE1 keeps every point in stores whose caps make every cell light,
+    # so each machine's point message lists its whole shard and every
+    # store message is its 38-byte header and an empty section (width
+    # byte 1, no row).  comm is exactly the broadcasts, the shard sizes,
+    # the point messages and those headers
+    pts = dedup_points(rand_points(rng, 60, 8))
+    grid = GridHierarchy.from_seed(derive_seed(4, "shift"), 8, 2)
+    sent = _recorded(monkeypatch)
+    bcast = len(broadcast_blob(RATE1, grid, 4)) + 8
+    for s in (1, 3, 4):
+        sent.clear()
+        core, comm = run_protocol([pts[i::s] for i in range(s)], RATE1,
+                                  seed=4, exact_counts=exact_counts)
+        assert core == _offline(pts, RATE1, 4, exact_counts)
+        assert len(sent) == s
+        heads = [parse_points(messages[0], grid) for messages in sent]
+        assert sorted(Point(tuple(r[:2]), r[2]) for h in heads
+                      for r in h.tolist()) == sorted(pts)
+        stores = 0
+        for messages in sent:
+            for body in messages[1:]:
+                assert len(body) == 39 and body[38:] == b"\x01"
+                assert parse_exact(body, grid).cells.shape == (0, 3)
+                stores += 1
+        assert comm == s * (bcast + 8) + sum(len(m[0]) for m in sent) \
+            + 39 * stores
+
+
+def _split_cell(layout, shards):
+    """Whether some cell of a listing store is over its beta on one shard
+    and holds 1 to beta points on another (reference stores fed each
+    shard)."""
+    refs = [_reference_stores(Machine(shard, layout), shard)
+            for shard in shards]
+    for i, store in enumerate(layout._stores.values()):
+        counts = [ref[i].counts for ref in refs]
+        for lat in set().union(*counts):
+            got = [c.get(lat, 0) for c in counts]
+            if store.beta >= 1 and max(got) > store.beta \
+                    and any(1 <= c <= store.beta for c in got):
+                return True
+    return False
+
+
+def _outcome(build):
+    """build()'s coreset, or the message of its all-FAIL error."""
+    try:
+        return build()
+    except RuntimeError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("exact_counts", [False, True])
+@pytest.mark.parametrize("beta", [1, 2, 3])
+def test_small_beta_machines_ship_residual_rows_and_the_modes_agree(
+        exact_counts, beta):
+    # at beta 1 to 3, 100 points of an 8 x 8 grid (tags 0 and 1, some
+    # listed twice) put cells over beta on one machine that hold at most
+    # beta points on the other, and some points in no light cell of their
+    # machine: the machines ship nonzero residual rows.  Every key reads
+    # alike at the coordinator and in a stream engine, every guess has one
+    # outcome, and the offline, stream and dist builds agree: with exact
+    # counts a coreset, with sampled counts the one all-FAIL error
+    base = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
+                  mode=PRACTICAL, scale=1e-57)
+    params = _with_caps(lambda o: math.inf, lambda o: beta, base)
+    rng = random.Random(1)
+    pts = [Point((rng.randint(1, 8), rng.randint(1, 8)), rng.randint(0, 1))
+           for _ in range(100)]
+    shards = [pts[0::2], pts[1::2]]
+    grid = GridHierarchy.from_seed(derive_seed(1, "shift"), 8, 2)
+    coord = Coordinator(params, grid, 1, "exact", exact_counts,
+                        n_max=len(pts))
+    stream = StreamEngine(params, grid, 1, "exact", exact_counts,
+                          n_max=len(pts))
+    stream.process_stream((p, +1) for p in pts)
+    assert _split_cell(coord, shards)
+    residual = 0
+    for shard in shards:
+        machine = Machine(shard, coord)
+        residual += sum(len(parse_exact(body, grid).cells)
+                        for body in list(machine.wire_messages())[1:])
+        coord.absorb(machine, ByteChannel())
+    assert residual
+    for key in coord._stores:
+        got, want = coord._cell_data(key), stream._cell_data(key)
+        assert is_fail(got) == is_fail(want), key
+        assert is_fail(got) or got.canonical() == want.canonical(), key
+    for o in stream.o_values:
+        assert _same_outcome(coord.finalize_for_o(o),
+                             stream.finalize_for_o(o)), o
+    outcomes = [_outcome(lambda: build_auto(pts, grid, params, 1,
+                                            exact_counts)),
+                _outcome(stream.finalize), _outcome(coord.finalize),
+                _outcome(lambda: run_protocol(shards, params, 1,
+                                              exact_counts=exact_counts)[0])]
+    assert all(out == outcomes[0] for out in outcomes)
+    assert isinstance(outcomes[0], str) != exact_counts
+    if exact_counts:
+        assert len(outcomes[0]) > 0
+
+
+def test_a_kept_row_missing_from_the_point_table_is_a_usage_error(
+        rng, monkeypatch):
+    # a machine that leaves a row out of its point message and counts it
+    # in a residual row of every store instead: at RATE1 its cells are
+    # light in the union, which then count one copy more than they list,
+    # and the coordinator's read rejects that
+    pts = dedup_points(rand_points(rng, 30, 8))
+    coord = Coordinator(RATE1, GRID8, 8, "exact", False, n_max=len(pts))
+    machine = Machine(pts, coord)
+    messages = list(machine.wire_messages())
+    head = parse_points(messages[0], GRID8)
+    assert len(head) == len(pts)
+    *coords, tag, mult = head[-1].tolist()
+    bodies = [encode_exact(store, np.array(
+        [[*GRID8.lattice_of(coords, key[1]), mult]], dtype=np.int64))
+        for key, store in coord._stores.items()]
+    tampered = [encode_points(head[:-1])] + bodies
+    monkeypatch.setattr(Machine, "wire_messages",
+                        lambda self: iter(tampered))
+    coord.absorb(machine, ByteChannel())
+    with pytest.raises(UsageError, match="a kept row of a light cell "
+                                         "missing from the point table"):
+        coord.finalize()
 
 
 @pytest.mark.parametrize("Delta", [8, 1 << 16])
