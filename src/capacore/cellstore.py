@@ -20,25 +20,29 @@ read-out in the decision path (coreset.finalize_cells).
   hash pairs are drawn once per (seed, level, rows, point rows).
 
 Serialized blobs are the distributed protocol's wire unit; their byte length
-is the communication cost.  An exact shard sends each point at most once
-and each count once: a point message (encode_points) of the points that
-some store's light cells (count at most beta) list, then per store a
-message (encode_exact) of its residual rows: per cell, the summed
-multiplicity of the store's points in it that the point message does not
-hold, where that is nonzero.  The reader derives the rest: the point
-message's rows that the store keeps count toward their cells at its level,
-and the residual rows are added.  Over shards of insertions (the dist
+is the communication cost.  An exact shard sends one message
+(encode_exact) for all its stores, each point and each count at most once:
+a header (magic, version, kind, d, and its numbers of point rows, residual
+rows and stores), then two sections.  The point section holds the points
+that some store's light cells (count at most beta) list; the residual
+section holds, per store position and cell, the summed multiplicity of the
+store's points in it that the point section does not hold, where that is
+nonzero.  The store's level, caps and seed are the reader's: the
+coordinator's layout, from the broadcast.  The reader derives the rest:
+the point rows that a store keeps count toward their cells at its level,
+and its residual rows are added.  Over shards of insertions (the dist
 machines) the sum is exact, and so is the listing: a cell light in the
 union is light in every shard, which lists all its points there, so its
-residual is 0 on every shard and its points are all in the point messages;
-a listed point of a cell heavy in the union is only counted.
-ExactCellStore.serialize writes its own content by the same rule.  Every
-section is at the width its values need (_narrow writes one, _wide reads
-one).  merge_exact is the one read-out: it merges listed points and count
-rows in columns (parse_points, parse_exact) into a CellData, be they the
-machines' messages at the coordinator or a store's own content.  A
-malformed message is a usage error.  Sketch blobs (encode_sketch gives a
-machine's) carry their records alone.
+residual is 0 on every shard and its points are all in the point
+sections; a listed point of a cell heavy in the union is only counted.
+ExactCellStore.serialize writes its own content by the same rule, as a
+message of one store.  Every section is at the width its values need
+(_narrow writes one, _wide reads one).  parse_exact is the one reader of
+the message, and merge_exact the one read-out: it merges listed points and
+count rows in columns into a CellData, be they the machines' messages at
+the coordinator or a store's own content.  A malformed message is a usage
+error.  Sketch blobs (encode_sketch gives a machine's) carry their records
+alone, one blob per store.
 """
 
 from __future__ import annotations
@@ -61,18 +65,15 @@ from .partition import sorted_runs
 _MAGIC = b"CSTO"
 _SKETCH_VERSION = 1
 # version 2: columnar sections; 3: a point message; 4: narrow sections;
-# 5: residual rows
-_EXACT_VERSION = 5
-# the kind byte after the version: a store message of either backing, or
-# an exact point message
-_EXACT, _SKETCH, _POINTS = 0, 1, 2
-# blob layouts, little-endian: an exact store message's header (magic,
-# version, kind, level, d, alpha, beta, seed, number of residual rows); a
-# point message's header (magic, version, kind, d, number of rows); a sketch
+# 5: residual rows; 6: one message per machine
+_EXACT_VERSION = 6
+# the kind byte after the version: the backing
+_EXACT, _SKETCH = 0, 1
+# blob layouts, little-endian: an exact message's header (magic, version,
+# kind, d, numbers of point rows, residual rows and stores); a sketch
 # blob's header (magic, version, kind, level, d, alpha, beta, delta, seed);
 # a sketch's record counts and the slots of its cell and point records
-_EXACT_HEAD = struct.Struct("<4sBBhHddqI")
-_POINTS_HEAD = struct.Struct("<4sBBHI")
+_EXACT_HEAD = struct.Struct("<4sBBHIII")
 _SKETCH_HEAD = struct.Struct("<4sBBhHdddq")
 _COUNT = struct.Struct("<I")
 _CELL_SLOT = struct.Struct("<Iq")
@@ -181,12 +182,12 @@ class ExactCellStore:
         return _merge_dicts(self, self.counts, self.points)
 
     def serialize(self) -> bytes:
-        """The point message of the points of its light cells (count at
-        most beta, 0 for a cell whose points cancel), then its store message
-        of residual rows: per cell, its count less the multiplicities of
-        the points listed there (nonzero for a cell over beta, and for a
-        light cell whose held points do not make up its count, as after
-        merging in a deserialized store's cell over beta)."""
+        """The message of one store (encode_exact) that holds its content:
+        the points of its light cells (count at most beta, 0 for a cell
+        whose points cancel), and residual rows at store position 0: per
+        cell, its count less the multiplicities of the points listed there
+        (nonzero for a cell over beta, and for every nonzero cell of a store
+        of beta below 1, which holds no point)."""
         d, n = self.grid.d, len(self.points)
         pts = sorted(self.points)
         rows = np.array([(*p.coords, p.tag, self.points[p]) for p in pts],
@@ -198,9 +199,9 @@ class ExactCellStore:
         for lat, m in zip(compress(cells, listed),
                           rows[listed, d + 1].tolist()):
             residual[lat] = residual.get(lat, 0) - m
-        return encode_points(rows[listed]) + encode_exact(self, np.array(
-            sorted((*lat, r) for lat, r in residual.items() if r),
-            dtype=np.int64).reshape(-1, d + 1))
+        return encode_exact(rows[listed], np.array(
+            sorted((0, *lat, r) for lat, r in residual.items() if r),
+            dtype=np.int64).reshape(-1, d + 2), 1)
 
     def space_bytes(self):
         """The bytes of the entries the store holds, not the capacity its
@@ -209,33 +210,6 @@ class ExactCellStore:
         return 24 + len(self.counts) * (8 * d + 8) \
             + len(self.points) * (8 * d + 16)
 
-    @classmethod
-    def deserialize(cls, blob: bytes, grid: GridHierarchy) -> "ExactCellStore":
-        """The store a point message followed by one store message
-        describes (serialize's blob; parse_points, then parse_exact): it
-        holds every row of the point message (none below beta 1), and its
-        counts are those rows' multiplicities summed per cell plus the
-        residual rows, zeros dropped."""
-        rows, off = _read_points(blob, grid)
-        b = parse_exact(memoryview(blob)[off:], grid)
-        d = grid.d
-        store = cls(grid, b.level, b.alpha, b.beta, b.seed)
-        if b.beta >= 1:
-            store.points = dict(zip(
-                map(Point, _rows(rows[:, :d]), rows[:, d].tolist()),
-                rows[:, d + 1].tolist()))
-        lattices = np.concatenate((grid.lattices(rows[:, :d], b.level),
-                                   b.cells[:, :d]))
-        order, new = sorted_runs(lattices)
-        starts = np.flatnonzero(new)
-        sums = np.add.reduceat(np.concatenate(
-            (rows[:, d + 1], b.cells[:, d]))[order], starts) \
-            if len(order) else np.empty(0, dtype=np.int64)
-        kept = sums != 0
-        store.counts = dict(zip(_rows(lattices[order[starts[kept]]]),
-                                sums[kept].tolist()))
-        return store
-
 
 def _rows(a):
     """The rows of a 2-d integer array as tuples of Python ints."""
@@ -243,12 +217,10 @@ def _rows(a):
 
 
 class ExactBlob(NamedTuple):
-    """An exact store message's header and section (parse_exact)."""
-    level: int
-    alpha: float
-    beta: float
-    seed: int
-    cells: np.ndarray  # (c, d + 1): each residual row's lattice and count
+    """An exact message's sections and store count (parse_exact)."""
+    points: np.ndarray  # (m, d + 2): coordinates, tag, multiplicity
+    cells: np.ndarray  # (c, d + 2): store position, lattice, residual count
+    stores: int
 
 
 def _width(top: int) -> int:
@@ -285,82 +257,51 @@ def _check_d(d: int, grid: GridHierarchy):
         raise UsageError(f"cell-store blob is {d}-d, the grid {grid.d}-d")
 
 
-def _check_end(blob, off: int, what: str):
-    if off != len(blob):
-        raise UsageError(f"{len(blob) - off} bytes after the last section "
-                         f"of an exact {what}")
-
-
-def _read_points(blob, grid: GridHierarchy):
-    """The rows of the point message at the start of blob, and the offset
-    after it."""
-    if len(blob) < _POINTS_HEAD.size:
-        raise UsageError("truncated cell-store blob")
-    magic, ver, kind, d, n = _POINTS_HEAD.unpack_from(blob)
-    if magic != _MAGIC or ver != _EXACT_VERSION or kind != _POINTS:
-        if magic == _MAGIC and ver == _EXACT_VERSION and kind == _EXACT:
-            raise UsageError("an exact store message with no point message "
-                             "before it")
-        raise UsageError("not an exact point message")
-    _check_d(d, grid)
-    rows, off = _wide(blob, _POINTS_HEAD.size, n * (d + 2))
-    return rows.reshape(n, d + 2), off
-
-
-def parse_points(blob: bytes, grid: GridHierarchy) -> np.ndarray:
-    """The (m, d + 2) rows of an encode_points message of grid's dimension;
-    a store message (no point message before it), a blob of another kind
-    or dimension, a truncated message or one with bytes after its rows is
-    a usage error."""
-    rows, off = _read_points(blob, grid)
-    _check_end(blob, off, "point message")
-    return rows
-
-
 def parse_exact(blob: bytes, grid: GridHierarchy) -> ExactBlob:
-    """The header and residual rows of an encode_exact store message of
-    grid's dimension; a blob of another kind or dimension, a truncated
-    message or one with bytes after its section is a usage error."""
+    """The point rows, residual rows and store count of an encode_exact
+    message of grid's dimension.  A blob of another kind or dimension, a
+    truncated message, one with bytes after its last section, or residual
+    rows out of store order or at a position outside [0, stores) is a
+    usage error."""
     if len(blob) < _EXACT_HEAD.size:
         raise UsageError("truncated cell-store blob")
-    magic, ver, backing, level, d, alpha, beta, seed, ncells = \
-        _EXACT_HEAD.unpack_from(blob)
-    if magic != _MAGIC or ver != _EXACT_VERSION or backing != _EXACT:
+    magic, ver, kind, d, m, c, stores = _EXACT_HEAD.unpack_from(blob)
+    if magic != _MAGIC or ver != _EXACT_VERSION or kind != _EXACT:
         raise UsageError("not an exact cell-store message")
     _check_d(d, grid)
-    cells, off = _wide(blob, _EXACT_HEAD.size, ncells * (d + 1))
-    _check_end(blob, off, "store message")
-    return ExactBlob(level, alpha, beta, seed, cells.reshape(ncells, d + 1))
+    points, off = _wide(blob, _EXACT_HEAD.size, m * (d + 2))
+    cells, off = _wide(blob, off, c * (d + 2))
+    if off != len(blob):
+        raise UsageError(f"{len(blob) - off} bytes after the last section "
+                         f"of an exact message")
+    positions = cells[::d + 2]
+    if (np.diff(positions) < 0).any():
+        raise UsageError("residual rows out of store order")
+    if c and not 0 <= positions[0] <= positions[-1] < stores:
+        raise UsageError(f"a residual row's store position outside "
+                         f"[0, {stores})")
+    return ExactBlob(points.reshape(m, d + 2), cells.reshape(c, d + 2),
+                     stores)
 
 
-def _stacked(arrays, width: int):
-    """The rows of int64 arrays of width columns as one array, also of
-    none."""
-    return np.concatenate([np.empty((0, width), dtype=np.int64), *arrays])
-
-
-def merge_exact(store, blobs, points, ids, mults, lattices, *,
+def merge_exact(store, cells, points, ids, mults, lattices, *,
                 counted: bool = True):
-    """The one read-out of store content: the CellData of the count rows of
-    the ExactBlobs blobs and of the listed points, under store's level,
-    caps and seed.  The listed points are the rows ids (increasing) of the
-    table points (in sort_key order), with their multiplicities mults and
-    their cells' lattices at the store's level.  Counts are summed per
-    lattice, the listed points' multiplicities among them when counted
-    (the blobs then hold residual rows), zeros dropped; above store.alpha
-    nonzero cells it FAILs, and each cell of count at most store.beta lists
-    its points of a positive multiplicity.  One sorted_runs groups the
-    points and the count rows by lattice; being stable, it keeps each
-    cell's points in table order."""
-    for b in blobs:
-        if (b.level, b.alpha, b.beta, b.seed) != \
-                (store.level, store.alpha, store.beta, store.seed):
-            raise UsageError("cannot merge stores with different level/caps/seeds")
+    """The one read-out of store content: the CellData of the count rows
+    cells ((c, d + 1) int64: lattice, count) and of the listed points, under
+    store's level and caps.  The listed points are the rows ids
+    (increasing) of the table points (in sort_key order), with their
+    multiplicities mults and their cells' lattices at the store's level.
+    Counts are summed per lattice, the listed points' multiplicities among
+    them when counted (cells then holds residual rows), zeros dropped;
+    above store.alpha nonzero cells it FAILs, and each cell of count at
+    most store.beta lists its points of a positive multiplicity.  One
+    sorted_runs groups the points and the count rows by lattice; being
+    stable, it keeps each cell's points in table order."""
     d, n = store.grid.d, len(ids)
-    cells = _stacked((lattices, *(b.cells[:, :d] for b in blobs)), d)
+    rows = np.concatenate((lattices, cells[:, :d]))
     values = np.concatenate((mults if counted else np.zeros(n, np.int64),
-                             *(b.cells[:, d] for b in blobs)))
-    order, new = sorted_runs(cells)
+                             cells[:, d]))
+    order, new = sorted_runs(rows)
     starts = np.flatnonzero(new)
     counts = np.add.reduceat(values[order], starts) if len(order) \
         else values
@@ -375,7 +316,7 @@ def merge_exact(store, blobs, points, ids, mults, lattices, *,
     at, group = at[keep], group[keep]
     offsets = np.append(0, np.cumsum(np.bincount(
         group, minlength=len(starts))[nonzero]))
-    return CellData(store.level, cells[order[starts[nonzero]]],
+    return CellData(store.level, rows[order[starts[nonzero]]],
                     counts[nonzero], points, ids[at], mults[at], offsets)
 
 
@@ -396,50 +337,38 @@ def _merge_dicts(store, counts: dict, points: dict) -> CellData:
     rows[:, :d] = np.fromiter(chain.from_iterable(counts), np.int64,
                               m * d).reshape(m, d)
     rows[:, d] = np.fromiter(counts.values(), np.int64, m)
-    shard = ExactBlob(store.level, store.alpha, store.beta, store.seed, rows)
     return merge_exact(
-        store, [shard], list(map(pts.__getitem__, order.tolist())),
+        store, rows, list(map(pts.__getitem__, order.tolist())),
         np.arange(n), np.fromiter(points.values(), np.int64, n)[order],
         store.grid.lattices(entries[order, :d], store.level), counted=False)
 
 
-def encode_points(rows) -> bytes:
-    """The point message of rows (m x (d + 2), int64): one (coordinates,
-    tag, signed multiplicity) row per distinct point, in sort_key order.
-    Layout, little-endian: the header (magic, version, kind, d, m), then
-    the rows as one section (_narrow)."""
-    return _POINTS_HEAD.pack(_MAGIC, _EXACT_VERSION, _POINTS,
-                             rows.shape[1] - 2, len(rows)) + _narrow(rows)
+def encode_exact(points, cells, stores: int) -> bytes:
+    """The message of an exact machine of stores stores, or of a store
+    (stores 1): its point rows points ((m, d + 2) int64: coordinates, tag,
+    signed multiplicity; one row per distinct point, in sort_key order)
+    and its residual rows cells ((c, d + 2) int64: store position, lattice,
+    nonzero count; by position, then lattice).  Layout, little-endian: the
+    header (magic, version, kind, d, m, c, stores), then the point rows and
+    the residual rows, each as one section (_narrow)."""
+    return _EXACT_HEAD.pack(_MAGIC, _EXACT_VERSION, _EXACT,
+                            points.shape[1] - 2, len(points), len(cells),
+                            stores) + _narrow(points) + _narrow(cells)
 
 
-def encode_exact(store, cells) -> bytes:
-    """The store message of an exact store with store's level, caps and
-    seed whose residual rows are cells ((c, d + 1) int64: lattice, nonzero
-    count), in lexicographic order.  Layout, little-endian: the header
-    (magic, version, kind, level, d, alpha, beta, seed, c), then the rows
-    as one section (_narrow)."""
-    return _EXACT_HEAD.pack(_MAGIC, _EXACT_VERSION, _EXACT, store.level,
-                            cells.shape[1] - 1, store.alpha, store.beta,
-                            store.seed, len(cells)) + _narrow(cells)
-
-
-def points_blob_bound(d: int, Delta: int, n: int) -> int:
-    """The most bytes encode_points writes for at most n points of
-    [1, Delta]^d, copies counted: the header and the width byte, then one
-    (coordinates, tag, multiplicity) row per point at the width that Delta,
-    the largest tag (TAG_SPACE - 2) and n need."""
-    return _POINTS_HEAD.size + 1 \
-        + n * (d + 2) * _width(max(Delta, TAG_SPACE - 2, n))
-
-
-def exact_blob_bound(d: int, Delta: int, cells: int, n: int) -> int:
-    """The most bytes encode_exact writes for at most cells cells of a grid
-    over [1, Delta]^d holding at most n points, copies counted: the header
-    and the width byte, then at most min(n, cells) residual rows (a
-    residual counts at least one point), each a lattice and a count at the
-    width that Delta (lattices lie in [-Delta, Delta]) and n need."""
-    return _EXACT_HEAD.size + 1 \
-        + min(n, cells) * (d + 1) * _width(max(Delta, n))
+def machine_blob_bound(d: int, Delta: int, n: int, cells) -> int:
+    """The most bytes encode_exact writes for a machine of at most n points
+    of [1, Delta]^d, copies counted, whose stores have at most cells[i]
+    cells each: the header and two width bytes; one (coordinates, tag,
+    multiplicity) row per point, at the width that Delta, the largest tag
+    (TAG_SPACE - 2) and n need; and per store at most min(n, cells[i])
+    residual rows (a residual counts at least one point), each a position,
+    a lattice and a count, at the width that the number of stores, Delta
+    (lattices lie in [-Delta, Delta]) and n need."""
+    return _EXACT_HEAD.size + 2 \
+        + n * (d + 2) * _width(max(Delta, TAG_SPACE - 2, n)) \
+        + sum(min(n, c) for c in cells) * (d + 2) \
+        * _width(max(len(cells), Delta, n))
 
 
 @lru_cache(maxsize=1024)
@@ -725,20 +654,14 @@ def encode_sketch(store, columns, rows, lattices, starts, counts) -> bytes:
     return fresh.serialize()
 
 
-def deserialize(blob: bytes, grid: GridHierarchy):
-    """The store a blob of either backing describes (an exact store's
-    starts with its point message)."""
-    backing = blob[5] if len(blob) > 5 else None
-    if backing in (_EXACT, _POINTS):
-        return ExactCellStore.deserialize(blob, grid)
-    if backing == _SKETCH:
-        return SketchCellStore.deserialize(blob, grid)
-    raise UsageError("unrecognized cell-store blob")
+def deserialize(blob: bytes, grid: GridHierarchy) -> SketchCellStore:
+    """The sketch store a blob describes (parse_exact reads an exact
+    message, which holds no store's level, caps or seed)."""
+    return SketchCellStore.deserialize(blob, grid)
 
 
 __all__ = [
     "CellData", "ExactCellStore", "SketchCellStore", "make_store",
-    "encode_points", "encode_exact", "points_blob_bound", "exact_blob_bound",
-    "encode_sketch", "deserialize", "ExactBlob", "parse_points",
-    "parse_exact", "merge_exact", "Fail", "is_fail",
+    "encode_exact", "machine_blob_bound", "encode_sketch", "deserialize",
+    "ExactBlob", "parse_exact", "merge_exact", "Fail", "is_fail",
 ]

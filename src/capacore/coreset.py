@@ -292,7 +292,7 @@ def search_o(sampling: Sampling, n: int, build):
 class PointColumns:
     """A point set held in columns, for the builders that read a whole
     point set at once (the offline builder, the dist machines and the dist
-    coordinator's union of their point messages).
+    coordinator's union of their point rows).
 
     Its n input points, copies counted, are held as the distinct points in
     sort_key order (one sort of the lattice_keys of their coordinates and

@@ -1,9 +1,10 @@
 import math
 import random
-import struct
 
+import numpy as np
 import pytest
 
+from capacore import cellstore
 from capacore.geometry import SHIFT_FRAC_BITS, Point
 
 
@@ -72,14 +73,47 @@ def cell_dicts(data) -> tuple:
     return dict(cells), dict(light)
 
 
-def split_exact(blob: bytes) -> tuple:
-    """An exact store's serialize() blob as (its point message, its store
-    message): the point message's header gives d and its number of
-    rows, of d + 2 values each, and the width byte after it the bytes of
-    a value."""
-    d, rows = struct.unpack_from("<HI", blob, 6)
-    end = 13 + rows * (d + 2) * blob[12]
-    return blob[:end], blob[end:]
+def exact_content(blob: bytes, grid, level: int) -> tuple:
+    """The content an exact message of one store carries, as dicts:
+    {lattice: count}, its point rows' multiplicities summed per cell at
+    level plus its residual rows, zeros dropped, and {Point: multiplicity}
+    of its point rows."""
+    d = grid.d
+    parsed = cellstore.parse_exact(blob, grid)
+    assert parsed.stores == 1
+    points = {Point(tuple(r[:d]), r[d]): r[d + 1]
+              for r in parsed.points.tolist()}
+    counts = {}
+    cells = [(grid.lattice_of(p.coords, level), m) for p, m in points.items()]
+    cells += [(tuple(lat), r) for _, *lat, r in parsed.cells.tolist()]
+    for lat, m in cells:
+        counts[lat] = counts.get(lat, 0) + m
+    return {lat: c for lat, c in counts.items() if c}, points
+
+
+def read_exact(store, *blobs):
+    """The CellData that exact messages of one store describe under
+    store's level and caps, read as the coordinator reads its machines'
+    messages (cellstore.parse_exact, cellstore.merge_exact): their point
+    rows summed per point into one table in sort_key order and counted in
+    their cells, and their residual rows added."""
+    grid, d = store.grid, store.grid.d
+    parsed = [cellstore.parse_exact(blob, grid) for blob in blobs]
+    assert all(p.stores == 1 for p in parsed)
+    mults = {}
+    for p in parsed:
+        for *coords, tag, m in p.points.tolist():
+            point = Point(tuple(coords), tag)
+            mults[point] = mults.get(point, 0) + m
+    points = sorted(mults)
+    coords = np.array([p.coords for p in points],
+                      dtype=np.int64).reshape(-1, d)
+    cells = np.concatenate([np.empty((0, d + 1), dtype=np.int64),
+                            *(p.cells[:, 1:] for p in parsed)])
+    return cellstore.merge_exact(
+        store, cells, points, np.arange(len(points)),
+        np.array([mults[p] for p in points], dtype=np.int64),
+        grid.lattices(coords, store.level))
 
 
 def part_taus(tau_part) -> dict:

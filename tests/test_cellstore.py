@@ -12,7 +12,7 @@ from capacore.cellstore import (ExactCellStore, SketchCellStore, deserialize,
 from capacore.common import Fail, UsageError, is_fail
 from capacore.geometry import TAG_SPACE, GridHierarchy, Point
 
-from conftest import cell_dicts, rand_points, split_exact
+from conftest import cell_dicts, exact_content, rand_points, read_exact
 
 GRID = GridHierarchy.from_seed(21, 8, 2)
 LEVEL = 2
@@ -239,6 +239,25 @@ def test_merge_parameter_mismatch():
         merge(a, c)
 
 
+def _read_back(store, blob):
+    """The finalize() of the content that blob, store's serialize(),
+    carries: a sketch deserialized, an exact message read as the
+    coordinator reads it."""
+    if isinstance(store, SketchCellStore):
+        return deserialize(blob, store.grid).finalize()
+    return read_exact(store, blob)
+
+
+def _wire_store(store):
+    """An exact store of store's level, caps and seed holding the content
+    its serialize() carries (exact_content)."""
+    back = ExactCellStore(store.grid, store.level, store.alpha, store.beta,
+                          store.seed)
+    back.counts, back.points = exact_content(store.serialize(), store.grid,
+                                             store.level)
+    return back
+
+
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
 def test_serialize_roundtrip(backing, rng):
     store = make_store(backing, GRID, LEVEL, 100, 2, seed=9)
@@ -246,23 +265,21 @@ def test_serialize_roundtrip(backing, rng):
         store.update(p, +1)
     blob = store.serialize()
     assert len(blob) > 0
-    back = deserialize(blob, GRID)
-    assert back.finalize() == store.finalize()
+    assert _read_back(store, blob) == store.finalize()
 
 
 def test_serialized_wire_preserves_merged_finalize(rng):
     # heavy-local cells ship without points, but cells light in the union
-    # are light in every shard, so merged finalize output is unchanged
+    # are light in every shard, so the read of the shards' messages is
+    # the merged finalize output
     pts = rand_points(rng, 90, 8)
     full = ExactCellStore(GRID, LEVEL, 1000, 2)
     shards = [ExactCellStore(GRID, LEVEL, 1000, 2) for _ in range(3)]
     for i, p in enumerate(pts):
         full.update(p, +1)
         shards[i % 3].update(p, +1)
-    wire_merged = deserialize(shards[0].serialize(), GRID)
-    for s in shards[1:]:
-        wire_merged.merge_in(deserialize(s.serialize(), GRID))
-    assert wire_merged.finalize() == full.finalize()
+    assert read_exact(full, *(s.serialize() for s in shards)) \
+        == full.finalize()
 
 
 def test_sketch_recovery_success_rate(rng):
@@ -322,14 +339,15 @@ def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
                if store.counts.get(cell_of[p], 0) <= 2}
     assert store.points[same[0]] == -1 and same[0] in shipped
     blob = store.serialize()
-    back = deserialize(blob, GRID)
-    assert back.counts == store.counts
-    assert back.points == shipped
-    assert back.serialize() == blob
-    # the wire length, every value fitting one byte: the point message
-    # (header, width byte, one row per shipped point), then the store
-    # message (header, width byte, one (lattice, residual) row per cell
-    # whose count is not its shipped points' multiplicities summed)
+    assert exact_content(blob, GRID, LEVEL) == (store.counts, shipped)
+    assert read_exact(store, blob) == store.finalize()
+    parsed = cellstore.parse_exact(blob, GRID)
+    assert cellstore.encode_exact(parsed.points, parsed.cells, 1) == blob
+    # the wire length, every value fitting one byte: the 20-byte header,
+    # the point section (width byte, one row per shipped point), then the
+    # residual section (width byte, one (store position, lattice, residual)
+    # row per cell whose count is not its shipped points' multiplicities
+    # summed)
     d = GRID.d
     residual = dict(store.counts)
     for p, m in shipped.items():
@@ -337,45 +355,43 @@ def test_exact_blob_roundtrips_signed_content_at_the_wire_length():
     residual = {c: r for c, r in residual.items() if r}
     assert residual == {c: n for c, n in store.counts.items() if n > 2}
     assert heavy in residual and lat not in residual
-    head, body = split_exact(blob)
-    assert len(head) == 13 + len(shipped) * (d + 2)
-    assert len(body) == 39 + len(residual) * (d + 1)
-    rows = cellstore.parse_points(head, GRID)
+    assert len(blob) == 20 + 1 + len(shipped) * (d + 2) \
+        + 1 + len(residual) * (d + 2)
     assert {Point(tuple(r[:d]), r[d]): r[d + 1]
-            for r in rows.tolist()} == shipped
-    parsed = cellstore.parse_exact(body, GRID)
-    assert [(tuple(r[:d]), r[d]) for r in parsed.cells.tolist()] \
+            for r in parsed.points.tolist()} == shipped
+    assert [(tuple(r[1:d + 1]), r[d + 1]) for r in parsed.cells.tolist()] \
         == sorted(residual.items())
+    assert not parsed.cells[:, 0].any()
     cells = set(store.counts) | set(cell_of.values())
     n = sum(map(abs, store.points.values()))
-    assert len(head) <= cellstore.points_blob_bound(d, GRID.Delta, n)
-    assert len(body) <= cellstore.exact_blob_bound(d, GRID.Delta,
-                                                   len(cells), n)
+    assert len(blob) <= cellstore.machine_blob_bound(d, GRID.Delta, n,
+                                                     [len(cells)])
 
 
 def test_blob_bounds_are_met_when_every_cell_is_light_or_heavy():
-    # the largest tag needs the point message's 8 bytes per value, and
-    # n = 30 points at Delta = 8 one byte per value of the store message.
-    # Every cell light lists every point and sends no residual row; every
-    # cell heavy (beta 0) lists none and sends one residual row per cell
+    # the largest tag needs the point section's 8 bytes per value, and
+    # n = 30 points at Delta = 8 one byte per value of the residual
+    # section.  Every cell light lists every point and sends no residual
+    # row: the bound of a store with no residual row.  Every cell heavy
+    # (beta 0) lists none and sends one residual row per cell: the bound
+    # less its n point rows
     pts = rand_points(random.Random(6), 30, 8)
     pts[7] = Point(pts[7].coords, TAG_SPACE - 2)
-    n = len(set(pts))
+    n, d = len(set(pts)), GRID.d
     for beta in (100, 0):
         store = ExactCellStore(GRID, LEVEL, 100, beta)
         for p in pts:
             store.update(p, +1)
-        head, body = split_exact(store.serialize())
+        blob = store.serialize()
         cells = len(store.counts)
         assert cells < n
+        bound = cellstore.machine_blob_bound(d, GRID.Delta, n, [cells])
+        assert len(blob) <= bound
         if beta:
-            assert len(head) == cellstore.points_blob_bound(GRID.d,
-                                                            GRID.Delta, n)
-            assert len(body) == 39
+            assert len(blob) == cellstore.machine_blob_bound(
+                d, GRID.Delta, n, [0])
         else:
-            assert len(head) == 13
-            assert len(body) == cellstore.exact_blob_bound(
-                GRID.d, GRID.Delta, cells, n)
+            assert len(blob) == bound - n * (d + 2) * 8
 
 
 def _filled(backing):
@@ -385,86 +401,93 @@ def _filled(backing):
     return store
 
 
+def _reader(backing):
+    """The reader of a serialized store of backing."""
+    return cellstore.parse_exact if backing == "exact" else deserialize
+
+
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
 def test_blob_with_trailing_bytes_is_a_usage_error(backing):
     blob = _filled(backing).serialize()
+    if backing == "exact":  # both sections hold rows
+        parsed = cellstore.parse_exact(blob, GRID)
+        assert len(parsed.points) and len(parsed.cells)
     for extra in (b"\0", bytes(3), bytes(8)):
-        with pytest.raises(UsageError, match="bytes after the last"):
-            deserialize(blob + extra, GRID)
-    if backing == "exact":
-        head, body = split_exact(blob)
-        assert len(cellstore.parse_exact(body, GRID).cells)
-        with pytest.raises(UsageError, match="8 bytes after the last"):
-            cellstore.parse_exact(body + bytes(8), GRID)
+        with pytest.raises(UsageError,
+                           match=f"{len(extra)} bytes after the last"):
+            _reader(backing)(blob + extra, GRID)
 
 
 def test_point_message_with_trailing_bytes_is_a_usage_error():
-    head, body = split_exact(_filled("exact").serialize())
-    assert len(cellstore.parse_points(head, GRID))
-    for extra in (b"\0", bytes(3), bytes(8), body):
+    # an exact message read whole: bytes after it, a second message among
+    # them, are a usage error
+    blob = _filled("exact").serialize()
+    assert len(cellstore.parse_exact(blob, GRID).points)
+    for extra in (b"\0", bytes(3), bytes(8), blob):
         with pytest.raises(UsageError,
                            match=f"{len(extra)} bytes after the last section "
-                                 f"of an exact point message"):
-            cellstore.parse_points(head + extra, GRID)
+                                 f"of an exact message"):
+            cellstore.parse_exact(blob + extra, GRID)
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
 def test_truncated_blob_is_a_usage_error(backing):
     blob = _filled(backing).serialize()
+    read = _reader(backing)
     # cutting 1 to 16 bytes, leaving 0 to 47, and cuts between
     cuts = set(range(1, 17)) | set(range(len(blob) - 47, len(blob) + 1))
     cuts |= set(range(13, len(blob), 13))
     for cut in sorted(cuts):
         with pytest.raises(UsageError):
-            deserialize(blob[:len(blob) - cut], GRID)
+            read(blob[:len(blob) - cut], GRID)
     with pytest.raises(UsageError, match="truncated"):
-        deserialize(blob[:-3], GRID)
-    if backing == "exact":
-        head, body = split_exact(blob)
-        for cut in range(1, len(body) + 1):
+        read(blob[:-3], GRID)
+    if backing == "exact":  # every cut, in the header or either section
+        for cut in range(1, len(blob) + 1):
             with pytest.raises(UsageError, match="truncated"):
-                cellstore.parse_exact(body[:len(body) - cut], GRID)
+                read(blob[:len(blob) - cut], GRID)
 
 
 def test_truncated_point_message_is_a_usage_error():
-    head, _ = split_exact(_filled("exact").serialize())
-    for cut in range(1, len(head) + 1):
+    # a message cut in its point section: its header holds, its point
+    # rows (one byte per value) fall short
+    blob = _filled("exact").serialize()
+    points = cellstore.parse_exact(blob, GRID).points
+    assert blob[20] == 1 and len(points)
+    for end in range(20, 21 + points.size):
         with pytest.raises(UsageError, match="truncated"):
-            cellstore.parse_points(head[:len(head) - cut], GRID)
+            cellstore.parse_exact(blob[:end], GRID)
 
 
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
 def test_blob_of_another_dimension_is_a_usage_error(backing):
-    blob = _filled(backing).serialize()
+    store = _filled(backing)
+    blob = store.serialize()
     grid3 = GridHierarchy.from_seed(21, 8, 3)
     with pytest.raises(UsageError, match="2-d, the grid 3-d"):
-        deserialize(blob, grid3)
-    if backing == "exact":
-        head, body = split_exact(blob)
-        with pytest.raises(UsageError, match="2-d, the grid 3-d"):
-            cellstore.parse_exact(body, grid3)
+        _reader(backing)(blob, grid3)
     # the blob itself is sound
-    assert deserialize(blob, GRID).finalize() == _filled(backing).finalize()
+    assert _read_back(store, blob) == store.finalize()
 
 
 def test_point_message_of_another_dimension_is_a_usage_error():
-    head, _ = split_exact(_filled("exact").serialize())
-    grid3 = GridHierarchy.from_seed(21, 8, 3)
-    with pytest.raises(UsageError, match="2-d, the grid 3-d"):
-        cellstore.parse_points(head, grid3)
-    assert cellstore.parse_points(head, GRID).shape[1] == 4
+    # a message whose point rows and residual rows hold 3 coordinates
+    parsed = cellstore.parse_exact(_filled("exact").serialize(), GRID)
+    blob = cellstore.encode_exact(
+        np.insert(parsed.points, 0, parsed.points[:, 0], axis=1),
+        np.insert(parsed.cells, 1, parsed.cells[:, 1], axis=1), 1)
+    with pytest.raises(UsageError, match="3-d, the grid 2-d"):
+        cellstore.parse_exact(blob, GRID)
+    back = cellstore.parse_exact(blob, GridHierarchy.from_seed(21, 8, 3))
+    assert back.points.shape[1] == back.cells.shape[1] == 5
 
 
-def test_store_message_with_no_point_message_is_a_usage_error():
-    head, body = split_exact(_filled("exact").serialize())
-    for blob in (body, body + head):
-        with pytest.raises(UsageError, match="no point message before it"):
-            deserialize(blob, GRID)
-        with pytest.raises(UsageError, match="no point message before it"):
-            cellstore.parse_points(blob, GRID)
-    # a point message is not a store message either
+def test_a_blob_of_the_other_backing_is_a_usage_error():
+    exact, sketch = (_filled(b).serialize() for b in ("exact", "sketch"))
+    with pytest.raises(UsageError, match="not a sketch cell-store blob"):
+        deserialize(exact, GRID)
     with pytest.raises(UsageError, match="not an exact cell-store message"):
-        cellstore.parse_exact(head, GRID)
+        cellstore.parse_exact(sketch, GRID)
 
 
 @pytest.mark.parametrize("beta", [0, 2, 100])
@@ -473,7 +496,7 @@ def test_merge_exact_equals_the_fold_on_signed_blobs(beta):
     # blobs, a multiplicity and a cell count go negative, a cell's count
     # returns to 0 while its points still ship (at beta 0 the stores keep
     # and ship counts only); cell caps above, at and below the merged cell
-    # count
+    # count.  The fold merges the content each blob carries
     rng = random.Random(41)
     pool = rand_points(rng, 40, 8)
     pool.insert(1, Point(pool[0].coords, 99))
@@ -485,50 +508,23 @@ def test_merge_exact_equals_the_fold_on_signed_blobs(beta):
                  for _ in range(3)]
         for i, (p, sign) in enumerate(updates):
             parts[i % 3].update(p, sign)
-        blobs = [part.serialize() for part in parts]
         fold = ExactCellStore(GRID, LEVEL, alpha, beta, seed=3)
-        for blob in blobs:
-            fold.merge_in(deserialize(blob, GRID))
-        return fold, [cellstore.parse_points(split_exact(blob)[0], GRID)
-                      for blob in blobs], [
-            cellstore.parse_exact(split_exact(blob)[1], GRID)
-            for blob in blobs]
+        for part in parts:
+            fold.merge_in(_wire_store(part))
+        return fold, [part.serialize() for part in parts]
 
-    fold, _, parsed = fold_and_blobs(200)
+    fold, _ = fold_and_blobs(200)
     cells = len(fold.counts)
     assert any(c < 0 for c in fold.counts.values())
     for alpha in (200, cells, cells - 1):
-        fold, messages, parsed = fold_and_blobs(alpha)
-        listed = _summed(messages)
-        assert len(listed[0]) == len({tuple(row) for m in messages
-                                      for row in m[:, :-1].tolist()})
+        fold, blobs = fold_and_blobs(alpha)
         want = fold.finalize()
-        got = cellstore.merge_exact(fold, parsed, *listed)
+        got = read_exact(fold, *blobs)
         assert is_fail(want) == (alpha < cells)
         if is_fail(want):
             assert is_fail(got)
             continue
         assert got == want
-    with pytest.raises(UsageError, match="different level/caps/seeds"):
-        cellstore.merge_exact(ExactCellStore(GRID, LEVEL, alpha, beta, seed=4),
-                              parsed, *listed)
-
-
-def _summed(messages):
-    """merge_exact's listed points over the rows of parsed point messages:
-    a table of each distinct point once in sort_key order, its row ids,
-    its multiplicities summed over the messages, and its cells at LEVEL."""
-    mults = {}
-    for rows in messages:
-        for *coords, tag, m in rows.tolist():
-            p = Point(tuple(coords), tag)
-            mults[p] = mults.get(p, 0) + m
-    points = sorted(mults)
-    coords = np.array([p.coords for p in points],
-                      dtype=np.int64).reshape(-1, GRID.d)
-    return (points, np.arange(len(points)),
-            np.array([mults[p] for p in points], dtype=np.int64),
-            GRID.lattices(coords, LEVEL))
 
 
 # the edges of each signed width: each case's values and the narrowest of
@@ -567,35 +563,30 @@ def test_a_section_takes_the_narrowest_width_that_holds_it(values, width):
             cellstore._wide(blob[:1 + len(section) - cut], 1, len(values))
 
 
-def _point_message(rows, d, width):
-    """A point message written from the layout: header (magic, version 5,
-    kind 2, d, number of rows), width byte, rows."""
-    return struct.pack("<4sBBHI", b"CSTO", 5, 2, d, len(rows)) \
-        + bytes([width]) + np.array(rows, f"<i{width}").tobytes()
+def _message(points, cells, width, cell_width, stores=1, d=2):
+    """An exact message written from the layout: the header (magic,
+    version 6, kind 0, d, numbers of point rows, residual rows and
+    stores), then each section's width byte and rows."""
+    return struct.pack("<4sBBHIII", b"CSTO", 6, 0, d, len(points),
+                       len(cells), stores) \
+        + bytes([width]) + np.array(points, f"<i{width}").tobytes() \
+        + bytes([cell_width]) + np.array(cells, f"<i{cell_width}").tobytes()
 
 
-def _store_message(cells, width, seed=9, d=2):
-    """A store message of GRID's level LEVEL, caps (100, 2), written from
-    the layout: header (magic, version 5, kind 0, level, d, alpha, beta,
-    seed, number of residual rows), width byte, rows."""
-    return struct.pack("<4sBBhHddqI", b"CSTO", 5, 0, LEVEL, d, 100.0, 2.0,
-                       seed, len(cells)) \
-        + bytes([width]) + np.array(cells, f"<i{width}").tobytes()
-
-
-def test_exact_messages_follow_the_v5_layout():
+def test_exact_messages_follow_the_v6_layout():
     store = _filled("exact")
-    head, body = split_exact(store.serialize())
-    table = cellstore.parse_points(head, GRID)
-    parsed = cellstore.parse_exact(body, GRID)
-    assert head == _point_message(table.tolist(), 2, 1)
-    assert body == _store_message(parsed.cells.tolist(), 1)
-    # a residual row per cell over beta 2, holding its count; the light
-    # cells' counts are their listed rows' multiplicities
-    assert parsed.cells.shape[1] == GRID.d + 1
-    assert {tuple(r[:-1]): r[-1] for r in parsed.cells.tolist()} == \
+    blob = store.serialize()
+    parsed = cellstore.parse_exact(blob, GRID)
+    assert blob == _message(parsed.points.tolist(), parsed.cells.tolist(),
+                            1, 1)
+    # a residual row per cell over beta 2, at store position 0, holding its
+    # count; the light cells' counts are their listed rows' multiplicities
+    assert parsed.stores == 1 and parsed.cells.shape[1] == GRID.d + 2
+    assert not parsed.cells[:, 0].any()
+    assert {tuple(r[1:-1]): r[-1] for r in parsed.cells.tolist()} == \
         {lat: c for lat, c in store.counts.items() if c > 2}
-    assert len(table) == sum(c for c in store.counts.values() if c <= 2)
+    assert len(parsed.points) == sum(c for c in store.counts.values()
+                                     if c <= 2)
 
 
 def _wide_store(Delta, tag):
@@ -616,62 +607,51 @@ def _wide_store(Delta, tag):
     (1 << 40, TAG_SPACE - 2, 8), (1 << 62, TAG_SPACE - 2, 8)])
 def test_wide_values_roundtrip_and_every_cut_is_truncated(Delta, tag, width):
     # coordinates up to Delta = 2**62 and tags up to 2**32 - 2 give the
-    # point message 8 bytes per value
+    # point section 8 bytes per value
     grid, store = _wide_store(Delta, tag)
     blob = store.serialize()
-    head, body = split_exact(blob)
-    assert head[12] == width
-    back = deserialize(blob, grid)
-    assert (back.counts, back.points) == (store.counts, store.points)
-    assert back.finalize() == store.finalize()
+    assert blob[20] == width
+    assert exact_content(blob, grid, 1) == (store.counts, store.points)
+    assert read_exact(store, blob) == store.finalize()
     n = sum(map(abs, store.points.values()))
     cells = len(set(store.counts) | {grid.lattice_of(p.coords, 1)
                                      for p in store.points})
-    assert len(head) <= cellstore.points_blob_bound(2, Delta, n)
-    assert len(body) <= cellstore.exact_blob_bound(2, Delta, cells, n)
-    for cut in range(1, len(head) + 1):
+    assert len(blob) <= cellstore.machine_blob_bound(2, Delta, n, [cells])
+    for cut in range(1, len(blob) + 1):
         with pytest.raises(UsageError, match="truncated"):
-            cellstore.parse_points(head[:len(head) - cut], grid)
-    for cut in range(1, len(body) + 1):
-        with pytest.raises(UsageError, match="truncated"):
-            cellstore.parse_exact(body[:len(body) - cut], grid)
-    for cut in range(1, len(body) + 1):
-        with pytest.raises(UsageError, match="truncated"):
-            deserialize(blob[:len(blob) - cut], grid)
+            cellstore.parse_exact(blob[:len(blob) - cut], grid)
 
 
 @pytest.mark.parametrize("bad", [0, 3, 16])
 def test_a_width_byte_other_than_1_2_4_8_is_a_usage_error(bad):
-    head, body = split_exact(_filled("exact").serialize())
-    assert len(cellstore.parse_exact(body, GRID).cells)
-    # the point message's section, and the store message's
-    assert body[38] == head[12] == 1
-    for blob, at in ((head, 12), (body, 38)):
+    blob = _filled("exact").serialize()
+    parsed = cellstore.parse_exact(blob, GRID)
+    assert len(parsed.cells)
+    # the point section's width byte, and the residual section's
+    second = 21 + parsed.points.size
+    assert blob[20] == blob[second] == 1
+    for at in (20, second):
         bent = blob[:at] + bytes([bad]) + blob[at + 1:]
         with pytest.raises(UsageError, match=f"width byte {bad} in an exact"):
-            if blob is head:
-                cellstore.parse_points(bent, GRID)
-            else:
-                cellstore.parse_exact(bent, GRID)
-        with pytest.raises(UsageError, match=f"width byte {bad} in an exact"):
-            deserialize(bent if blob is head else head + bent, GRID)
+            cellstore.parse_exact(bent, GRID)
 
 
 def test_a_residual_section_is_read_at_its_width_and_length():
-    # residual rows of either sign at each width; a section one row short,
-    # and bytes after it
-    for cells, width in (([[0, 0, 3], [1, -2, -1]], 1),
-                         ([[0, 0, 300], [-4, 4, -129]], 2),
-                         ([[5, 5, 1 << 40]], 8)):
-        blob = _store_message(cells, width)
+    # residual rows of either sign at each width, at store positions 0 and
+    # 1 of 2; a section one row short, and bytes after it
+    for cells, width in (([[0, 0, 0, 3], [1, 1, -2, -1]], 1),
+                         ([[0, 0, 0, 300], [1, -4, 4, -129]], 2),
+                         ([[1, 5, 5, 1 << 40]], 8)):
+        blob = _message([], cells, 1, width, stores=2)
         assert cellstore.parse_exact(blob, GRID).cells.tolist() == cells
         with pytest.raises(UsageError, match="truncated"):
-            cellstore.parse_exact(blob[:-3 * width], GRID)
+            cellstore.parse_exact(blob[:-4 * width], GRID)
         with pytest.raises(UsageError, match="1 bytes after the last section"):
             cellstore.parse_exact(blob + b"\0", GRID)
-    empty = _store_message([], 1)
-    assert len(empty) == 39
-    assert cellstore.parse_exact(empty, GRID).cells.shape == (0, GRID.d + 1)
+    empty = _message([], [], 1, 1)
+    assert len(empty) == 22
+    parsed = cellstore.parse_exact(empty, GRID)
+    assert parsed.points.shape == parsed.cells.shape == (0, GRID.d + 2)
 
 
 def _one_cell_pair():
@@ -693,9 +673,10 @@ def test_a_cell_of_count_0_listing_points_survives_the_wire():
     store.update(Point((8, 8), 5), +1)
     assert lat not in store.counts and len(store.points) == 3
     blob = store.serialize()
-    back = deserialize(blob, GRID)
+    assert not len(cellstore.parse_exact(blob, GRID).cells)
+    back = _wire_store(store)
     assert (back.counts, back.points) == (store.counts, store.points)
-    assert back.finalize() == store.finalize()
+    assert read_exact(store, blob) == store.finalize()
     assert back.serialize() == blob
     # undoing both updates on either side gives the same store
     for s in (store, back):
@@ -713,9 +694,9 @@ def test_a_point_deleted_before_its_insertion_survives_the_wire():
     store.update(b, +1)
     store.update(b, +1)
     assert store.counts == {lat: 1} and store.points == {a: -1, b: 2}
-    back = deserialize(store.serialize(), GRID)
+    back = _wire_store(store)
     assert (back.counts, back.points) == (store.counts, store.points)
-    assert back.finalize() == store.finalize()
+    assert read_exact(store, store.serialize()) == store.finalize()
     # the insertion arrives after the wire, in either store
     inserted = ExactCellStore(GRID, LEVEL, 100, 2)
     inserted.update(a, +1)

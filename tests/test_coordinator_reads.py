@@ -1,8 +1,8 @@
 """Property test: a coordinator's read of every store equals the finalize()
 of an empty store into which the store each machine's messages describe
-was merged, with either backing: a sketch blob deserialized, or an exact
-store message read with the rows of its machine's point message that its
-Sampling key keeps."""
+was merged, with either backing: a sketch blob deserialized, or the
+residual rows of a store's position in an exact message read with the
+point rows of that message that its Sampling key keeps."""
 
 import pytest
 

@@ -10,7 +10,7 @@ from capacore.common import UsageError, derive_seed, is_fail
 from capacore.coreset import (Sampling, build_auto, dedup_points,
                               exact_threshold, finalize_cells, o_grid)
 from capacore.cellstore import (ExactCellStore, deserialize, encode_exact,
-                                encode_points, parse_exact, parse_points)
+                                parse_exact)
 from capacore.distributed import (ByteChannel, Coordinator, Machine,
                                   broadcast_blob, per_machine_byte_cap,
                                   run_protocol)
@@ -19,7 +19,7 @@ from capacore.hashing import KWiseHash, PointEncoder
 from capacore.params import FAMILIES, PRACTICAL, derive
 from capacore.streaming import StreamEngine
 
-from conftest import rand_points
+from conftest import exact_content, rand_points
 
 RATE1 = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
                mode=PRACTICAL, scale=1e-6)
@@ -65,34 +65,49 @@ def _reference_stores(machine, shard):
 
 def _wire_stores(machine):
     """The stores a machine's messages describe, in layout order: each
-    sketch blob deserialized, or each exact store message read after a
-    point message of the rows of the machine's that its key keeps
-    (serialize's layout)."""
+    sketch blob deserialized, or per store position of the exact message
+    an exact store of the layout's level, caps and seed fed by update the
+    point rows its key keeps, with their multiplicities, whose counts then
+    take the residual rows of its position."""
     layout = machine.layout
     grid, d = layout.grid, layout.grid.d
     messages = list(machine.wire_messages())
     if layout.backing == "sketch":
         return [deserialize(blob, grid) for blob in messages]
-    rows = parse_points(messages[0], grid)
-    points = [Point(tuple(r[:d]), r[d]) for r in rows.tolist()]
-    return [deserialize(encode_points(rows[_kept(layout, key, points)])
-                        + blob, grid)
-            for key, blob in zip(layout._stores, messages[1:])]
+    if not layout._stores:
+        assert not messages
+        return []
+    (message,) = messages
+    blob = parse_exact(message, grid)
+    assert blob.stores == len(layout._stores)
+    points = [Point(tuple(r[:d]), r[d]) for r in blob.points.tolist()]
+    stores = []
+    for i, (key, spec) in enumerate(layout._stores.items()):
+        store = ExactCellStore(grid, key[1], spec.alpha, spec.beta, spec.seed)
+        for p, m, keep in zip(points, blob.points[:, d + 1].tolist(),
+                              _kept(layout, key, points)):
+            if keep:
+                store.update(p, m)
+        for _, *lat, r in blob.cells[blob.cells[:, 0] == i].tolist():
+            count = store.counts.pop(tuple(lat), 0) + r
+            if count:
+                store.counts[tuple(lat)] = count
+        stores.append(store)
+    return stores
 
 
 def _shipped(store):
     """An exact store's content as its own wire carries it: its counts,
     and the points of its light cells with their multiplicities."""
-    back = deserialize(store.serialize(), store.grid)
-    return back.counts, back.points
+    return exact_content(store.serialize(), store.grid, store.level)
 
 
 def _point_rows(machine) -> dict:
-    """{Point: multiplicity} over the rows of an exact machine's point
+    """{Point: multiplicity} over the point rows of an exact machine's
     message, each point once."""
     d = machine.layout.grid.d
-    rows = parse_points(next(iter(machine.wire_messages())),
-                        machine.layout.grid).tolist()
+    (message,) = machine.wire_messages()
+    rows = parse_exact(message, machine.layout.grid).points.tolist()
     table = {Point(tuple(r[:d]), r[d]): r[d + 1] for r in rows}
     assert len(table) == len(rows)
     return table
@@ -160,36 +175,38 @@ def test_comm_bytes_grow_with_machines_and_stay_under_cap(rng):
 
 
 def _fixed_width_byte_cap(params, grid, o_values, n, width=8):
-    """per_machine_byte_cap with store rows at width bytes per value: the
-    broadcast and two counts; one point message (12-byte header, width
-    byte, 8 (d + 2) bytes per point, as its tags need 8); per store a
-    38-byte header, a width byte and at most min(n, cells) residual rows
-    of d + 1 values, and no row numbers."""
+    """per_machine_byte_cap with residual rows at width bytes per value:
+    the broadcast and two counts; one message of a 20-byte header, two
+    width bytes, 8 (d + 2) bytes per point (as its tags need 8) and per
+    store at most min(n, cells) residual rows of d + 2 values."""
     d = grid.d
     served = Sampling(params, grid, 0, exact_counts=False).served(o_values)
     total = len(broadcast_blob(params, grid, 0)) + 16
     if served:
-        total += 13 + n * 8 * (d + 2)
+        total += 22 + n * 8 * (d + 2)
     for _, lvl, _ in served:
         cells = min(n, (2 ** lvl + 1) ** d)
-        total += 39 + cells * (d + 1) * width
+        total += cells * (d + 2) * width
     return total
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("Delta", [8, 256, 1 << 40])
 def test_byte_cap_is_below_the_fixed_width_cap(d, Delta):
-    # lattices and counts of Delta 8 and 256 and n up to 8,000 take 2 bytes
-    # at most, those of Delta 2**40 take 8
+    # store positions, lattices and counts of Delta 8 and 256 and n up to
+    # 8,000 take 2 bytes at most, those of Delta 2**40 take 8
     grid = GridHierarchy.from_seed(derive_seed(4, "shift"), Delta, d)
     params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=d,
                     mode=PRACTICAL, scale=1e-6)
     for n in (5, 400, 8000):
         guesses = o_grid(n, params)
+        stores = len(Sampling(params, grid, 0, exact_counts=False)
+                     .served(guesses))
         cap = per_machine_byte_cap(params, grid, guesses, n)
         assert cap == _fixed_width_byte_cap(
             params, grid, guesses, n,
-            8 if Delta > 1 << 31 else 1 if max(Delta, n) < 128 else 2)
+            8 if Delta > 1 << 31 else 1 if max(Delta, n, stores) < 128
+            else 2)
         if Delta < 1 << 31:
             assert cap < _fixed_width_byte_cap(params, grid, guesses, n)
 
@@ -197,7 +214,7 @@ def test_byte_cap_is_below_the_fixed_width_cap(d, Delta):
 @pytest.mark.parametrize("backing", ["exact", "sketch"])
 def test_dist_equals_offline_where_wire_values_need_8_bytes(backing):
     # d = 1 at Delta = 2**40, tags up to the largest, 2**32 - 2: the exact
-    # point messages take 8 bytes per value and stay under the cap
+    # point sections take 8 bytes per value and stay under the cap
     Delta = 1 << 40
     params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=1,
                     mode=PRACTICAL, scale=1e-6)
@@ -210,10 +227,10 @@ def test_dist_equals_offline_where_wire_values_need_8_bytes(backing):
     core, comm = run_protocol(shards, params, seed=6, backing=backing)
     assert core == _offline(pts, params, 6, exact_counts=False)
     if backing == "exact":
-        heads = [next(iter(Machine(shard, Coordinator(
+        messages = [next(iter(Machine(shard, Coordinator(
             params, grid, 6, "exact", False, n_max=len(pts))).wire_messages()))
             for shard in shards]
-        assert all(head[12] == 8 for head in heads)
+        assert all(message[20] == 8 for message in messages)
         assert comm <= 3 * per_machine_byte_cap(params, grid,
                                                 o_grid(len(pts), params),
                                                 len(pts))
@@ -231,9 +248,9 @@ def test_sketch_backing_protocol(rng):
 @pytest.mark.parametrize("Delta", [8, 1 << 62])
 def test_run_protocol_lays_out_the_guesses_of_its_points(rng, monkeypatch,
                                                          Delta):
-    # one point message and one message per Sampling key of o_grid(n) for
-    # the run's n points, whatever Delta; no point lays out no store, sends
-    # no message and gives the empty coreset
+    # one message per machine, of one store per Sampling key of o_grid(n)
+    # for the run's n points, whatever Delta; no point lays out no store,
+    # sends no message and gives the empty coreset
     sent = []
     wire = Machine.wire_messages
 
@@ -253,7 +270,7 @@ def test_run_protocol_lays_out_the_guesses_of_its_points(rng, monkeypatch,
                                   params, seed=4)
         guesses = o_grid(len(pts), params)
         served = Sampling(params, grid, 4, exact_counts=False).served(guesses)
-        assert sent == [len(served) + 1 if served else 0] * 3
+        assert sent == [1 if served else 0] * 3
         assert bool(served) == (n > 0)
         assert comm <= 3 * per_machine_byte_cap(params, grid, guesses,
                                                 len(pts))
@@ -268,8 +285,8 @@ def test_run_protocol_lays_out_the_guesses_of_its_points(rng, monkeypatch,
 def test_machine_sends_each_distinct_store_once(rng, backing):
     # cell caps that grow with the guess: a shard is over some guesses'
     # caps and under others'; the machine sends every store all the same,
-    # one message each, in layout order (with the exact backing after the
-    # point message)
+    # with the sketch backing one message each, in layout order, and with
+    # the exact backing one message of every store
     params = _with_caps(lambda o: o / 2)
     pts = dedup_points(rand_points(rng, 30, 8))
     grid = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
@@ -289,14 +306,15 @@ def test_machine_sends_each_distinct_store_once(rng, backing):
     assert len({id(s) for s in engine._stores.values()}) == len(pooled)
     assert len(pooled) < len(triples)
     messages = list(machine.wire_messages())
-    assert len(messages) == len(pooled) + (backing == "exact")
+    assert len(messages) == (1 if backing == "exact" else len(pooled))
     if backing == "sketch":
         for blob, ref in zip(messages, refs):
             assert blob == ref.serialize()
         return
-    # an exact store message holds residual rows: its content, read with
-    # the point message's rows its key keeps, is the reference store's on
-    # the wire
+    # an exact message holds per store position residual rows: a store's
+    # content, read with the point rows its key keeps, is the reference
+    # store's on the wire
+    assert parse_exact(messages[0], grid).stores == len(pooled)
     stores = _wire_stores(machine)
     assert len(stores) == len(pooled)
     for store, ref in zip(stores, refs):
@@ -361,35 +379,65 @@ def test_absorb_rejects_a_machine_with_another_store_layout(rng):
         assert coord.net == 0 and channel.total() == 0
         assert all(not store.counts and not store.points
                    for store in coord._stores.values())
-        assert not any(coord._blobs.values())
-
-
-def _one_more_column(messages):
-    head = parse_points(messages[0], GRID8)
-    return [encode_points(np.column_stack((head[:, :1], head)))] \
-        + messages[1:]
+        assert not coord._points and not any(coord._residuals.values())
 
 
 GRID8 = GridHierarchy.from_seed(derive_seed(8, "shift"), 8, 2)
+
+
+def _rebuilt(messages, points=None, cells=None, stores=None):
+    """A machine's one message with its point rows, residual rows or store
+    count replaced where given."""
+    blob = parse_exact(messages[0], GRID8)
+    return [encode_exact(blob.points if points is None else points,
+                         blob.cells if cells is None else cells,
+                         blob.stores if stores is None else stores)]
+
+
+def _one_more_column(messages):
+    points = parse_exact(messages[0], GRID8).points
+    return _rebuilt(messages, np.column_stack((points[:, :1], points)),
+                    np.empty((0, 5), dtype=np.int64))
+
+
 def _one_row_bent(messages, column, value):
-    head = parse_points(messages[0], GRID8)
-    head[-1, column] = value
-    return [encode_points(head)] + messages[1:]
+    points = parse_exact(messages[0], GRID8).points.copy()
+    points[-1, column] = value
+    return _rebuilt(messages, points)
 
 
+def _residual_rows(messages, *positions):
+    """The message with one residual row of count 1 in cell (0, 0) per
+    store position of positions, in their order."""
+    return _rebuilt(messages, cells=np.array(
+        [[i, 0, 0, 1] for i in positions], dtype=np.int64).reshape(-1, 4))
+
+
+# RATE1 lays out 4 stores on GRID8, and its machines send no residual row
 MALFORMED = {
     "point-row-of-multiplicity-0": (
         lambda m: _one_row_bent(m, 3, 0), "multiplicity below 1"),
     "point-row-outside-the-domain": (
         lambda m: _one_row_bent(m, 0, 9), "outside the domain"),
-    "no-point-message": (lambda m: m[1:], "no point message before it"),
-    "truncated-point-message": (lambda m: [m[0][:-1]] + m[1:], "truncated"),
+    # the residual section's width byte and the last point byte cut
+    "truncated-point-message": (lambda m: [m[0][:-2]], "truncated"),
+    # 8 bytes between the sections: the residual width byte reads 0
     "point-message-with-trailing-bytes": (
-        lambda m: [m[0] + bytes(8)] + m[1:],
-        "8 bytes after the last section of an exact point message"),
+        lambda m: [m[0][:-1] + bytes(8) + m[0][-1:]], "width byte 0"),
     "point-message-of-another-dimension": (_one_more_column,
                                            "3-d, the grid 2-d"),
-    "a-store-message-short": (lambda m: m[:-1], "store messages for"),
+    "store-count-other-than-the-layouts": (
+        lambda m: _rebuilt(m, stores=5), "of 5 stores for 4 stores"),
+    "store-position-past-the-store-count": (
+        lambda m: _residual_rows(m, 0, 4), "store position outside"),
+    "store-positions-out-of-order": (
+        lambda m: _residual_rows(m, 1, 0), "out of store order"),
+    "truncated-residual-section": (
+        lambda m: [_residual_rows(m, 0)[0][:-1]], "truncated"),
+    "trailing-bytes": (
+        lambda m: [m[0] + bytes(8)],
+        "8 bytes after the last section of an exact message"),
+    "a-second-message": (lambda m: m * 2, "2 exact messages"),
 }
 
 
@@ -409,7 +457,7 @@ def test_coordinator_rejects_malformed_exact_messages(rng, monkeypatch,
     with pytest.raises(UsageError, match=why):
         coord.absorb(machine, ByteChannel())
     assert coord.net == 0 and not coord._points
-    assert not any(coord._blobs.values())
+    assert not any(coord._residuals.values())
     monkeypatch.setattr(Machine, "wire_messages", wire)
     coord.absorb(machine, ByteChannel())
     assert coord.finalize() == _offline(pts, RATE1, 8, exact_counts=False)
@@ -423,8 +471,8 @@ def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
     # hashed keys, keys that keep every point and, below Delta 2**62, keys
     # that keep none; beta = 1 ships no point of a cell of count 2.  For
     # every key the content a machine's messages carry equals an exact
-    # store fed the shard point by point, and the point message holds
-    # exactly the rows some store message lists
+    # store fed the shard point by point, and the point rows are exactly
+    # the rows some store lists
     base = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=2,
                   mode=PRACTICAL, scale=scale)
     params = _with_caps(lambda o: math.inf,
@@ -459,7 +507,7 @@ def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
         lat = grid.lattice_of(pts[0].coords, store.level)
         assert store.counts[lat] >= 3
         assert store.points.get(pts[0]) == (None if beta == 1 else 2)
-    # the point message: one row, or at beta = 1 none, since every store
+    # the point rows: one row, or at beta = 1 none, since every store
     # that keeps the point counts at least 2 in its cell
     assert _point_rows(machine).get(pts[0]) == (None if beta == 1 else 2)
 
@@ -467,31 +515,29 @@ def test_exact_machine_blobs_equal_stores_fed_point_by_point(rng, Delta,
 def test_one_machine_ships_each_point_once_for_every_keep_all_store(rng):
     # RATE1 keeps every point at every level, in L + 1 stores whose caps
     # list every cell's points.  Every wire value fits one byte: the
-    # machine sends each point's d + 2 bytes once, in its point message,
-    # and per store a header and an empty residual section
+    # machine sends one message, each point's d + 2 bytes once in its
+    # point section, and an empty residual section
     pts = dedup_points(rand_points(rng, 60, 8))
     grid = GridHierarchy.from_seed(derive_seed(4, "shift"), 8, 2)
     coord = Coordinator(RATE1, grid, 4, "exact", False, n_max=len(pts))
     machine = Machine(pts, coord)
     assert [key[:2] for key in coord._stores] == \
         [(None, lvl) for lvl in range(grid.L + 1)]
-    messages = list(machine.wire_messages())
-    head, bodies = messages[0], messages[1:]
-    assert len(bodies) == grid.L + 1
+    (message,) = machine.wire_messages()
     d = grid.d
-    assert len(head) == 13 + len(pts) * (d + 2)
+    assert len(message) == 20 + 1 + len(pts) * (d + 2) + 1
+    assert message[-1:] == b"\x01"
+    assert parse_exact(message, grid).stores == grid.L + 1
     assert set(_point_rows(machine)) == set(pts)
-    for body in bodies:
-        store = deserialize(head + body, grid)
+    for store in _wire_stores(machine):
         assert set(store.points) == set(pts)
         assert sum(store.counts.values()) == len(pts)
-        assert len(body) == 39
-    # the wire total: the broadcast, the two counts and the messages
+    # the wire total: the broadcast, the two counts and the message
     channel = ByteChannel()
     bcast = broadcast_blob(RATE1, grid, 4)
     channel.send_to_machine(bcast + struct.pack("<q", len(pts)))
     coord.absorb(machine, channel)
-    assert channel.total() == len(bcast) + 16 + sum(map(len, messages))
+    assert channel.total() == len(bcast) + 16 + len(message)
     assert coord.finalize() == _offline(pts, RATE1, 4, exact_counts=False)
 
 
@@ -513,10 +559,11 @@ def _recorded(monkeypatch):
 def test_rate_one_store_messages_are_headers_and_comm_is_exact(
         rng, monkeypatch, exact_counts):
     # RATE1 keeps every point in stores whose caps make every cell light,
-    # so each machine's point message lists its whole shard and every
-    # store message is its 38-byte header and an empty section (width
-    # byte 1, no row).  comm is exactly the broadcasts, the shard sizes,
-    # the point messages and those headers
+    # so each machine's one message lists its whole shard in its point
+    # section and has an empty residual section (width byte 1, no row):
+    # the stores are in its header alone, as its store count.  comm is
+    # exactly the broadcasts, the shard sizes and the messages: a 20-byte
+    # header, two width bytes and the point rows
     pts = dedup_points(rand_points(rng, 60, 8))
     grid = GridHierarchy.from_seed(derive_seed(4, "shift"), 8, 2)
     sent = _recorded(monkeypatch)
@@ -526,18 +573,14 @@ def test_rate_one_store_messages_are_headers_and_comm_is_exact(
         core, comm = run_protocol([pts[i::s] for i in range(s)], RATE1,
                                   seed=4, exact_counts=exact_counts)
         assert core == _offline(pts, RATE1, 4, exact_counts)
-        assert len(sent) == s
-        heads = [parse_points(messages[0], grid) for messages in sent]
-        assert sorted(Point(tuple(r[:2]), r[2]) for h in heads
-                      for r in h.tolist()) == sorted(pts)
-        stores = 0
-        for messages in sent:
-            for body in messages[1:]:
-                assert len(body) == 39 and body[38:] == b"\x01"
-                assert parse_exact(body, grid).cells.shape == (0, 3)
-                stores += 1
-        assert comm == s * (bcast + 8) + sum(len(m[0]) for m in sent) \
-            + 39 * stores
+        assert [len(messages) for messages in sent] == [1] * s
+        blobs = [parse_exact(message, grid) for (message,) in sent]
+        assert sorted(Point(tuple(r[:2]), r[2]) for blob in blobs
+                      for r in blob.points.tolist()) == sorted(pts)
+        for (message,), blob in zip(sent, blobs):
+            assert message[-1:] == b"\x01" and blob.cells.shape == (0, 4)
+            assert len(message) == 22 + len(blob.points) * 4
+        assert comm == s * (bcast + 8) + sum(len(m) for (m,) in sent)
 
 
 def _split_cell(layout, shards):
@@ -592,8 +635,8 @@ def test_small_beta_machines_ship_residual_rows_and_the_modes_agree(
     residual = 0
     for shard in shards:
         machine = Machine(shard, coord)
-        residual += sum(len(parse_exact(body, grid).cells)
-                        for body in list(machine.wire_messages())[1:])
+        (message,) = machine.wire_messages()
+        residual += len(parse_exact(message, grid).cells)
         coord.absorb(machine, ByteChannel())
     assert residual
     for key in coord._stores:
@@ -616,27 +659,33 @@ def test_small_beta_machines_ship_residual_rows_and_the_modes_agree(
 
 def test_a_kept_row_missing_from_the_point_table_is_a_usage_error(
         rng, monkeypatch):
-    # a machine that leaves a row out of its point message and counts it
-    # in a residual row of every store instead: at RATE1 its cells are
-    # light in the union, which then count one copy more than they list,
-    # and the coordinator's read rejects that
+    # a machine that leaves a row out of its point rows and counts it in a
+    # residual row of every store instead: at RATE1 its cells are light on
+    # the machine, where a residual row makes up a light cell's count.
+    # absorb rejects that and leaves the coordinator as it was; the
+    # machine's own message is then taken in
     pts = dedup_points(rand_points(rng, 30, 8))
     coord = Coordinator(RATE1, GRID8, 8, "exact", False, n_max=len(pts))
     machine = Machine(pts, coord)
-    messages = list(machine.wire_messages())
-    head = parse_points(messages[0], GRID8)
-    assert len(head) == len(pts)
-    *coords, tag, mult = head[-1].tolist()
-    bodies = [encode_exact(store, np.array(
-        [[*GRID8.lattice_of(coords, key[1]), mult]], dtype=np.int64))
-        for key, store in coord._stores.items()]
-    tampered = [encode_points(head[:-1])] + bodies
+    wire = Machine.wire_messages
+    (message,) = wire(machine)
+    blob = parse_exact(message, GRID8)
+    assert len(blob.points) == len(pts) and not len(blob.cells)
+    *coords, tag, mult = blob.points[-1].tolist()
+    tampered = encode_exact(blob.points[:-1], np.array(
+        [[i, *GRID8.lattice_of(coords, key[1]), mult]
+         for i, key in enumerate(coord._stores)], dtype=np.int64),
+        blob.stores)
     monkeypatch.setattr(Machine, "wire_messages",
-                        lambda self: iter(tampered))
+                        lambda self: iter([tampered]))
+    with pytest.raises(UsageError, match="residual row counts a cell of "
+                                         "at most its store's beta"):
+        coord.absorb(machine, ByteChannel())
+    assert coord.net == 0 and not coord._points
+    assert not any(coord._residuals.values())
+    monkeypatch.setattr(Machine, "wire_messages", wire)
     coord.absorb(machine, ByteChannel())
-    with pytest.raises(UsageError, match="a kept row of a light cell "
-                                         "missing from the point table"):
-        coord.finalize()
+    assert coord.finalize() == _offline(pts, RATE1, 8, exact_counts=False)
 
 
 @pytest.mark.parametrize("Delta", [8, 1 << 16])

@@ -23,7 +23,7 @@ from capacore.geometry import GridHierarchy, Point
 from capacore.params import PRACTICAL, derive
 from capacore.streaming import StreamEngine
 
-from conftest import clustered_points, rand_points, split_exact
+from conftest import clustered_points, rand_points, read_exact
 from test_distributed import RATE1, SAMPLING, _with_caps
 
 
@@ -148,20 +148,14 @@ def test_readout_matches_the_reference_on_store_dicts(d, log_delta, level):
 
 def _check_readout(store):
     """store.finalize() equals the reference, merge_exact over the store's
-    own point and store messages (its listed points counted, its residual
-    rows added), and a FAIL one cell below its cell count."""
+    own message read as the coordinator reads it (its listed points
+    counted, its residual rows added), and a FAIL one cell below its cell
+    count."""
     got = store.finalize()
     assert got == _from_dicts_reference(store.level, store.grid.d,
                                         store.counts, _light_of(store))
     _assert_table_in_order(got)
-    head, body = split_exact(store.serialize())
-    rows = cellstore.parse_points(head, store.grid)
-    blob = cellstore.parse_exact(body, store.grid)
-    d = store.grid.d
-    points = [Point(tuple(r[:d]), r[d]) for r in rows.tolist()]
-    assert cellstore.merge_exact(
-        store, [blob], points, np.arange(len(rows)), rows[:, d + 1],
-        store.grid.lattices(rows[:, :d], store.level)) == got
+    assert read_exact(store, store.serialize()) == got
     capped = ExactCellStore(store.grid, store.level, len(store.counts) - 1,
                             store.beta, store.seed)
     capped.counts, capped.points = store.counts, store.points
