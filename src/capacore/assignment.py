@@ -218,34 +218,6 @@ class TransportSolver:
         moves.reverse()
         return v, moves, end
 
-    def has_negative_residual_cycle(self) -> bool:
-        """Bellman-Ford over the residual graph on the centers and the sink.
-
-        Edges are recomputed from the shares, not read from the heaps;
-        False certifies that the routed plan is a min-cost one.
-        """
-        k = self.k
-        edges = []
-        for a in range(k):
-            held = [c for c, share in zip(self.costs, self.shares) if a in share]
-            for b in range(k):
-                if b != a and held:
-                    edges.append((a, b, min(c[b] - c[a] for c in held)))
-            if self.load[a] < self.caps[a]:
-                edges.append((a, k, 0))
-            if self.load[a]:
-                edges.append((k, a, 0))
-        dist = [0] * (k + 1)
-        for _ in range(k + 1):
-            changed = False
-            for u, v, c in edges:
-                if dist[u] + c < dist[v]:
-                    dist[v] = dist[u] + c
-                    changed = True
-            if not changed:
-                return False
-        return True
-
 
 def scaled_costs(table, scale) -> list:
     """round(dist^r * scale) per entry, rows as lists of Python ints."""
@@ -297,12 +269,6 @@ class FractionalAssignment:
             for j, units in alloc.items():
                 out[j] += units / self.scale
         return out
-
-    def split_points(self):
-        return [p for p, alloc in self.shares.items() if len(alloc) > 1]
-
-    def is_integral(self) -> bool:
-        return not self.split_points()
 
 
 def fractional_assign(points, weights, centers, t_cap, r,
@@ -404,11 +370,6 @@ def integralize(frac: FractionalAssignment, stats: dict | None = None) -> Assign
 
 # --- half-spaces and regions -------------------------------------------------
 
-def pair_key(x: Point, zi: Point, zj: Point, r: float):
-    """dist^r(x, zi) - dist^r(x, zj); exact integer for r == 2."""
-    return dist_pow(x, zi, r) - dist_pow(x, zj, r)
-
-
 @dataclass(frozen=True)
 class HalfSpace:
     """Prefix of [Delta]^d under the (key, alphabetic) order for one pair."""
@@ -419,31 +380,6 @@ class HalfSpace:
     kind: str          # "none" | "cut" | "all"
     cut_key: object = None
     cut_point: Point = None
-
-    def contains(self, x: Point) -> bool:
-        if self.kind == "none":
-            return False
-        if self.kind == "all":
-            return True
-        key = pair_key(x, self.zi, self.zj, self.r)
-        if key != self.cut_key:
-            return key < self.cut_key
-        return x.sort_key() <= self.cut_point.sort_key()
-
-
-def halfspace_member(halfspaces: dict, i: int, j: int, x: Point) -> bool:
-    """Membership in H_(i,j); for i > j this is the complement of H_(j,i)."""
-    if i < j:
-        return halfspaces[(i, j)].contains(x)
-    return not halfspaces[(j, i)].contains(x)
-
-
-def region_of(x: Point, halfspaces: dict, k: int) -> int:
-    """Region index in 0..k; region 0 collects points no center claims."""
-    for i in range(k):
-        if all(halfspace_member(halfspaces, i, j, x) for j in range(k) if j != i):
-            return i + 1
-    return 0
 
 
 def extract_halfspaces(points, mapping: dict, centers, r, table=None) -> dict:
@@ -474,11 +410,11 @@ def extract_halfspaces(points, mapping: dict, centers, r, table=None) -> dict:
 
 
 def regions(table, coords, tags, halfspaces: dict) -> np.ndarray:
-    """region_of over rows: each row's region index in 0..k, from its
-    dist_table row, its coordinates and its tag.  The half-spaces are
-    masks (key < cut_key, and on an equal key the sort key at most the cut
-    point's); a row's region is the first i whose k-1 memberships all
-    hold, else 0."""
+    """Each row's region index in 0..k, from its dist_table row, its
+    coordinates and its tag.  H_(i,j) is a mask: pair key dist^r(x, z_i) -
+    dist^r(x, z_j) below cut_key, or equal to it with the sort key at most
+    the cut point's; for i > j it is the complement of H_(j,i).  A row's
+    region is the first i whose k-1 memberships all hold, else 0."""
     m, k = table.shape
     contains = {}
     for (i, j), hs in halfspaces.items():

@@ -173,9 +173,6 @@ class ExactCellStore:
                 else:
                     del mine[key]
 
-    def cell_count(self):
-        return len(self.counts)
-
     def finalize(self):
         """CellData: FAIL above alpha nonempty cells, points recovered for the
         cells of count at most beta (merge_exact of the store's content)."""

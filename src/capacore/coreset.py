@@ -40,13 +40,13 @@ from .geometry import (NO_TAG, TAG_SPACE, GridHierarchy, Point,
                        check_domain, coord_array, format_point,
                        parse_point_line)
 from .hashing import KWiseHash, PointEncoder
-from .params import FAMILIES, Params, coreset_size_bound, parse_serialized
+from .params import FAMILIES, Params, parse_serialized
 from .partition import (PartitionStructure, lattice_array, mark_cells,
                         sorted_runs)
 
 __all__ = [
     "CoresetMeta", "WeightedCoreset", "OfflineBuilder", "build_for_o",
-    "build_auto", "coreset_size_bound", "o_grid", "dedup_points",
+    "build_auto", "o_grid", "dedup_points",
     "PointColumns", "Sampling", "finalize_cells", "search_o",
     "write_coreset", "read_coreset",
 ]
@@ -297,8 +297,8 @@ class PointColumns:
     Its n input points, copies counted, are held as the distinct points in
     sort_key order (one sort of the lattice_keys of their coordinates and
     tags), each with its tag and multiplicity (2 for a point listed twice),
-    beside int64 arrays of their coordinates and level-L lattices (int64
-    fits every Delta <= 2**62).  The coordinates are read by
+    beside an int64 array of their coordinates (int64 fits every
+    Delta <= 2**62).  The coordinates are read by
     geometry.coord_array and checked in numpy: a point outside the
     domain, ragged input or a value beyond int64 raises
     geometry.check_domain's usage error.  from_rows holds rows that carry
@@ -307,9 +307,9 @@ class PointColumns:
     points' codes (PointEncoder.encode_columns, made once), and rows(key)
     are the rows whose values lie below the key's threshold.  group(rows,
     level) groups rows into cells by one stable sort of the lattice_keys of
-    their lattices at level (GridHierarchy.coarsen): equal lattices become
-    runs, in lexicographic order, each in sort_key order; cells(key) groups
-    the rows key keeps."""
+    their lattices at level (GridHierarchy.lattices of their coordinates):
+    equal lattices become runs, in lexicographic order, each in sort_key
+    order; cells(key) groups the rows key keeps."""
 
     def __init__(self, points, sampling: Sampling):
         points = list(points)
@@ -359,7 +359,6 @@ class PointColumns:
         self.sampling = sampling
         # one row per distinct point
         self.coords = coords
-        self.lattices = sampling.grid.lattices(coords, sampling.grid.L)
         self._codes = None  # the points' codes, made when a key first hashes
         self._values: dict = {}  # (family, level) -> field values of points
 
@@ -386,7 +385,7 @@ class PointColumns:
         and its count (its rows' multiplicities summed).  The rows are
         grouped by one stable sort of the lattice_keys of their lattices
         (partition.sorted_runs)."""
-        lat = self.sampling.grid.coarsen(self.lattices[rows], level)
+        lat = self.sampling.grid.lattices(self.coords[rows], level)
         # the first row of each run of equal lattices starts a cell
         order, new = sorted_runs(lat)
         rows = rows[order]

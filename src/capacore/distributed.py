@@ -233,7 +233,7 @@ class Coordinator(StreamEngine):
         rows = union.rows(key)
         return cellstore.merge_exact(
             store, _stacked(self._residuals[key], d + 1), union.points, rows,
-            union.mults[rows], self.grid.coarsen(union.lattices[rows], key[1]))
+            union.mults[rows], self.grid.lattices(union.coords[rows], key[1]))
 
 
 def _stacked(arrays, width: int):

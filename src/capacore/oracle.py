@@ -16,11 +16,11 @@ pivot on a strongly feasible tree whose leaf rows stay implicit.
 
 The dist^r table is geometry.dist_table, the one the pipeline's assignment
 stage reads: the oracle's independence rests on its own solver, not on its
-own distances (brute_partitions, brute_opt and the tests' HiGHS
-cross-checks take theirs from dist_pow).  Costs are exact integers for
-r == 2 and dist**r on a 2**40 scale otherwise (geometry.scaled_table;
-Python ints when int64 pricing could overflow), tight enough for the 1e-9
-cross-validation tolerance.  Values sum over the points in input order:
+own distances (brute_partitions and the tests' references take theirs
+from dist_pow).  Costs are exact integers for r == 2 and dist**r on a
+2**40 scale otherwise (geometry.scaled_table; Python ints when int64
+pricing could overflow), tight enough for the 1e-9 cross-validation
+tolerance.  Values sum over the points in input order:
 exactly for unit weights at r == 2, and otherwise left to right in floats
 (np.cumsum or a plain loop, never the builtin sum, which compensates from
 Python 3.12 on), so each value is the same float on every Python.
@@ -44,7 +44,6 @@ INF = float("inf")
 ORACLE_SCALE = 1 << 40
 
 BRUTE_PARTITION_CAP = 10
-BRUTE_OPT_CANDIDATE_CAP = 3_000_000
 
 
 def _transport_plan(C, supply, cap):
@@ -257,18 +256,15 @@ def brute_partitions(points, centers, t, r, weights=None):
     return best
 
 
-def lattice_points(Delta: int, d: int):
-    return [Point(c) for c in itertools.product(range(1, Delta + 1), repeat=d)]
-
-
 def sample_lattice(rng, Delta: int, d: int, k: int) -> tuple:
-    """rng.sample(lattice_points(Delta, d), k), without building the lattice.
+    """rng.sample of k points of the lattice [Delta]^d, listed in
+    itertools.product order, without building the lattice.
 
-    The draw takes the same indices; index idx decodes in the lattice's
-    itertools.product order, coordinate i being idx // Delta**(d-1-i) % Delta.
-    Past sys.maxsize lattice points, whose range has no len() for
-    rng.sample, the indices come from _draw_distinct, the draw rng.sample
-    makes on so large a population.
+    The draw takes the same indices; index idx decodes in that order,
+    coordinate i being idx // Delta**(d-1-i) % Delta.  Past sys.maxsize
+    lattice points, whose range has no len() for rng.sample, the indices
+    come from _draw_distinct, the draw rng.sample makes on so large a
+    population.
     """
     size = Delta ** d
     if k > size:
@@ -294,31 +290,6 @@ def _draw_distinct(rng, size: int, k: int) -> list:
             seen.add(idx)
             indices.append(idx)
     return indices
-
-
-def brute_opt(points, k, r, Delta, d):
-    """Exact uncapacitated optimum over center sets from the full grid."""
-    candidates = lattice_points(Delta, d)
-    M = len(candidates)
-    total = math.comb(M, k)
-    if total > BRUTE_OPT_CANDIDATE_CAP:
-        raise OracleCapError(
-            f"brute_opt would enumerate {total} center sets (cap "
-            f"{BRUTE_OPT_CANDIDATE_CAP})")
-    pts = list(points)
-    D = np.array([[dist_pow(p, z, r) for z in candidates] for p in pts],
-                 dtype=float).reshape(len(pts), M)
-    # center sets in lexicographic order: each prefix of k - 1 centers
-    # scores every last center after its own at once
-    best_val, best_combo = INF, None
-    for prefix in itertools.combinations(range(M - 1), k - 1):
-        first = prefix[-1] + 1 if prefix else 0
-        near = D[:, prefix].min(axis=1, initial=INF)
-        rest = np.minimum(near[:, None], D[:, first:]).sum(axis=0)
-        j = int(rest.argmin())
-        if rest[j] < best_val:
-            best_val, best_combo = float(rest[j]), prefix + (first + j,)
-    return best_val, tuple(candidates[j] for j in best_combo)
 
 
 # --- sandwich audit ----------------------------------------------------------
@@ -593,9 +564,6 @@ class AuditReport:
         """Largest ratio of the form's rows (inf when any ratio is infinite)."""
         rows = [r for r in self.rows if form is None or r.form == form]
         return max((r.ratio for r in rows), default=0.0)
-
-    def clean(self) -> bool:
-        return self.violations() == 0
 
     def write_csv(self, path, header_lines=()):
         with open(path, "w") as fh:

@@ -24,13 +24,6 @@ PRACTICAL = "practical"
 # hhat samples the coreset points
 FAMILIES = ("h", "hp", "hhat")
 
-# calibrated practical-mode scale for the desk-scale sandwich audit: the
-# pre-registered sweep in tests/calibration_sweep.py selected the smallest
-# candidate with >= 18/20 clean seeds (3e-57 scored 19/20; 5e-57 and above
-# scored 20/20; 2e-57 and below fail).  At this scale the level-L sampling
-# rate is genuinely below 1 on the audit instances.
-CALIBRATED_PRACTICAL_SCALE = 3e-57
-
 
 @dataclass(frozen=True)
 class Params:
@@ -114,16 +107,6 @@ class Params:
             ("mode", self.mode), ("scale", repr(self.scale)),
         ]
         return " ".join(f"{key}={val}" for key, val in pairs)
-
-
-def coreset_size_bound(params: Params) -> int:
-    """Closed-form size bound of the theory schedule (integer floor)."""
-    if params.mode != THEORY:
-        raise UsageError("size bound is defined for theory mode")
-    k, r, d, L = params.k, params.r, params.d, params.L
-    base = 8 * 10**12 * 2.0 ** (10 * (r + 10)) * r * k**6 * d
-    base *= (k + params.d_pow()) ** 5 * L**10 * math.log2(k * d * L)
-    return int(base / min(params.eps, params.eta) ** 4)
 
 
 def derive(k: int, r: float, eps: float, eta: float, Delta: int, d: int,

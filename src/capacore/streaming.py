@@ -123,11 +123,12 @@ class StreamEngine:
 
     def finalize(self):
         """Smallest non-FAIL guess of o_grid(net) (coreset.search_o), which
-        the stores lay out while net <= n_max; an empty stream yields the
-        empty coreset."""
-        if self.net > self.n_max:
-            raise UsageError(
-                f"net point count {self.net} exceeds engine n_max {self.n_max}")
+        the stores lay out while 0 <= net <= n_max; an empty stream yields
+        the empty coreset.  A stream may delete a point before inserting
+        it, so net is checked here, not per update."""
+        if not 0 <= self.net <= self.n_max:
+            raise UsageError(f"net point count {self.net} lies outside "
+                             f"[0, n_max = {self.n_max}]")
         return search_o(self.sampling, self.net, self.finalize_for_o)
 
     def space_bytes(self):

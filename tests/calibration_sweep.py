@@ -10,7 +10,7 @@ Protocol (fixed before looking at any results):
     a seed is clean when no (Z, t) pair violates either inequality;
   * the selected scale is the smallest c in CANDIDATES with >= 18/20
     clean seeds.  The result is frozen into
-    capacore.params.CALIBRATED_PRACTICAL_SCALE and asserted by the
+    tests/reference.py's CALIBRATED_PRACTICAL_SCALE and asserted by the
     acceptance suite.
 """
 
@@ -28,6 +28,7 @@ from capacore.geometry import GridHierarchy
 from capacore.params import PRACTICAL, derive
 
 from conftest import clustered_points
+from reference import lattice_points
 
 CANDIDATES = [1e-58, 3e-58, 1e-57, 2e-57, 3e-57, 5e-57, 7e-57,
               1e-56, 1e-55, 1e-54, 1e-53, 1e-52, 1e-12, 1e-6]
@@ -45,13 +46,13 @@ def seed_clean(seed: int, scale: float) -> bool:
     grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), 8, 2)
     core = build_auto(pts, grid, params, seed=seed, exact_counts=True)
     z_rng = random.Random(derive_seed(seed, "calib-centers"))
-    lattice = oracle.lattice_points(8, 2)
+    lattice = lattice_points(8, 2)
     centers = [tuple(z_rng.sample(lattice, 2)) for _ in range(N_CENTERS)]
     n = len(pts)
     t_values = list(range(math.ceil(n / 2), n + 1))
     report = oracle.sandwich_audit(pts, core, centers, t_values,
                                    forms=(oracle.SYMMETRIC_FORM,))
-    return report.clean()
+    return report.violations() == 0
 
 
 def main():

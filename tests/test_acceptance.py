@@ -13,17 +13,18 @@ import pytest
 
 from capacore import cellstore, oracle
 from capacore.assignment import (extract_halfspaces, fractional_assign,
-                                 halfspace_member, integralize, pair_key,
-                                 region_of, transfer_full)
+                                 integralize, transfer_full)
 from capacore.common import derive_seed, is_fail, is_infeasible
 from capacore.coreset import build_auto, build_for_o, dedup_points, o_grid
 from capacore.distributed import per_machine_byte_cap, run_protocol
 from capacore.geometry import GridHierarchy, Point
-from capacore.params import (CALIBRATED_PRACTICAL_SCALE, PRACTICAL, THEORY,
-                             coreset_size_bound, derive)
+from capacore.params import PRACTICAL, THEORY, derive
 from capacore.streaming import StreamEngine
 
 from conftest import clustered_points, rand_points
+from reference import (CALIBRATED_PRACTICAL_SCALE, brute_opt, contains,
+                       coreset_size_bound, halfspace_member, lattice_points,
+                       pair_key, region_of)
 
 RATE1 = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
                mode=PRACTICAL, scale=1e-6)
@@ -205,7 +206,7 @@ def test_criterion_5_sandwich_audit():
     t0 = time.perf_counter()
     params = derive(k=2, r=2, eps=0.5, eta=0.5, Delta=8, d=2,
                     mode=PRACTICAL, scale=CALIBRATED_PRACTICAL_SCALE)
-    lattice = oracle.lattice_points(8, 2)
+    lattice = lattice_points(8, 2)
     clean_seeds = 0
     sampling_active = 0
     for seed in range(20):
@@ -221,7 +222,7 @@ def test_criterion_5_sandwich_audit():
         t_values = list(range(math.ceil(n / 2), n + 1))
         report = oracle.sandwich_audit(pts, core, centers, t_values,
                                        forms=(oracle.SYMMETRIC_FORM,))
-        clean_seeds += report.clean()
+        clean_seeds += report.violations() == 0
     _report("criterion 5 (sandwich audit)",
             clean_seeds >= 18,
             f"{clean_seeds}/20 seeds with zero violations over 200 centers x "
@@ -241,7 +242,7 @@ def test_criterion_6_fail_behavior():
     for seed in range(50):
         pts = dedup_points(clustered_points(rng, 30, 8, clusters=2,
                                             spread=1.0))
-        opt, _ = oracle.brute_opt(pts, 2, 2, 8, 2)
+        opt, _ = brute_opt(pts, 2, 2, 8, 2)
         if opt == 0:
             continue
         grid = GridHierarchy.from_seed(derive_seed(seed, "shift"), 8, 2)
@@ -274,7 +275,7 @@ def test_criterion_7_assignment_pipeline():
         if len(core) < 2:
             continue
         z_rng = random.Random(derive_seed(seed, "z"))
-        lattice = oracle.lattice_points(8, 2)
+        lattice = lattice_points(8, 2)
         Z = tuple(z_rng.sample(lattice, 2))
         W = core.total_weight()
         t_cap = max(W, len(pts)) / 2 * z_rng.uniform(1.05, 1.5)
@@ -377,7 +378,7 @@ def test_criterion_9_halfspace_machinery():
                     mapping.update({x: 1 for x in ordered[cut:]})
                     hs = extract_halfspaces(ordered, mapping,
                                             (Z[i], Z[j]), r)[(0, 1)]
-                members = {x for x in domain if hs.contains(x)}
+                members = {x for x in domain if contains(hs, x)}
                 assert members == set(ordered[:cut])  # Def-style prefix
                 table[(i, j)] = hs
         for x in domain:

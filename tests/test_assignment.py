@@ -10,8 +10,7 @@ from capacore.assignment import (FLOW_SCALE, Assignment, FractionalAssignment,
                                  HalfSpace, MinCostFlow, TransportSolver,
                                  _min_cost_same_sizes, assignment_from_coreset,
                                  canonicalize, extract_halfspaces,
-                                 fractional_assign, halfspace_member,
-                                 integralize, pair_key, region_of, regions,
+                                 fractional_assign, integralize, regions,
                                  scaled_costs, switch_ties, transfer_full,
                                  transferred_assignment)
 from capacore.common import UsageError, derive_seed, is_infeasible
@@ -22,6 +21,8 @@ from capacore.geometry import (GridHierarchy, Point, alph_less, coord_array,
 from capacore.params import PRACTICAL, derive
 
 from conftest import clustered_points, part_of, rand_points
+from reference import (contains, halfspace_member, has_negative_residual_cycle,
+                       pair_key, region_of)
 
 
 def _unit_weights(points):
@@ -38,7 +39,7 @@ def test_uncapacitated_is_nearest_center():
     pts = [Point((1, 1), 0), Point((5, 5), 1), Point((7, 2), 2)]
     Z = [Point((1, 1)), Point((6, 5))]
     frac = fractional_assign(pts, _unit_weights(pts), Z, float("inf"), 2)
-    assert frac.is_integral()
+    assert all(len(alloc) == 1 for alloc in frac.shares.values())
     expected = sum(min(dist_pow(p, z, 2) for z in Z) for p in pts)
     assert frac.cost() == pytest.approx(expected)
 
@@ -63,7 +64,7 @@ def test_flow_optimality_certificate(rng):
     Z = [Point((2, 2)), Point((7, 7))]
     frac = fractional_assign(pts, _unit_weights(pts), Z, 7, 2)
     assert frac.solver is not None
-    assert not frac.solver.has_negative_residual_cycle()
+    assert not has_negative_residual_cycle(frac.solver)
 
 
 def test_flow_certificate_detects_a_worse_plan():
@@ -71,9 +72,9 @@ def test_flow_certificate_detects_a_worse_plan():
     solver = TransportSolver([1, 1])
     assert solver.insert([0, 10], 1) and solver.insert([10, 0], 1)
     assert solver.shares == [{0: 1}, {1: 1}]
-    assert not solver.has_negative_residual_cycle()
+    assert not has_negative_residual_cycle(solver)
     solver.shares = [{1: 1}, {0: 1}]
-    assert solver.has_negative_residual_cycle()
+    assert has_negative_residual_cycle(solver)
 
 
 def _plan_cost(solver):
@@ -127,7 +128,7 @@ def test_transport_cost_equals_oracle_flow_exactly():
         if feasible:
             assert _plan_cost(frac.solver) == cost
             assert [sum(frac.shares[p].values()) for p in pts] == supplies
-            assert not frac.solver.has_negative_residual_cycle()
+            assert not has_negative_residual_cycle(frac.solver)
             stats = {}
             integralize(frac, stats)
             assert stats["splits"] <= k - 1
@@ -175,7 +176,7 @@ def test_integralize_leaves_integral_unchanged(rng):
     pts = rand_points(rng, 10, 8)
     Z = [Point((2, 2)), Point((7, 7))]
     frac = fractional_assign(pts, _unit_weights(pts), Z, float("inf"), 2)
-    assert frac.is_integral()
+    assert all(len(alloc) == 1 for alloc in frac.shares.values())
     integral = integralize(frac)
     for p, alloc in frac.shares.items():
         assert integral.mapping[p] == next(iter(alloc))
@@ -185,7 +186,7 @@ def test_single_split_point_rounds_to_nearer_center():
     pts = [Point((1, 1), 0), Point((2, 1), 1)]
     Z = [Point((1, 1)), Point((8, 1))]
     frac = fractional_assign(pts, _unit_weights(pts), Z, 1.2, 2)
-    split = frac.split_points()
+    split = [p for p, alloc in frac.shares.items() if len(alloc) > 1]
     assert split == [Point((2, 1), 1)]
     integral = integralize(frac)
     assert integral.mapping[Point((2, 1), 1)] == 0  # nearer center
@@ -249,7 +250,7 @@ def test_halfspace_matches_prefix_semantics(rng, r):
             if z1 == z2:
                 continue
             hs, ordered, t = _random_halfspace(rng, Delta, z1, z2, r)
-            members = {x for x in ordered if hs.contains(x)}
+            members = {x for x in ordered if contains(hs, x)}
             assert members == set(ordered[:t])
 
 
@@ -298,9 +299,9 @@ def test_axis_example_r1_prefix():
     mapping = {p: (0 if p.coords[0] <= 2 else 1) for p in pts}
     hs = extract_halfspaces(pts, mapping, (z1, z2), 1)[(0, 1)]
     ordered = sorted(pts, key=lambda x: (pair_key(x, z1, z2, 1), x.sort_key()))
-    members = [p for p in ordered if hs.contains(p)]
+    members = [p for p in ordered if contains(hs, p)]
     assert members == ordered[:2]
-    assert {p for p in pts if hs.contains(p)} == {p for p in pts
+    assert {p for p in pts if contains(hs, p)} == {p for p in pts
                                                   if mapping[p] == 0}
 
 

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from capacore import oracle
+import capacore
+from capacore import cellstore, coreset
 from capacore.common import UsageError, derive_seed, is_fail
 from capacore.coreset import (OfflineBuilder, build_auto, build_for_o,
                               dedup_points, exact_threshold, o_grid,
@@ -12,11 +13,12 @@ from capacore.estimator import ExactBank
 from capacore.geometry import (SHIFT_FRAC_BITS, TAG_SPACE, GridHierarchy,
                                Point, sample_shift)
 from capacore.hashing import KWiseHash, PointEncoder
-from capacore.params import PRACTICAL, THEORY, coreset_size_bound, derive
+from capacore.params import PRACTICAL, THEORY, derive
 from capacore.partition import mark_cells
 
 from conftest import (cell_dicts, clustered_points, floor_lattice, part_of,
                       part_taus, rand_points)
+from reference import brute_opt, coreset_size_bound
 
 RATE1 = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
                mode=PRACTICAL, scale=1e-6)
@@ -26,6 +28,13 @@ SAMPLING = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
 
 def _grid(seed, Delta=8, d=2):
     return GridHierarchy.from_seed(derive_seed(seed, "shift"), Delta, d)
+
+
+@pytest.mark.parametrize("module", [capacore, cellstore, coreset],
+                         ids=lambda m: m.__name__)
+def test_every_exported_name_exists(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ lists {missing}"
 
 
 def test_rate_one_keeps_all_qualifying_points(rng):
@@ -139,7 +148,7 @@ def test_offline_cell_data_matches_a_per_point_reference(d, log_delta, scale):
 
 def test_small_o_fails_via_part_mass_gate(rng):
     pts = dedup_points(clustered_points(rng, 30, 8, clusters=2, spread=1.0))
-    opt, _ = oracle.brute_opt(pts, 2, 2, 8, 2)
+    opt, _ = brute_opt(pts, 2, 2, 8, 2)
     assert opt > 0
     grid = _grid(5)
     result = build_for_o(pts, grid, RATE1, o=opt / 1e4, seed=5)
@@ -163,7 +172,7 @@ def test_heavy_cell_gate_fires_with_reduced_cap(rng):
 def test_no_fail_for_o_between_opt10_and_opt(rng):
     for seed in range(10):
         pts = dedup_points(clustered_points(rng, 25, 8, clusters=2, spread=1.2))
-        opt, _ = oracle.brute_opt(pts, 2, 2, 8, 2)
+        opt, _ = brute_opt(pts, 2, 2, 8, 2)
         if opt == 0:
             continue
         grid = _grid(seed)
@@ -196,7 +205,7 @@ def test_selected_o_vs_opt_on_tight_clusters(rng):
     runs = 0
     for seed in range(30):
         pts = dedup_points(clustered_points(rng, 16, 8, clusters=2, spread=0.35))
-        opt, _ = oracle.brute_opt(pts, 2, 2, 8, 2)
+        opt, _ = brute_opt(pts, 2, 2, 8, 2)
         if opt == 0:
             continue
         grid = _grid(seed)

@@ -119,7 +119,7 @@ def _over_every_guess(machine, refs):
     eng = machine.layout
     served = eng.sampling.served(eng.o_values)
     return [key for key, ref in zip(eng._stores, refs)
-            if all(ref.cell_count() > eng.params.caps(f, key[1], o)[0]
+            if all(len(ref.counts) > eng.params.caps(f, key[1], o)[0]
                    for f, o in served[key])]
 
 
@@ -947,7 +947,7 @@ def test_dist_fails_when_the_union_is_over_the_cell_cap():
     coord = Coordinator(capped, grid, 6, "exact", False, n_max=64)
     for shard in (pts[0::2], pts[1::2]):
         machine = Machine(shard, coord)
-        assert all(store.cell_count() <= 6
+        assert all(len(store.counts) <= 6
                    for store in _wire_stores(machine))
         coord.absorb(machine, ByteChannel())
     _all_fail(lambda: build_auto(pts, grid, capped, 6, exact_counts=False))

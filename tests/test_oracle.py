@@ -13,6 +13,7 @@ from capacore.geometry import GridHierarchy, Point, dist_pow
 from capacore.params import PRACTICAL, derive
 
 from conftest import clustered_points, rand_points
+from reference import brute_opt, lattice_points
 
 INF = float("inf")
 
@@ -118,10 +119,10 @@ def test_weighted_cost_is_fractional_lower_bracket(rng):
 
 def test_brute_opt_trivia():
     coincident = [Point((3, 3), i) for i in range(4)]
-    val, Z = oracle.brute_opt(coincident, 1, 2, 8, 2)
+    val, Z = brute_opt(coincident, 1, 2, 8, 2)
     assert val == 0 and Z == (Point((3, 3)),)
     distinct = [Point((1, 1), 0), Point((8, 8), 1)]
-    val, _ = oracle.brute_opt(distinct, 2, 2, 8, 2)
+    val, _ = brute_opt(distinct, 2, 2, 8, 2)
     assert val == 0
 
 
@@ -130,22 +131,22 @@ def test_brute_opt_two_separated_clusters(rng):
             for dy in (0, 1)]
            + [Point((7 + dx, 7 + dy), 20 + dx * 3 + dy) for dx in (0, 1)
               for dy in (0, 1)])
-    val, Z = oracle.brute_opt(pts, 2, 2, 8, 2)
+    val, Z = brute_opt(pts, 2, 2, 8, 2)
     split = min(
         sum(min(dist_pow(p, z, 2) for z in (z1, z2)) for p in pts)
-        for z1 in oracle.lattice_points(8, 2)
-        for z2 in oracle.lattice_points(8, 2)
+        for z1 in lattice_points(8, 2)
+        for z2 in lattice_points(8, 2)
         if z1.coords < z2.coords
     )
     assert val == pytest.approx(split)
 
 
 def test_brute_opt_matches_enumeration(rng):
-    lattice = oracle.lattice_points(4, 2)
+    lattice = lattice_points(4, 2)
     for trial in range(30):
         k, r = rng.randint(1, 4), rng.choice([1, 2, 3])
         pts = rand_points(rng, rng.randint(1, 10), 4)
-        val, Z = oracle.brute_opt(pts, k, r, 4, 2)
+        val, Z = brute_opt(pts, k, r, 4, 2)
         assert len(set(Z)) == k
         assert val == pytest.approx(
             sum(min(dist_pow(p, z, r) for z in Z) for p in pts), abs=1e-9)
@@ -157,7 +158,7 @@ def test_brute_opt_matches_enumeration(rng):
 def test_brute_opt_cap():
     pts = [Point((1, 1), 0)]
     with pytest.raises(OracleCapError):
-        oracle.brute_opt(pts, 4, 2, 32, 2)
+        brute_opt(pts, 4, 2, 32, 2)
 
 
 def _identity_coreset(rng, seed=3, n=25):
@@ -174,11 +175,11 @@ def _identity_coreset(rng, seed=3, n=25):
 def test_identity_coreset_zero_violations(rng):
     pts, core = _identity_coreset(rng)
     rng2 = random.Random(5)
-    lattice = oracle.lattice_points(8, 2)
+    lattice = lattice_points(8, 2)
     centers = [tuple(rng2.sample(lattice, 2)) for _ in range(25)]
     t_values = list(range(math.ceil(len(pts) / 2), len(pts) + 1))
     report = oracle.sandwich_audit(pts, core, centers, t_values)
-    assert report.clean()
+    assert report.violations() == 0
     assert report.violation_fraction() == 0.0
 
 
@@ -187,7 +188,7 @@ def test_corrupted_weights_reported(rng, tmp_path):
     doubled = WeightedCoreset(
         [(p, 2.0 * w, lvl, j) for p, w, lvl, j in core.entries], core.meta)
     rng2 = random.Random(6)
-    lattice = oracle.lattice_points(8, 2)
+    lattice = lattice_points(8, 2)
     centers = [tuple(rng2.sample(lattice, 2)) for _ in range(15)]
     # one k = 3 set: the simplex's unit-weight value is an int
     centers.append(tuple(rng2.sample(lattice, 3)))
@@ -238,7 +239,7 @@ def test_cost_curve_at_infinite_capacity(rng):
     assert oracle.exact_cost(pts, Z, INF, 2) == 2.0
     points, core = _identity_coreset(rng)
     report = oracle.sandwich_audit(points, core, [tuple(Z)], [INF])
-    assert report.rows and report.clean()
+    assert report.rows and report.violations() == 0
 
 
 def _flow_reference(points, centers, t, r, weights=None):
@@ -682,7 +683,7 @@ def test_transport_simplex_binding_five_centers(rng):
 def test_sample_lattice_draws_the_lattice_sample():
     for seed in range(40):
         for Delta, d in ((1, 2), (2, 1), (4, 2), (8, 2), (4, 3)):
-            lattice = oracle.lattice_points(Delta, d)
+            lattice = lattice_points(Delta, d)
             k = 1 + seed % min(len(lattice), 5)
             want, got = random.Random(seed), random.Random(seed)
             for _ in range(3):

@@ -3,8 +3,10 @@ import math
 import pytest
 
 from capacore.common import UsageError
-from capacore.params import (PRACTICAL, THEORY, coreset_size_bound, derive,
-                             derive_rounding_delta, parse_serialized)
+from capacore.params import (PRACTICAL, THEORY, derive, derive_rounding_delta,
+                             parse_serialized)
+
+from reference import coreset_size_bound
 
 
 def test_lambda_formula_spec_example():

@@ -8,10 +8,10 @@ from capacore.geometry import (SHIFT_FRAC_BITS, GridHierarchy, Point, dist_pow,
 from capacore.params import derive
 from capacore.partition import (PartitionStructure, exact_counts,
                                 lattice_array, mark_cells)
-from capacore import oracle
 
 from conftest import (clustered_points, floor_lattice, heavy_index, part_of,
                       rand_points)
+from reference import brute_opt
 
 PARAMS = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2)
 
@@ -45,7 +45,7 @@ def test_heavy_cell_count_bound_vs_opt(rng):
     # tight cluster, k=1, o = exact OPT: published bound on heavy cells
     pts = clustered_points(rng, 16, 8, clusters=1, spread=0.7)
     params = derive(k=1, r=2, eps=0.4, eta=0.4, Delta=8, d=2)
-    opt, _ = oracle.brute_opt(pts, 1, 2, 8, 2)
+    opt, _ = brute_opt(pts, 1, 2, 8, 2)
     assert opt > 0
     grid = GridHierarchy.from_seed(11, 8, 2)
     s, _ = _structure(sorted(set(pts), key=lambda p: p.sort_key()), grid, opt,
@@ -140,13 +140,11 @@ def test_part_of_cell_matches_part_of(rng):
 
 def test_root_heavy_whenever_o_below_opt(rng):
     # nonempty input and o <= OPT with exact counts: the root is marked heavy
-    from capacore import oracle
-
     for seed in range(10):
         grid = GridHierarchy.from_seed(seed, 8, 2)
         pts = sorted({p for p in rand_points(rng, 20, 8)},
                      key=lambda p: p.sort_key())
-        opt, _ = oracle.brute_opt(pts, 2, 2, 8, 2)
+        opt, _ = brute_opt(pts, 2, 2, 8, 2)
         if opt == 0:
             continue
         for o in (opt / 10, opt / 2, opt):

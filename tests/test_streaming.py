@@ -242,6 +242,16 @@ def test_net_count_guard(rng):
         engine.finalize()
     with pytest.raises(UsageError):
         engine.process(Point((1, 1), 99), 0)
+    # more deletions than insertions: no coreset, not the empty one
+    for backing in ("exact", "sketch"):
+        engine = StreamEngine(RATE1, _grid(8), seed=10, backing=backing,
+                              n_max=4)
+        engine.process(Point((1, 1), 0), -1)
+        with pytest.raises(UsageError, match="net point count -1"):
+            engine.finalize()
+        # a turnstile stream may delete before it inserts
+        engine.process(Point((1, 1), 0), +1)
+        assert engine.finalize().meta.o == 0.0
 
 
 def test_stream_file_roundtrip(tmp_path):
