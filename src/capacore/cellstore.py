@@ -30,19 +30,16 @@ store's points in it that the point section does not hold, where that is
 nonzero.  The store's level, caps and seed are the reader's: the
 coordinator's layout, from the broadcast.  The reader derives the rest:
 the point rows that a store keeps count toward their cells at its level,
-and its residual rows are added.  Over shards of insertions (the dist
-machines) the sum is exact, and so is the listing: a cell light in the
-union is light in every shard, which lists all its points there, so its
-residual is 0 on every shard and its points are all in the point
-sections; a listed point of a cell heavy in the union is only counted.
-ExactCellStore.serialize writes its own content by the same rule, as a
-message of one store.  Every section is at the width its values need
-(_narrow writes one, _wide reads one).  parse_exact is the one reader of
-the message, and merge_exact the one read-out: it merges listed points and
-count rows in columns into a CellData, be they the machines' messages at
-the coordinator or a store's own content.  A malformed message is a usage
-error.  Sketch blobs (encode_sketch gives a machine's) carry their records
-alone, one blob per store.
+and its residual rows are added (distributed states why that is exact
+over the machines' shards).  ExactCellStore.serialize writes its own
+content by the same rule, as a message of one store.  Every section is at
+the width its values need (_narrow writes one, _wide reads one).
+parse_exact is the one reader of the message, and merge_exact the one
+read-out: it merges listed points and count rows in columns into a
+CellData, be they the machines' messages at the coordinator or a store's
+own content.  A malformed message is a usage error.  Sketch blobs
+(encode_sketch gives a machine's) carry their records alone, one blob per
+store.
 """
 
 from __future__ import annotations
@@ -51,16 +48,15 @@ import math
 import random
 import struct
 from functools import lru_cache
-from itertools import chain, compress
-from operator import itemgetter
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .common import Fail, UsageError, derive_seed, is_fail
-from .geometry import TAG_SPACE, GridHierarchy, Point
+from .geometry import TAG_SPACE, GridHierarchy, Point, coord_array, point_rows
 from .hashing import PointEncoder
-from .partition import sorted_runs
+from .partition import point_table, sorted_runs
 
 _MAGIC = b"CSTO"
 _SKETCH_VERSION = 1
@@ -92,9 +88,9 @@ class CellData:
     Points in sort_key order: cell c lists the points points[ids[e]] for e
     in offsets[c]:offsets[c + 1], ids increasing, each with mults[e] > 0
     copies; a cell whose points are not recovered (count above beta) has an
-    empty range.  Both producers, merge_exact and the offline builder's
-    columns (coreset.OfflineBuilder), list their tables in that order, so
-    row order is point order across cells too."""
+    empty range.  Every table is built by partition.point_table, the one
+    table builder (by _table or coreset.PointColumns), so row order is
+    point order across cells too."""
 
     def __init__(self, level: int, lattices, counts, points, ids, mults,
                  offsets):
@@ -185,11 +181,10 @@ class ExactCellStore:
         cell, its count less the multiplicities of the points listed there
         (nonzero for a cell over beta, and for every nonzero cell of a store
         of beta below 1, which holds no point)."""
-        d, n = self.grid.d, len(self.points)
-        pts = sorted(self.points)
-        rows = np.array([(*p.coords, p.tag, self.points[p]) for p in pts],
-                        dtype=np.int64).reshape(n, d + 2)
-        cells = list(_rows(self.grid.lattices(rows[:, :d], self.level)))
+        d = self.grid.d
+        rows = _table(self.points, d)[0]
+        cells = list(map(tuple, self.grid.lattices(rows[:, :d],
+                                                   self.level).tolist()))
         listed = np.array([self.counts.get(lat, 0) <= self.beta
                            for lat in cells], dtype=bool)
         residual = dict(self.counts)
@@ -206,11 +201,6 @@ class ExactCellStore:
         d = self.grid.d
         return 24 + len(self.counts) * (8 * d + 8) \
             + len(self.points) * (8 * d + 16)
-
-
-def _rows(a):
-    """The rows of a 2-d integer array as tuples of Python ints."""
-    return zip(*(a[:, j].tolist() for j in range(a.shape[1])))
 
 
 class ExactBlob(NamedTuple):
@@ -317,27 +307,28 @@ def merge_exact(store, cells, points, ids, mults, lattices, *,
                     counts[nonzero], points, ids[at], mults[at], offsets)
 
 
+def _table(points: dict, d: int):
+    """The point table (partition.point_table) of {Point: multiplicity}:
+    its int64 rows and the dict's own Points, in sort_key order."""
+    pts = list(points)
+    rows = np.column_stack((point_rows(pts, d), np.fromiter(
+        points.values(), np.int64, len(pts))))
+    first = point_table(rows)[0]
+    return rows[first], list(map(pts.__getitem__, first.tolist()))
+
+
 def _merge_dicts(store, counts: dict, points: dict) -> CellData:
     """merge_exact of store content in dicts, {lattice: count} and {Point:
     multiplicity}, each point in its cell at the store's level
     (GridHierarchy.lattices) and not counted there: the counts are the
-    count rows.  The points are distinct: one sort lists them in table
-    order, and the table holds the dicts' own Points."""
-    d, m, n = store.grid.d, len(counts), len(points)
-    pts = list(points)
-    entries = np.column_stack((
-        np.fromiter(chain.from_iterable(map(itemgetter(0), pts)), np.int64,
-                    n * d).reshape(n, d),
-        np.fromiter(map(itemgetter(1), pts), np.int64, n)))
-    order = sorted_runs(entries)[0]
-    rows = np.empty((m, d + 1), dtype=np.int64)
-    rows[:, :d] = np.fromiter(chain.from_iterable(counts), np.int64,
-                              m * d).reshape(m, d)
-    rows[:, d] = np.fromiter(counts.values(), np.int64, m)
-    return merge_exact(
-        store, rows, list(map(pts.__getitem__, order.tolist())),
-        np.arange(n), np.fromiter(points.values(), np.int64, n)[order],
-        store.grid.lattices(entries[order, :d], store.level), counted=False)
+    count rows, and the table (_table) holds the dicts' own Points."""
+    d = store.grid.d
+    rows, pts = _table(points, d)
+    cells = np.column_stack((coord_array(list(counts), d), np.fromiter(
+        counts.values(), np.int64, len(counts))))
+    return merge_exact(store, cells, pts, np.arange(len(pts)), rows[:, d + 1],
+                       store.grid.lattices(rows[:, :d], store.level),
+                       counted=False)
 
 
 def encode_exact(points, cells, stores: int) -> bytes:
@@ -601,11 +592,6 @@ class SketchCellStore:
 
     def space_bytes(self):
         return 40 + (len(self.cell_state) + len(self.point_state)) * 40
-
-    def nominal_bytes(self):
-        """Size of the fully materialized sketch (the contract's space budget)."""
-        points = self.prows * self.pbuckets * 24 if self.beta >= 1 else 0
-        return 40 + self.rows * self.buckets * (24 + points)
 
 
 def _add(state, slot, cnt, ksum, csum):

@@ -36,13 +36,12 @@ import numpy as np
 from .cellstore import CellData
 from .common import Fail, UsageError, derive_seed, is_fail
 from .estimator import SampleBank
-from .geometry import (NO_TAG, TAG_SPACE, GridHierarchy, Point,
-                       check_domain, coord_array, format_point,
+from .geometry import (GridHierarchy, Point, check_domain, format_point,
                        parse_point_line)
 from .hashing import KWiseHash, PointEncoder
 from .params import FAMILIES, Params, parse_serialized
 from .partition import (PartitionStructure, lattice_array, mark_cells,
-                        sorted_runs)
+                        point_table, sorted_runs)
 
 __all__ = [
     "CoresetMeta", "WeightedCoreset", "OfflineBuilder", "build_for_o",
@@ -294,71 +293,46 @@ class PointColumns:
     point set at once (the offline builder, the dist machines and the dist
     coordinator's union of their point rows).
 
-    Its n input points, copies counted, are held as the distinct points in
-    sort_key order (one sort of the lattice_keys of their coordinates and
-    tags), each with its tag and multiplicity (2 for a point listed twice),
-    beside an int64 array of their coordinates (int64 fits every
-    Delta <= 2**62).  The coordinates are read by
-    geometry.coord_array and checked in numpy: a point outside the
-    domain, ragged input or a value beyond int64 raises
-    geometry.check_domain's usage error.  from_rows holds rows that carry
-    their multiplicities instead.  Each hashed (family, level) computes the
-    points' field values once, when a key first needs them, from the
-    points' codes (PointEncoder.encode_columns, made once), and rows(key)
-    are the rows whose values lie below the key's threshold.  group(rows,
-    level) groups rows into cells by one stable sort of the lattice_keys of
-    their lattices at level (GridHierarchy.lattices of their coordinates):
-    equal lattices become runs, in lexicographic order, each in sort_key
-    order; cells(key) groups the rows key keeps."""
+    Its n points, copies counted, are held as their point table
+    (partition.point_table, the one table builder of every mode): the
+    distinct points in sort_key order with their int64 coordinates, tags
+    and multiplicities (2 for a point listed twice), made from Points
+    (check_domain's rows, one copy each; the caller's Points are kept) or
+    from rows that carry multiplicities (from_rows).  Each hashed (family,
+    level) computes the points' field values once, when a key first needs
+    them, from their codes (PointEncoder.encode_columns, made once);
+    rows(key) are the rows whose values lie below the key's threshold.
+    group(rows, level) groups rows into cells by one stable sort of the
+    lattice_keys of their lattices at level: equal lattices become runs, in
+    lexicographic order, each in sort_key order; cells(key) groups the rows
+    key keeps."""
 
     def __init__(self, points, sampling: Sampling):
         points = list(points)
-        grid = sampling.grid
-        n, d = len(points), grid.d
-        try:  # ragged, other-dimensional or int64-overflowing input raises
-            coords = coord_array(points, d)
-            tags = np.fromiter(map(itemgetter(1), points), np.int64, n)
-            inside = coords.dtype == np.int64 and \
-                ((coords >= 1) & (coords <= grid.Delta)).all() and \
-                ((tags >= NO_TAG) & (tags <= TAG_SPACE - 2)).all()
-        except (ValueError, OverflowError):
-            inside = False
-        if not inside:
-            check_domain(points, grid.Delta, d)  # raises its message
-        order, new = sorted_runs(np.column_stack((coords, tags)))
-        starts = np.flatnonzero(new)
-        first = order[starts]
-        self._hold(sampling, n, [points[i] for i in first.tolist()],
-                   coords[first], tags[first], np.diff(np.append(starts, n)))
+        rows = check_domain(points, sampling.grid.Delta, sampling.grid.d)
+        self._hold(np.column_stack((rows, np.ones(len(points), np.int64))),
+                   sampling, points)
 
     @classmethod
     def from_rows(cls, rows, sampling: Sampling) -> "PointColumns":
         """The columns of (coordinates, tag, multiplicity) int64 rows of
-        points in the domain: a point in several rows is held once, with
-        their multiplicities summed."""
-        d = sampling.grid.d
-        order, new = sorted_runs(rows[:, :d + 1])
-        starts = np.flatnonzero(new)
-        first = rows[order[starts]]
-        mults = np.add.reduceat(rows[order, d + 1], starts) if len(rows) \
-            else rows[:, d + 1]
+        points in the domain, a point in several rows held once."""
         columns = cls.__new__(cls)
-        columns._hold(sampling, int(mults.sum()),
-                      list(map(Point, map(tuple, first[:, :d].tolist()),
-                               first[:, d].tolist())),
-                      first[:, :d], first[:, d], mults)
+        columns._hold(rows, sampling)
         return columns
 
-    def _hold(self, sampling, n, points, coords, tags, mults):
-        """Hold n points, copies counted, as the distinct Points points in
-        sort_key order with their coordinates, tags and multiplicities."""
-        self.n = n
-        self.points = points
-        self.tags = tags
-        self.mults = mults
+    def _hold(self, rows, sampling, points=None):
+        """Hold the point_table of (coordinates, tag, multiplicity) rows,
+        as Points the caller's points (one per row) where given."""
+        d = sampling.grid.d
+        first, self.mults = point_table(rows)
+        table = rows[first]
+        self.n = int(self.mults.sum())
+        self.coords, self.tags = table[:, :d], table[:, d]
+        self.points = list(map(Point, map(tuple, self.coords.tolist()),
+                               self.tags.tolist())) if points is None \
+            else list(map(points.__getitem__, first.tolist()))
         self.sampling = sampling
-        # one row per distinct point
-        self.coords = coords
         self._codes = None  # the points' codes, made when a key first hashes
         self._values: dict = {}  # (family, level) -> field values of points
 

@@ -12,37 +12,34 @@ keeps into cells by one sort of their lattice keys
 (partition.lattice_keys), each only where it needs them.  A sketch machine
 ships one message per store, the blob of the store the shard streamed into
 (cellstore.encode_sketch).  An exact machine ships one message
-(cellstore.encode_exact), each point and each count at most once: the
-store count, the point rows that some store's light cells (count at most
-beta) list, and per store position its residual rows: per cell, the summed
-multiplicity of the key's points in it that the point rows do not hold,
-where nonzero.  A cell light on the machine lists all its points, so only
-cells over beta have residual rows; once every row is listed, no key is
-hashed or grouped and the message has no residual row.  A layout with no
-store sends no message.  No store's level, caps or seed goes on the wire:
-the coordinator holds them in its layout.
+(cellstore.encode_exact, laid out as the cellstore module states): its
+point rows that some store's light cells list, and residual rows only for
+cells over beta; once every row is listed, no key is hashed or grouped.  A
+layout with no store sends no message.  No store's level, caps or seed
+goes on the wire: the coordinator holds them in its layout.
 
 The coordinator is a stream engine fed by machine messages instead of
 updates: it pairs a machine's stores with its own by position and counts
 the machines' points as its net count.  A sketch message merges into its
 store of that key (store merging is linear).  An exact message is parsed
 (cellstore.parse_exact) and checked at once: its store count is the
-layout's, and each residual row counts a cell over its store's beta on the
-machine (the machine's listed rows the key keeps in the cell plus the
-residual), as on an honest machine, whose cells of at most beta list all
-their points.  It then stays parsed until a read.  The first read after
-the last absorb holds the union of the point rows in columns
-(PointColumns.from_rows, multiplicities summed per point); a read of a key
-takes the union's rows the key keeps, at the key's level, and its
-machines' residual rows into one merge (cellstore.merge_exact).  That is
-exact: a cell light in the union is light on every machine, whose residual
-there is 0, so all its points are in the union; a cell over beta only
-counts the union's points.  It then finalizes like any engine: the
-decision path applies each guess's caps to the merged content, as it does
-in every mode.  A machine checks no cap itself: a shard holds only
-insertions, so a merged store has every cell of each machine's store of
-its key, and a guess over a cap on one machine is over it on the merge.  A
-malformed message is a usage error that leaves the coordinator as it was.
+layout's, its point rows pass the range rule (geometry.outside_domain)
+with multiplicities of at least 1, and each residual row counts a cell
+over its store's beta on the machine (its listed rows the key keeps in
+the cell plus the residual), as on an honest machine, whose cells of at
+most beta list all their points.  It then stays parsed until a read.
+The first read after the last absorb holds the union of the point rows
+in columns (PointColumns.from_rows, multiplicities summed per point); a
+read of a key takes the union's rows the key keeps, at the key's level,
+and its machines' residual rows into one merge (cellstore.merge_exact).
+That is exact: a cell light in the union is light on every machine,
+whose residual there is 0, so all its points are in the union; a cell
+over beta only counts the union's points.  It then finalizes like any
+engine, the decision path applying each guess's caps.  A machine checks
+no cap itself: a shard holds only insertions, so a merged store has every
+cell of each machine's store of its key, and a guess over a cap on one
+machine is over it on the merge.  A malformed message is a usage error
+that leaves the coordinator as it was.
 Transport is an in-process byte channel; the byte counters are the
 communication cost.
 """
@@ -55,7 +52,7 @@ import numpy as np
 
 from .common import UsageError, derive_seed
 from .coreset import PointColumns, Sampling
-from .geometry import NO_TAG, TAG_SPACE, GridHierarchy
+from .geometry import GridHierarchy, outside_domain
 from .params import Params
 from .partition import sorted_runs
 from .streaming import StreamEngine
@@ -82,15 +79,10 @@ class ByteChannel:
 
 
 class Machine:
-    """One machine: its shard's content per store, sent at once.
-
-    layout is the engine whose stores (Sampling keys in wire order, with
-    their backing, pooled caps and seeds) the messages follow; the machine
-    writes none of them.  The shard sits in columns (coreset.PointColumns,
-    copies counted as in every mode): a sketch message is encoded from its
-    key's cells (cellstore.encode_sketch), the exact message from the
-    listed rows and, per key, the cells of its rows that they do not hold
-    (cellstore.encode_exact)."""
+    """One machine: its shard in columns (coreset.PointColumns, copies
+    counted as in every mode), sent at once as the messages of layout, the
+    engine whose stores (Sampling keys in wire order, with their backing,
+    pooled caps and seeds) they follow; the machine writes none of them."""
 
     def __init__(self, shard, layout: StreamEngine):
         self.layout = layout
@@ -142,14 +134,8 @@ class Machine:
 
 
 class Coordinator(StreamEngine):
-    """A stream engine fed by machine messages instead of updates.
-
-    Sketch blobs merge into its stores as they arrive.  Exact messages stay
-    parsed (cellstore.parse_exact): each machine's point rows and, per
-    Sampling key, each machine's residual rows.  A read merges the rows of
-    the machines' point rows that the key keeps with its residual rows
-    (cellstore.merge_exact), over one PointColumns of those rows built at
-    the first read after the last absorb."""
+    """A stream engine fed by machine messages instead of updates (the
+    module docstring states how it reads them); process raises."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -160,12 +146,18 @@ class Coordinator(StreamEngine):
         self._residuals = {key: [] for key in self._stores} if exact else None
         self._union = None  # PointColumns of self._points, until an absorb
 
+    def process(self, p, sign: int):
+        """Machine messages are a coordinator's only input: updates raise."""
+        raise UsageError("a coordinator takes machine messages, not stream "
+                         "updates")
+
     def absorb(self, machine: "Machine", channel: ByteChannel):
         """Take in a machine laid out by this coordinator (else ValueError).
         A malformed exact message, a store count or a message count other
-        than the layout's, or a residual row of a cell of at most its
-        store's beta on the machine is a usage error that leaves the stores
-        as they were."""
+        than the layout's, a point row outside the domain
+        (geometry.outside_domain) or of multiplicity below 1, or a residual
+        row of a cell of at most its store's beta on the machine is a usage
+        error that leaves the stores as they were."""
         if machine.layout is not self:
             raise ValueError("the machine is laid out by another engine")
         channel.send_to_coordinator(struct.pack("<q", machine.local_n))
@@ -185,13 +177,17 @@ class Coordinator(StreamEngine):
             if blob.stores != len(self._stores):
                 raise UsageError(f"an exact message of {blob.stores} stores "
                                  f"for {len(self._stores)} stores")
-            _check_point_rows(blob.points, self.grid)
+            points, d = blob.points, self.grid.d
+            if outside_domain(points[:, :d + 1], self.grid.Delta).any() or \
+                    (points[:, d + 1] < 1).any():
+                raise UsageError("a machine's point rows hold a point outside "
+                                 "the domain or of multiplicity below 1")
             # the residual rows of each store position that has some
             parts = [part for part in np.split(
                 blob.cells, np.flatnonzero(np.diff(blob.cells[:, 0])) + 1)
                 if len(part)]
-            self._check_residual_rows(blob.points, parts)
-            self._points.append(blob.points)
+            self._check_residual_rows(points, parts)
+            self._points.append(points)
             residuals = list(self._residuals.values())
             for part in parts:
                 residuals[part[0, 0]].append(part[:, 1:])
@@ -240,19 +236,6 @@ def _stacked(arrays, width: int):
     """The rows of int64 arrays of width columns as one array, also of
     none."""
     return np.concatenate([np.empty((0, width), dtype=np.int64), *arrays])
-
-
-def _check_point_rows(rows, grid: GridHierarchy):
-    """A machine's point rows hold points of the domain, each of at
-    least one copy; else a usage error."""
-    d = grid.d
-    if len(rows) and not (
-            (rows[:, :d] >= 1).all() and (rows[:, :d] <= grid.Delta).all()
-            and (rows[:, d] >= NO_TAG).all()
-            and (rows[:, d] <= TAG_SPACE - 2).all()
-            and (rows[:, d + 1] >= 1).all()):
-        raise UsageError("a machine's point rows hold a point outside the "
-                         "domain or of multiplicity below 1")
 
 
 def broadcast_blob(params: Params, grid: GridHierarchy, seed: int) -> bytes:

@@ -6,6 +6,11 @@ whole domain for every dyadic shift in [0, Delta); the root lattice is
 anchored half a root-cell to the left of the finer grids, which pairs the two
 possible level-0 indices {-1, 0} per axis into one parent.
 
+Every mode reads coordinates and tags by operator.index (a numpy integer
+is its Python int, a float is rejected), outside_domain is the one range
+rule over their columns, and check_domain names the first point failing
+either (PointEncoder.encode keeps a scalar test for stream updates).
+
 Every cost is a weighted sum of dist^r entries, and every (n, k) table of
 them is made here, for the assignment stage and the oracle alike:
 coord_array reads points into int64 columns (Python ints past int64),
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -67,21 +72,37 @@ def dist_pow(p: Point, q: Point, r: float):
 # --- dist^r tables -----------------------------------------------------------
 
 def coord_array(points, d: int) -> np.ndarray:
-    """The (n, d) integer coordinates of Points or of coordinate rows, read
-    by np.fromiter: int64, or object (the Python ints) when one passes
-    int64.  A row of another length is a usage error."""
+    """The (n, d) coordinates of Points or coordinate rows, read by
+    operator.index (a non-integer raises TypeError): int64, or object (the
+    Python ints) when one passes int64.  A row not of d is a usage error."""
     rows = list(map(itemgetter(0), points)) \
         if points and isinstance(points[0], Point) else points
     n = len(rows)
     if n and set(map(len, rows)) != {d}:
         raise UsageError("dimension mismatch between points")
     try:
-        return np.fromiter(chain.from_iterable(rows), np.int64,
+        return np.fromiter(map(index, chain.from_iterable(rows)), np.int64,
                            n * d).reshape(n, d)
     except OverflowError:
         coords = np.empty((n, d), dtype=object)
-        coords[:] = rows
+        coords[:] = [list(map(index, row)) for row in rows]
         return coords
+
+
+def point_rows(points, d: int) -> np.ndarray:
+    """The (n, d + 1) rows of Points: each point's coordinates
+    (coord_array), then its tag, read by operator.index into int64."""
+    return np.column_stack((coord_array(points, d), np.fromiter(
+        map(index, map(itemgetter(1), points)), np.int64, len(points))))
+
+
+def outside_domain(rows, Delta: int) -> np.ndarray:
+    """The range rule of every mode, per value of rows ((n, d + 1)
+    integers, each row a point's coordinates and then its tag): whether it
+    lies outside [1, Delta] (a coordinate) or [-1, TAG_SPACE - 2] (a tag)."""
+    d = rows.shape[1] - 1
+    return (rows < np.array([1] * d + [NO_TAG])) | \
+        (rows > np.array([Delta] * d + [TAG_SPACE - 2]))
 
 
 def dist_table(points, centers, r) -> np.ndarray:
@@ -191,7 +212,8 @@ class GridHierarchy:
     def lattice_of(self, coords, level: int) -> tuple:
         if not -1 <= level <= self.L:
             raise UsageError(f"level {level} outside [-1, {self.L}]")
-        lat = [c - 1 - o for c, o in zip(coords, self.off)]
+        # numpy integers are read as Python ints, whose arithmetic is exact
+        lat = [index(c) - 1 - o for c, o in zip(coords, self.off)]
         if level == -1:
             return tuple([((t >> self.L) + 1) >> 1 for t in lat])
         return tuple([t >> (self.L - level) for t in lat])
@@ -244,17 +266,33 @@ def parse_point_line(line: str) -> Point | None:
     return Point(coords, tag)
 
 
-def check_domain(points, Delta: int, d: int):
-    """Reject a point that is not d-dimensional, lies outside [1, Delta]^d or
-    has a tag outside [-1, TAG_SPACE-2]: the point check of every mode."""
+def check_domain(points, Delta: int, d: int) -> np.ndarray:
+    """The point check of every mode: the int64 point_rows of Points that
+    are d-dimensional, with integer coordinates in [1, Delta] and integer
+    tags in [-1, TAG_SPACE-2] (outside_domain, the range rule).  Else a
+    usage error names the first point in input order that is not."""
+    points = list(points)
+    try:
+        rows = point_rows(points, d)
+        if not outside_domain(rows, Delta).any():
+            return rows
+    except (UsageError, TypeError, OverflowError):  # named one by one below
+        pass
     for p in points:
         if len(p.coords) != d:
             raise UsageError(f"point {format_point(p)!r} has {len(p.coords)} "
                              f"coordinates, expected d={d}")
-        if not all(1 <= c <= Delta for c in p.coords):
+        try:
+            outside = outside_domain(np.array(
+                [[*map(index, p.coords), index(p.tag)]], dtype=object),
+                Delta)[0]
+        except TypeError:
+            raise UsageError(f"point {format_point(p)!r} has a coordinate "
+                             f"or tag that is not an integer") from None
+        if outside[:d].any():
             raise UsageError(f"point {format_point(p)!r} lies outside "
                              f"[1, {Delta}]^{d}")
-        if not NO_TAG <= p.tag <= TAG_SPACE - 2:
+        if outside[d]:
             raise UsageError(f"point {format_point(p)!r} has a tag outside "
                              f"[-1, {TAG_SPACE - 2}]")
 

@@ -10,6 +10,7 @@ coreset.Sampling.
 from __future__ import annotations
 
 import random
+from operator import index
 
 import numpy as np
 
@@ -46,8 +47,12 @@ class PointEncoder:
         assert 1.0 / self.modulus < QUANTIZATION_LIMIT
 
     def encode(self, p: Point) -> int:
-        """The code of p; a point outside the domain is a usage error."""
-        coords, code = p.coords, p.tag + 1
+        """The code of p, read by operator.index; a point off the domain
+        gets check_domain's usage error."""
+        try:
+            coords, code = tuple(map(index, p.coords)), index(p.tag) + 1
+        except TypeError:  # not integers: check_domain names the point
+            coords, code = (), -1
         if len(coords) != self.d or not 0 <= code < TAG_SPACE or \
                 not 1 <= min(coords) <= max(coords) <= self.Delta:
             check_domain((p,), self.Delta, self.d)

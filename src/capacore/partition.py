@@ -11,12 +11,13 @@ int64 array in lexicographic order.  lattice_keys is the one place that
 turns integer rows (lattices, or point coordinates beside a tag) into keys
 that sort as the rows do: one int64 per row when the columns' spans fit 63
 bits, else one fixed-width bytes key per row.  Every sort of rows
-(sorted_runs) and every join of lattices (PartitionStructure.rank, a
-np.searchsorted over the keys of the heavy cells and the query rows, made
-in one call) goes through it, for every d and Delta.  mark_cells and
-crucial_ranks, the decision path's marking, and parts, the transfer's part
-of every input point, run on these arrays; PartitionStructure's tuple-set
-view (heavy) is made on first use, for the coreset file.
+(sorted_runs, and point_table, the point table of every mode) and every
+join of lattices (PartitionStructure.rank, a np.searchsorted over the keys
+of the heavy cells and the query rows, made in one call) goes through it,
+for every d and Delta.  mark_cells and crucial_ranks, the decision path's
+marking, and parts, the transfer's part of every input point, run on these
+arrays; PartitionStructure's tuple-set view (heavy) is made on first use,
+for the coreset file.
 """
 
 from __future__ import annotations
@@ -69,6 +70,17 @@ def sorted_runs(rows):
     new = np.ones(len(keys), dtype=bool)
     new[1:] = keys[1:] != keys[:-1]
     return order, new
+
+
+def point_table(rows):
+    """The one point table builder of every mode: per distinct point of
+    (m, d + 2) int64 rows (coordinates, tag, multiplicity), in sort_key
+    order, the index of its first row and its rows' summed multiplicity."""
+    order, new = sorted_runs(rows[:, :-1])
+    starts = np.flatnonzero(new)
+    mults = rows[order, -1]
+    return order[starts], \
+        np.add.reduceat(mults, starts) if len(mults) else mults
 
 
 def parents(lattices, level: int):

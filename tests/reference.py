@@ -11,6 +11,8 @@ something the package computes another way:
 - brute_opt is the exact uncapacitated optimum over every center set of
   the grid, the OPT the coreset and partition tests scale o by;
 - coreset_size_bound is the closed-form size bound of the theory schedule;
+- nominal_bytes is a sketch store's fully materialized size, the space
+  budget its space_bytes stays under;
 - CALIBRATED_PRACTICAL_SCALE is the practical-mode scale the sandwich
   audit tests run at.
 """
@@ -143,3 +145,13 @@ def coreset_size_bound(params) -> int:
     base = 8 * 10**12 * 2.0 ** (10 * (r + 10)) * r * k**6 * d
     base *= (k + params.d_pow()) ** 5 * L**10 * math.log2(k * d * L)
     return int(base / min(params.eps, params.eta) ** 4)
+
+
+# --- sketch space budget -----------------------------------------------------
+
+def nominal_bytes(store) -> int:
+    """The size of a SketchCellStore fully materialized (the contract's
+    space budget): every bucket of every row, with its point tables from
+    beta 1."""
+    points = store.prows * store.pbuckets * 24 if store.beta >= 1 else 0
+    return 40 + store.rows * store.buckets * (24 + points)

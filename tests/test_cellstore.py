@@ -13,6 +13,7 @@ from capacore.common import Fail, UsageError, is_fail
 from capacore.geometry import TAG_SPACE, GridHierarchy, Point
 
 from conftest import cell_dicts, exact_content, rand_points, read_exact
+from reference import nominal_bytes
 
 GRID = GridHierarchy.from_seed(21, 8, 2)
 LEVEL = 2
@@ -306,7 +307,7 @@ def test_sketch_space_meter():
     for beta in (3, 0):
         store = SketchCellStore(GRID, 2, alpha=16, beta=beta, seed=1,
                                 delta=0.05)
-        nominal = store.nominal_bytes()
+        nominal = nominal_bytes(store)
         for p in rand_points(random.Random(0), 30, 8):
             store.update(p, +1)
         assert 0 < store.space_bytes() <= nominal

@@ -1010,10 +1010,14 @@ def test_nonempty_input_fails_in_every_mode_instead_of_empty_coreset():
     pytest.param(Point((0, 3)), "lies outside", id="x=0"),
     pytest.param(Point((9, 3)), "lies outside", id="x=Delta+1"),
     pytest.param(Point((1, 2, 3)), "has 3 coordinates", id="3-d"),
-    pytest.param(Point((1,)), "has 1 coordinates", id="1-d")])
+    pytest.param(Point((1,)), "has 1 coordinates", id="1-d"),
+    pytest.param(Point((1.5, 2), 0), "not an integer", id="x=1.5"),
+    pytest.param(Point((2.0, 3)), "not an integer", id="x=2.0"),
+    pytest.param(Point((1, 1), 0.5), "not an integer", id="tag=0.5")])
 def test_out_of_range_tag_is_rejected_in_every_mode(rng, bad, why):
-    # a tag outside its range, a coordinate outside [1, Delta] and a point
-    # of the wrong dimension raise check_domain's error in every mode;
+    # a tag outside its range, a coordinate outside [1, Delta], a point of
+    # the wrong dimension and a coordinate or tag that is not an integer
+    # (even one of integral value) raise check_domain's error in every mode;
     # RATE1 hashes no level, SAMPLING does: either way the stream raises
     # before the engine's net count or any store changes
     pts = dedup_points(rand_points(rng, 10, 8)) + [bad]
@@ -1035,3 +1039,46 @@ def test_out_of_range_tag_is_rejected_in_every_mode(rng, bad, why):
             for backing in ("exact", "sketch"):
                 with pytest.raises(UsageError, match=why):
                     run_protocol(shards, params, 16, backing=backing)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("backing", ["exact", "sketch"])
+def test_numpy_integer_points_give_one_coreset_in_every_mode(backing):
+    # numpy int64 coordinates and tags are read as Python ints: at
+    # Delta = 2**40, d = 1, the codes and the sketch's cell codes pass
+    # int64 without an overflow warning, and every mode gives the coreset
+    # of the same Python-int points
+    Delta = 1 << 40
+    params = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=Delta, d=1,
+                    mode=PRACTICAL, scale=3e-64)
+    rng = random.Random(1)
+    pts = dedup_points([Point((rng.randint(1, Delta),), rng.randint(-1, 5))
+                        for _ in range(16)])
+    wide = [Point((np.int64(p.coords[0]),), np.int64(p.tag)) for p in pts]
+    want = _offline(pts, params, 1, exact_counts=True)
+    assert len(want) > 0
+    assert _offline(wide, params, 1, exact_counts=True) == want
+    grid = GridHierarchy.from_seed(derive_seed(1, "shift"), Delta, 1)
+    engine = StreamEngine(params, grid, 1, backing, True, n_max=len(pts))
+    engine.process_stream((p, +1) for p in wide)
+    assert engine.finalize() == want
+    core, _ = run_protocol([wide[0::2], wide[1::2]], params, 1, backing,
+                           exact_counts=True)
+    assert core == want
+
+
+@pytest.mark.parametrize("backing", ["exact", "sketch"])
+def test_coordinator_rejects_stream_updates(rng, backing):
+    # machine messages are a coordinator's only input: an update neither
+    # counts nor reaches a store
+    pts = dedup_points(rand_points(rng, 12, 8))
+    grid = GridHierarchy.from_seed(derive_seed(3, "shift"), 8, 2)
+    coord = Coordinator(RATE1, grid, 3, backing, False, n_max=len(pts) + 1)
+    coord.absorb(Machine(pts, coord), ByteChannel())
+    want = coord.finalize()
+    with pytest.raises(UsageError, match="machine messages"):
+        coord.process(Point((8, 8), 0), +1)
+    with pytest.raises(UsageError, match="machine messages"):
+        coord.process_stream([(Point((8, 8), 0), +1)])
+    assert coord.net == len(pts)
+    assert coord.finalize() == want

@@ -11,6 +11,7 @@ from capacore.streaming import (StreamEngine, parse_update_line, read_stream,
                                 write_stream)
 
 from conftest import rand_points
+from reference import nominal_bytes
 
 RATE1 = derive(k=2, r=2, eps=0.4, eta=0.4, Delta=8, d=2,
                mode=PRACTICAL, scale=1e-6)
@@ -229,7 +230,7 @@ def test_sketch_backing_stream_matches_exact_backing(rng):
     for store in sketch_engine._stores.values():
         if id(store) not in seen:
             seen.add(id(store))
-            nominal += store.nominal_bytes()
+            nominal += nominal_bytes(store)
     assert 0 < actual <= nominal
 
 
